@@ -1193,12 +1193,12 @@ func (s *System) intendedKind(a *planner.Analysis, sels []separable.Selection, o
 	return a.ChooseMulti(sels, opts.planOpts()).Kind
 }
 
-// queryEval is the uncached evaluation path behind QueryOn: plan choice,
-// seed/magic cache injection, execution, post-filters.  It recovers
-// evaluation panics into ErrInternal itself (rather than leaving that to
-// QueryOn's recover) so that a panicking cache build still completes its
-// entry — otherwise every waiter on the key would hang until its own
-// deadline instead of observing the failure.
+// queryEval is the uncached evaluation path behind Evaluate: plan choice
+// and seed/magic cache injection (planSeeded), execution, post-filters.
+// It recovers evaluation panics into ErrInternal itself (rather than
+// leaving that to Evaluate's recover) so that a panicking cache build
+// still completes its entry — otherwise every waiter on the key would
+// hang until its own deadline instead of observing the failure.
 func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, sels []separable.Selection, opts Options) (res *QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1220,48 +1220,46 @@ func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *p
 		}
 	}
 
-	plan := a.ChooseMulti(sels, opts.planOpts())
-
-	// Separable plans consume the primary selection, magic-seeded plans
-	// the bound subset in Plan.Magic.Sels; every selection a plan does
-	// not consume is applied as a post-filter.
-	consumed := map[int]bool{}
-	switch plan.Kind {
-	case planner.Separable:
-		if len(sels) > 0 {
-			consumed[sels[0].Col] = true
-		}
-	case planner.MagicSeeded:
-		if plan.Magic != nil {
-			for _, sel := range plan.Magic.Sels {
-				consumed[sel.Col] = true
-			}
-		}
-	}
-	seed, err := s.seedFor(ctx, a, snap)
+	plan, seed, err := s.planSeeded(ctx, snap, a, sels, opts)
 	if err != nil {
 		return nil, err
 	}
-	if plan.Kind == planner.MagicSeeded && plan.Magic != nil {
-		// Inject the cached magic set for this (goal binding, snapshot):
-		// repeated bound queries skip the frontier iteration entirely.
+	cl, stats, err := a.Open(ctx, s.Engine, snap.DB, plan, opts.planOpts(), seed)
+	if err != nil {
+		return nil, err
+	}
+	ans, cs, err := cl.Drain()
+	if err != nil {
+		return nil, err
+	}
+	stats.Add(cs)
+	for _, sel := range plan.Residual(sels) {
+		ans = sel.Apply(ans)
+	}
+	return &QueryResult{Query: q, Answer: ans, Stats: stats, Plan: plan, Version: snap.Version}, nil
+}
+
+// planSeeded is the shared front half of the materialized and streamed
+// evaluation paths: it chooses the plan and fetches the evaluation
+// inputs this snapshot caches — the exit-rule seed and, for a
+// magic-seeded plan, the magic set of this goal binding, injected into
+// the plan so repeated bound queries skip the frontier iteration.  The
+// planner opens the result (Analysis.Open); the caller drains or streams
+// it and applies Plan.Residual.
+func (s *System) planSeeded(ctx context.Context, snap *Snapshot, a *planner.Analysis, sels []separable.Selection, opts Options) (*planner.Plan, *rel.Relation, error) {
+	plan := a.ChooseMulti(sels, opts.planOpts())
+	seed, err := s.seedFor(ctx, a, snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	if plan.Kind == planner.MagicSeeded {
 		set, stats, err := s.magicFor(ctx, a, snap, plan.Magic.Spec, plan.Magic.BoundTuple())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		plan.Magic.Set, plan.Magic.SetStats = set, stats
 	}
-	exec, err := a.ExecuteSeeded(ctx, s.Engine, snap.DB, plan, nil, opts.planOpts(), seed)
-	if err != nil {
-		return nil, err
-	}
-	ans := exec.Answer
-	for _, sel := range sels {
-		if !consumed[sel.Col] {
-			ans = sel.Apply(ans)
-		}
-	}
-	return &QueryResult{Query: q, Answer: ans, Stats: exec.Stats, Plan: plan, Version: snap.Version}, nil
+	return plan, seed, nil
 }
 
 // multiSeparable attempts to assign every selection to an operator slot of

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"linrec/internal/ast"
+	"linrec/internal/eval"
 )
 
 // TestIncrementalUpgradeOnAdd: a warm full-closure entry survives an
@@ -52,48 +55,93 @@ func TestIncrementalUpgradeOnAdd(t *testing.T) {
 	}
 }
 
+// bowtieProgram is a transitive closure shaped to give one retraction a
+// wide over-delete cone: n sources feed a hub c0, the bridge c0→c1 feeds
+// n targets, each with a one-edge tail.  Retracting the bridge
+// over-deletes every source→target and source→tail path, a cascade whose
+// rounds carry n·(n+1) delta rows; the bypass c0→c200 keeps one target
+// (and its tail) re-derivable.
+func bowtieProgram(n int) string {
+	var b strings.Builder
+	b.WriteString("path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,U), edge(U,Y).\n")
+	b.WriteString("edge(c0,c1).\nedge(c0,c200).\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "edge(c%d,c0).\nedge(c1,c%d).\nedge(c%d,c%d).\n", 100+i, 200+i, 200+i, 300+i)
+	}
+	return b.String()
+}
+
 // TestIncrementalUpgradeOnRetract: delete-and-rederive carries a warm
-// full-closure entry across a retraction — including one that removes a
-// mid-chain edge whose cone has surviving re-derivations elsewhere.
+// full-closure entry across a retraction, bit-for-bit equal to a
+// from-scratch rebuild — for a mid-chain edge whose cone has surviving
+// re-derivations elsewhere, and for a cone wide enough (≥ the kernel's
+// fan-out threshold) that the over-delete cascade shards across two
+// workers.
 func TestIncrementalUpgradeOnRetract(t *testing.T) {
-	// Chain c0→…→c5 plus a shortcut c1→c3: retracting edge c2→c3 deletes
-	// the cone through c2 but paths through the shortcut must re-derive.
-	src := chainProgram(5) + "edge(c1,c3).\n"
-	sys, err := Load(src)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	cases := []struct {
+		name    string
+		src     string
+		retract ast.Atom
+		workers int
+		sharded bool // the cascade must fan out
+	}{
+		// Chain c0→…→c5 plus a shortcut c1→c3: retracting edge c2→c3
+		// deletes the cone through c2 but paths through the shortcut must
+		// re-derive.
+		{"shortcut", chainProgram(5) + "edge(c1,c3).\n", edgeFact(2, 3), 1, false},
+		{"wide-cone", bowtieProgram(40), edgeFact(0, 1), 2, true},
 	}
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
-	if _, err := sys.Query(open); err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-	_, removed, m, err := sys.RemoveFactsMaint([]ast.Atom{edgeFact(2, 3)})
-	if err != nil || removed != 1 {
-		t.Fatalf("RemoveFactsMaint: removed=%d err=%v", removed, err)
-	}
-	if m.ResultsUpgraded != 1 {
-		t.Fatalf("maintenance = %+v, want the full-closure entry upgraded", m)
-	}
-	r, err := sys.Query(open)
-	if err != nil {
-		t.Fatalf("post-retract query: %v", err)
-	}
-	if !r.Cached {
-		t.Fatalf("post-retract full-closure query was not served from the maintained cache")
-	}
-	fresh, err := Load(src)
-	if err != nil {
-		t.Fatalf("fresh load: %v", err)
-	}
-	if _, _, err := fresh.RemoveFacts([]ast.Atom{edgeFact(2, 3)}); err != nil {
-		t.Fatalf("fresh retract: %v", err)
-	}
-	want, err := fresh.Query(open)
-	if err != nil {
-		t.Fatalf("fresh query: %v", err)
-	}
-	if got, exp := fmt.Sprint(r.Rows(sys)), fmt.Sprint(want.Rows(fresh)); got != exp {
-		t.Fatalf("maintained answer diverges from from-scratch:\ngot  %s\nwant %s", got, exp)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := LoadOptions(tc.src, Options{Workers: tc.workers})
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if _, err := sys.Query(open); err != nil {
+				t.Fatalf("warm query: %v", err)
+			}
+			tr := &eval.Tracer{}
+			_, removed, m, err := sys.RemoveFactsMaintCtx(eval.WithTracer(context.Background(), tr), []ast.Atom{tc.retract})
+			if err != nil || removed != 1 {
+				t.Fatalf("RemoveFactsMaintCtx: removed=%d err=%v", removed, err)
+			}
+			if m.ResultsUpgraded != 1 {
+				t.Fatalf("maintenance = %+v, want the full-closure entry upgraded", m)
+			}
+			// The over-delete cascade traces as a restricted closure (keep =
+			// membership in the cached fixpoint).
+			sharded := false
+			for _, ph := range tr.Trace().Phases {
+				for _, rd := range ph.Rounds {
+					sharded = sharded || (ph.Name == "restricted-closure" && len(rd.ShardRows) > 0)
+				}
+			}
+			if sharded != tc.sharded {
+				t.Fatalf("over-delete cascade sharded = %v, want %v", sharded, tc.sharded)
+			}
+			r, err := sys.Query(open)
+			if err != nil {
+				t.Fatalf("post-retract query: %v", err)
+			}
+			if !r.Cached {
+				t.Fatalf("post-retract full-closure query was not served from the maintained cache")
+			}
+			fresh, err := Load(tc.src)
+			if err != nil {
+				t.Fatalf("fresh load: %v", err)
+			}
+			if _, _, err := fresh.RemoveFacts([]ast.Atom{tc.retract}); err != nil {
+				t.Fatalf("fresh retract: %v", err)
+			}
+			want, err := fresh.Query(open)
+			if err != nil {
+				t.Fatalf("fresh query: %v", err)
+			}
+			if got, exp := fmt.Sprint(r.Rows(sys)), fmt.Sprint(want.Rows(fresh)); got != exp {
+				t.Fatalf("maintained answer diverges from from-scratch:\ngot  %s\nwant %s", got, exp)
+			}
+		})
 	}
 }
 

@@ -265,21 +265,22 @@ func (s *System) resumeAddition(ctx context.Context, a *planner.Analysis, total 
 // one-step derivation through a removed tuple joins the deleted set D,
 // and D's consequences cascade through the recursive position (the only
 // intensional input — eligibility guaranteed every nonrecursive
-// predicate is extensional).  Re-derive: surviving tuples of D are those
-// the new database still derives, found by re-seeding D from the new
-// exit rules and re-applying each operator with its recursive input
-// restricted to survivors that can reach D at all; the closure then
-// resumes from whatever came back.  The resumed fixpoint can never leave
-// the old closure (retraction shrinks the database, closure is
-// monotone), so no keep filter is needed.
+// predicate is extensional) on the engine's closure kernel, so a wide
+// cone fans out across the worker pool like any other round.
+// Re-derive: surviving tuples of D are those the new database still
+// derives, found by re-seeding D from the new exit rules and re-applying
+// each operator with its recursive input restricted to survivors that
+// can reach D at all; the closure then resumes from whatever came back.
+// The resumed fixpoint can never leave the old closure (retraction
+// shrinks the database, closure is monotone), so the resume needs no
+// keep filter.
 func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, total *rel.Relation, oldDB, newDB rel.DB, removed map[string]*rel.Relation, workers int) (*rel.Relation, bool) {
 	var st eval.Stats
 	arity := total.Arity()
 	deleted := rel.NewRelation(arity)
-	frontier := rel.NewRelation(arity)
 	collect := func(t rel.Tuple) {
-		if total.Has(t) && deleted.Insert(t) {
-			frontier.Insert(t)
+		if total.Has(t) {
+			deleted.Insert(t)
 		}
 	}
 	for _, r := range a.ExitRules {
@@ -310,21 +311,20 @@ func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, tota
 			scratch.Each(collect)
 		}
 	}
-	for frontier.Len() > 0 {
-		next := rel.NewRelation(arity)
-		for _, op := range a.Ops {
-			scratch := rel.NewRelation(arity)
-			s.Engine.Apply(oldDB, op, frontier, scratch, &st)
-			scratch.Each(func(t rel.Tuple) {
-				if total.Has(t) && deleted.Insert(t) {
-					next.Insert(t)
-				}
-			})
-		}
-		frontier = next
-	}
 	if deleted.Len() == 0 {
 		return total, true // the removed tuples fed no cached derivation
+	}
+	// The cascade is a closure like any other: the one-step cone closed
+	// under the operators over the old database, keeping only cached
+	// tuples — the restricted closure with every column bound and the
+	// cached fixpoint as the allowed set.
+	cols := make([]int, arity)
+	for i := range cols {
+		cols[i] = i
+	}
+	deleted, _, err := p.SemiNaiveRestrictedCtx(ctx, oldDB, a.Ops, deleted, cols, total)
+	if err != nil {
+		return nil, false
 	}
 	pruned, _ := total.Minus(deleted)
 	lo := pruned.Len()

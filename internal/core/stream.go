@@ -5,14 +5,15 @@
 // after k rows (a limit-k or exists query) stops the fixpoint at the
 // round that produced its k-th answer.
 //
-// Streaming covers the three closure-shaped plan paths: plain
-// semi-naive, the final group of a decomposed closure (earlier groups
-// must materialize — they feed the next closure's seed), and the
-// magic-restricted closure of filter-mode magic plans.  The remaining
-// plan kinds (separable, bounded, context-mode magic, the n-ary
-// separable decomposition) produce their answer as a whole; those
-// queries evaluate exactly as Evaluate and stream the finished
-// relation, so early termination saves transport but not evaluation.
+// The planner opens every plan's final closure as an un-drained stream
+// (planner.Analysis.Open), so laziness covers the three closure-shaped
+// plan paths: plain semi-naive, the final group of a decomposed closure
+// (earlier groups must materialize — they feed the next closure's
+// seed), and the magic-restricted closure of filter-mode magic plans.
+// The remaining plan kinds (separable, bounded, context-mode magic, the
+// n-ary separable decomposition) produce their answer as a whole and
+// come back as an already-complete stream, so early termination saves
+// transport but not evaluation.
 //
 // Result-cache interaction: a stream peeks the goal-level cache and
 // serves a completed entry's rows, but never joins an in-flight build
@@ -49,10 +50,9 @@ type QueryStream struct {
 	cached  bool
 	limit   int
 
-	// Exactly one of closure/src feeds rows: closure for the live
-	// streaming paths, src for cached or materialized answers.
+	// closure feeds the rows: a live closure stepping on demand, or an
+	// already-complete one over a cached or materialized answer.
 	closure  *eval.ClosureStream
-	src      eval.RowIter
 	filters  []separable.Selection
 	preStats eval.Stats
 
@@ -99,7 +99,7 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 	st = &QueryStream{sys: s, query: q, version: snap.Version, limit: limit}
 	if unknown != "" {
 		st.plan = &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", unknown)}
-		st.src = eval.RelationRows(nil)
+		st.closure = eval.Completed(rel.NewRelation(q.Arity()))
 		return st, nil
 	}
 	st.key = resultKey{
@@ -113,94 +113,51 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 		tr.Cache("result", "hit", st.key.goal, 0)
 		st.plan, st.cached = res.Plan, true
 		st.preStats = res.Stats
-		st.src = eval.RelationRows(res.Answer)
+		st.closure = eval.Completed(res.Answer)
 		return st, nil
 	}
 	tr.Cache("result", "miss", st.key.goal, 0)
 
 	if nArySeparableCandidate(a, sels) {
-		return s.materializedStream(ctx, snap, q, a, sels, opts, st)
+		// The n-ary separable decomposition (and its fallbacks) evaluates
+		// exactly as Evaluate — full answer, full cost.
+		res, err := s.queryEval(ctx, snap, q, a, sels, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.populateResult(st.key, snap.Version, res)
+		st.plan, st.preStats, st.closure = res.Plan, res.Stats, eval.Completed(res.Answer)
+		return st, nil
 	}
-	plan := a.ChooseMulti(sels, opts.planOpts())
-	st.plan = plan
-	st.filters = sels
-	pe := eval.Parallel(s.Engine, max(1, opts.Workers))
-	switch {
-	case plan.Kind == planner.SemiNaive:
-		seed, err := s.seedFor(ctx, a, snap)
-		if err != nil {
-			return nil, err
-		}
-		st.closure = pe.StreamCtx(ctx, snap.DB, a.Ops, seed)
+	plan, seed, err := s.planSeeded(ctx, snap, a, sels, opts)
+	if err != nil {
+		return nil, err
+	}
+	st.plan, st.filters = plan, plan.Residual(sels)
+	st.closure, st.preStats, err = a.Open(ctx, s.Engine, snap.DB, plan, opts.planOpts(), seed)
+	if err != nil {
+		return nil, err
+	}
+	// A plan kind with no lazy closure produced its answer whole and was
+	// paid for in full: cache it now, even under a limit.  A live closure
+	// populates the cache only if an unbounded consumer drains it (finish).
+	if plan.Parallelizable() {
 		st.populate = true
-	case plan.Kind == planner.Decomposed:
-		seed, err := s.seedFor(ctx, a, snap)
-		if err != nil {
-			return nil, err
-		}
-		// Groups run right-to-left; every closure but the last feeds the
-		// next one's seed and must materialize.  Only the final group's
-		// closure (Groups[0]) streams.
-		cur := seed
-		for i := len(plan.Groups) - 1; i >= 1; i-- {
-			next, stats, err := pe.SemiNaiveCtx(ctx, snap.DB, groupOps(a, plan.Groups[i]), cur)
-			st.preStats.Add(stats)
-			if err != nil {
-				return nil, err
-			}
-			cur = next
-		}
-		st.closure = pe.StreamCtx(ctx, snap.DB, groupOps(a, plan.Groups[0]), cur)
-		st.populate = true
-	case plan.Kind == planner.MagicSeeded && plan.Magic != nil:
-		seed, err := s.seedFor(ctx, a, snap)
-		if err != nil {
-			return nil, err
-		}
-		m := plan.Magic
-		set, mstats, err := s.magicFor(ctx, a, snap, m.Spec, m.BoundTuple())
-		if err != nil {
-			return nil, err
-		}
-		st.preStats.Add(mstats)
-		if m.Mode == planner.MagicFilter {
-			restricted := seed.SelectInCols(m.Spec.Cols, set)
-			st.closure = pe.StreamRestrictedCtx(ctx, snap.DB, a.Ops, restricted, m.Spec.Cols, set)
-			st.populate = true
-		} else {
-			// Context mode collects the whole answer from the frontier —
-			// already output-proportional, nothing left to stream lazily.
-			ans := eval.MagicCollect(seed, m.Spec.Cols, m.BoundTuple(), set, &st.preStats)
-			for _, sel := range sels {
-				ans = sel.Apply(ans)
-			}
-			res := &QueryResult{Query: q, Answer: ans, Stats: st.preStats, Plan: plan, Version: snap.Version}
-			s.populateResult(st.key, snap.Version, res)
-			st.filters = nil
-			st.src = eval.RelationRows(ans)
-		}
-	default:
-		return s.materializedStream(ctx, snap, q, a, sels, opts, st)
+	} else {
+		s.populateResult(st.key, snap.Version, st.result())
 	}
 	return st, nil
 }
 
-// materializedStream finishes construction for plan kinds without a
-// streamable closure: the query evaluates exactly as QueryOn (full
-// answer, full cost) and the stream serves the finished relation.  The
-// complete answer populates the result cache even under a limit — the
-// evaluation was paid in full regardless.
-func (s *System) materializedStream(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, sels []separable.Selection, opts Options, st *QueryStream) (*QueryStream, error) {
-	res, err := s.queryEval(ctx, snap, q, a, sels, opts)
-	if err != nil {
-		return nil, err
+// result assembles the query result from a complete closure: the
+// residual selections applied to its total, the pre-stream statistics
+// plus the closure's.
+func (st *QueryStream) result() *QueryResult {
+	ans := st.closure.Total()
+	for _, sel := range st.filters {
+		ans = sel.Apply(ans)
 	}
-	s.populateResult(st.key, snap.Version, res)
-	st.plan = res.Plan
-	st.preStats = res.Stats
-	st.filters = nil
-	st.src = eval.RelationRows(res.Answer)
-	return st, nil
+	return &QueryResult{Query: st.query, Answer: ans, Stats: st.Stats(), Plan: st.plan, Version: st.version}
 }
 
 // populateResult offers a complete query result to the result cache
@@ -217,15 +174,6 @@ func (s *System) populateResult(key resultKey, version uint64, res *QueryResult)
 	}
 	res.memo = &rowsMemo{syms: s.Engine.Syms}
 	s.results.complete(e, res, nil)
-}
-
-// groupOps resolves a decomposed plan group's operator indexes.
-func groupOps(a *planner.Analysis, idxs []int) []*ast.Op {
-	ops := make([]*ast.Op, 0, len(idxs))
-	for _, i := range idxs {
-		ops = append(ops, a.Ops[i])
-	}
-	return ops
 }
 
 // match applies the query's residual selections to one candidate row.
@@ -259,17 +207,9 @@ func (st *QueryStream) Next() (row rel.Tuple, ok bool) {
 		}
 	}()
 	for {
-		var t rel.Tuple
-		var more bool
-		if st.closure != nil {
-			t, more = st.closure.Next()
-		} else {
-			t, more = st.src.Next()
-		}
+		t, more := st.closure.Next()
 		if !more {
-			if st.closure != nil {
-				st.err = st.closure.Err()
-			}
+			st.err = st.closure.Err()
 			st.done = true
 			st.finish()
 			return nil, false
@@ -297,28 +237,10 @@ func (st *QueryStream) finish() {
 		return
 	}
 	st.closed = true
-	if st.src != nil {
-		st.src.Close()
-	}
-	if st.closure == nil {
-		return
-	}
 	exhausted := st.closure.Exhausted()
 	st.closure.Close()
 	if st.populate && st.limit == 0 && !st.early && exhausted && st.err == nil {
-		ans := st.closure.Total()
-		for _, sel := range st.filters {
-			ans = sel.Apply(ans)
-		}
-		stats := st.preStats
-		stats.Add(st.closure.Stats())
-		st.sys.populateResult(st.key, st.version, &QueryResult{
-			Query:   st.query,
-			Answer:  ans,
-			Stats:   stats,
-			Plan:    st.plan,
-			Version: st.version,
-		})
+		st.sys.populateResult(st.key, st.version, st.result())
 	}
 }
 
@@ -339,9 +261,7 @@ func (st *QueryStream) Err() error { return st.err }
 // actually ran.
 func (st *QueryStream) Stats() eval.Stats {
 	stats := st.preStats
-	if st.closure != nil {
-		stats.Add(st.closure.Stats())
-	}
+	stats.Add(st.closure.Stats())
 	return stats
 }
 

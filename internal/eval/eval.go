@@ -10,12 +10,11 @@
 package eval
 
 import (
-	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/rel"
@@ -294,8 +293,9 @@ func joinFrom(res []resolvedAtom, atoms []compiledAtom, binding []rel.Value, i i
 
 // applyCompiledRange joins the operator body with rows [lo, hi) of src as
 // the recursive-atom relation and emits every derived head tuple.  Taking
-// a row range rather than a relation lets the parallel engine feed each
-// worker its shard of the delta.  The emitted tuple is reused across
+// a row range rather than a relation lets a round read its delta straight
+// off the total relation and lets a fanned-out round feed each worker its
+// shard of it.  The emitted tuple is reused across
 // emissions; receivers must copy what they keep.  A non-nil stop flag is
 // polled every cancelCheckRows rows; it reports false when the scan was
 // abandoned (emissions so far may be partial).
@@ -410,12 +410,6 @@ func applyCompiledRange(db rel.DB, c *compiled, src *rel.Relation, lo, hi int, s
 	return true
 }
 
-// applyCompiled is applyCompiledRange over a whole relation, without
-// cancellation.
-func applyCompiled(db rel.DB, c *compiled, src *rel.Relation, emit func(rel.Tuple)) {
-	applyCompiledRange(db, c, src, 0, src.Len(), nil, emit)
-}
-
 // Engine caches compiled operators against a symbol table.  Compilation
 // and the cache are safe for concurrent use; the closure methods
 // (SemiNaive, Naive, …) build fresh result relations per call and only
@@ -423,27 +417,49 @@ func applyCompiled(db rel.DB, c *compiled, src *rel.Relation, emit func(rel.Tupl
 // a shared DB snapshot.
 type Engine struct {
 	Syms *rel.Symtab
+	// Workers is the closure worker-pool width: ≤ 1 runs every round on
+	// the caller's goroutine, > 1 lets rounds whose delta is wide enough
+	// fan out across that many goroutines (see stepper.step).  Set it
+	// through Parallel, before the engine is shared.
+	Workers int
 
-	mu    sync.Mutex
-	cache map[*ast.Op]*compiled
+	cache *opCache
 }
 
-// NewEngine returns an engine over the given symbol table (a fresh one when
-// nil).
+// opCache is the compiled-operator cache an engine and its Parallel
+// views share.
+type opCache struct {
+	mu sync.Mutex
+	m  map[*ast.Op]*compiled
+}
+
+// NewEngine returns a sequential engine over the given symbol table (a
+// fresh one when nil).
 func NewEngine(syms *rel.Symtab) *Engine {
 	if syms == nil {
 		syms = rel.NewSymtab()
 	}
-	return &Engine{Syms: syms, cache: map[*ast.Op]*compiled{}}
+	return &Engine{Syms: syms, cache: &opCache{m: map[*ast.Op]*compiled{}}}
+}
+
+// Parallel returns a view of e that evaluates closures on a pool of the
+// given width, sharing e's symbol table and compiled-operator cache.
+// Worker counts follow the core.Options convention: 0 or 1 evaluates
+// sequentially, negative selects runtime.GOMAXPROCS(0).
+func Parallel(e *Engine, workers int) *Engine {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Engine{Syms: e.Syms, Workers: workers, cache: e.cache}
 }
 
 func (e *Engine) compiledFor(op *ast.Op) *compiled {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.cache[op]
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	c, ok := e.cache.m[op]
 	if !ok {
 		c = compileOp(op, e.Syms)
-		e.cache[op] = c
+		e.cache.m[op] = c
 	}
 	return c
 }
@@ -454,7 +470,7 @@ func (e *Engine) compiledFor(op *ast.Op) *compiled {
 // a tuple already in dst.
 func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
 	added := 0
-	applyCompiled(db, e.compiledFor(op), src, func(t rel.Tuple) {
+	applyCompiledRange(db, e.compiledFor(op), src, 0, src.Len(), nil, func(t rel.Tuple) {
 		stats.Derivations++
 		if dst.Insert(t) {
 			added++
@@ -465,181 +481,10 @@ func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Sta
 	return added
 }
 
-// ApplyNew is Apply but collects the genuinely new tuples into a separate
-// delta relation as well.
-func (e *Engine) ApplyNew(db rel.DB, op *ast.Op, src, dst, delta *rel.Relation, stats *Stats) int {
-	added := 0
-	applyCompiled(db, e.compiledFor(op), src, func(t rel.Tuple) {
-		stats.Derivations++
-		if dst.Insert(t) {
-			added++
-			delta.Insert(t)
-		} else {
-			stats.Duplicates++
-		}
-	})
-	return added
-}
-
-// ApplyKeep is Apply with a keep filter: emissions failing keep are
-// discarded before any accounting.  The delete-and-rederive maintenance
-// path uses it to re-derive only tuples inside the over-deleted cone.
-func (e *Engine) ApplyKeep(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats, keep func(rel.Tuple) bool) int {
-	added := 0
-	applyCompiled(db, e.compiledFor(op), src, func(t rel.Tuple) {
-		if keep != nil && !keep(t) {
-			return
-		}
-		stats.Derivations++
-		if dst.Insert(t) {
-			added++
-		} else {
-			stats.Duplicates++
-		}
-	})
-	return added
-}
-
-// applyNewStop is ApplyNew with a pollable stop flag and an optional
-// keep filter (emissions failing it are discarded before any
-// accounting); it reports false when the scan was abandoned mid-way.
-func (e *Engine) applyNewStop(db rel.DB, op *ast.Op, src, dst, delta *rel.Relation, stats *Stats, stop *atomic.Bool, keep func(rel.Tuple) bool) bool {
-	return applyCompiledRange(db, e.compiledFor(op), src, 0, src.Len(), stop, func(t rel.Tuple) {
-		if keep != nil && !keep(t) {
-			return
-		}
-		stats.Derivations++
-		if dst.Insert(t) {
-			delta.Insert(t)
-		} else {
-			stats.Duplicates++
-		}
-	})
-}
-
-// SemiNaive computes (Σᵢ opsᵢ)* q by semi-naive iteration: each round
-// applies every operator to the previous round's delta only.  The paper's
-// model of computation in Theorem 3.1 ("the same tuple is not derived
-// through the same arc more than once") is exactly this discipline.
-func (e *Engine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	total, stats, _ := e.semiNaive(db, ops, q, nil, nil, nil)
-	return total, stats
-}
-
-// SemiNaiveCtx is SemiNaive with cancellation: the loop polls ctx at every
-// round barrier and every cancelCheckRows delta rows within a round, and
-// returns ctx's error (with a partial, unusable relation) once it fires.
-// A Tracer carried by ctx (WithTracer) records the closure as one phase.
-func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
-	stop, release := watchContext(ctx)
-	defer release()
-	ph := TracerFrom(ctx).phase("semi-naive", 1, 0, q.Len())
-	total, stats, ok := e.semiNaive(db, ops, q, stop, nil, ph)
-	ph.close(total.Len())
-	if !ok {
-		return nil, stats, ctxErr(ctx)
-	}
-	return total, stats, nil
-}
-
-// semiNaive is the one sequential fixpoint driver: the optional keep
-// filter (nil = unrestricted) discards derivations before any
-// accounting — the restricted closure of the magic-seeded plans rides
-// the same loop as the plain closure.  ph, when non-nil, collects one
-// RoundTrace per round.
-func (e *Engine) semiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation, stop *atomic.Bool, keep func(rel.Tuple) bool, ph *PhaseTrace) (*rel.Relation, Stats, bool) {
-	total := q.Clone()
-	stats, ok := e.semiNaiveFrom(db, ops, total, 0, stop, keep, ph)
-	return total, stats, ok
-}
-
-// semiNaiveFrom runs the semi-naive loop over total in place, treating
-// rows [lo, total.Len()) as the initial delta: each round applies every
-// operator to the previous round's delta rows only, appending new
-// tuples to total, until no round adds anything.  With lo == 0 this is
-// exactly the classic closure over a fresh seed; with lo > 0 it resumes
-// an externally supplied fixpoint total[0, lo) against the delta the
-// caller appended — the entry point incremental cache maintenance needs.
-// Derivation order (and therefore Stats) matches the detached-delta
-// formulation tuple for tuple: total's tail rows are the delta in
-// insertion order.
-func (e *Engine) semiNaiveFrom(db rel.DB, ops []*ast.Op, total *rel.Relation, lo int, stop *atomic.Bool, keep func(rel.Tuple) bool, ph *PhaseTrace) (Stats, bool) {
-	var stats Stats
-	hi := total.Len()
-	for lo < hi {
-		if stop != nil && stop.Load() {
-			return stats, false
-		}
-		stats.Iterations++
-		var roundStart time.Time
-		var ruleUS []int64
-		d0, u0 := stats.Derivations, stats.Duplicates
-		if ph != nil {
-			roundStart = time.Now()
-			ruleUS = make([]int64, 0, len(ops))
-		}
-		for _, op := range ops {
-			var opStart time.Time
-			if ph != nil {
-				opStart = time.Now()
-			}
-			ok := applyCompiledRange(db, e.compiledFor(op), total, lo, hi, stop, func(t rel.Tuple) {
-				if keep != nil && !keep(t) {
-					return
-				}
-				stats.Derivations++
-				if !total.Insert(t) {
-					stats.Duplicates++
-				}
-			})
-			if !ok {
-				return stats, false
-			}
-			if ph != nil {
-				ruleUS = append(ruleUS, time.Since(opStart).Microseconds())
-			}
-		}
-		if ph != nil {
-			ph.round(RoundTrace{
-				Round:       stats.Iterations,
-				DeltaRows:   hi - lo,
-				NewRows:     total.Len() - hi,
-				Derivations: stats.Derivations - d0,
-				Duplicates:  stats.Duplicates - u0,
-				ElapsedUS:   time.Since(roundStart).Microseconds(),
-				RuleUS:      ruleUS,
-			})
-		}
-		lo, hi = hi, total.Len()
-		if hi > lo {
-			stats.MaxDepth++
-		}
-	}
-	return stats, true
-}
-
-// SemiNaiveResumeCtx resumes a semi-naive closure from an externally
-// supplied fixpoint: total[0, lo) must already be closed under ops over
-// db, and rows [lo, total.Len()) are the delta to propagate.  The
-// relation is extended in place to the new fixpoint.  This is the
-// incremental-maintenance entry point — additions against a cached
-// closure append their one-step consequences as delta rows and resume
-// from here instead of re-deriving the world.  A Tracer carried by ctx
-// records the resume as one phase.
-func (e *Engine) SemiNaiveResumeCtx(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int) (Stats, error) {
-	stop, release := watchContext(ctx)
-	defer release()
-	ph := TracerFrom(ctx).phase("resume", 1, lo, total.Len()-lo)
-	stats, ok := e.semiNaiveFrom(db, ops, total, lo, stop, nil, ph)
-	ph.close(total.Len())
-	if !ok {
-		return stats, ctxErr(ctx)
-	}
-	return stats, nil
-}
-
-// Naive computes the same closure by re-deriving from the full relation
-// every round; kept as a correctness oracle and duplicate-cost baseline.
+// Naive computes the closure (Σᵢ opsᵢ)* q by re-deriving from the full
+// relation every round, always sequentially; kept as the correctness
+// oracle the tests compare the stepper against and as the
+// duplicate-cost baseline.
 func (e *Engine) Naive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
 	var stats Stats
 	total := q.Clone()
@@ -655,29 +500,6 @@ func (e *Engine) Naive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation
 		}
 		stats.MaxDepth++
 	}
-}
-
-// Decomposed computes B*C*q as two chained semi-naive closures — the
-// decomposition (B+C)* = B*C* that commutativity licenses (Section 3).
-func (e *Engine) Decomposed(db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	mid, s1 := e.SemiNaive(db, c, q)
-	out, s2 := e.SemiNaive(db, b, mid)
-	s1.Add(s2)
-	return out, s1
-}
-
-// DecomposedCtx is Decomposed with cancellation (see SemiNaiveCtx).
-func (e *Engine) DecomposedCtx(ctx context.Context, db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
-	mid, s1, err := e.SemiNaiveCtx(ctx, db, c, q)
-	if err != nil {
-		return nil, s1, err
-	}
-	out, s2, err := e.SemiNaiveCtx(ctx, db, b, mid)
-	s1.Add(s2)
-	if err != nil {
-		return nil, s1, err
-	}
-	return out, s1, nil
 }
 
 // EvalRule evaluates one nonrecursive rule (every body predicate resolved

@@ -16,10 +16,10 @@
 //     context mode): answers are exit-rule tuples looked up per magic
 //     tuple with the bound columns rewritten — output-proportional work.
 //   - SemiNaiveRestrictedCtx is the fallback (the planner's filter mode):
-//     an ordinary semi-naive closure, sequential or sharded across the
-//     worker pool, that discards every derived tuple whose bound-column
-//     projection lies outside the magic set, so the fixpoint only ever
-//     grows the reachable region instead of the whole predicate.
+//     an ordinary semi-naive closure, on the same stepper as any other,
+//     that discards every derived tuple whose bound-column projection
+//     lies outside the magic set, so the fixpoint only ever grows the
+//     reachable region instead of the whole predicate.
 
 package eval
 
@@ -186,22 +186,15 @@ func MagicCollect(q *rel.Relation, cols []int, vals rel.Tuple, set *rel.Relation
 
 // SemiNaiveRestrictedCtx computes the part of (Σᵢ opsᵢ)* q whose
 // projection onto cols lies in allowed: a semi-naive closure that
-// discards every derived tuple outside the magic set, so reachable
-// tuples are derived exactly as the unrestricted closure would while the
-// rest of the predicate is never materialized.  q must already be
-// restricted (see rel.Relation.SelectInCols); allowed is read
+// discards every derived tuple outside the magic set — inside each
+// worker when a round fans out, before the tuple reaches a round buffer
+// — so reachable tuples are derived exactly as the unrestricted closure
+// would while the rest of the predicate is never materialized.  q must
+// already be restricted (see rel.Relation.SelectInCols); allowed is read
 // concurrently and must not be mutated during the call.  Cancellation
 // behaves as SemiNaiveCtx.
 func (e *Engine) SemiNaiveRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) (*rel.Relation, Stats, error) {
-	stop, release := watchContext(ctx)
-	defer release()
-	ph := TracerFrom(ctx).phase("restricted-closure", 1, 0, q.Len())
-	total, stats, ok := e.semiNaive(db, ops, q, stop, magicKeep(cols, allowed), ph)
-	ph.close(total.Len())
-	if !ok {
-		return nil, stats, ctxErr(ctx)
-	}
-	return total, stats, nil
+	return e.StreamRestrictedCtx(ctx, db, ops, q, cols, allowed).Drain()
 }
 
 // magicKeep builds one magic-set membership filter.  The single-column
@@ -210,8 +203,8 @@ func (e *Engine) SemiNaiveRestrictedCtx(ctx context.Context, db rel.DB, ops []*a
 // both paths allocate nothing per probe, so the filter stays off the
 // derivation hot path's allocation profile.  Because of that private
 // buffer a filter instance must not be shared across goroutines: the
-// sharded closure hands each worker its own via magicKeepEach.
-// Relation.Has takes no locks either way.
+// stepper builds one per worker of a fanned-out round.  Relation.Has
+// takes no locks either way.
 func magicKeep(cols []int, allowed *rel.Relation) func(rel.Tuple) bool {
 	if len(cols) == 1 {
 		col := cols[0]
@@ -227,33 +220,4 @@ func magicKeep(cols []int, allowed *rel.Relation) func(rel.Tuple) bool {
 		}
 		return allowed.Has(key)
 	}
-}
-
-// magicKeepEach is the per-worker form: the sharded drivers call it once
-// per worker goroutine, so every shard filters through its own gather
-// buffer.
-func magicKeepEach(cols []int, allowed *rel.Relation) func() func(rel.Tuple) bool {
-	return func() func(rel.Tuple) bool { return magicKeep(cols, allowed) }
-}
-
-// SemiNaiveRestrictedCtx is the sharded form of the restricted closure:
-// every round's delta fans out across the worker pool with the magic-set
-// filter applied inside each worker, so tuples outside the reachable
-// region are dropped before they ever reach a round buffer.  Results and
-// statistics equal the sequential Engine.SemiNaiveRestrictedCtx on the
-// same inputs; with Workers ≤ 1 it delegates to it.
-func (p *ParallelEngine) SemiNaiveRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) (*rel.Relation, Stats, error) {
-	stop, release := watchContext(ctx)
-	defer release()
-	workers := p.Workers
-	if workers < 1 || q.Arity() == 0 {
-		workers = 1
-	}
-	ph := TracerFrom(ctx).phase("restricted-closure", workers, 0, q.Len())
-	total, stats, ok := p.semiNaive(db, ops, q, stop, magicKeepEach(cols, allowed), ph)
-	ph.close(total.Len())
-	if !ok {
-		return nil, stats, ctxErr(ctx)
-	}
-	return total, stats, nil
 }

@@ -1,23 +1,19 @@
-// Parallel closure evaluation: each semi-naive round shards the delta
-// across a worker pool; workers join their shard against the (read-only)
-// database into private output buffers, which are merged into the total
-// relation at the round barrier by a single goroutine.  No locks are taken
-// on the hot path — workers share nothing but the immutable inputs — and
-// the merge preserves the sequential engine's set semantics and statistics
-// exactly: Derivations, Duplicates, Iterations and MaxDepth all match the
-// sequential engine on the same inputs (proven by the differential
-// property test in parallel_property_test.go).
+// Round fan-out: a wide round shards its delta across a worker pool;
+// workers join their shard against the (read-only) database into private
+// output buffers, which the stepping goroutine merges into the total
+// relation at the round barrier.  No locks are taken on the hot path —
+// workers share nothing but the immutable inputs — and the merge
+// reproduces an inline round's set semantics and statistics exactly
+// (proven by the differential property test in
+// parallel_property_test.go).
 
 package eval
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/rel"
@@ -36,41 +32,6 @@ type workerPanic struct {
 func (p *workerPanic) String() string {
 	return fmt.Sprintf("%v\n%s", p.val, p.stack)
 }
-
-// ParallelEngine evaluates closures on a worker pool.  It embeds (and
-// shares the compiled-operator cache of) a sequential Engine, to which it
-// is a drop-in replacement for the SemiNaive / Naive / Decomposed entry
-// points; with Workers ≤ 1 those delegate to the sequential code paths.
-type ParallelEngine struct {
-	*Engine
-	Workers int
-}
-
-// NewParallelEngine returns a parallel engine over the given symbol table
-// (fresh when nil).  Worker counts follow the core.Options convention:
-// 0 or 1 evaluates sequentially, negative selects runtime.GOMAXPROCS(0).
-func NewParallelEngine(syms *rel.Symtab, workers int) *ParallelEngine {
-	return Parallel(NewEngine(syms), workers)
-}
-
-// Parallel wraps an existing engine with a worker pool, sharing its symbol
-// table and compiled-operator cache.  Worker counts follow the
-// core.Options convention: 0 or 1 evaluates sequentially, negative
-// selects runtime.GOMAXPROCS(0).
-func Parallel(e *Engine, workers int) *ParallelEngine {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-	return &ParallelEngine{Engine: e, Workers: workers}
-}
-
-// parallelRoundRows is the delta size below which a semi-naive round runs
-// inline on the caller's goroutine instead of fanning out: beneath it the
-// spawn-and-barrier cost of a round exceeds the join work being sharded.
-const parallelRoundRows = 1024
 
 // shardBounds splits n items into at most w contiguous shards of
 // near-equal size, returning the boundary offsets.
@@ -101,23 +62,23 @@ func prebuildIndexes(db rel.DB, cs []*compiled) {
 }
 
 // applyRound runs every operator over rows [lo, hi) of src, sharded on
-// the worker pool, and returns one flat emission buffer per worker:
-// derived tuples laid out back to back, arity values each.  Flat buffers
-// keep the round's output pointer-free, so the garbage collector never
-// scans the (potentially millions of) in-flight derivations.  A non-nil
-// newKeep factory builds one filter per worker, dropping emissions
-// inside the worker before they are buffered (the restricted closure's
-// magic-set test) — per-worker instances let a filter keep mutable
-// probe state without cross-shard races.  A non-nil stop flag makes every worker
-// abandon its shard within cancelCheckRows rows of the flag being set;
-// the waitgroup barrier still joins every worker, so cancellation never
-// leaks goroutines.  A worker panic (e.g. the join arity guard) is
+// a pool of the given width, and returns one flat emission buffer per
+// worker: derived tuples laid out back to back, arity values each.  Flat
+// buffers keep the round's output pointer-free, so the garbage collector
+// never scans the (potentially millions of) in-flight derivations.  A
+// non-nil newKeep factory builds one filter per worker, dropping
+// emissions inside the worker before they are buffered (the restricted
+// closure's magic-set test) — per-worker instances let a filter keep
+// mutable probe state without cross-shard races.  A non-nil stop flag
+// makes every worker abandon its shard within cancelCheckRows rows of
+// the flag being set; the waitgroup barrier still joins every worker, so
+// cancellation never leaks goroutines.  A worker panic (e.g. the join arity guard) is
 // recovered and re-raised at the barrier in the caller's goroutine — a
 // panic escaping a bare worker goroutine would kill the process, while
 // the caller's stack has recovery (core.QueryOn turns it into an error)
 // — with all workers joined first.
-func (p *ParallelEngine) applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) [][]rel.Value {
-	bounds := shardBounds(hi-lo, p.Workers)
+func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity, workers int, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) [][]rel.Value {
+	bounds := shardBounds(hi-lo, workers)
 	bufs := make([][]rel.Value, len(bounds)-1)
 	var panicked atomic.Pointer[any]
 	var wg sync.WaitGroup
@@ -170,9 +131,9 @@ func (p *ParallelEngine) applyRound(db rel.DB, cs []*compiled, src *rel.Relation
 
 // mergeRound folds the worker buffers into total, charging stats one
 // derivation per emission and one duplicate per emission of an
-// already-known tuple — the same accounting as the sequential ApplyNew.
-// New tuples are the rows total gained; callers recover the round's delta
-// as the row range [Len-before, Len).
+// already-known tuple — the same accounting as an inline round.  New
+// tuples are the rows total gained; callers recover the round's delta as
+// the row range [Len-before, Len).
 func mergeRound(total *rel.Relation, bufs [][]rel.Value, arity int, stats *Stats) {
 	for _, buf := range bufs {
 		stats.Derivations += int64(len(buf) / arity)
@@ -184,243 +145,22 @@ func mergeRound(total *rel.Relation, bufs [][]rel.Value, arity int, stats *Stats
 	}
 }
 
-// SemiNaive computes (Σᵢ opsᵢ)* q with each round's delta sharded across
-// the worker pool.  The delta is simply the row range the merge appended
-// to the total relation last round.  Results and statistics equal the
-// sequential Engine.SemiNaive on the same inputs.
-func (p *ParallelEngine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	total, stats, _ := p.semiNaive(db, ops, q, nil, nil, nil)
-	return total, stats
-}
-
-// SemiNaiveCtx is SemiNaive with cancellation: the round barrier polls ctx
-// before fanning out and before merging, and every worker polls it while
-// scanning its shard, so a cancelled closure returns within a few hundred
-// row-joins with all workers joined (no goroutine leaks).  A Tracer
-// carried by ctx records the closure as one phase, with per-worker shard
-// rows on every fanned-out round.
-func (p *ParallelEngine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
-	if p.Workers <= 1 || q.Arity() == 0 {
-		return p.Engine.SemiNaiveCtx(ctx, db, ops, q)
-	}
-	stop, release := watchContext(ctx)
-	defer release()
-	ph := TracerFrom(ctx).phase("semi-naive", p.Workers, 0, q.Len())
-	total, stats, ok := p.semiNaive(db, ops, q, stop, nil, ph)
-	ph.close(total.Len())
-	if !ok {
-		return nil, stats, ctxErr(ctx)
-	}
-	return total, stats, nil
-}
-
-// semiNaive is the one sharded fixpoint driver; the optional newKeep
-// factory builds one filter per worker (see applyRound), so the
-// restricted closure of the magic-seeded plans shares this loop too.
-func (p *ParallelEngine) semiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool, ph *PhaseTrace) (*rel.Relation, Stats, bool) {
-	// Nullary relations carry no per-tuple payload for the flat round
-	// buffers; the (degenerate) case runs sequentially.
-	if p.Workers <= 1 || q.Arity() == 0 {
-		var keep func(rel.Tuple) bool
-		if newKeep != nil {
-			keep = newKeep()
-		}
-		return p.Engine.semiNaive(db, ops, q, stop, keep, ph)
-	}
-	total := q.Clone()
-	stats, ok := p.semiNaiveFrom(db, ops, total, 0, stop, newKeep, ph)
-	return total, stats, ok
-}
-
-// semiNaiveFrom is the sharded analogue of Engine.semiNaiveFrom: it runs
-// the round loop over total in place with rows [lo, total.Len()) as the
-// initial delta.  Callers with Workers ≤ 1 or nullary relations must
-// route to the sequential driver themselves.
-func (p *ParallelEngine) semiNaiveFrom(db rel.DB, ops []*ast.Op, total *rel.Relation, lo int, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool, ph *PhaseTrace) (Stats, bool) {
-	cs := make([]*compiled, len(ops))
-	for i, op := range ops {
-		cs[i] = p.compiledFor(op)
-	}
-	prebuildIndexes(db, cs)
-
-	var stats Stats
-	hi := total.Len()
-	for lo < hi {
-		if stop != nil && stop.Load() {
-			return stats, false
-		}
-		stats.Iterations++
-		var roundStart time.Time
-		d0, u0 := stats.Derivations, stats.Duplicates
-		if ph != nil {
-			roundStart = time.Now()
-		}
-		if hi-lo < parallelRoundRows {
-			// Small delta: the fan-out barrier costs more than the round
-			// itself, so run it inline.  Deep recursions spend most rounds
-			// on narrow deltas (a maintenance resume often carries a
-			// handful of rows per round), and paying a worker spawn +
-			// join barrier per row-sized round is pure overhead.
-			var keep func(rel.Tuple) bool
-			if newKeep != nil {
-				keep = newKeep()
-			}
-			var ruleUS []int64
-			if ph != nil {
-				ruleUS = make([]int64, 0, len(cs))
-			}
-			for _, c := range cs {
-				var opStart time.Time
-				if ph != nil {
-					opStart = time.Now()
-				}
-				ok := applyCompiledRange(db, c, total, lo, hi, stop, func(t rel.Tuple) {
-					if keep != nil && !keep(t) {
-						return
-					}
-					stats.Derivations++
-					if !total.Insert(t) {
-						stats.Duplicates++
-					}
-				})
-				if !ok {
-					return stats, false
-				}
-				if ph != nil {
-					ruleUS = append(ruleUS, time.Since(opStart).Microseconds())
-				}
-			}
-			if ph != nil {
-				ph.round(RoundTrace{
-					Round:       stats.Iterations,
-					DeltaRows:   hi - lo,
-					NewRows:     total.Len() - hi,
-					Derivations: stats.Derivations - d0,
-					Duplicates:  stats.Duplicates - u0,
-					ElapsedUS:   time.Since(roundStart).Microseconds(),
-					RuleUS:      ruleUS,
-				})
-			}
-			lo, hi = hi, total.Len()
-			if hi > lo {
-				stats.MaxDepth++
-			}
-			continue
-		}
-		bufs := p.applyRound(db, cs, total, lo, hi, total.Arity(), stop, newKeep)
-		// A cancelled round leaves partial worker buffers; discard them
-		// rather than merging a torn delta.
-		if stop != nil && stop.Load() {
-			return stats, false
-		}
-		mergeRound(total, bufs, total.Arity(), &stats)
-		if ph != nil {
-			shard := make([]int, len(bufs))
-			for w, buf := range bufs {
-				shard[w] = len(buf) / total.Arity()
-			}
-			ph.round(RoundTrace{
-				Round:       stats.Iterations,
-				DeltaRows:   hi - lo,
-				NewRows:     total.Len() - hi,
-				Derivations: stats.Derivations - d0,
-				Duplicates:  stats.Duplicates - u0,
-				ElapsedUS:   time.Since(roundStart).Microseconds(),
-				ShardRows:   shard,
-			})
-		}
-		lo, hi = hi, total.Len()
-		if hi > lo {
-			stats.MaxDepth++
-		}
-	}
-	return stats, true
-}
-
 // ApplyInto computes one application of op with all of src as the
-// recursive input, sharding the scan across the worker pool, and inserts
-// every derived tuple into dst; it returns the number of new tuples.
-// Stats accounting matches the sequential Engine.Apply.  The maintenance
-// path uses it for the one-step occurrence-delta joins, whose recursive
-// input is an entire cached fixpoint — the scan is the dominant cost of
-// absorbing a small update, and it shards perfectly.
-func (p *ParallelEngine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
-	if p.Workers <= 1 || src.Arity() == 0 || src.Len() < 4096 {
-		return p.Engine.Apply(db, op, src, dst, stats)
+// recursive input, sharding the scan across the worker pool when src is
+// large enough to pay for the barrier, and inserts every derived tuple
+// into dst; it returns the number of new tuples.  Stats accounting
+// matches Apply.  The maintenance path uses it for the one-step
+// occurrence-delta joins, whose recursive input is an entire cached
+// fixpoint — the scan is the dominant cost of absorbing a small update,
+// and it shards perfectly.
+func (e *Engine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
+	if e.Workers <= 1 || src.Arity() == 0 || src.Len() < 4096 {
+		return e.Apply(db, op, src, dst, stats)
 	}
-	cs := []*compiled{p.compiledFor(op)}
+	cs := []*compiled{e.compiledFor(op)}
 	prebuildIndexes(db, cs)
 	before := dst.Len()
-	bufs := p.applyRound(db, cs, src, 0, src.Len(), dst.Arity(), nil, nil)
+	bufs := applyRound(db, cs, src, 0, src.Len(), dst.Arity(), e.Workers, nil, nil)
 	mergeRound(dst, bufs, dst.Arity(), stats)
 	return dst.Len() - before
-}
-
-// SemiNaiveResumeCtx resumes a semi-naive closure from an externally
-// supplied fixpoint with the delta rows [lo, total.Len()) sharded across
-// the worker pool; see Engine.SemiNaiveResumeCtx for the contract.  The
-// relation is extended in place.
-func (p *ParallelEngine) SemiNaiveResumeCtx(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int) (Stats, error) {
-	if p.Workers <= 1 || total.Arity() == 0 {
-		return p.Engine.SemiNaiveResumeCtx(ctx, db, ops, total, lo)
-	}
-	stop, release := watchContext(ctx)
-	defer release()
-	ph := TracerFrom(ctx).phase("resume", p.Workers, lo, total.Len()-lo)
-	stats, ok := p.semiNaiveFrom(db, ops, total, lo, stop, nil, ph)
-	ph.close(total.Len())
-	if !ok {
-		return stats, ctxErr(ctx)
-	}
-	return stats, nil
-}
-
-// Naive computes the same closure by re-deriving from the full relation
-// every round, sharded across the worker pool; the sequential engine's
-// correctness oracle at scale.
-func (p *ParallelEngine) Naive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	if p.Workers <= 1 || q.Arity() == 0 {
-		return p.Engine.Naive(db, ops, q)
-	}
-	cs := make([]*compiled, len(ops))
-	for i, op := range ops {
-		cs[i] = p.compiledFor(op)
-	}
-	prebuildIndexes(db, cs)
-
-	var stats Stats
-	total := q.Clone()
-	for {
-		stats.Iterations++
-		before := total.Len()
-		bufs := p.applyRound(db, cs, total, 0, before, total.Arity(), nil, nil)
-		mergeRound(total, bufs, total.Arity(), &stats)
-		if total.Len() == before {
-			return total, stats
-		}
-		stats.MaxDepth++
-	}
-}
-
-// Decomposed computes B*C*q as two chained parallel semi-naive closures —
-// the decomposition (B+C)* = B*C* that commutativity licenses (Section 3).
-func (p *ParallelEngine) Decomposed(db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	mid, s1 := p.SemiNaive(db, c, q)
-	out, s2 := p.SemiNaive(db, b, mid)
-	s1.Add(s2)
-	return out, s1
-}
-
-// DecomposedCtx is Decomposed with cancellation (see SemiNaiveCtx).
-func (p *ParallelEngine) DecomposedCtx(ctx context.Context, db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
-	mid, s1, err := p.SemiNaiveCtx(ctx, db, c, q)
-	if err != nil {
-		return nil, s1, err
-	}
-	out, s2, err := p.SemiNaiveCtx(ctx, db, b, mid)
-	s1.Add(s2)
-	if err != nil {
-		return nil, s1, err
-	}
-	return out, s1, nil
 }

@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +14,13 @@ import (
 )
 
 // The differential harness: generate a random linear-recursive program and
-// database, evaluate its closure with the sequential Engine and with the
-// ParallelEngine at a random worker count, and require bit-for-bit
-// agreement — same answer set and same statistics (derivations,
-// duplicates, iterations, depth).  Run under testing/quick for ≥ 200
+// database, evaluate its closure with the sequential Engine and with a
+// Parallel view of it, and require bit-for-bit agreement — same answer
+// set and same statistics (derivations, duplicates, iterations, depth).
+// The kernel strategies (stream, resume, restricted) drive the one
+// round-stepper every way its callers do, at 1, 2 and 4 workers, and
+// additionally require the per-round trace counts to match the
+// uninterrupted sequential closure.  Run under testing/quick for ≥ 200
 // random cases per strategy.
 
 func mustParseOp(t *testing.T, src string) *ast.Op {
@@ -33,12 +38,19 @@ var edgePreds = []string{"e0", "e1", "e2"}
 // randBinaryOps builds 1–3 random left- or right-linear binary operators
 // over the shared edge predicates.
 func randBinaryOps(t *testing.T, rng *rand.Rand) []*ast.Op {
+	return randLinearOps(t, rng, -1)
+}
+
+// randLinearOps is randBinaryOps with the linearity pinned: 0 left-linear
+// (column 0 passes through every operator), 1 right-linear (column 1
+// does), negative a random mix.
+func randLinearOps(t *testing.T, rng *rand.Rand, side int) []*ast.Op {
 	n := 1 + rng.Intn(3)
 	ops := make([]*ast.Op, 0, n)
 	for i := 0; i < n; i++ {
 		pred := edgePreds[rng.Intn(len(edgePreds))]
 		var src string
-		if rng.Intn(2) == 0 {
+		if side == 0 || (side < 0 && rng.Intn(2) == 0) {
 			src = fmt.Sprintf("p(X,Y) :- p(X,U), %s(U,Y).", pred)
 		} else {
 			src = fmt.Sprintf("p(X,Y) :- %s(X,U), p(U,Y).", pred)
@@ -51,8 +63,14 @@ func randBinaryOps(t *testing.T, rng *rand.Rand) []*ast.Op {
 // randBinaryDB fills the edge predicates with random digraphs over a small
 // shared node space and returns a random nonempty seed relation.
 func randBinaryDB(rng *rand.Rand) (rel.DB, *rel.Relation) {
+	return randBinaryDBSized(rng, 3+rng.Intn(18))
+}
+
+// randBinaryDBSized is randBinaryDB over a given node count; from about
+// 70 nodes up the closures grow deltas past parallelRoundRows, so rounds
+// actually fan out.
+func randBinaryDBSized(rng *rand.Rand, nodes int) (rel.DB, *rel.Relation) {
 	db := rel.DB{}
-	nodes := 3 + rng.Intn(18)
 	for _, pred := range edgePreds {
 		r := db.Rel(pred, 2)
 		m := rng.Intn(3 * nodes)
@@ -86,9 +104,6 @@ func checkAgreement(t *testing.T, strategy string, seed int64) error {
 	case "seminaive":
 		wantRel, wantStats = seq.SemiNaive(db, ops, q)
 		gotRel, gotStats = par.SemiNaive(db, ops, q)
-	case "naive":
-		wantRel, wantStats = seq.Naive(db, ops, q)
-		gotRel, gotStats = par.Naive(db, ops, q)
 	case "decomposed":
 		// Split the operators into the B and C factors at a random point.
 		cut := rng.Intn(len(ops) + 1)
@@ -96,7 +111,7 @@ func checkAgreement(t *testing.T, strategy string, seed int64) error {
 		wantRel, wantStats = seq.Decomposed(db, b, c, q)
 		gotRel, gotStats = par.Decomposed(db, b, c, q)
 	default:
-		t.Fatalf("unknown strategy %q", strategy)
+		return checkKernel(t, strategy, seed)
 	}
 
 	if !wantRel.Equal(gotRel) {
@@ -110,10 +125,140 @@ func checkAgreement(t *testing.T, strategy string, seed int64) error {
 	return nil
 }
 
+// roundCounts reduces traced phases to the per-round counts that must not
+// depend on who runs a round: delta, new rows, derivations, duplicates.
+// Rounds of consecutive phases concatenate (a resumed closure continues
+// the interrupted one's sequence).
+func roundCounts(phases []*PhaseTrace) [][4]int64 {
+	var out [][4]int64
+	for _, ph := range phases {
+		for _, r := range ph.Rounds {
+			out = append(out, [4]int64{int64(r.DeltaRows), int64(r.NewRows), r.Derivations, r.Duplicates})
+		}
+	}
+	return out
+}
+
+// fannedOut counts the kernel-strategy rounds that ran sharded, so the
+// harness can prove its wide cases reach the fan-out branch.
+var fannedOut int
+
+// checkKernel runs one random case of one kernel strategy at 1, 2 and 4
+// workers against the uninterrupted sequential SemiNaiveCtx: rows, Stats
+// and per-round counts must all be identical.
+//
+//   - stream: a StreamCtx drained row by row.
+//   - resume: a closure stopped after k rounds, then continued by
+//     SemiNaiveResumeCtx from its watermark.
+//   - restricted: SemiNaiveRestrictedCtx on a column every operator
+//     passes through, where the filter rejects nothing derivable from the
+//     restricted seed — so it must equal the plain closure of that seed,
+//     and the full closure filtered afterwards.
+func checkKernel(t *testing.T, strategy string, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	nodes := 3 + rng.Intn(18)
+	if rng.Intn(4) == 0 {
+		nodes = 70 + rng.Intn(50)
+	}
+	side := -1
+	if strategy == "restricted" {
+		side = rng.Intn(2)
+	}
+	ops := randLinearOps(t, rng, side)
+	db, q := randBinaryDBSized(rng, nodes)
+	seq := NewEngine(nil)
+
+	var full *rel.Relation
+	cols := []int{side}
+	allowed := rel.NewRelation(1)
+	if strategy == "restricted" {
+		for v := 0; v < nodes; v++ {
+			if rng.Intn(2) == 0 {
+				allowed.Insert(rel.Tuple{rel.Value(v)})
+			}
+		}
+		full, _ = seq.SemiNaive(db, ops, q)
+		q = q.SelectInCols(cols, allowed)
+	}
+
+	wantTr := &Tracer{}
+	want, wantStats, err := seq.SemiNaiveCtx(WithTracer(context.Background(), wantTr), db, ops, q)
+	if err != nil {
+		return err
+	}
+	wantRounds := roundCounts(wantTr.Trace().Phases)
+	k := rng.Intn(wantStats.Iterations + 1)
+
+	for _, workers := range []int{1, 2, 4} {
+		par := Parallel(seq, workers)
+		tr := &Tracer{}
+		ctx := WithTracer(context.Background(), tr)
+		var got *rel.Relation
+		var gotStats Stats
+		switch strategy {
+		case "stream":
+			st := par.StreamCtx(ctx, db, ops, q)
+			if got, err = drain(st, 2); err != nil {
+				return err
+			}
+			if !st.Exhausted() {
+				return fmt.Errorf("seed %d workers %d: drained stream not exhausted", seed, workers)
+			}
+			gotStats = st.Stats()
+		case "resume":
+			st := par.StreamCtx(ctx, db, ops, q)
+			for i := 0; i < k; i++ {
+				st.step()
+			}
+			st.Close()
+			got, gotStats = st.Total(), st.Stats()
+			rest, err := par.SemiNaiveResumeCtx(ctx, db, ops, got, st.lo)
+			if err != nil {
+				return err
+			}
+			gotStats.Derivations += rest.Derivations
+			gotStats.Duplicates += rest.Duplicates
+			gotStats.Iterations += rest.Iterations
+			gotStats.MaxDepth += rest.MaxDepth
+		case "restricted":
+			if got, gotStats, err = par.SemiNaiveRestrictedCtx(ctx, db, ops, q, cols, allowed); err != nil {
+				return err
+			}
+			if !got.Equal(full.SelectInCols(cols, allowed)) {
+				return fmt.Errorf("seed %d workers %d: restricted closure differs from closure-then-filter", seed, workers)
+			}
+		default:
+			t.Fatalf("unknown strategy %q", strategy)
+		}
+		if !got.Equal(want) {
+			return fmt.Errorf("seed %d workers %d: %s answers differ: want %d tuples, got %d",
+				seed, workers, strategy, want.Len(), got.Len())
+		}
+		if gotStats != wantStats {
+			return fmt.Errorf("seed %d workers %d: %s stats differ: want %v, got %v",
+				seed, workers, strategy, wantStats, gotStats)
+		}
+		phases := tr.Trace().Phases
+		if gotRounds := roundCounts(phases); !reflect.DeepEqual(gotRounds, wantRounds) {
+			return fmt.Errorf("seed %d workers %d: %s rounds differ:\nwant %v\ngot  %v",
+				seed, workers, strategy, wantRounds, gotRounds)
+		}
+		for _, ph := range phases {
+			traceInvariant(t, ph)
+			for _, r := range ph.Rounds {
+				if len(r.ShardRows) > 0 {
+					fannedOut++
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestParallelMatchesSequentialProperty is the differential property test:
 // ≥ 200 random (program, database, workers) cases per strategy.
 func TestParallelMatchesSequentialProperty(t *testing.T) {
-	for _, strategy := range []string{"seminaive", "naive", "decomposed"} {
+	for _, strategy := range []string{"seminaive", "decomposed", "stream", "resume", "restricted"} {
 		strategy := strategy
 		t.Run(strategy, func(t *testing.T) {
 			f := func(seed int64) bool {
@@ -131,6 +276,9 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+	if fannedOut == 0 {
+		t.Fatal("no kernel-strategy round fanned out: the wide cases no longer cross parallelRoundRows")
 	}
 }
 
@@ -169,24 +317,9 @@ func TestParallelMatchesSequentialWideArity(t *testing.T) {
 	}
 }
 
-// TestParallelSingleWorkerDelegates: Workers ≤ 1 takes the sequential path
-// and still agrees.
-func TestParallelSingleWorkerDelegates(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ops := randBinaryOps(t, rng)
-	db, q := randBinaryDB(rng)
-	seq := NewEngine(nil)
-	par := Parallel(seq, 1)
-	want, ws := seq.SemiNaive(db, ops, q)
-	got, gs := par.SemiNaive(db, ops, q)
-	if !want.Equal(got) || ws != gs {
-		t.Fatalf("single-worker parallel diverges: %v vs %v", ws, gs)
-	}
-}
-
-// TestParallelEngineConcurrentClosures: one ParallelEngine serving many
+// TestParallelConcurrentClosures: one Parallel engine view serving many
 // concurrent closure calls over a shared database (run under -race).
-func TestParallelEngineConcurrentClosures(t *testing.T) {
+func TestParallelConcurrentClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ops := randBinaryOps(t, rng)
 	db, q := randBinaryDB(rng)

@@ -1,0 +1,223 @@
+// The closure kernel.  Every closure the engine computes — the plain
+// semi-naive closure (ΣAᵢ)*q, each factor of a decomposed B*C*q, the
+// magic-restricted closure, a maintenance resume from a cached fixpoint,
+// the delete-and-rederive over-delete cone, materialized or streamed,
+// on one goroutine or many — is this one stepper run over a different
+// seed, starting watermark and keep filter.
+
+package eval
+
+import (
+	"context"
+	"sync/atomic"
+	"time"
+
+	"linrec/internal/ast"
+	"linrec/internal/rel"
+)
+
+// parallelRoundRows is the delta size below which a round runs inline on
+// the caller's goroutine instead of fanning out: beneath it the
+// spawn-and-barrier cost of a round exceeds the join work being sharded.
+// Deep recursions spend most rounds on narrow deltas (a maintenance
+// resume often carries a handful of rows per round).
+const parallelRoundRows = 1024
+
+// stepper is the semi-naive round-stepper.  Its state is the closure so
+// far (total), of which rows [lo, hi) are the current delta: total[0, lo)
+// has already been joined, nothing past hi exists yet.
+//
+// Step contract: one step joins every operator against the delta rows
+// only — the paper's Theorem 3.1 model, "the same tuple is not derived
+// through the same arc more than once" — appends the new tuples to
+// total and advances the watermark to [hi, total.Len()).  The closure is
+// complete when the delta is empty.  A fresh closure starts at lo = 0
+// over a clone of its seed; a resume starts at lo > 0 over an externally
+// supplied fixpoint total[0, lo) plus appended delta rows.  What a step
+// derives depends only on the set of delta rows, so the closure, its
+// Stats and the per-round trace counts are the same whoever drives the
+// steps and however many workers run them.
+//
+// Accounting: an emission the keep filter rejects is dropped before it
+// is counted; every other emission is one derivation, and one duplicate
+// when total already holds the tuple.  Iterations counts steps, MaxDepth
+// the steps that added tuples.
+//
+// Inline or fan-out: a step fans out across the pool (applyRound, then
+// mergeRound on the stepping goroutine) when the effective worker count
+// exceeds 1 and the delta holds at least parallelRoundRows rows;
+// otherwise it runs on the stepping goroutine.  The effective count is 1
+// when Engine.Workers ≤ 1 or the relation is nullary (no payload for the
+// flat round buffers), and is what the phase trace records.  An inline
+// round attributes its time per operator (RoundTrace.RuleUS); a
+// fanned-out round instead reports each worker's emission count
+// (RoundTrace.ShardRows, summing to the round's derivations).
+type stepper struct {
+	db      rel.DB
+	cs      []*compiled
+	total   *rel.Relation
+	lo, hi  int
+	workers int
+	// newKeep builds one keep filter per goroutine (a filter may own
+	// mutable probe state); keep is the stepping goroutine's instance.
+	newKeep func() func(rel.Tuple) bool
+	keep    func(rel.Tuple) bool
+
+	ctx     context.Context
+	stop    *atomic.Bool
+	release func()
+	ph      *PhaseTrace
+	stats   Stats
+	err     error
+}
+
+// open starts a closure of ops over total with rows [lo, total.Len()) as
+// the first delta.  total is extended in place.  The context is polled
+// at every step and every cancelCheckRows delta rows inside one, and a
+// Tracer it carries records the steps as one phase under the given
+// name; Close releases both.
+func (e *Engine) open(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int, phase string, newKeep func() func(rel.Tuple) bool) *ClosureStream {
+	workers := e.Workers
+	if workers < 1 || total.Arity() == 0 {
+		workers = 1
+	}
+	cs := make([]*compiled, len(ops))
+	for i, op := range ops {
+		cs[i] = e.compiledFor(op)
+	}
+	if workers > 1 {
+		prebuildIndexes(db, cs)
+	}
+	c := &ClosureStream{stepper: stepper{
+		db: db, cs: cs, total: total, lo: lo, hi: total.Len(),
+		workers: workers, newKeep: newKeep, ctx: ctx,
+	}}
+	if newKeep != nil {
+		c.keep = newKeep()
+	}
+	c.stop, c.release = watchContext(ctx)
+	c.ph = TracerFrom(ctx).phase(phase, workers, lo, total.Len()-lo)
+	return c
+}
+
+// stopped polls the stop flag, latching the context's error once set.
+func (s *stepper) stopped() bool {
+	if s.stop != nil && s.stop.Load() {
+		s.err = ctxErr(s.ctx)
+		return true
+	}
+	return false
+}
+
+// step runs exactly one round (see the contract on stepper).  It reports
+// false when the context fired first; total may then hold part of an
+// abandoned inline round and must not be used.
+func (s *stepper) step() bool {
+	if s.stopped() {
+		return false
+	}
+	s.stats.Iterations++
+	rt := RoundTrace{Round: s.stats.Iterations, DeltaRows: s.hi - s.lo}
+	d0, u0 := s.stats.Derivations, s.stats.Duplicates
+	var start time.Time
+	if s.ph != nil {
+		start = time.Now()
+	}
+	if s.workers > 1 && s.hi-s.lo >= parallelRoundRows {
+		arity := s.total.Arity()
+		bufs := applyRound(s.db, s.cs, s.total, s.lo, s.hi, arity, s.workers, s.stop, s.newKeep)
+		// A cancelled round leaves partial worker buffers; discard them
+		// rather than merging a torn delta.
+		if s.stopped() {
+			return false
+		}
+		mergeRound(s.total, bufs, arity, &s.stats)
+		if s.ph != nil {
+			for _, buf := range bufs {
+				rt.ShardRows = append(rt.ShardRows, len(buf)/arity)
+			}
+		}
+	} else {
+		emit := func(t rel.Tuple) {
+			if s.keep != nil && !s.keep(t) {
+				return
+			}
+			s.stats.Derivations++
+			if !s.total.Insert(t) {
+				s.stats.Duplicates++
+			}
+		}
+		for _, c := range s.cs {
+			var opStart time.Time
+			if s.ph != nil {
+				opStart = time.Now()
+			}
+			if !applyCompiledRange(s.db, c, s.total, s.lo, s.hi, s.stop, emit) {
+				s.stopped()
+				return false
+			}
+			if s.ph != nil {
+				rt.RuleUS = append(rt.RuleUS, time.Since(opStart).Microseconds())
+			}
+		}
+	}
+	if s.ph != nil {
+		rt.NewRows = s.total.Len() - s.hi
+		rt.Derivations = s.stats.Derivations - d0
+		rt.Duplicates = s.stats.Duplicates - u0
+		rt.ElapsedUS = time.Since(start).Microseconds()
+		s.ph.round(rt)
+	}
+	s.lo, s.hi = s.hi, s.total.Len()
+	if s.hi > s.lo {
+		s.stats.MaxDepth++
+	}
+	return true
+}
+
+// SemiNaive computes (Σᵢ opsᵢ)* q by semi-naive iteration: each round
+// applies every operator to the previous round's delta only.
+func (e *Engine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
+	total, stats, _ := e.SemiNaiveCtx(context.Background(), db, ops, q)
+	return total, stats
+}
+
+// SemiNaiveCtx is SemiNaive with cancellation: the closure polls ctx at
+// every round and every cancelCheckRows delta rows within one (inside
+// each worker's shard scan when the round fans out), and returns ctx's
+// error — with all workers joined — once it fires.  A Tracer carried by
+// ctx (WithTracer) records the closure as one "semi-naive" phase.
+func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
+	return e.StreamCtx(ctx, db, ops, q).Drain()
+}
+
+// SemiNaiveResumeCtx resumes a semi-naive closure from an externally
+// supplied fixpoint: total[0, lo) must already be closed under ops over
+// db, and rows [lo, total.Len()) are the delta to propagate.  The
+// relation is extended in place to the new fixpoint.  This is the
+// incremental-maintenance entry point — additions against a cached
+// closure append their one-step consequences as delta rows and resume
+// from here instead of re-deriving the world.  A Tracer carried by ctx
+// records the resume as one "resume" phase.
+func (e *Engine) SemiNaiveResumeCtx(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int) (Stats, error) {
+	_, stats, err := e.open(ctx, db, ops, total, lo, "resume", nil).Drain()
+	return stats, err
+}
+
+// Decomposed computes B*C*q as two chained semi-naive closures — the
+// decomposition (B+C)* = B*C* that commutativity licenses (Section 3).
+func (e *Engine) Decomposed(db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
+	out, stats, _ := e.DecomposedCtx(context.Background(), db, b, c, q)
+	return out, stats
+}
+
+// DecomposedCtx is Decomposed with cancellation (see SemiNaiveCtx).
+func (e *Engine) DecomposedCtx(ctx context.Context, db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
+	mid, s1, err := e.SemiNaiveCtx(ctx, db, c, q)
+	if err != nil {
+		return nil, s1, err
+	}
+	out, s2, err := e.SemiNaiveCtx(ctx, db, b, mid)
+	s1.Add(s2)
+	return out, s1, err
+}

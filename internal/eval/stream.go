@@ -16,83 +16,25 @@ package eval
 
 import (
 	"context"
-	"sync/atomic"
-	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/rel"
 )
 
-// RowIter is the pull contract for streamed rows.  Next returns the next
-// row and true, or (nil, false) once the stream is exhausted, cancelled
-// or closed; after a false Next, Err distinguishes natural exhaustion
-// (nil) from a cancelled or failed evaluation.  Close releases the
-// stream's resources (context watcher, open trace phase) and is
-// idempotent; abandoning an iterator without Close leaks its context
-// watcher until the context fires.  The returned tuple may alias storage
-// owned by the iterator — callers that retain rows across Next calls
-// must Clone them.
-type RowIter interface {
-	Next() (rel.Tuple, bool)
-	Err() error
-	Close()
-}
-
-// relationRows streams an already-materialized relation row by row.
-type relationRows struct {
-	r *rel.Relation
-	i int
-}
-
-// RelationRows returns a RowIter over the rows of r in storage order.
-// A nil relation streams as empty.  The iterator never errs; Close is a
-// no-op.
-func RelationRows(r *rel.Relation) RowIter {
-	return &relationRows{r: r}
-}
-
-// Next returns the next stored row.
-func (it *relationRows) Next() (rel.Tuple, bool) {
-	if it.r == nil || it.i >= it.r.Len() {
-		return nil, false
-	}
-	t := it.r.Row(it.i)
-	it.i++
-	return t, true
-}
-
-// Err always returns nil: a materialized relation cannot fail mid-scan.
-func (it *relationRows) Err() error { return nil }
-
-// Close is a no-op.
-func (it *relationRows) Close() {}
-
-// ClosureStream is a RowIter over the semi-naive closure (Σᵢ opsᵢ)* q,
-// yielding the seed rows first and then each round's new rows as the
-// round runs.  Rounds execute lazily: the next round fires only when the
-// consumer has pulled every row materialized so far, so a consumer that
-// stops after k rows stops the fixpoint at the round that produced its
-// k-th row.  Rounds shard across the engine's worker pool exactly like
-// SemiNaiveCtx (with the same small-delta inline path), poll the
-// stream's context, and record on any Tracer the context carries — the
-// resulting phase ends at the last round that actually ran.
+// ClosureStream is a pull-based row iterator over a closure: the stepper
+// plus a read cursor.  It yields the seed rows first and then each
+// round's new rows; the next round steps only when the consumer has
+// pulled every row materialized so far, so a consumer that stops after k
+// rows stops the fixpoint at the round that produced its k-th row.
+// Rounds run, fan out, poll the stream's context and trace exactly as in
+// the materialized closure — SemiNaiveCtx is this stream, drained — and
+// the trace phase ends at the last round that actually ran.  Close
+// releases the context watcher and the open trace phase and is
+// idempotent; abandoning a stream without Close leaks its watcher until
+// the context fires.
 type ClosureStream struct {
-	pe      *ParallelEngine
-	db      rel.DB
-	cs      []*compiled
-	newKeep func() func(rel.Tuple) bool
-
-	ctx     context.Context
-	stop    *atomic.Bool
-	release func()
-	ph      *PhaseTrace
-
-	total  *rel.Relation
-	lo, hi int // current delta: rows [lo, hi) of total
+	stepper
 	next   int // next row index to yield
-	stats  Stats
-	err    error
-	done   bool // fixpoint reached (or evaluation failed)
 	closed bool
 }
 
@@ -101,66 +43,41 @@ type ClosureStream struct {
 // only as the returned stream is drained; Close abandons any rounds not
 // yet run.  A Tracer carried by ctx records the rounds that ran as one
 // "semi-naive" phase.
-func (p *ParallelEngine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) *ClosureStream {
-	return p.stream(ctx, db, ops, q, "semi-naive", nil)
+func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) *ClosureStream {
+	return e.open(ctx, db, ops, q.Clone(), 0, "semi-naive", nil)
 }
 
 // StreamRestrictedCtx is StreamCtx for the magic-restricted closure:
 // derived tuples whose cols projection is outside allowed are dropped
-// before insertion, exactly as in SemiNaiveRestrictedCtx.  The phase
-// traces as "restricted-closure".
-func (p *ParallelEngine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) *ClosureStream {
-	return p.stream(ctx, db, ops, q, "restricted-closure", magicKeepEach(cols, allowed))
+// before insertion (see SemiNaiveRestrictedCtx).  The phase traces as
+// "restricted-closure".
+func (e *Engine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) *ClosureStream {
+	return e.open(ctx, db, ops, q.Clone(), 0, "restricted-closure", func() func(rel.Tuple) bool { return magicKeep(cols, allowed) })
 }
 
-func (p *ParallelEngine) stream(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, phase string, newKeep func() func(rel.Tuple) bool) *ClosureStream {
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	cs := make([]*compiled, len(ops))
-	for i, op := range ops {
-		cs[i] = p.compiledFor(op)
-	}
-	if workers > 1 && q.Arity() > 0 {
-		prebuildIndexes(db, cs)
-	}
-	stop, release := watchContext(ctx)
-	c := &ClosureStream{
-		pe:      p,
-		db:      db,
-		cs:      cs,
-		newKeep: newKeep,
-		ctx:     ctx,
-		stop:    stop,
-		release: release,
-		ph:      TracerFrom(ctx).phase(phase, workers, 0, q.Len()),
-		total:   q.Clone(),
-	}
-	c.hi = c.total.Len()
-	return c
+// Completed wraps an already-materialized answer as a stream with no
+// rounds left to run: plan kinds that produce their answer whole, and
+// cached answers, serve through the same iterator as a live closure.
+// The relation is shared, not copied.
+func Completed(r *rel.Relation) *ClosureStream {
+	return &ClosureStream{stepper: stepper{total: r, lo: r.Len(), hi: r.Len(), release: func() {}}}
 }
 
-// Next yields the next closure row.  Row views stay valid for the life
-// of the stream (the total relation only grows), but belong to it: Clone
-// rows that must outlive Close.
+// Next yields the next closure row and true, or (nil, false) once the
+// stream is exhausted, cancelled or closed.  Row views stay valid for
+// the life of the stream (the total relation only grows), but belong to
+// it: Clone rows that must outlive Close.
 func (c *ClosureStream) Next() (rel.Tuple, bool) {
 	if c.closed || c.err != nil {
 		return nil, false
 	}
-	if c.stop != nil && c.stop.Load() {
-		c.err = ctxErr(c.ctx)
-		c.finish()
+	if c.stopped() {
+		c.Close()
 		return nil, false
 	}
 	for c.next >= c.total.Len() {
-		if c.done {
-			c.finish()
-			return nil, false
-		}
-		c.round()
-		if c.err != nil {
-			c.finish()
+		if c.lo >= c.hi || !c.step() {
+			c.Close()
 			return nil, false
 		}
 	}
@@ -169,123 +86,35 @@ func (c *ClosureStream) Next() (rel.Tuple, bool) {
 	return t, true
 }
 
-// round runs one semi-naive round over the current delta, mirroring the
-// round body of (*ParallelEngine).semiNaiveFrom: sharded across the pool
-// for wide deltas, inline for narrow ones, with the same trace record.
-func (c *ClosureStream) round() {
-	if c.lo >= c.hi {
-		c.done = true
-		return
-	}
-	if c.stop != nil && c.stop.Load() {
-		c.err = ctxErr(c.ctx)
-		return
-	}
-	c.stats.Iterations++
-	d0, u0 := c.stats.Derivations, c.stats.Duplicates
-	var roundStart time.Time
-	if c.ph != nil {
-		roundStart = time.Now()
-	}
-	arity := c.total.Arity()
-	hi0 := c.hi
-	if c.pe.Workers > 1 && arity > 0 && c.hi-c.lo >= parallelRoundRows {
-		bufs := c.pe.applyRound(c.db, c.cs, c.total, c.lo, c.hi, arity, c.stop, c.newKeep)
-		if c.stop != nil && c.stop.Load() {
-			// Partial worker buffers are dropped: a cancelled stream
-			// reports no rows from the abandoned round.
-			c.err = ctxErr(c.ctx)
-			return
-		}
-		var shard []int
-		if c.ph != nil {
-			shard = make([]int, len(bufs))
-			for i, b := range bufs {
-				shard[i] = len(b) / arity
-			}
-		}
-		mergeRound(c.total, bufs, arity, &c.stats)
-		if c.ph != nil {
-			c.ph.round(RoundTrace{
-				Round:       c.stats.Iterations,
-				DeltaRows:   hi0 - c.lo,
-				NewRows:     c.total.Len() - hi0,
-				Derivations: c.stats.Derivations - d0,
-				Duplicates:  c.stats.Duplicates - u0,
-				ElapsedUS:   time.Since(roundStart).Microseconds(),
-				ShardRows:   shard,
-			})
-		}
-	} else {
-		var keep func(rel.Tuple) bool
-		if c.newKeep != nil {
-			keep = c.newKeep()
-		}
-		var ruleUS []int64
-		if c.ph != nil {
-			ruleUS = make([]int64, 0, len(c.cs))
-		}
-		for _, cc := range c.cs {
-			var opStart time.Time
-			if c.ph != nil {
-				opStart = time.Now()
-			}
-			ok := applyCompiledRange(c.db, cc, c.total, c.lo, c.hi, c.stop, func(t rel.Tuple) {
-				if keep != nil && !keep(t) {
-					return
-				}
-				c.stats.Derivations++
-				if !c.total.Insert(t) {
-					c.stats.Duplicates++
-				}
-			})
-			if !ok {
-				c.err = ctxErr(c.ctx)
-				return
-			}
-			if c.ph != nil {
-				ruleUS = append(ruleUS, time.Since(opStart).Microseconds())
-			}
-		}
-		if c.ph != nil {
-			c.ph.round(RoundTrace{
-				Round:       c.stats.Iterations,
-				DeltaRows:   hi0 - c.lo,
-				NewRows:     c.total.Len() - hi0,
-				Derivations: c.stats.Derivations - d0,
-				Duplicates:  c.stats.Duplicates - u0,
-				ElapsedUS:   time.Since(roundStart).Microseconds(),
-				RuleUS:      ruleUS,
-			})
+// Drain steps the closure to its fixpoint without yielding rows, closes
+// the stream, and returns the complete closure with the statistics of
+// the rounds run — or a nil relation and the context's error if it fired
+// first.
+func (c *ClosureStream) Drain() (*rel.Relation, Stats, error) {
+	defer c.Close()
+	for c.lo < c.hi {
+		if !c.step() {
+			return nil, c.stats, c.err
 		}
 	}
-	c.lo, c.hi = c.hi, c.total.Len()
-	if c.hi > c.lo {
-		c.stats.MaxDepth++
-	} else {
-		c.done = true
-	}
+	return c.total, c.stats, nil
 }
 
-// finish tears down the stream once: the context watcher is released and
-// the trace phase closes at the rows materialized so far.
-func (c *ClosureStream) finish() {
+// Close abandons the stream: rounds not yet run never run, the context
+// watcher is released and the trace phase closes at the rows
+// materialized so far.  Idempotent.
+func (c *ClosureStream) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.release != nil {
-		c.release()
-	}
+	c.release()
 	c.ph.close(c.total.Len())
 }
 
 // Err reports why the stream stopped: nil after natural exhaustion (or
 // mid-stream), the context's error if evaluation was cancelled.
 func (c *ClosureStream) Err() error { return c.err }
-
-// Close abandons the stream: rounds not yet run never run.  Idempotent.
-func (c *ClosureStream) Close() { c.finish() }
 
 // Stats returns the evaluation statistics for the rounds that ran so
 // far.  Equal to the materialized closure's stats once Exhausted.
@@ -294,7 +123,7 @@ func (c *ClosureStream) Stats() Stats { return c.stats }
 // Exhausted reports whether the closure reached its fixpoint and every
 // row was yielded — i.e. Total is the complete answer.
 func (c *ClosureStream) Exhausted() bool {
-	return c.done && c.err == nil && c.next >= c.total.Len()
+	return c.err == nil && c.lo >= c.hi && c.next >= c.total.Len()
 }
 
 // Total exposes the materialized closure prefix: all rows derived so

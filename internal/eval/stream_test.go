@@ -36,7 +36,7 @@ func TestStreamCtxMatchesSemiNaive(t *testing.T) {
 	op := parser.MustParseOp("p(X,Y) :- p(X,Z), e(Z,Y).")
 
 	want, wantStats := e.SemiNaive(db, []*ast.Op{op}, q)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		pe := Parallel(e, workers)
 		st := pe.StreamCtx(context.Background(), db, []*ast.Op{op}, q)
 		got, err := drain(st, q.Arity())
@@ -57,6 +57,15 @@ func TestStreamCtxMatchesSemiNaive(t *testing.T) {
 		}
 		st.Close()
 	}
+
+	// An already-complete stream serves a materialized relation through
+	// the same iterator, with no rounds to run.
+	done := Completed(want)
+	got, err := drain(done, q.Arity())
+	if err != nil || !got.Equal(want) || !done.Exhausted() || done.Stats() != (Stats{}) {
+		t.Fatalf("Completed stream: err=%v rows=%d exhausted=%v stats=%v", err, got.Len(), done.Exhausted(), done.Stats())
+	}
+	done.Close()
 }
 
 // TestStreamRestrictedMatches: the restricted stream equals

@@ -3,17 +3,17 @@
 // worker-shard row counts) plus cache decisions, without touching the
 // hot path when disabled.  The off-path guarantee has two layers: the
 // exported Ctx entry points look the Tracer up once per phase
-// (ctx.Value on a zero-size key — no allocation), and the round loops
-// receive a *PhaseTrace that is nil when tracing is off, so the only
-// disabled-path cost is one pointer comparison per round, never per
+// (ctx.Value on a zero-size key — no allocation), and the stepper holds
+// a *PhaseTrace that is nil when tracing is off, so the only
+// disabled-path cost is a few pointer comparisons per round, never per
 // row.  All methods are nil-receiver-safe for the same reason: callers
 // thread the hooks unconditionally and the nil case degenerates to a
 // no-op.
 //
 // A Tracer belongs to one evaluation at a time: phases and cache
 // events are appended without locks from the goroutine driving the
-// evaluation (the parallel engine records rounds at the merge barrier,
-// never inside workers).
+// evaluation (a fanned-out round is recorded at its merge barrier, never
+// inside workers).
 
 package eval
 
@@ -38,14 +38,17 @@ type Trace struct {
 }
 
 // PhaseTrace records one fixpoint phase: a semi-naive closure, a
-// restricted (magic-filtered) closure, a magic-frontier iteration, or
+// restricted closure (magic-filtered, or the over-delete cone of a
+// delete-and-rederive maintenance pass), a magic-frontier iteration, or
 // a maintenance resume.  The row accounting is exact:
 // BaseRows + SeedRows + Σ rounds.NewRows == TotalRows.
 type PhaseTrace struct {
 	// Name identifies the phase kind: "semi-naive",
 	// "restricted-closure", "magic-frontier" or "resume".
 	Name string `json:"name"`
-	// Workers is the pool width the phase ran with (1 = sequential).
+	// Workers is the effective pool width the phase ran with: 1 for a
+	// sequential engine or a nullary relation (whose rounds never fan
+	// out), else Engine.Workers.
 	Workers int `json:"workers"`
 	// BaseRows counts pre-existing fixpoint rows a resume phase started
 	// from; zero for a fresh closure.
@@ -82,12 +85,13 @@ type RoundTrace struct {
 	// ElapsedUS is the round's wall time in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// RuleUS is the per-operator apply time in microseconds, in
-	// operator order; only sequential (or inline) rounds attribute time
-	// per rule.
+	// operator order; only inline rounds (one goroutine, operators run
+	// one after another) attribute time per rule.
 	RuleUS []int64 `json:"rule_us,omitempty"`
-	// ShardRows is the per-worker emission count of a sharded round —
-	// the shard-imbalance signal.  Empty for sequential or inline
-	// rounds.
+	// ShardRows is the per-worker emission count of a fanned-out round
+	// (keep-filtered emissions excluded, duplicates included; sums to
+	// the round's Derivations) — the shard-imbalance signal.  Empty for
+	// inline rounds.
 	ShardRows []int `json:"shard_rows,omitempty"`
 }
 

@@ -151,6 +151,44 @@ func TestTraceShardRows(t *testing.T) {
 	}
 }
 
+// TestTraceNullaryWorkers: a nullary relation carries no payload to
+// shard, so its rounds run inline whatever the pool width, and the phase
+// must record the worker count the kernel actually used — 1 — for the
+// materialized and the streamed closure alike.
+func TestTraceNullaryWorkers(t *testing.T) {
+	e := NewEngine(nil)
+	db := rel.DB{}
+	db.Rel("e", 1).Insert(rel.Tuple{e.Syms.Intern("a")})
+	ops := []*ast.Op{parser.MustParseOp("p :- p, e(X).")}
+	q := rel.NewRelation(0)
+	q.Insert(rel.Tuple{})
+	pe := Parallel(e, 4)
+
+	for _, mode := range []string{"materialized", "streamed"} {
+		tr := &Tracer{}
+		ctx := WithTracer(context.Background(), tr)
+		if mode == "materialized" {
+			if _, _, err := pe.SemiNaiveCtx(ctx, db, ops, q); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+		} else {
+			st := pe.StreamCtx(ctx, db, ops, q)
+			if _, err := drain(st, 0); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			st.Close()
+		}
+		ph := tr.Trace().Phases[0]
+		if ph.Workers != 1 {
+			t.Fatalf("%s: nullary phase recorded %d workers, want 1", mode, ph.Workers)
+		}
+		traceInvariant(t, ph)
+		if len(ph.Rounds) != 1 || len(ph.Rounds[0].ShardRows) != 0 {
+			t.Fatalf("%s: rounds = %+v, want one inline round", mode, ph.Rounds)
+		}
+	}
+}
+
 // TestTracerOffPathAllocFree is the disabled-path guarantee in
 // miniature: looking a tracer up from an untraced context allocates
 // nothing, and every collector method is a no-op on nil receivers.

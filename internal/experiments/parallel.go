@@ -24,8 +24,9 @@ import (
 // The types below reproduce the pre-rework engine verbatim (commit
 // d0aed69: string-encoded tuple keys, map-backed relations, the
 // interpretive joinFrom with its per-probe index-column scan and touched
-// bookkeeping, and the ApplyNew discipline that inserts every new tuple
-// into both the total and the delta relation).  Only the rule compiler is
+// bookkeeping, and the seed's detached-delta discipline that inserts
+// every new tuple into both the total and a separate delta relation —
+// today's stepper reads the delta as a row range of the total instead).  Only the rule compiler is
 // elided: the compiled form of the one transitive-closure operator is
 // written out by hand, which if anything favors the seed.
 

@@ -19,7 +19,6 @@
 package planner
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -339,9 +338,11 @@ func colsOfMask(byCol []separable.Selection, mask int) string {
 }
 
 // Parallelizable reports whether executing the plan shards closure
-// rounds across a worker pool.  Separable, bounded and context-mode
-// magic plans evaluate sequentially — the server's admission control
-// uses this to size per-query worker grants.
+// rounds across a worker pool — equivalently, whether Open returns a
+// live closure rather than an already-complete answer.  Separable,
+// bounded and context-mode magic plans evaluate sequentially and whole —
+// the server's admission control uses this to size per-query worker
+// grants.
 func (p *Plan) Parallelizable() bool {
 	switch p.Kind {
 	case SemiNaive, Decomposed:
@@ -350,47 +351,4 @@ func (p *Plan) Parallelizable() bool {
 		return p.Magic != nil && p.Magic.Mode == MagicFilter
 	}
 	return false
-}
-
-// executeMagic runs a MagicSeeded plan (see ExecuteSeeded).  The bound
-// selections in Plan.Magic.Sels are consumed by the plan itself; q is
-// the shared exit-rule seed and is never mutated.
-func (a *Analysis) executeMagic(ctx context.Context, pe *eval.ParallelEngine, db rel.DB, plan *Plan, q *rel.Relation) (*Result, error) {
-	m := plan.Magic
-	if m == nil {
-		return nil, fmt.Errorf("planner: magic-seeded plan has no magic payload; it is not executable")
-	}
-	res := &Result{Plan: plan}
-	vals := m.BoundTuple()
-	set := m.Set
-	if set == nil {
-		s, err := pe.MagicSetCtx(ctx, db, m.Spec, vals, &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		set = s
-	} else {
-		// A cached set skips the frontier iteration; folding in the
-		// stats recorded at build time keeps cached and uncached runs
-		// indistinguishable to callers.
-		res.Stats.Add(m.SetStats)
-	}
-	switch m.Mode {
-	case MagicContext:
-		res.Answer = eval.MagicCollect(q, m.Spec.Cols, vals, set, &res.Stats)
-	default:
-		restricted := q.SelectInCols(m.Spec.Cols, set)
-		out, s, err := pe.SemiNaiveRestrictedCtx(ctx, db, a.Ops, restricted, m.Spec.Cols, set)
-		res.Stats.Add(s)
-		if err != nil {
-			return nil, err
-		}
-		// The restricted closure holds every tuple the magic set can
-		// reach; the query's answer is the slice at the bound constants.
-		for _, sel := range m.Sels {
-			out = sel.Apply(out)
-		}
-		res.Answer = out
-	}
-	return res, nil
 }

@@ -14,6 +14,7 @@ package planner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -443,9 +444,9 @@ func (a *Analysis) Execute(e *eval.Engine, db rel.DB, plan *Plan, sel *separable
 }
 
 // ExecuteOpts runs the plan with an explicit worker-pool size.  With
-// Workers > 1 the SemiNaive and Decomposed closures shard every round
-// across the pool; results (and statistics) are identical to sequential
-// execution.
+// Workers > 1 the SemiNaive, Decomposed and filter-mode magic closures
+// fan wide rounds out across the pool; results (and statistics) are
+// identical to sequential execution.
 func (a *Analysis) ExecuteOpts(e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options) (*Result, error) {
 	return a.ExecuteCtx(context.Background(), e, db, plan, sel, opts)
 }
@@ -468,9 +469,9 @@ func (a *Analysis) Seed(e *eval.Engine, db rel.DB) (*rel.Relation, error) {
 }
 
 // ExecuteCtx is ExecuteOpts with cancellation: every closure phase of
-// every plan kind polls ctx (at round barriers and, for the sharded
-// engine, inside each worker's shard scan) and returns ctx's error once
-// it fires, with all worker goroutines joined.
+// every plan kind polls ctx (at every round and inside each round's
+// delta scan, on every worker) and returns ctx's error once it fires,
+// with all worker goroutines joined.
 func (a *Analysis) ExecuteCtx(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options) (*Result, error) {
 	q, err := a.Seed(e, db)
 	if err != nil {
@@ -482,54 +483,98 @@ func (a *Analysis) ExecuteCtx(ctx context.Context, e *eval.Engine, db rel.DB, pl
 // ExecuteSeeded is ExecuteCtx with a pre-materialized seed (see Seed).
 // The seed is shared, not consumed: no plan kind mutates it.
 func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options, q *rel.Relation) (*Result, error) {
-	pe := eval.Parallel(e, max(1, opts.Workers))
+	cl, stats, err := a.Open(ctx, e, db, plan, opts, q)
+	if err != nil {
+		return nil, err
+	}
+	ans, s, err := cl.Drain()
+	stats.Add(s)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Kind == MagicSeeded && plan.Magic.Mode == MagicFilter {
+		// The restricted closure holds every tuple the magic set can
+		// reach; the query's answer is the slice at the bound constants.
+		for _, msel := range plan.Magic.Sels {
+			ans = msel.Apply(ans)
+		}
+	}
+	if sel != nil && plan.Kind != Separable {
+		ans = sel.Apply(ans)
+	}
+	return &Result{Answer: ans, Stats: stats, Plan: plan}, nil
+}
 
-	res := &Result{Plan: plan}
+// Open is the one per-kind dispatch behind every execution of a plan: it
+// runs everything but the plan's final closure over the shared seed q
+// and returns that closure as an un-drained stream, along with the
+// statistics of the work already done.  Materialized execution drains
+// the stream (ExecuteSeeded); a streaming consumer pulls from it and may
+// stop early.  What materializes up front: every group of a Decomposed
+// plan but the last to run (each feeds the next closure's seed), and a
+// MagicSeeded plan's frontier unless Plan.Magic.Set supplies it.
+// Separable, Bounded and context-mode magic plans — the kinds
+// Plan.Parallelizable excludes — produce their answer whole,
+// sequentially, and return it as an already-complete stream.
+// Rows are the raw closure: a filter-mode magic stream still holds every
+// tuple its magic set reaches, so the consumer applies the query's
+// selections.  With opts.Workers > 1 the closures fan wide rounds out
+// across the pool; rows and statistics are identical either way.
+func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q *rel.Relation) (*eval.ClosureStream, eval.Stats, error) {
+	pe := eval.Parallel(e, max(1, opts.Workers))
+	var stats eval.Stats
 	switch plan.Kind {
 	case Separable:
 		// Guard against inspection-only stubs (e.g. core.PlanFor's n-ary
 		// candidate) reaching execution: fail cleanly, don't index nil.
 		if len(plan.Order) < 2 {
-			return nil, fmt.Errorf("planner: separable plan has no operator order; it is not executable")
+			return nil, stats, fmt.Errorf("planner: separable plan has no operator order; it is not executable")
 		}
 		r, err := separable.EvalCtx(ctx, e, db, a.Ops[plan.Order[0]], a.Ops[plan.Order[1]], q, plan.Sel)
 		if err != nil {
-			return nil, err
+			return nil, stats, err
 		}
-		res.Answer, res.Stats = r.Rel, r.Stats
-		return res, nil
+		return eval.Completed(r.Rel), r.Stats, nil
 	case MagicSeeded:
-		// The plan consumes its bound selections itself (Plan.Magic.Sels);
-		// sel, if any, is applied to the answer below like any residual
-		// filter.
-		mres, err := a.executeMagic(ctx, pe, db, plan, q)
-		if err != nil {
-			return nil, err
+		m := plan.Magic
+		if m == nil {
+			return nil, stats, fmt.Errorf("planner: magic-seeded plan has no magic payload; it is not executable")
 		}
-		res.Answer, res.Stats = mres.Answer, mres.Stats
-	case Decomposed:
-		cur := q
-		var stats eval.Stats
-		for i := len(plan.Groups) - 1; i >= 0; i-- {
-			ops := make([]*ast.Op, 0, len(plan.Groups[i]))
-			for _, idx := range plan.Groups[i] {
-				ops = append(ops, a.Ops[idx])
+		vals, set := m.BoundTuple(), m.Set
+		if set == nil {
+			var err error
+			if set, err = e.MagicSetCtx(ctx, db, m.Spec, vals, &stats); err != nil {
+				return nil, stats, err
 			}
-			next, s, err := pe.SemiNaiveCtx(ctx, db, ops, cur)
+		} else {
+			// A cached set skips the frontier iteration; folding in the
+			// stats recorded at build time keeps cached and uncached runs
+			// indistinguishable to callers.
+			stats = m.SetStats
+		}
+		if m.Mode == MagicContext {
+			return eval.Completed(eval.MagicCollect(q, m.Spec.Cols, vals, set, &stats)), stats, nil
+		}
+		return pe.StreamRestrictedCtx(ctx, db, a.Ops, q.SelectInCols(m.Spec.Cols, set), m.Spec.Cols, set), stats, nil
+	case Decomposed:
+		// Groups run right-to-left; only the final closure (Groups[0])
+		// streams.
+		cur := q
+		for i := len(plan.Groups) - 1; i >= 1; i-- {
+			next, s, err := pe.SemiNaiveCtx(ctx, db, a.groupOps(plan.Groups[i]), cur)
 			stats.Add(s)
 			if err != nil {
-				return nil, err
+				return nil, stats, err
 			}
 			cur = next
 		}
-		res.Answer, res.Stats = cur, stats
+		return pe.StreamCtx(ctx, db, a.groupOps(plan.Groups[0]), cur), stats, nil
 	case Bounded:
 		out := q.Clone()
 		cur := q
-		var stats eval.Stats
 		for m := 0; m < plan.Rounds; m++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, stats, err
 			}
 			next := rel.NewRelation(q.Arity())
 			e.Apply(db, a.Ops[0], cur, next, &stats)
@@ -539,16 +584,39 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 			cur = next
 			stats.Iterations++
 		}
-		res.Answer, res.Stats = out, stats
+		return eval.Completed(out), stats, nil
 	default:
-		var err error
-		res.Answer, res.Stats, err = pe.SemiNaiveCtx(ctx, db, a.Ops, q)
-		if err != nil {
-			return nil, err
+		return pe.StreamCtx(ctx, db, a.Ops, q), stats, nil
+	}
+}
+
+// Residual returns the selections of sels that the rows of the plan's
+// opened closure (Open) do not already satisfy — what a consumer must
+// still apply, per row or to the drained total.  A Separable plan
+// consumes Plan.Sel and a context-mode magic plan rewrites its bound
+// columns to the constants; every other stream is a raw closure.
+func (p *Plan) Residual(sels []separable.Selection) []separable.Selection {
+	var consumed []separable.Selection
+	switch {
+	case p.Kind == Separable:
+		consumed = []separable.Selection{p.Sel}
+	case p.Kind == MagicSeeded && p.Magic.Mode == MagicContext:
+		consumed = p.Magic.Sels
+	}
+	var out []separable.Selection
+	for _, sel := range sels {
+		if !slices.Contains(consumed, sel) {
+			out = append(out, sel)
 		}
 	}
-	if sel != nil {
-		res.Answer = sel.Apply(res.Answer)
+	return out
+}
+
+// groupOps resolves a decomposed plan group's operator indexes.
+func (a *Analysis) groupOps(idxs []int) []*ast.Op {
+	ops := make([]*ast.Op, 0, len(idxs))
+	for _, i := range idxs {
+		ops = append(ops, a.Ops[i])
 	}
-	return res, nil
+	return ops
 }
