@@ -45,14 +45,22 @@ func (s Stats) String() string {
 		s.Derivations, s.Duplicates, s.Iterations, s.MaxDepth)
 }
 
-// compiled is an operator lowered onto dense variable slots with a fixed
-// greedy join order.
+// compiled is a rule body lowered onto dense variable slots with a fixed
+// join order: the recursive atom first (absent for a nonrecursive rule),
+// then the other atoms.  Because the order is fixed, which slots are bound
+// when each atom is reached is static, so everything the join needs to
+// decide per atom is decided here, once.
 type compiled struct {
-	op        *ast.Op
-	nslots    int
-	headSlots []int
-	recSlots  []int
-	atoms     []compiledAtom
+	nslots int
+	rec    compiledAtom // the recursive atom; matched against the delta rows
+	head   compiledAtom // the emitted tuple's slots and constants
+	atoms  []compiledAtom
+	// keyLen is the arity of the widest fully-bound atom: the size of the
+	// membership-key scratch an executor needs.
+	keyLen int
+	// probeFirst ≥ 0 selects the probe-first scan (see executor.run): the
+	// body is a single indexed atom probed on that recursive column.
+	probeFirst int
 }
 
 type compiledAtom struct {
@@ -63,70 +71,121 @@ type compiledAtom struct {
 	constVal []rel.Value
 	// idxCol is the column probed through the relation's hash index: the
 	// first position that is a constant or a slot bound by the recursive
-	// atom or an earlier body atom.  -1 means full scan.  Because the join
-	// order is fixed at compile time, the bound-slot set at each atom is
-	// static, so the choice the seed engine made per probe is precomputed.
+	// atom or an earlier body atom.  -1 means full scan.
 	idxCol int
 	// member marks a fully-bound atom (every position a constant or an
 	// already-bound slot): the probe degenerates to one hash membership
 	// test, needing no column index at all.
 	member bool
-	// binds[i] marks positions that assign a fresh slot during the match
-	// (first occurrence of a slot not bound by earlier atoms); the other
-	// variable positions are equality checks.  Precomputing this removes
-	// the per-probe bookkeeping of which slots to unbind.
+	// binds[i] marks positions that assign a slot during the match (first
+	// occurrence of a slot not bound by earlier atoms); the other variable
+	// positions are equality checks.
 	binds []bool
 }
 
-// finishAtoms computes idxCol and binds for atoms joined in order, given
-// the slots already bound before the first atom (mutates bound).
-func finishAtoms(atoms []compiledAtom, bound map[int]bool) {
-	for i := range atoms {
-		a := &atoms[i]
+// value returns position k's value under the binding: its constant, or
+// the value of its (already bound) slot.
+func (a *compiledAtom) value(binding []rel.Value, k int) rel.Value {
+	if s := a.slot[k]; s >= 0 {
+		return binding[s]
+	}
+	return a.constVal[k]
+}
+
+// match unifies t with the atom under the partial binding: constants and
+// bound slots must agree, binding positions are assigned.  A failed match
+// may leave some of its slots assigned; the fixed join order guarantees
+// every such slot is assigned again before anything reads it.
+func (a *compiledAtom) match(binding []rel.Value, t rel.Tuple) bool {
+	for k, s := range a.slot {
+		switch {
+		case s == -1:
+			if t[k] != a.constVal[k] {
+				return false
+			}
+		case a.binds[k]:
+			binding[s] = t[k]
+		case binding[s] != t[k]:
+			return false
+		}
+	}
+	return true
+}
+
+// compileBody lowers a rule: rec is the recursive atom (the zero Atom for
+// a nonrecursive rule), ordered the remaining body atoms in join order.
+func compileBody(rec ast.Atom, ordered []ast.Atom, head ast.Atom, syms *rel.Symtab) *compiled {
+	slots := map[string]int{}
+	bound := map[int]bool{}
+	// lower maps an atom's terms to slots and constants; a body atom (the
+	// recursive one included, the head not) also gets its probe column and
+	// binding positions from the slots bound so far.
+	lower := func(a ast.Atom, body bool) compiledAtom {
+		ca := compiledAtom{pred: a.Pred, arity: a.Arity(), idxCol: -1, member: body}
+		ca.slot = make([]int, a.Arity())
+		ca.constVal = make([]rel.Value, a.Arity())
+		ca.binds = make([]bool, a.Arity())
+		for k, t := range a.Args {
+			if !t.IsVar() {
+				ca.slot[k] = -1
+				ca.constVal[k] = syms.Intern(t.Name)
+			} else if s, ok := slots[t.Name]; ok {
+				ca.slot[k] = s
+			} else {
+				ca.slot[k] = len(slots)
+				slots[t.Name] = len(slots)
+			}
+		}
+		if !body {
+			return ca
+		}
 		// idxCol considers only slots bound before this atom: a slot first
 		// assigned by an earlier position of the same atom has no value yet
 		// when the probe column is chosen.
-		a.idxCol = -1
-		a.member = true
-		for k, s := range a.slot {
+		for k, s := range ca.slot {
 			if s == -1 || bound[s] {
-				if a.idxCol < 0 {
-					a.idxCol = k
+				if ca.idxCol < 0 {
+					ca.idxCol = k
 				}
 			} else {
-				a.member = false
+				ca.member = false
 			}
 		}
-		a.binds = make([]bool, len(a.slot))
-		for k, s := range a.slot {
+		for k, s := range ca.slot {
 			if s >= 0 && !bound[s] {
-				a.binds[k] = true
+				ca.binds[k] = true
 				bound[s] = true
 			}
 		}
+		return ca
 	}
+
+	c := &compiled{probeFirst: -1}
+	c.rec = lower(rec, true)
+	for _, a := range ordered {
+		ca := lower(a, true)
+		if ca.member && ca.arity > c.keyLen {
+			c.keyLen = ca.arity
+		}
+		c.atoms = append(c.atoms, ca)
+	}
+	c.head = lower(head, false)
+	c.nslots = len(slots)
+	if a := c.atoms; len(a) == 1 && !a[0].member && a[0].idxCol >= 0 && a[0].slot[a[0].idxCol] >= 0 {
+		for k, s := range c.rec.slot {
+			if s == a[0].slot[a[0].idxCol] {
+				c.probeFirst = k
+				break
+			}
+		}
+	}
+	return c
 }
 
 // compileOp lowers an operator.  Atom order: greedy, preferring atoms with
 // the most variables already bound (starting from the recursive atom's
 // variables), which keeps intermediate results small.
 func compileOp(op *ast.Op, syms *rel.Symtab) *compiled {
-	slots := map[string]int{}
-	slotOf := func(v string) int {
-		if s, ok := slots[v]; ok {
-			return s
-		}
-		s := len(slots)
-		slots[v] = s
-		return s
-	}
-
-	c := &compiled{op: op}
-	for _, t := range op.Rec.Args {
-		c.recSlots = append(c.recSlots, slotOf(t.Name))
-	}
-
-	// Greedy ordering of the nonrecursive atoms.
 	remaining := make([]ast.Atom, len(op.NonRec))
 	copy(remaining, op.NonRec)
 	bound := map[string]bool{}
@@ -158,181 +217,135 @@ func compileOp(op *ast.Op, syms *rel.Symtab) *compiled {
 			}
 		}
 	}
-
-	for _, a := range ordered {
-		ca := compiledAtom{pred: a.Pred, arity: a.Arity()}
-		for _, t := range a.Args {
-			if t.IsVar() {
-				ca.slot = append(ca.slot, slotOf(t.Name))
-				ca.constVal = append(ca.constVal, 0)
-			} else {
-				ca.slot = append(ca.slot, -1)
-				ca.constVal = append(ca.constVal, syms.Intern(t.Name))
-			}
-		}
-		c.atoms = append(c.atoms, ca)
-	}
-	boundSlots := map[int]bool{}
-	for _, s := range c.recSlots {
-		boundSlots[s] = true
-	}
-	finishAtoms(c.atoms, boundSlots)
-	for _, t := range op.Head.Args {
-		c.headSlots = append(c.headSlots, slotOf(t.Name))
-	}
-	c.nslots = len(slots)
-	return c
+	return compileBody(op.Rec, ordered, op.Head, syms)
 }
 
-const unbound = rel.Value(-1)
-
-// resolvedAtom is the per-evaluation resolution of one compiled atom
-// against a DB snapshot: the relation itself plus, for indexed probes, a
-// direct bucket prober.  Resolving once per apply call keeps the per-row
-// join loop free of both the predicate-map lookup and Lookup's per-probe
-// index-mutex acquisition (which turns into cross-core cache-line
-// traffic when parallel shards hammer the same relation).  A resolved
-// slice belongs to one goroutine.
+// resolvedAtom is one compiled atom resolved against a DB snapshot: the
+// relation itself plus, for indexed probes, a direct bucket prober, and
+// for full scans the callback handed to the store's Each (a disk-backed
+// store iterates far cheaper than it serves Row by Row).
+// Resolving once per closure (per goroutine — a Prober is single-
+// goroutine state) keeps the join free of both the predicate-map lookup
+// and Lookup's per-probe index-mutex acquisition, which turns into
+// cross-core cache-line traffic when parallel shards hammer the same
+// relation.
 type resolvedAtom struct {
 	r     rel.Store
 	probe func(rel.Value) []rel.Tuple
+	scan  func(rel.Tuple)
 }
 
-// resolveAtoms resolves every atom's relation (with the arity guard the
-// per-row path used to make: an absent predicate probes as the shared
-// arity-0 empty relation, which is not a mismatch; a declared relation —
-// even an empty one — must agree).
-func resolveAtoms(db rel.DB, atoms []compiledAtom) []resolvedAtom {
-	res := make([]resolvedAtom, len(atoms))
-	for i := range atoms {
-		a := &atoms[i]
+// executor is the join executor: one compiled rule resolved against one
+// DB snapshot, with all the scratch a join needs.  It belongs to one
+// goroutine, and is built once per closure and operator (per worker, for
+// rounds that fan out), so that run and join allocate nothing: not per
+// round, not per delta row, not per derivation.  The tuple passed to emit
+// is scratch, overwritten by the next emission; receivers copy what they
+// keep (Relation.Insert and the round buffers both do).
+type executor struct {
+	c       *compiled
+	res     []resolvedAtom
+	binding []rel.Value
+	out     rel.Tuple // the emitted head tuple
+	key     rel.Tuple // membership key of a fully-bound atom
+	emit    func(rel.Tuple)
+}
+
+// newExecutor resolves c's atoms against db — with the arity guard: an
+// absent predicate probes as the shared arity-0 empty relation, which is
+// not a mismatch; a declared relation, even an empty one, must agree —
+// and allocates the scratch.
+func newExecutor(db rel.DB, c *compiled, emit func(rel.Tuple)) *executor {
+	vals := make([]rel.Value, c.nslots+c.head.arity+c.keyLen)
+	x := &executor{
+		c:       c,
+		res:     make([]resolvedAtom, len(c.atoms)),
+		binding: vals[:c.nslots:c.nslots],
+		out:     vals[c.nslots : c.nslots+c.head.arity : c.nslots+c.head.arity],
+		key:     vals[c.nslots+c.head.arity:],
+		emit:    emit,
+	}
+	for i := range c.atoms {
+		a := &c.atoms[i]
 		r := db.Probe(a.pred)
 		if r.Arity() != a.arity && (r.Len() > 0 || r.Arity() != 0) {
 			panic(fmt.Sprintf("eval: predicate %q used with arity %d and %d", a.pred, r.Arity(), a.arity))
 		}
-		res[i].r = r
-		if !a.member && a.idxCol >= 0 {
-			res[i].probe = r.Prober(a.idxCol)
+		x.res[i].r = r
+		switch next := i + 1; {
+		case a.member:
+		case a.idxCol >= 0:
+			x.res[i].probe = r.Prober(a.idxCol)
+		default:
+			x.res[i].scan = func(t rel.Tuple) {
+				if a.match(x.binding, t) {
+					x.join(next)
+				}
+			}
 		}
 	}
-	return res
+	return x
 }
 
-// joinFrom enumerates all bindings extending the current partial binding
-// over atoms[i:], invoking emit for each complete one.  The probe column
-// and the set of slots each position binds are precomputed (finishAtoms),
-// and relations are pre-resolved (resolveAtoms), so the inner loop
-// allocates nothing and takes no locks.
-func joinFrom(res []resolvedAtom, atoms []compiledAtom, binding []rel.Value, i int, emit func()) {
-	if i == len(atoms) {
-		emit()
+// join enumerates all bindings extending the current partial binding over
+// atoms[i:] and emits the head tuple of each complete one.  It builds no
+// closure and allocates nothing: the probe column and binding positions
+// are precompiled, relations pre-resolved, and the membership key and the
+// head tuple are the executor's scratch.
+func (x *executor) join(i int) {
+	c := x.c
+	if i == len(c.atoms) {
+		for k := range x.out {
+			x.out[k] = c.head.value(x.binding, k)
+		}
+		x.emit(x.out)
 		return
 	}
-	a := &atoms[i]
-	r := res[i].r
-
-	match := func(t rel.Tuple) {
-		ok := true
-		for k, s := range a.slot {
-			if s == -1 {
-				if t[k] != a.constVal[k] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if a.binds[k] {
-				binding[s] = t[k]
-				continue
-			}
-			if binding[s] != t[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			joinFrom(res, atoms, binding, i+1, emit)
-		}
-		for k, fresh := range a.binds {
-			if fresh {
-				binding[a.slot[k]] = unbound
-			}
-		}
-	}
-
-	if a.member {
+	a := &c.atoms[i]
+	switch {
+	case a.member:
 		// Fully bound: one membership probe instead of an index lookup —
 		// no column index is ever built for a ground check.
-		key := make(rel.Tuple, len(a.slot))
-		for k, s := range a.slot {
-			if s == -1 {
-				key[k] = a.constVal[k]
-			} else {
-				key[k] = binding[s]
-			}
+		key := x.key[:a.arity]
+		for k := range key {
+			key[k] = a.value(x.binding, k)
 		}
-		if r.Has(key) {
-			joinFrom(res, atoms, binding, i+1, emit)
+		if x.res[i].r.Has(key) {
+			x.join(i + 1)
 		}
-		return
+	case a.idxCol >= 0:
+		x.matchAll(i, x.res[i].probe(a.value(x.binding, a.idxCol)))
+	default:
+		x.res[i].r.Each(x.res[i].scan)
 	}
-	if a.idxCol >= 0 {
-		var v rel.Value
-		if s := a.slot[a.idxCol]; s == -1 {
-			v = a.constVal[a.idxCol]
-		} else {
-			v = binding[s]
-		}
-		for _, t := range res[i].probe(v) {
-			match(t)
-		}
-		return
-	}
-	r.Each(match)
 }
 
-// applyCompiledRange joins the operator body with rows [lo, hi) of src as
-// the recursive-atom relation and emits every derived head tuple.  Taking
-// a row range rather than a relation lets a round read its delta straight
-// off the total relation and lets a fanned-out round feed each worker its
-// shard of it.  The emitted tuple is reused across
-// emissions; receivers must copy what they keep.  A non-nil stop flag is
-// polled every cancelCheckRows rows; it reports false when the scan was
-// abandoned (emissions so far may be partial).
-func applyCompiledRange(db rel.DB, c *compiled, src *rel.Relation, lo, hi int, stop *atomic.Bool, emit func(rel.Tuple)) bool {
-	res := resolveAtoms(db, c.atoms)
-	binding := make([]rel.Value, c.nslots)
-	out := make(rel.Tuple, len(c.headSlots))
-	emitBinding := func() {
-		for i, s := range c.headSlots {
-			out[i] = binding[s]
-		}
-		emit(out)
-	}
-	// Probe-first fast path: when the body is a single indexed atom whose
-	// probe value comes straight off the recursive tuple (or is a
-	// constant), a row that probes an empty bucket can be skipped before
-	// any binding work happens.  Misses then cost one array lookup, and
-	// only hits pay for slot setup and the join.  This is exactly the
-	// shape of the occurrence-delta maintenance ops (tiny delta joined
-	// against a cached fixpoint), where hits are cone-sized but the scan
-	// covers every cached row.  For single-atom ops finishAtoms only picks
-	// an idxCol whose slot is recursive-bound or constant, so the search
-	// below always resolves; the guard keeps the path safely disabled for
-	// any other shape.
-	probeFirst := -2 // -2 disabled, -1 constant probe, ≥ 0 recursive column
-	if len(c.atoms) == 1 && !c.atoms[0].member && c.atoms[0].idxCol >= 0 {
-		if s := c.atoms[0].slot[c.atoms[0].idxCol]; s == -1 {
-			probeFirst = -1
-		} else {
-			for i, rs := range c.recSlots {
-				if rs == s {
-					probeFirst = i
-					break
-				}
-			}
+// matchAll continues the join through every candidate of atom i.
+func (x *executor) matchAll(i int, candidates []rel.Tuple) {
+	a := &x.c.atoms[i]
+	for _, t := range candidates {
+		if a.match(x.binding, t) {
+			x.join(i + 1)
 		}
 	}
+}
+
+// run joins the rule body with rows [lo, hi) of src as the recursive-atom
+// relation, emitting every derived head tuple.  Taking a row range rather
+// than a relation lets a round read its delta straight off the total
+// relation and lets a fanned-out round feed each worker its shard of it.
+// A non-nil stop flag is polled every cancelCheckRows rows; run reports
+// false when the scan was abandoned (emissions so far may be partial).
+//
+// Probe-first scan: when the body is a single indexed atom whose probe
+// value comes straight off the recursive tuple, a row that probes an
+// empty bucket is skipped before any binding work happens, and a hit
+// matches the bucket it already fetched.  Misses then cost one array
+// lookup.  This is the shape of the occurrence-delta maintenance ops
+// (tiny delta joined against a cached fixpoint), where hits are cone-
+// sized but the scan covers every cached row.
+func (x *executor) run(src *rel.Relation, lo, hi int, stop *atomic.Bool) bool {
+	c := x.c
 	check := cancelCheckRows
 	for row := lo; row < hi; row++ {
 		if stop != nil {
@@ -344,68 +357,13 @@ func applyCompiledRange(db rel.DB, c *compiled, src *rel.Relation, lo, hi int, s
 			}
 		}
 		t := src.Row(row)
-		var bucket []rel.Tuple
-		if probeFirst != -2 {
-			var v rel.Value
-			if probeFirst == -1 {
-				v = c.atoms[0].constVal[c.atoms[0].idxCol]
-			} else {
-				v = t[probeFirst]
+		if c.probeFirst < 0 {
+			if c.rec.match(x.binding, t) {
+				x.join(0)
 			}
-			if bucket = res[0].probe(v); len(bucket) == 0 {
-				continue
-			}
+		} else if bucket := x.res[0].probe(t[c.probeFirst]); len(bucket) > 0 && c.rec.match(x.binding, t) {
+			x.matchAll(0, bucket)
 		}
-		for i := range binding {
-			binding[i] = unbound
-		}
-		ok := true
-		for i, s := range c.recSlots {
-			if binding[s] != unbound && binding[s] != t[i] {
-				ok = false
-				break
-			}
-			binding[s] = t[i]
-		}
-		if !ok {
-			continue
-		}
-		if probeFirst != -2 {
-			// The probe already ran: match the bucket directly rather than
-			// re-probing through joinFrom (the single atom is also the last,
-			// so a candidate match emits immediately).
-			a := &c.atoms[0]
-			for _, cand := range bucket {
-				ok := true
-				for k, s := range a.slot {
-					if s == -1 {
-						if cand[k] != a.constVal[k] {
-							ok = false
-							break
-						}
-						continue
-					}
-					if a.binds[k] {
-						binding[s] = cand[k]
-						continue
-					}
-					if binding[s] != cand[k] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					emitBinding()
-				}
-				for k, fresh := range a.binds {
-					if fresh {
-						binding[a.slot[k]] = unbound
-					}
-				}
-			}
-			continue
-		}
-		joinFrom(res, c.atoms, binding, 0, emitBinding)
 	}
 	return true
 }
@@ -470,14 +428,14 @@ func (e *Engine) compiledFor(op *ast.Op) *compiled {
 // a tuple already in dst.
 func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
 	added := 0
-	applyCompiledRange(db, e.compiledFor(op), src, 0, src.Len(), nil, func(t rel.Tuple) {
+	newExecutor(db, e.compiledFor(op), func(t rel.Tuple) {
 		stats.Derivations++
 		if dst.Insert(t) {
 			added++
 		} else {
 			stats.Duplicates++
 		}
-	})
+	}).run(src, 0, src.Len(), nil)
 	return added
 }
 
@@ -521,59 +479,11 @@ func (e *Engine) EvalRule(db rel.DB, r ast.Rule) (*rel.Relation, error) {
 			}
 		}
 	}
-	// Reuse the operator machinery with a pseudo-recursive unit atom.
-	slots := map[string]int{}
-	slotOf := func(v string) int {
-		if s, ok := slots[v]; ok {
-			return s
-		}
-		s := len(slots)
-		slots[v] = s
-		return s
-	}
-	var atoms []compiledAtom
-	ordered := orderAtoms(r.Body)
-	for _, a := range ordered {
-		ca := compiledAtom{pred: a.Pred, arity: a.Arity()}
-		for _, t := range a.Args {
-			if t.IsVar() {
-				ca.slot = append(ca.slot, slotOf(t.Name))
-				ca.constVal = append(ca.constVal, 0)
-			} else {
-				ca.slot = append(ca.slot, -1)
-				ca.constVal = append(ca.constVal, e.Syms.Intern(t.Name))
-			}
-		}
-		atoms = append(atoms, ca)
-	}
-	finishAtoms(atoms, map[int]bool{})
-	headSlot := make([]int, r.Head.Arity())
-	headConst := make([]rel.Value, r.Head.Arity())
-	for i, t := range r.Head.Args {
-		if t.IsVar() {
-			headSlot[i] = slotOf(t.Name)
-		} else {
-			headSlot[i] = -1
-			headConst[i] = e.Syms.Intern(t.Name)
-		}
-	}
-
+	// The operator machinery with no recursive atom: one join from the
+	// empty binding.
 	out := rel.NewRelation(r.Head.Arity())
-	binding := make([]rel.Value, len(slots))
-	for i := range binding {
-		binding[i] = unbound
-	}
-	row := make(rel.Tuple, r.Head.Arity())
-	joinFrom(resolveAtoms(db, atoms), atoms, binding, 0, func() {
-		for i, s := range headSlot {
-			if s == -1 {
-				row[i] = headConst[i]
-			} else {
-				row[i] = binding[s]
-			}
-		}
-		out.Insert(row)
-	})
+	c := compileBody(ast.Atom{}, orderAtoms(r.Body), r.Head, e.Syms)
+	newExecutor(db, c, func(t rel.Tuple) { out.Insert(t) }).join(0)
 	return out, nil
 }
 

@@ -33,22 +33,6 @@ func (p *workerPanic) String() string {
 	return fmt.Sprintf("%v\n%s", p.val, p.stack)
 }
 
-// shardBounds splits n items into at most w contiguous shards of
-// near-equal size, returning the boundary offsets.
-func shardBounds(n, w int) []int {
-	if w > n {
-		w = n
-	}
-	if w == 0 {
-		return []int{0}
-	}
-	bounds := make([]int, 0, w+1)
-	for i := 0; i <= w; i++ {
-		bounds = append(bounds, i*n/w)
-	}
-	return bounds
-}
-
 // prebuildIndexes forces every index the compiled operators will probe, so
 // workers never contend on lazy index construction.
 func prebuildIndexes(db rel.DB, cs []*compiled) {
@@ -61,34 +45,60 @@ func prebuildIndexes(db rel.DB, cs []*compiled) {
 	}
 }
 
-// applyRound runs every operator over rows [lo, hi) of src, sharded on
-// a pool of the given width, and returns one flat emission buffer per
-// worker: derived tuples laid out back to back, arity values each.  Flat
+// roundWorker is one pool slot's private state for the fanned-out rounds
+// of one closure, reused round after round: its executors (one per
+// operator, built by the slot's first goroutine) and its emission buffer
+// — the round's derived tuples back to back, arity values each.  Flat
 // buffers keep the round's output pointer-free, so the garbage collector
-// never scans the (potentially millions of) in-flight derivations.  A
-// non-nil newKeep factory builds one filter per worker, dropping
-// emissions inside the worker before they are buffered (the restricted
-// closure's magic-set test) — per-worker instances let a filter keep
-// mutable probe state without cross-shard races.  A non-nil stop flag
-// makes every worker abandon its shard within cancelCheckRows rows of
-// the flag being set; the waitgroup barrier still joins every worker, so
-// cancellation never leaks goroutines.  A worker panic (e.g. the join arity guard) is
-// recovered and re-raised at the barrier in the caller's goroutine — a
-// panic escaping a bare worker goroutine would kill the process, while
-// the caller's stack has recovery (core.QueryOn turns it into an error)
-// — with all workers joined first.
-func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity, workers int, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) [][]rel.Value {
-	bounds := shardBounds(hi-lo, workers)
-	bufs := make([][]rel.Value, len(bounds)-1)
+// never scans the in-flight derivations.
+type roundWorker struct {
+	execs []*executor
+	buf   []rel.Value
+}
+
+// start builds the worker's executors and sizes its buffer for a shard of
+// the given rows.  A non-nil newKeep builds this worker's own filter (the
+// restricted closure's magic-set test may keep mutable probe state),
+// dropping emissions before they are buffered.
+func (w *roundWorker) start(db rel.DB, cs []*compiled, arity, rows int, newKeep func() func(rel.Tuple) bool) {
+	var keep func(rel.Tuple) bool
+	if newKeep != nil {
+		keep = newKeep()
+	}
+	emit := func(t rel.Tuple) {
+		if keep != nil && !keep(t) {
+			return
+		}
+		w.buf = append(w.buf, t...)
+	}
+	w.buf = make([]rel.Value, 0, rows*arity)
+	w.execs = make([]*executor, len(cs))
+	for i, c := range cs {
+		w.execs[i] = newExecutor(db, c, emit)
+	}
+}
+
+// applyRound runs every operator over rows [lo, hi) of src, sharded
+// across the pool, leaving each worker's emissions (arity values each) in
+// its buffer.  A non-nil stop flag makes every worker abandon its shard
+// within cancelCheckRows rows of the flag being set; the waitgroup barrier
+// still joins every worker, so cancellation never leaks goroutines.  A
+// worker panic (e.g. the join arity guard) is recovered and re-raised at
+// the barrier in the caller's goroutine — a panic escaping a bare worker
+// goroutine would kill the process, while the caller's stack has recovery
+// (core.QueryOn turns it into an error) — with all workers joined first.
+func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int, pool []roundWorker, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) {
 	var panicked atomic.Pointer[any]
 	var wg sync.WaitGroup
-	for w := 0; w < len(bounds)-1; w++ {
-		slo, shi := lo+bounds[w], lo+bounds[w+1]
+	for i := range pool {
+		w := &pool[i]
+		w.buf = w.buf[:0]
+		slo, shi := lo+i*(hi-lo)/len(pool), lo+(i+1)*(hi-lo)/len(pool)
 		if slo == shi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, slo, shi int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -103,30 +113,20 @@ func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity, wor
 					}
 				}
 			}()
-			buf := make([]rel.Value, 0, (shi-slo)*arity)
-			var keep func(rel.Tuple) bool
-			if newKeep != nil {
-				keep = newKeep()
+			if w.execs == nil {
+				w.start(db, cs, arity, shi-slo, newKeep)
 			}
-			emit := func(t rel.Tuple) {
-				if keep != nil && !keep(t) {
-					return
-				}
-				buf = append(buf, t...)
-			}
-			for _, c := range cs {
-				if !applyCompiledRange(db, c, src, slo, shi, stop, emit) {
+			for _, x := range w.execs {
+				if !x.run(src, slo, shi, stop) {
 					break
 				}
 			}
-			bufs[w] = buf
-		}(w, slo, shi)
+		}()
 	}
 	wg.Wait()
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
-	return bufs
 }
 
 // mergeRound folds the worker buffers into total, charging stats one
@@ -134,8 +134,10 @@ func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity, wor
 // already-known tuple — the same accounting as an inline round.  New
 // tuples are the rows total gained; callers recover the round's delta as
 // the row range [Len-before, Len).
-func mergeRound(total *rel.Relation, bufs [][]rel.Value, arity int, stats *Stats) {
-	for _, buf := range bufs {
+func mergeRound(total *rel.Relation, pool []roundWorker, stats *Stats) {
+	arity := total.Arity()
+	for i := range pool {
+		buf := pool[i].buf
 		stats.Derivations += int64(len(buf) / arity)
 		for off := 0; off < len(buf); off += arity {
 			if !total.Insert(buf[off : off+arity : off+arity]) {
@@ -160,7 +162,8 @@ func (e *Engine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats 
 	cs := []*compiled{e.compiledFor(op)}
 	prebuildIndexes(db, cs)
 	before := dst.Len()
-	bufs := applyRound(db, cs, src, 0, src.Len(), dst.Arity(), e.Workers, nil, nil)
-	mergeRound(dst, bufs, dst.Arity(), stats)
+	pool := make([]roundWorker, e.Workers)
+	applyRound(db, cs, src, 0, src.Len(), dst.Arity(), pool, nil, nil)
+	mergeRound(dst, pool, stats)
 	return dst.Len() - before
 }

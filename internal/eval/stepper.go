@@ -62,6 +62,12 @@ type stepper struct {
 	// mutable probe state); keep is the stepping goroutine's instance.
 	newKeep func() func(rel.Tuple) bool
 	keep    func(rel.Tuple) bool
+	// Join scratch, built on the first round that needs it and reused by
+	// every later one, so a round allocates nothing that grows with its
+	// delta: the inline rounds' executors (one per operator) and the
+	// fanned-out rounds' pool (executors and emission buffer per worker).
+	inline []*executor
+	pool   []roundWorker
 
 	ctx     context.Context
 	stop    *atomic.Bool
@@ -109,6 +115,24 @@ func (s *stepper) stopped() bool {
 	return false
 }
 
+// startInline builds the inline rounds' executors, one per operator, over
+// the stepping goroutine's emit.
+func (s *stepper) startInline() {
+	emit := func(t rel.Tuple) {
+		if s.keep != nil && !s.keep(t) {
+			return
+		}
+		s.stats.Derivations++
+		if !s.total.Insert(t) {
+			s.stats.Duplicates++
+		}
+	}
+	s.inline = make([]*executor, len(s.cs))
+	for i, c := range s.cs {
+		s.inline[i] = newExecutor(s.db, c, emit)
+	}
+}
+
 // step runs exactly one round (see the contract on stepper).  It reports
 // false when the context fired first; total may then hold part of an
 // abandoned inline round and must not be used.
@@ -124,35 +148,31 @@ func (s *stepper) step() bool {
 		start = time.Now()
 	}
 	if s.workers > 1 && s.hi-s.lo >= parallelRoundRows {
-		arity := s.total.Arity()
-		bufs := applyRound(s.db, s.cs, s.total, s.lo, s.hi, arity, s.workers, s.stop, s.newKeep)
+		if s.pool == nil {
+			s.pool = make([]roundWorker, s.workers)
+		}
+		applyRound(s.db, s.cs, s.total, s.lo, s.hi, s.total.Arity(), s.pool, s.stop, s.newKeep)
 		// A cancelled round leaves partial worker buffers; discard them
 		// rather than merging a torn delta.
 		if s.stopped() {
 			return false
 		}
-		mergeRound(s.total, bufs, arity, &s.stats)
+		mergeRound(s.total, s.pool, &s.stats)
 		if s.ph != nil {
-			for _, buf := range bufs {
-				rt.ShardRows = append(rt.ShardRows, len(buf)/arity)
+			for i := range s.pool {
+				rt.ShardRows = append(rt.ShardRows, len(s.pool[i].buf)/s.total.Arity())
 			}
 		}
 	} else {
-		emit := func(t rel.Tuple) {
-			if s.keep != nil && !s.keep(t) {
-				return
-			}
-			s.stats.Derivations++
-			if !s.total.Insert(t) {
-				s.stats.Duplicates++
-			}
+		if s.inline == nil {
+			s.startInline()
 		}
-		for _, c := range s.cs {
+		for _, x := range s.inline {
 			var opStart time.Time
 			if s.ph != nil {
 				opStart = time.Now()
 			}
-			if !applyCompiledRange(s.db, c, s.total, s.lo, s.hi, s.stop, emit) {
+			if !x.run(s.total, s.lo, s.hi, s.stop) {
 				s.stopped()
 				return false
 			}

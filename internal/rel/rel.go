@@ -356,25 +356,47 @@ func (r *Relation) rowEq(row int32, t Tuple) bool {
 	return true
 }
 
+// find probes the key table for t (whose key is k): it returns the slot
+// holding t and its 1-based row number, or the empty slot that ends t's
+// probe chain — where an insert would place it — and row 0.  It is the
+// one open-addressing probe loop; Insert, Has, findRow and minusPatch all
+// go through it.
+func (r *Relation) find(k uint64, t Tuple) (slot uint64, row int32) {
+	slot = mix64(k) & r.tab.mask
+	for {
+		row = r.tab.rows[slot]
+		if row == 0 || (r.tab.keys[slot] == k && (r.exact || r.rowEq(row, t))) {
+			return slot, row
+		}
+		slot = (slot + 1) & r.tab.mask
+	}
+}
+
+// minRowCap is the row capacity of the first row-storage allocation.
+const minRowCap = 4
+
 // Insert adds the tuple; it reports whether the tuple was new.  The tuple
 // is copied into the flat row storage, so callers may reuse the slice.
+// Row storage grows by doubling: a closure's total relation is appended to
+// millions of times, and append's 1.25x steps for large slices re-copy the
+// rows four to five times over where doubling copies them once — at the
+// price of up to 2x the live rows held while a grow is in flight (old and
+// new array) and up to half the capacity idle afterwards.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("rel: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
 	k := t.Key()
-	slot := mix64(k) & r.tab.mask
-	for {
-		row := r.tab.rows[slot]
-		if row == 0 {
-			break
-		}
-		if r.tab.keys[slot] == k && (r.exact || r.rowEq(row, t)) {
-			return false
-		}
-		slot = (slot + 1) & r.tab.mask
+	slot, row := r.find(k, t)
+	if row != 0 {
+		return false
 	}
-	r.data = append(r.data, t...)
+	end := len(r.data) + r.arity
+	if end > cap(r.data) {
+		r.growRows(max(2*cap(r.data), minRowCap*r.arity))
+	}
+	r.data = r.data[:end]
+	copy(r.data[end-r.arity:], t)
 	r.n++
 	if r.indexes != nil {
 		c := r.Row(r.n - 1)
@@ -408,10 +430,15 @@ func (r *Relation) Reserve(n int) {
 		r.tab = nt
 	}
 	if cap(r.data) < n*r.arity {
-		grown := make([]Value, len(r.data), n*r.arity)
-		copy(grown, r.data)
-		r.data = grown
+		r.growRows(n * r.arity)
 	}
+}
+
+// growRows moves the row storage to an array of the given capacity.
+func (r *Relation) growRows(capacity int) {
+	grown := make([]Value, len(r.data), capacity)
+	copy(grown, r.data)
+	r.data = grown
 }
 
 // Has reports membership.  The probe performs no allocations.
@@ -419,18 +446,8 @@ func (r *Relation) Has(t Tuple) bool {
 	if r.n == 0 {
 		return false
 	}
-	k := t.Key()
-	slot := mix64(k) & r.tab.mask
-	for {
-		row := r.tab.rows[slot]
-		if row == 0 {
-			return false
-		}
-		if r.tab.keys[slot] == k && (r.exact || r.rowEq(row, t)) {
-			return true
-		}
-		slot = (slot + 1) & r.tab.mask
-	}
+	_, row := r.find(t.Key(), t)
+	return row != 0
 }
 
 // Each calls f on every tuple; iteration order is unspecified.  The tuple
@@ -625,18 +642,8 @@ func (r *Relation) findRow(t Tuple) (int32, bool) {
 	if r.n == 0 || len(t) != r.arity {
 		return 0, false
 	}
-	k := t.Key()
-	slot := mix64(k) & r.tab.mask
-	for {
-		row := r.tab.rows[slot]
-		if row == 0 {
-			return 0, false
-		}
-		if r.tab.keys[slot] == k && (r.exact || r.rowEq(row, t)) {
-			return row, true
-		}
-		slot = (slot + 1) & r.tab.mask
-	}
+	_, row := r.find(t.Key(), t)
+	return row, row != 0
 }
 
 // minusRebuild is the large-deletion path: one pass over r rebuilding row
@@ -676,6 +683,9 @@ func (r *Relation) minusPatch(del []int32) *Relation {
 		arity: r.arity,
 		exact: r.exact,
 		n:     r.n - len(del),
+		// The copied table numbers r's rows until the renumbering pass, so
+		// the dropped keys are probed over r's row storage.
+		data: r.data,
 		tab: table{
 			keys: append([]uint64(nil), r.tab.keys...),
 			rows: append([]int32(nil), r.tab.rows...),
@@ -684,11 +694,8 @@ func (r *Relation) minusPatch(del []int32) *Relation {
 		},
 	}
 	for _, row := range del {
-		k := r.Row(int(row) - 1).Key()
-		slot := mix64(k) & out.tab.mask
-		for out.tab.rows[slot] != row || out.tab.keys[slot] != k {
-			slot = (slot + 1) & out.tab.mask
-		}
+		t := r.Row(int(row) - 1)
+		slot, _ := out.find(t.Key(), t)
 		out.tab.del(slot)
 	}
 	out.data = make([]Value, 0, out.n*r.arity)
