@@ -222,3 +222,60 @@ path(X,Y) :- up(X,Y,Z).
 		t.Fatalf("error does not mention arity: %v", err)
 	}
 }
+
+// TestPersistChainDepthBounded drives the engine's own write path
+// against a background compactor that folds the disk chain before the
+// publish-time bound is ever reached: the store every query probes must
+// stay a bounded number of layers deep (it used to gain one layer per
+// write forever), and the answers must match an in-memory twin before
+// and after a restart.
+func TestPersistChainDepthBounded(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("path(X,Y) :- up(X,Y).\npath(X,Y) :- path(X,Z), up(Z,Y).\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&src, "up(n%d,n%d).\n", i, i+1)
+	}
+	dir := t.TempDir()
+	loadPersistent(t, src.String(), dir) // first day: publish the program's facts
+	mgr := openManager(t, dir)
+	disk, err := LoadOptions(src.String(), Options{Persist: mgr})
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	mem, err := Load(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		fact := []ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("m%d", i)), ast.C(fmt.Sprintf("n%d", i)))}
+		for _, s := range []*System{mem, disk} {
+			if _, _, err := s.AddFacts(fact); err != nil {
+				t.Fatalf("add %d: %v", i, err)
+			}
+			if i%3 == 2 { // and retract the one before
+				gone := []ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("m%d", i-1)), ast.C(fmt.Sprintf("n%d", i-1)))}
+				if _, _, err := s.RemoveFacts(gone); err != nil {
+					t.Fatalf("remove %d: %v", i, err)
+				}
+			}
+		}
+		if ly, ok := disk.Snapshot().DB["up"].(*rel.Layered); ok && ly.Depth() > 8 {
+			t.Fatalf("after %d writes every probe of up walks %d layers", i+1, ly.Depth())
+		}
+		if i%5 == 4 {
+			if _, err := mgr.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := mgr.Stats(); st.MaxChainLinks > 8 || st.Compactions == 0 {
+		t.Fatalf("chain gauges after the run: %+v", st)
+	}
+	want := pathRows(t, mem)
+	if got := pathRows(t, disk); !rowsEqual(want, got) {
+		t.Fatalf("disk answers diverge from memory after 60 writes: %d rows vs %d", len(got), len(want))
+	}
+	if got := pathRows(t, loadPersistent(t, src.String(), dir)); !rowsEqual(want, got) {
+		t.Fatalf("rebooted answers diverge from memory: %d rows vs %d", len(got), len(want))
+	}
+}

@@ -2,11 +2,15 @@ package segment
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"linrec/internal/rel"
 )
@@ -100,7 +104,6 @@ func TestDeltaPublishChainRoundTrip(t *testing.T) {
 // pre-delta snapshot with the chain intact, crashes after it into the
 // extended chain.
 func TestDeltaChainCrashRecovery(t *testing.T) {
-	syms := mksyms("a", "b", "c")
 	base := map[string][]rel.Tuple{"edge": {{0, 1}, {1, 2}}}
 	next := map[string][]rel.Tuple{"edge": {{0, 1}, {2, 0}}}
 
@@ -111,6 +114,7 @@ func TestDeltaChainCrashRecovery(t *testing.T) {
 		wantDB      map[string][]rel.Tuple
 	}{
 		{"after delta segment write", crashAfterSegment, 1, base},
+		{"after symtab append", crashAfterSymtab, 1, base},
 		{"before manifest rename", crashBeforeRename, 1, base},
 		{"after manifest rename", crashAfterRename, 2, next},
 	}
@@ -121,11 +125,13 @@ func TestDeltaChainCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			syms := mksyms("a", "b", "c")
 			db := mkdb(t, base)
 			if err := m.Publish(1, db, syms); err != nil {
 				t.Fatal(err)
 			}
 			db2 := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{2, 0}}, []rel.Tuple{{1, 2}})}
+			syms.Intern("interned-by-the-killed-publish")
 			m.crashAt = tc.stage
 			if err := m.PublishDelta(2, db2, syms); err != errCrash {
 				t.Fatalf("delta publish with crash stage %d returned %v, want errCrash", tc.stage, err)
@@ -139,16 +145,23 @@ func TestDeltaChainCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			booted, _, ok, err := m2.Boot(rel.NewSymtab())
+			syms2 := rel.NewSymtab()
+			booted, _, ok, err := m2.Boot(syms2)
 			if err != nil || !ok {
 				t.Fatalf("Boot: ok=%v err=%v", ok, err)
 			}
+			recovered := syms2.Len()
+			if v := syms2.Intern("z"); int(v) != recovered {
+				t.Fatalf("new symbol interned as %d after recovering %d names", v, recovered)
+			}
 			healed := rel.DB{"edge": overlay(t, booted["edge"], []rel.Tuple{{9, 9}}, nil)}
-			if err := m2.PublishDelta(9, healed, syms); err != nil {
+			if err := m2.PublishDelta(9, healed, syms2); err != nil {
 				t.Fatalf("delta publish after crash recovery: %v", err)
 			}
 			wantHealed := append(append([]rel.Tuple{}, tc.wantDB["edge"]...), rel.Tuple{9, 9})
 			rebootServes(t, dir, 9, mkdb(t, map[string][]rel.Tuple{"edge": wantHealed}))
+			wantSymbols(t, dir, syms2.Names()...)
+			wantExactFiles(t, m2, dir)
 		})
 	}
 }
@@ -260,6 +273,319 @@ func TestInlineFoldBoundsChain(t *testing.T) {
 	}
 	rebootServes(t, dir, uint64(1+3*maxChainLinks),
 		rel.DB{"edge": live.Clone()})
+}
+
+// wantMirror asserts the invariant that bounds served chain depth: every
+// store of db has exactly as many rel.Layered layers as its manifest
+// entry has links, over a store of the entry's base file.
+func wantMirror(t *testing.T, m *Manager, db rel.DB) {
+	t.Helper()
+	for _, p := range m.man.Preds {
+		depth, base := 0, db[p.Pred]
+		for ly, ok := base.(*rel.Layered); ok; ly, ok = base.(*rel.Layered) {
+			depth++
+			base = ly.Base()
+		}
+		if depth != len(p.Links) {
+			t.Fatalf("%s is served %d layers deep, its manifest entry has %d links", p.Pred, depth, len(p.Links))
+		}
+		if depth > maxChainLinks {
+			t.Fatalf("%s is served %d layers deep, bound is %d", p.Pred, depth, maxChainLinks)
+		}
+		if lz, ok := base.(*Lazy); ok && filepath.Base(lz.path) != p.File {
+			t.Fatalf("%s is served over %s, its manifest entry's base is %s", p.Pred, filepath.Base(lz.path), p.File)
+		}
+		if base.Len() != baseRows(p) {
+			t.Fatalf("%s is served over a %d-row base, its manifest entry's base has %d", p.Pred, base.Len(), baseRows(p))
+		}
+	}
+}
+
+// bigBase publishes one predicate of n rows {i, i+1} and reboots, so
+// the returned store is a lazy segment like any server's past its first
+// day.
+func bigBase(t *testing.T, n int) (*Manager, rel.DB, *rel.Symtab, string) {
+	t.Helper()
+	dir := t.TempDir()
+	pub, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]rel.Tuple, n)
+	for i := range rows {
+		rows[i] = rel.Tuple{rel.Value(i), rel.Value(i + 1)}
+	}
+	if err := pub.Publish(1, mkdb(t, map[string][]rel.Tuple{"edge": rows}), mksyms("a")); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := rel.NewSymtab()
+	db, _, ok, err := m.Boot(syms)
+	if err != nil || !ok {
+		t.Fatalf("Boot: ok=%v err=%v", ok, err)
+	}
+	return m, db, syms, dir
+}
+
+// TestMemoryChainDepthBounded: the served chain is bounded by
+// construction, whatever the interleaving of writes and background
+// compactions.  Before the served store mirrored the manifest, a
+// compactor that folded the disk chain first kept the inline fold from
+// ever firing, and every write added a layer forever (60 writes with a
+// CompactOnce every 5 served 60 layers over a chain-free manifest).
+func TestMemoryChainDepthBounded(t *testing.T) {
+	for _, every := range []int{1, 3, 5, 1000} {
+		t.Run(fmt.Sprintf("compactEvery=%d", every), func(t *testing.T) {
+			m, db, syms, dir := bigBase(t, 400)
+			for i := 0; i < 60; i++ {
+				next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{rel.Value(1000 + i), 0}}, nil)}
+				if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+					t.Fatal(err)
+				}
+				db = next
+				wantMirror(t, m, db)
+				if (i+1)%every == 0 {
+					if _, err := m.CompactOnce(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rebootServes(t, dir, 61, rel.DB{"edge": db["edge"].Clone()})
+		})
+	}
+}
+
+// TestCompactorConcurrentWithSwaps runs the background compactor at a
+// tight interval against a writer publishing deltas and readers probing
+// whatever snapshot is current — the three parties a server has.  Run
+// with -race; the served depth bound and the answers must hold
+// throughout.
+func TestCompactorConcurrentWithSwaps(t *testing.T) {
+	m, db, syms, dir := bigBase(t, 400)
+	stop := m.StartCompactor(200 * time.Microsecond)
+	defer stop()
+	var current atomic.Pointer[rel.DB]
+	booted := db
+	current.Store(&booted)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := (*current.Load())["edge"]
+				if !st.Has(rel.Tuple{399, 400}) || len(st.Lookup(0, 7)) != 1 {
+					t.Error("a base row went missing from the served snapshot")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 120; i++ {
+		next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{rel.Value(1000 + i), 0}}, nil)}
+		if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+			t.Fatal(err)
+		}
+		db = next
+		current.Store(&next)
+		if ly, ok := db["edge"].(*rel.Layered); ok && ly.Depth() > maxChainLinks {
+			t.Fatalf("swap %d serves %d layers", i, ly.Depth())
+		}
+	}
+	close(done)
+	wg.Wait()
+	stop()
+	rebootServes(t, dir, 121, rel.DB{"edge": db["edge"].Clone()})
+}
+
+// TestLinkMergeKeepsBase: a chain at its length bound merges its links
+// into one and keeps the base — the same file, and the same store
+// object with its mapping — instead of rewriting the relation.
+func TestLinkMergeKeepsBase(t *testing.T) {
+	m, db, syms, dir := bigBase(t, 400)
+	base := db["edge"]
+	baseFile := m.man.Preds[0].File
+	before := m.Stats()
+	for i := 0; i <= maxChainLinks; i++ {
+		// Each swap adds a row; every other one also retracts the row the
+		// previous swap added, so the merge has chained adds to cancel.
+		var dels []rel.Tuple
+		if i%2 == 1 {
+			dels = []rel.Tuple{{rel.Value(1000 + i - 1), 0}}
+		}
+		next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{rel.Value(1000 + i), 0}}, dels)}
+		if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+			t.Fatal(err)
+		}
+		db = next
+	}
+	p := m.man.Preds[0]
+	if p.File != baseFile || len(p.Links) != 1 {
+		t.Fatalf("after the merge the entry is %+v, want base %s under one link", p, baseFile)
+	}
+	// 9 adds, 4 of them retracted again: 5 net adds, no tombstone.
+	if lk := p.Links[0]; lk.AddRows != 5 || lk.DelRows != 0 {
+		t.Fatalf("merged link = %+v, want 5 net adds and no tombstones", lk)
+	}
+	ly := db["edge"].(*rel.Layered)
+	if ly.Depth() != 1 || ly.Base() != base {
+		t.Fatalf("served store is %d layers over %p, want one layer over the booted base %p", ly.Depth(), ly.Base(), base)
+	}
+	st := m.Stats()
+	if st.Compactions-before.Compactions != 1 || st.CompactedLinks-before.CompactedLinks != maxChainLinks+1 {
+		t.Fatalf("compaction counters = %+v", st)
+	}
+	// The merge wrote only the merged link: no second copy of the base.
+	if wrote := st.BytesWritten - before.BytesWritten; wrote >= p.Bytes {
+		t.Fatalf("%d segment bytes written across %d swaps of a %d-byte base", wrote, maxChainLinks+1, p.Bytes)
+	}
+	wantExactFiles(t, m, dir)
+	rebootServes(t, dir, uint64(2+maxChainLinks), rel.DB{"edge": db["edge"].Clone()})
+}
+
+// TestExactGC: no file outlives its manifest.  Fifty swaps with merges,
+// base rewrites and background compactions leave, after every one of
+// them, exactly the files the live manifest names; strays a crashed
+// publish left before Open are swept by the first publish after it.
+func TestExactGC(t *testing.T) {
+	m, db, syms, dir := bigBase(t, 64)
+	for _, stray := range []string{"x-9.seg", "edge-7.add.seg", "symtab-3.bin", manifestName + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := filepath.Join(dir, "notes.txt") // not ours: never touched
+	if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		syms.Intern(fmt.Sprintf("n%d", i))
+		next := rel.DB{"edge": overlay(t, db["edge"],
+			[]rel.Tuple{{rel.Value(1000 + i), 0}}, []rel.Tuple{{rel.Value(i), rel.Value(i + 1)}})}
+		if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+			t.Fatal(err)
+		}
+		db = next
+		if i%7 == 6 {
+			if _, err := m.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Remove(keep); err != nil {
+			t.Fatalf("publish %d removed a file that is not the store's: %v", i, err)
+		}
+		wantExactFiles(t, m, dir)
+		if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Compactions < 3 {
+		t.Fatalf("50 swaps folded only %d times: the test no longer covers merges and rewrites", st.Compactions)
+	}
+	rebootServes(t, dir, 51, rel.DB{"edge": db["edge"].Clone()})
+}
+
+// TestLinkMergeEquivalence drives random add/retract sequences — among
+// them re-adding a tombstoned base row and retracting a chained add —
+// with compactions at random points, against a plain map as the
+// oracle: the served store after every swap and the reopened directory
+// at the end must hold exactly the oracle's tuples.
+func TestLinkMergeEquivalence(t *testing.T) {
+	type row = [2]rel.Value
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		baseLen := 40 + rng.Intn(200)
+		m, db, syms, dir := bigBase(t, baseLen)
+		oracle := map[row]bool{}
+		db["edge"].Each(func(tp rel.Tuple) { oracle[row{tp[0], tp[1]}] = true })
+		var chained []row // every tuple some swap added on top of the base
+		readded, unchained := 0, 0
+		for i, swaps := 0, 30+rng.Intn(40); i < swaps; i++ {
+			// One swap never touches a tuple twice.
+			var adds, dels []rel.Tuple
+			touched := map[row]bool{}
+			for n := rng.Intn(3); n >= 0; n-- {
+				var v row
+				switch rng.Intn(4) {
+				case 0: // one of a few base rows: tombstone it, or re-add it if tombstoned
+					k := rel.Value(rng.Intn(16))
+					v = row{k, k + 1}
+					if !oracle[v] && !touched[v] {
+						readded++
+					}
+				case 1: // a chained add: retract it if still live
+					if len(chained) == 0 {
+						continue
+					}
+					v = chained[rng.Intn(len(chained))]
+					if !oracle[v] {
+						continue
+					}
+					if !touched[v] {
+						unchained++
+					}
+				default: // a fresh add
+					v = row{rel.Value(5000 + i*8 + n), rel.Value(rng.Intn(9))}
+					chained = append(chained, v)
+				}
+				if touched[v] {
+					continue
+				}
+				touched[v] = true
+				if oracle[v] {
+					dels = append(dels, rel.Tuple{v[0], v[1]})
+				} else {
+					adds = append(adds, rel.Tuple{v[0], v[1]})
+				}
+			}
+			if len(adds)+len(dels) == 0 {
+				continue
+			}
+			for _, tp := range adds {
+				oracle[row{tp[0], tp[1]}] = true
+			}
+			for _, tp := range dels {
+				delete(oracle, row{tp[0], tp[1]})
+			}
+			next := rel.DB{"edge": overlay(t, db["edge"], adds, dels)}
+			if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+				t.Fatalf("seed %d swap %d: %v", seed, i, err)
+			}
+			db = next
+			wantMirror(t, m, db)
+			if got := db["edge"].Len(); got != len(oracle) {
+				t.Fatalf("seed %d swap %d: served %d rows, oracle holds %d", seed, i, got, len(oracle))
+			}
+			if rng.Intn(6) == 0 {
+				if _, err := m.CompactOnce(); err != nil {
+					t.Fatalf("seed %d swap %d: compact: %v", seed, i, err)
+				}
+			}
+		}
+		if readded == 0 || unchained == 0 || m.Stats().Compactions == 0 {
+			t.Fatalf("seed %d covers %d re-added base rows, %d retracted chained adds, %d folds", seed, readded, unchained, m.Stats().Compactions)
+		}
+		want := rel.NewRelation(2)
+		for v := range oracle {
+			want.Insert(rel.Tuple{v[0], v[1]})
+		}
+		sameTuples(t, "edge", want, db["edge"])
+		rebootServes(t, dir, m.man.Version, rel.DB{"edge": want})
+		if _, err := m.CompactOnce(); err != nil {
+			t.Fatal(err)
+		}
+		rebootServes(t, dir, m.man.Version, rel.DB{"edge": want})
+		wantExactFiles(t, m, dir)
+	}
 }
 
 // TestEvictionUnderBudget hammers a budgeted manager from many

@@ -18,3 +18,13 @@ func decodeValues(body []byte, n int) []rel.Value {
 	}
 	return out
 }
+
+// encodeValues is decodeValues' inverse: the packed values encoded
+// little-endian into a fresh buffer.
+func encodeValues(data []rel.Value) []byte {
+	out := make([]byte, 0, len(data)*4)
+	for _, v := range data {
+		out = binary.LittleEndian.AppendUint32(out, uint32(v))
+	}
+	return out
+}

@@ -20,3 +20,14 @@ func decodeValues(body []byte, n int) []rel.Value {
 	}
 	return unsafe.Slice((*rel.Value)(unsafe.Pointer(&body[0])), n)
 }
+
+// encodeValues is decodeValues' inverse: the little-endian file bytes
+// of the packed values, which on these hosts are the slice's own bytes
+// — a segment is hashed and written straight from the relation's
+// storage.
+func encodeValues(data []rel.Value) []byte {
+	if len(data) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), len(data)*4)
+}

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,17 +14,28 @@ import (
 	"linrec/internal/rel"
 )
 
-// Chain-folding thresholds.  A publish appends a delta link only while
-// the chain stays short and mostly alive; past either bound it folds
-// the chain into a single fresh segment instead (inline compaction).
-// The background compactor tidies at lower thresholds, so chains left
-// behind by a write burst shrink even when no further writes arrive.
+// Chain bounds.  A publish appends a delta link only while the chain
+// stays short and mostly alive.  A chain at its length bound merges its
+// links into one (net additions and net tombstones against the same
+// base, cost proportional to the links' rows) and keeps the base
+// segment — and the base store's mapping and built indexes.  The base
+// itself is rewritten only when the chain is mostly garbage or the
+// merged link has grown to a fixed fraction of it.  The background
+// compactor applies the same rule at a lower length trigger, so chains
+// left behind by a write burst shrink even when no further writes
+// arrive.
 const (
 	// maxChainLinks bounds a chain at publish time: a delta that would
-	// make the chain longer folds instead.
+	// make the chain longer merges the links instead.
 	maxChainLinks = 8
 	// compactChainLinks is the background compactor's length trigger.
 	compactChainLinks = 4
+	// rebaseFraction rewrites the base once a merged link would hold more
+	// than 1/rebaseFraction of its rows: a base rewrite then amortises
+	// over at least that many written rows (at most rebaseFraction base
+	// rows re-copied per row written), and no merge re-copies more than
+	// that fraction of the base.
+	rebaseFraction = 8
 )
 
 // Manager owns one data directory: it boots the newest published
@@ -36,11 +48,32 @@ const (
 type Manager struct {
 	dir string
 
-	mu       sync.Mutex
-	man      *manifest // last published (or booted) manifest, nil if none
-	booted   rel.DB    // stores handed out by Boot, for identity-based reuse
-	lastDB   rel.DB    // DB of the last published snapshot
-	symCount int       // symbols already persisted in man.Symtab
+	mu  sync.Mutex
+	man *manifest // last published (or booted) manifest, nil if none
+
+	// lastDB holds the stores of the last published (or booted) snapshot:
+	// a predicate whose store is identical in the next publish keeps its
+	// manifest entry, one that wraps it in a single rel.Layered publishes
+	// only that layer.  shape holds, per predicate, a store with the same
+	// tuples laid out exactly as the manifest entry — one layer per chain
+	// link over a store of the base file.  The two differ only for what
+	// the background compactor (or a non-delta Publish of a chain)
+	// reshaped on disk since; the next PublishDelta hands the engine the
+	// shape, which is what keeps served chain depth equal to disk chain
+	// length.
+	lastDB rel.DB
+	shape  rel.DB
+
+	// symsChecked records that the engine's symbol table is known to
+	// extend the persisted one (Boot replayed it, or a publish verified
+	// it), so appending names past the committed count is sound.
+	symsChecked bool
+
+	// sweepDue makes the next successful manifest swap also sweep the
+	// directory for strays of crashed or failed publishes: set at Open
+	// and after any failed publish, so steady-state publishes unlink
+	// exactly what they orphaned and never list the directory.
+	sweepDue bool
 
 	// budget, when set (SetMemBudget before Boot), puts every lazy
 	// store this manager hands out into mmap-resident mode with
@@ -75,6 +108,7 @@ type crashStage int
 const (
 	crashNone         crashStage = iota
 	crashAfterSegment            // new segment files written, manifest untouched
+	crashAfterSymtab             // new names appended past symtab.bin's committed end
 	crashBeforeRename            // MANIFEST.tmp written, rename not performed
 	crashAfterRename             // new manifest live, old files not yet GC'd
 )
@@ -97,7 +131,10 @@ type Stats struct {
 	Publishes       int64  `json:"publishes"`
 	SegmentsWritten int64  `json:"segments_written"`
 	SegmentsReused  int64  `json:"segments_reused"`
-	BytesWritten    int64  `json:"bytes_written"`
+	BytesWritten    int64  `json:"bytes_written"` // segment files only
+	SymtabBytes     int64  `json:"symtab_bytes"`  // symbol-table bytes written
+	ManifestBytes   int64  `json:"manifest_bytes"`
+	Fsyncs          int64  `json:"fsyncs"` // file and directory fsyncs issued
 	LazyLoads       int64  `json:"lazy_loads"`
 	LazyLoadMicros  int64  `json:"lazy_load_micros"`
 	GCRemoved       int64  `json:"gc_removed"`
@@ -120,17 +157,19 @@ type Stats struct {
 // Open attaches a Manager to dir, creating the directory if needed and
 // validating any existing manifest eagerly: every referenced segment
 // file — base and chained delta alike — must exist with the exact size
-// and header the manifest promises.  Validation reads 24 bytes per
-// file, so opening stays proportional to the number of persisted
-// segments, not to row counts.
+// and header the manifest promises, and the symbol table must hold at
+// least its committed bytes.  Validation reads 24 bytes per file and
+// never lists the directory, so opening stays proportional to the
+// number of persisted segments, not to row counts or to garbage.
 func Open(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: dir, lazyByFile: map[string]*Lazy{}}
+	m := &Manager{dir: dir, lazyByFile: map[string]*Lazy{}, sweepDue: true}
 	m.stats.Dir = dir
 	man, err := readManifest(dir)
 	if os.IsNotExist(err) {
+		m.symsChecked = true // nothing persisted to diverge from
 		return m, nil
 	}
 	if err != nil {
@@ -153,8 +192,14 @@ func Open(dir string) (*Manager, error) {
 			}
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, man.Symtab)); err != nil {
-		return nil, fmt.Errorf("segment: manifest references missing symtab %s: %w", man.Symtab, err)
+	if man.Format < 3 || man.SymtabBytes > 0 {
+		info, err := os.Stat(filepath.Join(dir, man.Symtab))
+		if err != nil {
+			return nil, fmt.Errorf("segment: manifest references missing symtab %s: %w", man.Symtab, err)
+		}
+		if info.Size() < man.SymtabBytes {
+			return nil, fmt.Errorf("segment: symtab %s holds %d bytes, manifest committed %d (truncated)", man.Symtab, info.Size(), man.SymtabBytes)
+		}
 	}
 	m.man = man
 	m.stats.Generation = man.Generation
@@ -202,12 +247,12 @@ func (m *Manager) newLazyLocked(pred, file string, arity, rows int, checksum uin
 }
 
 // Boot restores the last published snapshot: it replays the persisted
-// symbol table into syms and returns a database of lazy disk-backed
-// stores plus the persisted snapshot version.  A predicate persisted
-// as a delta chain boots as layered lazy stores — base segment plus
-// one overlay per chain link — so recovery still reads no segment
-// data.  ok is false when the directory holds no manifest yet (fresh
-// start).
+// symbol table into syms (verifying its checksum) and returns a
+// database of lazy disk-backed stores plus the persisted snapshot
+// version.  A predicate persisted as a delta chain boots as layered
+// lazy stores — base segment plus one overlay per chain link — so
+// recovery still reads no segment data.  ok is false when the directory
+// holds no manifest yet (fresh start).
 func (m *Manager) Boot(syms *rel.Symtab) (db rel.DB, version uint64, ok bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -215,15 +260,41 @@ func (m *Manager) Boot(syms *rel.Symtab) (db rel.DB, version uint64, ok bool, er
 		return nil, 0, false, nil
 	}
 	start := time.Now()
-	names, err := readSymtab(filepath.Join(m.dir, m.man.Symtab))
-	if err != nil {
+	if err := m.replaySymtabLocked(syms); err != nil {
 		return nil, 0, false, err
+	}
+	db = m.openStoresLocked()
+	m.lastDB = db
+	m.shape = maps.Clone(db)
+	rows := 0
+	for _, p := range m.man.Preds {
+		rows += p.Rows
+	}
+	m.stats.Recovered = true
+	m.stats.RecoveredPreds = len(m.man.Preds)
+	m.stats.RecoveredRows = rows
+	m.stats.BootMillis = time.Since(start).Milliseconds()
+	return db, m.man.Version, true, nil
+}
+
+// replaySymtabLocked replays the manifest's symbol table into syms,
+// failing if syms already diverges from it.
+func (m *Manager) replaySymtabLocked(syms *rel.Symtab) error {
+	names, err := readSymtab(m.dir, m.man)
+	if err != nil {
+		return err
 	}
 	if err := restoreSymtab(syms, names); err != nil {
-		return nil, 0, false, err
+		return err
 	}
-	db = make(rel.DB, len(m.man.Preds))
-	rows := 0
+	m.symsChecked = true
+	return nil
+}
+
+// openStoresLocked builds the manifest's predicates as lazy stores, one
+// rel.Layered per chain link over the base segment's store.
+func (m *Manager) openStoresLocked() rel.DB {
+	db := make(rel.DB, len(m.man.Preds))
 	for _, p := range m.man.Preds {
 		var st rel.Store = m.newLazyLocked(p.Pred, p.File, p.Arity, baseRows(p), p.Checksum)
 		for _, lk := range p.Links {
@@ -237,16 +308,8 @@ func (m *Manager) Boot(syms *rel.Symtab) (db rel.DB, version uint64, ok bool, er
 			st = rel.NewLayered(st, adds, dels)
 		}
 		db[p.Pred] = st
-		rows += p.Rows
 	}
-	m.booted = db
-	m.lastDB = db
-	m.symCount = len(names)
-	m.stats.Recovered = true
-	m.stats.RecoveredPreds = len(m.man.Preds)
-	m.stats.RecoveredRows = rows
-	m.stats.BootMillis = time.Since(start).Milliseconds()
-	return db, m.man.Version, true, nil
+	return db
 }
 
 // noteLoad records one lazy segment mapping.  Lock-free on purpose —
@@ -261,12 +324,13 @@ func (m *Manager) noteLoad(took time.Duration, bytes int64) {
 // Publish persists a snapshot: unchanged predicates (same store
 // identity as the previous publish) keep their existing segment files;
 // changed or new predicates get fresh segments under
-// <pred>-<generation>.seg names.  The symbol table is re-persisted only
-// when it grew.  Once all new files are durable, the manifest swaps
-// atomically; finally files no longer referenced are garbage-collected
-// best-effort.  On error the old manifest remains live and fully
-// consistent — stray new files are unreferenced and will be collected
-// by a later successful publish.
+// <pred>-<generation>.seg names.  Symbols interned since the last
+// publish are appended to the symbol table.  Once all new bytes are
+// durable, the manifest swaps atomically; finally the files the swap
+// orphaned are unlinked, best-effort.  On error the old manifest
+// remains live and fully consistent — stray new files and an
+// uncommitted symbol-table tail are unreferenced, and a later
+// successful publish collects or overwrites them.
 func (m *Manager) Publish(version uint64, db rel.DB, syms *rel.Symtab) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -277,28 +341,33 @@ func (m *Manager) Publish(version uint64, db rel.DB, syms *rel.Symtab) error {
 // whose store is one overlay layer (rel.Layered) over the previously
 // published store persists just the overlay as a delta segment chained
 // onto the base, instead of rewriting the whole relation.  Chains are
-// bounded — a delta that would push a chain past its length or garbage
-// threshold folds the whole chain into a single fresh segment instead,
-// and in that case (only) the entry in db is replaced in place with an
-// equivalent flat lazy store over the new segment, so the caller's
-// snapshot serves the compacted shape.  The durability contract is
-// identical to Publish.
+// bounded — a delta that would push a chain past its length bound
+// merges the links into one, and past its garbage bound folds into a
+// fresh base segment.  Every entry of db whose on-disk shape differs
+// from the store the caller passed (a merge or fold here, or one the
+// background compactor made since the last publish) is replaced in
+// place with an equivalent store of exactly that shape, so the
+// caller's snapshot never serves a chain deeper than the disk's.  The
+// durability contract is identical to Publish.
 func (m *Manager) PublishDelta(version uint64, db rel.DB, syms *rel.Symtab) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.publishLocked(version, db, syms, true)
 }
 
-func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, allowDelta bool) error {
+func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, allowDelta bool) (err error) {
+	defer m.sweepAfterFailure(&err)
 	gen := uint64(1)
-	if m.man != nil {
-		gen = m.man.Generation + 1
-	}
-
 	prev := map[string]predEntry{}
 	if m.man != nil {
+		gen = m.man.Generation + 1
 		for _, p := range m.man.Preds {
 			prev[p.Pred] = p
+		}
+		if !m.symsChecked {
+			if err := m.replaySymtabLocked(syms); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -309,119 +378,190 @@ func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, all
 	sort.Strings(preds)
 
 	next := &manifest{Format: manifestFormat, Generation: gen, Version: version}
+	shape := make(rel.DB, len(db))
 	for _, pred := range preds {
-		st := db[pred]
 		old, hasOld := prev[pred]
-		if hasOld && m.lastDB != nil && m.lastDB[pred] == st {
-			next.Preds = append(next.Preds, old)
-			m.stats.SegmentsReused++
-			continue
-		}
-		ly, layered := st.(*rel.Layered)
-		oneLayer := layered && hasOld && m.lastDB != nil && m.lastDB[pred] == ly.Base()
-		if allowDelta && oneLayer {
-			wouldLinks := len(old.Links) + 1
-			garbage := chainGarbage(old) + 2*ly.Dels().Len()
-			if wouldLinks <= maxChainLinks && garbage <= st.Len() {
-				entry, err := m.writeDelta(pred, gen, old, ly)
-				if err != nil {
-					return err
-				}
-				next.Preds = append(next.Preds, entry)
-				continue
-			}
-		}
-		entry, err := m.writePred(pred, gen, st)
+		entry, sh, err := m.persistPred(pred, gen, db[pred], old, hasOld, allowDelta)
 		if err != nil {
 			return err
 		}
 		next.Preds = append(next.Preds, entry)
-		if allowDelta && layered {
-			// The served store is a chain but the disk shape is now a
-			// single segment: replace the chain in the caller's (not yet
-			// visible) snapshot with a flat lazy over the fresh segment,
-			// folding the in-memory layers along with the on-disk ones.
-			db[pred] = m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum)
-			if oneLayer {
-				m.stats.Compactions++
-				m.stats.CompactedLinks += int64(len(old.Links)) + 1
-			}
+		shape[pred] = sh
+		if allowDelta && sh != db[pred] {
+			db[pred] = sh // not yet visible: the caller's snapshot takes the disk's shape
 		}
 	}
 	if m.crashAt == crashAfterSegment {
 		return errCrash
 	}
 
-	names := syms.Names()
-	symFile := ""
-	if m.man != nil && len(names) == m.symCount {
-		symFile = m.man.Symtab
-	} else {
-		symFile = fmt.Sprintf("symtab-%d.bin", gen)
-		if err := writeSymtab(filepath.Join(m.dir, symFile), names); err != nil {
-			return err
-		}
-	}
-	next.Symtab = symFile
-
-	if m.crashAt == crashBeforeRename {
-		// Mimic a crash between writing MANIFEST.tmp and the rename: the
-		// tmp file exists but the live manifest is untouched.
-		if err := writeManifestTmpOnly(m.dir, next); err != nil {
-			return err
-		}
-		return errCrash
-	}
-
-	if err := writeManifest(m.dir, next); err != nil {
+	if err := m.appendSymtab(next, syms.Names()); err != nil {
 		return err
 	}
-
-	oldMan := m.man
-	m.man = next
-	m.lastDB = db
-	m.symCount = len(names)
-	m.stats.Generation = gen
-	m.stats.SnapshotVersion = version
-	m.stats.Publishes++
-
-	if m.crashAt == crashAfterRename {
+	if m.crashAt == crashAfterSymtab {
 		return errCrash
 	}
 
-	m.gc(oldMan, next)
+	if err := m.commitLocked(next); err != nil {
+		return err
+	}
+	m.lastDB = db
+	m.shape = shape
+	m.stats.SnapshotVersion = version
+	m.stats.Publishes++
 	return nil
 }
 
-// writeDelta persists one overlay layer as chained delta segments and
-// returns the extended chain entry.
-func (m *Manager) writeDelta(pred string, gen uint64, old predEntry, ly *rel.Layered) (predEntry, error) {
+// sweepAfterFailure (deferred) schedules a directory sweep when a
+// publish or compaction failed: whatever files it wrote are strays.
+func (m *Manager) sweepAfterFailure(err *error) {
+	if *err != nil {
+		m.sweepDue = true
+	}
+}
+
+// persistPred makes one predicate's store durable and returns its
+// manifest entry plus the store that mirrors the entry's shape (st
+// itself unless a chain was reshaped).
+func (m *Manager) persistPred(pred string, gen uint64, st rel.Store, old predEntry, hasOld, allowDelta bool) (predEntry, rel.Store, error) {
+	served := m.lastDB[pred]
+	if hasOld && served == st {
+		m.stats.SegmentsReused++
+		return old, m.shape[pred], nil
+	}
+	ly, layered := st.(*rel.Layered)
+	if allowDelta && layered && hasOld && ly.Base() == served {
+		if sh := m.shape[pred]; sh != served {
+			ly = rel.NewLayered(sh, ly.Adds(), ly.Dels())
+		}
+		return m.persistLayer(pred, gen, old, ly)
+	}
+	entry, err := m.writePred(pred, gen, st)
+	if err != nil || !layered {
+		return entry, st, err
+	}
+	// A chain written out whole: its mirror is the flat segment.
+	return entry, m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum), nil
+}
+
+// persistLayer publishes top — one new layer over a chain shaped as
+// old describes — by the chain bounds: fold into a fresh base when the
+// chain would be mostly garbage, append a link while it stays short,
+// merge the links otherwise.
+func (m *Manager) persistLayer(pred string, gen uint64, old predEntry, top *rel.Layered) (predEntry, rel.Store, error) {
+	if chainGarbage(old)+2*top.Dels().Len() > top.Len() {
+		return m.rebase(pred, gen, top)
+	}
+	if len(old.Links) >= maxChainLinks {
+		return m.mergeChain(pred, gen, old, top)
+	}
+	lk, err := m.writeLink(pred, gen, top.Adds(), top.Dels())
+	if err != nil {
+		return predEntry{}, nil, err
+	}
 	entry := old
-	entry.Links = append(make([]chainLink, 0, len(old.Links)+1), old.Links...)
-	if len(old.Links) == 0 {
-		entry.BaseRows = old.Rows
-	}
-	var lk chainLink
-	if adds := ly.Adds(); adds.Len() > 0 {
-		file := fmt.Sprintf("%s-%d.add.seg", sanitize(pred), gen)
-		sum, bytes, err := m.writeStoreSegment(file, adds)
-		if err != nil {
-			return predEntry{}, err
-		}
-		lk.AddFile, lk.AddRows, lk.AddChecksum, lk.AddBytes = file, adds.Len(), sum, bytes
-	}
-	if dels := ly.Dels(); dels.Len() > 0 {
-		file := fmt.Sprintf("%s-%d.del.seg", sanitize(pred), gen)
-		sum, bytes, err := m.writeStoreSegment(file, dels)
-		if err != nil {
-			return predEntry{}, err
-		}
-		lk.DelFile, lk.DelRows, lk.DelChecksum, lk.DelBytes = file, dels.Len(), sum, bytes
-	}
-	entry.Links = append(entry.Links, lk)
-	entry.Rows = ly.Len()
+	entry.Links = append(append(make([]chainLink, 0, len(old.Links)+1), old.Links...), lk)
+	entry.BaseRows = baseRows(old)
+	entry.Rows = top.Len()
 	m.stats.DeltaLinks++
-	return entry, nil
+	return entry, top, nil
+}
+
+// mergeChain replaces every layer of top (the chain old describes,
+// with or without one new layer on it) by a single link of net
+// additions and net tombstones against the same base segment.  The
+// base file, and the base store with its mapping and indexes, carry
+// over untouched.  The oldest link is already net against the base, so
+// it is copied and only the newer layers' rows are probed: the cost is
+// a copy of the links' rows, not a walk of the chain per row.  A merged
+// link past 1/rebaseFraction of the base folds into a fresh base
+// instead.
+func (m *Manager) mergeChain(pred string, gen uint64, old predEntry, top *rel.Layered) (predEntry, rel.Store, error) {
+	var layers []*rel.Layered // newest first
+	var base rel.Store = top
+	for ly, ok := base.(*rel.Layered); ok; ly, ok = base.(*rel.Layered) {
+		layers = append(layers, ly)
+		base = ly.Base()
+	}
+	oldest := layers[len(layers)-1]
+	adds, dels := oldest.Adds().Clone(), oldest.Dels().Clone()
+	// What the newer layers change, relative to the oldest link's view: a
+	// tuple one of them added counts iff the chain still holds it and
+	// that view did not, one they tombstoned iff the chain lacks it and
+	// that view held it.  (Added then retracted, or tombstoned then
+	// re-added, nets out to nothing.)
+	unadd, undel := rel.NewRelation(top.Arity()), rel.NewRelation(top.Arity())
+	for _, ly := range layers[:len(layers)-1] {
+		ly.Adds().Each(func(t rel.Tuple) {
+			switch {
+			case !top.Has(t) || oldest.Has(t):
+			case dels.Has(t): // a tombstoned base row came back
+				undel.Insert(t)
+			default:
+				adds.Insert(t)
+			}
+		})
+		ly.Dels().Each(func(t rel.Tuple) {
+			switch {
+			case top.Has(t) || !oldest.Has(t):
+			case adds.Has(t): // a chained addition went away
+				unadd.Insert(t)
+			default:
+				dels.Insert(t)
+			}
+		})
+	}
+	adds, _ = adds.Minus(unadd)
+	dels, _ = dels.Minus(undel)
+	if (adds.Len()+dels.Len())*rebaseFraction > base.Len() {
+		return m.rebase(pred, gen, top)
+	}
+	entry := old
+	entry.Links, entry.BaseRows, entry.Rows = nil, 0, top.Len()
+	merged := base // when everything netted out: chain-free over the same base
+	if adds.Len()+dels.Len() > 0 {
+		lk, err := m.writeLink(pred, gen, adds, dels)
+		if err != nil {
+			return predEntry{}, nil, err
+		}
+		entry.Links, entry.BaseRows = []chainLink{lk}, base.Len()
+		merged = rel.NewLayered(base, adds, dels)
+	}
+	m.stats.Compactions++
+	m.stats.CompactedLinks += int64(len(layers))
+	return entry, merged, nil
+}
+
+// rebase folds a whole chain into one fresh base segment and returns a
+// flat lazy store over it.
+func (m *Manager) rebase(pred string, gen uint64, top *rel.Layered) (predEntry, rel.Store, error) {
+	entry, err := m.writePred(pred, gen, top)
+	if err != nil {
+		return predEntry{}, nil, err
+	}
+	m.stats.Compactions++
+	m.stats.CompactedLinks += int64(top.Depth())
+	return entry, m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum), nil
+}
+
+// writeLink persists one chain link's additions and tombstones as delta
+// segments (either may be empty, not both).
+func (m *Manager) writeLink(pred string, gen uint64, adds, dels rel.Store) (lk chainLink, err error) {
+	if adds.Len() > 0 {
+		lk.AddFile = fmt.Sprintf("%s-%d.add.seg", sanitize(pred), gen)
+		lk.AddRows = adds.Len()
+		if lk.AddChecksum, lk.AddBytes, err = m.writeStoreSegment(lk.AddFile, adds); err != nil {
+			return chainLink{}, err
+		}
+	}
+	if dels.Len() > 0 {
+		lk.DelFile = fmt.Sprintf("%s-%d.del.seg", sanitize(pred), gen)
+		lk.DelRows = dels.Len()
+		if lk.DelChecksum, lk.DelBytes, err = m.writeStoreSegment(lk.DelFile, dels); err != nil {
+			return chainLink{}, err
+		}
+	}
+	return lk, nil
 }
 
 // writeStoreSegment flattens st into a segment file, updating the
@@ -442,6 +582,7 @@ func (m *Manager) writeStoreSegment(file string, st rel.Store) (checksum uint64,
 	}
 	m.stats.SegmentsWritten++
 	m.stats.BytesWritten += bytes
+	m.stats.Fsyncs++
 	return checksum, bytes, nil
 }
 
@@ -462,86 +603,143 @@ func (m *Manager) writePred(pred string, gen uint64, st rel.Store) (predEntry, e
 	}, nil
 }
 
-// CompactOnce folds every chain past the background thresholds
-// (compactChainLinks links, or more garbage than live rows) back into
-// a single segment, publishing a new manifest generation at the same
-// snapshot version.  Purely physical: live stores keep serving the
-// chain they hold, identity-based reuse still matches them, and the
-// next publish inherits the folded entry.  Returns how many chains
-// folded.
-func (m *Manager) CompactOnce() (int, error) {
+// appendSymtab makes next commit to a symbol table holding names: the
+// names past the live manifest's committed count are appended to
+// symtab.bin at its committed end — overwriting whatever tail a crashed
+// or failed publish left there, never a committed byte — and fsync'd,
+// and the running checksum is extended over the appended bytes alone.
+// A directory whose manifest predates format 3 has nothing committed
+// in symtab.bin, so its first publish writes every name.
+func (m *Manager) appendSymtab(next *manifest, names []string) error {
+	ref := symtabRef{Symtab: symtabName, SymtabChecksum: fnvOffset64}
+	if m.man != nil && m.man.Format >= 3 {
+		ref = m.man.symtabRef
+	}
+	if len(names) < ref.SymtabCount {
+		return fmt.Errorf("segment: symbol table shrank from %d persisted names to %d", ref.SymtabCount, len(names))
+	}
+	if len(names) > ref.SymtabCount {
+		buf := appendSymtabRecords(nil, names[ref.SymtabCount:])
+		f, err := os.OpenFile(filepath.Join(m.dir, symtabName), os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			return err
+		}
+		if _, err := f.WriteAt(buf, ref.SymtabBytes); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		ref.SymtabCount = len(names)
+		ref.SymtabBytes += int64(len(buf))
+		ref.SymtabChecksum = fnv1a(ref.SymtabChecksum, buf)
+		m.stats.SymtabBytes += int64(len(buf))
+		m.stats.Fsyncs++
+	}
+	next.symtabRef = ref
+	return nil
+}
+
+// commitLocked swaps next in as the live manifest — the commit point —
+// and unlinks the files the swap orphaned.
+func (m *Manager) commitLocked(next *manifest) error {
+	if m.crashAt == crashBeforeRename {
+		// Mimic a crash between writing MANIFEST.tmp and the rename: the
+		// tmp file exists but the live manifest is untouched.
+		raw, err := marshalManifest(next)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(m.dir, manifestName+".tmp"), raw, 0o644); err != nil {
+			return err
+		}
+		return errCrash
+	}
+	bytes, err := writeManifest(m.dir, next)
+	if err != nil {
+		return err
+	}
+	m.stats.ManifestBytes += bytes
+	m.stats.Fsyncs += 2 // MANIFEST.tmp and the directory
+	old := m.man
+	m.man = next
+	m.stats.Generation = next.Generation
+	if m.crashAt == crashAfterRename {
+		return errCrash
+	}
+	m.gc(old, next)
+	return nil
+}
+
+// CompactOnce tidies every chain past the background thresholds at
+// the same snapshot version, publishing a new manifest generation: a
+// chain of compactChainLinks links or more merges into one link, and
+// one carrying more garbage than live rows folds into a fresh base.
+// Purely physical: live stores keep serving the chain they hold,
+// identity-based reuse still matches them, and the next PublishDelta
+// hands the engine the reshaped stores.  Returns how many chains it
+// reshaped.
+func (m *Manager) CompactOnce() (n int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.sweepAfterFailure(&err)
 	if m.man == nil {
 		return 0, nil
 	}
+	if m.shape == nil {
+		m.shape = m.openStoresLocked() // never booted: compact straight off the disk
+	}
 	gen := m.man.Generation + 1
-	next := &manifest{Format: manifestFormat, Generation: gen, Version: m.man.Version, Symtab: m.man.Symtab}
-	folded := 0
+	next := &manifest{Format: manifestFormat, Generation: gen, Version: m.man.Version}
+	reshaped := rel.DB{}
 	for _, p := range m.man.Preds {
 		long := len(p.Links) >= compactChainLinks
 		garbage := len(p.Links) > 0 && chainGarbage(p) > p.Rows
-		if !long && !garbage {
+		top, chained := m.shape[p.Pred].(*rel.Layered)
+		if !chained || (!long && !garbage) {
 			next.Preds = append(next.Preds, p)
 			continue
 		}
-		entry, err := m.foldEntry(p, gen)
+		var entry predEntry
+		var sh rel.Store
+		if garbage {
+			entry, sh, err = m.rebase(p.Pred, gen, top)
+		} else {
+			entry, sh, err = m.mergeChain(p.Pred, gen, p, top)
+		}
 		if err != nil {
-			return folded, err
+			return 0, err
 		}
 		next.Preds = append(next.Preds, entry)
-		m.stats.Compactions++
-		m.stats.CompactedLinks += int64(len(p.Links))
-		folded++
+		reshaped[p.Pred] = sh
 	}
-	if folded == 0 {
+	if len(reshaped) == 0 {
 		return 0, nil
 	}
-	if err := writeManifest(m.dir, next); err != nil {
+	if m.man.Format >= 3 {
+		next.symtabRef = m.man.symtabRef
+	} else {
+		// Not yet migrated: carry the old table over into symtab.bin.
+		names, err := readSymtab(m.dir, m.man)
+		if err != nil {
+			return 0, err
+		}
+		if err := m.appendSymtab(next, names); err != nil {
+			return 0, err
+		}
+	}
+	if err := m.commitLocked(next); err != nil {
 		return 0, err
 	}
-	oldMan := m.man
-	m.man = next
-	m.stats.Generation = gen
-	m.gc(oldMan, next)
-	return folded, nil
-}
-
-// foldEntry replays a chain from disk — base, then each link's dels
-// and adds in order — and writes the result as one fresh segment.
-func (m *Manager) foldEntry(p predEntry, gen uint64) (predEntry, error) {
-	data, _, err := readSegment(filepath.Join(m.dir, p.File), p.Arity, baseRows(p), p.Checksum)
-	if err != nil {
-		return predEntry{}, err
+	for pred, sh := range reshaped {
+		m.shape[pred] = sh
 	}
-	cur := rel.FromPacked(p.Arity, data)
-	for _, lk := range p.Links {
-		if lk.DelFile != "" {
-			dd, _, err := readSegment(filepath.Join(m.dir, lk.DelFile), p.Arity, lk.DelRows, lk.DelChecksum)
-			if err != nil {
-				return predEntry{}, err
-			}
-			dels := make([]rel.Tuple, lk.DelRows)
-			for i := range dels {
-				dels[i] = rel.Tuple(dd[i*p.Arity : (i+1)*p.Arity])
-			}
-			st, _ := cur.Without(dels)
-			cur = st.(*rel.Relation)
-		}
-		if lk.AddFile != "" {
-			ad, _, err := readSegment(filepath.Join(m.dir, lk.AddFile), p.Arity, lk.AddRows, lk.AddChecksum)
-			if err != nil {
-				return predEntry{}, err
-			}
-			for i := 0; i < lk.AddRows; i++ {
-				cur.Insert(rel.Tuple(ad[i*p.Arity : (i+1)*p.Arity]))
-			}
-		}
-	}
-	if cur.Len() != p.Rows {
-		return predEntry{}, fmt.Errorf("segment: predicate %q chain folds to %d rows, manifest says %d", p.Pred, cur.Len(), p.Rows)
-	}
-	return m.writePred(p.Pred, gen, cur)
+	return len(reshaped), nil
 }
 
 // StartCompactor runs CompactOnce every interval on a background
@@ -578,49 +776,55 @@ func (m *Manager) StartCompactor(every time.Duration) (stop func()) {
 	}
 }
 
-// gc removes files referenced by the old manifest but not the new one,
-// plus any stray *.seg / symtab-*.bin left behind by crashed publishes.
-// Removal is best-effort: a leaked file wastes disk but can never be
-// resurrected, because nothing references it.  A file a live lazy
-// store still reads from is force-mapped first (the mapping survives
-// the unlink), so compaction and segment replacement can never crash
-// an in-flight query pinning an old snapshot.
+// gc unlinks exactly the files old references and cur does not — what
+// this manifest swap orphaned.  When a sweep is due (the first swap
+// after Open, or after a failed publish) it also lists the directory
+// once and unlinks any other stray *.seg / symtab-*.bin.  Removal is
+// best-effort: a leaked file wastes disk but can never be resurrected,
+// because nothing references it.
 func (m *Manager) gc(old, cur *manifest) {
-	live := map[string]bool{manifestName: true, cur.Symtab: true}
-	for _, p := range cur.Preds {
-		live[p.File] = true
-		for _, lk := range p.Links {
-			if lk.AddFile != "" {
-				live[lk.AddFile] = true
-			}
-			if lk.DelFile != "" {
-				live[lk.DelFile] = true
+	live := cur.files()
+	if old != nil {
+		for name := range old.files() {
+			if !live[name] {
+				m.unlink(name)
 			}
 		}
+	}
+	if !m.sweepDue {
+		return
 	}
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
 		return
 	}
+	m.sweepDue = false
 	for _, e := range entries {
 		name := e.Name()
 		if live[name] || e.IsDir() {
 			continue
 		}
-		if !strings.HasSuffix(name, ".seg") && !strings.HasPrefix(name, "symtab-") && name != manifestName+".tmp" {
-			continue
+		if strings.HasSuffix(name, ".seg") || strings.HasPrefix(name, "symtab-") {
+			m.unlink(name)
 		}
-		if lz, ok := m.lazyByFile[name]; ok {
-			if lz.ensureMapped() != nil {
-				// Couldn't pin the data into memory; keep the file so the
-				// store's next probe still has something to read.
-				continue
-			}
-			delete(m.lazyByFile, name)
+	}
+}
+
+// unlink removes one unreferenced file.  A file a live lazy store still
+// reads from is force-mapped first (the mapping survives the unlink),
+// so compaction and segment replacement can never crash an in-flight
+// query pinning an old snapshot.
+func (m *Manager) unlink(name string) {
+	if lz, ok := m.lazyByFile[name]; ok {
+		if lz.ensureMapped() != nil {
+			// Couldn't pin the data into memory; keep the file so the
+			// store's next probe still has something to read.
+			return
 		}
-		if os.Remove(filepath.Join(m.dir, name)) == nil {
-			m.stats.GCRemoved++
-		}
+		delete(m.lazyByFile, name)
+	}
+	if os.Remove(filepath.Join(m.dir, name)) == nil {
+		m.stats.GCRemoved++
 	}
 }
 
@@ -675,15 +879,4 @@ func sanitize(pred string) string {
 		}
 	}
 	return b.String()
-}
-
-// writeManifestTmpOnly writes MANIFEST.tmp without renaming it — only
-// the crashBeforeRename test stage uses it, to leave the directory the
-// way a process killed mid-publish would.
-func writeManifestTmpOnly(dir string, m *manifest) error {
-	raw, err := marshalManifest(m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, manifestName+".tmp"), raw, 0o644)
 }

@@ -1,32 +1,40 @@
 package segment
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"linrec/internal/rel"
 )
 
-// manifestName is the single mutable file in a data directory.  Every
-// other file is immutable once written; publishing a snapshot writes
-// fresh segment and symtab files under new names and then atomically
-// renames a new MANIFEST over the old one, so a reader (or a crashed
-// process rebooting) always sees a complete, internally consistent
-// version.
+// manifestName is the root of a data directory.  Segment files are
+// immutable once written and the symbol table only ever grows past its
+// committed end; publishing a snapshot writes fresh segment files under
+// new names, appends any new symbols, and then atomically renames a new
+// MANIFEST over the old one, so a reader (or a crashed process
+// rebooting) always sees a complete, internally consistent version.
 const manifestName = "MANIFEST"
+
+// symtabName is the one append-only symbol-table file of a format-3
+// directory.  The manifest records how much of it is committed.
+const symtabName = "symtab.bin"
 
 // manifestFormat guards against reading manifests written by a future,
 // incompatible layout.  Format 2 added delta chains (predEntry.Links);
-// format-1 manifests are chain-free and remain readable, while a
-// format-2 manifest must not be served by a format-1 reader (it would
-// silently drop the chained deltas), so readers reject formats they do
-// not know.
+// format 3 replaced the per-generation symtab-<gen>.bin (count header,
+// rewritten whole on growth) with the append-only symtab.bin whose
+// committed prefix the manifest records.  Older manifests remain
+// readable and migrate on their first publish; a reader rejects formats
+// it does not know (an older reader would silently drop chained deltas
+// or misparse the symbol table).
 const (
-	manifestFormat    = 2
+	manifestFormat    = 3
 	manifestFormatMin = 1
 )
 
@@ -50,11 +58,12 @@ type predEntry struct {
 	Links    []chainLink `json:"links,omitempty"`
 }
 
-// chainLink is one published delta: the tuples one snapshot swap added
-// to and tombstoned from the predicate.  Applying a chain left to
-// right — base, minus each link's dels, plus each link's adds —
-// reproduces the published relation exactly.  Either half may be
-// absent (empty file name) when the swap only added or only removed.
+// chainLink is one published delta: the tuples one snapshot swap (or
+// one merge of several swaps) added to and tombstoned from the
+// predicate.  Applying a chain left to right — base, minus each link's
+// dels, plus each link's adds — reproduces the published relation
+// exactly.  Either half may be absent (empty file name) when the link
+// only adds or only removes.
 type chainLink struct {
 	AddFile     string `json:"add_file,omitempty"`
 	AddRows     int    `json:"add_rows,omitempty"`
@@ -85,13 +94,42 @@ func chainGarbage(p predEntry) int {
 	return g
 }
 
+// symtabRef names the symbol table a manifest commits to.  In format 3
+// Symtab is symtabName and the other three fields delimit and checksum
+// its committed prefix: Count names in the first Bytes bytes, whose
+// FNV-1a state is Checksum.  Formats 1–2 carry only Symtab — a
+// symtab-<gen>.bin read whole.
+type symtabRef struct {
+	Symtab         string `json:"symtab"`
+	SymtabCount    int    `json:"symtab_count,omitempty"`
+	SymtabBytes    int64  `json:"symtab_bytes,omitempty"`
+	SymtabChecksum uint64 `json:"symtab_checksum,string,omitempty"`
+}
+
 // manifest is the on-disk root of a published snapshot.
 type manifest struct {
-	Format     int         `json:"format"`
-	Generation uint64      `json:"generation"`
-	Version    uint64      `json:"version"`
-	Symtab     string      `json:"symtab"`
-	Preds      []predEntry `json:"preds"`
+	Format     int    `json:"format"`
+	Generation uint64 `json:"generation"`
+	Version    uint64 `json:"version"`
+	symtabRef
+	Preds []predEntry `json:"preds"`
+}
+
+// files returns every file name the manifest references.
+func (m *manifest) files() map[string]bool {
+	out := map[string]bool{m.Symtab: true}
+	for _, p := range m.Preds {
+		out[p.File] = true
+		for _, lk := range p.Links {
+			if lk.AddFile != "" {
+				out[lk.AddFile] = true
+			}
+			if lk.DelFile != "" {
+				out[lk.DelFile] = true
+			}
+		}
+	}
+	return out
 }
 
 // readManifest parses and sanity-checks dir/MANIFEST.  A missing file
@@ -110,6 +148,10 @@ func readManifest(dir string) (*manifest, error) {
 	}
 	if m.Symtab == "" {
 		return nil, fmt.Errorf("segment: manifest missing symtab reference")
+	}
+	if m.SymtabCount < 0 || m.SymtabBytes < int64(m.SymtabCount) {
+		// Every record is at least its one length byte.
+		return nil, fmt.Errorf("segment: manifest claims %d symbols in %d symtab bytes", m.SymtabCount, m.SymtabBytes)
 	}
 	seen := make(map[string]bool, len(m.Preds))
 	for _, p := range m.Preds {
@@ -149,33 +191,34 @@ func marshalManifest(m *manifest) ([]byte, error) {
 
 // writeManifest publishes m atomically: serialize to MANIFEST.tmp,
 // fsync it, rename over MANIFEST, then fsync the directory so the
-// rename itself is durable.  A crash at any point leaves either the old
-// complete manifest or the new complete manifest in place.
-func writeManifest(dir string, m *manifest) error {
+// rename itself is durable — two fsyncs.  A crash at any point leaves
+// either the old complete manifest or the new complete manifest in
+// place.  It returns the manifest's size in bytes.
+func writeManifest(dir string, m *manifest) (int64, error) {
 	raw, err := marshalManifest(m)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := f.Write(raw); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
+		return 0, err
 	}
-	return syncDir(dir)
+	return int64(len(raw)), syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives power
@@ -193,75 +236,92 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// writeSymtab persists the interning table: uvarint count, then each
-// name as uvarint length + bytes, in intern order.  Replaying the names
-// in order into a fresh symtab reproduces the same int32 for every
-// name, which is what keeps persisted column values meaningful across
-// restarts.
-func writeSymtab(path string, names []string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(names))); err != nil {
-		f.Close()
-		return err
-	}
+// appendSymtabRecords encodes names as symbol-table records — uvarint
+// length + bytes each — onto buf.  Replaying the records in order into
+// a fresh symtab reproduces the same int32 for every name, which is
+// what keeps persisted column values meaningful across restarts.
+func appendSymtabRecords(buf []byte, names []string) []byte {
+	size := 0
 	for _, name := range names {
-		if err := put(uint64(len(name))); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.WriteString(name); err != nil {
-			f.Close()
-			return err
-		}
+		size += (bits.Len(uint(len(name))|1)+6)/7 + len(name)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	buf = slices.Grow(buf, size)
+	for _, name := range names {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return buf
 }
 
-// readSymtab loads a persisted interning table in intern order.
-func readSymtab(path string) ([]string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	count, off := binary.Uvarint(raw)
-	if off <= 0 {
-		return nil, fmt.Errorf("segment: corrupted symtab %s: bad count", filepath.Base(path))
-	}
-	if count > uint64(len(raw)) {
-		return nil, fmt.Errorf("segment: corrupted symtab %s: count %d exceeds file size", filepath.Base(path), count)
+// parseSymtabRecords decodes exactly count records that together fill
+// raw exactly.
+func parseSymtabRecords(raw []byte, count int) ([]string, error) {
+	if count < 0 || count > len(raw) {
+		return nil, fmt.Errorf("segment: corrupted symtab: %d names cannot fit %d bytes", count, len(raw))
 	}
 	names := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
+	off := 0
+	for i := 0; i < count; i++ {
 		n, k := binary.Uvarint(raw[off:])
 		if k <= 0 || n > uint64(len(raw)-off-k) {
-			return nil, fmt.Errorf("segment: corrupted symtab %s: truncated at entry %d", filepath.Base(path), i)
+			return nil, fmt.Errorf("segment: corrupted symtab: truncated at entry %d", i)
 		}
 		off += k
 		names = append(names, string(raw[off:off+int(n)]))
 		off += int(n)
 	}
 	if off != len(raw) {
-		return nil, fmt.Errorf("segment: corrupted symtab %s: %d trailing bytes", filepath.Base(path), len(raw)-off)
+		return nil, fmt.Errorf("segment: corrupted symtab: %d bytes past the last of %d names", len(raw)-off, count)
 	}
 	return names, nil
+}
+
+// decodeSymtab reads the committed prefix ref describes out of raw, the
+// leading bytes of a format-3 symtab.bin: the prefix must be present in
+// full, hash to the recorded checksum and hold exactly the recorded
+// number of names.  Whatever follows the prefix is an uncommitted tail
+// (a crashed append) and is ignored.
+func decodeSymtab(raw []byte, ref symtabRef) ([]string, error) {
+	if ref.SymtabBytes < 0 || int64(len(raw)) < ref.SymtabBytes {
+		return nil, fmt.Errorf("segment: symtab %s holds %d bytes, manifest committed %d (truncated)", ref.Symtab, len(raw), ref.SymtabBytes)
+	}
+	raw = raw[:ref.SymtabBytes]
+	if got := fnv1a(fnvOffset64, raw); got != ref.SymtabChecksum {
+		return nil, fmt.Errorf("segment: symtab %s checksum %x, manifest says %x (corrupt)", ref.Symtab, got, ref.SymtabChecksum)
+	}
+	return parseSymtabRecords(raw, ref.SymtabCount)
+}
+
+// readSymtab loads the interning table man commits to, in intern order.
+// Format 3 reads only the committed prefix of symtab.bin; formats 1–2
+// read a whole symtab-<gen>.bin — a uvarint count, then the records —
+// in which trailing bytes are corruption.
+func readSymtab(dir string, man *manifest) ([]string, error) {
+	f, err := os.Open(filepath.Join(dir, man.Symtab))
+	if err != nil {
+		if man.Format >= 3 && man.SymtabBytes == 0 && os.IsNotExist(err) {
+			return nil, nil // no symbol was ever interned
+		}
+		return nil, err
+	}
+	defer f.Close()
+	if man.Format >= 3 {
+		raw := make([]byte, man.SymtabBytes)
+		n, err := io.ReadFull(f, raw)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		return decodeSymtab(raw[:n], man.symtabRef) // a short file fails there
+	}
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	count, off := binary.Uvarint(raw)
+	if off <= 0 || count > uint64(len(raw)) {
+		return nil, fmt.Errorf("segment: corrupted symtab %s: bad count", man.Symtab)
+	}
+	return parseSymtabRecords(raw[off:], int(count))
 }
 
 // restoreSymtab replays persisted names into syms via the bulk Restore

@@ -15,7 +15,6 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 
 	"linrec/internal/rel"
@@ -35,28 +34,30 @@ func segSize(arity, rows int) int64 {
 	return segHeaderSize + int64(rows)*int64(arity)*4
 }
 
-// checksumValues hashes the little-endian encoding of the packed values
-// — the same bytes the file holds — with FNV-1a.
-func checksumValues(data []rel.Value) uint64 {
-	h := fnv.New64a()
-	var buf [4096]byte
-	i := 0
-	for i < len(data) {
-		n := 0
-		for ; n+4 <= len(buf) && i < len(data); i++ {
-			binary.LittleEndian.PutUint32(buf[n:], uint32(data[i]))
-			n += 4
-		}
-		h.Write(buf[:n])
+// FNV-1a (64-bit) parameters.  The state is carried as a plain uint64 so
+// a checksum can be extended over appended bytes alone (the symbol
+// table's running checksum) without rehashing what came before.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// fnv1a extends the FNV-1a state h over p; fnv1a(fnvOffset64, p) is
+// p's checksum.
+func fnv1a(h uint64, p []byte) uint64 {
+	for _, b := range p {
+		h ^= uint64(b)
+		h *= fnvPrime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // writeSegment writes one relation's packed data as a segment file at
-// path, fsync'd, returning the data checksum and total bytes written.
-// The file is written under its final name: a crash mid-write leaves an
-// unreferenced file (the manifest still names the old segment set),
-// which the next successful publish garbage-collects.
+// path, fsync'd (one fsync), returning the data checksum and total bytes
+// written.  The values are encoded once and the same bytes are hashed
+// and written.  The file is written under its final name: a crash
+// mid-write leaves an unreferenced file (the manifest still names the
+// old segment set), which a later publish garbage-collects.
 func writeSegment(path string, arity int, data []rel.Value) (checksum uint64, bytes int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -64,7 +65,8 @@ func writeSegment(path string, arity int, data []rel.Value) (checksum uint64, by
 	}
 	defer f.Close()
 	rows := len(data) / arity
-	checksum = checksumValues(data)
+	body := encodeValues(data)
+	checksum = fnv1a(fnvOffset64, body)
 	hdr := make([]byte, segHeaderSize)
 	copy(hdr, segMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(arity))
@@ -73,20 +75,8 @@ func writeSegment(path string, arity int, data []rel.Value) (checksum uint64, by
 	if _, err := f.Write(hdr); err != nil {
 		return 0, 0, err
 	}
-	buf := make([]byte, 0, 1<<16)
-	for _, v := range data {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		if len(buf) == cap(buf) {
-			if _, err := f.Write(buf); err != nil {
-				return 0, 0, err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			return 0, 0, err
-		}
+	if _, err := f.Write(body); err != nil {
+		return 0, 0, err
 	}
 	if err := f.Sync(); err != nil {
 		return 0, 0, err
@@ -146,9 +136,7 @@ func readSegment(path string, arity, rows int, checksum uint64) (data []rel.Valu
 		return nil, 0, err
 	}
 	body := raw[segHeaderSize:]
-	h := fnv.New64a()
-	h.Write(body)
-	if got := h.Sum64(); got != checksum {
+	if got := fnv1a(fnvOffset64, body); got != checksum {
 		return nil, 0, fmt.Errorf("segment %s: data checksum %x, header says %x (corrupt)", path, got, checksum)
 	}
 	return decodeValues(body, rows*arity), segSize(arity, rows), nil

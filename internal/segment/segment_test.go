@@ -1,8 +1,11 @@
 package segment
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,23 +201,71 @@ func rebootServes(t *testing.T, dir string, wantVersion uint64, want rel.DB) {
 	}
 }
 
+// wantExactFiles asserts dir holds MANIFEST plus exactly the files the
+// manager's live manifest references: no stray survives, nothing live
+// is missing.
+func wantExactFiles(t *testing.T, m *Manager, dir string) {
+	t.Helper()
+	want := m.man.files()
+	want[manifestName] = true
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range entries {
+		got[e.Name()] = true
+	}
+	for name := range got {
+		if !want[name] {
+			t.Fatalf("stray %s survives; the manifest names %v", name, want)
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Fatalf("live file %s is gone; the directory holds %v", name, got)
+		}
+	}
+}
+
+// wantSymbols asserts a reboot of dir restores exactly names, in order.
+func wantSymbols(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := rel.NewSymtab()
+	if _, _, _, err := m.Boot(syms); err != nil {
+		t.Fatal(err)
+	}
+	if got := syms.Names(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("recovered symbols %q, want %q", got, names)
+	}
+}
+
 // TestCrashRecovery kills a publish at each stage of the swap and
 // asserts a reboot serves exactly the last *completed* publish: the old
 // version for crashes before the manifest rename, the new version after.
+// The killed publish interns new symbols, so the stage after the symtab
+// append leaves an uncommitted tail on symtab.bin.
 func TestCrashRecovery(t *testing.T) {
-	syms := mksyms("a", "b", "c")
 	base := map[string][]rel.Tuple{"edge": {{0, 1}, {1, 2}}}
-	next := map[string][]rel.Tuple{"edge": {{0, 1}, {1, 2}, {2, 0}}}
+	next := map[string][]rel.Tuple{"edge": {{0, 1}, {1, 2}, {2, 3}, {3, 4}}}
+	baseSyms := []string{"a", "b", "c"}
+	nextSyms := []string{"a", "b", "c", "a-long-new-name", "another-new-name"}
 
 	cases := []struct {
 		name        string
 		stage       crashStage
 		wantVersion uint64
 		wantDB      map[string][]rel.Tuple
+		wantSyms    []string
 	}{
-		{"after segment write", crashAfterSegment, 1, base},
-		{"before manifest rename", crashBeforeRename, 1, base},
-		{"after manifest rename", crashAfterRename, 2, next},
+		{"after segment write", crashAfterSegment, 1, base, baseSyms},
+		{"after symtab append", crashAfterSymtab, 1, base, baseSyms},
+		{"before manifest rename", crashBeforeRename, 1, base, baseSyms},
+		{"after manifest rename", crashAfterRename, 2, next, nextSyms},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,38 +274,48 @@ func TestCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			syms := mksyms(baseSyms...)
 			if err := m.Publish(1, mkdb(t, base), syms); err != nil {
 				t.Fatal(err)
+			}
+			committed := m.man.SymtabBytes
+			for _, n := range nextSyms {
+				syms.Intern(n)
 			}
 			m.crashAt = tc.stage
 			if err := m.Publish(2, mkdb(t, next), syms); err != errCrash {
 				t.Fatalf("publish with crash stage %d returned %v, want errCrash", tc.stage, err)
 			}
+			if info, err := os.Stat(filepath.Join(dir, symtabName)); err != nil {
+				t.Fatal(err)
+			} else if tail := info.Size() > committed; tail != (tc.stage >= crashAfterSymtab) {
+				t.Fatalf("symtab.bin holds %d bytes over %d committed at stage %d", info.Size(), committed, tc.stage)
+			}
 			rebootServes(t, dir, tc.wantVersion, mkdb(t, tc.wantDB))
+			wantSymbols(t, dir, tc.wantSyms...)
 
 			// And the directory must heal: a clean publish after the
-			// reboot works and garbage from the crashed attempt is gone.
+			// reboot works, its one new symbol overwrites any uncommitted
+			// tail and lands on the next dense value, and garbage from the
+			// crashed attempt is gone.
 			m2, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := m2.Boot(rel.NewSymtab()); err != nil {
+			syms2 := rel.NewSymtab()
+			if _, _, _, err := m2.Boot(syms2); err != nil {
 				t.Fatal(err)
 			}
+			if v := syms2.Intern("x"); int(v) != len(tc.wantSyms) {
+				t.Fatalf("new symbol interned as %d after recovering %d names", v, len(tc.wantSyms))
+			}
 			healed := map[string][]rel.Tuple{"edge": {{0, 1}, {2, 2}}}
-			if err := m2.Publish(9, mkdb(t, healed), syms); err != nil {
+			if err := m2.Publish(9, mkdb(t, healed), syms2); err != nil {
 				t.Fatalf("publish after crash recovery: %v", err)
 			}
 			rebootServes(t, dir, 9, mkdb(t, healed))
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if strings.HasSuffix(e.Name(), ".tmp") {
-					t.Fatalf("stale %s survived the healing publish", e.Name())
-				}
-			}
+			wantSymbols(t, dir, append(append([]string{}, tc.wantSyms...), "x")...)
+			wantExactFiles(t, m2, dir)
 		})
 	}
 }
@@ -344,35 +405,144 @@ func TestLoadRejectsFlippedBit(t *testing.T) {
 	db["edge"].Has(rel.Tuple{0, 1})
 }
 
-func TestSymtabRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "symtab-1.bin")
-	names := []string{"", "a", "hello world", strings.Repeat("x", 300), "λ→δ"}
-	if err := writeSymtab(path, names); err != nil {
+// writeSymtabV2 writes the format-1/2 symbol table — a uvarint count,
+// then the records — the layout symtab-<gen>.bin files had before the
+// append-only symtab.bin.
+func writeSymtabV2(t *testing.T, path string, names []string) {
+	t.Helper()
+	raw := appendSymtabRecords(binary.AppendUvarint(nil, uint64(len(names))), names)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readSymtab(path)
+}
+
+// symtabRefFor describes raw as a committed prefix of count names.
+func symtabRefFor(raw []byte, count int) symtabRef {
+	return symtabRef{Symtab: symtabName, SymtabCount: count, SymtabBytes: int64(len(raw)), SymtabChecksum: fnv1a(fnvOffset64, raw)}
+}
+
+func TestSymtabRoundTrip(t *testing.T) {
+	names := []string{"", "a", "hello world", strings.Repeat("x", 300), "λ→δ"}
+	raw := appendSymtabRecords(nil, names)
+	ref := symtabRefFor(raw, len(names))
+	got, err := decodeSymtab(raw, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(names) {
-		t.Fatalf("read %d names, want %d", len(got), len(names))
+	if !reflect.DeepEqual(got, names) {
+		t.Fatalf("decoded %q, want %q", got, names)
 	}
-	for i := range names {
-		if got[i] != names[i] {
-			t.Fatalf("name[%d] = %q, want %q", i, got[i], names[i])
+	// Bytes past the committed prefix are an uncommitted tail: legal.
+	if got, err := decodeSymtab(append(append([]byte{}, raw...), 0xff, 0xff, 0xff), ref); err != nil || !reflect.DeepEqual(got, names) {
+		t.Fatalf("prefix with a tail decoded to %q, %v", got, err)
+	}
+	// A file shorter than the committed prefix must be detected.
+	if _, err := decodeSymtab(raw[:len(raw)-3], ref); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated symtab: %v", err)
+	}
+	// So must a flipped byte inside the prefix, and a wrong count.
+	flipped := append([]byte{}, raw...)
+	flipped[2] ^= 0x01
+	if _, err := decodeSymtab(flipped, ref); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("flipped symtab byte: %v", err)
+	}
+	for _, count := range []int{len(names) - 1, len(names) + 1} {
+		if _, err := decodeSymtab(raw, symtabRefFor(raw, count)); err == nil {
+			t.Fatalf("prefix of %d names decoded as %d", len(names), count)
 		}
 	}
-	// Truncation must be detected, not misread.
+}
+
+// TestOpenRejectsShortOrCorruptSymtab: the directory is rejected, at
+// Open when symtab.bin is shorter than the manifest committed and at
+// Boot when the committed prefix no longer matches its checksum —
+// never served with renamed constants.
+func TestOpenRejectsShortOrCorruptSymtab(t *testing.T) {
+	dir := publishOne(t)
+	path := filepath.Join(dir, symtabName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
+	flipped := append([]byte{}, raw...)
+	flipped[1] ^= 0x02 // "a" becomes "c": a silent rename without the checksum
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSymtab(path); err == nil {
-		t.Fatal("truncated symtab read succeeded")
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open reads no symtab bytes, yet: %v", err)
+	}
+	if _, _, _, err := m.Boot(rel.NewSymtab()); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Boot over a flipped symtab byte: %v", err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("Open with a short symtab: %v", err)
+	}
+}
+
+// TestFormat2DirectoryMigrates: a directory written before format 3 —
+// symtab-<gen>.bin with a count header, no symtab fields in the
+// manifest — boots, serves, and is a format-3 directory after its
+// first publish, the old symbol file collected.
+func TestFormat2DirectoryMigrates(t *testing.T) {
+	for _, compactFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compactFirst=%v", compactFirst), func(t *testing.T) {
+			_, live, dir := chainDB(t, compactChainLinks)
+			want := rel.DB{"edge": live.Clone()}
+			man, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := []string{"a", "b"} // chainDB's symbols
+			writeSymtabV2(t, filepath.Join(dir, "symtab-1.bin"), names)
+			man.Format, man.symtabRef = 2, symtabRef{Symtab: "symtab-1.bin"}
+			raw, err := marshalManifest(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, symtabName)); err != nil {
+				t.Fatal(err)
+			}
+
+			rebootServes(t, dir, man.Version, want)
+			wantSymbols(t, dir, names...)
+
+			m, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syms := rel.NewSymtab()
+			db, _, _, err := m.Boot(syms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compactFirst {
+				// The compactor may be the first to publish a manifest.
+				if n, err := m.CompactOnce(); err != nil || n != 1 {
+					t.Fatalf("CompactOnce on a format-2 directory: n=%d err=%v", n, err)
+				}
+				wantExactFiles(t, m, dir)
+				rebootServes(t, dir, man.Version, want)
+			}
+			syms.Intern("c")
+			next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{7, 7}}, nil)}
+			if err := m.PublishDelta(man.Version+1, next, syms); err != nil {
+				t.Fatal(err)
+			}
+			if m.man.Format != manifestFormat || m.man.Symtab != symtabName {
+				t.Fatalf("manifest after the first publish: format %d, symtab %q", m.man.Format, m.man.Symtab)
+			}
+			wantExactFiles(t, m, dir) // symtab-1.bin collected
+			rebootServes(t, dir, man.Version+1, rel.DB{"edge": next["edge"].Clone()})
+			wantSymbols(t, dir, "a", "b", "c")
+		})
 	}
 }
 

@@ -268,6 +268,12 @@ func (s *Server) renderMetrics() string {
 		m.sample("linrec_persist_segments_total", [][2]string{{"op", "reused"}}, float64(ps.SegmentsReused))
 		m.family("linrec_persist_bytes_written_total", "counter", "Segment bytes written (headers included).")
 		m.sample("linrec_persist_bytes_written_total", nil, float64(ps.BytesWritten))
+		m.family("linrec_persist_symtab_bytes_written_total", "counter", "Symbol-table bytes written (appended past the committed end).")
+		m.sample("linrec_persist_symtab_bytes_written_total", nil, float64(ps.SymtabBytes))
+		m.family("linrec_persist_manifest_bytes_written_total", "counter", "Manifest bytes written across manifest swaps.")
+		m.sample("linrec_persist_manifest_bytes_written_total", nil, float64(ps.ManifestBytes))
+		m.family("linrec_persist_fsyncs_total", "counter", "File and directory fsyncs issued by publishes and compactions.")
+		m.sample("linrec_persist_fsyncs_total", nil, float64(ps.Fsyncs))
 		m.family("linrec_persist_lazy_loads_total", "counter", "Segments materialized on first touch after boot.")
 		m.sample("linrec_persist_lazy_loads_total", nil, float64(ps.LazyLoads))
 		m.family("linrec_persist_lazy_load_seconds_total", "counter", "Cumulative wall time spent mapping segments (microsecond resolution).")

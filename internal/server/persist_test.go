@@ -65,6 +65,21 @@ func TestPersistObservability(t *testing.T) {
 	if got := m[`linrec_persist_segments_total{op="written"}`]; got != float64(st.Persist.SegmentsWritten) {
 		t.Fatalf("segments written gauge = %v, stats say %d", got, st.Persist.SegmentsWritten)
 	}
+	// The write path's other bytes and its flushes are counted too: the
+	// fact batch interned one new constant (c4), so the symbol table grew
+	// by that one record, not by a rewrite of the table.
+	if st.Persist.SymtabBytes == 0 || st.Persist.ManifestBytes == 0 || st.Persist.Fsyncs == 0 {
+		t.Fatalf("write-path counters not advancing: %+v", st.Persist)
+	}
+	for series, want := range map[string]int64{
+		"linrec_persist_symtab_bytes_written_total":   st.Persist.SymtabBytes,
+		"linrec_persist_manifest_bytes_written_total": st.Persist.ManifestBytes,
+		"linrec_persist_fsyncs_total":                 st.Persist.Fsyncs,
+	} {
+		if got := m[series]; got != float64(want) {
+			t.Fatalf("%s = %v, stats say %d", series, got, want)
+		}
+	}
 	ts1.Close()
 
 	// Warm restart: same directory, same program. Boot must recover the
