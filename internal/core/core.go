@@ -1031,11 +1031,11 @@ func nArySeparableCandidate(a *planner.Analysis, sels []separable.Selection) boo
 
 // PlanFor returns the plan Query would select for q under opts, without
 // executing anything.  The server front end uses it to size per-query
-// worker grants: separable and bounded plans evaluate sequentially, so
-// granting them a multi-worker budget slice would only starve other
-// queries.  The result is for inspection, not execution — the n-ary and
-// unknown-constant cases return stubs that the Execute entry points
-// reject with an error rather than run.
+// worker grants: separable and context-mode magic plans evaluate
+// sequentially, so granting them a multi-worker budget slice would only
+// starve other queries.  The result is for inspection, not execution —
+// the n-ary and unknown-constant cases return stubs that the Execute
+// entry points reject with an error rather than run.
 func (s *System) PlanFor(q ast.Atom, opts Options) (*planner.Plan, error) {
 	opts = opts.normalize()
 	a, sels, unknown, err := s.resolveQuery(q)

@@ -27,7 +27,7 @@ type Explain struct {
 	// 'b' for a constant, 'f' for a variable (e.g. "bf").
 	Adornment string `json:"adornment"`
 	// PlanKind is the chosen plan kind's stable slug ("semi-naive",
-	// "decomposed", "separable", "bounded", "magic-seeded").
+	// "decomposed", "separable", "magic-seeded").
 	PlanKind string `json:"plan_kind"`
 	// Plan is the kind's human-readable name.
 	Plan string `json:"plan"`
@@ -38,14 +38,13 @@ type Explain struct {
 	// Workers is the worker budget the plan would evaluate with.
 	Workers int `json:"workers"`
 	// Parallelizable reports whether that budget can actually be used —
-	// separable and bounded plans evaluate sequentially regardless.
+	// separable and context-mode magic plans evaluate sequentially
+	// regardless.
 	Parallelizable bool `json:"parallelizable"`
 	// CacheKey is the goal-level result-cache key the execution path
 	// would address ("goal|kind|strategy|wN"); empty when the query is
 	// never cached (unknown constant: provably empty answer).
 	CacheKey string `json:"cache_key,omitempty"`
-	// Rounds is a bounded plan's iteration bound.
-	Rounds int `json:"bounded_rounds,omitempty"`
 	// Groups counts a decomposed plan's operator groups.
 	Groups int `json:"groups,omitempty"`
 	// MagicMode names a magic-seeded plan's collection mode ("context"
@@ -93,7 +92,6 @@ func (s *System) Explain(q ast.Atom, opts Options) (*Explain, error) {
 	}
 	ex.CacheKey = fmt.Sprintf("%s|%s|%s|w%d",
 		normalizeGoal(q), s.intendedKind(a, sels, opts).Slug(), opts.Strategy, opts.Workers)
-	ex.Rounds = plan.Rounds
 	ex.Groups = len(plan.Groups)
 	if plan.Magic != nil {
 		ex.MagicMode = plan.Magic.Mode.String()

@@ -122,8 +122,9 @@ func TestPersistDifferential(t *testing.T) {
 }
 
 // TestPersistDifferentialDirected covers the plan kinds the random
-// generator reaches rarely — decomposed, separable and bounded — with
-// programs whose auto plans are pinned, again comparing both backends.
+// generator reaches rarely — decomposed, separable, and semi-naive over a
+// uniformly bounded rule — with programs whose auto plans are pinned,
+// again comparing both backends.
 func TestPersistDifferentialDirected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -161,7 +162,7 @@ seed(a,b). seed(b,c). seed(c,a).
 e(a,b). e(b,a). e(b,c). e(c,b).
 `,
 			goal: "p(X, Y)",
-			kind: planner.Bounded,
+			kind: planner.SemiNaive,
 		},
 	}
 	for _, tc := range cases {

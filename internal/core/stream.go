@@ -10,7 +10,7 @@
 // plan paths: plain semi-naive, the final group of a decomposed closure
 // (earlier groups must materialize — they feed the next closure's
 // seed), and the magic-restricted closure of filter-mode magic plans.
-// The remaining plan kinds (separable, bounded, context-mode magic, the
+// The remaining plan kinds (separable, context-mode magic, the
 // n-ary separable decomposition) produce their answer as a whole and
 // come back as an already-complete stream, so early termination saves
 // transport but not evaluation.

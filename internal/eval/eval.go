@@ -12,6 +12,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -482,6 +483,12 @@ func (e *Engine) EvalRule(db rel.DB, r ast.Rule) (*rel.Relation, error) {
 	// The operator machinery with no recursive atom: one join from the
 	// empty binding.
 	out := rel.NewRelation(r.Head.Arity())
+	if b := r.Body; len(b) == 1 && b[0].Arity() == r.Head.Arity() && !slices.ContainsFunc(b[0].Args, func(t ast.Term) bool { return !t.IsVar() }) {
+		// A copy of one stored relation (an exit rule p :- e): its rows,
+		// so reserve them and skip the growth steps.  A projection or a
+		// constant filter may keep far fewer, so it grows as it goes.
+		out.Reserve(db.Probe(b[0].Pred).Len())
+	}
 	c := compileBody(ast.Atom{}, orderAtoms(r.Body), r.Head, e.Syms)
 	newExecutor(db, c, func(t rel.Tuple) { out.Insert(t) }).join(0)
 	return out, nil

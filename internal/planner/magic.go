@@ -339,8 +339,8 @@ func colsOfMask(byCol []separable.Selection, mask int) string {
 
 // Parallelizable reports whether executing the plan shards closure
 // rounds across a worker pool — equivalently, whether Open returns a
-// live closure rather than an already-complete answer.  Separable,
-// bounded and context-mode magic plans evaluate sequentially and whole —
+// live closure rather than an already-complete answer.  Separable and
+// context-mode magic plans evaluate sequentially and whole —
 // the server's admission control uses this to size per-query worker
 // grants.
 func (p *Plan) Parallelizable() bool {

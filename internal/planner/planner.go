@@ -2,13 +2,15 @@
 // toolbox — pairwise commutativity (Section 5), separability (Section 6.1),
 // recursive redundancy (Section 6.2) — and selects an evaluation plan:
 //
-//   - redundancy rewrite (Theorem 4.2/6.4 schedule) per operator;
 //   - decomposed closure A* = B*C* when the operators commute (Section 3);
 //   - the separable algorithm A1*(σ A2*) for selection queries (Thm 4.1);
 //   - magic-seeded evaluation for bound selection queries no separable
 //     plan covers: a frontier from the query's constant either collects
 //     the answer directly or restricts the closure (see magic.go);
 //   - semi-naive closure of the sum as the fallback.
+//
+// Recursive redundancy is reported (Summary), not planned on: its power
+// searches run on first use, never on a query's path.
 package planner
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sync"
 
 	"linrec/internal/agraph"
-	"linrec/internal/algebra"
 	"linrec/internal/ast"
 	"linrec/internal/commute"
 	"linrec/internal/eval"
@@ -42,28 +43,30 @@ type Analysis struct {
 	CommuteReports map[[2]int]*commute.Report
 	// Separable holds Naughton separability per pair.
 	Separable map[[2]int]separable.Report
-	// Redundancies per operator index.
-	Redundancies map[int][]redundant.Finding
 
-	// uboundOnce/ubound memoize the single-operator uniform-boundedness
-	// probe.  boundedSearch minimizes successive powers of the operator —
-	// CQ minimization on every power — and its verdict depends only on the
-	// rule structure, never on the data, so one probe per Analysis serves
-	// every plan choice and every result-cache key computed from it.
-	uboundOnce sync.Once
-	ubound     algebra.BoundResult
+	// redOnce/red memoize the recursive-redundancy findings (Redundancies):
+	// Theorem 6.3's power searches minimize successive operator powers, and
+	// no plan reads them, so only the report pays for them.
+	redOnce sync.Once
+	red     map[int][]redundant.Finding
 }
 
-// uniformlyBounded returns the memoized UniformlyBounded verdict for the
-// single-operator case (callers guard len(a.Ops) == 1).
-func (a *Analysis) uniformlyBounded() algebra.BoundResult {
-	a.uboundOnce.Do(func() {
-		a.ubound = algebra.UniformlyBounded(a.Ops[0], redundant.DefaultMaxPow)
+// Redundancies returns the recursive-redundancy findings per operator
+// index, computing them on first use.
+func (a *Analysis) Redundancies() map[int][]redundant.Finding {
+	a.redOnce.Do(func() {
+		a.red = map[int][]redundant.Finding{}
+		for i, op := range a.Ops {
+			if fs := redundant.Analyze(op, 0); len(fs) > 0 {
+				a.red[i] = fs
+			}
+		}
 	})
-	return a.ubound
+	return a.red
 }
 
-// Analyze extracts the rules for pred from prog and runs the full analysis.
+// Analyze extracts the rules for pred from prog and runs the analysis plan
+// choice reads: commutativity and separability per operator pair.
 // Commutativity uses the exact syntactic test when the pair is in the
 // restricted class and falls back to the definition otherwise.
 func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
@@ -72,7 +75,6 @@ func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
 		Commutes:       map[[2]int]commute.Verdict{},
 		CommuteReports: map[[2]int]*commute.Report{},
 		Separable:      map[[2]int]separable.Report{},
-		Redundancies:   map[int][]redundant.Finding{},
 	}
 	for _, r := range prog.RulesFor(pred) {
 		if r.IsRecursiveWith(pred) {
@@ -107,11 +109,6 @@ func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
 			if sep, err := separable.IsSeparable(a.Ops[i], a.Ops[j]); err == nil {
 				a.Separable[key] = sep
 			}
-		}
-	}
-	for i, op := range a.Ops {
-		if fs := redundant.Analyze(op, 0); len(fs) > 0 {
-			a.Redundancies[i] = fs
 		}
 	}
 	return a, nil
@@ -177,10 +174,11 @@ func (a *Analysis) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "predicate %s: %d recursive rule(s), %d exit rule(s)\n",
 		a.Pred, len(a.Ops), len(a.ExitRules))
+	red := a.Redundancies()
 	for i, op := range a.Ops {
 		fmt.Fprintf(&b, "\nrule %d: %v\n", i+1, op)
 		b.WriteString(indent(a.Graphs[i].DescribeClasses(), "  "))
-		if fs, ok := a.Redundancies[i]; ok {
+		if fs, ok := red[i]; ok {
 			for _, f := range fs {
 				fmt.Fprintf(&b, "  recursively redundant: %s (C^%d ≤ C^%d)\n",
 					strings.Join(f.Preds, ", "), f.Bound.N, f.Bound.K)
@@ -223,10 +221,6 @@ const (
 	Decomposed
 	// Separable: A1*(σ A2*) per Theorem 4.1 (two operators, selection).
 	Separable
-	// Bounded: the single operator is uniformly bounded (Aᴺ ≤ Aᴷ), so
-	// A* = Σ_{m<N} A^m — one of the special classes the paper's
-	// introduction lists alongside commutativity.
-	Bounded
 	// MagicSeeded: a bound selection query evaluated from the constant
 	// outward — a magic frontier over the bound column plus either
 	// direct answer collection (context mode) or a closure restricted
@@ -242,8 +236,6 @@ func (k Kind) String() string {
 		return "decomposed closure (B*C*)"
 	case Separable:
 		return "separable algorithm (A1*(σA2*))"
-	case Bounded:
-		return "bounded iteration (A* = Σ_{m<N} A^m)"
 	case MagicSeeded:
 		return "magic-seeded evaluation (σ-bound frontier)"
 	default:
@@ -260,8 +252,6 @@ func (k Kind) Slug() string {
 		return "decomposed"
 	case Separable:
 		return "separable"
-	case Bounded:
-		return "bounded"
 	case MagicSeeded:
 		return "magic-seeded"
 	case SemiNaive:
@@ -324,8 +314,6 @@ type Plan struct {
 	// Magic is the payload of MagicSeeded plans: mode, compiled frontier
 	// spec, driving selection and optional cached magic set.
 	Magic *MagicPlan
-	// Rounds is the iteration cap for Bounded plans (N−1 applications).
-	Rounds int
 	// Workers is the closure worker-pool size the plan executes with.
 	Workers int
 	// Why explains the choice.
@@ -416,15 +404,6 @@ func (a *Analysis) chooseKind(sels []separable.Selection, opts Options) *Plan {
 		}
 		return &Plan{Kind: Decomposed, Groups: groups, Why: why}
 	}
-	if len(a.Ops) == 1 {
-		if ub := a.uniformlyBounded(); ub.Found {
-			return &Plan{
-				Kind:   Bounded,
-				Rounds: ub.N - 1,
-				Why:    fmt.Sprintf("operator is uniformly bounded (A^%d ≤ A^%d), so A* truncates", ub.N, ub.K),
-			}
-		}
-	}
 	return &Plan{Kind: SemiNaive, Why: "no decomposition applies"}
 }
 
@@ -456,7 +435,13 @@ func (a *Analysis) ExecuteOpts(e *eval.Engine, db rel.DB, plan *Plan, sel *separ
 // many queries over one immutable database snapshot may compute it once
 // and share it — the seed is only ever read by ExecuteSeeded (closures
 // clone it; lazy index builds on it are concurrency-safe).
+//
+// A single exit rule's relation is the seed itself, with no second key
+// table and copy.
 func (a *Analysis) Seed(e *eval.Engine, db rel.DB) (*rel.Relation, error) {
+	if len(a.ExitRules) == 1 {
+		return e.EvalRule(db, a.ExitRules[0])
+	}
 	q := rel.NewRelation(a.Ops[0].Arity())
 	for _, r := range a.ExitRules {
 		t, err := e.EvalRule(db, r)
@@ -513,7 +498,7 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 // stop early.  What materializes up front: every group of a Decomposed
 // plan but the last to run (each feeds the next closure's seed), and a
 // MagicSeeded plan's frontier unless Plan.Magic.Set supplies it.
-// Separable, Bounded and context-mode magic plans — the kinds
+// Separable and context-mode magic plans — the kinds
 // Plan.Parallelizable excludes — produce their answer whole,
 // sequentially, and return it as an already-complete stream.
 // Rows are the raw closure: a filter-mode magic stream still holds every
@@ -569,22 +554,6 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 			cur = next
 		}
 		return pe.StreamCtx(ctx, db, a.groupOps(plan.Groups[0]), cur), stats, nil
-	case Bounded:
-		out := q.Clone()
-		cur := q
-		for m := 0; m < plan.Rounds; m++ {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			next := rel.NewRelation(q.Arity())
-			e.Apply(db, a.Ops[0], cur, next, &stats)
-			if out.UnionInto(next) == 0 {
-				break
-			}
-			cur = next
-			stats.Iterations++
-		}
-		return eval.Completed(out), stats, nil
 	default:
 		return pe.StreamCtx(ctx, db, a.Ops, q), stats, nil
 	}

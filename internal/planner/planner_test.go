@@ -149,3 +149,49 @@ buys(X,Y) :- knows(X,Z), buys(Z,Y), cheap(Y).
 		}
 	}
 }
+
+// oneRuleTC is the shape of every restart_scan predicate: one exit rule,
+// one left-linear recursive rule.
+const oneRuleTC = `
+path(X,Y) :- edge(X,Y).
+path(X,Y) :- path(X,Z), edge(Z,Y).
+`
+
+// TestAnalyzeAllocs: Analyze runs only what plan choice reads.  On a
+// one-rule program that is the a-graph and nothing pairwise — no
+// operator-power search (it cost ~3200 allocations when Analyze ran
+// redundancy eagerly) — and choosing a plan adds none either.
+func TestAnalyzeAllocs(t *testing.T) {
+	prog, err := parser.Parse(oneRuleTC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		a, err := Analyze(prog, "path")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Choose(nil)
+	})
+	if allocs > 64 {
+		t.Fatalf("Analyze + Choose allocated %.0f times, want ≤ 64", allocs)
+	}
+}
+
+// BenchmarkAnalyze times the analysis a cold predicate's first query
+// pays (see TestAnalyzeAllocs).
+func BenchmarkAnalyze(b *testing.B) {
+	prog, err := parser.Parse(oneRuleTC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if analysisSink, err = Analyze(prog, "path"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var analysisSink *Analysis

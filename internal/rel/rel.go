@@ -209,12 +209,22 @@ func mix64(k uint64) uint64 {
 const tableMinSlots = 16
 
 func newTable(slots int) table {
-	s := tableMinSlots
-	for s < slots {
-		s <<= 1
-	}
+	s := tableSlots(slots)
 	return table{keys: make([]uint64, s), rows: make([]int32, s), mask: uint64(s - 1)}
 }
+
+// tableSlots is the power-of-two slot count newTable allocates for want.
+func tableSlots(want int) int {
+	s := tableMinSlots
+	for s < want {
+		s <<= 1
+	}
+	return s
+}
+
+// KeyTableBytes returns the heap bytes of the key table FromPacked builds
+// over n rows: 8 key bytes and 4 row-number bytes per slot.
+func KeyTableBytes(n int) int64 { return int64(tableSlots(n+n/7+1)) * 12 }
 
 // grow rehashes into a table twice the size.
 func (tb *table) grow() {
@@ -266,45 +276,113 @@ func (tb *table) del(slot uint64) {
 	}
 }
 
-// maxDenseBucket caps the direct-array half of a column index: values in
-// [0, maxDenseBucket) get array buckets, everything else (negatives, or
-// un-interned outliers far beyond any real symbol space) the map.  The cap
-// bounds the array at ~24 MB of headers no matter what values appear.
+// maxDenseBucket bounds the values a column index may bucket densely:
+// values in [0, maxDenseBucket) — the symbol space Symtab produces — get
+// array buckets over their [min, max] window, everything else (negatives,
+// or un-interned outliers) the sparse map.
 const maxDenseBucket = 1 << 20
 
-// colIndex is a per-column hash index.  Interned values are dense small
-// ints, so the common case is a direct array of buckets; values outside
-// the dense range (never produced by Symtab, but legal in tuples) fall
-// back to a map.
-type colIndex struct {
-	buckets [][]Tuple
-	sparse  map[Value][]Tuple
+// Index is a bulk-built column index over flat row-major data: value →
+// the rows holding it, each row a view into the data.  Every bucket is a
+// sub-slice of one backing array of row views, grouped by value in two
+// counting passes; a value v in the dense window [lo, lo+span) finds its
+// bucket at rows[starts[v-lo]:starts[v-lo+1]], and the outliers' buckets
+// are listed in a map.  The window is the column's [min, max] over the
+// symbol space, so a small relation over large symbols indexes densely at
+// its own size; when even that window outgrows the row count several
+// times over, every value is an outlier.  An Index is immutable.
+type Index struct {
+	col    int
+	lo     Value
+	starts []int32 // span+1 bucket offsets into rows
+	rows   []Tuple
+	sparse map[Value][]Tuple
 }
 
-func (ci *colIndex) add(v Value, t Tuple) {
-	if v < 0 || v >= maxDenseBucket {
-		if ci.sparse == nil {
-			ci.sparse = map[Value][]Tuple{}
+// NewIndex builds the index on column col of the len(data)/arity rows
+// of data.
+func NewIndex(data []Value, arity, col int) *Index {
+	n := len(data) / max(arity, 1) // arity 0: the empty relation of absent predicates
+	lo, hi := Value(maxDenseBucket), Value(-1)
+	for i := col; i < len(data); i += arity {
+		if v := data[i]; v >= 0 && v < maxDenseBucket {
+			lo, hi = min(lo, v), max(hi, v)
 		}
-		ci.sparse[v] = append(ci.sparse[v], t)
-		return
 	}
-	if int(v) >= len(ci.buckets) {
-		grown := make([][]Tuple, int(v)+1+len(ci.buckets)/2)
-		copy(grown, ci.buckets)
-		ci.buckets = grown
+	ix := &Index{col: col, rows: make([]Tuple, n)}
+	span := int(hi) - int(lo) + 1
+	if span <= 0 || span > 8*n+1024 {
+		lo, span = 0, 0
 	}
-	ci.buckets[v] = append(ci.buckets[v], t)
+	ix.lo, ix.starts = lo, make([]int32, span+1)
+	base, width := uint32(lo), uint32(span)
+	// Pass one counts each dense bucket (at starts[d+1]) and each outlier.
+	var outliers map[Value]int32
+	for i := col; i < len(data); i += arity {
+		if d := uint32(data[i]) - base; d < width {
+			ix.starts[d+1]++
+		} else {
+			if outliers == nil {
+				outliers = map[Value]int32{}
+			}
+			outliers[data[i]]++
+		}
+	}
+	for d := 1; d <= span; d++ {
+		ix.starts[d] += ix.starts[d-1]
+	}
+	// The outliers' buckets follow the dense ones; from here on
+	// outliers[v] is bucket v's fill cursor.
+	if outliers != nil {
+		at := ix.starts[span]
+		ix.sparse = make(map[Value][]Tuple, len(outliers))
+		for v, c := range outliers {
+			ix.sparse[v] = ix.rows[at : at+c : at+c]
+			outliers[v] = at
+			at += c
+		}
+	}
+	// Pass two places each row view, advancing starts[d] as bucket d's
+	// cursor — which leaves it at bucket d's end, bucket d+1's start, so
+	// one shift restores the offsets.
+	for off, r := 0, 0; r < n; off, r = off+arity, r+1 {
+		t := Tuple(data[off : off+arity : off+arity])
+		if d := uint32(t[col]) - base; d < width {
+			ix.rows[ix.starts[d]] = t
+			ix.starts[d]++
+		} else {
+			ix.rows[outliers[t[col]]] = t
+			outliers[t[col]]++
+		}
+	}
+	copy(ix.starts[1:], ix.starts)
+	ix.starts[0] = 0
+	return ix
 }
 
-func (ci *colIndex) lookup(v Value) []Tuple {
-	if v < 0 || v >= maxDenseBucket {
-		return ci.sparse[v]
+// Lookup returns the rows with the indexed column == v; the slice must
+// not be mutated.
+func (ix *Index) Lookup(v Value) []Tuple {
+	if d := uint32(v) - uint32(ix.lo); d < uint32(len(ix.starts)-1) {
+		return ix.rows[ix.starts[d]:ix.starts[d+1]:ix.starts[d+1]]
 	}
-	if int(v) >= len(ci.buckets) {
-		return nil
+	return ix.sparse[v]
+}
+
+// Bytes returns the index's heap footprint: the offsets, the row views
+// and the outliers' map (entries at Go's swiss-table cost of ~1.2 slots
+// of key + slice header + control byte each).
+func (ix *Index) Bytes() int64 {
+	return int64(4*len(ix.starts)+24*len(ix.rows)+36*len(ix.sparse)) + 64
+}
+
+// Map renders the index as a value → rows map (diagnostic).
+func (ix *Index) Map() map[Value][]Tuple {
+	out := map[Value][]Tuple{}
+	for _, t := range ix.rows {
+		out[t[ix.col]] = ix.Lookup(t[ix.col])
 	}
-	return ci.buckets[v]
+	return out
 }
 
 // Relation is a set of same-arity tuples with optional per-column indexes.
@@ -319,7 +397,7 @@ type Relation struct {
 	tab  table   // key → 1-based row number
 
 	idxMu   sync.RWMutex
-	indexes map[int]*colIndex // column → index
+	indexes map[int]*Index // column → index; dropped by Insert
 }
 
 // NewRelation returns an empty relation of the given arity.
@@ -398,11 +476,11 @@ func (r *Relation) Insert(t Tuple) bool {
 	r.data = r.data[:end]
 	copy(r.data[end-r.arity:], t)
 	r.n++
+	// Indexes are bulk-built: a new row drops them, the next probe
+	// rebuilds.  Relations are written before they are probed (loads,
+	// closures, copy-on-write updates), so this never rebuilds in a loop.
 	if r.indexes != nil {
-		c := r.Row(r.n - 1)
-		for col, ci := range r.indexes {
-			ci.add(c[col], c)
-		}
+		r.indexes = nil
 	}
 	// Past ~7/8 load the probe chains degrade: grow and rehash (which
 	// moves slots, so place afresh rather than reusing the probe above).
@@ -478,38 +556,34 @@ func (r *Relation) Tuples() []Tuple {
 }
 
 // index returns (building on first use) the index on column col.
-// Concurrent callers are safe: the lazy build is guarded, and a published
-// index is only mutated by Insert, which by contract does not run
-// concurrently with readers.
-func (r *Relation) index(col int) *colIndex {
+// Concurrent callers are safe: the lazy build is guarded, and Insert,
+// which drops built indexes, by contract does not run concurrently with
+// readers.
+func (r *Relation) index(col int) *Index {
 	r.idxMu.RLock()
-	ci, ok := r.indexes[col]
+	ix, ok := r.indexes[col]
 	r.idxMu.RUnlock()
 	if ok {
-		return ci
+		return ix
 	}
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	if ci, ok := r.indexes[col]; ok {
-		return ci
+	if ix, ok := r.indexes[col]; ok {
+		return ix
 	}
-	ci = &colIndex{}
-	for i := 0; i < r.n; i++ {
-		t := r.Row(i)
-		ci.add(t[col], t)
-	}
+	ix = NewIndex(r.Packed(), r.arity, col)
 	if r.indexes == nil {
-		r.indexes = map[int]*colIndex{}
+		r.indexes = map[int]*Index{}
 	}
-	r.indexes[col] = ci
-	return ci
+	r.indexes[col] = ix
+	return ix
 }
 
 // Lookup returns the rows with t[col] == v, building the column index on
 // first use.  This is the join engine's probe; the returned slice must not
 // be mutated.
 func (r *Relation) Lookup(col int, v Value) []Tuple {
-	return r.index(col).lookup(v)
+	return r.index(col).Lookup(v)
 }
 
 // BuildIndex forces construction of the index on col (used to pre-build
@@ -524,14 +598,15 @@ func (r *Relation) BuildIndex(col int) {
 // per evaluation instead of paying Lookup's mutex acquisition per row —
 // under a sharded scan every worker hammering the same small relation
 // turns that read-lock into cross-core cache-line traffic.  The returned
-// closure is not safe for concurrent use; take one per goroutine.
+// closure is not safe for concurrent use; take one per goroutine.  A
+// later Insert makes it re-resolve the rebuilt index.
 func (r *Relation) Prober(col int) func(Value) []Tuple {
-	var ci *colIndex
+	var ix *Index
 	return func(v Value) []Tuple {
-		if ci == nil {
-			ci = r.index(col)
+		if ix == nil || len(ix.rows) != r.n {
+			ix = r.index(col)
 		}
-		return ci.lookup(v)
+		return ix.Lookup(v)
 	}
 }
 
@@ -539,17 +614,7 @@ func (r *Relation) Prober(col int) func(Value) []Tuple {
 // fresh on every call: it is a diagnostic/test convenience, not a probe
 // path — inner loops use Lookup.
 func (r *Relation) Index(col int) map[Value][]Tuple {
-	ci := r.index(col)
-	out := make(map[Value][]Tuple, len(ci.buckets)+len(ci.sparse))
-	for v, rows := range ci.sparse {
-		out[v] = rows
-	}
-	for v, rows := range ci.buckets {
-		if len(rows) > 0 {
-			out[Value(v)] = rows
-		}
-	}
-	return out
+	return r.index(col).Map()
 }
 
 // Clone returns an independent copy (without indexes): two flat memcpys,

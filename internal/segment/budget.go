@@ -9,11 +9,12 @@ import (
 // segments fast to probe.  A budgeted Lazy store serves Row/Each
 // streaming straight off its mapped columns for free; what costs heap
 // — and what the budget therefore tracks — are the *residency
-// artifacts* a store builds to serve hash probes: per-column offset
-// indexes and, for membership-heavy small segments, a fully
-// materialized relation.  The mapped file bytes themselves are never
-// charged: the kernel pages them in and out on its own, which is
-// exactly the behavior "out of core" relies on.
+// artifacts* a store builds to serve hash probes: per-column indexes
+// (rel.Index) and, for membership-heavy small segments, a key table
+// over the mapped rows — each charged at the bytes its layout holds.
+// The mapped file bytes themselves are never charged: the kernel pages
+// them in and out on its own, which is exactly the behavior "out of
+// core" relies on.
 //
 // Admission is evict-before-admit: installing an artifact first evicts
 // the least-recently-probed other members until the new total fits, so

@@ -27,12 +27,12 @@ import (
 // Row, Each, Tuples, Filter and friends scan the mapped columns
 // directly — streaming a segment costs no heap at all — while hash
 // probes (Lookup, Prober, Select, SelectIn*, Has) are served by
-// lazily-built per-column offset indexes whose tuples are views into
-// the mapping.  Those indexes (plus, for membership-heavy segments
-// small enough, a fully materialized relation sharing the mapped
-// storage) are residency artifacts charged to the Budget and evicted
-// back to mmap-only under pressure; a later probe transparently
-// rebuilds them.
+// lazily-built per-column indexes — rel.Index, the layout an in-memory
+// Relation uses too — whose row views point into the mapping.  Those
+// indexes (plus, for membership-heavy segments small enough, a fully
+// materialized relation sharing the mapped storage) are residency
+// artifacts charged to the Budget and evicted back to mmap-only under
+// pressure; a later probe transparently rebuilds them.
 //
 // A mapping failure panics with a descriptive error: by then the
 // manifest validated at boot, so a failure means the file changed
@@ -70,20 +70,13 @@ type Lazy struct {
 }
 
 // residency is one immutable artifact set: whichever of the per-column
-// offset indexes (and possibly a materialized relation) have been built
-// for a budgeted store.  Growing it builds a fresh struct; eviction
-// drops the whole set at once.
+// indexes (and possibly a materialized relation) have been built for a
+// budgeted store.  Growing it builds a fresh struct; eviction drops the
+// whole set at once.
 type residency struct {
 	rel  *rel.Relation // non-nil once promoted for membership probes
-	idx  []*colIndex   // per-column offset indexes; nil entries absent
-	cost int64         // estimated heap bytes, as charged to the Budget
-}
-
-// colIndex is a per-column offset index over the mapped columns: value
-// → the tuples holding it, each tuple a view into the mapping.
-type colIndex struct {
-	m     map[rel.Value][]rel.Tuple
-	bytes int64
+	idx  []*rel.Index  // per-column indexes (len arity); nil entries absent
+	cost int64         // heap bytes of the above, as charged to the Budget
 }
 
 // NewLazy returns a lazy store over a validated segment file.  Callers
@@ -153,44 +146,36 @@ func (l *Lazy) rowView(d []rel.Value, i int) rel.Tuple {
 	return rel.Tuple(d[i*l.arity : (i+1)*l.arity])
 }
 
-// index returns the offset index on col, building (and charging) it if
+// index returns the column index on col, building (and charging) it if
 // it is not resident.
-func (l *Lazy) index(col int) *colIndex {
-	if res := l.res.Load(); res != nil && res.idx != nil && res.idx[col] != nil {
+func (l *Lazy) index(col int) *rel.Index {
+	if res := l.res.Load(); res != nil && res.idx[col] != nil {
 		l.touch()
 		return res.idx[col]
 	}
 	l.buildMu.Lock()
 	defer l.buildMu.Unlock()
 	res := l.res.Load()
-	if res != nil && res.idx != nil && res.idx[col] != nil {
+	if res != nil && res.idx[col] != nil {
 		return res.idx[col]
 	}
-	d := l.data()
-	idx := &colIndex{m: make(map[rel.Value][]rel.Tuple)}
-	for i := 0; i < l.rows; i++ {
-		t := l.rowView(d, i)
-		idx.m[t[col]] = append(idx.m[t[col]], t)
-	}
-	// Tuple headers in the buckets dominate; each distinct value adds a
-	// map entry and a slice header.
-	idx.bytes = int64(l.rows)*24 + int64(len(idx.m))*48 + 64
-	l.install(l.grow(res, col, idx))
-	return idx
+	next := l.extend(res)
+	next.idx[col] = rel.NewIndex(l.data(), l.arity, col)
+	l.install(next)
+	return next.idx[col]
 }
 
 // promote returns a relation for membership probes, materializing one
 // over the mapped storage (key table only — the data stays the mmap)
 // when its cost fits a quarter of the budget; it returns nil when the
 // segment is too big to promote, in which case Has falls back to the
-// column-0 offset index.
+// column-0 index.
 func (l *Lazy) promote() *rel.Relation {
 	if res := l.res.Load(); res != nil && res.rel != nil {
 		l.touch()
 		return res.rel
 	}
-	cost := relCost(l.rows)
-	if cost*4 > l.budget.Cap() {
+	if rel.KeyTableBytes(l.rows)*4 > l.budget.Cap() {
 		return nil
 	}
 	l.buildMu.Lock()
@@ -199,36 +184,35 @@ func (l *Lazy) promote() *rel.Relation {
 	if res != nil && res.rel != nil {
 		return res.rel
 	}
-	r := rel.FromPacked(l.arity, l.data())
-	next := &residency{rel: r, idx: cloneIdx(res, l.arity), cost: cost}
-	for _, ix := range next.idx {
-		if ix != nil {
-			next.cost += ix.bytes
-		}
-	}
+	next := l.extend(res)
+	next.rel = rel.FromPacked(l.arity, l.data())
 	l.install(next)
-	return r
+	return next.rel
 }
 
-// grow copies res and adds the index on col, recomputing the total cost.
-func (l *Lazy) grow(res *residency, col int, idx *colIndex) *residency {
-	next := &residency{idx: cloneIdx(res, l.arity)}
-	if res != nil && res.rel != nil {
+// extend returns a copy of res (nil: none) to add one artifact to.
+func (l *Lazy) extend(res *residency) *residency {
+	next := &residency{idx: make([]*rel.Index, l.arity)}
+	if res != nil {
 		next.rel = res.rel
-		next.cost = relCost(l.rows)
-	}
-	next.idx[col] = idx
-	for _, ix := range next.idx {
-		if ix != nil {
-			next.cost += ix.bytes
-		}
+		copy(next.idx, res.idx)
 	}
 	return next
 }
 
-// install publishes a new artifact set, charging the budget when one is
-// configured (which may evict other stores to make room).
+// install publishes a new artifact set at the heap bytes its layout
+// holds — the promoted relation's key table (its rows are the mapping)
+// plus every index — charging the budget when one is configured (which
+// may evict other stores to make room).
 func (l *Lazy) install(next *residency) {
+	if next.rel != nil {
+		next.cost = rel.KeyTableBytes(l.rows)
+	}
+	for _, ix := range next.idx {
+		if ix != nil {
+			next.cost += ix.Bytes()
+		}
+	}
 	if l.budget != nil {
 		l.budget.install(l, next)
 		return
@@ -236,26 +220,11 @@ func (l *Lazy) install(next *residency) {
 	l.res.Store(next)
 }
 
-// cloneIdx copies res's index slice (or makes a fresh one).
-func cloneIdx(res *residency, arity int) []*colIndex {
-	idx := make([]*colIndex, arity)
-	if res != nil && res.idx != nil {
-		copy(idx, res.idx)
-	}
-	return idx
-}
-
-// relCost estimates the heap bytes of a key table over n mapped rows.
-func relCost(n int) int64 {
-	slots := int64(n) + int64(n)/7 + 1
-	return slots*12 + 64
-}
-
 // Loaded reports whether the segment data has been mapped yet, without
 // triggering the mapping.
 func (l *Lazy) Loaded() bool { return l.mapped.Load() }
 
-// Resident reports whether any probe-acceleration artifacts (offset
+// Resident reports whether any probe-acceleration artifacts (column
 // indexes or a materialized relation) are currently held in memory for
 // this store — false after an eviction even though the mapping remains.
 func (l *Lazy) Resident() bool {
@@ -284,7 +253,7 @@ func (l *Lazy) Row(i int) rel.Tuple {
 
 // Has reports membership.  Budgeted stores use the materialized
 // relation when the segment was small enough to promote, else a scan of
-// the column-0 offset index bucket.
+// the column-0 index bucket.
 func (l *Lazy) Has(t rel.Tuple) bool {
 	if l.budget == nil {
 		return l.load().Has(t)
@@ -337,12 +306,12 @@ func (l *Lazy) Tuples() []rel.Tuple {
 	return out
 }
 
-// Lookup probes the column's offset index, building it on first use.
+// Lookup probes the column's index, building it on first use.
 func (l *Lazy) Lookup(col int, v rel.Value) []rel.Tuple {
 	if l.budget == nil {
 		return l.load().Lookup(col, v)
 	}
-	return l.index(col).m[v]
+	return l.index(col).Lookup(v)
 }
 
 // BuildIndex forces the column index eagerly.
@@ -369,13 +338,13 @@ func (l *Lazy) Prober(col int) func(rel.Value) []rel.Tuple {
 			return probe(v)
 		}
 	}
-	var idx *colIndex
+	var idx *rel.Index
 	return func(v rel.Value) []rel.Tuple {
 		if idx == nil {
 			idx = l.index(col)
 		}
 		l.touch()
-		return idx.m[v]
+		return idx.Lookup(v)
 	}
 }
 
@@ -384,12 +353,7 @@ func (l *Lazy) Index(col int) map[rel.Value][]rel.Tuple {
 	if l.budget == nil {
 		return l.load().Index(col)
 	}
-	idx := l.index(col)
-	out := make(map[rel.Value][]rel.Tuple, len(idx.m))
-	for v, ts := range idx.m {
-		out[v] = ts
-	}
-	return out
+	return l.index(col).Map()
 }
 
 // Clone materializes an independent in-memory copy.
@@ -421,7 +385,7 @@ func (l *Lazy) SelectIn(col int, allowed *rel.Relation) *rel.Relation {
 }
 
 // SelectInCols is the multi-column seed restriction over the segment:
-// probe the offset index when allowed is small, scan the mapping when
+// probe the column index when allowed is small, scan the mapping when
 // it is not — the same crossover Relation uses.
 func (l *Lazy) SelectInCols(cols []int, allowed *rel.Relation) *rel.Relation {
 	if l.budget == nil {

@@ -211,7 +211,7 @@ func Open(dir string) (*Manager, error) {
 func (m *Manager) Dir() string { return m.dir }
 
 // SetMemBudget caps the heap bytes spent on probe-acceleration
-// artifacts (per-column offset indexes, promoted key tables) across
+// artifacts (per-column indexes, promoted key tables) across
 // every store this manager hands out: segments stay mmap-resident and
 // the least-recently-probed artifacts evict back to mmap-only under
 // pressure, which is what lets a query answer over a database larger

@@ -368,8 +368,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.SetRequestID(rid)
 	}
 
-	// Size the grant by the plan the query will actually run: separable,
-	// bounded and context-mode magic plans evaluate sequentially, so
+	// Size the grant by the plan the query will actually run: separable
+	// and context-mode magic plans evaluate sequentially, so
 	// handing them a wide budget slice would hold workers idle and starve
 	// other queries (a filter-mode magic plan shards its restricted
 	// closure and keeps the full grant).  This also rejects unknown

@@ -139,8 +139,8 @@ type counters struct {
 
 	// plans counts answered queries per plan kind, indexed by
 	// planner.Kind — the /v1/stats view of how often each evaluation
-	// strategy (semi-naive, decomposed, separable, bounded,
-	// magic-seeded) actually serves traffic.
+	// strategy (semi-naive, decomposed, separable, magic-seeded)
+	// actually serves traffic.
 	plans [planKindSlots]atomic.Int64
 
 	// plansByAdorn refines the plan counters by the goal's binding

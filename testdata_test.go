@@ -130,3 +130,30 @@ func TestMarketbasketRedundancyVisible(t *testing.T) {
 		t.Fatalf("report missing redundancy:\n%s", rep)
 	}
 }
+
+// TestAnalysisGolden: the analysis report of every shipped program is
+// byte-identical to testdata/golden/<name>.analysis — recorded before
+// redundancy findings became lazy, so computing them on first use
+// changed no report.
+func TestAnalysisGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.dl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".dl")
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".analysis"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loadTestdata(t, filepath.Base(f)).Report()
+			if err != nil {
+				t.Fatalf("Report: %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("analysis report changed:\n--- got\n%s--- want\n%s", got, want)
+			}
+		})
+	}
+}
