@@ -122,25 +122,6 @@ func BenchmarkT42_Redundancy(b *testing.B) {
 	}
 }
 
-// BenchmarkPTC_Substrate: the seed string-keyed substrate vs the packed-key
-// parallel engine on transitive closure (the -json artifact runs the full
-// 240k-edge version; this keeps the smoke lane fast).
-func BenchmarkPTC_Substrate(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.PTCRun(experiments.PTCTableNodes, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = r.Speedup
-			}
-			b.ReportMetric(speedup, "speedup")
-		})
-	}
-}
-
 // BenchmarkEndToEndQuery: the public API answering a selection query on a
 // generated program (quickstart shape at size).
 func BenchmarkEndToEndQuery(b *testing.B) {

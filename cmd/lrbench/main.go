@@ -1,27 +1,16 @@
 // Command lrbench regenerates the paper's evaluation artifacts: every
 // figure (a-graph), worked example, algorithm comparison and complexity
-// claim, printed as tables and reports.
+// claim, printed as tables and reports.  The engine's performance is
+// measured by the bench module (go run -C bench .), not here.
 //
 // Usage:
 //
 //	lrbench              # run every experiment
 //	lrbench -exp F3      # run one experiment by id
 //	lrbench -list        # list experiment ids and titles
-//	lrbench -json        # run the substrate benchmark, write BENCH_eval.json
-//	lrbench -server      # run the linrecd server lane, merge into BENCH_eval.json
-//	lrbench -magic       # run the bound-query magic and multi-bound adornment lanes, merge into BENCH_eval.json
-//	lrbench -cache       # run the result-cache lane, merge into BENCH_eval.json
-//	lrbench -incremental # run the differential cache-maintenance lane, merge into BENCH_eval.json
-//	lrbench -overhead    # run the tracing-overhead lane, merge into BENCH_eval.json
-//	lrbench -streaming   # run the streaming early-termination lane, merge into BENCH_eval.json
-//	lrbench -persist     # run the durable-storage restart lane, merge into BENCH_eval.json
-//	lrbench -paging      # run the out-of-core budgeted-residency lane, merge into BENCH_eval.json
-//	lrbench -gate        # short-mode CI gate: fail if any speedup drops below its floor
-//	lrbench -gate -gate-out gate_report.json   # also write the gate verdicts as JSON
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,243 +18,15 @@ import (
 	"linrec/internal/experiments"
 )
 
-// mergeBenchFile folds key: value into BENCH_eval.json, preserving every
-// other top-level field (so the substrate and server lanes compose in
-// either order).
-func mergeBenchFile(key string, value any) error {
-	doc := map[string]any{}
-	data, err := os.ReadFile("BENCH_eval.json")
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing BENCH_eval.json: %w", err)
-		}
-	case os.IsNotExist(err):
-		// First run: start an empty document.
-	default:
-		// Any other read failure must not silently drop the other lanes.
-		return fmt.Errorf("existing BENCH_eval.json: %w", err)
-	}
-	raw, err := json.Marshal(value)
-	if err != nil {
-		return err
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return err
-	}
-	if key == "" {
-		m, ok := v.(map[string]any)
-		if !ok {
-			return fmt.Errorf("top-level bench report must be an object")
-		}
-		for k, val := range m {
-			doc[k] = val
-		}
-	} else {
-		doc[key] = v
-	}
-	data, err = json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_eval.json", append(data, '\n'), 0o644)
-}
-
 func main() {
 	expID := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.Bool("json", false, "run the substrate benchmark and merge it into BENCH_eval.json")
-	serverOut := flag.Bool("server", false, "run the linrecd server throughput/latency lane and merge it into BENCH_eval.json")
-	magicOut := flag.Bool("magic", false, "run the bound-query magic-seeded lane and merge it into BENCH_eval.json")
-	cacheOut := flag.Bool("cache", false, "run the goal-level result-cache lane and merge it into BENCH_eval.json")
-	incOut := flag.Bool("incremental", false, "run the differential cache-maintenance lane and merge it into BENCH_eval.json")
-	overheadOut := flag.Bool("overhead", false, "run the tracing-overhead lane and merge it into BENCH_eval.json")
-	streamingOut := flag.Bool("streaming", false, "run the streaming early-termination lane and merge it into BENCH_eval.json")
-	persistOut := flag.Bool("persist", false, "run the durable-storage restart lane and merge it into BENCH_eval.json")
-	pagingOut := flag.Bool("paging", false, "run the out-of-core budgeted-residency lane and merge it into BENCH_eval.json")
-	gate := flag.Bool("gate", false, "short-mode CI gate: run the headline lanes at table size and exit nonzero if any speedup is below its floor")
-	gateOut := flag.String("gate-out", "", "with -gate, also write the gate report as JSON to this file (for CI artifacts)")
-	minParallel := flag.Float64("min-parallel", experiments.DefaultGateFloors.Parallel, "gate floor for the parallel-substrate speedup at 8 workers (0 disables)")
-	minMagic := flag.Float64("min-magic", experiments.DefaultGateFloors.Magic, "gate floor for the magic-seeded bound-query speedup (0 disables)")
-	minMagicMulti := flag.Float64("min-magic-multi", experiments.DefaultGateFloors.MagicMulti, "gate floor for the multi-bound magic-adornment speedup (0 disables)")
-	minCache := flag.Float64("min-cache", experiments.DefaultGateFloors.Cache, "gate floor for the result-cache hit speedup (0 disables)")
-	minIncremental := flag.Float64("min-incremental", experiments.DefaultGateFloors.Incremental, "gate floor for the maintained-vs-rebuild update speedup (0 disables)")
-	minStreaming := flag.Float64("min-streaming", experiments.DefaultGateFloors.Streaming, "gate floor for the limit=1 early-termination speedup over the full fixpoint (0 disables)")
-	minPersist := flag.Float64("min-persist", experiments.DefaultGateFloors.Persist, "gate floor for the manifest-recovery speedup over a rebuild-from-facts restart (0 disables)")
-	minPaging := flag.Float64("min-paging", experiments.DefaultGateFloors.Paging, "gate floor for the out-of-core paging factor (dataset bytes over peak tracked residency; 0 disables)")
-	maxTraceOverhead := flag.Float64("max-trace-overhead", experiments.DefaultGateFloors.TracingOverheadPct, "gate ceiling, in percent, for the tracing-disabled closure regression (0 disables)")
 	flag.Parse()
-
-	if *gate {
-		rep := experiments.RunGate(experiments.GateFloors{
-			Parallel: *minParallel, Magic: *minMagic, MagicMulti: *minMagicMulti, Cache: *minCache,
-			Incremental: *minIncremental, Streaming: *minStreaming, Persist: *minPersist,
-			Paging: *minPaging, TracingOverheadPct: *maxTraceOverhead,
-		}, os.Stdout)
-		if *gateOut != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*gateOut, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lrbench: writing gate report: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if !rep.Pass {
-			fmt.Fprintln(os.Stderr, "lrbench: bench gate FAILED")
-			os.Exit(1)
-		}
-		fmt.Println("lrbench: bench gate ok")
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-5s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-
-	if *jsonOut {
-		rep, err := experiments.PTCJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote BENCH_eval.json (speedup at 8 workers: %.2fx)\n", rep.SpeedupAt8)
-	}
-
-	if *serverOut {
-		rep, err := experiments.ServerJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: server benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("server", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged server lane into BENCH_eval.json (%d clients: %.0f qps, p50 %.2fms, p99 %.2fms, %d swaps, 0 failures)\n",
-			rep.Clients, rep.ThroughputQPS, rep.P50MS, rep.P99MS, rep.SwapsMidRun)
-	}
-
-	if *magicOut {
-		rep, err := experiments.MagicJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: magic benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("magic", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged magic lane into BENCH_eval.json (bound query on %s: %.0fx over closure+filter, %d answer rows)\n",
-			rep.Source, rep.Speedup, rep.Results[0].AnswerRows)
-
-		multi, err := experiments.MagicMultiJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: magic-multi benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("magic_multi", multi); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged magic_multi lane into BENCH_eval.json (multi-bound adornments: %.0fx over closure+filter)\n",
-			multi.Speedup)
-	}
-
-	if *cacheOut {
-		rep, err := experiments.CacheJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: cache benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("result_cache", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged result-cache lane into BENCH_eval.json (cached hit ≥ %.0fx faster than cold, retraction invalidates: %v)\n",
-			rep.Speedup, rep.RetractionInvalidates)
-	}
-
-	if *incOut {
-		rep, err := experiments.IncrementalJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: incremental benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("incremental_tc", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged incremental lane into BENCH_eval.json (maintained update+query %.0fx faster than purge-and-rebuild, %d upgrades, differential ok: %v)\n",
-			rep.Speedup, rep.Upgrades, rep.DifferentialOK)
-	}
-
-	if *overheadOut {
-		rep, err := experiments.TracingOverheadJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: overhead benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("tracing_overhead", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged tracing-overhead lane into BENCH_eval.json (disabled %+.2f%%, enabled %+.2f%% over the no-context closure, %d rounds traced)\n",
-			rep.OverheadOffPct, rep.OverheadOnPct, rep.TraceRounds)
-	}
-
-	if *streamingOut {
-		rep, err := experiments.StreamingJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: streaming benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("streaming_tc", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged streaming lane into BENCH_eval.json (limit=1 stream %.0fx faster than full fixpoint: %d vs %d rounds, subset ok: %v)\n",
-			rep.Speedup, rep.StreamRounds, rep.FullRounds, rep.SubsetOK)
-	}
-
-	if *persistOut {
-		rep, err := experiments.PersistJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: persist benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("persist_tc", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged persist lane into BENCH_eval.json (manifest recovery %.0fx faster than rebuild-from-facts over %d edges, %d lazy loads after first query, differential ok: %v)\n",
-			rep.Speedup, rep.Edges, rep.LazyLoads, rep.DifferentialOK)
-	}
-
-	if *pagingOut {
-		rep, err := experiments.PagingJSONReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: paging benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := mergeBenchFile("paging_tc", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lrbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged paging lane into BENCH_eval.json (answered %d bytes under a %d-byte budget, paging factor %.1fx, %d evictions, differential ok: %v)\n",
-			rep.DatasetBytes, rep.BudgetBytes, rep.PagingFactor, rep.Evictions, rep.DifferentialOK)
-	}
-
-	if *jsonOut || *serverOut || *magicOut || *cacheOut || *incOut || *overheadOut || *streamingOut || *persistOut || *pagingOut {
 		return
 	}
 

@@ -95,7 +95,7 @@ base(a,b). edge(b,c). edge(c,d).
 
 // TestEvaluationPanicRecoveredToError: an arity panic raised inside the
 // detached seed-build goroutine, a parallel closure worker, or the
-// sequential path comes back from QueryOn as an error wrapping
+// sequential path comes back from Evaluate as an error wrapping
 // ErrInternal — never as a process-killing panic in a bare goroutine.
 func TestEvaluationPanicRecoveredToError(t *testing.T) {
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))

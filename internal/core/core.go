@@ -880,7 +880,7 @@ func (s *System) SeedCacheStatsNow() SeedCacheStats {
 // path the server uses to answer a repeated goal without consuming a
 // queue slot or worker grant.  ok reports a completed hit; any miss
 // (including a build in flight) returns false and the caller proceeds
-// through the normal QueryOn path.
+// through the normal Evaluate path.
 func (s *System) CachedAnswer(snap *Snapshot, q ast.Atom, opts Options) (*QueryResult, bool) {
 	opts = opts.normalize()
 	a, sels, unknown, err := s.resolveQuery(q)
@@ -1064,18 +1064,17 @@ func (s *System) Query(q ast.Atom) (*QueryResult, error) {
 // barriers and inside worker shard scans, returning ctx's error promptly
 // once it fires.
 func (s *System) QueryCtx(ctx context.Context, q ast.Atom) (*QueryResult, error) {
-	return s.QueryOn(ctx, s.Snapshot(), q, s.Opts)
+	return s.Evaluate(ctx, QueryRequest{Goal: q, Opts: s.Opts})
 }
 
 // Evaluate answers a query request and materializes the full answer —
-// the canonical entry point behind Query, QueryCtx and the deprecated
-// QueryOn, and the full-control one the server front end uses to grant
-// each query its own snapshot pin, worker budget and deadline while
-// many queries share one System.  An unset req.Snap pins the current
-// snapshot.  An evaluation panic (engine invariant violation) is
-// recovered into an error wrapping ErrInternal rather than propagated,
-// so a poisoned snapshot can fail queries without killing the process
-// hosting them.
+// the canonical entry point behind Query, QueryCtx and RunCtx, and the
+// full-control one the server front end uses to grant each query its
+// own snapshot pin, worker budget and deadline while many queries share
+// one System.  An unset req.Snap pins the current snapshot.  An
+// evaluation panic (engine invariant violation) is recovered into an
+// error wrapping ErrInternal rather than propagated, so a poisoned
+// snapshot can fail queries without killing the process hosting them.
 //
 // Before planning anything, Evaluate consults the goal-level result
 // cache: a repeated goal on the same snapshot version (same intended
@@ -1180,7 +1179,7 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 	return s.queryEval(ctx, snap, q, a, sels, opts)
 }
 
-// intendedKind predicts the plan kind QueryOn will execute for this
+// intendedKind predicts the plan kind Evaluate will execute for this
 // resolved query — the plan-kind component of the result-cache key.  It
 // intentionally mirrors the dispatch order of queryEval: an n-ary
 // separable candidate keys as Separable even when execution later falls
@@ -1319,7 +1318,7 @@ func (s *System) RunCtx(ctx context.Context) ([]*QueryResult, error) {
 	snap := s.Snapshot()
 	var out []*QueryResult
 	for _, q := range s.Prog.Queries {
-		r, err := s.QueryOn(ctx, snap, q, s.Opts)
+		r, err := s.Evaluate(ctx, QueryRequest{Goal: q, Snap: snap, Opts: s.Opts})
 		if err != nil {
 			return nil, err
 		}

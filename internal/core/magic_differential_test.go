@@ -110,15 +110,15 @@ func TestMagicSeededDifferential(t *testing.T) {
 		}
 		goal := mustAtom(t, goalSrc)
 
-		base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+		base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("attempt %d: baseline %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
-		auto, err := sys.QueryOn(ctx, snap, goal, Options{})
+		auto, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{}})
 		if err != nil {
 			t.Fatalf("attempt %d: auto %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
-		auto4, err := sys.QueryOn(ctx, snap, goal, Options{Workers: 4})
+		auto4, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Workers: 4}})
 		if err != nil {
 			t.Fatalf("attempt %d: auto/4 %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
@@ -191,15 +191,15 @@ func TestMagicMultiBoundDifferential(t *testing.T) {
 		}
 		goal := mustAtom(t, goalSrc)
 
-		base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+		base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("attempt %d: baseline %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
-		auto, err := sys.QueryOn(ctx, snap, goal, Options{})
+		auto, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{}})
 		if err != nil {
 			t.Fatalf("attempt %d: auto %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
-		auto4, err := sys.QueryOn(ctx, snap, goal, Options{Workers: 4})
+		auto4, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Workers: 4}})
 		if err != nil {
 			t.Fatalf("attempt %d: auto/4 %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
@@ -282,14 +282,14 @@ e(a1,a2). e(a2,a3). e(a3,a1). e(a4,a2).
 	snap := sys.Snapshot()
 	for _, goalSrc := range []string{"p(a2, a3)", "p(a1, a4)", "p(a3, a2)"} {
 		goal := mustAtom(t, goalSrc)
-		auto, err := sys.QueryOn(ctx, snap, goal, Options{})
+		auto, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{}})
 		if err != nil {
 			t.Fatalf("%s: %v", goalSrc, err)
 		}
 		if auto.Plan.Kind != planner.MagicSeeded || len(auto.Plan.Magic.Spec.Cols) != 2 {
 			t.Fatalf("%s: plan = %v (%s), want a 2-column magic adornment", goalSrc, auto.Plan.Kind, auto.Plan.Why)
 		}
-		base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+		base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", goalSrc, err)
 		}

@@ -101,11 +101,11 @@ func TestMagicCacheConcurrentQueriesAndSwaps(t *testing.T) {
 	snap := sys.Snapshot()
 	for k := 0; k < 20; k++ {
 		goal := mustAtom(t, fmt.Sprintf("p(c%d, Y)", k))
-		auto, err := sys.QueryOn(ctx, snap, goal, Options{})
+		auto, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{}})
 		if err != nil {
 			t.Fatalf("auto p(c%d,Y): %v", k, err)
 		}
-		base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+		base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("baseline p(c%d,Y): %v", k, err)
 		}
@@ -162,7 +162,7 @@ func TestMagicCacheCapBounded(t *testing.T) {
 	snap := sys.Snapshot()
 	for k := n - 1; k >= 0; k-- { // back to front: tiny answers first
 		goal := mustAtom(t, fmt.Sprintf("p(c%d, Y)", k))
-		res, err := sys.QueryOn(context.Background(), snap, goal, Options{})
+		res, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Snap: snap, Opts: Options{}})
 		if err != nil {
 			t.Fatalf("p(c%d,Y): %v", k, err)
 		}

@@ -40,7 +40,7 @@ func comparePlans(t *testing.T, mem, disk *System, goalSrc, src string) planner.
 	goal := mustAtom(t, goalSrc)
 	memSnap, diskSnap := mem.Snapshot(), disk.Snapshot()
 
-	base, err := mem.QueryOn(ctx, memSnap, goal, Options{Strategy: planner.ForceSemiNaive})
+	base, err := mem.Evaluate(ctx, QueryRequest{Goal: goal, Snap: memSnap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 	if err != nil {
 		t.Fatalf("memory baseline %s:\n%s\n%v", goalSrc, src, err)
 	}
@@ -57,11 +57,11 @@ func comparePlans(t *testing.T, mem, disk *System, goalSrc, src string) planner.
 		{"decomposed/4", Options{Strategy: planner.ForceDecomposed, Workers: 4}},
 	}
 	for _, cfg := range configs {
-		memRes, err := mem.QueryOn(ctx, memSnap, goal, cfg.opts)
+		memRes, err := mem.Evaluate(ctx, QueryRequest{Goal: goal, Snap: memSnap, Opts: cfg.opts})
 		if err != nil {
 			t.Fatalf("memory %s %s:\n%s\n%v", cfg.name, goalSrc, src, err)
 		}
-		diskRes, err := disk.QueryOn(ctx, diskSnap, goal, cfg.opts)
+		diskRes, err := disk.Evaluate(ctx, QueryRequest{Goal: goal, Snap: diskSnap, Opts: cfg.opts})
 		if err != nil {
 			t.Fatalf("disk %s %s:\n%s\n%v", cfg.name, goalSrc, src, err)
 		}
@@ -190,11 +190,11 @@ func TestPersistDifferentialStreaming(t *testing.T) {
 		}
 		goal := mustAtom(t, goalSrc)
 
-		base, err := mem.QueryOn(ctx, mem.Snapshot(), goal, Options{})
+		base, err := mem.Evaluate(ctx, QueryRequest{Goal: goal, Snap: mem.Snapshot(), Opts: Options{}})
 		if err != nil {
 			t.Fatalf("memory %s:\n%s\n%v", goalSrc, src, err)
 		}
-		st, err := disk.QueryStream(ctx, disk.Snapshot(), goal, Options{}, 0)
+		st, err := disk.Stream(ctx, QueryRequest{Goal: goal, Snap: disk.Snapshot(), Opts: Options{}})
 		if err != nil {
 			t.Fatalf("disk stream %s:\n%s\n%v", goalSrc, src, err)
 		}

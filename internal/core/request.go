@@ -1,20 +1,17 @@
 package core
 
 import (
-	"context"
-
 	"linrec/internal/ast"
 	"linrec/internal/planner"
 )
 
 // QueryRequest bundles everything a query evaluation needs — the goal
-// plus the knobs that used to sprawl across positional parameters of
-// QueryOn and QueryStream.  The zero value of every field means "the
-// sensible default": a nil Snap pins the current snapshot at dispatch,
-// zero Opts evaluates sequentially with the auto plan, zero Limit
-// streams unbounded.  Construct one literally or with NewQueryRequest
-// and functional options; either way the struct is plain data and may
-// be stored, copied or retried freely.
+// plus the knobs of one Evaluate or Stream call.  The zero value of
+// every field means "the sensible default": a nil Snap pins the current
+// snapshot at dispatch, zero Opts evaluates sequentially with the auto
+// plan, zero Limit streams unbounded.  Construct one literally or with
+// NewQueryRequest and functional options; either way the struct is
+// plain data and may be stored, copied or retried freely.
 type QueryRequest struct {
 	// Goal is the query atom; constants become selections exactly as in
 	// Query.
@@ -69,21 +66,4 @@ func WithStrategy(strategy planner.Strategy) QueryOption {
 // WithLimit bounds a streamed evaluation to n rows (0 = unbounded).
 func WithLimit(n int) QueryOption {
 	return func(r *QueryRequest) { r.Limit = n }
-}
-
-// QueryOn answers a query against an explicitly pinned snapshot with
-// per-query options.
-//
-// Deprecated: use Evaluate with a QueryRequest; QueryOn survives as a
-// thin wrapper for existing call sites.
-func (s *System) QueryOn(ctx context.Context, snap *Snapshot, q ast.Atom, opts Options) (*QueryResult, error) {
-	return s.Evaluate(ctx, QueryRequest{Goal: q, Snap: snap, Opts: opts})
-}
-
-// QueryStream starts a streaming evaluation against a pinned snapshot.
-//
-// Deprecated: use Stream with a QueryRequest; QueryStream survives as a
-// thin wrapper for existing call sites.
-func (s *System) QueryStream(ctx context.Context, snap *Snapshot, q ast.Atom, opts Options, limit int) (*QueryStream, error) {
-	return s.Stream(ctx, QueryRequest{Goal: q, Snap: snap, Opts: opts, Limit: limit})
 }

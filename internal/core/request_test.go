@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -39,41 +38,5 @@ func TestQueryRequestOptions(t *testing.T) {
 	req2 := NewQueryRequest(goal, WithOptions(Options{Workers: 2}), WithWorkers(8))
 	if req2.Opts.Workers != 8 {
 		t.Fatalf("WithWorkers after WithOptions = %d, want 8", req2.Opts.Workers)
-	}
-}
-
-// TestEvaluateMatchesDeprecatedWrappers: the new entry points and the
-// wrappers they replace must answer identically — including the
-// nil-snapshot default — so call sites can migrate mechanically.
-func TestEvaluateMatchesDeprecatedWrappers(t *testing.T) {
-	sys, err := Load(tcProgram)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	ctx := context.Background()
-	goal := ast.NewAtom("path", ast.C("a"), ast.V("Y"))
-
-	viaOld, err := sys.QueryOn(ctx, sys.Snapshot(), goal, Options{})
-	if err != nil {
-		t.Fatalf("QueryOn: %v", err)
-	}
-	viaNew, err := sys.Evaluate(ctx, NewQueryRequest(goal))
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	if !reflect.DeepEqual(viaOld.Rows(sys), viaNew.Rows(sys)) {
-		t.Fatalf("Evaluate diverges from QueryOn:\nold %v\nnew %v", viaOld.Rows(sys), viaNew.Rows(sys))
-	}
-	if viaOld.Plan.Kind != viaNew.Plan.Kind {
-		t.Fatalf("plan kinds diverge: %v vs %v", viaOld.Plan.Kind, viaNew.Plan.Kind)
-	}
-
-	st, err := sys.Stream(ctx, NewQueryRequest(goal, WithLimit(2)))
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	rows := drainStream(t, st)
-	if len(rows) != 2 {
-		t.Fatalf("limited stream yielded %d rows, want 2", len(rows))
 	}
 }

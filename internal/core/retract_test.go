@@ -50,9 +50,9 @@ func TestRemoveFactsSwapIsolation(t *testing.T) {
 	}
 
 	// The pinned pre-retraction snapshot still sees the full chain.
-	rOld, err := sys.QueryOn(context.Background(), old, goal, sys.Opts)
+	rOld, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Snap: old, Opts: sys.Opts})
 	if err != nil {
-		t.Fatalf("QueryOn(old): %v", err)
+		t.Fatalf("Evaluate(old): %v", err)
 	}
 	if rOld.Answer.Len() != 3 {
 		t.Fatalf("pinned snapshot answer = %d rows, want 3", rOld.Answer.Len())
@@ -239,13 +239,13 @@ func TestRetractDifferential(t *testing.T) {
 		}
 		goal := mustAtom(t, goalSrc)
 
-		want, err := fresh.QueryOn(ctx, fresh.Snapshot(), goal, Options{Strategy: planner.ForceSemiNaive})
+		want, err := fresh.Evaluate(ctx, QueryRequest{Goal: goal, Snap: fresh.Snapshot(), Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("case %d: from-scratch baseline %s: %v", i, goalSrc, err)
 		}
 		wantRows := want.Rows(fresh)
 		for _, workers := range []int{1, 4} {
-			got, err := sys.QueryOn(ctx, sys.Snapshot(), goal, Options{Workers: workers})
+			got, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: sys.Snapshot(), Opts: Options{Workers: workers}})
 			if err != nil {
 				t.Fatalf("case %d: post-retract %s (workers=%d): %v", i, goalSrc, workers, err)
 			}
@@ -313,13 +313,13 @@ func TestInterleavedWarmCacheDifferential(t *testing.T) {
 				t.Fatalf("case %d %s: fresh AddFacts: %v", i, step, err)
 			}
 			for _, goal := range goals {
-				want, err := fresh.QueryOn(ctx, fresh.Snapshot(), goal, Options{Strategy: planner.ForceSemiNaive})
+				want, err := fresh.Evaluate(ctx, QueryRequest{Goal: goal, Snap: fresh.Snapshot(), Opts: Options{Strategy: planner.ForceSemiNaive}})
 				if err != nil {
 					t.Fatalf("case %d %s: baseline %v: %v", i, step, goal, err)
 				}
 				wantRows := want.Rows(fresh)
 				for _, workers := range []int{1, 4} {
-					got, err := sys.QueryOn(ctx, sys.Snapshot(), goal, Options{Workers: workers})
+					got, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: sys.Snapshot(), Opts: Options{Workers: workers}})
 					if err != nil {
 						t.Fatalf("case %d %s: %v (workers=%d): %v", i, step, goal, workers, err)
 					}

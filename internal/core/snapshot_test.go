@@ -67,9 +67,9 @@ func TestAddFactsSwapIsolation(t *testing.T) {
 	}
 
 	// The pinned old snapshot still answers from the old world.
-	rOld, err := sys.QueryOn(context.Background(), old, goal, sys.Opts)
+	rOld, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Snap: old, Opts: sys.Opts})
 	if err != nil {
-		t.Fatalf("QueryOn(old): %v", err)
+		t.Fatalf("Evaluate(old): %v", err)
 	}
 	if rOld.Answer.Len() != 2 || rOld.Version != 1 {
 		t.Fatalf("pinned snapshot answer = %d rows at version %d, want 2 at 1", rOld.Answer.Len(), rOld.Version)

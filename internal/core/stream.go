@@ -68,8 +68,7 @@ type QueryStream struct {
 }
 
 // Stream opens a streamed evaluation of a query request — the
-// pull-based sibling of Evaluate, and the canonical entry point behind
-// the deprecated QueryStream.  An unset req.Snap pins the current
+// pull-based sibling of Evaluate.  An unset req.Snap pins the current
 // snapshot.  req.Limit > 0 caps the stream at that many rows (the k-th
 // row ends it, and rounds past the one that produced it never run);
 // Limit ≤ 0 streams the full answer.  Construction may already
@@ -199,7 +198,7 @@ func (st *QueryStream) Next() (row rel.Tuple, ok bool) {
 		if r := recover(); r != nil {
 			// A worker panic re-raised at the round barrier surfaces here,
 			// in the consumer's stack; recover it into ErrInternal exactly
-			// as QueryOn does.
+			// as Evaluate does.
 			st.err = fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, st.query, r, debug.Stack())
 			st.done = true
 			st.finish()

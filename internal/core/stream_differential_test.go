@@ -40,7 +40,7 @@ func drainStream(t *testing.T, st *QueryStream) [][]string {
 // TestStreamDifferential is the streaming correctness harness: across
 // hundreds of generated (program, goal) pairs spanning the plan kinds,
 // the streamed row multiset must be bit-for-bit the materialized
-// QueryOn answer at one and at four workers, and every limit-k stream
+// Evaluate answer at one and at four workers, and every limit-k stream
 // must yield exactly min(k, |answer|) distinct rows of the full answer.
 func TestStreamDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(662607))
@@ -73,7 +73,7 @@ func TestStreamDifferential(t *testing.T) {
 		}
 		goal := mustAtom(t, goalSrc)
 
-		base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+		base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 		if err != nil {
 			t.Fatalf("attempt %d: baseline %s:\n%s\n%v", attempt, goalSrc, src, err)
 		}
@@ -89,7 +89,7 @@ func TestStreamDifferential(t *testing.T) {
 
 			// Limited stream first: its key has seen no populate yet, so a
 			// closure-shaped plan genuinely evaluates under the limit.
-			lst, err := sys.QueryStream(ctx, snap, goal, opts, k)
+			lst, err := sys.Stream(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: opts, Limit: k})
 			if err != nil {
 				t.Fatalf("attempt %d: limit stream %s workers=%d:\n%s\n%v", attempt, goalSrc, workers, src, err)
 			}
@@ -129,7 +129,7 @@ func TestStreamDifferential(t *testing.T) {
 			}
 
 			// Unbounded stream: the full multiset, bit for bit.
-			st, err := sys.QueryStream(ctx, snap, goal, opts, 0)
+			st, err := sys.Stream(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: opts})
 			if err != nil {
 				t.Fatalf("attempt %d: stream %s workers=%d:\n%s\n%v", attempt, goalSrc, workers, src, err)
 			}
@@ -171,7 +171,7 @@ func TestStreamDifferential(t *testing.T) {
 		// unknown constant short-circuit without a cache entry, so the
 		// cached assertion only applies to goals with actual rows.
 		if len(wantRows) > 0 {
-			cst, err := sys.QueryStream(ctx, snap, goal, Options{Workers: 1}, 0)
+			cst, err := sys.Stream(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Workers: 1}})
 			if err != nil {
 				t.Fatalf("attempt %d: cached stream %s:\n%s\n%v", attempt, goalSrc, src, err)
 			}
@@ -223,7 +223,7 @@ e2(a2,a3). e2(a3,a4). e2(a4,a2).
 	snap := sys.Snapshot()
 	goal := mustAtom(t, "p(X, Y)")
 
-	base, err := sys.QueryOn(ctx, snap, goal, Options{Strategy: planner.ForceSemiNaive})
+	base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: Options{Strategy: planner.ForceSemiNaive}})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -234,7 +234,7 @@ e2(a2,a3). e2(a3,a4). e2(a4,a2).
 
 	for _, workers := range []int{1, 4} {
 		opts := Options{Workers: workers, Strategy: planner.ForceDecomposed}
-		st, err := sys.QueryStream(ctx, snap, goal, opts, 0)
+		st, err := sys.Stream(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: opts})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -257,7 +257,7 @@ e2(a2,a3). e2(a3,a4). e2(a4,a2).
 		t.Fatalf("reload: %v", err)
 	}
 	snap2 := sys2.Snapshot()
-	lst, err := sys2.QueryStream(ctx, snap2, goal, Options{Strategy: planner.ForceDecomposed}, 1)
+	lst, err := sys2.Stream(ctx, QueryRequest{Goal: goal, Snap: snap2, Opts: Options{Strategy: planner.ForceDecomposed}, Limit: 1})
 	if err != nil {
 		t.Fatalf("limit stream: %v", err)
 	}

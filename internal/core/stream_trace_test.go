@@ -52,7 +52,7 @@ func TestStreamGoldenTraceEarlyTermination(t *testing.T) {
 
 			tr := &eval.Tracer{}
 			ctx := eval.WithTracer(context.Background(), tr)
-			st, err := sys.QueryStream(ctx, snap, goal, o, k)
+			st, err := sys.Stream(ctx, QueryRequest{Goal: goal, Snap: snap, Opts: o, Limit: k})
 			if err != nil {
 				t.Fatalf("open stream: %v", err)
 			}
@@ -100,7 +100,7 @@ func TestStreamGoldenTraceEarlyTermination(t *testing.T) {
 			// fixpoint runs many more rounds, proving the limit cut real work.
 			tr2 := &eval.Tracer{}
 			ctx2 := eval.WithTracer(context.Background(), tr2)
-			st2, err := sys.QueryStream(ctx2, snap, goal, o, 0)
+			st2, err := sys.Stream(ctx2, QueryRequest{Goal: goal, Snap: snap, Opts: o})
 			if err != nil {
 				t.Fatalf("open unbounded stream: %v", err)
 			}

@@ -44,7 +44,7 @@ func TestQueryTraceCacheEvents(t *testing.T) {
 	// Cold query: a result-cache miss plus at least one evaluation phase
 	// whose row accounting closes.
 	tr1 := &eval.Tracer{}
-	res1, err := sys.QueryOn(eval.WithTracer(context.Background(), tr1), sys.Snapshot(), goal, sys.Opts)
+	res1, err := sys.Evaluate(eval.WithTracer(context.Background(), tr1), QueryRequest{Goal: goal, Snap: sys.Snapshot(), Opts: sys.Opts})
 	if err != nil {
 		t.Fatalf("cold query: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestQueryTraceCacheEvents(t *testing.T) {
 
 	// Warm repeat: a result-cache hit, no evaluation phases.
 	tr2 := &eval.Tracer{}
-	res2, err := sys.QueryOn(eval.WithTracer(context.Background(), tr2), sys.Snapshot(), goal, sys.Opts)
+	res2, err := sys.Evaluate(eval.WithTracer(context.Background(), tr2), QueryRequest{Goal: goal, Snap: sys.Snapshot(), Opts: sys.Opts})
 	if err != nil {
 		t.Fatalf("warm query: %v", err)
 	}

@@ -21,7 +21,7 @@ import (
 
 // workerPanic carries a closure worker's panic value together with the
 // stack captured inside the worker goroutine.  The round barrier
-// re-raises it in the caller, where recovery (core.QueryOn) formats it
+// re-raises it in the caller, where recovery (core.Evaluate) formats it
 // with %v — without the captured stack the frames that actually hit the
 // invariant violation would be lost to the worker's recover.
 type workerPanic struct {
@@ -86,7 +86,7 @@ func (w *roundWorker) start(db rel.DB, cs []*compiled, arity, rows int, newKeep 
 // worker panic (e.g. the join arity guard) is recovered and re-raised at
 // the barrier in the caller's goroutine — a panic escaping a bare worker
 // goroutine would kill the process, while the caller's stack has recovery
-// (core.QueryOn turns it into an error) — with all workers joined first.
+// (core.Evaluate turns it into an error) — with all workers joined first.
 func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int, pool []roundWorker, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) {
 	var panicked atomic.Pointer[any]
 	var wg sync.WaitGroup

@@ -1,8 +1,9 @@
 // Package experiments regenerates every evaluation artifact of the paper —
 // each figure (a-graph), worked example, algorithm and complexity claim —
-// as printed tables and series.  cmd/lrbench drives it from the command
-// line; the root bench_test.go wraps the parameterized performance
-// experiments in testing.B benchmarks; EXPERIMENTS.md records the outputs.
+// as printed tables and series, and only those: the engine's performance
+// is measured by the separate bench module (go run -C bench .).
+// cmd/lrbench prints the tables; the root bench_test.go wraps the
+// parameterized paper experiments in testing.B benchmarks.
 package experiments
 
 import (
@@ -48,12 +49,6 @@ func All() []Experiment {
 		{"I31", "Formula (3.1): closure splits into CB-free and CB terms", I31},
 		{"P7", "Section 7 extension: partial commutativity (grouped decomposition)", P7},
 		{"R19", "Certification power: Theorem 5.1 vs the weaker [19]-style baseline", R19},
-		{"PTC", "Substrate rework: seed string-keyed engine vs packed-key parallel closure", PTCTable},
-		{"MAGIC", "Magic-seeded evaluation: bound query vs closure-then-filter", MagicTable},
-		{"MULTI", "Multi-column magic adornments: multi-bound queries vs closure- and first-column-then-filter", MagicMultiTable},
-		{"CACHE", "Goal-level result cache: cold evaluation vs cached hit, with retraction invalidation", CacheTable},
-		{"INC", "Differential cache maintenance: streamed add/retract vs purge-and-rebuild", IncrementalTable},
-		{"PERSIST", "Durable segment storage: manifest recovery vs rebuild-from-facts restart", PersistTable},
 	}
 }
 
@@ -73,16 +68,6 @@ func mustOp(src string) *ast.Op {
 		panic(err)
 	}
 	return op
-}
-
-// mustAtomExp parses a goal atom for the experiment drivers; experiment
-// goals are literals, so a parse failure is a programming bug.
-func mustAtomExp(src string) ast.Atom {
-	a, err := parser.ParseAtom(src)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Rules used across the experiments (the paper's examples).

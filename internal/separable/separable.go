@@ -224,7 +224,9 @@ func EvalCtx(cx context.Context, e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *r
 }
 
 // Baseline computes σ(A1+A2)* q the monolithic way: full closure, then
-// filter.  Used as the comparison point in the experiments.
+// filter.  It is the reference answer and derivation count that
+// Algorithm 4.1 is checked and compared against: the A41 paper table,
+// the flights example and this package's differential tests.
 func Baseline(e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *rel.Relation, sel Selection) (Result, error) {
 	full, s := e.SemiNaive(db, []*ast.Op{a1, a2}, q)
 	return Result{Rel: sel.Apply(full), Stats: s}, nil

@@ -6,16 +6,14 @@
 // are labels rather than name suffixes, so dashboards can aggregate
 // across a dimension with a single selector.  Reads are lock-free
 // (atomic loads) or take the same short mutexes /v1/stats takes, so
-// scraping is safe concurrently with queries and snapshot swaps.
-//
-// ParsePrometheus is the matching strict reader: tests and the lrload
-// smoke use it to fail on malformed exposition output (bad names,
-// duplicate series, samples contradicting their TYPE declaration).
+// scraping is safe concurrently with queries and snapshot swaps.  The
+// tests read the output back with a strict parser (ParsePrometheus in
+// client_test.go) that fails on bad names, duplicate series and samples
+// contradicting their TYPE declaration.
 
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
@@ -304,178 +302,4 @@ func (s *Server) renderMetrics() string {
 	}
 
 	return m.b.String()
-}
-
-// ParsePrometheus strictly reads a text exposition body, returning the
-// sample values keyed by series (metric name plus its label block,
-// verbatim).  It fails on malformed lines, invalid metric or label
-// names, duplicate series, unparseable values, and samples whose family
-// was TYPE-declared only after they appeared — enough rigor that a
-// passing body is ingestible by a real scraper.
-func ParsePrometheus(r io.Reader) (map[string]float64, error) {
-	samples := map[string]float64{}
-	typed := map[string]string{}
-	sampled := map[string]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 2 && (fields[1] == "TYPE" || fields[1] == "HELP") {
-				if len(fields) < 3 || !validMetricName(fields[2]) {
-					return nil, fmt.Errorf("line %d: malformed %s comment: %q", lineNo, fields[1], line)
-				}
-				if fields[1] == "TYPE" {
-					name := fields[2]
-					if sampled[name] {
-						return nil, fmt.Errorf("line %d: TYPE for %q after its samples", lineNo, name)
-					}
-					if _, dup := typed[name]; dup {
-						return nil, fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, name)
-					}
-					if len(fields) < 4 {
-						return nil, fmt.Errorf("line %d: TYPE without a type: %q", lineNo, line)
-					}
-					typed[name] = fields[3]
-				}
-			}
-			continue
-		}
-		series, value, err := parseSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if _, dup := samples[series]; dup {
-			return nil, fmt.Errorf("line %d: duplicate series %q", lineNo, series)
-		}
-		samples[series] = value
-		sampled[familyOf(series)] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
-// familyOf strips the label block and the histogram/summary suffixes,
-// mapping a series back to the name its TYPE line declares.
-func familyOf(series string) string {
-	name := series
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		name = name[:i]
-	}
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}
-
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		alpha := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if !alpha && (i == 0 || c < '0' || c > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-func validLabelName(s string) bool {
-	if s == "" || s == "__name__" {
-		return false
-	}
-	for i, c := range s {
-		alpha := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if !alpha && (i == 0 || c < '0' || c > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-// parseSample splits one sample line into its series key and value.
-func parseSample(line string) (series string, value float64, err error) {
-	name := line
-	rest := ""
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		name = line[:i]
-		j := strings.IndexByte(line, '}')
-		if j < i {
-			return "", 0, fmt.Errorf("unterminated label block: %q", line)
-		}
-		if err := checkLabels(line[i+1 : j]); err != nil {
-			return "", 0, fmt.Errorf("%v in %q", err, line)
-		}
-		series = line[:j+1]
-		rest = strings.TrimSpace(line[j+1:])
-	} else {
-		k := strings.IndexAny(line, " \t")
-		if k < 0 {
-			return "", 0, fmt.Errorf("no value: %q", line)
-		}
-		name = line[:k]
-		series = name
-		rest = strings.TrimSpace(line[k:])
-	}
-	if !validMetricName(name) {
-		return "", 0, fmt.Errorf("invalid metric name %q", name)
-	}
-	// An optional timestamp may follow the value.
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		return "", 0, fmt.Errorf("want value [timestamp], got %q", rest)
-	}
-	value, err = strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", 0, fmt.Errorf("bad value %q: %v", fields[0], err)
-	}
-	return series, value, nil
-}
-
-// checkLabels validates the inside of a label block.
-func checkLabels(s string) error {
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq < 0 {
-			return fmt.Errorf("label without '='")
-		}
-		name := strings.TrimSpace(s[:eq])
-		if !validLabelName(name) {
-			return fmt.Errorf("invalid label name %q", name)
-		}
-		s = strings.TrimSpace(s[eq+1:])
-		if len(s) == 0 || s[0] != '"' {
-			return fmt.Errorf("label %q value not quoted", name)
-		}
-		// Scan the quoted value honoring escapes.
-		i := 1
-		for i < len(s) {
-			if s[i] == '\\' {
-				i += 2
-				continue
-			}
-			if s[i] == '"' {
-				break
-			}
-			i++
-		}
-		if i >= len(s) {
-			return fmt.Errorf("label %q value unterminated", name)
-		}
-		s = s[i+1:]
-		s = strings.TrimPrefix(strings.TrimSpace(s), ",")
-		s = strings.TrimSpace(s)
-	}
-	return nil
 }

@@ -116,9 +116,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestParsePrometheusRejectsMalformed pins the strictness the CI
-// server-smoke lane relies on: a parser that accepts garbage would let
-// a broken exporter through.
+// TestParsePrometheusRejectsMalformed pins the strictness the /metrics
+// tests rely on: a parser that accepts garbage would let a broken
+// exporter through.
 func TestParsePrometheusRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -205,15 +205,13 @@ func TestMetricsScrapeUnderSwapRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hc := loadClient(1, 5*time.Second)
-			defer hc.CloseIdleConnections()
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				if _, err := FetchMetrics(context.Background(), hc, ts.URL); err != nil {
+				if _, err := FetchMetrics(context.Background(), http.DefaultClient, ts.URL); err != nil {
 					errs <- fmt.Errorf("scrape: %v", err)
 					return
 				}
@@ -224,15 +222,13 @@ func TestMetricsScrapeUnderSwapRace(t *testing.T) {
 	wg.Add(1)
 	go func() { // traced reader
 		defer wg.Done()
-		hc := loadClient(1, 5*time.Second)
-		defer hc.CloseIdleConnections()
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			out, err := QueryTraced(context.Background(), hc, ts.URL, "path(c0, Y)", 5*time.Second, 1)
+			out, err := QueryTraced(context.Background(), http.DefaultClient, ts.URL, "path(c0, Y)", 5*time.Second, 1)
 			if err != nil {
 				errs <- fmt.Errorf("traced query: %v", err)
 				return

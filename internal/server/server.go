@@ -478,7 +478,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error, timeout time.
 		// The full error carries the recovered panic and its stack; that
 		// diagnostic belongs in the server log, not in a response body
 		// handed to remote clients.  Counted separately from client
-		// errors so lrload -smoke can fail a run that provoked any 500.
+		// errors so a smoke check can fail a run that provoked any 500.
 		s.ctr.queryErrors.Add(1)
 		s.ctr.internalErrors.Add(1)
 		s.log.Error("internal evaluation error",

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -328,15 +329,13 @@ func TestServerSnapshotSwapRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			hc := loadClient(1, 5*time.Second)
-			defer hc.CloseIdleConnections()
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				out, err := QueryOnce(context.Background(), hc, ts.URL, "path(c0, Y)", 5*time.Second, 1)
+				out, err := QueryOnce(context.Background(), http.DefaultClient, ts.URL, "path(c0, Y)", 5*time.Second, 1)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %v", g, err)
 					return
@@ -450,29 +449,115 @@ func TestEvaluationPanicReturns500AndLeaksNoBudget(t *testing.T) {
 	}
 }
 
-// TestLoadGeneratorSmoke: the closed-loop generator sustains concurrent
-// clients against a live server with zero failures.
-func TestLoadGeneratorSmoke(t *testing.T) {
-	_, ts := newTestServer(t, chainProgram(16), Config{TotalWorkers: 8, MaxQueue: 256})
-	queries := make([]string, 8)
-	for i := range queries {
-		queries[i] = fmt.Sprintf("path(c%d, Y)", i)
-	}
-	rep, err := RunLoad(context.Background(), LoadOptions{
-		BaseURL:  ts.URL,
-		Queries:  queries,
-		Clients:  16,
-		Duration: 400 * time.Millisecond,
-		Timeout:  5 * time.Second,
-	})
+// TestLifecycleSmoke drives the shipped example program through one
+// add → query → retract → query lifecycle over HTTP and checks what the
+// narrower tests leave out: a warm full closure is upgraded in place by
+// both swaps and is still a hit with its original row count afterwards,
+// a cold trace's per-round deltas sum to total_rows, a traced hit has no
+// phases, the per-plan counters cover every plan served, and /metrics
+// still parses strictly at the end.
+func TestLifecycleSmoke(t *testing.T) {
+	src, err := os.ReadFile("../../examples/server/paths.dl")
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatal(err)
 	}
-	if rep.Requests == 0 || rep.Failures != 0 {
-		t.Fatalf("load report = %+v", rep)
+	_, ts := newTestServer(t, string(src), Config{})
+	ctx, hc := context.Background(), http.DefaultClient
+	const goal, closureGoal = "path(a, Y)", "path(X, Y)"
+
+	resp, err := hc.Get(ts.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %v %v", err, resp)
 	}
-	if rep.P50MS <= 0 || rep.P99MS < rep.P50MS {
-		t.Fatalf("percentiles inconsistent: %+v", rep)
+	resp.Body.Close()
+	st0, err := FetchStats(ctx, hc, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := map[string]int64{}
+	query := func(q string, traced bool) *QueryResponse {
+		t.Helper()
+		do := QueryOnce
+		if traced {
+			do = QueryTraced
+		}
+		out, err := do(ctx, hc, ts.URL, q, 5*time.Second, 0)
+		if err != nil {
+			t.Fatalf("query %q: %v", q, err)
+		}
+		planned[out.Plan]++
+		return out
+	}
+
+	before := query(goal, false)
+	warm := query(closureGoal, true)
+	if warm.Cached || warm.Trace == nil || len(warm.Trace.Phases) == 0 {
+		t.Fatalf("cold traced closure: cached=%v trace=%+v", warm.Cached, warm.Trace)
+	}
+	for _, ph := range warm.Trace.Phases {
+		sum := ph.BaseRows + ph.SeedRows
+		for _, rd := range ph.Rounds {
+			sum += rd.NewRows
+		}
+		if sum != ph.TotalRows {
+			t.Fatalf("phase %q: base + seed + round deltas = %d, want total_rows %d", ph.Name, sum, ph.TotalRows)
+		}
+	}
+	if last := warm.Trace.Phases[len(warm.Trace.Phases)-1]; last.TotalRows != warm.RowCount {
+		t.Fatalf("final phase holds %d rows, response has %d", last.TotalRows, warm.RowCount)
+	}
+
+	const fact = "edge(d,smoke)."
+	add, err := PostFacts(ctx, hc, ts.URL, fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if add.SnapshotVersion <= before.SnapshotVersion || add.CacheUpgraded < 1 {
+		t.Fatalf("add: %+v, want a newer snapshot with the warm closure upgraded", add)
+	}
+	if grown := query(goal, false); grown.SnapshotVersion < add.SnapshotVersion || grown.RowCount != before.RowCount+1 {
+		t.Fatalf("after add: %d rows at version %d, want %d at ≥ %d",
+			grown.RowCount, grown.SnapshotVersion, before.RowCount+1, add.SnapshotVersion)
+	}
+	del, err := DeleteFacts(ctx, hc, ts.URL, fact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del.FactsRemoved != 1 || del.SnapshotVersion <= add.SnapshotVersion || del.CacheUpgraded < 1 {
+		t.Fatalf("retract: %+v, want one fact removed at a newer snapshot with the warm closure upgraded", del)
+	}
+	if final := query(goal, false); final.RowCount != before.RowCount {
+		t.Fatalf("rows after add+retract = %d, want the original %d", final.RowCount, before.RowCount)
+	}
+	if closure := query(closureGoal, false); !closure.Cached || closure.RowCount != warm.RowCount {
+		t.Fatalf("closure after two maintained swaps: cached=%v rows=%d, want a hit with %d rows",
+			closure.Cached, closure.RowCount, warm.RowCount)
+	}
+	if hit := query(closureGoal, true); !hit.Cached || hit.Trace == nil || len(hit.Trace.Phases) != 0 {
+		t.Fatalf("traced hit: cached=%v trace=%+v, want a hit with 0 phases", hit.Cached, hit.Trace)
+	}
+
+	st, err := FetchStats(ctx, hc, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Internal500s != 0 {
+		t.Fatalf("%d requests answered 500", st.Internal500s)
+	}
+	for plan, n := range planned {
+		if got := st.Plans[plan] - st0.Plans[plan]; got < n {
+			t.Errorf("plan counter %q advanced by %d, want ≥ %d", plan, got, n)
+		}
+	}
+	if got := st.ResultCache.Upgrades - st0.ResultCache.Upgrades; got < 2 {
+		t.Fatalf("result_cache.upgrades advanced by %d across the add and the retract, want ≥ 2", got)
+	}
+	m, err := FetchMetrics(ctx, hc, ts.URL)
+	if err != nil {
+		t.Fatalf("/metrics after the lifecycle: %v", err)
+	}
+	if got := m["linrec_snapshot_version"]; got != float64(st.SnapshotVersion) {
+		t.Fatalf("linrec_snapshot_version = %g, /v1/stats says %d", got, st.SnapshotVersion)
 	}
 }
 
@@ -834,7 +919,7 @@ func TestCachedHitBypassesAdmission(t *testing.T) {
 
 // TestStatsPerAdornmentPlanCounts: answered queries are accounted per
 // (predicate, adornment, plan-kind slug), and the per-kind Plans map
-// advances in step — the counters lrload -smoke asserts against.
+// advances in step — the counters TestLifecycleSmoke asserts against.
 func TestStatsPerAdornmentPlanCounts(t *testing.T) {
 	s, ts := newTestServer(t, chainProgram(6), Config{TotalWorkers: 2})
 	for _, q := range []string{"path(c0, Y)", "path(c0, Y)", "path(X, Y)", "path(c0, c3)"} {

@@ -118,7 +118,7 @@ const planKindSlots = int(planner.MagicSeeded) + 2
 type counters struct {
 	queriesOK      atomic.Int64 // answered 200s
 	queryErrors    atomic.Int64 // parse/eval failures (4xx and 500)
-	internalErrors atomic.Int64 // 500s specifically (recovered engine panics) — the lrload -smoke failure signal
+	internalErrors atomic.Int64 // 500s specifically (recovered engine panics) — the CI smoke's failure signal
 	timeouts       atomic.Int64 // per-query deadline fired during evaluation (504)
 	clientAborts   atomic.Int64 // client dropped the connection mid-evaluation (499)
 	shedQueue      atomic.Int64 // 429: admission queue full
@@ -208,7 +208,7 @@ type StatsReport struct {
 	QueriesOK       int64   `json:"queries_ok"`
 	QueryErrors     int64   `json:"query_errors"`
 	// Internal500s is the subset of QueryErrors answered 500 (recovered
-	// engine panics).  lrload -smoke fails the run when it is nonzero.
+	// engine panics).  The CI server smoke fails when it is nonzero.
 	Internal500s   int64 `json:"internal_500s"`
 	Timeouts       int64 `json:"timeouts"`
 	ClientAborts   int64 `json:"client_aborts"`

@@ -330,9 +330,11 @@ func TestStreamClientDisconnectReleasesBudget(t *testing.T) {
 
 // TestStreamTimeoutTail: a deadline that fires mid-stream ends the
 // stream with an error tail (the 200 is already on the wire) and counts
-// a timeout, not a success.
+// a timeout, not a success.  The closure (10⁶ tuples over 1000 rounds)
+// must outlast the deadline on a fast idle machine too: a 400-node
+// cycle's 160k tuples finish inside 60 ms there.
 func TestStreamTimeoutTail(t *testing.T) {
-	s, ts := newTestServer(t, cycleProgram(400), Config{DefaultTimeout: 60 * time.Millisecond})
+	s, ts := newTestServer(t, cycleProgram(1000), Config{DefaultTimeout: 60 * time.Millisecond})
 	resp := postJSON(t, ts.URL+"/v1/query?stream=1", QueryRequest{Query: "p(X, Y)"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (the stream commits to 200 before evaluating)", resp.StatusCode)

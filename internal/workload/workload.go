@@ -1,7 +1,8 @@
 // Package workload generates deterministic synthetic relations for the
-// experiments: chains, cycles, random digraphs, layered DAGs, trees and
-// grids.  Every generator takes an explicit seed where randomness is
-// involved, so experiment tables are reproducible run to run.
+// paper experiments, the examples and the tests: chains, cycles, random
+// digraphs, layered DAGs and trees.  Every generator takes an explicit
+// seed where randomness is involved, so experiment tables are
+// reproducible run to run.
 package workload
 
 import (
@@ -17,16 +18,9 @@ func node(e *eval.Engine, prefix string, i int) rel.Value {
 	return e.Syms.Intern(fmt.Sprintf("%s%d", prefix, i))
 }
 
-// Chain inserts edges i→i+1 for i in [0, n) into pred.
-func Chain(e *eval.Engine, db rel.DB, pred string, n int) {
-	r := db.Rel(pred, 2)
-	for i := 0; i < n; i++ {
-		r.Insert(rel.Tuple{node(e, pred+"_", i), node(e, pred+"_", i+1)})
-	}
-}
-
-// ChainShared is Chain over a shared node namespace (prefix "v"), so that
-// several predicates draw edges over the same vertex set.
+// ChainShared inserts edges i→i+1 for i in [0, n) into pred over the
+// shared node namespace (prefix "v"), so that several predicates draw
+// edges over the same vertex set.
 func ChainShared(e *eval.Engine, db rel.DB, pred string, n int) {
 	r := db.Rel(pred, 2)
 	for i := 0; i < n; i++ {
@@ -75,31 +69,13 @@ func Tree(e *eval.Engine, db rel.DB, pred string, branching, depth int) {
 // RandomTree inserts the n−1 parent→child edges of a uniform random
 // recursive tree over n nodes: node i's parent is drawn uniformly from
 // 0..i−1.  Expected depth is O(log n), so transitive closures stay near
-// n·ln n tuples — a random graph whose closure doesn't explode, used by
-// the substrate benchmarks.
+// n·ln n tuples — a random graph whose closure doesn't explode, served
+// by linrecd's -gen flag.
 func RandomTree(e *eval.Engine, db rel.DB, pred string, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	r := db.Rel(pred, 2)
 	for i := 1; i < n; i++ {
 		r.Insert(rel.Tuple{node(e, "t", rng.Intn(i)), node(e, "t", i)})
-	}
-}
-
-// RandomTreeLabeled is RandomTree over a ternary relation: each
-// parent→child edge additionally carries one of `labels` labels
-// ("c0"…"c<labels-1>"), drawn deterministically from seed.  Recursions
-// that thread the label through (r(X,Y,C) :- e(X,Z,C), r(Z,Y,C)) then
-// walk only monochrome paths, which makes the label column a highly
-// selective binding — the n-ary magic-adornment benchmark's workload.
-func RandomTreeLabeled(e *eval.Engine, db rel.DB, pred string, n, labels int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	r := db.Rel(pred, 3)
-	for i := 1; i < n; i++ {
-		r.Insert(rel.Tuple{
-			node(e, "t", rng.Intn(i)),
-			node(e, "t", i),
-			node(e, "c", rng.Intn(labels)),
-		})
 	}
 }
 
@@ -114,24 +90,6 @@ func LayeredDAG(e *eval.Engine, db rel.DB, pred string, layers, width, outDeg in
 		for i := 0; i < width; i++ {
 			for d := 0; d < outDeg; d++ {
 				r.Insert(rel.Tuple{name(l, i), name(l+1, rng.Intn(width))})
-			}
-		}
-	}
-}
-
-// Grid inserts right- and down-edges of an n×n grid into predRight and
-// predDown (shared "g" namespace).
-func Grid(e *eval.Engine, db rel.DB, predRight, predDown string, n int) {
-	right := db.Rel(predRight, 2)
-	down := db.Rel(predDown, 2)
-	name := func(i, j int) rel.Value { return e.Syms.Intern(fmt.Sprintf("g%d_%d", i, j)) }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j+1 < n {
-				right.Insert(rel.Tuple{name(i, j), name(i, j+1)})
-			}
-			if i+1 < n {
-				down.Insert(rel.Tuple{name(i, j), name(i+1, j)})
 			}
 		}
 	}

@@ -7,15 +7,6 @@ import (
 	"linrec/internal/rel"
 )
 
-func TestChain(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	Chain(e, db, "e", 5)
-	if db["e"].Len() != 5 {
-		t.Fatalf("chain edges = %d, want 5", db["e"].Len())
-	}
-}
-
 func TestChainSharedNamespace(t *testing.T) {
 	e := eval.NewEngine(nil)
 	db := rel.DB{}
@@ -74,15 +65,6 @@ func TestLayeredDAG(t *testing.T) {
 	// At most (layers-1)*width*outDeg edges; duplicates may collapse.
 	if db["e"].Len() == 0 || db["e"].Len() > 18 {
 		t.Fatalf("DAG edges = %d", db["e"].Len())
-	}
-}
-
-func TestGrid(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	Grid(e, db, "right", "down", 3)
-	if db["right"].Len() != 6 || db["down"].Len() != 6 {
-		t.Fatalf("grid = %d right, %d down; want 6,6", db["right"].Len(), db["down"].Len())
 	}
 }
 
