@@ -11,31 +11,39 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"linrec/internal/ast"
 	"linrec/internal/commute"
 	"linrec/internal/eval"
 	"linrec/internal/parser"
+	"linrec/internal/planner"
 	"linrec/internal/rel"
 	"linrec/internal/separable"
 )
 
 func main() {
+	check := func(err error) {
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
 	// a1 prepends feeder flights; a2 appends onward hops.  The class
 	// column Cls is link 1-persistent in both (each consults a per-class
-	// table), so the two rules share a selected variable.
+	// table), so the two rules share a selected variable.  Trips seed
+	// the recursion.
 	a1 := parser.MustParseOp("reach(X,Y,Cls) :- reach(U,Y,Cls), feeder(X,U,Cls).")
 	a2 := parser.MustParseOp("reach(X,Y,Cls) :- reach(X,U,Cls), onward(Y,U,Cls).")
+	a, err := planner.Analyze(&ast.Program{Rules: []ast.Rule{
+		parser.MustParseRule("reach(X,Y,Cls) :- trip(X,Y,Cls)."), a1.Rule(), a2.Rule()}}, "reach")
+	check(err)
 
 	rep, err := commute.Syntactic(a1, a2)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	sep, err := separable.IsSeparable(a1, a2)
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	fmt.Printf("rules:\n  A1: %v\n  A2: %v\n\n", a1, a2)
 	fmt.Printf("commutativity (Theorem 5.2): %v\n", rep.Verdict)
 	fmt.Printf("Naughton separability: %v\n\n", sep)
@@ -43,7 +51,7 @@ func main() {
 		log.Fatal("expected a non-separable pair")
 	}
 
-	// Data: per-class feeder and onward tables plus seed city pairs.
+	// Data: per-class feeder and onward tables plus seed trips.
 	e := eval.NewEngine(nil)
 	db := rel.DB{}
 	const cities = 60
@@ -60,26 +68,23 @@ func main() {
 			onward.Insert(rel.Tuple{city(i + 1), city(i), biz})
 		}
 	}
-	q := rel.NewRelation(3)
+	q := db.Rel("trip", 3)
 	q.Insert(rel.Tuple{city(cities - 1), city(0), econ})
 	q.Insert(rel.Tuple{city(cities - 1), city(0), biz})
 
 	// Query: all reachability in economy class — a selection on the class
 	// column, which commutes with both rules.  Theorem 4.1 licenses
-	// A1*(σ A2* q) even though the pair is not separable.
+	// A1*(σ A2* q) even though the pair is not separable, and the planner
+	// chooses it.
 	sel := separable.Selection{Col: 2, Value: econ}
-	res, err := separable.Eval(e, db, a1, a2, q, sel)
-	if err != nil {
-		log.Fatal(err)
+	plan := a.ChooseMulti([]separable.Selection{sel}, planner.Options{})
+	res, err := a.ExecuteSeeded(context.Background(), e, db, plan, &sel, planner.Options{}, q)
+	check(err)
+	base, baseStats := separable.Baseline(e, db, a1, a2, q, sel)
+	if plan.Kind != planner.Separable || !res.Answer.Equal(base) {
+		log.Fatalf("%v diverged: %d vs %d tuples", plan.Kind, res.Answer.Len(), base.Len())
 	}
-	base, err := separable.Baseline(e, db, a1, a2, q, sel)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !res.Rel.Equal(base.Rel) {
-		log.Fatalf("separable plan diverged: %d vs %d tuples", res.Rel.Len(), base.Rel.Len())
-	}
-	fmt.Printf("economy-class reach facts: %d\n", res.Rel.Len())
-	fmt.Printf("baseline (full closure + filter): %v\n", base.Stats)
+	fmt.Printf("economy-class reach facts: %d\n", res.Answer.Len())
+	fmt.Printf("baseline (full closure + filter): %v\n", baseStats)
 	fmt.Printf("separable plan (Theorem 4.1):     %v\n", res.Stats)
 }

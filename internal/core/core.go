@@ -889,7 +889,7 @@ func (s *System) CachedAnswer(snap *Snapshot, q ast.Atom, opts Options) (*QueryR
 	}
 	res := s.results.peek(resultKey{
 		goal:     normalizeGoal(q),
-		kind:     s.intendedKind(a, sels, opts),
+		kind:     a.ChooseMulti(sels, opts.planOpts()).Kind,
 		strategy: opts.Strategy,
 		workers:  opts.Workers,
 	}, snap.Version)
@@ -1020,22 +1020,17 @@ func (s *System) resolveQuery(q ast.Atom) (a *planner.Analysis, sels []separable
 	return a, sels, "", nil
 }
 
-// nArySeparableCandidate reports whether Query would attempt the n-ary
-// separable decomposition (Section 4.1) — strictly sequential — for this
-// analysis/selection shape.  Assignment legality is only decided at
-// execution, so this can say true for a query that falls back to another
-// plan; PlanFor errs toward the sequential grant in that case.
-func nArySeparableCandidate(a *planner.Analysis, sels []separable.Selection) bool {
-	return len(sels) >= 2 && len(a.Ops) >= 2 && a.AllCommute()
+// unknownPlan is the plan of a goal naming constant c, which occurs in no
+// rule and no fact: nothing evaluates and the answer is empty.
+func unknownPlan(c string) *planner.Plan {
+	return &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", c)}
 }
 
-// PlanFor returns the plan Query would select for q under opts, without
-// executing anything.  The server front end uses it to size per-query
-// worker grants: separable and context-mode magic plans evaluate
-// sequentially, so granting them a multi-worker budget slice would only
-// starve other queries.  The result is for inspection, not execution —
-// the n-ary and unknown-constant cases return stubs that the Execute
-// entry points reject with an error rather than run.
+// PlanFor returns the plan Evaluate and Stream run for q under opts,
+// without executing anything.  The server front end uses it to size
+// per-query worker grants: a context-mode magic plan evaluates
+// sequentially, so granting it a multi-worker budget slice would only
+// starve other queries.
 func (s *System) PlanFor(q ast.Atom, opts Options) (*planner.Plan, error) {
 	opts = opts.normalize()
 	a, sels, unknown, err := s.resolveQuery(q)
@@ -1043,19 +1038,15 @@ func (s *System) PlanFor(q ast.Atom, opts Options) (*planner.Plan, error) {
 		return nil, err
 	}
 	if unknown != "" {
-		// Unknown constant: Query answers empty without evaluating.
-		return &planner.Plan{Kind: planner.SemiNaive, Why: "unknown constant: empty answer"}, nil
-	}
-	if nArySeparableCandidate(a, sels) {
-		return &planner.Plan{Kind: planner.Separable, Why: "n-ary separable candidate (Section 4.1)"}, nil
+		return unknownPlan(unknown), nil
 	}
 	return a.ChooseMulti(sels, opts.planOpts()), nil
 }
 
 // Query answers one query atom over a recursive predicate.  Constant
-// arguments become selections: the first constant drives the plan choice
-// (the separable algorithm when Theorem 4.1 applies); remaining constants
-// are applied as post-filters.
+// arguments become selections the planner consumes (separable and
+// magic-seeded plans) or post-filters; a repeated variable keeps the rows
+// whose columns agree.
 func (s *System) Query(q ast.Atom) (*QueryResult, error) {
 	return s.QueryCtx(context.Background(), q)
 }
@@ -1076,9 +1067,9 @@ func (s *System) QueryCtx(ctx context.Context, q ast.Atom) (*QueryResult, error)
 // error wrapping ErrInternal rather than propagated, so a poisoned
 // snapshot can fail queries without killing the process hosting them.
 //
-// Before planning anything, Evaluate consults the goal-level result
-// cache: a repeated goal on the same snapshot version (same intended
-// plan kind, strategy and worker count) is answered with the stored
+// Evaluate chooses the plan once, then consults the goal-level result
+// cache: a repeated goal on the same snapshot version (same chosen plan
+// kind, strategy and worker count) is answered with the stored
 // result — rows, stats and plan bit-for-bit identical to the query that
 // built the entry.  Concurrent first queries for one key share a single
 // evaluation (single-flight), run by the first arriver under its own
@@ -1108,17 +1099,13 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 		// A constant occurring in no rule and no fact can appear in no
 		// tuple of this (or any) snapshot: the answer is empty.  Cheaper
 		// than a cache probe — never cached.
-		return &QueryResult{
-			Query:   q,
-			Answer:  rel.NewRelation(q.Arity()),
-			Plan:    &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", unknown)},
-			Version: snap.Version,
-		}, nil
+		return &QueryResult{Query: q, Answer: rel.NewRelation(q.Arity()), Plan: unknownPlan(unknown), Version: snap.Version}, nil
 	}
 
+	plan := a.ChooseMulti(sels, opts.planOpts())
 	key := resultKey{
 		goal:     normalizeGoal(q),
-		kind:     s.intendedKind(a, sels, opts),
+		kind:     plan.Kind,
 		strategy: opts.Strategy,
 		workers:  opts.Workers,
 	}
@@ -1141,7 +1128,7 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 		}
 		if build {
 			tr.Cache("result", "miss", key.goal, 0)
-			res, err := s.queryEval(ctx, snap, q, a, sels, opts)
+			res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
 			if err == nil {
 				// Cached hits share one render of the sorted rows.
 				res.memo = &rowsMemo{syms: s.Engine.Syms}
@@ -1176,50 +1163,23 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 		hit.Cached = true
 		return &hit, nil
 	}
-	return s.queryEval(ctx, snap, q, a, sels, opts)
+	return s.queryEval(ctx, snap, q, a, plan, sels, opts)
 }
 
-// intendedKind predicts the plan kind Evaluate will execute for this
-// resolved query — the plan-kind component of the result-cache key.  It
-// intentionally mirrors the dispatch order of queryEval: an n-ary
-// separable candidate keys as Separable even when execution later falls
-// back (the fallback is deterministic for a fixed goal and options, so
-// the key still addresses exactly one result).
-func (s *System) intendedKind(a *planner.Analysis, sels []separable.Selection, opts Options) planner.Kind {
-	if nArySeparableCandidate(a, sels) {
-		return planner.Separable
-	}
-	return a.ChooseMulti(sels, opts.planOpts()).Kind
-}
-
-// queryEval is the uncached evaluation path behind Evaluate: plan choice
-// and seed/magic cache injection (planSeeded), execution, post-filters.
-// It recovers evaluation panics into ErrInternal itself (rather than
-// leaving that to Evaluate's recover) so that a panicking cache build
-// still completes its entry — otherwise every waiter on the key would
-// hang until its own deadline instead of observing the failure.
-func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, sels []separable.Selection, opts Options) (res *QueryResult, err error) {
+// queryEval is the uncached evaluation path behind Evaluate: seed and
+// magic-set cache injection (seedPlan), execution of the chosen plan,
+// the goal's residual filters.  It recovers evaluation panics into
+// ErrInternal itself (rather than leaving that to Evaluate's recover) so
+// that a panicking cache build still completes its entry — otherwise
+// every waiter on the key would hang until its own deadline instead of
+// observing the failure.
+func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, plan *planner.Plan, sels []separable.Selection, opts Options) (res *QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, q, r, debug.Stack())
 		}
 	}()
-	// With two or more constants on commuting operators, try the n-ary
-	// separable decomposition of Section 4.1:
-	// σ0σ1…σn(ΣAᵢ)* = (σ1A1*)…(σnAn*)σ0.  When no legal assignment
-	// exists, the query falls through to ChooseMulti, whose magic-seeded
-	// branch still attempts a bound-tuple frontier over the full
-	// adornment before conceding closure-then-filter.
-	if nArySeparableCandidate(a, sels) {
-		if res, ok, err := s.multiSeparable(ctx, snap, a, sels); err != nil {
-			return nil, err
-		} else if ok {
-			res.Query = q
-			return res, nil
-		}
-	}
-
-	plan, seed, err := s.planSeeded(ctx, snap, a, sels, opts)
+	seed, err := s.seedPlan(ctx, snap, a, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1232,79 +1192,79 @@ func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *p
 		return nil, err
 	}
 	stats.Add(cs)
-	for _, sel := range plan.Residual(sels) {
-		ans = sel.Apply(ans)
-	}
+	ans = residualFor(q, plan, sels).apply(ans)
 	return &QueryResult{Query: q, Answer: ans, Stats: stats, Plan: plan, Version: snap.Version}, nil
 }
 
-// planSeeded is the shared front half of the materialized and streamed
-// evaluation paths: it chooses the plan and fetches the evaluation
-// inputs this snapshot caches — the exit-rule seed and, for a
-// magic-seeded plan, the magic set of this goal binding, injected into
-// the plan so repeated bound queries skip the frontier iteration.  The
-// planner opens the result (Analysis.Open); the caller drains or streams
-// it and applies Plan.Residual.
-func (s *System) planSeeded(ctx context.Context, snap *Snapshot, a *planner.Analysis, sels []separable.Selection, opts Options) (*planner.Plan, *rel.Relation, error) {
-	plan := a.ChooseMulti(sels, opts.planOpts())
+// seedPlan is the shared front half of the materialized and streamed
+// evaluation paths: it fetches the evaluation inputs this snapshot
+// caches — the exit-rule seed and, for a magic-seeded plan, the magic
+// set of this goal binding, injected into the plan so repeated bound
+// queries skip the frontier iteration.  The planner opens the plan
+// (Analysis.Open); the caller drains or streams it and applies the
+// goal's residual filters.
+func (s *System) seedPlan(ctx context.Context, snap *Snapshot, a *planner.Analysis, plan *planner.Plan) (*rel.Relation, error) {
 	seed, err := s.seedFor(ctx, a, snap)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if plan.Kind == planner.MagicSeeded {
 		set, stats, err := s.magicFor(ctx, a, snap, plan.Magic.Spec, plan.Magic.BoundTuple())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		plan.Magic.Set, plan.Magic.SetStats = set, stats
 	}
-	return plan, seed, nil
+	return seed, nil
 }
 
-// multiSeparable attempts to assign every selection to an operator slot of
-// the n-ary separable formula: σ attached to Aᵢ must commute with every
-// other operator; σ commuting with all operators becomes a σ0.  ok is false
-// when no legal assignment exists (the caller falls back to other plans).
-func (s *System) multiSeparable(ctx context.Context, snap *Snapshot, a *planner.Analysis, sels []separable.Selection) (*QueryResult, bool, error) {
-	taken := map[int]bool{}
-	var ms []separable.MultiSelection
-	for _, sel := range sels {
-		owner := -2 // unassigned
-		commutesWithAll := true
-		for i, op := range a.Ops {
-			if !sel.CommutesWith(op) {
-				if owner != -2 {
-					owner = -3 // fails against two operators: illegal
-					break
-				}
-				owner = i
-				commutesWithAll = false
+// residual is what the rows of a plan's opened closure must still pass
+// to answer goal q: the selections the plan did not consume
+// (planner.Plan.Residual) and one column equality per repeated variable
+// of q — p(X,X) keeps the rows whose two columns agree.
+type residual struct {
+	sels []separable.Selection
+	eqs  [][2]int
+}
+
+// residualFor builds the residual of plan, chosen for sels, on goal q.
+func residualFor(q ast.Atom, plan *planner.Plan, sels []separable.Selection) residual {
+	r := residual{sels: plan.Residual(sels)}
+	for i, t := range q.Args {
+		for j := 0; j < i && t.IsVar(); j++ {
+			if q.Args[j] == t {
+				r.eqs = append(r.eqs, [2]int{j, i})
+				break
 			}
 		}
-		switch {
-		case commutesWithAll:
-			ms = append(ms, separable.MultiSelection{OpIndex: -1, Sel: sel})
-		case owner >= 0 && !taken[owner]:
-			taken[owner] = true
-			ms = append(ms, separable.MultiSelection{OpIndex: owner, Sel: sel})
-		default:
-			return nil, false, nil
+	}
+	return r
+}
+
+// match reports whether one candidate row passes the residual filters.
+func (r residual) match(t rel.Tuple) bool {
+	for _, sel := range r.sels {
+		if t[sel.Col] != sel.Value {
+			return false
 		}
 	}
+	for _, eq := range r.eqs {
+		if t[eq[0]] != t[eq[1]] {
+			return false
+		}
+	}
+	return true
+}
 
-	q, err := s.seedFor(ctx, a, snap)
-	if err != nil {
-		return nil, false, err
+// apply filters a drained answer.
+func (r residual) apply(ans *rel.Relation) *rel.Relation {
+	for _, sel := range r.sels {
+		ans = sel.Apply(ans)
 	}
-	out, stats, err := separable.EvalMultiCtx(ctx, s.Engine, snap.DB, a.Ops, ms, q)
-	if err != nil {
-		return nil, false, err
+	if len(r.eqs) > 0 {
+		ans = ans.Filter(r.match)
 	}
-	plan := &planner.Plan{
-		Kind: planner.Separable,
-		Why:  fmt.Sprintf("n-ary separable decomposition with %d selections (Section 4.1)", len(sels)),
-	}
-	return &QueryResult{Answer: out, Stats: stats, Plan: plan, Version: snap.Version}, true, nil
+	return ans
 }
 
 // Run answers every "?-" query of the program in order.
@@ -1345,7 +1305,7 @@ func (s *System) Report() (string, error) {
 			return "", err
 		}
 		b.WriteString(a.Summary())
-		plan := a.ChooseOpts(nil, s.Opts.planOpts())
+		plan := a.ChooseMulti(nil, s.Opts.planOpts())
 		fmt.Fprintf(&b, "\nplan: %v — %s\n", plan.Kind, plan.Why)
 	}
 	return b.String(), nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,35 +128,87 @@ func TestLoadErrors(t *testing.T) {
 
 // TestMultiConstantQueryUsesNArySeparable: a query with two constants on
 // commuting operators runs the Section 4.1 n-ary decomposition and returns
-// the same answer as the filtered full closure.
+// the same answer as the filtered full closure.  The third rule rewrites
+// the unbound column, so no context-mode frontier covers the goal and the
+// n-ary assignment is the plan.
 func TestMultiConstantQueryUsesNArySeparable(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := Load(`
+p(X,Y,Z) :- s0(X,Y,Z).
+p(X,Y,Z) :- p(U,Y,Z), q(X,U).
+p(X,Y,Z) :- p(X,U,Z), r(Y,U).
+p(X,Y,Z) :- p(X,Y,U), s(Z,U).
+s0(v0,v0,v0). q(v1,v0). q(v2,v1). q(v3,v1). r(v4,v0). r(v5,v4). s(v6,v0). s(v7,v6).
+`)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	ground, err := sys.Query(ast.NewAtom("path", ast.C("a"), ast.C("d")))
+	bound, err := sys.Query(ast.NewAtom("p", ast.C("v1"), ast.C("v4"), ast.V("Z")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if ground.Plan.Kind != planner.Separable {
-		t.Fatalf("plan = %v (%s), want separable", ground.Plan.Kind, ground.Plan.Why)
+	if bound.Plan.Kind != planner.Separable || !strings.Contains(bound.Plan.Why, "n-ary") {
+		t.Fatalf("plan = %v (%s), want the n-ary separable decomposition", bound.Plan.Kind, bound.Plan.Why)
 	}
-	if !strings.Contains(ground.Plan.Why, "n-ary") {
-		t.Fatalf("expected the n-ary path, got %q", ground.Plan.Why)
-	}
-	open, err := sys.Query(ast.NewAtom("path", ast.V("X"), ast.V("Y")))
+	open, err := sys.Query(ast.NewAtom("p", ast.V("X"), ast.V("Y"), ast.V("Z")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	count := 0
-	aSym, _ := sys.Engine.Syms.Lookup("a")
-	dSym, _ := sys.Engine.Syms.Lookup("d")
+	v1, _ := sys.Engine.Syms.Lookup("v1")
+	v4, _ := sys.Engine.Syms.Lookup("v4")
 	for _, row := range open.Answer.Tuples() {
-		if row[0] == aSym && row[1] == dSym {
+		if row[0] == v1 && row[1] == v4 {
 			count++
 		}
 	}
-	if ground.Answer.Len() != count {
-		t.Fatalf("n-ary answer = %d rows, full closure has %d matching", ground.Answer.Len(), count)
+	if bound.Answer.Len() != count || count == 0 {
+		t.Fatalf("n-ary answer = %d rows, full closure has %d matching", bound.Answer.Len(), count)
+	}
+}
+
+// TestRepeatedVariableGoal: a variable repeated in a goal is a column
+// equality.  path(X,X) over a 3-cycle with a tail answers the cycle's
+// nodes only — materialized, streamed, limited and from the result
+// cache — on the one-rule closure and on the two commuting rules.
+func TestRepeatedVariableGoal(t *testing.T) {
+	const facts = "edge(a,b). edge(b,c). edge(c,a). edge(c,d).\n"
+	want := [][]string{{"a", "a"}, {"b", "b"}, {"c", "c"}}
+	for name, rules := range map[string]string{
+		"one rule":  "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\n",
+		"two rules": "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys, err := Load(rules + facts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goal := ast.NewAtom("path", ast.V("X"), ast.V("X"))
+			for _, pass := range []string{"evaluated", "cached"} {
+				res, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Rows(sys); !reflect.DeepEqual(got, want) || res.Cached != (pass == "cached") {
+					t.Fatalf("%s: rows %v (cached %v), want %v", pass, got, res.Cached, want)
+				}
+			}
+			for _, limit := range []int{0, 2} {
+				st, err := sys.Stream(context.Background(), QueryRequest{Goal: ast.NewAtom("path", ast.V("Y"), ast.V("Y")), Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for row, ok := st.Next(); ok; row, ok = st.Next() {
+					if row[0] != row[1] {
+						t.Fatalf("limit %d: streamed row %v", limit, st.RenderRow(row))
+					}
+					n++
+				}
+				st.Close()
+				if wantN := len(want); (limit == 0 && n != wantN) || (limit > 0 && n != limit) {
+					t.Fatalf("limit %d: streamed %d rows", limit, n)
+				}
+			}
+		})
 	}
 }

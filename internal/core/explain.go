@@ -1,6 +1,6 @@
 // Planner explanation: the decision tree behind a query's plan, exposed
-// without executing anything.  Explain mirrors PlanFor's dispatch —
-// unknown-constant short-circuit, n-ary separable candidacy, then the
+// without executing anything.  Explain reports the plan PlanFor returns
+// and Evaluate runs — the unknown-constant short-circuit, else the
 // analysis-driven ChooseMulti — and flattens the chosen plan plus the
 // identifiers a client needs to correlate it with traces and metrics:
 // the goal adornment, the result-cache key the execution path would use,
@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"linrec/internal/ast"
-	"linrec/internal/planner"
 )
 
 // Explain describes the plan a query would run under, without running
@@ -38,8 +37,7 @@ type Explain struct {
 	// Workers is the worker budget the plan would evaluate with.
 	Workers int `json:"workers"`
 	// Parallelizable reports whether that budget can actually be used —
-	// separable and context-mode magic plans evaluate sequentially
-	// regardless.
+	// context-mode magic plans evaluate sequentially regardless.
 	Parallelizable bool `json:"parallelizable"`
 	// CacheKey is the goal-level result-cache key the execution path
 	// would address ("goal|kind|strategy|wN"); empty when the query is
@@ -71,18 +69,12 @@ func (s *System) Explain(q ast.Atom, opts Options) (*Explain, error) {
 		Workers:   opts.Workers,
 	}
 	if unknown != "" {
-		ex.PlanKind = planner.SemiNaive.Slug()
-		ex.Plan = planner.SemiNaive.String()
-		ex.Why = fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", unknown)
+		plan := unknownPlan(unknown)
+		ex.PlanKind, ex.Plan, ex.Why = plan.Kind.Slug(), plan.Kind.String(), plan.Why
 		ex.Workers = 0 // nothing evaluates
 		return ex, nil
 	}
-	var plan *planner.Plan
-	if nArySeparableCandidate(a, sels) {
-		plan = &planner.Plan{Kind: planner.Separable, Why: "n-ary separable candidate (Section 4.1)"}
-	} else {
-		plan = a.ChooseMulti(sels, opts.planOpts())
-	}
+	plan := a.ChooseMulti(sels, opts.planOpts())
 	ex.PlanKind = plan.Kind.Slug()
 	ex.Plan = plan.Kind.String()
 	ex.Why = plan.Why
@@ -91,7 +83,7 @@ func (s *System) Explain(q ast.Atom, opts Options) (*Explain, error) {
 		ex.Workers = plan.Workers
 	}
 	ex.CacheKey = fmt.Sprintf("%s|%s|%s|w%d",
-		normalizeGoal(q), s.intendedKind(a, sels, opts).Slug(), opts.Strategy, opts.Workers)
+		normalizeGoal(q), plan.Kind.Slug(), opts.Strategy, opts.Workers)
 	ex.Groups = len(plan.Groups)
 	if plan.Magic != nil {
 		ex.MagicMode = plan.Magic.Mode.String()

@@ -23,6 +23,24 @@ func mustAtom(t *testing.T, src string) ast.Atom {
 	return a
 }
 
+// samePlan fails the test unless PlanFor and Explain report the plan
+// kind and rationale that Evaluate ran for goal under opts.
+func samePlan(t *testing.T, sys *System, goal ast.Atom, opts Options, ran *planner.Plan) {
+	t.Helper()
+	pf, err := sys.PlanFor(goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := sys.Explain(goal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.Kind != ran.Kind || pf.Why != ran.Why || ex.PlanKind != ran.Kind.Slug() || ex.Why != ran.Why {
+		t.Fatalf("%s: PlanFor %v %q, Explain %s %q, Evaluate ran %v %q",
+			goal, pf.Kind, pf.Why, ex.PlanKind, ex.Why, ran.Kind, ran.Why)
+	}
+}
+
 // genMagicProgram builds a random linear recursive program: 1–3 recursive
 // rules drawn from shapes that exercise every magic classification
 // (context steps, identities, init rules, and shapes with no finite
@@ -124,6 +142,9 @@ func TestMagicSeededDifferential(t *testing.T) {
 		}
 
 		wantRows := base.Rows(sys)
+		samePlan(t, sys, goal, Options{Strategy: planner.ForceSemiNaive}, base.Plan)
+		samePlan(t, sys, goal, Options{}, auto.Plan)
+		samePlan(t, sys, goal, Options{Workers: 4}, auto4.Plan)
 		for which, got := range map[string]*QueryResult{"sequential": auto, "parallel": auto4} {
 			if !reflect.DeepEqual(got.Rows(sys), wantRows) {
 				t.Fatalf("attempt %d: %s %s answers diverge under plan %v (%s):\nprogram:\n%s\nwant %v\ngot  %v",
@@ -205,6 +226,9 @@ func TestMagicMultiBoundDifferential(t *testing.T) {
 		}
 
 		wantRows := base.Rows(sys)
+		samePlan(t, sys, goal, Options{Strategy: planner.ForceSemiNaive}, base.Plan)
+		samePlan(t, sys, goal, Options{}, auto.Plan)
+		samePlan(t, sys, goal, Options{Workers: 4}, auto4.Plan)
 		for which, got := range map[string]*QueryResult{"sequential": auto, "parallel": auto4} {
 			if !reflect.DeepEqual(got.Rows(sys), wantRows) {
 				t.Fatalf("attempt %d: %s %s answers diverge under plan %v (%s):\nprogram:\n%s\nwant %v\ngot  %v",

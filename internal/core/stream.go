@@ -6,13 +6,13 @@
 // round that produced its k-th answer.
 //
 // The planner opens every plan's final closure as an un-drained stream
-// (planner.Analysis.Open), so laziness covers the three closure-shaped
-// plan paths: plain semi-naive, the final group of a decomposed closure
-// (earlier groups must materialize — they feed the next closure's
-// seed), and the magic-restricted closure of filter-mode magic plans.
-// The remaining plan kinds (separable, context-mode magic, the
-// n-ary separable decomposition) produce their answer as a whole and
-// come back as an already-complete stream, so early termination saves
+// (planner.Analysis.Open), so laziness covers every closure-shaped plan
+// path: plain semi-naive, the final group of a decomposed closure and
+// the final step of a separable plan (binary or n-ary; earlier groups
+// and steps must materialize — they feed the next closure's seed), and
+// the magic-restricted closure of filter-mode magic plans.  Only a
+// context-mode magic plan collects its answer as a whole and comes back
+// as an already-complete stream, so there early termination saves
 // transport but not evaluation.
 //
 // Result-cache interaction: a stream peeks the goal-level cache and
@@ -34,7 +34,6 @@ import (
 	"linrec/internal/eval"
 	"linrec/internal/planner"
 	"linrec/internal/rel"
-	"linrec/internal/separable"
 )
 
 // QueryStream is a pull-based handle on one query's answer rows.  It is
@@ -53,7 +52,7 @@ type QueryStream struct {
 	// closure feeds the rows: a live closure stepping on demand, or an
 	// already-complete one over a cached or materialized answer.
 	closure  *eval.ClosureStream
-	filters  []separable.Selection
+	res      residual
 	preStats eval.Stats
 
 	key      resultKey
@@ -72,10 +71,10 @@ type QueryStream struct {
 // snapshot.  req.Limit > 0 caps the stream at that many rows (the k-th
 // row ends it, and rounds past the one that produced it never run);
 // Limit ≤ 0 streams the full answer.  Construction may already
-// evaluate: the seed, a magic frontier, or — for plan kinds with no
-// streamable closure — the whole query.  Errors during construction or
-// streaming that stem from engine invariant violations are recovered
-// into ErrInternal, as in Evaluate.
+// evaluate: the seed, a magic frontier, the groups or steps before a
+// plan's final closure, or — for a context-mode magic plan — the whole
+// query.  Errors during construction or streaming that stem from engine
+// invariant violations are recovered into ErrInternal, as in Evaluate.
 func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream, err error) {
 	snap := req.Snap
 	if snap == nil {
@@ -97,13 +96,13 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 	}
 	st = &QueryStream{sys: s, query: q, version: snap.Version, limit: limit}
 	if unknown != "" {
-		st.plan = &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", unknown)}
-		st.closure = eval.Completed(rel.NewRelation(q.Arity()))
+		st.plan, st.closure = unknownPlan(unknown), eval.Completed(rel.NewRelation(q.Arity()))
 		return st, nil
 	}
+	plan := a.ChooseMulti(sels, opts.planOpts())
 	st.key = resultKey{
 		goal:     normalizeGoal(q),
-		kind:     s.intendedKind(a, sels, opts),
+		kind:     plan.Kind,
 		strategy: opts.Strategy,
 		workers:  opts.Workers,
 	}
@@ -117,22 +116,11 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 	}
 	tr.Cache("result", "miss", st.key.goal, 0)
 
-	if nArySeparableCandidate(a, sels) {
-		// The n-ary separable decomposition (and its fallbacks) evaluates
-		// exactly as Evaluate — full answer, full cost.
-		res, err := s.queryEval(ctx, snap, q, a, sels, opts)
-		if err != nil {
-			return nil, err
-		}
-		s.populateResult(st.key, snap.Version, res)
-		st.plan, st.preStats, st.closure = res.Plan, res.Stats, eval.Completed(res.Answer)
-		return st, nil
-	}
-	plan, seed, err := s.planSeeded(ctx, snap, a, sels, opts)
+	seed, err := s.seedPlan(ctx, snap, a, plan)
 	if err != nil {
 		return nil, err
 	}
-	st.plan, st.filters = plan, plan.Residual(sels)
+	st.plan, st.res = plan, residualFor(q, plan, sels)
 	st.closure, st.preStats, err = a.Open(ctx, s.Engine, snap.DB, plan, opts.planOpts(), seed)
 	if err != nil {
 		return nil, err
@@ -149,14 +137,10 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 }
 
 // result assembles the query result from a complete closure: the
-// residual selections applied to its total, the pre-stream statistics
-// plus the closure's.
+// residual filters applied to its total, the pre-stream statistics plus
+// the closure's.
 func (st *QueryStream) result() *QueryResult {
-	ans := st.closure.Total()
-	for _, sel := range st.filters {
-		ans = sel.Apply(ans)
-	}
-	return &QueryResult{Query: st.query, Answer: ans, Stats: st.Stats(), Plan: st.plan, Version: st.version}
+	return &QueryResult{Query: st.query, Answer: st.res.apply(st.closure.Total()), Stats: st.Stats(), Plan: st.plan, Version: st.version}
 }
 
 // populateResult offers a complete query result to the result cache
@@ -173,16 +157,6 @@ func (s *System) populateResult(key resultKey, version uint64, res *QueryResult)
 	}
 	res.memo = &rowsMemo{syms: s.Engine.Syms}
 	s.results.complete(e, res, nil)
-}
-
-// match applies the query's residual selections to one candidate row.
-func (st *QueryStream) match(t rel.Tuple) bool {
-	for _, sel := range st.filters {
-		if t[sel.Col] != sel.Value {
-			return false
-		}
-	}
-	return true
 }
 
 // Next yields the next answer row, advancing the underlying closure by
@@ -213,7 +187,7 @@ func (st *QueryStream) Next() (row rel.Tuple, ok bool) {
 			st.finish()
 			return nil, false
 		}
-		if !st.match(t) {
+		if !st.res.match(t) {
 			continue
 		}
 		st.yielded++
@@ -255,9 +229,9 @@ func (st *QueryStream) Close() {
 func (st *QueryStream) Err() error { return st.err }
 
 // Stats returns the evaluation statistics accumulated so far: any
-// pre-stream work (magic frontier, earlier decomposed groups, or the
-// full evaluation on materialized paths) plus the closure rounds that
-// actually ran.
+// pre-stream work (magic frontier, earlier decomposed groups or
+// separable steps, or a context-mode magic plan's whole evaluation) plus
+// the closure rounds that actually ran.
 func (st *QueryStream) Stats() eval.Stats {
 	stats := st.preStats
 	stats.Add(st.closure.Stats())

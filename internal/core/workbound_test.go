@@ -31,24 +31,36 @@ const magicWorkFactor = 4
 const closureWorkRatio = 50
 
 // Left- and right-recursive transitive closure over edge: the two rule
-// forms the magic plan answers in context and in filter mode.
+// forms the magic plan answers in context and in filter mode.  serveTC is
+// the two commuting rules together, beside the one-rule reach.
 const (
 	leftTC  = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y)."
 	rightTC = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y)."
+	serveTC = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,U), edge(U,Y).\npath(X,Y) :- edge(X,U), path(U,Y).\n" +
+		"reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,U), edge(U,Y)."
 )
 
 // TestMagicPlanWorkBound: a magic-seeded bound goal derives at most a
 // small constant times (answer + frontier) rows, while closure-then-filter
 // on the same goal derives at least closureWorkRatio times as many.  Both
 // rule forms are covered, with one bound column (path(c,Y)) and with a
-// 2-column adornment (the point goal path(c,d)).
+// 2-column adornment (the point goal path(c,d)).  On the two commuting
+// rules the point goal path(c,d) could take the n-ary separable
+// assignment, which closes a whole operator; its full adornment binds in
+// context mode, so it takes the frontier under reach(c,d)'s bound.
 func TestMagicPlanWorkBound(t *testing.T) {
+	type goal struct {
+		pred  string
+		point bool // bind the second column too
+		mode  planner.MagicMode
+	}
 	for _, f := range []struct {
 		name, src string
-		modes     [2]planner.MagicMode // for path(c,Y) and path(c,d)
+		goals     []goal
 	}{
-		{"left-recursive", leftTC, [2]planner.MagicMode{planner.MagicContext, planner.MagicContext}},
-		{"right-recursive", rightTC, [2]planner.MagicMode{planner.MagicFilter, planner.MagicContext}},
+		{"left-recursive", leftTC, []goal{{"path", false, planner.MagicContext}, {"path", true, planner.MagicContext}}},
+		{"right-recursive", rightTC, []goal{{"path", false, planner.MagicFilter}, {"path", true, planner.MagicContext}}},
+		{"commuting", serveTC, []goal{{"reach", true, planner.MagicContext}, {"path", true, planner.MagicContext}}},
 	} {
 		sys, err := Load(f.src)
 		if err != nil {
@@ -56,12 +68,11 @@ func TestMagicPlanWorkBound(t *testing.T) {
 		}
 		workload.RandomTree(sys.Engine, sys.DB(), "edge", workBoundTreeNodes, 47)
 		const source = "t100"
-		goals := []ast.Atom{
-			ast.NewAtom("path", ast.C(source), ast.V("Y")),
-			ast.NewAtom("path", ast.C(source), ast.C(deepestDescendant(t, sys, source))),
-		}
-		for i, goal := range goals {
-			cols := []int{0, 1}[:i+1]
+		for _, g := range f.goals {
+			goal, cols := ast.NewAtom(g.pred, ast.C(source), ast.V("Y")), []int{0}
+			if g.point {
+				goal, cols = ast.NewAtom(g.pred, ast.C(source), ast.C(deepestDescendant(t, sys, source))), []int{0, 1}
+			}
 			t.Run(fmt.Sprintf("%s/%s", f.name, goal), func(t *testing.T) {
 				ctx := context.Background()
 				magic, err := sys.Evaluate(ctx, QueryRequest{Goal: goal})
@@ -69,8 +80,8 @@ func TestMagicPlanWorkBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				plan := magic.Plan
-				if plan.Kind != planner.MagicSeeded || plan.Magic.Mode != f.modes[i] || !reflect.DeepEqual(plan.Magic.Spec.Cols, cols) {
-					t.Fatalf("plan = %v (%s), want %v-mode magic over columns %v", plan.Kind, plan.Why, f.modes[i], cols)
+				if plan.Kind != planner.MagicSeeded || plan.Magic.Mode != g.mode || !reflect.DeepEqual(plan.Magic.Spec.Cols, cols) {
+					t.Fatalf("plan = %v (%s), want %v-mode magic over columns %v", plan.Kind, plan.Why, g.mode, cols)
 				}
 				base, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Opts: Options{Strategy: planner.ForceSemiNaive}})
 				if err != nil {

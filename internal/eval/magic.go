@@ -43,7 +43,7 @@ const MagicSetPred = "$magic"
 // MagicSpec is a compiled magic/adorned program for one adornment (set of
 // bound columns) of one recursive predicate: the rules whose fixpoint
 // from the query's bound tuple is the magic set.  Specs are built by the
-// planner's bindability analysis (planner.Analysis.MagicAnalysis) and are
+// planner's bindability analysis (planner.MagicAnalysis) and are
 // immutable once built, so one spec may serve any number of concurrent
 // evaluations.
 type MagicSpec struct {

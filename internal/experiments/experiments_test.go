@@ -112,6 +112,27 @@ func TestA41RunAgrees(t *testing.T) {
 	}
 }
 
+// TestA41TablePinned pins the deterministic columns of the A41 paper table
+// (answer, base derivs, sep derivs at the table's sizes and seed), so a
+// change to the separable plan or the kernel cannot move them silently.
+func TestA41TablePinned(t *testing.T) {
+	for _, want := range []A41Result{
+		{N: 32, Answer: 32, BaseDerivs: 2448, SepDerivs: 58},
+		{N: 64, Answer: 64, BaseDerivs: 10789, SepDerivs: 64},
+		{N: 128, Answer: 128, BaseDerivs: 45038, SepDerivs: 228},
+		{N: 256, Answer: 256, BaseDerivs: 186468, SepDerivs: 459},
+	} {
+		r, err := A41Run(want.N, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Answer != want.Answer || r.BaseDerivs != want.BaseDerivs || r.SepDerivs != want.SepDerivs || !r.UsedMagic || !r.ResultsAgree {
+			t.Errorf("n=%d: answer %d, base derivs %d, sep derivs %d (context iteration %v, agree %v); want %d/%d/%d",
+				want.N, r.Answer, r.BaseDerivs, r.SepDerivs, r.UsedMagic, r.ResultsAgree, want.Answer, want.BaseDerivs, want.SepDerivs)
+		}
+	}
+}
+
 func TestT53RunAgrees(t *testing.T) {
 	r, err := T53Run(6)
 	if err != nil {

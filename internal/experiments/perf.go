@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/commute"
 	"linrec/internal/eval"
+	"linrec/internal/parser"
+	"linrec/internal/planner"
 	"linrec/internal/redundant"
 	"linrec/internal/rel"
 	"linrec/internal/separable"
@@ -117,37 +121,41 @@ type A41Result struct {
 }
 
 // A41Run compares σ(A1+A2)*q evaluated monolithically vs by Algorithm 4.1
-// on a chain+random workload with the selection bound to one node.
+// on a chain+random workload with the selection bound to one node.  The
+// separable side is the plan the planner chooses and serves queries with.
 func A41Run(n int, seed int64) (A41Result, error) {
 	e := eval.NewEngine(nil)
 	db := rel.DB{}
 	workload.ChainShared(e, db, "up", n)
 	workload.Random(e, db, "down", n+1, 2*n, seed)
-	a1 := mustOp("p(X,Y) :- p(X,U), up(U,Y).")
-	a2 := mustOp("p(X,Y) :- down(X,U), p(U,Y).")
-	q := db["up"].Clone()
-	sel := separable.Selection{Col: 0, Value: e.Syms.Intern("v0")}
-
-	start := time.Now()
-	base, err := separable.Baseline(e, db, a1, a2, q, sel)
+	rules := []ast.Rule{parser.MustParseRule("p(X,Y) :- up(X,Y)."),
+		mustOp("p(X,Y) :- p(X,U), up(U,Y).").Rule(), mustOp("p(X,Y) :- down(X,U), p(U,Y).").Rule()}
+	a, err := planner.Analyze(&ast.Program{Rules: rules}, "p")
 	if err != nil {
 		return A41Result{}, err
 	}
+	q := db.Rel("up", 2) // the exit rule's seed; no plan mutates it
+	sel := separable.Selection{Col: 0, Value: e.Syms.Intern("v0")}
+
+	start := time.Now()
+	base, baseStats := separable.Baseline(e, db, a.Ops[0], a.Ops[1], q, sel)
 	baseTime := time.Since(start)
 
 	start = time.Now()
-	sep, err := separable.Eval(e, db, a1, a2, q, sel)
+	tr := &eval.Tracer{}
+	plan := a.ChooseMulti([]separable.Selection{sel}, planner.Options{})
+	sep, err := a.ExecuteSeeded(eval.WithTracer(context.Background(), tr), e, db, plan, &sel, planner.Options{}, q)
 	if err != nil {
 		return A41Result{}, err
 	}
 	sepTime := time.Since(start)
 
 	return A41Result{
-		N: n, Answer: sep.Rel.Len(),
-		BaseDerivs: base.Stats.Derivations, SepDerivs: sep.Stats.Derivations,
+		N: n, Answer: sep.Answer.Len(),
+		BaseDerivs: baseStats.Derivations, SepDerivs: sep.Stats.Derivations,
 		BaseElapsed: baseTime, SepElapsed: sepTime,
-		UsedMagic:    sep.UsedMagic,
-		ResultsAgree: sep.Rel.Equal(base.Rel),
+		UsedMagic:    slices.ContainsFunc(tr.Trace().Phases, func(ph *eval.PhaseTrace) bool { return ph.Name == "magic-frontier" }),
+		ResultsAgree: sep.Answer.Equal(base),
 	}, nil
 }
 

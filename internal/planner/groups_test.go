@@ -222,7 +222,7 @@ func TestBoundedOperatorSemiNaive(t *testing.T) {
 			cur = next
 		}
 		for _, workers := range []int{1, 2} {
-			res, err := a.ExecuteOpts(e, db, plan, nil, Options{Workers: workers})
+			res, err := a.Execute(e, db, a.ChooseMulti(nil, Options{Workers: workers}), nil)
 			if err != nil {
 				t.Fatalf("%s: Execute: %v", src, err)
 			}

@@ -2,15 +2,17 @@
 // selection query can be answered from the query's constants outward
 // instead of by closing the whole predicate and filtering.
 //
-// Theorem 4.1 covers the two-rule case in which the selection commutes
-// with one operator; every other bound query used to fall through to the
-// full closure.  The analysis here closes that gap for the common shape
-// where each rule either passes the bound columns through (possibly
-// permuted among themselves) or transports them across its nonrecursive
-// atoms: the per-rule "context transformer" of Algorithm 4.1's operator
-// loop, generalized from a single operator and a single bound column to
-// the whole rule set and the full adornment, and compiled into an
-// eval.MagicSpec the engine iterates as a frontier of bound tuples.
+// Theorem 4.1 and its n-ary form cover commuting operators whose
+// selections each commute with all but one of them; every other bound
+// query used to fall through to the full closure.  The analysis here
+// closes that gap for the common shape where each rule either passes the
+// bound columns through (possibly permuted among themselves) or
+// transports them across its nonrecursive atoms: the per-rule "context
+// transformer" of Algorithm 4.1's operator loop, generalized from a
+// single operator and a single bound column to any operator list and the
+// full adornment, and compiled into an eval.MagicSpec the engine
+// iterates as a frontier of bound tuples.  A separable plan's selection
+// step runs the single-operator case.
 // When the full adornment is not bindable, the analysis falls back to
 // the largest bindable column subset (the single-column analysis of the
 // original plan kind is the 1-element special case); the columns it
@@ -20,7 +22,7 @@ package planner
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,19 +113,21 @@ func passesThroughOthers(op *ast.Op, cols []int) bool {
 	return true
 }
 
-// MagicAnalysis compiles the magic frontier program for the adornment
-// binding cols (ascending column indexes).  Per rule, each bound
-// column's antecedent variable must be determined by the bound context —
-// copied from some bound head column (the identity h(x) = x and
-// cross-column permutations alike) or bound by the nonrecursive atoms —
-// or the rule gives the adornment no finite context transformer and ok
-// is false (as it is for non-range-restricted rules); those rule sets
-// keep the closure-then-filter path for this column subset (the caller
-// falls back to a smaller one).  When ok, mode reports whether answers
-// can be collected directly (MagicContext) or a restricted closure must
-// run (MagicFilter).
-func (a *Analysis) MagicAnalysis(cols []int) (spec eval.MagicSpec, mode MagicMode, ok bool) {
-	arity := a.Ops[0].Arity()
+// MagicAnalysis compiles the magic frontier program of the operators ops
+// for the adornment binding cols (ascending column indexes): the whole
+// rule set for a MagicSeeded plan, one operator for a separable plan's
+// selection step.  Per rule, each bound column's antecedent variable
+// must be determined by the bound context — copied from some bound head
+// column (the identity h(x) = x and cross-column permutations alike) or
+// bound by the nonrecursive atoms — or the rule gives the adornment no
+// finite context transformer and ok is false (as it is for
+// non-range-restricted rules); those rule sets keep the
+// closure-then-filter path for this column subset (the caller falls back
+// to a smaller one).  When ok, mode reports whether answers can be
+// collected directly (MagicContext) or a restricted closure must run
+// (MagicFilter).
+func MagicAnalysis(ops []*ast.Op, cols []int) (spec eval.MagicSpec, mode MagicMode, ok bool) {
+	arity := ops[0].Arity()
 	if len(cols) == 0 {
 		return eval.MagicSpec{}, 0, false
 	}
@@ -134,7 +138,7 @@ func (a *Analysis) MagicAnalysis(cols []int) (spec eval.MagicSpec, mode MagicMod
 	}
 	spec.Cols = append([]int(nil), cols...)
 	mode = MagicContext
-	for _, op := range a.Ops {
+	for _, op := range ops {
 		if !op.IsRangeRestricted() {
 			return eval.MagicSpec{}, 0, false
 		}
@@ -208,8 +212,8 @@ func magicCols(cols []int) string {
 
 // magicSubsetCap bounds the bound-column count the subset fallback
 // enumerates over (2^cap subsets); adornments beyond it — far past any
-// realistic predicate arity — only attempt the full set and the
-// single-column prefixes.
+// realistic predicate arity — only attempt the full set and the single
+// columns.
 const magicSubsetCap = 10
 
 // magicPlan builds the MagicSeeded plan for the query's selections, or
@@ -220,89 +224,58 @@ const magicSubsetCap = 10
 // choice, which the result-cache keying relies on.  Selections left out
 // of the chosen subset stay with the caller as post-filters.
 func (a *Analysis) magicPlan(sels []separable.Selection) *Plan {
-	if len(sels) == 0 {
+	byCol := slices.Clone(sels)
+	sort.Slice(byCol, func(i, j int) bool { return byCol[i].Col < byCol[j].Col })
+	for size := len(byCol); size >= 1; size-- {
+		var best *Plan
+		for _, subset := range subsets(len(byCol), size) {
+			cols := make([]int, size)
+			chosen := make([]separable.Selection, size)
+			for i, idx := range subset {
+				cols[i], chosen[i] = byCol[idx].Col, byCol[idx]
+			}
+			spec, mode, ok := MagicAnalysis(a.Ops, cols)
+			if !ok {
+				continue
+			}
+			plan := &Plan{
+				Kind:  MagicSeeded,
+				Magic: &MagicPlan{Mode: mode, Sels: chosen, Spec: spec},
+				Why:   magicWhy(mode, cols, len(sels)-len(cols)),
+			}
+			if mode == MagicContext {
+				return plan
+			}
+			if best == nil {
+				best = plan
+			}
+		}
+		if best != nil {
+			return best
+		}
+	}
+	return nil
+}
+
+// subsets lists the size-element subsets of {0, …, n−1} in lexicographic
+// order; past magicSubsetCap, only the full set and the singletons.
+func subsets(n, size int) [][]int {
+	if n > magicSubsetCap && size != n && size != 1 {
 		return nil
 	}
-	byCol := append([]separable.Selection(nil), sels...)
-	sort.Slice(byCol, func(i, j int) bool { return byCol[i].Col < byCol[j].Col })
-
-	var candidates [][]int
-	if len(byCol) <= magicSubsetCap {
-		// All non-empty subsets, largest first; within a size the masks
-		// enumerate lexicographically smallest column set first.
-		n := len(byCol)
-		for size := n; size >= 1; size-- {
-			var masks []int
-			for mask := 1; mask < 1<<n; mask++ {
-				if bits.OnesCount(uint(mask)) == size {
-					masks = append(masks, mask)
-				}
-			}
-			sort.Slice(masks, func(i, j int) bool {
-				return colsOfMask(byCol, masks[i]) < colsOfMask(byCol, masks[j])
-			})
-			candidates = append(candidates, nil) // size barrier marker
-			for _, mask := range masks {
-				subset := make([]int, 0, size)
-				for i := 0; i < n; i++ {
-					if mask&(1<<i) != 0 {
-						subset = append(subset, i)
-					}
-				}
-				candidates = append(candidates, subset)
-			}
+	var out [][]int
+	var walk func(from int, cur []int)
+	walk = func(from int, cur []int) {
+		if len(cur) == size {
+			out = append(out, slices.Clone(cur))
+			return
 		}
-	} else {
-		// Degenerate arity: full set, then each single column.
-		full := make([]int, len(byCol))
-		for i := range byCol {
-			full[i] = i
-		}
-		candidates = append(candidates, nil, full, nil)
-		for i := range byCol {
-			candidates = append(candidates, []int{i})
+		for i := from; i <= n-size+len(cur); i++ {
+			walk(i+1, append(cur, i))
 		}
 	}
-
-	// Walk size groups: inside one group a context-mode hit wins
-	// immediately over any filter-mode hit, and the first filter-mode hit
-	// is kept as the group's fallback.
-	var best *Plan
-	flush := func() *Plan {
-		p := best
-		best = nil
-		return p
-	}
-	for _, subset := range candidates {
-		if subset == nil {
-			if p := flush(); p != nil {
-				return p
-			}
-			continue
-		}
-		cols := make([]int, len(subset))
-		chosen := make([]separable.Selection, len(subset))
-		for i, idx := range subset {
-			cols[i] = byCol[idx].Col
-			chosen[i] = byCol[idx]
-		}
-		spec, mode, ok := a.MagicAnalysis(cols)
-		if !ok {
-			continue
-		}
-		plan := &Plan{
-			Kind:  MagicSeeded,
-			Magic: &MagicPlan{Mode: mode, Sels: chosen, Spec: spec},
-			Why:   magicWhy(mode, cols, len(sels)-len(cols)),
-		}
-		if mode == MagicContext {
-			return plan
-		}
-		if best == nil {
-			best = plan
-		}
-	}
-	return flush()
+	walk(0, nil)
+	return out
 }
 
 // magicWhy renders the plan explanation for an adornment over cols;
@@ -325,30 +298,12 @@ func magicWhy(mode MagicMode, cols []int, dropped int) string {
 	return why
 }
 
-// colsOfMask renders the column set a selection-index mask picks, as a
-// sortable string.
-func colsOfMask(byCol []separable.Selection, mask int) string {
-	var b strings.Builder
-	for i := range byCol {
-		if mask&(1<<i) != 0 {
-			fmt.Fprintf(&b, "%06d,", byCol[i].Col)
-		}
-	}
-	return b.String()
-}
-
 // Parallelizable reports whether executing the plan shards closure
 // rounds across a worker pool — equivalently, whether Open returns a
-// live closure rather than an already-complete answer.  Separable and
-// context-mode magic plans evaluate sequentially and whole —
+// live closure rather than an already-complete answer.  Only a
+// context-mode magic plan collects its answer whole and sequentially;
 // the server's admission control uses this to size per-query worker
 // grants.
 func (p *Plan) Parallelizable() bool {
-	switch p.Kind {
-	case SemiNaive, Decomposed:
-		return true
-	case MagicSeeded:
-		return p.Magic != nil && p.Magic.Mode == MagicFilter
-	}
-	return false
+	return p.Kind != MagicSeeded || (p.Magic != nil && p.Magic.Mode == MagicFilter)
 }

@@ -125,7 +125,7 @@ func TestMagicAnalysisShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := analyzeSrc(t, tc.src)
-			spec, mode, ok := a.MagicAnalysis(tc.cols)
+			spec, mode, ok := MagicAnalysis(a.Ops, tc.cols)
 			if ok != tc.ok {
 				t.Fatalf("ok = %v, want %v", ok, tc.ok)
 			}
@@ -216,7 +216,7 @@ func TestMagicPlanPriority(t *testing.T) {
 	if plan.Parallelizable() {
 		t.Errorf("context-mode magic plan reports parallelizable")
 	}
-	if p := single.ChooseOpts(sel, Options{Strategy: ForceSemiNaive}); p.Kind != SemiNaive {
+	if p := single.ChooseMulti([]separable.Selection{*sel}, Options{Strategy: ForceSemiNaive}); p.Kind != SemiNaive {
 		t.Errorf("forced strategy overridden by magic: %v", p.Kind)
 	}
 	if p := single.Choose(nil); p.Kind == MagicSeeded {
@@ -225,7 +225,7 @@ func TestMagicPlanPriority(t *testing.T) {
 
 	filter := analyzeSrc(t, `p(X,Y) :- b(X,Y).
 		p(X,Y) :- e(Z,X), p(Z,W), e(W,Y).`)
-	fp := filter.ChooseOpts(sel, Options{Workers: 4})
+	fp := filter.ChooseMulti([]separable.Selection{*sel}, Options{Workers: 4})
 	if fp.Kind != MagicSeeded || fp.Magic.Mode != MagicFilter {
 		t.Fatalf("same-generation binding: plan = %v (%s), want filter-mode MagicSeeded", fp.Kind, fp.Why)
 	}
@@ -266,17 +266,17 @@ func TestMagicExecutionMatchesClosure(t *testing.T) {
 			ins("e", [2]int{0, 2}, [2]int{2, 4}, [2]int{1, 3}, [2]int{5, 1})
 			ins("f", [2]int{0, 1}, [2]int{3, 5}, [2]int{4, 0})
 
-			sel := &separable.Selection{Col: 0, Value: e.Syms.Intern("a")}
-			flat, err := a.ExecuteCtx(context.Background(), e, db, &Plan{Kind: SemiNaive}, sel, Options{})
+			sel := separable.Selection{Col: 0, Value: e.Syms.Intern("a")}
+			flat, err := a.Execute(e, db, &Plan{Kind: SemiNaive}, &sel)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
 			for _, workers := range []int{1, 4} {
-				plan := a.ChooseOpts(sel, Options{Workers: workers})
+				plan := a.ChooseMulti([]separable.Selection{sel}, Options{Workers: workers})
 				if plan.Kind != MagicSeeded {
 					t.Fatalf("plan = %v (%s), want MagicSeeded", plan.Kind, plan.Why)
 				}
-				got, err := a.ExecuteCtx(context.Background(), e, db, plan, nil, Options{Workers: workers})
+				got, err := a.Execute(e, db, plan, nil)
 				if err != nil {
 					t.Fatalf("magic workers=%d: %v", workers, err)
 				}
@@ -292,9 +292,9 @@ func TestMagicExecutionMatchesClosure(t *testing.T) {
 				if err != nil {
 					t.Fatalf("MagicSetCtx: %v", err)
 				}
-				cached := a.ChooseOpts(sel, Options{Workers: workers})
+				cached := a.ChooseMulti([]separable.Selection{sel}, Options{Workers: workers})
 				cached.Magic.Set, cached.Magic.SetStats = set, setStats
-				got2, err := a.ExecuteCtx(context.Background(), e, db, cached, nil, Options{Workers: workers})
+				got2, err := a.Execute(e, db, cached, nil)
 				if err != nil {
 					t.Fatalf("cached magic workers=%d: %v", workers, err)
 				}

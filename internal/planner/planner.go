@@ -3,10 +3,12 @@
 // recursive redundancy (Section 6.2) — and selects an evaluation plan:
 //
 //   - decomposed closure A* = B*C* when the operators commute (Section 3);
-//   - the separable algorithm A1*(σ A2*) for selection queries (Thm 4.1);
+//   - the separable algorithm A1*(σ A2*) for selection queries (Thm 4.1)
+//     and its n-ary form (σ1A1*)…(σnAn*)σ0 (Section 4.1);
 //   - magic-seeded evaluation for bound selection queries no separable
-//     plan covers: a frontier from the query's constant either collects
-//     the answer directly or restricts the closure (see magic.go);
+//     plan covers, and for point goals whose full adornment binds: a
+//     frontier from the query's constants either collects the answer
+//     directly or restricts the closure (see magic.go);
 //   - semi-naive closure of the sum as the fallback.
 //
 // Recursive redundancy is reported (Summary), not planned on: its power
@@ -219,7 +221,8 @@ const (
 	// Decomposed: sequence of single-operator closures A1*…An* justified
 	// by pairwise commutativity.
 	Decomposed
-	// Separable: A1*(σ A2*) per Theorem 4.1 (two operators, selection).
+	// Separable: A1*(σ A2*) per Theorem 4.1 (two operators, selection)
+	// or its n-ary form (σ1A1*)…(σnAn*)σ0 (Section 4.1); see SeparablePlan.
 	Separable
 	// MagicSeeded: a bound selection query evaluated from the constant
 	// outward — a magic frontier over the bound column plus either
@@ -301,16 +304,13 @@ type Options struct {
 // Plan is an executable strategy for one query.
 type Plan struct {
 	Kind Kind
-	// Order is the operator application order for Separable plans:
-	// A1 = Ops[Order[0]], A2 = Ops[Order[1]].
-	Order []int
 	// Groups is the group sequence for Decomposed plans: closures run
 	// right-to-left (the last group's closure runs first), mirroring the
 	// product (ΣG₀)*·(ΣG₁)*·….  Singleton groups are single-operator
 	// closures; larger groups run semi-naive over their sum.
 	Groups [][]int
-	// Sel is the selection for Separable plans.
-	Sel separable.Selection
+	// Sep is the payload of Separable plans: σ0 and the σᵢAᵢ* steps.
+	Sep *SeparablePlan
 	// Magic is the payload of MagicSeeded plans: mode, compiled frontier
 	// spec, driving selection and optional cached magic set.
 	Magic *MagicPlan
@@ -320,19 +320,36 @@ type Plan struct {
 	Why string
 }
 
-// Choose picks a plan.  sel, when non-nil, is a selection on the answer.
-func (a *Analysis) Choose(sel *separable.Selection) *Plan {
-	return a.ChooseOpts(sel, Options{})
+// SeparablePlan is the payload of Separable plans: Section 4.1's n-ary
+// decomposition
+//
+//	σ0σ1…σn(ΣAᵢ)* q  =  (σ1A1*)…(σnAn*) σ0 q,
+//
+// where σ0 commutes with every operator and each σᵢ with every operator
+// but Aᵢ.  Theorem 4.1's σ(A1+A2)* q = A1*(σA2* q) is the two-step case.
+type SeparablePlan struct {
+	// Sigma0 are the selections that commute with every operator; they
+	// filter the seed.
+	Sigma0 []separable.Selection
+	// Steps are the factors σᵢAᵢ* in the order they run, innermost first.
+	Steps []SepStep
 }
 
-// ChooseOpts picks a plan under the given options, considering at most
-// one selection; see ChooseMulti for the full-adornment entry point.
-func (a *Analysis) ChooseOpts(sel *separable.Selection, opts Options) *Plan {
+// SepStep is one factor σAᵢ* of a separable plan: the closure of
+// Ops[Op], then Sel when non-nil.  Sel commutes with every operator of a
+// later step, so their closures keep every row it admits.
+type SepStep struct {
+	Op  int
+	Sel *separable.Selection
+}
+
+// Choose picks a plan.  sel, when non-nil, is a selection on the answer.
+func (a *Analysis) Choose(sel *separable.Selection) *Plan {
 	var sels []separable.Selection
 	if sel != nil {
 		sels = []separable.Selection{*sel}
 	}
-	return a.ChooseMulti(sels, opts)
+	return a.ChooseMulti(sels, Options{})
 }
 
 // ChooseMulti picks a plan under the given options for a query binding
@@ -342,25 +359,24 @@ func (a *Analysis) ChooseOpts(sel *separable.Selection, opts Options) *Plan {
 // parallelism — each group closure shards its rounds — so it stays
 // preferred over flat parallel semi-naive whenever commutativity
 // licenses it, and the plan records the pool it will run on.  Plans
-// consume selections as documented on their kind (Separable the first,
-// MagicSeeded the subset in Plan.Magic.Sels); the caller applies the
-// rest as post-filters.
+// consume selections as documented on their kind (Separable those in
+// Plan.Sep, MagicSeeded the subset in Plan.Magic.Sels); Plan.Residual
+// names the rest, which the caller applies as post-filters.
 func (a *Analysis) ChooseMulti(sels []separable.Selection, opts Options) *Plan {
 	plan := a.chooseKind(sels, opts)
 	plan.Workers = opts.Workers
-	if opts.Workers > 1 {
-		switch plan.Kind {
-		case SemiNaive:
-			plan.Why += fmt.Sprintf("; rounds shard across %d workers", opts.Workers)
-		case Decomposed:
-			plan.Why += fmt.Sprintf("; each group closure shards across %d workers", opts.Workers)
-		case MagicSeeded:
-			if plan.Magic != nil && plan.Magic.Mode == MagicFilter {
-				plan.Why += fmt.Sprintf("; the restricted closure shards across %d workers", opts.Workers)
-			}
-		}
+	if opts.Workers > 1 && plan.Parallelizable() {
+		plan.Why += fmt.Sprintf("; %s across %d workers", sharding[plan.Kind], opts.Workers)
 	}
 	return plan
+}
+
+// sharding names, per plan kind, the closures a worker pool shards.
+var sharding = [...]string{
+	SemiNaive:   "rounds shard",
+	Decomposed:  "each group closure shards",
+	Separable:   "each step closure shards",
+	MagicSeeded: "the restricted closure shards",
 }
 
 func (a *Analysis) chooseKind(sels []separable.Selection, opts Options) *Plan {
@@ -373,24 +389,10 @@ func (a *Analysis) chooseKind(sels []separable.Selection, opts Options) *Plan {
 		}
 		return &Plan{Kind: SemiNaive, Why: "decomposition forced but operators form a single group"}
 	}
-	if len(sels) > 0 && len(a.Ops) == 2 && a.AllCommute() {
-		// Theorem 4.1 needs σ to commute with one of the operators; that
-		// one becomes A1 (applied last).  The primary selection drives
-		// the plan; further selections post-filter.
-		sel := sels[0]
-		for i := 0; i < 2; i++ {
-			if sel.CommutesWith(a.Ops[i]) {
-				return &Plan{
-					Kind:  Separable,
-					Order: []int{i, 1 - i},
-					Sel:   sel,
-					Why:   fmt.Sprintf("operators commute and σ[%d] commutes with rule %d (Theorem 4.1)", sel.Col, i+1),
-				}
-			}
-		}
+	if p := a.separablePlan(sels); p != nil {
+		return p
 	}
-	// No separable plan applies to this bound query (including an n-ary
-	// separable candidate whose assignment failed): try a magic-seeded
+	// No separable plan applies to this bound query: try a magic-seeded
 	// evaluation from the constants outward — the full adornment when
 	// every rule binds it, the best column subset otherwise — before
 	// conceding the full closure (decomposed or not) plus a post-filter.
@@ -407,6 +409,88 @@ func (a *Analysis) chooseKind(sels []separable.Selection, opts Options) *Plan {
 	return &Plan{Kind: SemiNaive, Why: "no decomposition applies"}
 }
 
+// separablePlan builds the Separable plan for a bound query on mutually
+// commuting operators, or nil.  Legality is syntactic (Section 4.1 and
+// Theorem 4.1 only ask which selections commute with which operators),
+// tried in this order:
+//
+//   - a point goal (≥ 2 bound columns) whose full adornment every rule
+//     binds in context mode takes no separable plan: the magic frontier
+//     answers it in work proportional to the answer, where a step would
+//     close a whole operator;
+//   - ≥ 2 selections take the n-ary form when each one commutes with
+//     every operator (σ0) or fails against exactly one, no two against
+//     the same;
+//   - on two operators, the first selection takes Theorem 4.1's form: A1
+//     is the first operator it commutes with, and it filters the A2 step;
+//     further selections post-filter.
+func (a *Analysis) separablePlan(sels []separable.Selection) *Plan {
+	if len(sels) == 0 || len(a.Ops) < 2 || !a.AllCommute() {
+		return nil
+	}
+	if len(sels) >= 2 {
+		cols := make([]int, len(sels))
+		for i, sel := range sels {
+			cols[i] = sel.Col
+		}
+		slices.Sort(cols)
+		if _, mode, ok := MagicAnalysis(a.Ops, cols); ok && mode == MagicContext {
+			return nil
+		}
+		if sp := a.assign(sels); sp != nil {
+			return &Plan{Kind: Separable, Sep: sp,
+				Why: fmt.Sprintf("n-ary separable decomposition with %d selections (Section 4.1)", len(sels))}
+		}
+	}
+	if len(a.Ops) != 2 {
+		return nil
+	}
+	sel := sels[0]
+	for i := 0; i < 2; i++ {
+		if sel.CommutesWith(a.Ops[i]) {
+			return &Plan{
+				Kind: Separable,
+				Sep:  &SeparablePlan{Steps: []SepStep{{Op: 1 - i, Sel: &sel}, {Op: i}}},
+				Why:  fmt.Sprintf("operators commute and σ[%d] commutes with rule %d (Theorem 4.1)", sel.Col, i+1),
+			}
+		}
+	}
+	return nil
+}
+
+// assign slots every selection into the n-ary formula: σ0 when it
+// commutes with every operator, else σᵢ of the one operator Aᵢ it fails
+// against.  It returns nil when a selection fails against two operators
+// or two fail against the same one.
+func (a *Analysis) assign(sels []separable.Selection) *SeparablePlan {
+	sp := &SeparablePlan{}
+	owned := make([]*separable.Selection, len(a.Ops))
+	for _, sel := range sels {
+		owner := -1
+		for i, op := range a.Ops {
+			if !sel.CommutesWith(op) {
+				if owner >= 0 {
+					return nil
+				}
+				owner = i
+			}
+		}
+		switch {
+		case owner < 0:
+			sp.Sigma0 = append(sp.Sigma0, sel)
+		case owned[owner] == nil:
+			owned[owner] = &separable.Selection{Col: sel.Col, Value: sel.Value}
+		default:
+			return nil
+		}
+	}
+	// (σ1A1*)…(σnAn*): the rightmost factor runs first.
+	for i := len(a.Ops) - 1; i >= 0; i-- {
+		sp.Steps = append(sp.Steps, SepStep{Op: i, Sel: owned[i]})
+	}
+	return sp
+}
+
 // Result of executing a plan.
 type Result struct {
 	Answer *rel.Relation
@@ -414,20 +498,15 @@ type Result struct {
 	Plan   *Plan
 }
 
-// Execute runs the plan.  The initial relation Q is the union of the exit
-// rules evaluated on db; for Separable plans the selection is applied per
-// Theorem 4.1, for other plans it is applied to the final answer (when sel
-// is non-nil).
+// Execute runs the plan over the seed of db with the plan's worker pool.
+// sel, when non-nil, is a selection on the answer; it is applied unless
+// the plan consumes it.
 func (a *Analysis) Execute(e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection) (*Result, error) {
-	return a.ExecuteOpts(e, db, plan, sel, Options{Workers: plan.Workers})
-}
-
-// ExecuteOpts runs the plan with an explicit worker-pool size.  With
-// Workers > 1 the SemiNaive, Decomposed and filter-mode magic closures
-// fan wide rounds out across the pool; results (and statistics) are
-// identical to sequential execution.
-func (a *Analysis) ExecuteOpts(e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options) (*Result, error) {
-	return a.ExecuteCtx(context.Background(), e, db, plan, sel, opts)
+	q, err := a.Seed(e, db)
+	if err != nil {
+		return nil, err
+	}
+	return a.ExecuteSeeded(context.Background(), e, db, plan, sel, Options{Workers: plan.Workers}, q)
 }
 
 // Seed materializes the evaluation seed: the union of the exit rules
@@ -453,20 +532,14 @@ func (a *Analysis) Seed(e *eval.Engine, db rel.DB) (*rel.Relation, error) {
 	return q, nil
 }
 
-// ExecuteCtx is ExecuteOpts with cancellation: every closure phase of
-// every plan kind polls ctx (at every round and inside each round's
-// delta scan, on every worker) and returns ctx's error once it fires,
-// with all worker goroutines joined.
-func (a *Analysis) ExecuteCtx(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options) (*Result, error) {
-	q, err := a.Seed(e, db)
-	if err != nil {
-		return nil, err
-	}
-	return a.ExecuteSeeded(ctx, e, db, plan, sel, opts, q)
-}
-
-// ExecuteSeeded is ExecuteCtx with a pre-materialized seed (see Seed).
-// The seed is shared, not consumed: no plan kind mutates it.
+// ExecuteSeeded opens the plan over the pre-materialized seed q (see
+// Seed and Open), drains it and applies what the opened closure leaves
+// to filter: Plan.Residual of the plan's own selections and sel.  The
+// seed is shared, not consumed: no plan kind mutates it.  Every closure
+// phase polls ctx (at every round and inside each round's delta scan,
+// on every worker) and returns ctx's error once it fires, with all
+// worker goroutines joined.  With opts.Workers > 1 wide rounds fan out;
+// results and statistics are identical to sequential execution.
 func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options, q *rel.Relation) (*Result, error) {
 	cl, stats, err := a.Open(ctx, e, db, plan, opts, q)
 	if err != nil {
@@ -477,15 +550,12 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 	if err != nil {
 		return nil, err
 	}
-	if plan.Kind == MagicSeeded && plan.Magic.Mode == MagicFilter {
-		// The restricted closure holds every tuple the magic set can
-		// reach; the query's answer is the slice at the bound constants.
-		for _, msel := range plan.Magic.Sels {
-			ans = msel.Apply(ans)
-		}
+	sels := plan.selections()
+	if sel != nil {
+		sels = append(sels, *sel)
 	}
-	if sel != nil && plan.Kind != Separable {
-		ans = sel.Apply(ans)
+	for _, s := range plan.Residual(sels) {
+		ans = s.Apply(ans)
 	}
 	return &Result{Answer: ans, Stats: stats, Plan: plan}, nil
 }
@@ -496,30 +566,32 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 // statistics of the work already done.  Materialized execution drains
 // the stream (ExecuteSeeded); a streaming consumer pulls from it and may
 // stop early.  What materializes up front: every group of a Decomposed
-// plan but the last to run (each feeds the next closure's seed), and a
-// MagicSeeded plan's frontier unless Plan.Magic.Set supplies it.
-// Separable and context-mode magic plans — the kinds
-// Plan.Parallelizable excludes — produce their answer whole,
-// sequentially, and return it as an already-complete stream.
-// Rows are the raw closure: a filter-mode magic stream still holds every
-// tuple its magic set reaches, so the consumer applies the query's
-// selections.  With opts.Workers > 1 the closures fan wide rounds out
-// across the pool; rows and statistics are identical either way.
+// plan and every step of a Separable plan but the last to run (each
+// feeds the next closure's seed), and a MagicSeeded plan's frontier
+// unless Plan.Magic.Set supplies it.  A context-mode magic plan — the
+// kind Plan.Parallelizable excludes — collects its answer whole and
+// returns it as an already-complete stream.  Rows are the raw closure:
+// the consumer applies Plan.Residual.  With opts.Workers > 1 the
+// closures fan wide rounds out across the pool; rows and statistics are
+// identical either way.
 func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q *rel.Relation) (*eval.ClosureStream, eval.Stats, error) {
 	pe := eval.Parallel(e, max(1, opts.Workers))
 	var stats eval.Stats
 	switch plan.Kind {
 	case Separable:
-		// Guard against inspection-only stubs (e.g. core.PlanFor's n-ary
-		// candidate) reaching execution: fail cleanly, don't index nil.
-		if len(plan.Order) < 2 {
-			return nil, stats, fmt.Errorf("planner: separable plan has no operator order; it is not executable")
+		cur := q
+		for _, sel := range plan.Sep.Sigma0 {
+			cur = sel.Apply(cur)
 		}
-		r, err := separable.EvalCtx(ctx, e, db, a.Ops[plan.Order[0]], a.Ops[plan.Order[1]], q, plan.Sel)
-		if err != nil {
-			return nil, stats, err
+		steps := plan.Sep.Steps
+		for _, st := range steps[:len(steps)-1] {
+			next, err := a.sepStep(ctx, pe, db, st, cur, &stats)
+			if err != nil {
+				return nil, stats, err
+			}
+			cur = next
 		}
-		return eval.Completed(r.Rel), r.Stats, nil
+		return pe.StreamCtx(ctx, db, []*ast.Op{a.Ops[steps[len(steps)-1].Op]}, cur), stats, nil
 	case MagicSeeded:
 		m := plan.Magic
 		if m == nil {
@@ -559,16 +631,66 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 	}
 }
 
+// sepStep materializes σAᵢ* cur, one step of a separable plan before its
+// last.  When the single operator binds σ's column in context mode this
+// is Algorithm 4.1's context iteration: the operator's magic frontier
+// from σ's constant, collecting the matching rows of cur — work
+// proportional to the step's answer.  Otherwise the step closes the
+// operator and filters.
+func (a *Analysis) sepStep(ctx context.Context, pe *eval.Engine, db rel.DB, st SepStep, cur *rel.Relation, stats *eval.Stats) (*rel.Relation, error) {
+	ops := []*ast.Op{a.Ops[st.Op]}
+	if st.Sel != nil {
+		cols := []int{st.Sel.Col}
+		if spec, mode, ok := MagicAnalysis(ops, cols); ok && mode == MagicContext {
+			vals := rel.Tuple{st.Sel.Value}
+			set, err := pe.MagicSetCtx(ctx, db, spec, vals, stats)
+			if err != nil {
+				return nil, err
+			}
+			return eval.MagicCollect(cur, cols, vals, set, stats), nil
+		}
+	}
+	next, s, err := pe.SemiNaiveCtx(ctx, db, ops, cur)
+	stats.Add(s)
+	if err != nil || st.Sel == nil {
+		return next, err
+	}
+	return st.Sel.Apply(next), nil
+}
+
+// selections returns, as a fresh slice, the query selections the plan
+// acts on: a separable plan's σ0 and then its step selections in step
+// order, a magic plan's bound columns.
+func (p *Plan) selections() []separable.Selection {
+	switch p.Kind {
+	case Separable:
+		out := slices.Clone(p.Sep.Sigma0)
+		for _, st := range p.Sep.Steps {
+			if st.Sel != nil {
+				out = append(out, *st.Sel)
+			}
+		}
+		return out
+	case MagicSeeded:
+		return slices.Clone(p.Magic.Sels)
+	}
+	return nil
+}
+
 // Residual returns the selections of sels that the rows of the plan's
 // opened closure (Open) do not already satisfy — what a consumer must
 // still apply, per row or to the drained total.  A Separable plan
-// consumes Plan.Sel and a context-mode magic plan rewrites its bound
-// columns to the constants; every other stream is a raw closure.
+// consumes σ0 and the selection of every step before its last (later
+// closures commute with them); a context-mode magic plan rewrites its
+// bound columns to the constants; every other stream is a raw closure.
 func (p *Plan) Residual(sels []separable.Selection) []separable.Selection {
 	var consumed []separable.Selection
 	switch {
 	case p.Kind == Separable:
-		consumed = []separable.Selection{p.Sel}
+		consumed = p.selections()
+		if p.Sep.Steps[len(p.Sep.Steps)-1].Sel != nil {
+			consumed = consumed[:len(consumed)-1]
+		}
 	case p.Kind == MagicSeeded && p.Magic.Mode == MagicContext:
 		consumed = p.Magic.Sels
 	}

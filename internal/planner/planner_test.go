@@ -75,9 +75,10 @@ func TestChooseSeparable(t *testing.T) {
 		t.Fatalf("plan = %v, want separable (%s)", plan.Kind, plan.Why)
 	}
 	// A1 must be the operator σ commutes with: rule 1 (left-linear, X
-	// free 1-persistent).
-	if plan.Order[0] != 0 {
-		t.Fatalf("order = %v, want A1 = rule 1", plan.Order)
+	// free 1-persistent).  It runs last; σ filters the A2 step before it.
+	steps := plan.Sep.Steps
+	if len(plan.Sep.Sigma0) != 0 || len(steps) != 2 || steps[0].Op != 1 || *steps[0].Sel != *sel || steps[1].Op != 0 || steps[1].Sel != nil {
+		t.Fatalf("payload = %+v, want σA2* then A1* = rule 1", plan.Sep)
 	}
 }
 

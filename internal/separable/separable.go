@@ -1,22 +1,23 @@
 // Package separable implements Naughton's separability (conditions (1)–(4)
-// of Section 6.1), the separable algorithm (Algorithm 4.1) at the data
-// level, and the paper's Theorem 4.1: commutativity plus one commuting
-// selection suffices for the separable evaluation
+// of Section 6.1), the single-column selections of the paper's Theorem
+// 4.1 — commutativity plus one commuting selection suffices for the
+// separable evaluation
 //
 //	σ(A1+A2)* q  =  A1*(σ A2* q),
 //
 // which strictly widens the class of rules the efficient algorithm covers
-// (Theorem 6.2: separable ⇒ commutative, not conversely).
+// (Theorem 6.2: separable ⇒ commutative, not conversely) — and the
+// closure-then-filter baselines that evaluation is checked against.  The
+// evaluation itself, Algorithm 4.1 and its n-ary form from Section 4.1,
+// is a plan kind of package planner, run on the one closure kernel.
 package separable
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"linrec/internal/agraph"
 	"linrec/internal/ast"
-	"linrec/internal/commute"
 	"linrec/internal/eval"
 	"linrec/internal/rel"
 )
@@ -163,183 +164,20 @@ func (s Selection) CommutesWith(op *ast.Op) bool {
 	return ok && hx == x
 }
 
-// Result is the outcome of a separable evaluation.
-type Result struct {
-	Rel   *rel.Relation
-	Stats eval.Stats
-	// UsedMagic reports whether phase 1 ran the constant-driven context
-	// iteration (Algorithm 4.1's operator loop) rather than a full A2
-	// closure plus filter.
-	UsedMagic bool
+// BaselineMulti computes σ0σ1…σn(ΣAᵢ)* q the monolithic way: the full
+// closure of the sum, then every selection as a filter.  It is the
+// closure-then-filter reference the planner's separable plans are checked
+// and measured against: the A41 paper table, the flights example and the
+// Theorem 4.1 property tests.
+func BaselineMulti(e *eval.Engine, db rel.DB, ops []*ast.Op, sels []Selection, q *rel.Relation) (*rel.Relation, eval.Stats) {
+	full, stats := e.SemiNaive(db, ops, q)
+	for _, sel := range sels {
+		full = sel.Apply(full)
+	}
+	return full, stats
 }
 
-// Eval computes σ(A1+A2)* q as A1*(σ A2* q) per Theorem 4.1.  It verifies
-// the theorem's premises — A1 and A2 commute (syntactically if possible,
-// by definition otherwise) and σ commutes with A1 — and returns an error
-// when they fail.
-func Eval(e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *rel.Relation, sel Selection) (Result, error) {
-	return EvalCtx(context.Background(), e, db, a1, a2, q, sel)
-}
-
-// EvalCtx is Eval with cancellation: both phases (the context iteration or
-// A2 closure, then the A1 closure) poll ctx and return its error once it
-// fires.
-func EvalCtx(cx context.Context, e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *rel.Relation, sel Selection) (Result, error) {
-	if !sel.CommutesWith(a1) {
-		return Result{}, fmt.Errorf("separable: selection on column %d does not commute with A1", sel.Col)
-	}
-	if ok, err := commutes(a1, a2); err != nil {
-		return Result{}, err
-	} else if !ok {
-		return Result{}, fmt.Errorf("separable: A1 and A2 do not commute; Theorem 4.1 does not apply")
-	}
-	res := Result{}
-
-	// Phase 1: R := σ(A2* q).
-	var mid *rel.Relation
-	if ctx, ok := contextProgram(a2, sel.Col); ok {
-		var err error
-		mid, err = magicPhase(cx, e, db, ctx, q, sel, &res.Stats)
-		if err != nil {
-			return Result{}, err
-		}
-		res.UsedMagic = true
-	} else {
-		full, s, err := e.SemiNaiveCtx(cx, db, []*ast.Op{a2}, q)
-		res.Stats.Add(s)
-		if err != nil {
-			return Result{}, err
-		}
-		mid = sel.Apply(full)
-	}
-
-	// Phase 2: semi-naive closure of A1 seeded with R.
-	out, s2, err := e.SemiNaiveCtx(cx, db, []*ast.Op{a1}, mid)
-	res.Stats.Add(s2)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Rel = out
-	return res, nil
-}
-
-// Baseline computes σ(A1+A2)* q the monolithic way: full closure, then
-// filter.  It is the reference answer and derivation count that
-// Algorithm 4.1 is checked and compared against: the A41 paper table,
-// the flights example and this package's differential tests.
-func Baseline(e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *rel.Relation, sel Selection) (Result, error) {
-	full, s := e.SemiNaive(db, []*ast.Op{a1, a2}, q)
-	return Result{Rel: sel.Apply(full), Stats: s}, nil
-}
-
-func commutes(a1, a2 *ast.Op) (bool, error) {
-	if rep, err := commute.Syntactic(a1, a2); err == nil {
-		return rep.Verdict == commute.Commute, nil
-	}
-	v, err := commute.Definition(a1, a2)
-	if err != nil {
-		return false, err
-	}
-	return v == commute.Commute, nil
-}
-
-// contextOp is the compiled "operator loop" of Algorithm 4.1: it transforms
-// the set of bound-column contexts.  Composing σ with A2 k times yields a
-// selection-like operator whose state is the set of values reachable at the
-// recursive atom's bound column; contextProgram extracts that transformer
-// when A2 has the required shape.
-type contextOp struct {
-	rule ast.Rule // head ctx(Out) :- body…, with In bound
-}
-
-// contextProgram builds the context transformer for A2 and bound column c.
-// It exists when every consequent position other than c is 1-persistent in
-// A2 (those columns pass through, so σA2ᵏ remains a one-column selection)
-// and the recursive atom's variable at column c is connected to the head's
-// via the nonrecursive atoms.
-func contextProgram(a2 *ast.Op, c int) (contextOp, bool) {
-	if c < 0 || c >= a2.Arity() {
-		return contextOp{}, false
-	}
-	nro := a2.NonRecOccurrences()
-	for i, t := range a2.Head.Args {
-		if i == c {
-			continue
-		}
-		// Pass-through columns must be *free* 1-persistent: a link
-		// 1-persistent column carries nonrecursive conditions that the
-		// context iteration would not re-check per tuple.
-		hx, ok := a2.H(t.Name)
-		if !ok || hx != t.Name || nro[t.Name] > 0 {
-			return contextOp{}, false
-		}
-	}
-	in := a2.Head.Args[c]
-	out := a2.Rec.Args[c]
-	if !out.IsVar() || out.Name == in.Name {
-		return contextOp{}, false
-	}
-	// The transformer must bind `out` from `in` using only the
-	// nonrecursive atoms.
-	bodyVars := ast.AtomsVars(a2.NonRec...)
-	if !bodyVars.Has(out.Name) {
-		return contextOp{}, false
-	}
-	rule := ast.Rule{
-		Head: ast.NewAtom("$ctx", out),
-		Body: append([]ast.Atom{ast.NewAtom("$seed", in)}, a2.NonRec...),
-	}
-	return contextOp{rule: rule}, true
-}
-
-// magicPhase runs Algorithm 4.1's first loop: starting from the selection
-// constant, repeatedly push the context through A2's nonrecursive atoms,
-// and join every context generation against q.  It returns σ(A2* q).
-// The frontier loop polls cx once per generation.
-func magicPhase(cx context.Context, e *eval.Engine, db rel.DB, ctx contextOp, q *rel.Relation, sel Selection, stats *eval.Stats) (*rel.Relation, error) {
-	out := rel.NewRelation(q.Arity())
-	collect := func(v rel.Value) {
-		for _, t := range q.Lookup(sel.Col, v) {
-			nt := t.Clone()
-			nt[sel.Col] = sel.Value
-			stats.Derivations++
-			if !out.Insert(nt) {
-				stats.Duplicates++
-			}
-		}
-	}
-
-	seen := rel.NewRelation(1)
-	frontier := rel.NewRelation(1)
-	seed := rel.Tuple{sel.Value}
-	seen.Insert(seed)
-	frontier.Insert(seed)
-	collect(sel.Value)
-
-	// Shallow copy: share the EDB relations, override only $seed.
-	scratch := rel.DB{}
-	for k, v := range db {
-		scratch[k] = v
-	}
-	for frontier.Len() > 0 {
-		if err := cx.Err(); err != nil {
-			return nil, err
-		}
-		stats.Iterations++
-		scratch["$seed"] = frontier
-		next, err := e.EvalRule(scratch, ctx.rule)
-		if err != nil {
-			// The context rule is safe by construction; an error here is
-			// a programming bug, not a data condition.
-			panic(fmt.Sprintf("separable: context rule failed: %v", err))
-		}
-		frontier = rel.NewRelation(1)
-		next.Each(func(t rel.Tuple) {
-			if seen.Insert(t) {
-				frontier.Insert(t)
-				collect(t[0])
-			}
-		})
-	}
-	return out, nil
+// Baseline is BaselineMulti for Theorem 4.1's σ(A1+A2)* q.
+func Baseline(e *eval.Engine, db rel.DB, a1, a2 *ast.Op, q *rel.Relation, sel Selection) (*rel.Relation, eval.Stats) {
+	return BaselineMulti(e, db, []*ast.Op{a1, a2}, []Selection{sel}, q)
 }

@@ -5,10 +5,7 @@ import (
 
 	"linrec/internal/ast"
 	"linrec/internal/commute"
-	"linrec/internal/eval"
 	"linrec/internal/parser"
-	"linrec/internal/rel"
-	"linrec/internal/workload"
 )
 
 func two(t *testing.T, s1, s2 string) (*opT, *opT) {
@@ -105,147 +102,6 @@ func TestSelectionCommutesWith(t *testing.T) {
 	}
 	if (Selection{Col: 5}).CommutesWith(r1) {
 		t.Fatalf("out-of-range column should not commute")
-	}
-}
-
-// TestEvalMatchesBaseline: Theorem 4.1's plan must return exactly
-// σ(A1+A2)* q, here on a two-relation ancestor-style workload.
-func TestEvalMatchesBaseline(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	workload.ChainShared(e, db, "up", 20)
-	workload.Random(e, db, "down", 21, 40, 7)
-	a1, a2 := two(t,
-		"p(X,Y) :- p(X,U), up(U,Y).",
-		"p(X,Y) :- down(X,U), p(U,Y).")
-	q := db["up"].Clone()
-	sel := Selection{Col: 0, Value: e.Syms.Intern("v0")}
-
-	base, err := Baseline(e, db, a1, a2, q, sel)
-	if err != nil {
-		t.Fatalf("Baseline: %v", err)
-	}
-	res, err := Eval(e, db, a1, a2, q, sel)
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
-	if !res.Rel.Equal(base.Rel) {
-		t.Fatalf("separable eval differs from baseline: %d vs %d tuples",
-			res.Rel.Len(), base.Rel.Len())
-	}
-	if !res.UsedMagic {
-		t.Fatalf("ancestor shape should enable the magic phase")
-	}
-	if base.Rel.Len() == 0 {
-		t.Fatalf("degenerate workload: empty answer")
-	}
-}
-
-// TestEvalSelectionOnSecondColumn: symmetric case — σ on column 1 commutes
-// with A2, so the roles of the operators flip.
-func TestEvalSelectionOnSecondColumn(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	workload.ChainShared(e, db, "up", 15)
-	workload.ChainShared(e, db, "down", 15)
-	a1, a2 := two(t,
-		"p(X,Y) :- p(X,U), up(U,Y).",
-		"p(X,Y) :- down(X,U), p(U,Y).")
-	q := db["down"].Clone()
-	sel := Selection{Col: 1, Value: e.Syms.Intern("v15")}
-	// σ[1] commutes with A2 (right-linear), so pass (a2, a1).
-	res, err := Eval(e, db, a2, a1, q, sel)
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
-	base, _ := Baseline(e, db, a1, a2, q, sel)
-	if !res.Rel.Equal(base.Rel) {
-		t.Fatalf("flipped separable eval differs: %d vs %d", res.Rel.Len(), base.Rel.Len())
-	}
-}
-
-// TestEvalCommutativeNonSeparable: Theorem 4.1 widens the separable
-// algorithm to commutative-but-not-separable rules (Example 5.3 shape).
-func TestEvalCommutativeNonSeparable(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	// q(X,Y): X ranges over v*, Y over a small key set; r(Z,Y) likewise.
-	workload.Pairs(e, db, "q", [][2]int{{1, 0}, {2, 0}, {3, 0}, {4, 0}})
-	workload.Pairs(e, db, "r", [][2]int{{5, 0}, {6, 0}, {7, 0}})
-	a1, a2 := two(t,
-		"p(X,Y,Z) :- p(U,Y,Z), q(X,Y).",
-		"p(X,Y,Z) :- p(X,Y,U), r(Z,Y).")
-	rep, _ := IsSeparable(a1, a2)
-	if rep.Separable() {
-		t.Fatalf("precondition: rules should not be separable")
-	}
-	q0 := rel.NewRelation(3)
-	v1 := e.Syms.Intern("v1")
-	v0 := e.Syms.Intern("v0")
-	v5 := e.Syms.Intern("v5")
-	q0.Insert(rel.Tuple{v1, v0, v5})
-	// σ selects on the link 1-persistent column Y = v0; it commutes with
-	// both operators, in particular with A1.
-	sel := Selection{Col: 1, Value: v0}
-	res, err := Eval(e, db, a1, a2, q0, sel)
-	if err != nil {
-		t.Fatalf("Eval on commutative non-separable pair: %v", err)
-	}
-	base, _ := Baseline(e, db, a1, a2, q0, sel)
-	if !res.Rel.Equal(base.Rel) {
-		t.Fatalf("result mismatch: %d vs %d tuples", res.Rel.Len(), base.Rel.Len())
-	}
-	if res.Rel.Len() != 4*3 {
-		t.Fatalf("expected 12 tuples (4 q-values × 3 r-values), got %d", res.Rel.Len())
-	}
-}
-
-// TestEvalRejectsNonCommutingPremise: Theorem 4.1's premises are verified.
-func TestEvalRejectsNonCommutingPremise(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	workload.ChainShared(e, db, "up", 4)
-	workload.ChainShared(e, db, "dn", 4)
-	a1, a2 := two(t,
-		"p(X,Y) :- p(X,U), up(U,Y).",
-		"p(X,Y) :- p(X,U), dn(U,Y).")
-	q := db["up"].Clone()
-	if _, err := Eval(e, db, a1, a2, q, Selection{Col: 0, Value: 0}); err == nil {
-		t.Fatalf("non-commuting pair must be rejected")
-	}
-	// Selection that does not commute with A1 is rejected too.
-	b1, b2 := two(t,
-		"p(X,Y) :- p(X,U), up(U,Y).",
-		"p(X,Y) :- dn(X,U), p(U,Y).")
-	if _, err := Eval(e, db, b1, b2, q, Selection{Col: 1, Value: 0}); err == nil {
-		t.Fatalf("selection on non-persistent column of A1 must be rejected")
-	}
-}
-
-// TestMagicPhaseTouchesLessData: with a selection bound to one constant the
-// magic phase must derive far fewer tuples than the baseline on a long
-// chain.
-func TestMagicPhaseTouchesLessData(t *testing.T) {
-	e := eval.NewEngine(nil)
-	db := rel.DB{}
-	workload.ChainShared(e, db, "up", 60)
-	workload.ChainShared(e, db, "down", 60)
-	a1, a2 := two(t,
-		"p(X,Y) :- p(X,U), up(U,Y).",
-		"p(X,Y) :- down(X,U), p(U,Y).")
-	q := db["up"].Clone()
-	sel := Selection{Col: 0, Value: e.Syms.Intern("v0")}
-	res, err := Eval(e, db, a1, a2, q, sel)
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
-	base, _ := Baseline(e, db, a1, a2, q, sel)
-	if !res.Rel.Equal(base.Rel) {
-		t.Fatalf("results differ")
-	}
-	if res.Stats.Derivations >= base.Stats.Derivations {
-		t.Fatalf("separable evaluation should touch less data: %d vs %d derivations",
-			res.Stats.Derivations, base.Stats.Derivations)
 	}
 }
 

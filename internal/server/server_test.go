@@ -104,6 +104,27 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestRepeatedVariableQuery: a variable repeated in the goal is a column
+// equality — path(X, X) answers the nodes on the cycle, not the whole
+// closure, buffered and under a limit.
+func TestRepeatedVariableQuery(t *testing.T) {
+	prog := "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\nedge(a,b). edge(b,c). edge(c,a). edge(c,d).\n"
+	_, ts := newTestServer(t, prog, Config{})
+	out := decode[QueryResponse](t, postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(X, X)"}))
+	if got := fmt.Sprint(out.Rows); out.RowCount != 3 || got != "[[a a] [b b] [c c]]" {
+		t.Fatalf("path(X, X) = %d rows %s, want [[a a] [b b] [c c]]", out.RowCount, got)
+	}
+	lim := decode[QueryResponse](t, postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(Y, Y)", Limit: 2}))
+	if lim.RowCount != 2 {
+		t.Fatalf("limited path(Y, Y) = %d rows, want 2", lim.RowCount)
+	}
+	for _, row := range lim.Rows {
+		if row[0] != row[1] {
+			t.Fatalf("limited path(Y, Y) served %v", row)
+		}
+	}
+}
+
 func TestQueryEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, chainProgram(3), Config{})
 
@@ -364,16 +385,23 @@ func TestServerSnapshotSwapRace(t *testing.T) {
 	}
 }
 
-// TestPlanAwareGrant: separable plans evaluate sequentially, so a wide
-// worker request is downgraded to a single-slot grant (leaving budget for
-// other queries), while flat closures keep their requested width.
+// TestPlanAwareGrant: a context-mode magic plan collects its answer
+// sequentially, so a wide worker request is trimmed to one worker rather
+// than holding budget it cannot use; a separable plan shards its step
+// closures and, like an open query, keeps its grant.
 func TestPlanAwareGrant(t *testing.T) {
 	_, ts := newTestServer(t, chainProgram(4), Config{TotalWorkers: 4})
 
-	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(c0, Y)", Workers: 4})
+	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(c0, c3)", Workers: 4})
+	point := decode[QueryResponse](t, resp)
+	if !strings.Contains(point.Plan, "magic") || point.Workers != 1 {
+		t.Fatalf("context-mode magic query granted %d workers (plan %q), want 1", point.Workers, point.Plan)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(c0, Y)", Workers: 4})
 	sel := decode[QueryResponse](t, resp)
-	if !strings.Contains(sel.Plan, "separable") || sel.Workers != 1 {
-		t.Fatalf("separable query granted %d workers (plan %q), want 1", sel.Workers, sel.Plan)
+	if !strings.Contains(sel.Plan, "separable") || sel.Workers != 4 {
+		t.Fatalf("separable query granted %d workers (plan %q), want 4", sel.Workers, sel.Plan)
 	}
 
 	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(X, Y)", Workers: 3})

@@ -35,8 +35,9 @@ func TestTestdataPrograms(t *testing.T) {
 		{
 			file: "tc.dl", pred: "path",
 			// path(a,Y): selection col 0 → separable; path(X,e): selection
-			// col 1 → separable with flipped roles; ground query.
-			wantPlans: []planner.Kind{planner.Separable, planner.Separable, planner.Separable},
+			// col 1 → separable with flipped roles; the ground query's
+			// full adornment binds in context mode → magic frontier.
+			wantPlans: []planner.Kind{planner.Separable, planner.Separable, planner.MagicSeeded},
 			// chain a..e: from a everything later: b,c,d,e = 4 rows;
 			// into e from a,b,c,d plus e itself via down(e,d),up(d,e) = 5;
 			// path(b,d) = 1 row.
