@@ -932,66 +932,81 @@ type QueryResult struct {
 	// populated the entry.
 	Cached bool
 
-	// memo, when non-nil, shares the rendered sorted rows across every
-	// holder of this result — cached results set it so repeated hits on
-	// a large answer don't pay the render+sort per request.
-	memo *rowsMemo
+	// order, when non-nil, shares the answer's sorted row order across
+	// every holder of this result — cached results set it so repeated
+	// hits on a large answer don't pay the sort per request.
+	order *orderMemo
 }
 
-// rowsMemo renders an answer once per symbol table and shares the rows.
-type rowsMemo struct {
+// orderMemo sorts an answer once per symbol table and shares the order:
+// row numbers into the answer, which the collector never has to scan.
+type orderMemo struct {
 	syms *rel.Symtab
 	once sync.Once
-	rows [][]string
+	rows []int32
 }
 
 // Rows renders the answer tuples as symbol strings in deterministic
 // (lexicographically sorted) order, so output is stable across engines,
-// worker counts and snapshot layouts.  The returned rows may be shared
-// with other holders of a cached result and must not be mutated.
+// worker counts and snapshot layouts.
 func (qr *QueryResult) Rows(s *System) [][]string {
-	return qr.RowsSyms(s.Engine.Syms)
-}
-
-// RowsSyms is Rows against an explicit symbol table.  Like Rows, the
-// returned slice must not be mutated.
-func (qr *QueryResult) RowsSyms(syms *rel.Symtab) [][]string {
-	if m := qr.memo; m != nil && m.syms == syms {
-		m.once.Do(func() { m.rows = qr.renderRows(syms) })
-		return m.rows
-	}
-	return qr.renderRows(syms)
-}
-
-// renderRows materializes and sorts the answer for one symbol table.
-func (qr *QueryResult) renderRows(syms *rel.Symtab) [][]string {
 	// One symbol-table snapshot for the whole answer: large results would
 	// otherwise pay a lock round-trip per cell.
-	names := syms.Names()
-	name := func(v rel.Value) string {
-		if int(v) >= 0 && int(v) < len(names) {
-			return names[v]
-		}
-		return fmt.Sprintf("#%d", v)
+	names := s.Engine.Syms.Names()
+	order := qr.Order(s)
+	out := make([][]string, len(order))
+	for i, r := range order {
+		out[i] = renderTuple(names, qr.Answer.Row(int(r)))
 	}
-	out := make([][]string, 0, qr.Answer.Len())
-	qr.Answer.Each(func(t rel.Tuple) {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = name(v)
-		}
-		out = append(out, row)
-	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	return out
+}
+
+// Order returns the answer's row numbers in the order Rows lists them:
+// sorted by symbol name, column by column.  The slice may be shared with
+// other holders of a cached result and must not be mutated.
+func (qr *QueryResult) Order(s *System) []int32 {
+	if m := qr.order; m != nil && m.syms == s.Engine.Syms {
+		m.once.Do(func() { m.rows = sortedOrder(qr.Answer, s.Engine.Syms.Names()) })
+		return m.rows
+	}
+	return sortedOrder(qr.Answer, s.Engine.Syms.Names())
+}
+
+// sortedOrder sorts the answer's row numbers by rendered symbol names.
+func sortedOrder(ans *rel.Relation, names []string) []int32 {
+	order := make([]int32, ans.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := ans.Row(int(order[i])), ans.Row(int(order[j]))
 		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+			if x, y := symbolName(names, a[k]), symbolName(names, b[k]); x != y {
+				return x < y
 			}
 		}
 		return false
 	})
-	return out
+	return order
+}
+
+// renderTuple renders a tuple as symbol strings against a symbol-table
+// snapshot.
+func renderTuple(names []string, t rel.Tuple) []string {
+	row := make([]string, len(t))
+	for i, v := range t {
+		row[i] = symbolName(names, v)
+	}
+	return row
+}
+
+// symbolName renders one value against a symbol-table snapshot, "#<v>"
+// for a value the snapshot does not cover.
+func symbolName(names []string, v rel.Value) string {
+	if int(v) >= 0 && int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("#%d", v)
 }
 
 // resolveQuery analyzes q and resolves its constant arguments into
@@ -1130,8 +1145,8 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 			tr.Cache("result", "miss", key.goal, 0)
 			res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
 			if err == nil {
-				// Cached hits share one render of the sorted rows.
-				res.memo = &rowsMemo{syms: s.Engine.Syms}
+				// Cached hits share one sort of the answer.
+				res.order = &orderMemo{syms: s.Engine.Syms}
 			}
 			s.results.complete(e, res, err)
 			return res, err

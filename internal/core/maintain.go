@@ -194,7 +194,7 @@ func (s *System) upgradeResult(ctx context.Context, old, next *Snapshot, changed
 	up.Version = next.Version
 	if !touched {
 		// The changed predicates feed this goal nowhere: the answer (and
-		// its rendered-rows memo) carries over shared.
+		// its sorted-order memo) carries over shared.
 		return &up
 	}
 	var ans *rel.Relation
@@ -208,10 +208,10 @@ func (s *System) upgradeResult(ctx context.Context, old, next *Snapshot, changed
 		return nil
 	}
 	if ans == res.Answer {
-		return &up // proven unchanged: rows and memo stay shared
+		return &up // proven unchanged: rows and order stay shared
 	}
 	up.Answer = ans
-	up.memo = &rowsMemo{syms: s.Engine.Syms}
+	up.order = &orderMemo{syms: s.Engine.Syms}
 	return &up
 }
 

@@ -155,7 +155,7 @@ func (s *System) populateResult(key resultKey, version uint64, res *QueryResult)
 	if e == nil || !build {
 		return
 	}
-	res.memo = &rowsMemo{syms: s.Engine.Syms}
+	res.order = &orderMemo{syms: s.Engine.Syms}
 	s.results.complete(e, res, nil)
 }
 
@@ -263,13 +263,5 @@ func (st *QueryStream) RenderRow(t rel.Tuple) []string {
 	if st.names == nil {
 		st.names = st.sys.Engine.Syms.Names()
 	}
-	row := make([]string, len(t))
-	for i, v := range t {
-		if int(v) >= 0 && int(v) < len(st.names) {
-			row[i] = st.names[v]
-		} else {
-			row[i] = fmt.Sprintf("#%d", v)
-		}
-	}
-	return row
+	return renderTuple(st.names, t)
 }

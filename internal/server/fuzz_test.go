@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"linrec/internal/rel"
 )
 
 // FuzzQueryRequestDecode fuzzes the /v1/query request decoder end to
@@ -42,12 +44,7 @@ func FuzzQueryRequestDecode(f *testing.F) {
 		if err := dec.Decode(&req); err != nil {
 			return // rejection is fine; panics are not
 		}
-		target := "/v1/query"
-		if stream {
-			target += "?stream=1"
-		}
-		r := httptest.NewRequest("POST", target, nil)
-		mode, bad := queryModeFor(&req, r, 1000)
+		mode, bad := queryModeFor(&req, stream, 1000)
 		if bad != "" {
 			return
 		}
@@ -67,6 +64,34 @@ func FuzzQueryRequestDecode(f *testing.F) {
 		}
 		if mode.limit > 1000 {
 			t.Fatalf("limit %d not clamped to maxRows", mode.limit)
+		}
+	})
+}
+
+// FuzzRowJSON holds the row writer to encoding/json: for arbitrary name
+// bytes, a rendered row — with values past the names snapshot rendered
+// "#<v>" — is byte for byte what an Encoder with HTML escaping off
+// writes for the same []string.
+func FuzzRowJSON(f *testing.F) {
+	seeds := []string{"c0", `"q"`, `a\b`, "\x00\x01\b\f\n\r\t\x1f\x7f", "<a&b>", "h\u00e9llo", "\u65e5\u672c", "\xff\xfe", "\xe2\x80", "\u2028\u2029", "", "a\u2028b\xc0z"}
+	for _, s := range seeds {
+		f.Add([]byte(s), []byte("x"))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		rec := httptest.NewRecorder()
+		rw := &rowWriter{w: rec, names: []string{string(a), string(b)}}
+		rw.enc = json.NewEncoder(rw)
+		rw.enc.SetEscapeHTML(false)
+		rw.tuple(rel.Tuple{0, 1, 2, -1})
+		rw.flush(false)
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode([]string{string(a), string(b), "#2", "#-1"}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String() + "\n"; got != want.String() {
+			t.Fatalf("names %q, %q: writer %q, encoding/json %q", a, b, got, want.String())
 		}
 	})
 }

@@ -39,6 +39,7 @@ import (
 	"linrec/internal/core"
 	"linrec/internal/eval"
 	"linrec/internal/parser"
+	"linrec/internal/rel"
 	"linrec/internal/segment"
 )
 
@@ -62,9 +63,9 @@ type Config struct {
 	// MaxTimeout caps any requested timeout.  Default: 120s.
 	MaxTimeout time.Duration
 	// MaxRows rejects answers larger than this with 413 before they are
-	// materialized as strings — result materialization happens after the
-	// worker grant is released, so without a cap, huge open-query answers
-	// would be the one unmetered resource.  0 = unlimited.
+	// serialized — serialization happens after the worker grant is
+	// released, so without a cap, huge open-query answers would be the
+	// one unmetered resource.  0 = unlimited.
 	MaxRows int
 	// Logger receives the server's structured diagnostics (internal
 	// errors, slow queries), each record carrying the request ID the
@@ -333,7 +334,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.Options{Workers: workers, Strategy: s.sys.Opts.Strategy}
 
-	mode, badMode := queryModeFor(&req, r, s.cfg.MaxRows)
+	// Row streaming is ?stream=1 or Accept: application/x-ndjson.
+	params := r.URL.Query()
+	stream := params.Get("stream") == "1" || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
+	mode, badMode := queryModeFor(&req, stream, s.cfg.MaxRows)
 	if badMode != "" {
 		s.ctr.queryErrors.Add(1)
 		writeError(w, http.StatusBadRequest, "%s", badMode)
@@ -342,7 +346,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Explain: return the planner's decision tree without executing —
 	// no admission, no queue slot, no worker grant, no evaluation.
-	if req.Explain || r.URL.Query().Get("explain") == "1" {
+	if req.Explain || params.Get("explain") == "1" {
 		ex, err := s.sys.Explain(goal, opts)
 		if err != nil {
 			s.ctr.queryErrors.Add(1)
@@ -361,11 +365,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// when a slow-query threshold is set (the trace must already exist
 	// by the time the query turns out slow).  tr == nil is the off-path:
 	// the engine's hooks degenerate to nil checks at round granularity.
-	wantTrace := req.Trace || r.URL.Query().Get("trace") == "1"
-	var tr *eval.Tracer
-	if wantTrace || s.cfg.SlowQuery > 0 {
-		tr = &eval.Tracer{}
-		tr.SetRequestID(rid)
+	rp := reply{rid: rid, wantTrace: req.Trace || params.Get("trace") == "1", mode: mode}
+	if rp.wantTrace || s.cfg.SlowQuery > 0 {
+		rp.tr = &eval.Tracer{}
+		rp.tr.SetRequestID(rid)
 	}
 
 	// Size the grant by the plan the query will actually run: separable
@@ -391,10 +394,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// worker grant — under overload, repeated goals keep being served
 	// while the budget goes to queries that actually evaluate.
 	if res, ok := s.sys.CachedAnswer(s.sys.Snapshot(), goal, opts); ok {
-		tr.Cache("result", "hit", goal.String(), 0)
-		s.finishQuery(w, r, res, 0, 0, rid, tr, wantTrace, mode)
+		rp.tr.Cache("result", "hit", goal.String(), 0)
+		s.finishQuery(w, res, rp)
 		return
 	}
+	rp.grant = grant
 
 	// Admission: a bounded queue in front of the worker budget.  The
 	// counter includes requests currently acquiring, so the bound holds
@@ -436,8 +440,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	snap := s.sys.Snapshot()
 	qctx := ctx
-	if tr != nil {
-		qctx = eval.WithTracer(ctx, tr)
+	if rp.tr != nil {
+		qctx = eval.WithTracer(ctx, rp.tr)
 	}
 	start := time.Now()
 
@@ -445,69 +449,67 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// point, so evaluation stops at the k-th answer (or at the client's
 	// pace) instead of running the closure to its fixpoint.
 	if mode.stream || mode.limit > 0 {
-		s.streamEvaluated(w, qctx, snap, goal, opts, mode, grant, release, rid, tr, wantTrace, timeout, start)
+		s.streamEvaluated(w, qctx, snap, goal, opts, release, timeout, start, rp)
 		return
 	}
 
 	res, err := s.sys.Evaluate(qctx, core.QueryRequest{Goal: goal, Snap: snap, Opts: opts})
-	elapsed := time.Since(start)
+	rp.elapsed = time.Since(start)
 	release()
 	if err != nil {
 		s.writeQueryError(w, err, timeout, rid, req.Query)
 		return
 	}
 
-	s.finishQuery(w, r, res, grant, elapsed, rid, tr, wantTrace, mode)
+	s.finishQuery(w, res, rp)
 }
 
-// writeQueryError classifies an evaluation failure into its status code
-// and counters.  It matches the error itself, not ctx.Err(): a genuine
-// evaluation failure racing the deadline must not be mislabeled as a
-// timeout or client abort.
+// writeQueryError answers a failed evaluation with the status code
+// countFailure classifies it under.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error, timeout time.Duration, rid, query string) {
-	switch {
-	case isDeadline(err):
-		s.ctr.timeouts.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "query timed out after %v", timeout)
-	case isCanceled(err):
-		// The client went away mid-evaluation; nobody reads this reply.
-		// 499 is the de-facto client-closed-request status.
-		s.ctr.clientAborts.Add(1)
-		writeError(w, 499, "client closed request")
-	case isInternal(err):
+	switch status := s.countFailure(err, rid, query); status {
+	case http.StatusGatewayTimeout:
+		writeError(w, status, "query timed out after %v", timeout)
+	case 499: // nobody reads this reply
+		writeError(w, status, "client closed request")
+	case http.StatusInternalServerError:
 		// The full error carries the recovered panic and its stack; that
 		// diagnostic belongs in the server log, not in a response body
-		// handed to remote clients.  Counted separately from client
-		// errors so a smoke check can fail a run that provoked any 500.
-		s.ctr.queryErrors.Add(1)
-		s.ctr.internalErrors.Add(1)
-		s.log.Error("internal evaluation error",
-			"request_id", rid, "query", query, "err", err)
-		writeError(w, http.StatusInternalServerError, "internal evaluation error; see server log")
+		// handed to remote clients.
+		writeError(w, status, "internal evaluation error; see server log")
 	default:
-		s.ctr.queryErrors.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "query failed: %v", err)
+		writeError(w, status, "query failed: %v", err)
 	}
+}
+
+// reply is what every serving mode needs to answer one query request.
+type reply struct {
+	rid       string
+	tr        *eval.Tracer // the query's tracer; nil when tracing is off
+	wantTrace bool         // the trace joins the response
+	mode      queryMode
+	grant     int           // the worker grant the query consumed; 0 for cache hits
+	elapsed   time.Duration // evaluation time; 0 for cache hits
 }
 
 // finishQuery is the shared success tail of the cached fast path and the
 // materialized evaluated path: row-cap enforcement, counters, slow-query
 // logging, and dispatch on the serving mode — buffered JSON by default,
 // a limited prefix for limit/exists, one page for cursor requests, or an
-// NDJSON stream of the materialized rows.  grant is the worker grant the
-// query consumed — 0 for cache hits.  tr is the query's tracer (nil when
-// tracing was off); its trace joins the response only when the client
-// asked (wantTrace).
-func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, res *core.QueryResult, grant int, elapsed time.Duration, rid string, tr *eval.Tracer, wantTrace bool, mode queryMode) {
+// NDJSON stream of the materialized rows.
+func (s *Server) finishQuery(w http.ResponseWriter, res *core.QueryResult, rp reply) {
 	switch {
-	case mode.stream:
-		s.streamMaterialized(w, res, grant, elapsed, rid, tr, wantTrace, mode)
+	case rp.mode.stream:
+		s.streamMaterialized(w, res, rp)
 		return
-	case mode.limit > 0:
-		s.limitedMaterialized(w, res, grant, elapsed, rid, tr, wantTrace, mode)
+	case rp.mode.limit > 0:
+		// A limit/exists query on a materialized answer serves its first
+		// rows in storage order: any k-subset is a valid limited result.
+		n := min(rp.mode.limit, res.Answer.Len())
+		s.writeRows(w, s.answered(res, n, res.Answer.Len() > n, rp), n, res.Answer.Row)
 		return
-	case mode.paged:
-		s.pageMaterialized(w, res, grant, elapsed, rid, tr, wantTrace, mode)
+	case rp.mode.paged:
+		s.pageMaterialized(w, res, rp)
 		return
 	}
 	if s.cfg.MaxRows > 0 && res.Answer.Len() > s.cfg.MaxRows {
@@ -516,47 +518,22 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, res *core.Q
 			"answer has %d rows, over the server's %d-row cap; narrow the query, add a limit, or paginate with a cursor", res.Answer.Len(), s.cfg.MaxRows)
 		return
 	}
-	rows := res.Rows(s.sys)
-	s.answered(res, len(rows), elapsed, mode, false)
+	order := res.Order(s.sys)
+	resp := s.answered(res, len(order), false, rp)
 
-	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
+	if s.cfg.SlowQuery > 0 && rp.elapsed >= s.cfg.SlowQuery {
 		s.ctr.slowQueries.Add(1)
-		trace, _ := json.Marshal(tr.Trace())
+		trace, _ := json.Marshal(rp.tr.Trace())
 		s.log.Warn("slow query",
-			"request_id", rid,
+			"request_id", rp.rid,
 			"query", res.Query.String(),
-			"elapsed_ms", float64(elapsed)/1e6,
-			"rows", len(rows),
+			"elapsed_ms", float64(rp.elapsed)/1e6,
+			"rows", len(order),
 			"plan", res.Plan.Kind.Slug(),
 			"cached", res.Cached,
 			"trace", string(trace))
 	}
-
-	resp := QueryResponse{
-		Rows:            rows,
-		RowCount:        len(rows),
-		Plan:            res.Plan.Kind.String(),
-		Why:             res.Plan.Why,
-		Stats:           res.Stats,
-		SnapshotVersion: res.Version,
-		Workers:         grant,
-		Cached:          res.Cached,
-		ElapsedMS:       float64(elapsed) / 1e6,
-		RequestID:       rid,
-	}
-	if wantTrace && tr != nil {
-		resp.Trace = tr.Trace()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// wantsStream reports whether the client asked for row streaming
-// (?stream=1 or Accept: application/x-ndjson).
-func wantsStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
+	s.writeRows(w, resp, len(order), func(i int) rel.Tuple { return res.Answer.Row(int(order[i])) })
 }
 
 // parseFactSource parses Datalog source that must contain only ground

@@ -29,7 +29,6 @@ import (
 
 	"linrec/internal/ast"
 	"linrec/internal/core"
-	"linrec/internal/eval"
 	"linrec/internal/rel"
 )
 
@@ -93,11 +92,11 @@ func decodeCursor(s string) (pageCursor, error) {
 
 // queryModeFor validates the request's serving-mode fields.  The error
 // string, when non-empty, is a 400.
-func queryModeFor(req *QueryRequest, r *http.Request, maxRows int) (queryMode, string) {
+func queryModeFor(req *QueryRequest, stream bool, maxRows int) (queryMode, string) {
 	m := queryMode{
 		limit:    req.Limit,
 		exists:   req.Exists,
-		stream:   wantsStream(r),
+		stream:   stream,
 		paged:    req.Cursor != "" || req.PageSize > 0,
 		cursor:   req.Cursor,
 		pageSize: req.PageSize,
@@ -133,128 +132,83 @@ func queryModeFor(req *QueryRequest, r *http.Request, maxRows int) (queryMode, s
 	return m, ""
 }
 
-// answered records the success counters shared by every serving mode.
-func (s *Server) answered(res *core.QueryResult, rows int, elapsed time.Duration, mode queryMode, truncated bool) {
+// answered records the success counters shared by every serving mode
+// and assembles the response metadata for n served rows.
+func (s *Server) answered(res *core.QueryResult, n int, truncated bool, rp reply) QueryResponse {
 	s.ctr.queriesOK.Add(1)
 	s.ctr.observePlan(res.Plan.Kind, res.Query.Pred, res.Query.Adornment())
-	s.ctr.rowsServed.Add(int64(rows))
-	s.lat.observe(elapsed)
-	if mode.limit > 0 {
+	s.ctr.rowsServed.Add(int64(n))
+	s.lat.observe(rp.elapsed)
+	if rp.mode.limit > 0 {
 		s.ctr.limitedQueries.Add(1)
 	}
-	if mode.exists {
+	if rp.mode.exists {
 		s.ctr.existsQueries.Add(1)
 	}
 	if truncated {
 		s.ctr.earlyTerminations.Add(1)
 	}
-}
-
-// renderPrefix renders the first n answer tuples (storage order) as
-// symbol strings — the limited paths' way to serve a k-subset of a
-// materialized answer without rendering and sorting all of it.
-func renderPrefix(ans *rel.Relation, n int, syms *rel.Symtab) [][]string {
-	if n > ans.Len() {
-		n = ans.Len()
-	}
-	names := syms.Names()
-	out := make([][]string, 0, n)
-	for i := 0; i < n; i++ {
-		t := ans.Row(i)
-		row := make([]string, len(t))
-		for j, v := range t {
-			if int(v) >= 0 && int(v) < len(names) {
-				row[j] = names[v]
-			} else {
-				row[j] = fmt.Sprintf("#%d", v)
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// baseResponse assembles the metadata shared by every response shape.
-func baseResponse(res *core.QueryResult, grant int, elapsed time.Duration, rid string) QueryResponse {
-	return QueryResponse{
+	resp := QueryResponse{
+		RowCount:        n,
 		Plan:            res.Plan.Kind.String(),
 		Why:             res.Plan.Why,
 		Stats:           res.Stats,
 		SnapshotVersion: res.Version,
-		Workers:         grant,
+		Workers:         rp.grant,
 		Cached:          res.Cached,
-		ElapsedMS:       float64(elapsed) / 1e6,
-		RequestID:       rid,
+		ElapsedMS:       float64(rp.elapsed) / 1e6,
+		RequestID:       rp.rid,
+		Truncated:       truncated,
 	}
-}
-
-// limitedMaterialized serves a limit/exists query from a materialized
-// answer (the cached fast path): the first limit rows, in storage order
-// — any k-subset of the answer is a valid limited result.
-func (s *Server) limitedMaterialized(w http.ResponseWriter, res *core.QueryResult, grant int, elapsed time.Duration, rid string, tr *eval.Tracer, wantTrace bool, mode queryMode) {
-	rows := renderPrefix(res.Answer, mode.limit, s.sys.Engine.Syms)
-	truncated := res.Answer.Len() > mode.limit
-	s.answered(res, len(rows), elapsed, mode, truncated)
-	resp := baseResponse(res, grant, elapsed, rid)
-	resp.Rows, resp.RowCount, resp.Truncated = rows, len(rows), truncated
-	if mode.exists {
-		ex := len(rows) > 0
+	if rp.mode.exists {
+		ex := n > 0
 		resp.Exists = &ex
 	}
-	if wantTrace && tr != nil {
-		resp.Trace = tr.Trace()
+	if rp.wantTrace && rp.tr != nil {
+		resp.Trace = rp.tr.Trace()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // pageMaterialized serves one page of the answer's sorted rows plus the
 // cursor for the next page (absent on the last).
-func (s *Server) pageMaterialized(w http.ResponseWriter, res *core.QueryResult, grant int, elapsed time.Duration, rid string, tr *eval.Tracer, wantTrace bool, mode queryMode) {
+func (s *Server) pageMaterialized(w http.ResponseWriter, res *core.QueryResult, rp reply) {
 	goal := res.Query.String()
 	offset := 0
-	if mode.cursor != "" {
-		c, err := decodeCursor(mode.cursor)
-		if err != nil {
-			s.ctr.queryErrors.Add(1)
-			writeError(w, http.StatusBadRequest, "%v", err)
+	fail := func(status int, format string, args ...any) {
+		s.ctr.queryErrors.Add(1)
+		writeError(w, status, format, args...)
+	}
+	if rp.mode.cursor != "" {
+		c, err := decodeCursor(rp.mode.cursor)
+		switch {
+		case err != nil:
+			fail(http.StatusBadRequest, "%v", err)
 			return
-		}
-		if c.Goal != goal {
-			s.ctr.queryErrors.Add(1)
-			writeError(w, http.StatusBadRequest, "cursor belongs to goal %q, request asks %q", c.Goal, goal)
+		case c.Goal != goal:
+			fail(http.StatusBadRequest, "cursor belongs to goal %q, request asks %q", c.Goal, goal)
 			return
-		}
-		if c.Version != res.Version {
+		case c.Version != res.Version:
 			// The snapshot advanced between pages: the sorted row order
 			// the cursor indexes into no longer exists.
-			s.ctr.queryErrors.Add(1)
-			writeError(w, http.StatusGone, "cursor pinned snapshot version %d, current is %d; restart pagination", c.Version, res.Version)
+			fail(http.StatusGone, "cursor pinned snapshot version %d, current is %d; restart pagination", c.Version, res.Version)
 			return
 		}
 		offset = c.Offset
 	}
-	rows := res.Rows(s.sys)
-	if offset > len(rows) {
-		s.ctr.queryErrors.Add(1)
-		writeError(w, http.StatusBadRequest, "cursor offset %d past the %d-row answer", offset, len(rows))
+	order := res.Order(s.sys)
+	if offset > len(order) {
+		fail(http.StatusBadRequest, "cursor offset %d past the %d-row answer", offset, len(order))
 		return
 	}
-	end := offset + mode.pageSize
-	if end > len(rows) {
-		end = len(rows)
-	}
-	page := rows[offset:end]
-	s.answered(res, len(page), elapsed, mode, false)
+	end := offset + min(rp.mode.pageSize, len(order)-offset)
+	page := order[offset:end]
+	resp := s.answered(res, len(page), false, rp)
 	s.ctr.cursorPages.Add(1)
-	resp := baseResponse(res, grant, elapsed, rid)
-	resp.Rows, resp.RowCount = page, len(page)
-	if end < len(rows) {
+	if end < len(order) {
 		resp.NextCursor = encodeCursor(pageCursor{Version: res.Version, Offset: end, Goal: goal})
 	}
-	if wantTrace && tr != nil {
-		resp.Trace = tr.Trace()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeRows(w, resp, len(page), func(i int) rel.Tuple { return res.Answer.Row(int(page[i])) })
 }
 
 // streamTail is the NDJSON terminal object: the response metadata with
@@ -269,75 +223,28 @@ type streamTail struct {
 	Rows any `json:"rows,omitempty"`
 }
 
-// ndjsonWriter pairs the encoder with batch flushing.
-type ndjsonWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	enc     *json.Encoder
-	n       int
-}
-
-func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return &ndjsonWriter{w: w, flusher: flusher, enc: enc}
-}
-
-// row writes one NDJSON row line, flushing every streamFlushRows rows.
-// A false return means the client went away.
-func (nw *ndjsonWriter) row(row []string) bool {
-	if err := nw.enc.Encode(row); err != nil {
-		return false
-	}
-	nw.n++
-	if nw.flusher != nil && nw.n%streamFlushRows == 0 {
-		nw.flusher.Flush()
-	}
-	return true
-}
-
-// tail writes the terminal object and flushes.
-func (nw *ndjsonWriter) tail(t streamTail) {
-	_ = nw.enc.Encode(t)
-	if nw.flusher != nil {
-		nw.flusher.Flush()
-	}
-}
-
 // streamMaterialized streams an already-materialized answer (the cached
 // fast path) as NDJSON, honoring the limit and the MaxRows cap.
-func (s *Server) streamMaterialized(w http.ResponseWriter, res *core.QueryResult, grant int, elapsed time.Duration, rid string, tr *eval.Tracer, wantTrace bool, mode queryMode) {
+func (s *Server) streamMaterialized(w http.ResponseWriter, res *core.QueryResult, rp reply) {
 	n := res.Answer.Len()
-	truncated := false
-	if mode.limit > 0 && n > mode.limit {
-		n, truncated = mode.limit, true
+	if rp.mode.limit > 0 {
+		n = min(n, rp.mode.limit)
 	}
-	if s.cfg.MaxRows > 0 && n > s.cfg.MaxRows {
-		n, truncated = s.cfg.MaxRows, true
+	if s.cfg.MaxRows > 0 {
+		n = min(n, s.cfg.MaxRows)
 	}
-	rows := renderPrefix(res.Answer, n, s.sys.Engine.Syms)
-	s.answered(res, len(rows), elapsed, mode, truncated)
-	s.ctr.streamedRows.Add(int64(len(rows)))
-	nw := newNDJSONWriter(w)
-	for _, row := range rows {
-		if !nw.row(row) {
+	resp := s.answered(res, n, n < res.Answer.Len(), rp)
+	s.ctr.streamedRows.Add(int64(n))
+	rw := s.newRowWriter(w, "application/x-ndjson")
+	defer rw.release()
+	for i := 0; i < n; i++ {
+		if !rw.line(res.Answer.Row(i)) {
 			s.ctr.clientAborts.Add(1)
 			return
 		}
 	}
-	resp := baseResponse(res, grant, elapsed, rid)
-	resp.RowCount, resp.Truncated = len(rows), truncated
-	if mode.exists {
-		ex := len(rows) > 0
-		resp.Exists = &ex
-	}
-	if wantTrace && tr != nil {
-		resp.Trace = tr.Trace()
-	}
-	nw.tail(streamTail{Done: true, QueryResponse: resp})
+	_ = rw.enc.Encode(streamTail{Done: true, QueryResponse: resp})
+	rw.flush(true)
 }
 
 // streamEvaluated is the evaluated path for streamed and limited
@@ -346,104 +253,86 @@ func (s *Server) streamMaterialized(w http.ResponseWriter, res *core.QueryResult
 // them, and a reached limit stops the fixpoint at the round that
 // produced the k-th answer.  The worker grant is released the moment the
 // evaluation stops — before the tail (or the JSON body) is serialized.
-func (s *Server) streamEvaluated(w http.ResponseWriter, qctx context.Context, snap *core.Snapshot, goal ast.Atom, opts core.Options, mode queryMode, grant int, release func(), rid string, tr *eval.Tracer, wantTrace bool, timeout time.Duration, start time.Time) {
-	st, err := s.sys.Stream(qctx, core.QueryRequest{Goal: goal, Snap: snap, Opts: opts, Limit: mode.limit})
+func (s *Server) streamEvaluated(w http.ResponseWriter, qctx context.Context, snap *core.Snapshot, goal ast.Atom, opts core.Options, release func(), timeout time.Duration, start time.Time, rp reply) {
+	st, err := s.sys.Stream(qctx, core.QueryRequest{Goal: goal, Snap: snap, Opts: opts, Limit: rp.mode.limit})
 	if err != nil {
 		release()
-		s.writeQueryError(w, err, timeout, rid, goal.String())
+		s.writeQueryError(w, err, timeout, rp.rid, goal.String())
 		return
 	}
 	defer st.Close()
 
-	if !mode.stream {
+	if !rp.mode.stream {
 		// Buffered JSON with a limit: collect up to limit rows (the cap
-		// below guards the unlimited-exists degenerate case).
-		var rows [][]string
+		// below guards the unlimited-exists degenerate case) into one flat
+		// value array, since the stream owns the tuples it yields.
+		var vals []rel.Value
+		n := 0
 		for {
 			t, ok := st.Next()
 			if !ok {
 				break
 			}
-			rows = append(rows, st.RenderRow(t))
-			if s.cfg.MaxRows > 0 && len(rows) >= s.cfg.MaxRows {
+			vals, n = append(vals, t...), n+1
+			if s.cfg.MaxRows > 0 && n >= s.cfg.MaxRows {
 				st.Close()
 				break
 			}
 		}
-		elapsed := time.Since(start)
+		rp.elapsed = time.Since(start)
 		release()
 		if err := st.Err(); err != nil {
-			s.writeQueryError(w, err, timeout, rid, goal.String())
+			s.writeQueryError(w, err, timeout, rp.rid, goal.String())
 			return
 		}
-		res := s.streamResult(st, goal)
-		truncated := st.EarlyTerminated()
-		s.answered(res, len(rows), elapsed, mode, truncated)
-		resp := baseResponse(res, grant, elapsed, rid)
-		resp.Rows, resp.RowCount, resp.Truncated = rows, len(rows), truncated
-		if resp.Rows == nil {
-			resp.Rows = [][]string{}
-		}
-		if mode.exists {
-			ex := len(rows) > 0
-			resp.Exists = &ex
-		}
-		if wantTrace && tr != nil {
-			resp.Trace = tr.Trace()
-		}
-		writeJSON(w, http.StatusOK, resp)
+		resp := s.answered(s.streamResult(st, goal), n, st.EarlyTerminated(), rp)
+		arity := goal.Arity()
+		s.writeRows(w, resp, n, func(i int) rel.Tuple { return vals[i*arity : (i+1)*arity] })
 		return
 	}
 
-	// NDJSON while evaluating: each pulled row is encoded immediately;
-	// the fixpoint advances only between writes.  MaxRows caps delivery
-	// by truncation (a stream has no buffered answer to 413).
-	nw := newNDJSONWriter(w)
+	// NDJSON while evaluating: each pulled row is encoded at once and
+	// reaches the client with its flush batch; the fixpoint advances only
+	// between writes.  MaxRows caps delivery by truncation (a stream has
+	// no buffered answer to 413).
+	rw := s.newRowWriter(w, "application/x-ndjson")
+	defer rw.release()
 	capped := false
 	for {
 		t, ok := st.Next()
 		if !ok {
 			break
 		}
-		if !nw.row(st.RenderRow(t)) {
+		if !rw.line(t) {
 			// Client went away mid-stream: stop the evaluation and give
 			// the budget back; nobody reads a tail.
 			st.Close()
 			release()
 			s.ctr.clientAborts.Add(1)
-			s.ctr.streamedRows.Add(int64(nw.n))
+			s.ctr.streamedRows.Add(int64(rw.n))
 			return
 		}
-		if s.cfg.MaxRows > 0 && nw.n >= s.cfg.MaxRows {
+		if s.cfg.MaxRows > 0 && rw.n >= s.cfg.MaxRows {
 			capped = true
 			st.Close()
 			break
 		}
 	}
-	elapsed := time.Since(start)
+	rp.elapsed = time.Since(start)
 	st.Close()
 	release()
-	s.ctr.streamedRows.Add(int64(nw.n))
+	s.ctr.streamedRows.Add(int64(rw.n))
 	if err := st.Err(); err != nil {
 		// The 200 and some rows are already on the wire; classify the
 		// failure for the counters and say so in the tail.
-		s.countStreamFailure(err, rid, goal.String())
-		nw.tail(streamTail{Error: err.Error(), QueryResponse: QueryResponse{RequestID: rid}})
+		s.countFailure(err, rp.rid, goal.String())
+		_ = rw.enc.Encode(streamTail{Error: err.Error(), QueryResponse: QueryResponse{RequestID: rp.rid}})
+		rw.flush(true)
 		return
 	}
-	res := s.streamResult(st, goal)
-	truncated := st.EarlyTerminated() || capped
-	s.answered(res, nw.n, elapsed, mode, truncated)
-	resp := baseResponse(res, grant, elapsed, rid)
-	resp.RowCount, resp.Truncated = nw.n, truncated
-	if mode.exists {
-		ex := nw.n > 0
-		resp.Exists = &ex
-	}
-	if wantTrace && tr != nil {
-		resp.Trace = tr.Trace()
-	}
-	nw.tail(streamTail{Done: true, QueryResponse: resp})
+	resp := s.answered(s.streamResult(st, goal), rw.n, st.EarlyTerminated() || capped, rp)
+	_ = rw.enc.Encode(streamTail{Done: true, QueryResponse: resp})
+	rw.flush(true)
 }
 
 // streamResult adapts a finished QueryStream to the QueryResult shape
@@ -458,20 +347,28 @@ func (s *Server) streamResult(st *core.QueryStream, goal ast.Atom) *core.QueryRe
 	}
 }
 
-// countStreamFailure classifies a mid-stream evaluation failure into the
-// same counters the buffered path's status codes feed.
-func (s *Server) countStreamFailure(err error, rid, query string) {
+// countFailure classifies an evaluation failure, buffered or mid-stream,
+// into the counters and returns its status code.  It matches the error
+// itself, not ctx.Err(): a genuine evaluation failure racing the deadline
+// must not be mislabeled as a timeout or client abort.
+func (s *Server) countFailure(err error, rid, query string) int {
 	switch {
 	case isDeadline(err):
 		s.ctr.timeouts.Add(1)
+		return http.StatusGatewayTimeout
 	case isCanceled(err):
+		// The client went away mid-evaluation; 499 is the de-facto
+		// client-closed-request status.
 		s.ctr.clientAborts.Add(1)
+		return 499
 	case isInternal(err):
+		// Counted apart from client errors so a smoke check can fail a run
+		// that provoked any 500.
 		s.ctr.queryErrors.Add(1)
 		s.ctr.internalErrors.Add(1)
-		s.log.Error("internal evaluation error mid-stream",
-			"request_id", rid, "query", query, "err", err)
-	default:
-		s.ctr.queryErrors.Add(1)
+		s.log.Error("internal evaluation error", "request_id", rid, "query", query, "err", err)
+		return http.StatusInternalServerError
 	}
+	s.ctr.queryErrors.Add(1)
+	return http.StatusUnprocessableEntity
 }
