@@ -182,8 +182,8 @@ func loadSystem(program, gen, dataDir string, cacheRows int, budgetBytes int64) 
 		if mgr, err = segment.Open(dataDir); err != nil {
 			return nil, "", nil, err
 		}
-		// The budget must attach before Boot so recovery installs
-		// mmap-resident lazy stores instead of materializing everything.
+		// The budget must attach before Boot: recovery hands it to every
+		// lazy store, which charges its probe artifacts to it.
 		mgr.SetMemBudget(budgetBytes)
 	}
 	switch {

@@ -753,7 +753,7 @@ func (s *System) RemoveFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Sn
 	removedBy := map[string]*rel.Relation{}
 	for pred, tuples := range byPred {
 		r0 := old.DB[pred]
-		r, n := rel.StoreWithout(r0, tuples)
+		r, n := r0.Without(tuples)
 		if n > 0 {
 			rebuilt[pred] = r
 			removed += n

@@ -9,12 +9,34 @@ import (
 
 	"linrec/internal/ast"
 	"linrec/internal/planner"
+	"linrec/internal/segment"
 )
 
+// evictingBudget is the memory budget of the harness's budgeted arm: a
+// few column indexes of a generated program's relations, so a query
+// touching several predicates evicts and rebuilds artifacts mid-plan.
+const evictingBudget = 1 << 10
+
+// budgetedManager opens a segment manager over dir with the given memory
+// budget (0: unbudgeted).
+func budgetedManager(t *testing.T, dir string, budget int64) *segment.Manager {
+	t.Helper()
+	m := openManager(t, dir)
+	m.SetMemBudget(budget)
+	return m
+}
+
+// evictions returns how many residency artifacts the disk-backed sys's
+// memory budget has evicted.
+func evictions(sys *System) int64 {
+	return sys.Opts.Persist.(*segment.Manager).Stats().Evictions
+}
+
 // diskTwin publishes sys-equivalent state to a fresh data directory and
-// boots a second system from it, so every relation the twin serves is a
-// lazy disk-backed store.
-func diskTwin(t *testing.T, src string) (*System, *System) {
+// boots a second system from it under the given memory budget (0:
+// unbudgeted), so every relation the twin serves is a lazy disk-backed
+// store.
+func diskTwin(t *testing.T, src string, budget int64) (*System, *System) {
 	t.Helper()
 	mem, err := Load(src)
 	if err != nil {
@@ -24,7 +46,7 @@ func diskTwin(t *testing.T, src string) (*System, *System) {
 	if _, err := LoadOptions(src, Options{Persist: openManager(t, dir)}); err != nil {
 		t.Fatalf("persistent load:\n%s\n%v", src, err)
 	}
-	disk, err := LoadOptions(src, Options{Persist: openManager(t, dir)})
+	disk, err := LoadOptions(src, Options{Persist: budgetedManager(t, dir, budget)})
 	if err != nil {
 		t.Fatalf("boot from disk:\n%s\n%v", src, err)
 	}
@@ -84,20 +106,23 @@ func comparePlans(t *testing.T, mem, disk *System, goalSrc, src string) planner.
 	return kind
 }
 
-// TestPersistDifferential is the tentpole's proof harness: across ≥150
-// generated programs, every query — auto-planned and plan-forced, at
-// one and at four workers — must return rows bit-for-bit identical
-// whether the system computes over in-memory relations or over a
-// snapshot booted from disk segments.
+// TestPersistDifferential is the storage backends' proof harness:
+// across ≥150 generated programs, every query — auto-planned and
+// plan-forced, at one and at four workers — must return rows
+// bit-for-bit identical whether the system computes over in-memory
+// relations or over a snapshot booted from disk segments, unbudgeted
+// or under a budget small enough to evict.
 func TestPersistDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(161803))
 	const wantPrograms = 150
 	plans := map[planner.Kind]int{}
 	nonEmpty := 0
+	var evicted int64
 
 	for attempt := 0; attempt < wantPrograms; attempt++ {
 		src := genMagicProgram(rng)
-		mem, disk := diskTwin(t, src)
+		mem, disk := diskTwin(t, src, 0)
+		_, tight := diskTwin(t, src, evictingBudget)
 
 		goals := []string{
 			"p(X, Y)",
@@ -107,12 +132,17 @@ func TestPersistDifferential(t *testing.T) {
 		}
 		for _, goalSrc := range goals {
 			plans[comparePlans(t, mem, disk, goalSrc, src)]++
+			comparePlans(t, mem, tight, goalSrc, src)
 		}
+		evicted += evictions(tight)
 		if res, err := mem.Query(mustAtom(t, "p(X, Y)")); err == nil && res.Answer.Len() > 0 {
 			nonEmpty++
 		}
 	}
-	t.Logf("plan kinds compared: %v (non-empty closures: %d)", plans, nonEmpty)
+	t.Logf("plan kinds compared: %v (non-empty closures: %d, budgeted evictions: %d)", plans, nonEmpty, evicted)
+	if evicted == 0 {
+		t.Fatalf("the budgeted arm never evicted: the budget does not exercise eviction")
+	}
 	if plans[planner.SemiNaive] == 0 || plans[planner.MagicSeeded] == 0 {
 		t.Fatalf("generator did not exercise both semi-naive and magic-seeded plans: %v", plans)
 	}
@@ -167,7 +197,7 @@ e(a,b). e(b,a). e(b,c). e(c,b).
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mem, disk := diskTwin(t, tc.src)
+			mem, disk := diskTwin(t, tc.src, 0)
 			if got := comparePlans(t, mem, disk, tc.goal, tc.src); got != tc.kind {
 				t.Fatalf("auto plan = %v, want %v — the directed case no longer pins its plan kind", got, tc.kind)
 			}
@@ -183,7 +213,7 @@ func TestPersistDifferentialStreaming(t *testing.T) {
 	ctx := context.Background()
 	for attempt := 0; attempt < 30; attempt++ {
 		src := genMagicProgram(rng)
-		mem, disk := diskTwin(t, src)
+		mem, disk := diskTwin(t, src, 0)
 		goalSrc := "p(X, Y)"
 		if attempt%2 == 1 {
 			goalSrc = fmt.Sprintf("p(c%d, Y)", rng.Intn(8))
@@ -207,24 +237,29 @@ func TestPersistDifferentialStreaming(t *testing.T) {
 }
 
 // TestPersistDifferentialAfterSwaps checks the comparison holds across
-// mutation history: both backends apply the same adds and retractions,
-// then a restart of the disk side must still agree on every goal.
+// mutation history: every backend — in memory, on disk unbudgeted, on
+// disk under an evicting budget — applies the same adds and retractions,
+// then a restart of each disk side must still agree on every goal.
 func TestPersistDifferentialAfterSwaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(141421))
+	budgets := []int64{0, evictingBudget}
+	var evicted int64
 	for attempt := 0; attempt < 20; attempt++ {
 		src := genMagicProgram(rng)
 		mem, err := Load(src)
 		if err != nil {
 			t.Fatalf("load:\n%s\n%v", src, err)
 		}
-		dir := t.TempDir()
-		disk := func() *System {
-			s, err := LoadOptions(src, Options{Persist: openManager(t, dir)})
+		systems := []*System{mem}
+		dirs := make([]string, len(budgets))
+		for i, budget := range budgets {
+			dirs[i] = t.TempDir()
+			s, err := LoadOptions(src, Options{Persist: budgetedManager(t, dirs[i], budget)})
 			if err != nil {
 				t.Fatalf("persistent load:\n%s\n%v", src, err)
 			}
-			return s
-		}()
+			systems = append(systems, s)
+		}
 
 		// Apply the identical batch to both systems.
 		batchAdd := []string{
@@ -232,7 +267,7 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 			fmt.Sprintf("b0(c%d,c%d)", rng.Intn(8), rng.Intn(8)),
 		}
 		batchDel := []string{fmt.Sprintf("e0(c%d,c%d)", rng.Intn(8), rng.Intn(8))}
-		for _, s := range []*System{mem, disk} {
+		for _, s := range systems {
 			for _, fs := range batchAdd {
 				if _, _, err := s.AddFacts([]ast.Atom{mustAtom(t, fs)}); err != nil {
 					t.Fatalf("add %s:\n%s\n%v", fs, src, err)
@@ -245,16 +280,25 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 			}
 		}
 
-		// Restart the disk side from the manifest and compare everything.
-		rebooted, err := LoadOptions(src, Options{Persist: openManager(t, dir)})
-		if err != nil {
-			t.Fatalf("reboot:\n%s\n%v", src, err)
+		// Restart each disk side from its manifest and compare everything.
+		goals := []string{"p(X, Y)", fmt.Sprintf("p(c%d, Y)", rng.Intn(8))}
+		for i, budget := range budgets {
+			rebooted, err := LoadOptions(src, Options{Persist: budgetedManager(t, dirs[i], budget)})
+			if err != nil {
+				t.Fatalf("reboot:\n%s\n%v", src, err)
+			}
+			if got, want := rebooted.Snapshot().Version, systems[1+i].Snapshot().Version; got != want {
+				t.Fatalf("rebooted at version %d, pre-restart served %d", got, want)
+			}
+			for _, goalSrc := range goals {
+				comparePlans(t, mem, rebooted, goalSrc, src)
+			}
+			if budget > 0 {
+				evicted += evictions(systems[1+i]) + evictions(rebooted)
+			}
 		}
-		if got, want := rebooted.Snapshot().Version, disk.Snapshot().Version; got != want {
-			t.Fatalf("rebooted at version %d, pre-restart served %d", got, want)
-		}
-		for _, goalSrc := range []string{"p(X, Y)", fmt.Sprintf("p(c%d, Y)", rng.Intn(8))} {
-			comparePlans(t, mem, rebooted, goalSrc, src)
-		}
+	}
+	if evicted == 0 {
+		t.Fatalf("the budgeted arm never evicted: the budget does not exercise eviction")
 	}
 }

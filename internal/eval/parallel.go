@@ -39,7 +39,8 @@ func prebuildIndexes(db rel.DB, cs []*compiled) {
 	for _, c := range cs {
 		for i := range c.atoms {
 			if a := &c.atoms[i]; a.idxCol >= 0 && !a.member {
-				db.Probe(a.pred).BuildIndex(a.idxCol)
+				// Every backend builds a column index on its first Lookup.
+				db.Probe(a.pred).Lookup(a.idxCol, 0)
 			}
 		}
 	}

@@ -238,7 +238,7 @@ func TestSparseIndexValues(t *testing.T) {
 	if got := r.Lookup(0, 4); got != nil {
 		t.Fatalf("absent value lookup = %v", got)
 	}
-	if len(r.Index(0)) != 3 {
-		t.Fatalf("Index view = %v", r.Index(0))
+	if n := len(r.index(0).rows); n != 3 {
+		t.Fatalf("index holds %d rows, want 3", n)
 	}
 }

@@ -1,9 +1,6 @@
 package rel
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Layered is a Store presenting base − dels + adds without
 // materializing the result: one immutable overlay layer over an
@@ -125,21 +122,6 @@ func (l *Layered) Each(f func(Tuple)) {
 	l.adds.Each(f)
 }
 
-// Tuples returns all effective tuples in sorted order.
-func (l *Layered) Tuples() []Tuple {
-	out := make([]Tuple, 0, l.Len())
-	l.Each(func(t Tuple) { out = append(out, t) })
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
-}
-
 // Lookup returns the rows with t[col] == v, combining the base's index
 // probe with the overlay's.  With an empty overlay it delegates to the
 // base at zero extra allocation; otherwise it filters tombstones and
@@ -168,12 +150,6 @@ func (l *Layered) combine(bs, as []Tuple) []Tuple {
 	return append(out, as...)
 }
 
-// BuildIndex forces the column index on both data-bearing layers.
-func (l *Layered) BuildIndex(col int) {
-	l.base.BuildIndex(col)
-	l.adds.BuildIndex(col)
-}
-
 // Prober returns a per-goroutine probe closure over the layered index.
 func (l *Layered) Prober(col int) func(Value) []Tuple {
 	bp := l.base.Prober(col)
@@ -181,13 +157,6 @@ func (l *Layered) Prober(col int) func(Value) []Tuple {
 	return func(v Value) []Tuple {
 		return l.combine(bp(v), ap(v))
 	}
-}
-
-// Index renders the effective column index as a map (diagnostic).
-func (l *Layered) Index(col int) map[Value][]Tuple {
-	out := map[Value][]Tuple{}
-	l.Each(func(t Tuple) { out[t[col]] = append(out[t[col]], t) })
-	return out
 }
 
 // Clone materializes the layered view as an independent relation.
@@ -198,75 +167,25 @@ func (l *Layered) Clone() *Relation {
 	return out
 }
 
-// Select returns the tuples with t[col] == v as a new relation.
-func (l *Layered) Select(col int, v Value) *Relation {
-	out := NewRelation(l.Arity())
-	for _, t := range l.Lookup(col, v) {
-		out.Insert(t)
-	}
-	return out
-}
+// Without subtracts remove by wrapping one more tombstone layer.
+func (l *Layered) Without(remove []Tuple) (Store, int) { return Tombstone(l, remove) }
 
-// SelectIn returns the tuples whose col value appears in allowed.
-func (l *Layered) SelectIn(col int, allowed *Relation) *Relation {
-	return l.SelectInCols([]int{col}, allowed)
-}
-
-// SelectInCols is the multi-column seed restriction, with Relation's
-// probe-versus-scan crossover.
-func (l *Layered) SelectInCols(cols []int, allowed *Relation) *Relation {
-	out := NewRelation(l.Arity())
-	if allowed.Len()*8 < l.Len() {
-		allowed.Each(func(m Tuple) {
-		candidates:
-			for _, t := range l.Lookup(cols[0], m[0]) {
-				for i := 1; i < len(cols); i++ {
-					if t[cols[i]] != m[i] {
-						continue candidates
-					}
-				}
-				out.Insert(t)
-			}
-		})
-		return out
-	}
-	key := make(Tuple, len(cols))
-	l.Each(func(t Tuple) {
-		for i, c := range cols {
-			key[i] = t[c]
-		}
-		if allowed.Has(key) {
-			out.Insert(t)
-		}
-	})
-	return out
-}
-
-// Filter returns the tuples satisfying pred as a new relation.
-func (l *Layered) Filter(pred func(Tuple) bool) *Relation {
-	out := NewRelation(l.Arity())
-	l.Each(func(t Tuple) {
-		if pred(t) {
-			out.Insert(t)
-		}
-	})
-	return out
-}
-
-// Without subtracts remove by wrapping one more tombstone layer —
-// identity-preserving when nothing is present, so copy-on-write swaps
-// keep sharing the chain.
-func (l *Layered) Without(remove []Tuple) (Store, int) {
-	dels := NewRelation(l.Arity())
+// Tombstone subtracts remove from s by wrapping it in one overlay layer
+// of the removed tuples, leaving s's rows where they are — the retraction
+// shape of an immutable store, which the segment manager publishes as a
+// delta chained onto it.  When nothing is present it returns s itself
+// (removed == 0), so copy-on-write swaps keep sharing the store.
+func Tombstone(s Store, remove []Tuple) (Store, int) {
+	dels := NewRelation(s.Arity())
 	for _, t := range remove {
-		if l.Has(t) {
-			dels.Insert(t.Clone())
+		if s.Has(t) {
+			dels.Insert(t)
 		}
 	}
 	if dels.Len() == 0 {
-		return l, 0
+		return s, 0
 	}
-	return NewLayered(l, nil, dels), dels.Len()
+	return NewLayered(s, nil, dels), dels.Len()
 }
 
 var _ Store = (*Layered)(nil)

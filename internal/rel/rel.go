@@ -12,7 +12,7 @@
 // allocations.
 //
 // Concurrency: a Relation supports any number of concurrent readers
-// (Has/Row/Each/Index/Select/…), including lazy index construction, which
+// (Has/Row/Each/Lookup/Select/…), including lazy index construction, which
 // is guarded internally.  Writes (Insert/UnionInto) must not race with
 // readers or each other; the evaluation engine upholds this by mutating
 // only at single-threaded merge points.
@@ -292,7 +292,6 @@ const maxDenseBucket = 1 << 20
 // its own size; when even that window outgrows the row count several
 // times over, every value is an outlier.  An Index is immutable.
 type Index struct {
-	col    int
 	lo     Value
 	starts []int32 // span+1 bucket offsets into rows
 	rows   []Tuple
@@ -309,7 +308,7 @@ func NewIndex(data []Value, arity, col int) *Index {
 			lo, hi = min(lo, v), max(hi, v)
 		}
 	}
-	ix := &Index{col: col, rows: make([]Tuple, n)}
+	ix := &Index{rows: make([]Tuple, n)}
 	span := int(hi) - int(lo) + 1
 	if span <= 0 || span > 8*n+1024 {
 		lo, span = 0, 0
@@ -374,15 +373,6 @@ func (ix *Index) Lookup(v Value) []Tuple {
 // of key + slice header + control byte each).
 func (ix *Index) Bytes() int64 {
 	return int64(4*len(ix.starts)+24*len(ix.rows)+36*len(ix.sparse)) + 64
-}
-
-// Map renders the index as a value → rows map (diagnostic).
-func (ix *Index) Map() map[Value][]Tuple {
-	out := map[Value][]Tuple{}
-	for _, t := range ix.rows {
-		out[t[ix.col]] = ix.Lookup(t[ix.col])
-	}
-	return out
 }
 
 // Relation is a set of same-arity tuples with optional per-column indexes.
@@ -610,13 +600,6 @@ func (r *Relation) Prober(col int) func(Value) []Tuple {
 	}
 }
 
-// Index renders the column index as a value → rows map.  The map is built
-// fresh on every call: it is a diagnostic/test convenience, not a probe
-// path — inner loops use Lookup.
-func (r *Relation) Index(col int) map[Value][]Tuple {
-	return r.index(col).Map()
-}
-
 // Clone returns an independent copy (without indexes): two flat memcpys,
 // regardless of row count.
 func (r *Relation) Clone() *Relation {
@@ -807,24 +790,14 @@ func (r *Relation) Select(col int, v Value) *Relation {
 	return out
 }
 
-// SelectIn returns the tuples whose column col value appears in the
-// 1-column relation allowed — the seed restriction of a magic-seeded
-// plan.  When allowed is much smaller than r it probes r's column index
-// per allowed value (output-proportional); otherwise it scans r once.
-// Both paths leave allowed untouched, and the index path only triggers
-// r's internally-guarded lazy index build, so concurrent SelectIn calls
+// SelectInCols returns the tuples whose projection onto cols (ascending
+// column indexes) appears in the len(cols)-ary relation allowed — the
+// seed restriction of a magic-seeded plan.  When allowed is much smaller
+// than r it probes r's index on cols[0] per allowed tuple and checks the
+// remaining columns inline (output-proportional); otherwise it scans r
+// once.  Both paths leave allowed untouched, and the index path only
+// triggers r's internally-guarded lazy index build, so concurrent calls
 // over a shared relation are safe.
-func (r *Relation) SelectIn(col int, allowed *Relation) *Relation {
-	return r.SelectInCols([]int{col}, allowed)
-}
-
-// SelectInCols generalizes SelectIn to an adornment: it returns the
-// tuples whose projection onto cols (ascending column indexes) appears
-// in the len(cols)-ary relation allowed — the seed restriction of a
-// multi-column magic-seeded plan.  When allowed is much smaller than r
-// it probes r's index on cols[0] per allowed tuple and checks the
-// remaining columns inline; otherwise it scans r once.  The concurrency
-// contract matches SelectIn.
 func (r *Relation) SelectInCols(cols []int, allowed *Relation) *Relation {
 	out := NewRelation(r.arity)
 	if allowed.Len()*8 < r.Len() {
@@ -878,14 +851,15 @@ func (r *Relation) Equal(other *Relation) bool {
 }
 
 // Store is the read contract a DB entry must satisfy — the pluggable
-// storage seam.  The in-memory Relation implements it directly; a
-// disk-backed implementation may defer materialization until the first
-// method that needs row data (Arity and Len are answerable from
-// metadata alone).  All methods must be safe for concurrent readers,
-// matching Relation's contract; the derive methods (Clone, Select,
-// SelectIn, SelectInCols, Filter, Without) return fresh in-memory
-// relations (or, for Without's no-removal case, a value representing
-// the unchanged store) and never mutate the receiver.
+// storage seam, and exactly what the evaluators use: scan a relation,
+// probe a column, test membership.  The in-memory Relation implements
+// it directly; Layered overlays one store on another, and a disk-backed
+// implementation may defer touching row data until a method needs it
+// (Arity and Len are answerable from metadata alone).  All methods must
+// be safe for concurrent readers, matching Relation's contract, and
+// never mutate the receiver.  Selections, filters and sorted output are
+// Relation methods: callers derive a Relation first (Clone) when they
+// need them on another store.
 type Store interface {
 	// Arity returns the number of columns.
 	Arity() int
@@ -894,52 +868,26 @@ type Store interface {
 	// Row returns the i-th tuple as a storage view; it must not be
 	// mutated.
 	Row(i int) Tuple
-	// Has reports membership.
-	Has(t Tuple) bool
 	// Each calls f on every tuple; iteration order is unspecified.
 	Each(f func(Tuple))
-	// Tuples returns all tuples in deterministic (sorted) order.
-	Tuples() []Tuple
+	// Has reports membership.
+	Has(t Tuple) bool
 	// Lookup returns the rows with t[col] == v, building the column
 	// index on first use.
 	Lookup(col int, v Value) []Tuple
-	// BuildIndex forces construction of the index on col.
-	BuildIndex(col int)
 	// Prober returns a per-goroutine probe closure over the index on col.
 	Prober(col int) func(Value) []Tuple
-	// Index renders the column index as a value → rows map (diagnostic).
-	Index(col int) map[Value][]Tuple
 	// Clone returns an independent in-memory copy.
 	Clone() *Relation
-	// Select returns the tuples with t[col] == v as a new relation.
-	Select(col int, v Value) *Relation
-	// SelectIn returns the tuples whose col value appears in allowed.
-	SelectIn(col int, allowed *Relation) *Relation
-	// SelectInCols generalizes SelectIn to a multi-column adornment.
-	SelectInCols(cols []int, allowed *Relation) *Relation
-	// Filter returns the tuples satisfying pred as a new relation.
-	Filter(pred func(Tuple) bool) *Relation
 	// Without returns the store's tuples minus remove, and how many were
-	// actually removed; with zero removals implementations return a
-	// store sharing the receiver's data so copy-on-write snapshots can
-	// keep sharing it.
+	// actually removed.  With zero removals it returns the receiver
+	// itself, which is what lets copy-on-write snapshot swaps detect
+	// "unchanged" by pointer identity.
 	Without(remove []Tuple) (Store, int)
 }
 
-// StoreWithout subtracts remove from s, preserving identity on no-ops:
-// when nothing is removed the returned Store is s itself (not merely a
-// store over the same rows), which is what lets copy-on-write snapshot
-// swaps detect "unchanged" by pointer identity.
-func StoreWithout(s Store, remove []Tuple) (Store, int) {
-	out, n := s.Without(remove)
-	if n == 0 {
-		return s, 0
-	}
-	return out, n
-}
-
-// Without adapts Relation's rebuild-based Without to the Store
-// interface's signature.  The no-removal case returns the receiver.
+// Without is Relation's rebuild-based subtraction behind the Store
+// signature.  The no-removal case returns the receiver.
 func (r *Relation) Without(remove []Tuple) (Store, int) {
 	out, n := r.without(remove)
 	return out, n
@@ -1019,13 +967,4 @@ func (db DB) Probe(pred string) Store {
 		return s
 	}
 	return emptyRel
-}
-
-// Clone deep-copies the database into in-memory relations.
-func (db DB) Clone() DB {
-	out := DB{}
-	for k, v := range db {
-		out[k] = v.Clone()
-	}
-	return out
 }

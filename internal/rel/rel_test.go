@@ -70,13 +70,12 @@ func TestIndexAndSelect(t *testing.T) {
 	r.Insert(Tuple{1, 10})
 	r.Insert(Tuple{1, 11})
 	r.Insert(Tuple{2, 12})
-	idx := r.Index(0)
-	if len(idx[1]) != 2 || len(idx[2]) != 1 {
-		t.Fatalf("index contents wrong: %v", idx)
+	if len(r.Lookup(0, 1)) != 2 || len(r.Lookup(0, 2)) != 1 || len(r.Lookup(0, 3)) != 0 {
+		t.Fatalf("index contents wrong: %v %v", r.Lookup(0, 1), r.Lookup(0, 2))
 	}
 	// Index stays correct across later inserts.
 	r.Insert(Tuple{1, 13})
-	if len(r.Index(0)[1]) != 3 {
+	if len(r.Lookup(0, 1)) != 3 {
 		t.Fatalf("index not maintained after insert")
 	}
 	sel := r.Select(0, 1)
@@ -146,16 +145,6 @@ func TestDBRel(t *testing.T) {
 		}
 	}()
 	db.Rel("e", 3)
-}
-
-func TestDBClone(t *testing.T) {
-	db := DB{}
-	db.Rel("e", 1).Insert(Tuple{1})
-	c := db.Clone()
-	c.Rel("e", 1).Insert(Tuple{2})
-	if db["e"].Len() != 1 {
-		t.Fatalf("DB clone shares relations")
-	}
 }
 
 // TestTupleKeyInjective: for arity ≤ 2 the packed key is exact — distinct

@@ -6,12 +6,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"linrec/internal/rel"
 )
 
 // budgetedLazy writes mem's rows as a segment file and returns a lazy
-// store over it, budgeted by b.
+// store over it, budgeted by b (nil: unbudgeted).
 func budgetedLazy(t *testing.T, dir, name string, mem *rel.Relation, b *Budget) *Lazy {
 	t.Helper()
 	path := filepath.Join(dir, name+".seg")
@@ -37,10 +38,28 @@ func sameBucket(got, want []rel.Tuple) bool {
 	return len(got)+len(want) == 0 || reflect.DeepEqual(got, want)
 }
 
-// checkLazyAgrees asserts the budgeted store answers every probe the
-// in-memory relation over the same rows does.
+// checkLazyAgrees asserts the lazy store scans, probes and copies as
+// the in-memory relation over the same rows does.
 func checkLazyAgrees(t *testing.T, what string, l *Lazy, mem *rel.Relation) {
 	t.Helper()
+	for i := 0; i < mem.Len(); i++ {
+		if got := l.Row(i); !got.Eq(mem.Row(i)) {
+			t.Fatalf("%s: Row(%d) = %v, want %v", what, i, got, mem.Row(i))
+		}
+	}
+	n := 0
+	l.Each(func(tp rel.Tuple) {
+		if !tp.Eq(mem.Row(n)) {
+			t.Fatalf("%s: Each row %d = %v, want %v", what, n, tp, mem.Row(n))
+		}
+		n++
+	})
+	if n != mem.Len() {
+		t.Fatalf("%s: Each yielded %d rows, want %d", what, n, mem.Len())
+	}
+	if got, want := l.Clone().Tuples(), mem.Tuples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Clone diverges", what)
+	}
 	vals := map[rel.Value]bool{-1 << 31: true, 1<<31 - 1: true}
 	mem.Each(func(tp rel.Tuple) {
 		for _, v := range tp {
@@ -57,25 +76,6 @@ func checkLazyAgrees(t *testing.T, what string, l *Lazy, mem *rel.Relation) {
 			if got := probe(v); !sameBucket(got, memProbe(v)) {
 				t.Fatalf("%s: Prober(%d)(%d) = %v, want %v", what, col, v, got, want)
 			}
-			if got, want := l.Select(col, v).Tuples(), mem.Select(col, v).Tuples(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Select(%d, %d) = %v, want %v", what, col, v, got, want)
-			}
-		}
-		if got, want := l.Index(col), mem.Index(col); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Index(%d) diverges", what, col)
-		}
-		// A small allowed set takes the probe path, a large one the scan.
-		small, large := rel.NewRelation(1), rel.NewRelation(1)
-		for v := range vals {
-			large.Insert(rel.Tuple{v})
-			if small.Len()*8 < mem.Len()-8 {
-				small.Insert(rel.Tuple{v})
-			}
-		}
-		for _, allowed := range []*rel.Relation{small, large} {
-			if got, want := l.SelectIn(col, allowed).Tuples(), mem.SelectIn(col, allowed).Tuples(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: SelectIn(%d, %d values) diverges", what, col, allowed.Len())
-			}
 		}
 	}
 	mem.Each(func(tp rel.Tuple) {
@@ -91,8 +91,9 @@ func checkLazyAgrees(t *testing.T, what string, l *Lazy, mem *rel.Relation) {
 }
 
 // TestLazyIndexEquivalence: a budgeted Lazy — promoted for membership
-// or not — answers Lookup, Prober, Index, Has, Select and SelectIn as an
-// in-memory Relation over the same rows does, over random data with
+// or not — answers Row, Each, Clone, Lookup, Prober and Has as an
+// in-memory Relation over the same rows does — and so does an
+// unbudgeted Lazy over the same file — over random data with
 // negative values, values ≥ 1<<20 (the index's outlier map) and dense
 // windows far from zero, both on first build and after an eviction
 // forces every index and key table to rebuild.
@@ -124,6 +125,7 @@ func TestLazyIndexEquivalence(t *testing.T) {
 		b := NewBudget(capBytes)
 		l := budgetedLazy(t, dir, fmt.Sprintf("p%d", trial), mem, b)
 		checkLazyAgrees(t, fmt.Sprintf("trial %d", trial), l, mem)
+		checkLazyAgrees(t, fmt.Sprintf("trial %d unbudgeted", trial), budgetedLazy(t, dir, fmt.Sprintf("u%d", trial), mem, nil), mem)
 		pinned := l.Prober(0)
 		pinned(mem.Row(0)[0])
 		evictAll(b)
@@ -182,5 +184,49 @@ func TestBudgetChargesLayout(t *testing.T) {
 	st := small.Stats()
 	if st.PeakBytes > st.CapBytes || st.Evictions == 0 {
 		t.Fatalf("peak %d over cap %d, or no evictions (%d)", st.PeakBytes, st.CapBytes, st.Evictions)
+	}
+}
+
+// TestUnbudgetedLazyScanBuildsNothing: with or without a budget a lazy
+// store runs one residency path.  Row and Each scan the mapping and
+// build nothing — no key table, no index — until a probe asks; one Has
+// then promotes a key table, and the segment is mapped exactly once
+// (the manager's segment.lazy_loads counter).
+func TestUnbudgetedLazyScanBuildsNothing(t *testing.T) {
+	dir := t.TempDir()
+	mem := rel.NewRelation(2)
+	for i := 0; i < 100; i++ {
+		mem.Insert(rel.Tuple{rel.Value(i), rel.Value(i + 1)})
+	}
+	for _, b := range []*Budget{nil, NewBudget(1 << 20)} {
+		what := fmt.Sprintf("budget %v", b != nil)
+		l := budgetedLazy(t, dir, fmt.Sprintf("e%v", b != nil), mem, b)
+		loads := 0
+		l.onLoad = func(time.Duration, int64) { loads++ }
+		n := 0
+		l.Each(func(rel.Tuple) { n++ })
+		for i := 0; i < l.Len(); i++ {
+			if !l.Row(i).Eq(mem.Row(i)) {
+				t.Fatalf("%s: Row(%d) = %v", what, i, l.Row(i))
+			}
+		}
+		if n != mem.Len() || !l.Loaded() {
+			t.Fatalf("%s: Each yielded %d rows, loaded %v", what, n, l.Loaded())
+		}
+		if l.Resident() || l.res.Load() != nil {
+			t.Fatalf("%s: a scan built residency artifacts", what)
+		}
+		if !l.Has(mem.Row(7)) || l.Has(rel.Tuple{7, 7}) {
+			t.Fatalf("%s: Has wrong", what)
+		}
+		if res := l.res.Load(); !l.Resident() || res == nil || res.rel == nil {
+			t.Fatalf("%s: Has did not promote a key table", what)
+		}
+		if got := l.Lookup(1, 8); len(got) != 1 || !got[0].Eq(rel.Tuple{7, 8}) {
+			t.Fatalf("%s: Lookup(1, 8) = %v", what, got)
+		}
+		if loads != 1 {
+			t.Fatalf("%s: segment mapped %d times, want 1", what, loads)
+		}
 	}
 }

@@ -75,9 +75,9 @@ type Manager struct {
 	// exactly what they orphaned and never list the directory.
 	sweepDue bool
 
-	// budget, when set (SetMemBudget before Boot), puts every lazy
-	// store this manager hands out into mmap-resident mode with
-	// evictable probe artifacts.
+	// budget, when set (SetMemBudget before Boot), charges the probe
+	// artifacts of every lazy store this manager hands out and evicts
+	// them under pressure.
 	budget *Budget
 
 	// lazyByFile maps segment file names to the live Lazy stores
@@ -216,7 +216,7 @@ func (m *Manager) Dir() string { return m.dir }
 // the least-recently-probed artifacts evict back to mmap-only under
 // pressure, which is what lets a query answer over a database larger
 // than resident memory.  Zero or negative removes the budget.  Call
-// before Boot; stores already handed out keep their previous mode.
+// before Boot; stores already handed out keep their previous budget.
 func (m *Manager) SetMemBudget(capBytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -272,7 +272,7 @@ func (s *Server) renderMetrics() string {
 		m.sample("linrec_persist_manifest_bytes_written_total", nil, float64(ps.ManifestBytes))
 		m.family("linrec_persist_fsyncs_total", "counter", "File and directory fsyncs issued by publishes and compactions.")
 		m.sample("linrec_persist_fsyncs_total", nil, float64(ps.Fsyncs))
-		m.family("linrec_persist_lazy_loads_total", "counter", "Segments materialized on first touch after boot.")
+		m.family("linrec_persist_lazy_loads_total", "counter", "Segments mapped on first touch after boot.")
 		m.sample("linrec_persist_lazy_loads_total", nil, float64(ps.LazyLoads))
 		m.family("linrec_persist_lazy_load_seconds_total", "counter", "Cumulative wall time spent mapping segments (microsecond resolution).")
 		m.sample("linrec_persist_lazy_load_seconds_total", nil, float64(ps.LazyLoadMicros)/1e6)

@@ -17,7 +17,7 @@ func TestChainSharedNamespace(t *testing.T) {
 	if !ok {
 		t.Fatalf("shared node v0 missing")
 	}
-	if len(db["up"].Index(0)[v0]) != 1 || len(db["down"].Index(0)[v0]) != 1 {
+	if len(db["up"].Lookup(0, v0)) != 1 || len(db["down"].Lookup(0, v0)) != 1 {
 		t.Fatalf("shared namespace broken")
 	}
 }
