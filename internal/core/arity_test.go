@@ -75,14 +75,13 @@ func TestLoadRejectsInconsistentArity(t *testing.T) {
 	}
 }
 
-// corruptedSystem loads a two-EDB transitive closure and then replaces
-// one EDB relation with an empty arity-3 one, bypassing AddFacts — the
-// documented pre-share mutation window — to simulate an engine invariant
-// violation that validation cannot reach.
-func corruptedSystem(t *testing.T, pred string, opts Options) *System {
+// corruptedSystem loads a two-EDB transitive closure whose exit rule is
+// exit and then replaces one EDB relation with an empty arity-3 one,
+// bypassing AddFacts — the documented pre-share mutation window — to
+// simulate an engine invariant violation that validation cannot reach.
+func corruptedSystem(t *testing.T, exit, pred string, opts Options) *System {
 	t.Helper()
-	sys, err := LoadOptions(`
-path(X,Y) :- base(X,Y).
+	sys, err := LoadOptions(exit+`
 path(X,Y) :- edge(X,Z), path(Z,Y).
 base(a,b). edge(b,c). edge(c,d).
 `, opts)
@@ -94,23 +93,29 @@ base(a,b). edge(b,c). edge(c,d).
 }
 
 // TestEvaluationPanicRecoveredToError: an arity panic raised inside the
-// detached seed-build goroutine, a parallel closure worker, or the
-// sequential path comes back from Evaluate as an error wrapping
-// ErrInternal — never as a process-killing panic in a bare goroutine.
+// detached seed-build goroutine (a non-copy exit rule), a parallel
+// closure worker, or the sequential path comes back from Evaluate as an
+// error wrapping ErrInternal — never as a process-killing panic in a
+// bare goroutine.  A copy exit rule's seed is the stored relation, so a
+// wrong-arity store there is reported as ErrInternal too, never read as
+// an empty seed.
 func TestEvaluationPanicRecoveredToError(t *testing.T) {
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
+	const copyExit, swapExit = "path(X,Y) :- base(X,Y).", "path(X,Y) :- base(Y,X)."
 	cases := []struct {
 		name    string
+		exit    string
 		corrupt string
 		opts    Options
 	}{
-		{"seed goroutine", "base", Options{}},
-		{"parallel workers", "edge", Options{Workers: 4}},
-		{"sequential", "edge", Options{Workers: 1}},
+		{"seed goroutine", swapExit, "base", Options{}},
+		{"copy source", copyExit, "base", Options{}},
+		{"parallel workers", copyExit, "edge", Options{Workers: 4}},
+		{"sequential", copyExit, "edge", Options{Workers: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys := corruptedSystem(t, tc.corrupt, tc.opts)
+			sys := corruptedSystem(t, tc.exit, tc.corrupt, tc.opts)
 			_, err := sys.Query(open)
 			if err == nil {
 				t.Fatalf("query over corrupted %q relation succeeded", tc.corrupt)

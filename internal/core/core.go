@@ -155,7 +155,8 @@ type System struct {
 	analyses map[string]*planner.Analysis
 
 	// seeds caches, for the current snapshot version, the materialized
-	// exit-rule seed per predicate (adorn == "") and the magic set per
+	// exit-rule seed per predicate (adorn == "") whose exit rules are not
+	// a plain copy of one stored relation (seedFor) and the magic set per
 	// (predicate, adornment, bound tuple) — the goal-binding dimension
 	// the magic-seeded plans add.  Cached relations are immutable once
 	// built (plans clone or only read them; their lazy indexes build
@@ -302,9 +303,22 @@ func (f *seedFuture) build(ctx context.Context, what string, fn func() (*rel.Rel
 	}
 }
 
-// seedFor returns the evaluation seed for a on snap, cached per
-// (predicate, snapshot version).
-func (s *System) seedFor(ctx context.Context, a *planner.Analysis, snap *Snapshot) (*rel.Relation, error) {
+// seedFor returns the evaluation seed for a on snap.  A copy exit rule's
+// seed is the snapshot's stored relation itself (planner's CopySource):
+// nothing is built, cached or maintained for it.  Every other seed is
+// materialized once per (predicate, snapshot version) and cached.
+func (s *System) seedFor(ctx context.Context, a *planner.Analysis, snap *Snapshot) (rel.Store, error) {
+	if pred, ok := a.CopySource(); ok {
+		arity := a.ExitRules[0].Head.Arity()
+		st, ok := snap.DB[pred]
+		if !ok {
+			return rel.NewRelation(arity), nil
+		}
+		if st.Arity() != arity {
+			return nil, fmt.Errorf("core: %w: exit rule of %q reads %q at arity %d, stored at %d", ErrInternal, a.Pred, pred, arity, st.Arity())
+		}
+		return st, nil
+	}
 	tr := eval.TracerFrom(ctx)
 	f, created := s.cachedFuture(snap, seedKey{pred: a.Pred})
 	if f == nil {
@@ -1212,13 +1226,13 @@ func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *p
 }
 
 // seedPlan is the shared front half of the materialized and streamed
-// evaluation paths: it fetches the evaluation inputs this snapshot
-// caches — the exit-rule seed and, for a magic-seeded plan, the magic
+// evaluation paths: it fetches the evaluation inputs of this snapshot —
+// the exit-rule seed (seedFor) and, for a magic-seeded plan, the magic
 // set of this goal binding, injected into the plan so repeated bound
 // queries skip the frontier iteration.  The planner opens the plan
 // (Analysis.Open); the caller drains or streams it and applies the
 // goal's residual filters.
-func (s *System) seedPlan(ctx context.Context, snap *Snapshot, a *planner.Analysis, plan *planner.Plan) (*rel.Relation, error) {
+func (s *System) seedPlan(ctx context.Context, snap *Snapshot, a *planner.Analysis, plan *planner.Plan) (rel.Store, error) {
 	seed, err := s.seedFor(ctx, a, snap)
 	if err != nil {
 		return nil, err

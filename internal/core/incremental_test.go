@@ -211,10 +211,14 @@ func TestIncrementalBoundGoalFallsBack(t *testing.T) {
 
 // TestSeedSweepOnSwap: a swap retires the seed/magic cache eagerly —
 // magic sets are dropped on the spot (not parked until the next query's
-// lazy sweep), while the exit-rule seed is delta-upgraded in place and
-// already contains the new tuples on an otherwise idle System.
+// lazy sweep), while a cached exit-rule seed is delta-upgraded in place
+// and already contains the new tuples on an otherwise idle System.  The
+// exit rule is a join: a copy rule's seed is the stored relation and
+// never enters the cache.
 func TestSeedSweepOnSwap(t *testing.T) {
-	sys, err := Load(chainProgram(3))
+	src := strings.Replace(chainProgram(3), "path(X,Y) :- edge(X,Y).", "path(X,Y) :- edge(X,Y), node(X).", 1) +
+		"node(c0). node(c1). node(c2). node(c3).\n"
+	sys, err := Load(src)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -161,7 +161,7 @@ func (e *Engine) MagicSetCtx(ctx context.Context, db rel.DB, spec MagicSpec, see
 // so the rest of the tuple survives the derivation chain verbatim).
 // Work and output are proportional to the answer, never to the closure.
 // Stats counts one derivation per collected tuple, duplicates included.
-func MagicCollect(q *rel.Relation, cols []int, vals rel.Tuple, set *rel.Relation, stats *Stats) *rel.Relation {
+func MagicCollect(q rel.Store, cols []int, vals rel.Tuple, set *rel.Relation, stats *Stats) *rel.Relation {
 	out := rel.NewRelation(q.Arity())
 	set.Each(func(m rel.Tuple) {
 	candidates:
@@ -190,10 +190,10 @@ func MagicCollect(q *rel.Relation, cols []int, vals rel.Tuple, set *rel.Relation
 // worker when a round fans out, before the tuple reaches a round buffer
 // — so reachable tuples are derived exactly as the unrestricted closure
 // would while the rest of the predicate is never materialized.  q must
-// already be restricted (see rel.Relation.SelectInCols); allowed is read
+// already be restricted (see rel.SelectInCols); allowed is read
 // concurrently and must not be mutated during the call.  Cancellation
 // behaves as SemiNaiveCtx.
-func (e *Engine) SemiNaiveRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) (*rel.Relation, Stats, error) {
+func (e *Engine) SemiNaiveRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store, cols []int, allowed *rel.Relation) (*rel.Relation, Stats, error) {
 	return e.StreamRestrictedCtx(ctx, db, ops, q, cols, allowed).Drain()
 }
 

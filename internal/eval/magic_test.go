@@ -186,7 +186,7 @@ func TestSemiNaiveRestrictedMatchesFilteredClosure(t *testing.T) {
 	full, _ := e.SemiNaive(db, []*ast.Op{op}, q)
 	want := full.Filter(func(t rel.Tuple) bool { return set.Has(t[0:1]) })
 
-	restrictedSeed := q.SelectInCols([]int{0}, set)
+	restrictedSeed := rel.SelectInCols(q, []int{0}, set)
 	var seqStats Stats
 	for i, workers := range []int{1, 4} {
 		pe := Parallel(e, workers)

@@ -178,7 +178,7 @@ func checkKernel(t *testing.T, strategy string, seed int64) error {
 			}
 		}
 		full, _ = seq.SemiNaive(db, ops, q)
-		q = q.SelectInCols(cols, allowed)
+		q = rel.SelectInCols(q, cols, allowed)
 	}
 
 	wantTr := &Tracer{}
@@ -224,7 +224,7 @@ func checkKernel(t *testing.T, strategy string, seed int64) error {
 			if got, gotStats, err = par.SemiNaiveRestrictedCtx(ctx, db, ops, q, cols, allowed); err != nil {
 				return err
 			}
-			if !got.Equal(full.SelectInCols(cols, allowed)) {
+			if !got.Equal(rel.SelectInCols(full, cols, allowed)) {
 				return fmt.Errorf("seed %d workers %d: restricted closure differs from closure-then-filter", seed, workers)
 			}
 		default:

@@ -207,7 +207,7 @@ func (e *Engine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Rela
 // each worker's shard scan when the round fans out), and returns ctx's
 // error — with all workers joined — once it fires.  A Tracer carried by
 // ctx (WithTracer) records the closure as one "semi-naive" phase.
-func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
+func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store) (*rel.Relation, Stats, error) {
 	return e.StreamCtx(ctx, db, ops, q).Drain()
 }
 

@@ -39,11 +39,11 @@ type ClosureStream struct {
 }
 
 // StreamCtx opens a pull-based semi-naive closure of ops over the seed q
-// (shared, not consumed: the stream clones it).  The closure advances
-// only as the returned stream is drained; Close abandons any rounds not
-// yet run.  A Tracer carried by ctx records the rounds that ran as one
-// "semi-naive" phase.
-func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation) *ClosureStream {
+// (shared, not consumed: the stream clones it, so q may be one of db's
+// own stores).  The closure advances only as the returned stream is
+// drained; Close abandons any rounds not yet run.  A Tracer carried by
+// ctx records the rounds that ran as one "semi-naive" phase.
+func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store) *ClosureStream {
 	return e.open(ctx, db, ops, q.Clone(), 0, "semi-naive", nil)
 }
 
@@ -51,7 +51,7 @@ func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel
 // derived tuples whose cols projection is outside allowed are dropped
 // before insertion (see SemiNaiveRestrictedCtx).  The phase traces as
 // "restricted-closure".
-func (e *Engine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q *rel.Relation, cols []int, allowed *rel.Relation) *ClosureStream {
+func (e *Engine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store, cols []int, allowed *rel.Relation) *ClosureStream {
 	return e.open(ctx, db, ops, q.Clone(), 0, "restricted-closure", func() func(rel.Tuple) bool { return magicKeep(cols, allowed) })
 }
 

@@ -80,7 +80,7 @@ func TestStreamRestrictedMatches(t *testing.T) {
 	allowed.Insert(rel.Tuple{e.Syms.Intern("v0")})
 	allowed.Insert(rel.Tuple{e.Syms.Intern("v1")})
 	cols := []int{0}
-	seed := q.SelectInCols(cols, allowed)
+	seed := rel.SelectInCols(q, cols, allowed)
 
 	for _, workers := range []int{1, 4} {
 		pe := Parallel(e, workers)

@@ -46,6 +46,10 @@ type Analysis struct {
 	// Separable holds Naughton separability per pair.
 	Separable map[[2]int]separable.Report
 
+	// copyOf is the predicate a copy exit rule reads (see CopySource),
+	// or "".
+	copyOf string
+
 	// redOnce/red memoize the recursive-redundancy findings (Redundancies):
 	// Theorem 6.3's power searches minimize successive operator powers, and
 	// no plan reads them, so only the report pays for them.
@@ -96,6 +100,7 @@ func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
 	if len(a.ExitRules) == 0 {
 		return nil, fmt.Errorf("planner: no exit (nonrecursive) rules for predicate %q", pred)
 	}
+	a.copyOf = copySource(a.ExitRules)
 
 	for i := 0; i < len(a.Ops); i++ {
 		for j := i + 1; j < len(a.Ops); j++ {
@@ -114,6 +119,33 @@ func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
 		}
 	}
 	return a, nil
+}
+
+// CopySource reports whether the seed q is a stored relation as is: the
+// one exit rule is p(X1,…,Xn) :- e(X1,…,Xn) over distinct variables, so
+// q is exactly e and callers may pass e's store wherever a seed goes
+// instead of materializing Seed.  pred names e.
+func (a *Analysis) CopySource() (pred string, ok bool) {
+	return a.copyOf, a.copyOf != ""
+}
+
+// copySource returns the predicate a lone copy exit rule reads (see
+// CopySource), or "".  Swapped or repeated variables, constants and
+// arity changes do not qualify.
+func copySource(exits []ast.Rule) string {
+	if len(exits) != 1 || len(exits[0].Body) != 1 {
+		return ""
+	}
+	head, body := exits[0].Head, exits[0].Body[0]
+	if body.Arity() != head.Arity() {
+		return ""
+	}
+	for i, t := range head.Args {
+		if !t.IsVar() || body.Args[i] != t || slices.Contains(head.Args[:i], t) {
+			return ""
+		}
+	}
+	return body.Pred
 }
 
 // AllCommute reports whether every pair of operators commutes.
@@ -513,7 +545,9 @@ func (a *Analysis) Execute(e *eval.Engine, db rel.DB, plan *Plan, sel *separable
 // over db.  The result depends only on (analysis, db), so callers serving
 // many queries over one immutable database snapshot may compute it once
 // and share it — the seed is only ever read by ExecuteSeeded (closures
-// clone it; lazy index builds on it are concurrency-safe).
+// clone it; lazy index builds on it are concurrency-safe).  For a copy
+// exit rule (CopySource) the stored relation itself is the seed, and
+// serving paths pass it without calling Seed.
 //
 // A single exit rule's relation is the seed itself, with no second key
 // table and copy.
@@ -532,15 +566,15 @@ func (a *Analysis) Seed(e *eval.Engine, db rel.DB) (*rel.Relation, error) {
 	return q, nil
 }
 
-// ExecuteSeeded opens the plan over the pre-materialized seed q (see
-// Seed and Open), drains it and applies what the opened closure leaves
+// ExecuteSeeded opens the plan over the seed q (see Seed, CopySource
+// and Open), drains it and applies what the opened closure leaves
 // to filter: Plan.Residual of the plan's own selections and sel.  The
 // seed is shared, not consumed: no plan kind mutates it.  Every closure
 // phase polls ctx (at every round and inside each round's delta scan,
 // on every worker) and returns ctx's error once it fires, with all
 // worker goroutines joined.  With opts.Workers > 1 wide rounds fan out;
 // results and statistics are identical to sequential execution.
-func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options, q *rel.Relation) (*Result, error) {
+func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options, q rel.Store) (*Result, error) {
 	cl, stats, err := a.Open(ctx, e, db, plan, opts, q)
 	if err != nil {
 		return nil, err
@@ -561,9 +595,10 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 }
 
 // Open is the one per-kind dispatch behind every execution of a plan: it
-// runs everything but the plan's final closure over the shared seed q
-// and returns that closure as an un-drained stream, along with the
-// statistics of the work already done.  Materialized execution drains
+// runs everything but the plan's final closure over the shared seed q —
+// any store, possibly one of db's own, which every kind only clones or
+// probes — and returns that closure as an un-drained stream, along with
+// the statistics of the work already done.  Materialized execution drains
 // the stream (ExecuteSeeded); a streaming consumer pulls from it and may
 // stop early.  What materializes up front: every group of a Decomposed
 // plan and every step of a Separable plan but the last to run (each
@@ -574,7 +609,7 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 // the consumer applies Plan.Residual.  With opts.Workers > 1 the
 // closures fan wide rounds out across the pool; rows and statistics are
 // identical either way.
-func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q *rel.Relation) (*eval.ClosureStream, eval.Stats, error) {
+func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q rel.Store) (*eval.ClosureStream, eval.Stats, error) {
 	pe := eval.Parallel(e, max(1, opts.Workers))
 	var stats eval.Stats
 	switch plan.Kind {
@@ -612,7 +647,7 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 		if m.Mode == MagicContext {
 			return eval.Completed(eval.MagicCollect(q, m.Spec.Cols, vals, set, &stats)), stats, nil
 		}
-		return pe.StreamRestrictedCtx(ctx, db, a.Ops, q.SelectInCols(m.Spec.Cols, set), m.Spec.Cols, set), stats, nil
+		return pe.StreamRestrictedCtx(ctx, db, a.Ops, rel.SelectInCols(q, m.Spec.Cols, set), m.Spec.Cols, set), stats, nil
 	case Decomposed:
 		// Groups run right-to-left; only the final closure (Groups[0])
 		// streams.
@@ -637,7 +672,7 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 // from σ's constant, collecting the matching rows of cur — work
 // proportional to the step's answer.  Otherwise the step closes the
 // operator and filters.
-func (a *Analysis) sepStep(ctx context.Context, pe *eval.Engine, db rel.DB, st SepStep, cur *rel.Relation, stats *eval.Stats) (*rel.Relation, error) {
+func (a *Analysis) sepStep(ctx context.Context, pe *eval.Engine, db rel.DB, st SepStep, cur rel.Store, stats *eval.Stats) (*rel.Relation, error) {
 	ops := []*ast.Op{a.Ops[st.Op]}
 	if st.Sel != nil {
 		cols := []int{st.Sel.Col}

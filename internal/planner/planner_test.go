@@ -196,3 +196,31 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 var analysisSink *Analysis
+
+// TestCopySource: only a lone exit rule copying one stored relation
+// column for column over distinct variables makes that relation the
+// seed; swaps, repeats, constants, projections, joins and unions keep a
+// materialized seed.
+func TestCopySource(t *testing.T) {
+	const rec = "\np(X,Y) :- p(X,Z), e(Z,Y).\n"
+	cases := []struct {
+		exit string
+		want string // "" when the rule is not a copy
+	}{
+		{"p(X,Y) :- b(X,Y).", "b"},
+		{"p(A,B) :- e(A,B).", "e"},
+		{"p(X,Y) :- b(Y,X).", ""},
+		{"p(X,X) :- b(X,X).", ""},
+		{"p(X,Y) :- b(X,Y,Y).", ""},
+		{"p(X,a) :- b(X,a).", ""},
+		{"p(X,Y) :- b(X,Y), c(Y).", ""},
+		{"p(X,Y) :- b(X,Y).\np(X,Y) :- c(X,Y).", ""},
+	}
+	for _, tc := range cases {
+		a := analyze(t, tc.exit+rec, "p")
+		pred, ok := a.CopySource()
+		if pred != tc.want || ok != (tc.want != "") {
+			t.Errorf("%q: CopySource() = %q, %v; want %q", tc.exit, pred, ok, tc.want)
+		}
+	}
+}

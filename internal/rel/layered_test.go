@@ -196,3 +196,45 @@ func TestLayeredWithout(t *testing.T) {
 		t.Fatalf("Without: %v != %v", got, want)
 	}
 }
+
+// TestSelectInColsOverStores: SelectInCols reads any Store — over a
+// layered store and over the flat relation it keeps exactly the rows
+// whose projection is allowed, on both the index-probe path (allowed
+// much smaller than the store) and the scan path.
+func TestSelectInColsOverStores(t *testing.T) {
+	var base, dels, adds [][]Value
+	for i := 0; i < 40; i++ {
+		base = append(base, []Value{Value(i % 8), Value(i)})
+	}
+	dels = base[:10]
+	for i := 0; i < 8; i++ {
+		adds = append(adds, []Value{Value(i), Value(100 + i)})
+	}
+	ly, oracle := layeredOracle(t, base, dels, adds)
+	for _, tc := range []struct {
+		cols    []int
+		allowed []Tuple
+	}{
+		{[]int{0}, []Tuple{{3}}},
+		{[]int{0, 1}, []Tuple{{2, 18}, {2, 102}, {1, 1}}},
+		{[]int{0}, []Tuple{{0}, {1}, {2}, {3}, {4}, {5}, {6}}},
+		{[]int{1}, []Tuple{{5}, {15}, {25}, {35}, {103}, {7}, {17}}},
+	} {
+		allowed := NewRelation(len(tc.cols))
+		for _, a := range tc.allowed {
+			allowed.Insert(a)
+		}
+		want := oracle.Filter(func(t Tuple) bool {
+			key := make(Tuple, len(tc.cols))
+			for i, c := range tc.cols {
+				key[i] = t[c]
+			}
+			return allowed.Has(key)
+		})
+		for _, s := range []Store{ly, oracle} {
+			if got := SelectInCols(s, tc.cols, allowed); !got.Equal(want) || want.Len() == 0 {
+				t.Errorf("%T cols %v allowed %v: %v, want %v", s, tc.cols, tc.allowed, got.Tuples(), want.Tuples())
+			}
+		}
+	}
+}

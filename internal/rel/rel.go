@@ -781,29 +781,20 @@ func (r *Relation) minusPatch(del []int32) *Relation {
 	return out
 }
 
-// Select returns the tuples with t[col] == v as a new relation.
-func (r *Relation) Select(col int, v Value) *Relation {
-	out := NewRelation(r.arity)
-	for _, t := range r.Lookup(col, v) {
-		out.Insert(t)
-	}
-	return out
-}
-
-// SelectInCols returns the tuples whose projection onto cols (ascending
-// column indexes) appears in the len(cols)-ary relation allowed — the
-// seed restriction of a magic-seeded plan.  When allowed is much smaller
-// than r it probes r's index on cols[0] per allowed tuple and checks the
-// remaining columns inline (output-proportional); otherwise it scans r
-// once.  Both paths leave allowed untouched, and the index path only
-// triggers r's internally-guarded lazy index build, so concurrent calls
-// over a shared relation are safe.
-func (r *Relation) SelectInCols(cols []int, allowed *Relation) *Relation {
-	out := NewRelation(r.arity)
-	if allowed.Len()*8 < r.Len() {
+// SelectInCols returns the tuples of s whose projection onto cols
+// (ascending column indexes) appears in the len(cols)-ary relation
+// allowed — the seed restriction of a magic-seeded plan.  When allowed is
+// much smaller than s it probes s's index on cols[0] per allowed tuple
+// and checks the remaining columns inline (output-proportional);
+// otherwise it scans s once.  Both paths only read s and allowed (an
+// index build is the store's own guarded lazy work), so concurrent calls
+// over a shared store are safe.
+func SelectInCols(s Store, cols []int, allowed *Relation) *Relation {
+	out := NewRelation(s.Arity())
+	if allowed.Len()*8 < s.Len() {
 		allowed.Each(func(m Tuple) {
 		candidates:
-			for _, t := range r.Lookup(cols[0], m[0]) {
+			for _, t := range s.Lookup(cols[0], m[0]) {
 				for i := 1; i < len(cols); i++ {
 					if t[cols[i]] != m[i] {
 						continue candidates
@@ -815,7 +806,7 @@ func (r *Relation) SelectInCols(cols []int, allowed *Relation) *Relation {
 		return out
 	}
 	key := make(Tuple, len(cols))
-	r.Each(func(t Tuple) {
+	s.Each(func(t Tuple) {
 		for i, c := range cols {
 			key[i] = t[c]
 		}
@@ -857,9 +848,9 @@ func (r *Relation) Equal(other *Relation) bool {
 // implementation may defer touching row data until a method needs it
 // (Arity and Len are answerable from metadata alone).  All methods must
 // be safe for concurrent readers, matching Relation's contract, and
-// never mutate the receiver.  Selections, filters and sorted output are
-// Relation methods: callers derive a Relation first (Clone) when they
-// need them on another store.
+// never mutate the receiver.  Filters and sorted output are Relation
+// methods: callers derive a Relation first (Clone) when they need them
+// on another store.  SelectInCols reads any store.
 type Store interface {
 	// Arity returns the number of columns.
 	Arity() int

@@ -78,9 +78,9 @@ func TestIndexAndSelect(t *testing.T) {
 	if len(r.Lookup(0, 1)) != 3 {
 		t.Fatalf("index not maintained after insert")
 	}
-	sel := r.Select(0, 1)
-	if sel.Len() != 3 {
-		t.Fatalf("Select returned %d tuples", sel.Len())
+	sel := r.Filter(func(t Tuple) bool { return t[0] == 1 })
+	if sel.Len() != 3 || !sel.Has(Tuple{1, 13}) {
+		t.Fatalf("selection returned %v", sel.Tuples())
 	}
 }
 

@@ -146,9 +146,14 @@ type Selection struct {
 	Value rel.Value
 }
 
-// Apply filters a relation by the selection.
-func (s Selection) Apply(r *rel.Relation) *rel.Relation {
-	return r.Select(s.Col, s.Value)
+// Apply filters a store by the selection into a new relation, probing
+// the store's index on the selected column.
+func (s Selection) Apply(r rel.Store) *rel.Relation {
+	out := rel.NewRelation(r.Arity())
+	for _, t := range r.Lookup(s.Col, s.Value) {
+		out.Insert(t)
+	}
+	return out
 }
 
 // CommutesWith reports whether σ commutes with the operator: σA = Aσ holds
