@@ -139,7 +139,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := Load(src)
+		sys, err := Load(src, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

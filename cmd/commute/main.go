@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"linrec/internal/core"
+	"linrec/internal/parser"
 )
 
 // emitDot prints one digraph per recursive rule of every recursive
@@ -67,7 +68,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	sys, err := core.Load(string(src))
+	prog, err := parser.Parse(string(src))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "commute: %v\n", err)
+		os.Exit(1)
+	}
+	sys, err := core.NewSystem(prog, core.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "commute: %v\n", err)
 		os.Exit(1)

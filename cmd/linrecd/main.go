@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"linrec/internal/core"
+	"linrec/internal/parser"
 	"linrec/internal/segment"
 	"linrec/internal/server"
 	"linrec/internal/workload"
@@ -197,7 +198,11 @@ func loadSystem(program, gen, dataDir string, cacheRows int, budgetBytes int64) 
 		if mgr != nil {
 			opts.Persist = mgr
 		}
-		sys, err := core.LoadOptions(string(src), opts)
+		prog, err := parser.Parse(string(src))
+		if err != nil {
+			return nil, "", nil, fmt.Errorf("%s: %w", program, err)
+		}
+		sys, err := core.NewSystem(prog, opts)
 		if err != nil {
 			return nil, "", nil, fmt.Errorf("%s: %w", program, err)
 		}
@@ -208,18 +213,22 @@ func loadSystem(program, gen, dataDir string, cacheRows int, budgetBytes int64) 
 			return nil, "", nil, err
 		}
 		desc := fmt.Sprintf("synthetic tree TC (%d edges)", nodes-1)
+		prog, err := parser.Parse(genProgram)
+		if err != nil {
+			return nil, "", nil, err
+		}
 		if mgr != nil && mgr.HasSnapshot() {
 			// A previous run already generated and published the workload:
 			// recover it instead of regenerating, preserving any facts
 			// pushed since.
 			opts.Persist = mgr
-			sys, err := core.LoadOptions(genProgram, opts)
+			sys, err := core.NewSystem(prog, opts)
 			if err != nil {
 				return nil, "", nil, err
 			}
 			return sys, desc + " [recovered]", mgr, nil
 		}
-		sys, err := core.LoadOptions(genProgram, opts)
+		sys, err := core.NewSystem(prog, opts)
 		if err != nil {
 			return nil, "", nil, err
 		}

@@ -1,6 +1,7 @@
 package linrec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -38,7 +39,7 @@ func TestEndToEndPlansAgreeOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 15; trial++ {
 		src, nodes := genProgram(rng)
-		sys, err := Load(src)
+		sys, err := Load(src, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: Load: %v", trial, err)
 		}
@@ -54,7 +55,7 @@ func TestEndToEndPlansAgreeOnRandomPrograms(t *testing.T) {
 		}
 
 		// Open query uses the decomposed plan.
-		open, err := sys.Query(Atom{Pred: "p", Args: []Term{V("X"), V("Y")}})
+		open, err := sys.Evaluate(context.Background(), NewQueryRequest(Atom{Pred: "p", Args: []Term{V("X"), V("Y")}}))
 		if err != nil {
 			t.Fatalf("trial %d: open query: %v", trial, err)
 		}
@@ -64,7 +65,7 @@ func TestEndToEndPlansAgreeOnRandomPrograms(t *testing.T) {
 
 		// Selection query per random constant.
 		c := fmt.Sprintf("n%d", rng.Intn(nodes))
-		sel, err := sys.Query(Atom{Pred: "p", Args: []Term{C(c), V("Y")}})
+		sel, err := sys.Evaluate(context.Background(), NewQueryRequest(Atom{Pred: "p", Args: []Term{C(c), V("Y")}}))
 		if err != nil {
 			t.Fatalf("trial %d: selection query: %v", trial, err)
 		}
@@ -84,7 +85,7 @@ func TestEndToEndPlansAgreeOnRandomPrograms(t *testing.T) {
 		rows := want.Tuples()
 		if len(rows) > 0 {
 			d := sys.Engine.Syms.Name(rows[0][1])
-			ground, err := sys.Query(Atom{Pred: "p", Args: []Term{C(c), C(d)}})
+			ground, err := sys.Evaluate(context.Background(), NewQueryRequest(Atom{Pred: "p", Args: []Term{C(c), C(d)}}))
 			if err != nil {
 				t.Fatalf("trial %d: ground query: %v", trial, err)
 			}

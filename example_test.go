@@ -1,6 +1,7 @@
 package linrec_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,7 +18,7 @@ func ExampleLoad() {
 		path(X,Y) :- path(X,Z), edge(Z,Y).
 		edge(a,b). edge(b,c). edge(c,d).
 		?- path(b, Y).
-	`)
+	`, linrec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,23 +34,23 @@ func ExampleLoad() {
 	// path(b,d)
 }
 
-// ExampleSystem_Query demonstrates the bound-query fast path: a goal
+// ExampleSystem_Evaluate demonstrates the bound-query fast path: a goal
 // that binds an argument column is answered by magic-seeded evaluation —
 // a frontier grown from the constant — instead of closing the whole
 // predicate and filtering.  The single recursive rule here has no
 // separable partner, so before the MagicSeeded plan kind this query paid
 // for the full closure of buys.
-func ExampleSystem_Query() {
+func ExampleSystem_Evaluate() {
 	sys, err := linrec.Load(`
 		buys(X,Y) :- trusts(X,Y).
 		buys(X,Y) :- knows(X,Z), buys(Z,Y).
 		knows(ann,bob). knows(bob,cho).
 		trusts(bob,figs). trusts(cho,tea).
-	`)
+	`, linrec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.Query(linrec.NewAtom("buys", linrec.C("ann"), linrec.V("Y")))
+	res, err := sys.Evaluate(context.Background(), linrec.NewQueryRequest(linrec.NewAtom("buys", linrec.C("ann"), linrec.V("Y"))))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func ExampleOpenStorage() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := linrec.LoadOptions(program, linrec.Options{Persist: store})
+	sys, err := linrec.Load(program, linrec.Options{Persist: store})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, _, err := sys.AddFacts([]linrec.Atom{linrec.NewAtom("edge", linrec.C("c"), linrec.C("d"))}); err != nil {
+	if _, _, err := sys.Apply(context.Background(), []linrec.Atom{linrec.NewAtom("edge", linrec.C("c"), linrec.C("d"))}, nil); err != nil {
 		log.Fatal(err)
 	}
 
@@ -101,11 +102,11 @@ func ExampleOpenStorage() {
 		log.Fatal(err)
 	}
 	fmt.Println("recovered:", store2.HasSnapshot())
-	sys2, err := linrec.LoadOptions(program, linrec.Options{Persist: store2})
+	sys2, err := linrec.Load(program, linrec.Options{Persist: store2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys2.Query(linrec.NewAtom("path", linrec.C("a"), linrec.V("Y")))
+	res, err := sys2.Evaluate(context.Background(), linrec.NewQueryRequest(linrec.NewAtom("path", linrec.C("a"), linrec.V("Y"))))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func ExampleSystem_Analyze() {
 		path(X,Y) :- path(X,Z), up(Z,Y).
 		path(X,Y) :- down(X,Z), path(Z,Y).
 		up(a,b).
-	`)
+	`, linrec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

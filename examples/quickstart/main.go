@@ -27,7 +27,7 @@ down(d,c). down(c,b).
 `
 
 func main() {
-	sys, err := linrec.Load(program)
+	sys, err := linrec.Load(program, linrec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

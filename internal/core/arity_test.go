@@ -21,7 +21,7 @@ path(X,Y) :- link(X,Z), path(Z,Y).
 // rejected up front, not accepted and left to panic the next query's
 // join (which would run inside a bare goroutine and kill the process).
 func TestAddFactsRejectsWrongArityForFactlessPredicate(t *testing.T) {
-	sys, err := Load(factlessProgram)
+	sys, err := load(factlessProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestAddFactsRejectsWrongArityForFactlessPredicate(t *testing.T) {
 
 	// The query that would have crashed the engine now runs clean.
 	goal := ast.NewAtom("path", ast.C("a"), ast.V("Y"))
-	r, err := sys.Query(goal)
+	r, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query on factless predicate: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestAddFactsRejectsWrongArityForFactlessPredicate(t *testing.T) {
 	if _, _, err := sys.AddFacts(good); err != nil {
 		t.Fatalf("AddFacts: %v", err)
 	}
-	r, err = sys.Query(goal)
+	r, err = query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestLoadRejectsInconsistentArity(t *testing.T) {
 		"p(X) :- e(X).\nq(Y) :- e(Y,Y).", // conflict across rules
 		"p(X) :- e(X).\ne(a,b).",         // conflict between rule and fact
 	} {
-		if _, err := Load(src); err == nil {
+		if _, err := load(src, Options{}); err == nil {
 			t.Errorf("program %q loaded despite inconsistent arity", src)
 		}
 	}
@@ -81,7 +81,7 @@ func TestLoadRejectsInconsistentArity(t *testing.T) {
 // simulate an engine invariant violation that validation cannot reach.
 func corruptedSystem(t *testing.T, exit, pred string, opts Options) *System {
 	t.Helper()
-	sys, err := LoadOptions(exit+`
+	sys, err := load(exit+`
 path(X,Y) :- edge(X,Z), path(Z,Y).
 base(a,b). edge(b,c). edge(c,d).
 `, opts)
@@ -116,7 +116,7 @@ func TestEvaluationPanicRecoveredToError(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := corruptedSystem(t, tc.exit, tc.corrupt, tc.opts)
-			_, err := sys.Query(open)
+			_, err := query(sys, open)
 			if err == nil {
 				t.Fatalf("query over corrupted %q relation succeeded", tc.corrupt)
 			}

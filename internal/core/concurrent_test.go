@@ -40,7 +40,7 @@ func TestSystemRunConcurrent(t *testing.T) {
 	} {
 		opts := opts
 		t.Run(fmt.Sprintf("workers=%d,strategy=%v", opts.Workers, opts.Strategy), func(t *testing.T) {
-			sys, err := LoadOptions(concurrentProgram(), opts)
+			sys, err := load(concurrentProgram(), opts)
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -86,13 +86,13 @@ func TestSystemRunConcurrent(t *testing.T) {
 // changing the answer.
 func TestOptionsForceStrategy(t *testing.T) {
 	src := concurrentProgram()
-	auto, err := Load(src)
+	auto, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	forced, err := LoadOptions(src, Options{Workers: 3, Strategy: planner.ForceSemiNaive})
+	forced, err := load(src, Options{Workers: 3, Strategy: planner.ForceSemiNaive})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	ra, err := auto.Run()
 	if err != nil {
@@ -118,7 +118,7 @@ func TestOptionsForceStrategy(t *testing.T) {
 
 // TestNegativeWorkersMeansGOMAXPROCS: Options normalization.
 func TestNegativeWorkersMeansGOMAXPROCS(t *testing.T) {
-	sys, err := LoadOptions(concurrentProgram(), Options{Workers: -1})
+	sys, err := load(concurrentProgram(), Options{Workers: -1})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -53,7 +53,7 @@ func TestCopySeedIsTheStore(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		fmt.Fprintf(&b, "edge(c%d,c%d).\n", i, i+1)
 	}
-	sys, err := Load(b.String())
+	sys, err := load(b.String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestCopySeedIsTheStore(t *testing.T) {
 		fmt.Fprintf(&b, "edge(a%d,b%d).\n", i, i)
 	}
 	dir := t.TempDir()
-	if _, err := LoadOptions(b.String(), Options{Persist: openManager(t, dir)}); err != nil {
+	if _, err := load(b.String(), Options{Persist: openManager(t, dir)}); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := LoadOptions(b.String(), Options{Persist: openManager(t, dir), ResultCacheRows: -1})
+	disk, err := load(b.String(), Options{Persist: openManager(t, dir), ResultCacheRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +138,10 @@ func TestCopySeedIsTheStore(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, n, m, err := disk.AddFactsMaint(facts)
+		_, m, err := disk.Apply(context.Background(), facts, nil)
 		runtime.ReadMemStats(&after)
-		if err != nil || n != len(facts) {
-			t.Fatalf("add: %d facts, %v", n, err)
+		if err != nil || m.Added != len(facts) {
+			t.Fatalf("add: %d facts, %v", m.Added, err)
 		}
 		return m, after.TotalAlloc - before.TotalAlloc
 	}
@@ -241,10 +241,10 @@ func layeredTwin(t *testing.T, facts []string) *System {
 	batches[0] = junk
 	dir := t.TempDir()
 	src := copySeedRules + strings.Join(append(initial, junk...), "\n")
-	if _, err := LoadOptions(src, Options{Persist: openManager(t, dir)}); err != nil {
+	if _, err := load(src, Options{Persist: openManager(t, dir)}); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := LoadOptions(src, Options{Persist: openManager(t, dir)})
+	sys, err := load(src, Options{Persist: openManager(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func layeredTwin(t *testing.T, facts []string) *System {
 	if _, _, err := sys.AddFacts(atoms(batches[1])); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.RemoveFacts(atoms(batches[0])); err != nil {
+	if _, _, err := sys.Apply(context.Background(), nil, atoms(batches[0])); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sys.AddFacts(atoms(batches[2])); err != nil {

@@ -1,12 +1,13 @@
-// Package core is the facade tying the substrates together: load a Datalog
-// program, analyze its linear recursion with the paper's machinery, choose
-// an evaluation plan and answer queries.  The root package linrec re-exports
+// Package core is the facade tying the substrates together: build a
+// System over a parsed Datalog program (NewSystem), analyze its linear
+// recursion with the paper's machinery, choose an evaluation plan and
+// answer queries (Evaluate, Stream).  The root package linrec re-exports
 // this API for library users.
 //
 // The extensional database lives behind an atomically-swapped immutable
 // Snapshot: queries pin the snapshot current when they start and evaluate
 // entirely against it, while writers publish new snapshots copy-on-write
-// (AddFacts), so online fact updates never tear an in-flight query.
+// (Apply), so online fact updates never tear an in-flight query.
 package core
 
 import (
@@ -23,7 +24,6 @@ import (
 
 	"linrec/internal/ast"
 	"linrec/internal/eval"
-	"linrec/internal/parser"
 	"linrec/internal/planner"
 	"linrec/internal/rel"
 	"linrec/internal/separable"
@@ -125,10 +125,10 @@ type Snapshot struct {
 }
 
 // System holds a loaded program, its extensional database and the engine.
-// After loading, a System is safe for concurrent use: Query, Run, Analyze
-// and Report may be called from any number of goroutines, and AddFacts may
-// swap in new fact snapshots concurrently with in-flight queries (writers
-// are serialized internally).
+// After construction, a System is safe for concurrent use: Evaluate,
+// Stream, Run, Analyze and Report may be called from any number of
+// goroutines, and Apply may swap in new fact snapshots concurrently with
+// in-flight queries (writers are serialized internally).
 type System struct {
 	Prog   *ast.Program
 	Engine *eval.Engine
@@ -137,15 +137,15 @@ type System struct {
 	// snap is the current database snapshot; readers load it once per
 	// query and never look again (snapshot isolation).
 	snap atomic.Pointer[Snapshot]
-	// factMu serializes snapshot writers (AddFacts).
+	// factMu serializes snapshot writers (Apply).
 	factMu sync.Mutex
 
 	// idb is the set of rule-head predicates: evaluation derives them, it
-	// never reads their db relation, so AddFacts rejects them (facts for
+	// never reads their db relation, so Apply rejects them (facts for
 	// a derived predicate would be stored yet invisible to every query).
 	idb map[string]bool
 	// arity maps every predicate the program mentions (rule heads, rule
-	// bodies, facts) to its declared arity.  AddFacts validates against it,
+	// bodies, facts) to its declared arity.  Apply validates against it,
 	// so a rule-referenced EDB predicate with no initial facts — absent
 	// from every snapshot — still rejects wrong-arity facts up front
 	// instead of surfacing the mismatch as a join panic at query time.
@@ -390,32 +390,8 @@ func (s *System) magicFor(ctx context.Context, a *planner.Analysis, snap *Snapsh
 	return set, stats, err
 }
 
-// Load parses a Datalog program and loads its facts.
-func Load(src string) (*System, error) {
-	return LoadOptions(src, Options{})
-}
-
-// LoadOptions is Load with evaluation options.
-func LoadOptions(src string, opts Options) (*System, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromProgramOptions(prog, opts)
-}
-
-// FromProgram wraps an already-parsed program.
-func FromProgram(prog *ast.Program) (*System, error) {
-	return FromProgramOptions(prog, Options{})
-}
-
-// FromProgramOptions is FromProgram with evaluation options.
-func FromProgramOptions(prog *ast.Program, opts Options) (*System, error) {
-	return NewSystem(prog, opts)
-}
-
-// NewSystem builds a System from a parsed program — the canonical
-// constructor behind Load, LoadOptions and FromProgram.  Without
+// NewSystem builds a System from a parsed program (see parser.Parse) —
+// the one constructor.  Without
 // persistence it loads the program's facts as snapshot version 1.  With
 // Options.Persist set, it first asks the persister for a previously
 // published snapshot: when one exists, the engine boots from it —
@@ -527,313 +503,223 @@ func internAtomConstants(syms *rel.Symtab, a ast.Atom) {
 
 // Snapshot returns the current database snapshot.  The returned snapshot
 // stays valid (and immutable) forever; queries running against it are
-// unaffected by later AddFacts swaps.
+// unaffected by later Apply swaps.
 func (s *System) Snapshot() *Snapshot {
 	return s.snap.Load()
 }
 
 // DB returns the current snapshot's database.  Mutating it is only safe
 // before the System is shared across goroutines (e.g. bulk-loading
-// generated facts right after FromProgram); once concurrent queries or
-// AddFacts run, all updates must go through AddFacts.
+// generated facts right after NewSystem); once concurrent queries or
+// Apply run, all updates must go through Apply.
 func (s *System) DB() rel.DB {
 	return s.snap.Load().DB
 }
 
-// AddFacts publishes a new database snapshot extended with the given
-// ground facts, returning it along with the number of genuinely new
-// tuples.  The swap is copy-on-write: only relations receiving new
-// tuples are cloned, everything else is shared with the previous
-// snapshot, and the new snapshot becomes visible to subsequent queries
-// atomically.  In-flight queries keep the snapshot they pinned.  A batch
-// of pure duplicates publishes nothing — the current snapshot comes back
-// with added == 0, so warm caches survive idempotent re-pushes; on a
-// real swap, cache maintenance (see maintain.go) carries what it can to
-// the new version before the snapshot publishes.
-func (s *System) AddFacts(facts []ast.Atom) (*Snapshot, int, error) {
-	snap, added, _, err := s.AddFactsMaint(facts)
-	return snap, added, err
-}
-
-// AddFactsMaint is AddFacts reporting what the swap's cache maintenance
-// did: how many cached results and seeds were upgraded to the new
-// version versus purged.
-func (s *System) AddFactsMaint(facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
-	return s.AddFactsMaintCtx(context.Background(), facts)
-}
-
-// AddFactsMaintCtx is AddFactsMaint under a context.  The context is an
-// observability carrier first: an eval.Tracer on it records every cache
-// upgrade/purge decision and any resume phases the maintenance runs.
-// Cancellation does not abort the swap itself — validation and the
-// copy-on-write publish always complete — but a fired context degrades
-// in-progress result upgrades to purges (the entry rebuilds on next
-// query).
-func (s *System) AddFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
+// Apply publishes one new database snapshot: the current facts with
+// removes retracted and then adds inserted, as one validated, maintained
+// and durable version.  Both halves obey one contract — ground atoms,
+// no derived (rule-head) predicates, arities consistent with the
+// program, the current snapshot's relations and each other — and a
+// rejected batch changes nothing, the shared symbol table included.
+// The net effect is resolved against the current snapshot, removals
+// first: a fact in both halves ends up present, a retraction of an
+// absent fact (or one naming a constant never seen) is a no-op, and a
+// duplicate addition is skipped.  Maintenance.Added and .Removed count
+// the tuples that actually changed; a batch that changes nothing
+// publishes nothing and returns the current snapshot, so warm caches
+// survive idempotent re-pushes.
+//
+// The swap is copy-on-write: relations the batch does not change are
+// shared with the previous snapshot, an in-memory relation is rebuilt,
+// and a disk-backed store (lazy segment or chain) gains one rel.Layered
+// layer carrying the batch's additions and tombstones — the shape a
+// delta-capable persister publishes as one chained link.  The snapshot
+// is persisted before it becomes visible (a publish failure aborts the
+// swap), and the caches are carried to it by one maintenance pass (see
+// maintain.go) before it publishes.  In-flight queries keep the
+// snapshot they pinned.  ctx carries observability — an eval.Tracer on
+// it records every cache upgrade/purge and resume phase — and its
+// cancellation never aborts the swap; it only degrades in-progress
+// result upgrades to purges.
+func (s *System) Apply(ctx context.Context, adds, removes []ast.Atom) (*Snapshot, Maintenance, error) {
 	var m Maintenance
-	if len(facts) == 0 {
-		return s.Snapshot(), 0, m, nil
+	if len(adds) == 0 && len(removes) == 0 {
+		return s.Snapshot(), m, nil
 	}
 	s.factMu.Lock()
 	defer s.factMu.Unlock()
 	old := s.snap.Load()
-	// Validate the entire batch — against the program, the current
-	// snapshot's relations and the batch's own internal consistency —
-	// before interning anything: rejection must leave the shared symbol
-	// table byte-identical, or repeatedly rejected batches would grow it
-	// without bound.
+	// Validate the entire batch before interning anything: rejection
+	// must leave the shared symbol table byte-identical, or repeatedly
+	// rejected batches would grow it without bound.
 	batch := map[string]int{}
-	for _, f := range facts {
-		if !f.IsGround() {
-			return nil, 0, m, fmt.Errorf("core: fact %v is not ground", f)
-		}
-		if s.idb[f.Pred] {
-			return nil, 0, m, fmt.Errorf("core: %q is a derived (rule-head) predicate; facts for it would be invisible to queries", f.Pred)
-		}
-		// Check against the program's declared arity, not just an existing
-		// relation: a rule-referenced predicate with no facts yet has no
-		// relation in any snapshot, and a wrong-arity fact accepted here
-		// would panic the join of the next query that touches it.
-		if want, ok := s.arity[f.Pred]; ok && want != f.Arity() {
-			return nil, 0, m, fmt.Errorf("core: fact %v has arity %d, predicate %q has arity %d",
-				f, f.Arity(), f.Pred, want)
-		}
-		if r, ok := old.DB[f.Pred]; ok && r.Arity() != f.Arity() {
-			return nil, 0, m, fmt.Errorf("core: fact %v has arity %d, relation %q has %d",
-				f, f.Arity(), f.Pred, r.Arity())
-		}
-		if want, ok := batch[f.Pred]; ok && want != f.Arity() {
-			return nil, 0, m, fmt.Errorf("core: batch uses predicate %q with arity %d and %d", f.Pred, want, f.Arity())
-		}
-		batch[f.Pred] = f.Arity()
-	}
-	db := make(rel.DB, len(old.DB)+1)
-	for k, v := range old.DB {
-		db[k] = v
-	}
-	counts := map[string]int{}
-	for _, f := range facts {
-		counts[f.Pred]++
-	}
-	// In-memory relations clone copy-on-write as always.  A disk-backed
-	// store (lazy segment or an existing chain) is not cloned — the new
-	// tuples collect in a small overlay relation that wraps the previous
-	// store as one rel.Layered layer, which is both what keeps a
-	// budgeted out-of-core write from inflating the whole segment and
-	// the exact shape a delta-capable persister publishes as a chained
-	// delta segment.
-	added := 0
-	addedBy := map[string]*rel.Relation{}
-	cloned := map[string]*rel.Relation{}
-	baseOf := map[string]rel.Store{}
-	for _, f := range facts {
-		r, ok := cloned[f.Pred]
-		if !ok {
-			if prev, exists := db[f.Pred]; exists {
-				if pr, inMem := prev.(*rel.Relation); inMem {
-					r = pr.Clone()
-				} else {
-					r = rel.NewRelation(f.Arity())
-					baseOf[f.Pred] = prev
-				}
-			} else {
-				r = rel.NewRelation(f.Arity())
+	for _, half := range [][]ast.Atom{removes, adds} {
+		for _, f := range half {
+			if err := s.checkFact(old, batch, f); err != nil {
+				return nil, m, err
 			}
-			r.Reserve(r.Len() + counts[f.Pred])
-			cloned[f.Pred] = r
 		}
+	}
+	// Resolve the net delta per predicate: added holds adds \ old and
+	// removed holds removes ∩ old \ adds.  kept (adds ∩ old) is only
+	// needed to shield those facts from the removal half.
+	added, removed, kept := map[string]*rel.Relation{}, map[string]*rel.Relation{}, map[string]*rel.Relation{}
+	for _, f := range adds {
 		t := make(rel.Tuple, f.Arity())
 		for i, a := range f.Args {
 			t[i] = s.Engine.Syms.Intern(a.Name)
 		}
-		if base := baseOf[f.Pred]; base != nil && base.Has(t) {
-			continue // already in the wrapped store: not a new tuple
-		}
-		if r.Insert(t) {
-			added++
-			d, ok := addedBy[f.Pred]
-			if !ok {
-				d = rel.NewRelation(f.Arity())
-				addedBy[f.Pred] = d
+		if prev, ok := old.DB[f.Pred]; ok && prev.Has(t) {
+			if len(removes) > 0 {
+				insertDelta(kept, f.Pred, t)
 			}
-			d.Insert(t)
+			continue
+		}
+		if insertDelta(added, f.Pred, t) {
+			m.Added++
 		}
 	}
-	for pred, r := range cloned {
-		if base, wrapped := baseOf[pred]; wrapped {
-			if r.Len() > 0 {
-				db[pred] = rel.NewLayered(base, r, nil)
+	for _, f := range removes {
+		prev, ok := old.DB[f.Pred]
+		if !ok {
+			continue
+		}
+		// Lookup, never Intern: a constant the symbol table has never
+		// seen occurs in no tuple, so its retraction is a no-op rather
+		// than symbol-table growth.
+		t := make(rel.Tuple, f.Arity())
+		known := true
+		for i, a := range f.Args {
+			t[i], known = s.Engine.Syms.Lookup(a.Name)
+			if !known {
+				break
 			}
-			// r.Len() == 0: every fact was a duplicate; the store keeps
-			// its identity so the publish reuses the segment untouched.
-		} else {
-			db[pred] = r
+		}
+		if !known || !prev.Has(t) || (kept[f.Pred] != nil && kept[f.Pred].Has(t)) {
+			continue
+		}
+		if insertDelta(removed, f.Pred, t) {
+			m.Removed++
 		}
 	}
-	if added == 0 {
-		return old, 0, m, nil
+	if m.Added == 0 && m.Removed == 0 {
+		return old, m, nil
+	}
+	db := make(rel.DB, len(old.DB)+len(added))
+	for k, v := range old.DB {
+		db[k] = v
+	}
+	for pred, d := range removed {
+		db[pred] = nextStore(old.DB[pred], added[pred], d)
+	}
+	for pred, a := range added {
+		if _, both := removed[pred]; !both {
+			db[pred] = nextStore(old.DB[pred], a, nil)
+		}
 	}
 	next := &Snapshot{DB: db, Version: old.Version + 1}
 	// Durability before visibility: if the snapshot cannot be persisted,
 	// the swap is aborted and queries keep serving the old version, so a
 	// restart can never regress behind what clients have observed.
 	if err := s.persistSwap(next); err != nil {
-		return nil, 0, m, fmt.Errorf("core: persisting snapshot %d: %w", next.Version, err)
+		return nil, Maintenance{}, fmt.Errorf("core: persisting snapshot %d: %w", next.Version, err)
 	}
-	m = s.maintainSwap(ctx, old, next, addedBy, true)
+	maint := s.maintainSwap(ctx, old, next, added, removed)
+	maint.Added, maint.Removed = m.Added, m.Removed
 	s.snap.Store(next)
-	return next, added, m, nil
+	return next, maint, nil
 }
 
-// RemoveFacts publishes a new database snapshot with the given ground
-// facts retracted, returning it along with the number of tuples actually
-// removed.  Like AddFacts, the swap is copy-on-write — only relations
-// losing tuples are rebuilt (tombstone-free, see rel.Relation.Without),
-// everything else is shared with the previous snapshot — and in-flight
-// queries keep their pinned pre-retraction snapshot.  Retraction is
-// idempotent: facts that are not present (including facts naming
-// constants the system has never seen) are skipped, and a batch that
-// removes nothing publishes no snapshot, so warm caches survive; on a
-// real swap, cache maintenance (delete-and-rederive, see maintain.go)
-// carries what it can to the new version before the snapshot publishes.
-// Facts must be ground, must not name derived (rule-head) predicates,
-// and must match the program's declared arities — the same contract
-// AddFacts enforces.
-func (s *System) RemoveFacts(facts []ast.Atom) (*Snapshot, int, error) {
-	snap, removed, _, err := s.RemoveFactsMaint(facts)
-	return snap, removed, err
-}
-
-// RemoveFactsMaint is RemoveFacts reporting what the swap's cache
-// maintenance did: how many cached results and seeds were upgraded to
-// the new version versus purged.
-func (s *System) RemoveFactsMaint(facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
-	return s.RemoveFactsMaintCtx(context.Background(), facts)
-}
-
-// RemoveFactsMaintCtx is RemoveFactsMaint under a context, with the same
-// contract as AddFactsMaintCtx: the context carries observability (an
-// eval.Tracer records the swap's cache decisions and resume phases), and
-// cancellation degrades upgrades to purges without aborting the swap.
-func (s *System) RemoveFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
-	var m Maintenance
-	if len(facts) == 0 {
-		return s.Snapshot(), 0, m, nil
+// checkFact validates one fact of an update batch against the program,
+// the current snapshot's relations and the arities the batch has used
+// so far (recorded in batch).
+func (s *System) checkFact(old *Snapshot, batch map[string]int, f ast.Atom) error {
+	if !f.IsGround() {
+		return fmt.Errorf("core: fact %v is not ground", f)
 	}
-	for _, f := range facts {
-		if !f.IsGround() {
-			return nil, 0, m, fmt.Errorf("core: fact %v is not ground", f)
-		}
-		if s.idb[f.Pred] {
-			return nil, 0, m, fmt.Errorf("core: %q is a derived (rule-head) predicate; retract the facts it is derived from instead", f.Pred)
-		}
-		if want, ok := s.arity[f.Pred]; ok && want != f.Arity() {
-			return nil, 0, m, fmt.Errorf("core: fact %v has arity %d, predicate %q has arity %d",
-				f, f.Arity(), f.Pred, want)
-		}
+	if s.idb[f.Pred] {
+		return fmt.Errorf("core: %q is a derived (rule-head) predicate; its facts are computed, not stored", f.Pred)
 	}
-	s.factMu.Lock()
-	defer s.factMu.Unlock()
-	old := s.snap.Load()
-	// Resolve retractions to tuples per predicate.  Lookup, never Intern:
-	// a constant the symbol table has never seen occurs in no tuple, so
-	// the retraction is a no-op rather than symbol-table growth.
-	byPred := map[string][]rel.Tuple{}
-	for _, f := range facts {
-		r, ok := old.DB[f.Pred]
-		if !ok {
-			continue
-		}
-		if r.Arity() != f.Arity() {
-			return nil, 0, m, fmt.Errorf("core: fact %v has arity %d, relation %q has %d",
-				f, f.Arity(), f.Pred, r.Arity())
-		}
-		t := make(rel.Tuple, f.Arity())
-		known := true
-		for i, a := range f.Args {
-			v, ok := s.Engine.Syms.Lookup(a.Name)
-			if !ok {
-				known = false
-				break
-			}
-			t[i] = v
-		}
-		if known {
-			byPred[f.Pred] = append(byPred[f.Pred], t)
-		}
+	// Check against the program's declared arity, not just an existing
+	// relation: a rule-referenced predicate with no facts yet has no
+	// relation in any snapshot, and a wrong-arity fact accepted here
+	// would panic the join of the next query that touches it.
+	if want, ok := s.arity[f.Pred]; ok && want != f.Arity() {
+		return fmt.Errorf("core: fact %v has arity %d, predicate %q has arity %d", f, f.Arity(), f.Pred, want)
 	}
-	removed := 0
-	rebuilt := map[string]rel.Store{}
-	removedBy := map[string]*rel.Relation{}
-	for pred, tuples := range byPred {
-		r0 := old.DB[pred]
-		r, n := r0.Without(tuples)
-		if n > 0 {
-			rebuilt[pred] = r
-			removed += n
-			d := rel.NewRelation(r0.Arity())
-			for _, t := range tuples {
-				if r0.Has(t) {
-					d.Insert(t)
-				}
-			}
-			removedBy[pred] = d
-		}
+	if r, ok := old.DB[f.Pred]; ok && r.Arity() != f.Arity() {
+		return fmt.Errorf("core: fact %v has arity %d, relation %q has %d", f, f.Arity(), f.Pred, r.Arity())
 	}
-	if removed == 0 {
-		return old, 0, m, nil
+	if want, ok := batch[f.Pred]; ok && want != f.Arity() {
+		return fmt.Errorf("core: batch uses predicate %q with arity %d and %d", f.Pred, want, f.Arity())
 	}
-	db := make(rel.DB, len(old.DB))
-	for k, v := range old.DB {
-		db[k] = v
-	}
-	for pred, r := range rebuilt {
-		db[pred] = r
-	}
-	next := &Snapshot{DB: db, Version: old.Version + 1}
-	// Same durability-before-visibility contract as AddFactsMaintCtx.
-	// Disk-backed stores surface retractions as one tombstone overlay
-	// (see rel.Layered / Lazy.Without), which a delta-capable persister
-	// publishes as a chained delta instead of rewriting the segment.
-	if err := s.persistSwap(next); err != nil {
-		return nil, 0, m, fmt.Errorf("core: persisting snapshot %d: %w", next.Version, err)
-	}
-	m = s.maintainSwap(ctx, old, next, removedBy, false)
-	s.snap.Store(next)
-	return next, removed, m, nil
-}
-
-// ValidateFacts checks a fact batch against the update contract shared
-// by AddFacts and RemoveFacts — ground atoms only, no derived
-// predicates, arities consistent with the program, the current
-// snapshot's relations and each other — without publishing anything.
-// The server front end validates both halves of a combined add+remove
-// request with it before executing either, so a rejection is atomic:
-// no half commits behind an error response.
-func (s *System) ValidateFacts(facts []ast.Atom) error {
-	snap := s.Snapshot()
-	batch := map[string]int{}
-	for _, f := range facts {
-		if !f.IsGround() {
-			return fmt.Errorf("core: fact %v is not ground", f)
-		}
-		if s.idb[f.Pred] {
-			return fmt.Errorf("core: %q is a derived (rule-head) predicate", f.Pred)
-		}
-		if want, ok := s.arity[f.Pred]; ok && want != f.Arity() {
-			return fmt.Errorf("core: fact %v has arity %d, predicate %q has arity %d",
-				f, f.Arity(), f.Pred, want)
-		}
-		if r, ok := snap.DB[f.Pred]; ok && r.Arity() != f.Arity() {
-			return fmt.Errorf("core: fact %v has arity %d, relation %q has %d",
-				f, f.Arity(), f.Pred, r.Arity())
-		}
-		if want, ok := batch[f.Pred]; ok && want != f.Arity() {
-			return fmt.Errorf("core: batch uses predicate %q with arity %d and %d", f.Pred, want, f.Arity())
-		}
-		batch[f.Pred] = f.Arity()
-	}
+	batch[f.Pred] = f.Arity()
 	return nil
+}
+
+// insertDelta adds t to pred's relation in m, creating it on first
+// use, and reports whether t was new.
+func insertDelta(m map[string]*rel.Relation, pred string, t rel.Tuple) bool {
+	r, ok := m[pred]
+	if !ok {
+		r = rel.NewRelation(len(t))
+		m[pred] = r
+	}
+	return r.Insert(t)
+}
+
+// nextStore returns a predicate's store after a swap that removes dels
+// (⊆ prev) and then adds adds (disjoint from prev); either may be nil.
+// An absent predicate becomes adds itself, an in-memory relation is
+// rebuilt copy-on-write, and any other store is not copied: it becomes
+// the base of one rel.Layered overlay, which keeps a budgeted
+// out-of-core write from inflating the whole segment and is the exact
+// shape a delta-capable persister chains as one link.
+func nextStore(prev rel.Store, adds, dels *rel.Relation) rel.Store {
+	if prev == nil {
+		return adds
+	}
+	pr, inMem := prev.(*rel.Relation)
+	if !inMem {
+		if adds == nil {
+			adds = rel.NewRelation(prev.Arity())
+		}
+		if dels == nil {
+			dels = rel.NewRelation(prev.Arity())
+		}
+		return rel.NewLayered(prev, adds, dels)
+	}
+	if dels != nil {
+		pr, _ = pr.Minus(dels)
+	}
+	if adds != nil {
+		if dels == nil {
+			pr = pr.Clone()
+		}
+		pr.Reserve(pr.Len() + adds.Len())
+		adds.Each(func(t rel.Tuple) { pr.Insert(t) })
+	}
+	return pr
+}
+
+// AddFacts is Apply with additions only, reporting how many tuples
+// were new.
+func (s *System) AddFacts(facts []ast.Atom) (*Snapshot, int, error) {
+	snap, m, err := s.Apply(context.Background(), facts, nil)
+	return snap, m.Added, err
+}
+
+// AddFactsMaintCtx is Apply with additions only.
+func (s *System) AddFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
+	snap, m, err := s.Apply(ctx, facts, nil)
+	return snap, m.Added, m, err
+}
+
+// RemoveFactsMaintCtx is Apply with removals only.
+func (s *System) RemoveFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Snapshot, int, Maintenance, error) {
+	snap, m, err := s.Apply(ctx, nil, facts)
+	return snap, m.Removed, m, err
 }
 
 // ResultCacheStats reports the goal-level result cache's counters (the
@@ -1024,7 +910,7 @@ func symbolName(names []string, v rel.Value) string {
 }
 
 // resolveQuery analyzes q and resolves its constant arguments into
-// selections — the shared front half of Query and PlanFor.  unknown names
+// selections — the shared front half of Evaluate and PlanFor.  unknown names
 // a constant that occurs in no rule and no fact (the answer is provably
 // empty); resolution uses Lookup, never Intern, so remote queries cannot
 // grow the shared symbol table.
@@ -1072,26 +958,10 @@ func (s *System) PlanFor(q ast.Atom, opts Options) (*planner.Plan, error) {
 	return a.ChooseMulti(sels, opts.planOpts()), nil
 }
 
-// Query answers one query atom over a recursive predicate.  Constant
-// arguments become selections the planner consumes (separable and
-// magic-seeded plans) or post-filters; a repeated variable keeps the rows
-// whose columns agree.
-func (s *System) Query(q ast.Atom) (*QueryResult, error) {
-	return s.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query with cancellation: the evaluation polls ctx at round
-// barriers and inside worker shard scans, returning ctx's error promptly
-// once it fires.
-func (s *System) QueryCtx(ctx context.Context, q ast.Atom) (*QueryResult, error) {
-	return s.Evaluate(ctx, QueryRequest{Goal: q, Opts: s.Opts})
-}
-
 // Evaluate answers a query request and materializes the full answer —
-// the canonical entry point behind Query, QueryCtx and RunCtx, and the
-// full-control one the server front end uses to grant each query its
-// own snapshot pin, worker budget and deadline while many queries share
-// one System.  An unset req.Snap pins the current snapshot.  An
+// the entry point behind RunCtx, and the full-control one the server
+// front end uses to grant each query its own snapshot pin, worker budget
+// and deadline while many queries share one System.  An unset req.Snap pins the current snapshot.  An
 // evaluation panic (engine invariant violation) is recovered into an
 // error wrapping ErrInternal rather than propagated, so a poisoned
 // snapshot can fail queries without killing the process hosting them.

@@ -7,8 +7,23 @@ import (
 	"testing"
 
 	"linrec/internal/ast"
+	"linrec/internal/parser"
 	"linrec/internal/planner"
 )
+
+// load parses src and builds a System over it.
+func load(src string, opts Options) (*System, error) {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return NewSystem(prog, opts)
+}
+
+// query answers q on the current snapshot under the system's options.
+func query(sys *System, q ast.Atom) (*QueryResult, error) {
+	return sys.Evaluate(context.Background(), QueryRequest{Goal: q, Opts: sys.Opts})
+}
 
 const tcProgram = `
 path(X,Y) :- up(X,Y).
@@ -22,7 +37,7 @@ down(b,a). down(c,b).
 `
 
 func TestLoadAndRun(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := load(tcProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -54,18 +69,18 @@ func TestLoadAndRun(t *testing.T) {
 }
 
 func TestGroundQueriesAgreeWithOpenOnes(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := load(tcProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	open, err := sys.Query(ast.NewAtom("path", ast.V("X"), ast.V("Y")))
+	open, err := query(sys, ast.NewAtom("path", ast.V("X"), ast.V("Y")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	if open.Plan.Kind != planner.Decomposed {
 		t.Fatalf("open query plan = %v, want decomposed", open.Plan.Kind)
 	}
-	sel, err := sys.Query(ast.NewAtom("path", ast.C("a"), ast.V("Y")))
+	sel, err := query(sys, ast.NewAtom("path", ast.C("a"), ast.V("Y")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -89,14 +104,14 @@ func TestGroundQueriesAgreeWithOpenOnes(t *testing.T) {
 }
 
 func TestQueryArityMismatch(t *testing.T) {
-	sys, _ := Load(tcProgram)
-	if _, err := sys.Query(ast.NewAtom("path", ast.V("X"))); err == nil {
+	sys, _ := load(tcProgram, Options{})
+	if _, err := query(sys, ast.NewAtom("path", ast.V("X"))); err == nil {
 		t.Fatalf("arity mismatch should error")
 	}
 }
 
 func TestReport(t *testing.T) {
-	sys, _ := Load(tcProgram)
+	sys, _ := load(tcProgram, Options{})
 	rep, err := sys.Report()
 	if err != nil {
 		t.Fatalf("Report: %v", err)
@@ -109,7 +124,7 @@ func TestReport(t *testing.T) {
 }
 
 func TestAnalyzeCached(t *testing.T) {
-	sys, _ := Load(tcProgram)
+	sys, _ := load(tcProgram, Options{})
 	a1, err := sys.Analyze("path")
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
@@ -121,7 +136,7 @@ func TestAnalyzeCached(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load("p(X,Y) :-"); err == nil {
+	if _, err := load("p(X,Y) :-", Options{}); err == nil {
 		t.Fatalf("syntax error should propagate")
 	}
 }
@@ -132,24 +147,24 @@ func TestLoadErrors(t *testing.T) {
 // the unbound column, so no context-mode frontier covers the goal and the
 // n-ary assignment is the plan.
 func TestMultiConstantQueryUsesNArySeparable(t *testing.T) {
-	sys, err := Load(`
+	sys, err := load(`
 p(X,Y,Z) :- s0(X,Y,Z).
 p(X,Y,Z) :- p(U,Y,Z), q(X,U).
 p(X,Y,Z) :- p(X,U,Z), r(Y,U).
 p(X,Y,Z) :- p(X,Y,U), s(Z,U).
 s0(v0,v0,v0). q(v1,v0). q(v2,v1). q(v3,v1). r(v4,v0). r(v5,v4). s(v6,v0). s(v7,v6).
-`)
+`, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	bound, err := sys.Query(ast.NewAtom("p", ast.C("v1"), ast.C("v4"), ast.V("Z")))
+	bound, err := query(sys, ast.NewAtom("p", ast.C("v1"), ast.C("v4"), ast.V("Z")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	if bound.Plan.Kind != planner.Separable || !strings.Contains(bound.Plan.Why, "n-ary") {
 		t.Fatalf("plan = %v (%s), want the n-ary separable decomposition", bound.Plan.Kind, bound.Plan.Why)
 	}
-	open, err := sys.Query(ast.NewAtom("p", ast.V("X"), ast.V("Y"), ast.V("Z")))
+	open, err := query(sys, ast.NewAtom("p", ast.V("X"), ast.V("Y"), ast.V("Z")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -178,7 +193,7 @@ func TestRepeatedVariableGoal(t *testing.T) {
 		"two rules": "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n",
 	} {
 		t.Run(name, func(t *testing.T) {
-			sys, err := Load(rules + facts)
+			sys, err := load(rules+facts, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,26 +17,26 @@ import (
 // counters advance instead of the invalidation counter purging the
 // entry.
 func TestIncrementalUpgradeOnAdd(t *testing.T) {
-	sys, err := Load(chainProgram(4))
+	sys, err := load(chainProgram(4), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
-	r1, err := sys.Query(open)
+	r1, err := query(sys, open)
 	if err != nil {
 		t.Fatalf("warm query: %v", err)
 	}
 	if r1.Answer.Len() != 4*5/2 {
 		t.Fatalf("warm rows = %d, want %d", r1.Answer.Len(), 4*5/2)
 	}
-	snap, added, m, err := sys.AddFactsMaint([]ast.Atom{edgeFact(4, 5)})
-	if err != nil || added != 1 {
-		t.Fatalf("AddFactsMaint: added=%d err=%v", added, err)
+	snap, m, err := sys.Apply(context.Background(), []ast.Atom{edgeFact(4, 5)}, nil)
+	if err != nil || m.Added != 1 {
+		t.Fatalf("Apply: added=%d err=%v", m.Added, err)
 	}
 	if m.ResultsUpgraded != 1 || m.ResultsPurged != 0 {
 		t.Fatalf("maintenance = %+v, want 1 result upgraded, 0 purged", m)
 	}
-	r2, err := sys.Query(open)
+	r2, err := query(sys, open)
 	if err != nil {
 		t.Fatalf("post-add query: %v", err)
 	}
@@ -94,11 +94,11 @@ func TestIncrementalUpgradeOnRetract(t *testing.T) {
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := LoadOptions(tc.src, Options{Workers: tc.workers})
+			sys, err := load(tc.src, Options{Workers: tc.workers})
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
-			if _, err := sys.Query(open); err != nil {
+			if _, err := query(sys, open); err != nil {
 				t.Fatalf("warm query: %v", err)
 			}
 			tr := &eval.Tracer{}
@@ -120,21 +120,21 @@ func TestIncrementalUpgradeOnRetract(t *testing.T) {
 			if sharded != tc.sharded {
 				t.Fatalf("over-delete cascade sharded = %v, want %v", sharded, tc.sharded)
 			}
-			r, err := sys.Query(open)
+			r, err := query(sys, open)
 			if err != nil {
 				t.Fatalf("post-retract query: %v", err)
 			}
 			if !r.Cached {
 				t.Fatalf("post-retract full-closure query was not served from the maintained cache")
 			}
-			fresh, err := Load(tc.src)
+			fresh, err := load(tc.src, Options{})
 			if err != nil {
 				t.Fatalf("fresh load: %v", err)
 			}
-			if _, _, err := fresh.RemoveFacts([]ast.Atom{tc.retract}); err != nil {
+			if _, _, err := fresh.Apply(context.Background(), nil, []ast.Atom{tc.retract}); err != nil {
 				t.Fatalf("fresh retract: %v", err)
 			}
-			want, err := fresh.Query(open)
+			want, err := query(fresh, open)
 			if err != nil {
 				t.Fatalf("fresh query: %v", err)
 			}
@@ -149,23 +149,23 @@ func TestIncrementalUpgradeOnRetract(t *testing.T) {
 // cannot reach the cached goal carries the entry without recomputation —
 // the answer relation stays pointer-shared with the pre-swap result.
 func TestIncrementalNoOpUpgradeIsFree(t *testing.T) {
-	sys, err := Load(chainProgram(3) + "other(X,Y) :- unrelated(X,Y).\nunrelated(u1,u2).\n")
+	sys, err := load(chainProgram(3)+"other(X,Y) :- unrelated(X,Y).\nunrelated(u1,u2).\n", Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	open := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
-	r1, err := sys.Query(open)
+	r1, err := query(sys, open)
 	if err != nil {
 		t.Fatalf("warm query: %v", err)
 	}
-	_, added, m, err := sys.AddFactsMaint([]ast.Atom{ast.NewAtom("unrelated", ast.C("u3"), ast.C("u4"))})
-	if err != nil || added != 1 {
-		t.Fatalf("AddFactsMaint: added=%d err=%v", added, err)
+	_, m, err := sys.Apply(context.Background(), []ast.Atom{ast.NewAtom("unrelated", ast.C("u3"), ast.C("u4"))}, nil)
+	if err != nil || m.Added != 1 {
+		t.Fatalf("Apply: added=%d err=%v", m.Added, err)
 	}
 	if m.ResultsUpgraded != 1 {
 		t.Fatalf("maintenance = %+v, want a free upgrade", m)
 	}
-	r2, err := sys.Query(open)
+	r2, err := query(sys, open)
 	if err != nil {
 		t.Fatalf("post-swap query: %v", err)
 	}
@@ -179,22 +179,22 @@ func TestIncrementalNoOpUpgradeIsFree(t *testing.T) {
 // their magic/separable plans are not maintainable views — and the
 // fallback counters say so.
 func TestIncrementalBoundGoalFallsBack(t *testing.T) {
-	sys, err := Load(chainProgram(3))
+	sys, err := load(chainProgram(3), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	bound := ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
-	if _, err := sys.Query(bound); err != nil {
+	if _, err := query(sys, bound); err != nil {
 		t.Fatalf("warm query: %v", err)
 	}
-	_, _, m, err := sys.AddFactsMaint([]ast.Atom{edgeFact(3, 4)})
+	_, m, err := sys.Apply(context.Background(), []ast.Atom{edgeFact(3, 4)}, nil)
 	if err != nil {
-		t.Fatalf("AddFactsMaint: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	if m.ResultsUpgraded != 0 || m.ResultsPurged != 1 {
 		t.Fatalf("maintenance = %+v, want the bound entry purged", m)
 	}
-	r, err := sys.Query(bound)
+	r, err := query(sys, bound)
 	if err != nil {
 		t.Fatalf("post-add query: %v", err)
 	}
@@ -218,21 +218,21 @@ func TestIncrementalBoundGoalFallsBack(t *testing.T) {
 func TestSeedSweepOnSwap(t *testing.T) {
 	src := strings.Replace(chainProgram(3), "path(X,Y) :- edge(X,Y).", "path(X,Y) :- edge(X,Y), node(X).", 1) +
 		"node(c0). node(c1). node(c2). node(c3).\n"
-	sys, err := Load(src)
+	sys, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	// Populate both cache dimensions: a bound goal builds a magic set, an
 	// open goal builds the exit-rule seed.
-	if _, err := sys.Query(ast.NewAtom("path", ast.C("c0"), ast.V("Y"))); err != nil {
+	if _, err := query(sys, ast.NewAtom("path", ast.C("c0"), ast.V("Y"))); err != nil {
 		t.Fatalf("bound query: %v", err)
 	}
-	if _, err := sys.Query(ast.NewAtom("path", ast.V("X"), ast.V("Y"))); err != nil {
+	if _, err := query(sys, ast.NewAtom("path", ast.V("X"), ast.V("Y"))); err != nil {
 		t.Fatalf("open query: %v", err)
 	}
-	next, _, m, err := sys.AddFactsMaint([]ast.Atom{edgeFact(3, 4)})
+	next, m, err := sys.Apply(context.Background(), []ast.Atom{edgeFact(3, 4)}, nil)
 	if err != nil {
-		t.Fatalf("AddFactsMaint: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	if m.SeedsUpgraded < 1 || m.SeedsPurged < 1 {
 		t.Fatalf("maintenance = %+v, want the exit seed upgraded and the magic set purged", m)
@@ -270,7 +270,7 @@ func TestSeedSweepOnSwap(t *testing.T) {
 // symbol table byte-identical, or repeatedly rejected remote batches
 // would grow it without bound.
 func TestAddFactsRejectedBatchKeepsSymtab(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -307,11 +307,21 @@ func TestAddFactsRejectedBatchKeepsSymtab(t *testing.T) {
 			t.Fatalf("rejected batch interned %q", name)
 		}
 	}
-	// The same batches still validate identically through ValidateFacts.
+	// Apply validates both halves under one contract: the same batches
+	// are rejected as retractions, and split across the two halves.
 	for i, batch := range cases {
-		if err := sys.ValidateFacts(batch); err == nil {
-			t.Fatalf("case %d: ValidateFacts accepted what AddFacts rejects", i)
+		if _, _, err := sys.Apply(context.Background(), nil, batch); err == nil {
+			t.Fatalf("case %d: Apply accepted as retractions what AddFacts rejects", i)
 		}
+		if _, _, err := sys.Apply(context.Background(), batch[1:], batch[:1]); err == nil {
+			t.Fatalf("case %d: Apply accepted a batch split across its halves", i)
+		}
+		if got := sys.Engine.Syms.Len(); got != before {
+			t.Fatalf("case %d: symbol table grew from %d to %d on a rejected Apply", i, before, got)
+		}
+	}
+	if v := sys.Snapshot().Version; v != 1 {
+		t.Fatalf("rejected batches advanced the version to %d", v)
 	}
 }
 
@@ -325,7 +335,7 @@ func TestIncrementalMaintenanceRace(t *testing.T) {
 		cycles  = 25
 		readers = 4
 	)
-	sys, err := LoadOptions(chainProgram(initial), Options{Workers: 2})
+	sys, err := load(chainProgram(initial), Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -337,7 +347,7 @@ func TestIncrementalMaintenanceRace(t *testing.T) {
 		}
 		return n * (n + 1) / 2
 	}
-	if r, err := sys.Query(open); err != nil || r.Answer.Len() != rowsAt(1) {
+	if r, err := query(sys, open); err != nil || r.Answer.Len() != rowsAt(1) {
 		t.Fatalf("warm query: rows=%v err=%v", r, err)
 	}
 
@@ -355,8 +365,8 @@ func TestIncrementalMaintenanceRace(t *testing.T) {
 				errs <- fmt.Errorf("cycle %d: add=%d err=%v", i, added, err)
 				return
 			}
-			if _, removed, err := sys.RemoveFacts(extra); err != nil || removed != 1 {
-				errs <- fmt.Errorf("cycle %d: removed=%d err=%v", i, removed, err)
+			if _, m, err := sys.Apply(context.Background(), nil, extra); err != nil || m.Removed != 1 {
+				errs <- fmt.Errorf("cycle %d: removed=%d err=%v", i, m.Removed, err)
 				return
 			}
 		}
@@ -371,7 +381,7 @@ func TestIncrementalMaintenanceRace(t *testing.T) {
 					return
 				default:
 				}
-				r, err := sys.Query(open)
+				r, err := query(sys, open)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %v", g, err)
 					return
@@ -392,7 +402,7 @@ func TestIncrementalMaintenanceRace(t *testing.T) {
 	if st := sys.ResultCacheStats(); st.Upgrades == 0 {
 		t.Fatalf("maintenance race never upgraded an entry: %+v", st)
 	}
-	final, err := sys.Query(open)
+	final, err := query(sys, open)
 	if err != nil || final.Answer.Len() != rowsAt(final.Version) {
 		t.Fatalf("settled query: rows=%d err=%v", final.Answer.Len(), err)
 	}

@@ -116,7 +116,7 @@ func TestMagicSeededDifferential(t *testing.T) {
 			break
 		}
 		src := genMagicProgram(rng)
-		sys, err := Load(src)
+		sys, err := load(src, Options{})
 		if err != nil {
 			t.Fatalf("attempt %d: load:\n%s\n%v", attempt, src, err)
 		}
@@ -201,7 +201,7 @@ func TestMagicMultiBoundDifferential(t *testing.T) {
 			break
 		}
 		src := genMagicProgram(rng)
-		sys, err := Load(src)
+		sys, err := load(src, Options{})
 		if err != nil {
 			t.Fatalf("attempt %d: load:\n%s\n%v", attempt, src, err)
 		}
@@ -291,7 +291,7 @@ p(X,Y) :- e(X,U), e(U,V), p(V,Y).
 b(a1,a2). b(a2,a3). b(a3,a4). b(a2,a2).
 e(a1,a2). e(a2,a3). e(a3,a1). e(a4,a2).
 `
-	sys, err := Load(src)
+	sys, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

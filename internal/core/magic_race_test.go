@@ -42,7 +42,7 @@ func magicRaceProgram() string {
 // cache dimension; afterwards every binding's cached answer must equal a
 // fresh closure-then-filter baseline on the final snapshot.
 func TestMagicCacheConcurrentQueriesAndSwaps(t *testing.T) {
-	sys, err := Load(magicRaceProgram())
+	sys, err := load(magicRaceProgram(), Options{})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestMagicCacheConcurrentQueriesAndSwaps(t *testing.T) {
 					k = rng.Intn(20)
 				}
 				goal := mustAtom(t, fmt.Sprintf("p(c%d, Y)", k))
-				res, err := sys.QueryCtx(ctx, goal)
+				res, err := sys.Evaluate(ctx, QueryRequest{Goal: goal, Opts: sys.Opts})
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: %v", g, err)
 					return
@@ -121,16 +121,16 @@ func TestMagicCacheConcurrentQueriesAndSwaps(t *testing.T) {
 // report identical rows and statistics (the build's stats are stored with
 // the set).
 func TestMagicCacheStatsDeterministic(t *testing.T) {
-	sys, err := Load(magicRaceProgram())
+	sys, err := load(magicRaceProgram(), Options{})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	goal := mustAtom(t, "p(c3, Y)")
-	first, err := sys.Query(goal)
+	first, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("first: %v", err)
 	}
-	second, err := sys.Query(goal)
+	second, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("second: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestMagicCacheCapBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "e(c%d,c%d).\n", i, i+1)
 	}
-	sys, err := Load(b.String())
+	sys, err := load(b.String(), Options{})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

@@ -14,6 +14,8 @@
 //     of the removed tuples through the recursion, then re-derive the
 //     survivors from alternative derivations that remain in the new
 //     database, resuming the closure from whatever was re-derived.
+//   - A mixed batch is one pass of both: DRed against the database
+//     without the additions, then the resume from the retracted closure.
 //
 // Anything the analysis can't bound — bound goals, magic-seeded or
 // separable plans, derived predicates feeding the goal, in-flight
@@ -40,19 +42,23 @@ import (
 // program predicate, so it can never collide with a real relation.
 const deltaPred = "delta~"
 
-// Maintenance summarizes what one snapshot swap did to the derived-state
-// caches: how many goal-level results and exit-rule seeds were carried
-// to the new version versus purged for the next query to rebuild.
+// Maintenance summarizes one Apply: how many tuples it added and
+// removed, and how many goal-level results and exit-rule seeds were
+// carried to the new version versus purged for the next query to
+// rebuild.
 type Maintenance struct {
+	Added           int `json:"added"`
+	Removed         int `json:"removed"`
 	ResultsUpgraded int `json:"results_upgraded"`
 	ResultsPurged   int `json:"results_purged"`
 	SeedsUpgraded   int `json:"seeds_upgraded"`
 	SeedsPurged     int `json:"seeds_purged"`
 }
 
-// Add combines the maintenance summaries of consecutive swaps (a
-// combined remove+add request performs up to two).
+// Add sums the summaries of a sequence of swaps.
 func (m Maintenance) Add(o Maintenance) Maintenance {
+	m.Added += o.Added
+	m.Removed += o.Removed
 	m.ResultsUpgraded += o.ResultsUpgraded
 	m.ResultsPurged += o.ResultsPurged
 	m.SeedsUpgraded += o.SeedsUpgraded
@@ -105,25 +111,42 @@ func overlayDB(db rel.DB, delta *rel.Relation) rel.DB {
 }
 
 // maintainSwap runs cache maintenance for a swap from old to next, where
-// changed holds the tuples actually inserted (isAdd) or removed per
-// predicate.  It must run under factMu, before next is published: the
-// caches move to the new version first, so a query pinned at the old
-// snapshot can no longer populate them with stale entries (it sees a
-// superseded version and evaluates uncached), and the first query on the
-// new snapshot finds the carried views already in place.
-// A Tracer carried by ctx (AddFactsMaintCtx / RemoveFactsMaintCtx)
-// records one cache event per entry decided — "upgrade" or "purge" on
-// the result and seed caches — and any resume phases the upgrades run.
-// ctx carries observability only; maintenance never aborts on
-// cancellation (the snapshot swap must complete once started).
-func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, changed map[string]*rel.Relation, isAdd bool) Maintenance {
+// added and removed hold the tuples actually inserted and removed per
+// predicate (removals first: next = old − removed + added).  It must run
+// under factMu, before next is published: the caches move to the new
+// version first, so a query pinned at the old snapshot can no longer
+// populate them with stale entries (it sees a superseded version and
+// evaluates uncached), and the first query on the new snapshot finds the
+// carried views already in place.
+// A Tracer carried by ctx (Apply's) records one cache event per entry
+// decided — "upgrade" or "purge" on the result and seed caches — and any
+// resume phases the upgrades run.  ctx carries observability only;
+// maintenance never aborts on cancellation (the snapshot swap must
+// complete once started).
+func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, added, removed map[string]*rel.Relation) Maintenance {
 	tr := eval.TracerFrom(ctx)
 	var m Maintenance
-	m.SeedsUpgraded, m.SeedsPurged = s.sweepSeeds(ctx, next, changed, isAdd)
+	m.SeedsUpgraded, m.SeedsPurged = s.sweepSeeds(ctx, next, added, removed)
 	s.seedsUpgraded.Add(int64(m.SeedsUpgraded))
 	s.seedsPurged.Add(int64(m.SeedsPurged))
+	// A mixed batch retracts against the database without its additions,
+	// then resumes the additions from there.
+	mid := next.DB
+	if len(added) > 0 && len(removed) > 0 {
+		mid = make(rel.DB, len(old.DB))
+		for k, v := range old.DB {
+			mid[k] = v
+		}
+		for pred, d := range removed {
+			if _, both := added[pred]; both {
+				mid[pred] = rel.NewLayered(old.DB[pred], nil, d)
+			} else {
+				mid[pred] = next.DB[pred]
+			}
+		}
+	}
 	m.ResultsUpgraded, m.ResultsPurged = s.results.advance(next.Version, func(key resultKey, res *QueryResult) *QueryResult {
-		up := s.upgradeResult(ctx, old, next, changed, isAdd, key, res)
+		up := s.upgradeResult(ctx, old, mid, next, added, removed, key, res)
 		if up != nil {
 			tr.Cache("result", "upgrade", key.goal, 0)
 		} else {
@@ -143,7 +166,9 @@ func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, changed 
 // the analysis operators, which the resume/DRed machinery maintains.
 // A panic during maintenance (engine invariant violation) degrades to a
 // fallback rather than failing the write.
-func (s *System) upgradeResult(ctx context.Context, old, next *Snapshot, changed map[string]*rel.Relation, isAdd bool, key resultKey, res *QueryResult) (out *QueryResult) {
+// mid is the database between the two halves of a mixed batch (next.DB
+// for a pure one).
+func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, next *Snapshot, added, removed map[string]*rel.Relation, key resultKey, res *QueryResult) (out *QueryResult) {
 	defer func() {
 		if recover() != nil {
 			out = nil
@@ -166,14 +191,14 @@ func (s *System) upgradeResult(ctx context.Context, old, next *Snapshot, changed
 	if err != nil {
 		return nil
 	}
-	touched := false
+	var byAdd, byRemove bool // some changed predicate feeds the goal
 	extensional := func(pred string) bool {
 		if s.idb[pred] {
 			return false
 		}
-		if _, ok := changed[pred]; ok {
-			touched = true
-		}
+		_, a := added[pred]
+		_, r := removed[pred]
+		byAdd, byRemove = byAdd || a, byRemove || r
 		return true
 	}
 	for _, r := range a.ExitRules {
@@ -192,17 +217,14 @@ func (s *System) upgradeResult(ctx context.Context, old, next *Snapshot, changed
 	}
 	up := *res
 	up.Version = next.Version
-	if !touched {
-		// The changed predicates feed this goal nowhere: the answer (and
-		// its sorted-order memo) carries over shared.
-		return &up
+	// When the changed predicates feed this goal nowhere, the answer
+	// (and its sorted-order memo) carries over shared.
+	ans, ok := res.Answer, true
+	if byRemove {
+		ans, ok = s.resumeRetraction(ctx, a, ans, old.DB, mid, removed, key.workers)
 	}
-	var ans *rel.Relation
-	var ok bool
-	if isAdd {
-		ans, ok = s.resumeAddition(ctx, a, res.Answer, next.DB, changed, key.workers)
-	} else {
-		ans, ok = s.resumeRetraction(ctx, a, res.Answer, old.DB, next.DB, changed, key.workers)
+	if ok && byAdd {
+		ans, ok = s.resumeAddition(ctx, a, ans, next.DB, added, key.workers)
 	}
 	if !ok {
 		return nil
@@ -381,7 +403,7 @@ func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, tota
 // frontier is not superset-safe to reuse), in-flight builds, failed
 // builds, retraction-touched seeds — is dropped immediately instead of
 // lingering until the next query's lazy sweep.
-func (s *System) sweepSeeds(ctx context.Context, next *Snapshot, changed map[string]*rel.Relation, isAdd bool) (upgraded, purged int) {
+func (s *System) sweepSeeds(ctx context.Context, next *Snapshot, added, removed map[string]*rel.Relation) (upgraded, purged int) {
 	tr := eval.TracerFrom(ctx)
 	s.seedMu.Lock()
 	stale := s.seeds
@@ -393,7 +415,7 @@ func (s *System) sweepSeeds(ctx context.Context, next *Snapshot, changed map[str
 		if key.adorn != "" {
 			cache, evKey = "magic", key.pred+"["+key.adorn+"]"
 		}
-		nf := s.upgradeSeed(next, changed, isAdd, key, f)
+		nf := s.upgradeSeed(next, added, removed, key, f)
 		if nf == nil {
 			tr.Cache(cache, "purge", evKey, 0)
 			purged++
@@ -417,7 +439,7 @@ func (s *System) sweepSeeds(ctx context.Context, next *Snapshot, changed map[str
 // (adorn == "") over purely extensional exit-rule bodies qualify; of
 // those, untouched seeds carry as-is and addition-touched seeds gain the
 // delta-evaluated new exit-rule derivations.
-func (s *System) upgradeSeed(next *Snapshot, changed map[string]*rel.Relation, isAdd bool, key seedKey, f *seedFuture) (out *seedFuture) {
+func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Relation, key seedKey, f *seedFuture) (out *seedFuture) {
 	defer func() {
 		if recover() != nil {
 			out = nil
@@ -441,7 +463,10 @@ func (s *System) upgradeSeed(next *Snapshot, changed map[string]*rel.Relation, i
 			if s.idb[atom.Pred] {
 				return nil
 			}
-			if _, ok := changed[atom.Pred]; ok {
+			if _, ok := removed[atom.Pred]; ok {
+				return nil // a retraction may shrink the seed: rebuild lazily
+			}
+			if _, ok := added[atom.Pred]; ok {
 				touched = true
 			}
 		}
@@ -449,13 +474,10 @@ func (s *System) upgradeSeed(next *Snapshot, changed map[string]*rel.Relation, i
 	if !touched {
 		return f // no exit-rule input changed: the seed is the seed
 	}
-	if !isAdd {
-		return nil // a retraction may shrink the seed: rebuild lazily
-	}
 	q := f.q.Clone()
 	for _, r := range a.ExitRules {
 		for i := range r.Body {
-			delta, ok := changed[r.Body[i].Pred]
+			delta, ok := added[r.Body[i].Pred]
 			if !ok {
 				continue
 			}

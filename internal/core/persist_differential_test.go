@@ -9,6 +9,7 @@ import (
 
 	"linrec/internal/ast"
 	"linrec/internal/planner"
+	"linrec/internal/rel"
 	"linrec/internal/segment"
 )
 
@@ -38,15 +39,15 @@ func evictions(sys *System) int64 {
 // store.
 func diskTwin(t *testing.T, src string, budget int64) (*System, *System) {
 	t.Helper()
-	mem, err := Load(src)
+	mem, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("load:\n%s\n%v", src, err)
 	}
 	dir := t.TempDir()
-	if _, err := LoadOptions(src, Options{Persist: openManager(t, dir)}); err != nil {
+	if _, err := load(src, Options{Persist: openManager(t, dir)}); err != nil {
 		t.Fatalf("persistent load:\n%s\n%v", src, err)
 	}
-	disk, err := LoadOptions(src, Options{Persist: budgetedManager(t, dir, budget)})
+	disk, err := load(src, Options{Persist: budgetedManager(t, dir, budget)})
 	if err != nil {
 		t.Fatalf("boot from disk:\n%s\n%v", src, err)
 	}
@@ -135,7 +136,7 @@ func TestPersistDifferential(t *testing.T) {
 			comparePlans(t, mem, tight, goalSrc, src)
 		}
 		evicted += evictions(tight)
-		if res, err := mem.Query(mustAtom(t, "p(X, Y)")); err == nil && res.Answer.Len() > 0 {
+		if res, err := query(mem, mustAtom(t, "p(X, Y)")); err == nil && res.Answer.Len() > 0 {
 			nonEmpty++
 		}
 	}
@@ -238,15 +239,20 @@ func TestPersistDifferentialStreaming(t *testing.T) {
 
 // TestPersistDifferentialAfterSwaps checks the comparison holds across
 // mutation history: every backend — in memory, on disk unbudgeted, on
-// disk under an evicting budget — applies the same adds and retractions,
-// then a restart of each disk side must still agree on every goal.
+// disk under an evicting budget — applies the same adds, retractions and
+// mixed batches (mixedBatch), then a restart of each disk side must
+// still agree on every goal.  The restarted sides take one more mixed
+// batch over their disk-backed stores with warm caches, and a second
+// restart.  The in-memory side keeps no result cache, so it evaluates
+// every goal from scratch.
 func TestPersistDifferentialAfterSwaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(141421))
 	budgets := []int64{0, evictingBudget}
 	var evicted int64
+	mixedUpgrades := 0
 	for attempt := 0; attempt < 20; attempt++ {
 		src := genMagicProgram(rng)
-		mem, err := Load(src)
+		mem, err := load(src, Options{ResultCacheRows: -1})
 		if err != nil {
 			t.Fatalf("load:\n%s\n%v", src, err)
 		}
@@ -254,7 +260,7 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 		dirs := make([]string, len(budgets))
 		for i, budget := range budgets {
 			dirs[i] = t.TempDir()
-			s, err := LoadOptions(src, Options{Persist: budgetedManager(t, dirs[i], budget)})
+			s, err := load(src, Options{Persist: budgetedManager(t, dirs[i], budget)})
 			if err != nil {
 				t.Fatalf("persistent load:\n%s\n%v", src, err)
 			}
@@ -274,31 +280,93 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 				}
 			}
 			for _, fs := range batchDel {
-				if _, _, err := s.RemoveFacts([]ast.Atom{mustAtom(t, fs)}); err != nil {
+				if _, _, err := s.Apply(context.Background(), nil, []ast.Atom{mustAtom(t, fs)}); err != nil {
 					t.Fatalf("remove %s:\n%s\n%v", fs, src, err)
 				}
 			}
 		}
+		applyMixedEverywhere(t, rng, src, systems)
 
 		// Restart each disk side from its manifest and compare everything.
 		goals := []string{"p(X, Y)", fmt.Sprintf("p(c%d, Y)", rng.Intn(8))}
-		for i, budget := range budgets {
-			rebooted, err := LoadOptions(src, Options{Persist: budgetedManager(t, dirs[i], budget)})
+		reboot := func(i int, served *System) *System {
+			t.Helper()
+			rebooted, err := load(src, Options{Persist: budgetedManager(t, dirs[i], budgets[i])})
 			if err != nil {
 				t.Fatalf("reboot:\n%s\n%v", src, err)
 			}
-			if got, want := rebooted.Snapshot().Version, systems[1+i].Snapshot().Version; got != want {
+			if got, want := rebooted.Snapshot().Version, served.Snapshot().Version; got != want {
 				t.Fatalf("rebooted at version %d, pre-restart served %d", got, want)
 			}
 			for _, goalSrc := range goals {
 				comparePlans(t, mem, rebooted, goalSrc, src)
 			}
+			return rebooted
+		}
+		rebooted := []*System{mem}
+		for i := range budgets {
+			rebooted = append(rebooted, reboot(i, systems[1+i]))
+		}
+		// The warm, disk-backed sides maintain their caches across one
+		// more mixed batch, then restart from the chained link it wrote.
+		mixedUpgrades += applyMixedEverywhere(t, rng, src, rebooted)
+		for i, budget := range budgets {
+			for _, goalSrc := range goals {
+				comparePlans(t, mem, rebooted[1+i], goalSrc, src)
+			}
+			again := reboot(i, rebooted[1+i])
 			if budget > 0 {
-				evicted += evictions(systems[1+i]) + evictions(rebooted)
+				evicted += evictions(systems[1+i]) + evictions(rebooted[1+i]) + evictions(again)
 			}
 		}
 	}
 	if evicted == 0 {
 		t.Fatalf("the budgeted arm never evicted: the budget does not exercise eviction")
 	}
+	if mixedUpgrades == 0 {
+		t.Fatalf("no mixed batch upgraded a cached result on a disk-backed side")
+	}
+}
+
+// applyMixedEverywhere applies one mixedBatch, drawn against the first
+// system's facts, to every system, and requires each to report the
+// counts the batch resolves to.  It returns how many cached results the
+// systems upgraded on batches that both added and removed.
+func applyMixedEverywhere(t *testing.T, rng *rand.Rand, src string, systems []*System) (upgraded int) {
+	t.Helper()
+	present := storedFacts(systems[0])
+	adds, removes := mixedBatch(rng, present)
+	added, removed := applyMixed(present, adds, removes)
+	for _, s := range systems {
+		v := s.Snapshot().Version
+		_, m, err := s.Apply(context.Background(), adds, removes)
+		if err != nil || m.Added != added || m.Removed != removed {
+			t.Fatalf("mixed batch +%v -%v: added %d removed %d, want %d and %d, err %v\n%s",
+				adds, removes, m.Added, m.Removed, added, removed, err, src)
+		}
+		if got := s.Snapshot().Version; added+removed > 0 && got != v+1 {
+			t.Fatalf("mixed batch moved the version %d -> %d, want one step", v, got)
+		}
+		if added > 0 && removed > 0 {
+			upgraded += m.ResultsUpgraded
+		}
+	}
+	return upgraded
+}
+
+// storedFacts renders every fact sys's current snapshot stores, keyed by
+// rendered form.
+func storedFacts(sys *System) map[string]ast.Atom {
+	out := map[string]ast.Atom{}
+	for pred, st := range sys.Snapshot().DB {
+		st.Each(func(t rel.Tuple) {
+			args := make([]ast.Term, len(t))
+			for i, v := range t {
+				args[i] = ast.C(sys.Engine.Syms.Name(v))
+			}
+			f := ast.NewAtom(pred, args...)
+			out[f.String()] = f
+		})
+	}
+	return out
 }

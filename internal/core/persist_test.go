@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -29,9 +32,9 @@ func openManager(t *testing.T, dir string) *segment.Manager {
 // loadPersistent loads src with a disk-backed persister over dir.
 func loadPersistent(t *testing.T, src, dir string) *System {
 	t.Helper()
-	sys, err := LoadOptions(src, Options{Persist: openManager(t, dir)})
+	sys, err := load(src, Options{Persist: openManager(t, dir)})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	return sys
 }
@@ -39,7 +42,7 @@ func loadPersistent(t *testing.T, src, dir string) *System {
 // pathRows answers path(X,Y) as rendered rows.
 func pathRows(t *testing.T, sys *System) [][]string {
 	t.Helper()
-	res, err := sys.Query(ast.NewAtom("path", ast.V("X"), ast.V("Y")))
+	res, err := query(sys, ast.NewAtom("path", ast.V("X"), ast.V("Y")))
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -75,10 +78,10 @@ func TestPersistRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("AddFacts: %v", err)
 	}
-	if _, _, err := sys.RemoveFacts([]ast.Atom{
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{
 		ast.NewAtom("up", ast.C("a"), ast.C("b")),
 	}); err != nil {
-		t.Fatalf("RemoveFacts: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	want := pathRows(t, sys)
 	wantVersion := sys.Snapshot().Version
@@ -113,9 +116,9 @@ func TestPersistBootIsLazy(t *testing.T) {
 	}
 
 	mgr := openManager(t, dir)
-	sys2, err := LoadOptions(persistProgram, Options{Persist: mgr})
+	sys2, err := load(persistProgram, Options{Persist: mgr})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	st := mgr.Stats()
 	if !st.Recovered {
@@ -181,9 +184,9 @@ func (f *failingPersister) Publish(uint64, rel.DB, *rel.Symtab) error {
 // old version and the failed batch leaves no trace.
 func TestPersistPublishFailureAbortsSwap(t *testing.T) {
 	p := &failingPersister{allow: 1} // initial publish succeeds
-	sys, err := LoadOptions(persistProgram, Options{Persist: p})
+	sys, err := load(persistProgram, Options{Persist: p})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	before := pathRows(t, sys)
 	if _, _, err := sys.AddFacts([]ast.Atom{ast.NewAtom("up", ast.C("d"), ast.C("e"))}); err == nil {
@@ -198,11 +201,74 @@ func TestPersistPublishFailureAbortsSwap(t *testing.T) {
 		t.Fatalf("failed publish changed served answers:\nwant %v\ngot  %v", before, got)
 	}
 
-	if _, _, err := sys.RemoveFacts([]ast.Atom{ast.NewAtom("up", ast.C("a"), ast.C("b"))}); err == nil {
-		t.Fatal("RemoveFacts succeeded despite publish failure")
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{ast.NewAtom("up", ast.C("a"), ast.C("b"))}); err == nil {
+		t.Fatal("retraction succeeded despite publish failure")
 	}
 	if v := sys.Snapshot().Version; v != 1 {
 		t.Fatalf("failed retraction advanced the snapshot to version %d", v)
+	}
+
+	if _, _, err := sys.Apply(context.Background(),
+		[]ast.Atom{ast.NewAtom("up", ast.C("d"), ast.C("e"))},
+		[]ast.Atom{ast.NewAtom("up", ast.C("a"), ast.C("b"))}); err == nil {
+		t.Fatal("mixed batch succeeded despite publish failure")
+	}
+	if v := sys.Snapshot().Version; v != 1 {
+		t.Fatalf("failed mixed batch advanced the snapshot to version %d", v)
+	}
+	if got := pathRows(t, sys); !rowsEqual(before, got) {
+		t.Fatalf("failed mixed batch changed served answers:\nwant %v\ngot  %v", before, got)
+	}
+}
+
+// TestMixedBatchIsOneDeltaLink: on a booted segment store, a batch that
+// adds and retracts on one predicate chains one overlay layer and one
+// manifest link, not one per half, and a restart recovers its rows.
+func TestMixedBatchIsOneDeltaLink(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("path(X,Y) :- up(X,Y).\npath(X,Y) :- path(X,Z), up(Z,Y).\n")
+	for i := 0; i < 200; i++ { // a base large enough that a link appends rather than rebases
+		fmt.Fprintf(&src, "up(n%d,n%d).\n", i, i+1)
+	}
+	dir := t.TempDir()
+	loadPersistent(t, src.String(), dir)
+	mgr := openManager(t, dir)
+	sys, err := load(src.String(), Options{Persist: mgr})
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	depth := func() int {
+		if ly, ok := sys.Snapshot().DB["up"].(*rel.Layered); ok {
+			return ly.Depth()
+		}
+		return 0
+	}
+	for i := 0; i < 2; i++ {
+		d, links := depth(), mgr.Stats().ChainLinks
+		_, m, err := sys.Apply(context.Background(),
+			[]ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("m%d", i)), ast.C("n0"))},
+			[]ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("n%d", i)), ast.C(fmt.Sprintf("n%d", i+1)))})
+		if err != nil || m.Added != 1 || m.Removed != 1 {
+			t.Fatalf("mixed batch %d: added %d removed %d, err %v", i, m.Added, m.Removed, err)
+		}
+		if got := depth(); got != d+1 {
+			t.Fatalf("mixed batch %d: layer depth %d -> %d, want one more", i, d, got)
+		}
+		if got := mgr.Stats().ChainLinks; got != links+1 {
+			t.Fatalf("mixed batch %d: manifest links %d -> %d, want one more", i, links, got)
+		}
+	}
+	rows := func(s *System) []rel.Tuple {
+		tuples := s.Snapshot().DB["up"].Clone().Tuples()
+		sort.Slice(tuples, func(a, b int) bool { return fmt.Sprint(tuples[a]) < fmt.Sprint(tuples[b]) })
+		return tuples
+	}
+	rebooted := loadPersistent(t, src.String(), dir)
+	if want, got := rows(sys), rows(rebooted); !reflect.DeepEqual(want, got) {
+		t.Fatalf("restart recovered %d up rows, served %d", len(got), len(want))
+	}
+	if want, got := pathRows(t, sys), pathRows(t, rebooted); !rowsEqual(want, got) {
+		t.Fatalf("restart answers diverge: %d rows vs %d", len(got), len(want))
 	}
 }
 
@@ -216,7 +282,7 @@ func TestPersistRejectsArityDrift(t *testing.T) {
 	drifted := `
 path(X,Y) :- up(X,Y,Z).
 `
-	if _, err := LoadOptions(drifted, Options{Persist: openManager(t, dir)}); err == nil {
+	if _, err := load(drifted, Options{Persist: openManager(t, dir)}); err == nil {
 		t.Fatal("arity drift accepted")
 	} else if !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("error does not mention arity: %v", err)
@@ -238,11 +304,11 @@ func TestPersistChainDepthBounded(t *testing.T) {
 	dir := t.TempDir()
 	loadPersistent(t, src.String(), dir) // first day: publish the program's facts
 	mgr := openManager(t, dir)
-	disk, err := LoadOptions(src.String(), Options{Persist: mgr})
+	disk, err := load(src.String(), Options{Persist: mgr})
 	if err != nil {
 		t.Fatalf("reboot: %v", err)
 	}
-	mem, err := Load(src.String())
+	mem, err := load(src.String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +320,7 @@ func TestPersistChainDepthBounded(t *testing.T) {
 			}
 			if i%3 == 2 { // and retract the one before
 				gone := []ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("m%d", i-1)), ast.C(fmt.Sprintf("n%d", i-1)))}
-				if _, _, err := s.RemoveFacts(gone); err != nil {
+				if _, _, err := s.Apply(context.Background(), nil, gone); err != nil {
 					t.Fatalf("remove %d: %v", i, err)
 				}
 			}

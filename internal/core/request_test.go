@@ -11,7 +11,7 @@ import (
 // TestQueryRequestOptions checks the functional-option constructor
 // builds exactly the struct a literal would.
 func TestQueryRequestOptions(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := load(tcProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -33,19 +33,19 @@ func cacheTotals(s ResultCacheStats) (hits, misses, evictions int64) {
 // miss that populated the entry — and the counters record one miss and
 // one hit under the serving plan kind.
 func TestResultCacheHitIsIdentical(t *testing.T) {
-	sys, err := Load(chainProgram(4))
+	sys, err := load(chainProgram(4), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
-	r1, err := sys.Query(goal)
+	r1, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query 1: %v", err)
 	}
 	if r1.Cached {
 		t.Fatalf("first query reported Cached")
 	}
-	r2, err := sys.Query(goal)
+	r2, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query 2: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestResultCacheHitIsIdentical(t *testing.T) {
 		t.Fatalf("cached plan/version diverge")
 	}
 	// A goal differing only in variable naming shares the entry.
-	r3, err := sys.Query(ast.NewAtom("path", ast.C("c0"), ast.V("Z")))
+	r3, err := query(sys, ast.NewAtom("path", ast.C("c0"), ast.V("Z")))
 	if err != nil {
 		t.Fatalf("Query 3: %v", err)
 	}
@@ -100,33 +100,33 @@ func mustAtomT(src string) ast.Atom {
 	return a
 }
 
-// TestResultCacheInvalidationOnSwap: AddFacts and RemoveFacts both bump
+// TestResultCacheInvalidationOnSwap: additions and retractions both bump
 // the snapshot version, so cached results for the old version are swept
 // and the next query re-evaluates against the new world.
 func TestResultCacheInvalidationOnSwap(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
-	r1, _ := sys.Query(goal)
+	r1, _ := query(sys, goal)
 	if r1.Answer.Len() != 2 {
 		t.Fatalf("initial rows = %d, want 2", r1.Answer.Len())
 	}
 	if _, _, err := sys.AddFacts([]ast.Atom{edgeFact(2, 3)}); err != nil {
 		t.Fatalf("AddFacts: %v", err)
 	}
-	r2, err := sys.Query(goal)
+	r2, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query after add: %v", err)
 	}
 	if r2.Cached || r2.Answer.Len() != 3 {
 		t.Fatalf("post-add query: cached=%v rows=%d, want fresh 3", r2.Cached, r2.Answer.Len())
 	}
-	if _, _, err := sys.RemoveFacts([]ast.Atom{edgeFact(2, 3)}); err != nil {
-		t.Fatalf("RemoveFacts: %v", err)
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{edgeFact(2, 3)}); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
-	r3, err := sys.Query(goal)
+	r3, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query after retract: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestResultCacheInvalidationOnSwap(t *testing.T) {
 	if st := sys.ResultCacheStats(); st.Invalidated < 2 {
 		t.Fatalf("invalidated = %d, want ≥ 2 (one entry per superseded version)", st.Invalidated)
 	}
-	r4, _ := sys.Query(goal)
+	r4, _ := query(sys, goal)
 	if !r4.Cached {
 		t.Fatalf("repeat on the settled version should hit")
 	}
@@ -145,12 +145,12 @@ func TestResultCacheInvalidationOnSwap(t *testing.T) {
 // TestResultCacheEviction: total cached rows stay under the cap, cold
 // entries are evicted LRU-first, and evicted goals re-miss correctly.
 func TestResultCacheEviction(t *testing.T) {
-	sys, err := LoadOptions(chainProgram(5), Options{ResultCacheRows: 3})
+	sys, err := load(chainProgram(5), Options{ResultCacheRows: 3})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	q := func(src string) *QueryResult {
-		r, err := sys.Query(mustAtom(t, src))
+		r, err := query(sys, mustAtom(t, src))
 		if err != nil {
 			t.Fatalf("Query %s: %v", src, err)
 		}
@@ -180,13 +180,13 @@ func TestResultCacheEviction(t *testing.T) {
 // TestResultCacheOversizeAnswer: an answer larger than the whole capacity
 // is returned but never admitted, so it cannot wipe the cache.
 func TestResultCacheOversizeAnswer(t *testing.T) {
-	sys, err := LoadOptions(chainProgram(6), Options{ResultCacheRows: 2})
+	sys, err := load(chainProgram(6), Options{ResultCacheRows: 2})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.C("c0"), ast.V("Y")) // 6 rows > cap 2
 	for i := 0; i < 2; i++ {
-		r, err := sys.Query(goal)
+		r, err := query(sys, goal)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -204,13 +204,13 @@ func TestResultCacheOversizeAnswer(t *testing.T) {
 
 // TestResultCacheDisabled: a negative cap turns the cache off entirely.
 func TestResultCacheDisabled(t *testing.T) {
-	sys, err := LoadOptions(chainProgram(3), Options{ResultCacheRows: -1})
+	sys, err := load(chainProgram(3), Options{ResultCacheRows: -1})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
 	for i := 0; i < 3; i++ {
-		r, err := sys.Query(goal)
+		r, err := query(sys, goal)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -235,7 +235,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, i+1)
 	}
-	sys, err := Load(b.String())
+	sys, err := load(b.String(), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			r, err := sys.Query(goal)
+			r, err := query(sys, goal)
 			if err != nil {
 				errs[c] = err
 				return
@@ -309,7 +309,7 @@ func TestResultCacheAbandonedBuild(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, (i+1)%n)
 	}
-	sys, err := Load(b.String())
+	sys, err := load(b.String(), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -328,14 +328,14 @@ func TestResultCacheAbandonedBuild(t *testing.T) {
 		defer wg.Done()
 		// Likely a waiter on the short-deadline builder; must survive the
 		// builder's abandonment via the retry path.
-		r, err := sys.QueryCtx(context.Background(), goal)
+		r, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Opts: sys.Opts})
 		if err != nil {
 			slowErr = err
 			return
 		}
 		slowRows = r.Answer.Len()
 	}()
-	_, err = sys.QueryCtx(short, goal)
+	_, err = sys.Evaluate(short, QueryRequest{Goal: goal, Opts: sys.Opts})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("short-deadline query: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestResultCacheAbandonedBuild(t *testing.T) {
 }
 
 // TestSwapDuringCachedQueryRace: readers hammer one cached goal while a
-// writer alternates AddFacts and RemoveFacts of the same edge.  Every
+// writer alternates adding and retracting the same edge.  Every
 // answer must be consistent with the version the query pinned — the
 // result cache must never serve rows across a version boundary.  Run
 // under -race in the CI race lane.
@@ -359,7 +359,7 @@ func TestSwapDuringCachedQueryRace(t *testing.T) {
 		cycles  = 30 // each cycle: one add swap + one remove swap
 		readers = 6
 	)
-	sys, err := LoadOptions(chainProgram(initial), Options{Workers: 2})
+	sys, err := load(chainProgram(initial), Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -387,8 +387,8 @@ func TestSwapDuringCachedQueryRace(t *testing.T) {
 				errs <- fmt.Errorf("cycle %d: add=%d err=%v", i, added, err)
 				return
 			}
-			if _, removed, err := sys.RemoveFacts(extra); err != nil || removed != 1 {
-				errs <- fmt.Errorf("cycle %d: removed=%d err=%v", i, removed, err)
+			if _, m, err := sys.Apply(context.Background(), nil, extra); err != nil || m.Removed != 1 {
+				errs <- fmt.Errorf("cycle %d: removed=%d err=%v", i, m.Removed, err)
 				return
 			}
 		}
@@ -404,7 +404,7 @@ func TestSwapDuringCachedQueryRace(t *testing.T) {
 					return
 				default:
 				}
-				r, err := sys.Query(goal)
+				r, err := query(sys, goal)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %v", g, err)
 					return
@@ -424,14 +424,14 @@ func TestSwapDuringCachedQueryRace(t *testing.T) {
 	}
 
 	// Settled state: back to the initial chain, and repeat queries hit.
-	final, err := sys.Query(goal)
+	final, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("final query: %v", err)
 	}
 	if final.Answer.Len() != initial {
 		t.Fatalf("final rows = %d, want %d", final.Answer.Len(), initial)
 	}
-	again, _ := sys.Query(goal)
+	again, _ := query(sys, goal)
 	if !again.Cached {
 		t.Fatalf("settled repeat query should be a cache hit")
 	}

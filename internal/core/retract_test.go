@@ -18,13 +18,13 @@ import (
 // still answers from the old world, and relations the retraction didn't
 // touch stay shared between versions.
 func TestRemoveFactsSwapIsolation(t *testing.T) {
-	sys, err := Load(chainProgram(3) + "other(x,y).\n")
+	sys, err := load(chainProgram(3)+"other(x,y).\n", Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
 	old := sys.Snapshot()
-	r1, err := sys.Query(goal)
+	r1, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -32,15 +32,15 @@ func TestRemoveFactsSwapIsolation(t *testing.T) {
 		t.Fatalf("initial answer = %d rows, want 3", r1.Answer.Len())
 	}
 
-	next, removed, err := sys.RemoveFacts([]ast.Atom{edgeFact(2, 3)})
+	next, m, err := sys.Apply(context.Background(), nil, []ast.Atom{edgeFact(2, 3)})
 	if err != nil {
-		t.Fatalf("RemoveFacts: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
-	if next.Version != old.Version+1 || removed != 1 {
+	if next.Version != old.Version+1 || m.Removed != 1 {
 		t.Fatalf("post-retract version = %d (removed %d), want %d (removed 1)",
-			next.Version, removed, old.Version+1)
+			next.Version, m.Removed, old.Version+1)
 	}
-	r2, err := sys.Query(goal)
+	r2, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query after retract: %v", err)
 	}
@@ -71,21 +71,21 @@ func TestRemoveFactsSwapIsolation(t *testing.T) {
 // facts or unknown constants is an idempotent no-op that keeps the
 // version (and therefore every version-keyed cache) stable.
 func TestRemoveFactsValidation(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	v := sys.Snapshot().Version
-	if _, _, err := sys.RemoveFacts([]ast.Atom{ast.NewAtom("edge", ast.C("c0"), ast.V("Y"))}); err == nil {
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{ast.NewAtom("edge", ast.C("c0"), ast.V("Y"))}); err == nil {
 		t.Fatalf("non-ground retraction accepted")
 	}
-	if _, _, err := sys.RemoveFacts([]ast.Atom{ast.NewAtom("path", ast.C("c0"), ast.C("c1"))}); err == nil {
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{ast.NewAtom("path", ast.C("c0"), ast.C("c1"))}); err == nil {
 		t.Fatalf("derived-predicate retraction accepted")
 	}
-	if _, _, err := sys.RemoveFacts([]ast.Atom{ast.NewAtom("edge", ast.C("c0"))}); err == nil {
+	if _, _, err := sys.Apply(context.Background(), nil, []ast.Atom{ast.NewAtom("edge", ast.C("c0"))}); err == nil {
 		t.Fatalf("arity-mismatched retraction accepted")
 	}
-	snap, removed, err := sys.RemoveFacts([]ast.Atom{
+	snap, m, err := sys.Apply(context.Background(), nil, []ast.Atom{
 		ast.NewAtom("edge", ast.C("c7"), ast.C("c9")),        // known constants, absent tuple
 		ast.NewAtom("edge", ast.C("ghost"), ast.C("wraith")), // unknown constants
 		ast.NewAtom("nosuchpred", ast.C("c0"), ast.C("c1")),  // unknown predicate
@@ -93,8 +93,8 @@ func TestRemoveFactsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("idempotent retraction errored: %v", err)
 	}
-	if removed != 0 || snap.Version != v {
-		t.Fatalf("no-op retraction: removed %d at version %d, want 0 at %d", removed, snap.Version, v)
+	if m.Removed != 0 || snap.Version != v {
+		t.Fatalf("no-op retraction: removed %d at version %d, want 0 at %d", m.Removed, snap.Version, v)
 	}
 	// Lookup-only resolution: retracting unknown constants must not
 	// intern them.
@@ -106,14 +106,14 @@ func TestRemoveFactsValidation(t *testing.T) {
 // TestRemoveFactsEmptiesRelation: retracting every fact of a predicate
 // leaves queries consistent (empty seeds, empty answers).
 func TestRemoveFactsEmptiesRelation(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, removed, err := sys.RemoveFacts([]ast.Atom{edgeFact(0, 1), edgeFact(1, 2)}); err != nil || removed != 2 {
-		t.Fatalf("RemoveFacts: removed %d, err %v", removed, err)
+	if _, m, err := sys.Apply(context.Background(), nil, []ast.Atom{edgeFact(0, 1), edgeFact(1, 2)}); err != nil || m.Removed != 2 {
+		t.Fatalf("Apply: removed %d, err %v", m.Removed, err)
 	}
-	r, err := sys.Query(ast.NewAtom("path", ast.C("c0"), ast.V("Y")))
+	r, err := query(sys, ast.NewAtom("path", ast.C("c0"), ast.V("Y")))
 	if err != nil {
 		t.Fatalf("Query over emptied relation: %v", err)
 	}
@@ -178,7 +178,7 @@ func genRetractProgram(rng *rand.Rand) (rules string, facts []ast.Atom) {
 
 // TestRetractDifferential is the retraction correctness harness: across
 // ≥ 100 random (program, retraction, goal) cases, querying after
-// RemoveFacts — through the full plan/cache stack, at 1 and 4 workers —
+// Apply — through the full plan/cache stack, at 1 and 4 workers —
 // must return rows bit-for-bit equal to evaluating a database built from
 // scratch with only the surviving facts (forced semi-naive baseline).
 func TestRetractDifferential(t *testing.T) {
@@ -189,7 +189,7 @@ func TestRetractDifferential(t *testing.T) {
 
 	for i := 0; i < cases; i++ {
 		rules, facts := genRetractProgram(rng)
-		sys, err := Load(rules)
+		sys, err := load(rules, Options{})
 		if err != nil {
 			t.Fatalf("case %d: load rules:\n%s\n%v", i, rules, err)
 		}
@@ -206,17 +206,17 @@ func TestRetractDifferential(t *testing.T) {
 			retract = append(retract, facts[idx])
 			gone[facts[idx].String()] = true
 		}
-		_, removed, err := sys.RemoveFacts(retract)
+		_, m, err := sys.Apply(context.Background(), nil, retract)
 		if err != nil {
-			t.Fatalf("case %d: RemoveFacts: %v", i, err)
+			t.Fatalf("case %d: Apply: %v", i, err)
 		}
-		if removed != len(retract) {
-			t.Fatalf("case %d: removed %d of %d distinct present facts", i, removed, len(retract))
+		if m.Removed != len(retract) {
+			t.Fatalf("case %d: removed %d of %d distinct present facts", i, m.Removed, len(retract))
 		}
-		actuallyRemoved += removed
+		actuallyRemoved += m.Removed
 
 		// From-scratch reference: rules + surviving facts only.
-		fresh, err := Load(rules)
+		fresh, err := load(rules, Options{})
 		if err != nil {
 			t.Fatalf("case %d: load fresh: %v", i, err)
 		}
@@ -266,23 +266,24 @@ func TestRetractDifferential(t *testing.T) {
 
 // TestInterleavedWarmCacheDifferential is the incremental-maintenance
 // correctness harness: random programs under random interleavings of
-// add and retract batches on one System, with the caches kept warm by
-// querying (bound and full-closure goals, 1 and 4 workers) between every
-// step.  After each swap, every answer must be bit-for-bit equal to a
-// from-scratch evaluation over the facts currently present — whether the
-// serving entry was maintained across the swap, rebuilt, or never
-// cached.  Across the run, upgrades must actually happen, or the
-// maintained path was never exercised.
+// add, retract and mixed (mixedBatch) batches on one System, with the
+// caches kept warm by querying (bound and full-closure goals, 1 and 4
+// workers) between every step.  After each swap, every answer must be
+// bit-for-bit equal to a from-scratch evaluation over the facts
+// currently present — whether the serving entry was maintained across
+// the swap, rebuilt, or never cached.  Across the run, upgrades must
+// actually happen, on mixed batches too, or the maintained path was
+// never exercised.
 func TestInterleavedWarmCacheDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	const cases = 60
 	ctx := context.Background()
 	var totalUpgrades int64
-	maintainedServed := 0
+	maintainedServed, mixedUpgrades := 0, 0
 
 	for i := 0; i < cases; i++ {
 		rules, facts := genRetractProgram(rng)
-		sys, err := Load(rules)
+		sys, err := load(rules, Options{})
 		if err != nil {
 			t.Fatalf("case %d: load rules:\n%s\n%v", i, rules, err)
 		}
@@ -301,7 +302,7 @@ func TestInterleavedWarmCacheDifferential(t *testing.T) {
 		}
 		checkAll := func(step string) {
 			t.Helper()
-			fresh, err := Load(rules)
+			fresh, err := load(rules, Options{})
 			if err != nil {
 				t.Fatalf("case %d %s: fresh load: %v", i, step, err)
 			}
@@ -337,7 +338,23 @@ func TestInterleavedWarmCacheDifferential(t *testing.T) {
 
 		steps := 3 + rng.Intn(3)
 		for s := 0; s < steps; s++ {
-			if rng.Intn(2) == 0 && len(present) > 2 {
+			switch k := rng.Intn(3); {
+			case k == 2 && len(present) > 2:
+				adds, removes := mixedBatch(rng, present)
+				added, removed := applyMixed(present, adds, removes)
+				v := sys.Snapshot().Version
+				_, m, err := sys.Apply(ctx, adds, removes)
+				if err != nil || m.Added != added || m.Removed != removed {
+					t.Fatalf("case %d step %d: mixed batch added %d removed %d, want %d and %d, err %v", i, s, m.Added, m.Removed, added, removed, err)
+				}
+				if got := sys.Snapshot().Version; added+removed > 0 && got != v+1 {
+					t.Fatalf("case %d step %d: mixed batch moved the version %d -> %d, want one step", i, s, v, got)
+				}
+				if added > 0 && removed > 0 {
+					mixedUpgrades += m.ResultsUpgraded
+				}
+				checkAll(fmt.Sprintf("step %d mixed", s))
+			case k == 0 && len(present) > 2:
 				// Retract a random present subset.
 				var pool []ast.Atom
 				for _, f := range present {
@@ -349,14 +366,14 @@ func TestInterleavedWarmCacheDifferential(t *testing.T) {
 				for _, idx := range rng.Perm(len(pool))[:k] {
 					batch = append(batch, pool[idx])
 				}
-				if _, removed, err := sys.RemoveFacts(batch); err != nil || removed != len(batch) {
-					t.Fatalf("case %d step %d: removed %d of %d, err %v", i, s, removed, len(batch), err)
+				if _, m, err := sys.Apply(context.Background(), nil, batch); err != nil || m.Removed != len(batch) {
+					t.Fatalf("case %d step %d: removed %d of %d, err %v", i, s, m.Removed, len(batch), err)
 				}
 				for _, f := range batch {
 					delete(present, f.String())
 				}
 				checkAll(fmt.Sprintf("step %d retract", s))
-			} else {
+			default:
 				// Add a small batch of fresh random facts over the same
 				// predicates (duplicates tolerated — AddFacts dedups).
 				var batch []ast.Atom
@@ -378,8 +395,64 @@ func TestInterleavedWarmCacheDifferential(t *testing.T) {
 		}
 		totalUpgrades += sys.ResultCacheStats().Upgrades
 	}
-	t.Logf("%d cases: %d upgrades, %d maintained full-closure hits served", cases, totalUpgrades, maintainedServed)
+	t.Logf("%d cases: %d upgrades (%d on mixed batches), %d maintained full-closure hits served", cases, totalUpgrades, mixedUpgrades, maintainedServed)
 	if totalUpgrades == 0 || maintainedServed == 0 {
 		t.Fatalf("interleaved harness never exercised the maintained path (upgrades=%d, served=%d)", totalUpgrades, maintainedServed)
 	}
+	if mixedUpgrades == 0 {
+		t.Fatalf("no mixed batch upgraded a cached result: the two-half maintenance path never ran")
+	}
+}
+
+// mixedBatch draws one mixed Apply batch against the facts in present
+// (keyed by rendered form): random facts over present's predicates in
+// each half, plus the cases a mixed step must carry — a present fact in
+// both halves, a retraction of an absent fact and a duplicate addition
+// (of a present fact, and of one new fact twice).
+func mixedBatch(rng *rand.Rand, present map[string]ast.Atom) (adds, removes []ast.Atom) {
+	pool := make([]ast.Atom, 0, len(present))
+	for _, f := range present {
+		pool = append(pool, f)
+	}
+	sort.Slice(pool, func(a, b int) bool { return pool[a].String() < pool[b].String() })
+	pick := func() ast.Atom { return pool[rng.Intn(len(pool))] }
+	random := func() ast.Atom {
+		f := pick()
+		args := make([]ast.Term, f.Arity())
+		for i := range args {
+			args[i] = ast.C(fmt.Sprintf("c%d", rng.Intn(14)))
+		}
+		return ast.NewAtom(f.Pred, args...)
+	}
+	absent := random()
+	for _, ok := present[absent.String()]; ok; _, ok = present[absent.String()] {
+		absent = random()
+	}
+	both, fresh := pick(), random()
+	removes = []ast.Atom{pick(), both, absent}
+	adds = []ast.Atom{both, pick(), random(), fresh, fresh}
+	return adds, removes
+}
+
+// applyMixed applies a mixed batch to present the way Apply resolves it
+// — removals first, so a fact in both halves stays — and returns how
+// many facts each half changed.
+func applyMixed(present map[string]ast.Atom, adds, removes []ast.Atom) (added, removed int) {
+	readded := map[string]bool{}
+	for _, f := range adds {
+		readded[f.String()] = true
+	}
+	for _, f := range removes {
+		if _, ok := present[f.String()]; ok && !readded[f.String()] {
+			delete(present, f.String())
+			removed++
+		}
+	}
+	for _, f := range adds {
+		if _, ok := present[f.String()]; !ok {
+			present[f.String()] = f
+			added++
+		}
+	}
+	return added, removed
 }

@@ -32,7 +32,7 @@ func edgeFact(from, to int) ast.Atom {
 // to new queries, while a query pinned to the old snapshot still sees the
 // old world.
 func TestAddFactsSwapIsolation(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestAddFactsSwapIsolation(t *testing.T) {
 	if old.Version != 1 {
 		t.Fatalf("initial version = %d, want 1", old.Version)
 	}
-	r1, err := sys.Query(goal)
+	r1, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestAddFactsSwapIsolation(t *testing.T) {
 		t.Fatalf("post-swap version = %d (added %d), want 2 (added 1)", next.Version, added)
 	}
 
-	r2, err := sys.Query(goal)
+	r2, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("Query after swap: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestAddFactsSwapIsolation(t *testing.T) {
 // TestAddFactsRejectsBadFacts: non-ground atoms and arity mismatches are
 // rejected without publishing a snapshot.
 func TestAddFactsRejectsBadFacts(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestAddFactsRejectsBadFacts(t *testing.T) {
 // would be stored but never consulted by evaluation — silent data loss —
 // so the update is rejected outright.
 func TestAddFactsRejectsDerivedPredicate(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestAddFactsRejectsDerivedPredicate(t *testing.T) {
 // TestAddFactsIdempotentRepush: a batch of pure duplicates publishes no
 // new snapshot (version stable, caches stay warm).
 func TestAddFactsIdempotentRepush(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -142,12 +142,12 @@ func TestAddFactsIdempotentRepush(t *testing.T) {
 // or fact answers empty without growing the shared symbol table — the
 // server-facing guard against unbounded interning by remote clients.
 func TestUnknownConstantDoesNotIntern(t *testing.T) {
-	sys, err := Load(chainProgram(2))
+	sys, err := load(chainProgram(2), Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	before := sys.Engine.Syms.Len()
-	r, err := sys.Query(ast.NewAtom("path", ast.C("nosuchnode"), ast.V("Y")))
+	r, err := query(sys, ast.NewAtom("path", ast.C("nosuchnode"), ast.V("Y")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -163,16 +163,16 @@ func TestUnknownConstantDoesNotIntern(t *testing.T) {
 // facts) are pre-interned at load, so querying them still evaluates
 // rather than short-circuiting to empty.
 func TestRuleConstantQueryable(t *testing.T) {
-	sys, err := Load(`
+	sys, err := load(`
 p(X,Y) :- e(X,Y).
 p(X,Y) :- p(X,U), e(U,Y).
 p(X,root) :- anchor(X).
 e(a,b). anchor(a).
-`)
+`, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	r, err := sys.Query(ast.NewAtom("p", ast.V("X"), ast.C("root")))
+	r, err := query(sys, ast.NewAtom("p", ast.V("X"), ast.C("root")))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 		swaps   = 40 // each swap appends one edge
 		readers = 6
 	)
-	sys, err := LoadOptions(chainProgram(initial), Options{Workers: 4})
+	sys, err := load(chainProgram(initial), Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 					return
 				default:
 				}
-				r, err := sys.Query(goal)
+				r, err := query(sys, goal)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %v", g, err)
 					return
@@ -262,7 +262,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}
 
 	// After the writer finishes, the final snapshot has every edge.
-	final, err := sys.Query(goal)
+	final, err := query(sys, goal)
 	if err != nil {
 		t.Fatalf("final query: %v", err)
 	}
@@ -282,13 +282,13 @@ func TestQueryCtxTimeout(t *testing.T) {
 		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, (i+1)%n)
 	}
 	for _, workers := range []int{1, 4} {
-		sys, err := LoadOptions(b.String(), Options{Workers: workers})
+		sys, err := load(b.String(), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 		start := time.Now()
-		_, err = sys.QueryCtx(ctx, ast.NewAtom("p", ast.V("X"), ast.V("Y")))
+		_, err = sys.Evaluate(ctx, QueryRequest{Goal: ast.NewAtom("p", ast.V("X"), ast.V("Y")), Opts: sys.Opts})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("workers=%d: err = %v, want DeadlineExceeded", workers, err)

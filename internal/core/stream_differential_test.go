@@ -53,7 +53,7 @@ func TestStreamDifferential(t *testing.T) {
 			break
 		}
 		src := genMagicProgram(rng)
-		sys, err := Load(src)
+		sys, err := load(src, Options{})
 		if err != nil {
 			t.Fatalf("attempt %d: load:\n%s\n%v", attempt, src, err)
 		}
@@ -215,7 +215,7 @@ b(a1,a2). b(a3,a4).
 e1(a1,a2). e1(a2,a3). e1(a4,a1).
 e2(a2,a3). e2(a3,a4). e2(a4,a2).
 `
-	sys, err := Load(src)
+	sys, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -252,7 +252,7 @@ e2(a2,a3). e2(a3,a4). e2(a4,a2).
 	}
 
 	// limit=1 on a fresh system (no cache entry): one row, in the answer.
-	sys2, err := Load(src)
+	sys2, err := load(src, Options{})
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}

@@ -21,7 +21,7 @@ func chainSystem(t *testing.T, n int) *System {
 	for i := 0; i < n-1; i++ {
 		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, i+1)
 	}
-	sys, err := Load(b.String())
+	sys, err := load(b.String(), Options{})
 	if err != nil {
 		t.Fatalf("load chain: %v", err)
 	}

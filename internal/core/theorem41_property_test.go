@@ -99,7 +99,7 @@ func TestTheorem41Property(t *testing.T) {
 	ctx := context.Background()
 	for attempt := 0; attempt < 400 && (binary < wantBinary || nary < wantNAry || fanned == 0); attempt++ {
 		src, arity := genCommutingProgram(rng)
-		sys, err := LoadOptions(src, Options{ResultCacheRows: -1})
+		sys, err := load(src, Options{ResultCacheRows: -1})
 		if err != nil {
 			t.Fatalf("attempt %d: load:\n%s\n%v", attempt, src, err)
 		}

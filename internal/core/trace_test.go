@@ -35,7 +35,7 @@ func phaseSumsMatch(t *testing.T, tr *eval.Trace) {
 }
 
 func TestQueryTraceCacheEvents(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := load(tcProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -80,12 +80,12 @@ func TestQueryTraceCacheEvents(t *testing.T) {
 }
 
 func TestMaintenanceTraceEvents(t *testing.T) {
-	sys, err := Load(tcProgram)
+	sys, err := load(tcProgram, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	goal := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
-	if _, err := sys.Query(goal); err != nil {
+	if _, err := query(sys, goal); err != nil {
 		t.Fatalf("warm query: %v", err)
 	}
 
@@ -126,7 +126,7 @@ func TestMaintenanceTraceEvents(t *testing.T) {
 	}
 
 	// The maintained answer must be correct: e is now reachable.
-	res, err := sys.Query(ast.NewAtom("path", ast.C("a"), ast.C("e")))
+	res, err := query(sys, ast.NewAtom("path", ast.C("a"), ast.C("e")))
 	if err != nil {
 		t.Fatalf("post-swap query: %v", err)
 	}

@@ -62,7 +62,7 @@ func TestMagicPlanWorkBound(t *testing.T) {
 		{"right-recursive", rightTC, []goal{{"path", false, planner.MagicFilter}, {"path", true, planner.MagicContext}}},
 		{"commuting", serveTC, []goal{{"reach", true, planner.MagicContext}, {"path", true, planner.MagicContext}}},
 	} {
-		sys, err := Load(f.src)
+		sys, err := load(f.src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +137,13 @@ func deepestDescendant(t *testing.T, sys *System, source string) string {
 // answer.
 func TestMaintenanceWorkBound(t *testing.T) {
 	const layers, width, outDeg = 12, 24, 4
-	sys, err := Load(leftTC)
+	sys, err := load(leftTC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The rebuild runs on a twin with the result cache off, so every
 	// query there is a from-scratch closure over the same facts.
-	twin, err := LoadOptions(leftTC, Options{ResultCacheRows: -1})
+	twin, err := load(leftTC, Options{ResultCacheRows: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMaintenanceWorkBound(t *testing.T) {
 		} else {
 			_, _, m, err = sys.RemoveFactsMaintCtx(tctx, facts)
 			if err == nil {
-				_, _, err = twin.RemoveFacts(facts)
+				_, _, err = twin.Apply(context.Background(), nil, facts)
 			}
 		}
 		if err != nil {

@@ -18,9 +18,9 @@ func newPersistentServer(t *testing.T, dir, program string) (*Server, *httptest.
 	if err != nil {
 		t.Fatalf("segment.Open: %v", err)
 	}
-	sys, err := core.LoadOptions(program, core.Options{Persist: mgr})
+	sys, err := loadSystem(program, core.Options{Persist: mgr})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	s := New(Config{System: sys, Persist: mgr})
 	ts := httptest.NewServer(s.Handler())

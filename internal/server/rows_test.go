@@ -32,7 +32,7 @@ var escapeNames = []string{
 // path(X, Y) answers exactly n rows.
 func escapeSystem(t *testing.T, n int, opts core.Options) *core.System {
 	t.Helper()
-	sys, err := core.LoadOptions("path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,U), edge(U,Y).\n", opts)
+	sys, err := loadSystem("path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,U), edge(U,Y).\n", opts)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 			miss := serve(t, s, "/v1/query", QueryRequest{Query: goal})
 			stored := streamRows(t, sys, 0, true) // the cached answer's storage order
 			sorted := sortedRef(stored)
-			res, err := sys.Query(mustAtom(t, goal))
+			res, err := sys.Evaluate(context.Background(), core.QueryRequest{Goal: mustAtom(t, goal), Opts: sys.Opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestServedAnswerAllocsFlatInRowCount(t *testing.T) {
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&b, "edge(s%d,t%d).\n", i, i)
 		}
-		sys, err := core.Load(b.String())
+		sys, err := loadSystem(b.String(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

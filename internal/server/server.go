@@ -9,13 +9,13 @@
 //	GET    /healthz
 //
 // Each query pins the database snapshot current at admission and runs
-// entirely against it; POST /v1/facts publishes a new snapshot
-// copy-on-write (core.System.AddFacts), DELETE /v1/facts (or a POST with
-// "remove" entries) retracts facts the same way (core.System.RemoveFacts,
-// removals first when a POST carries both), so updates never block or
-// tear in-flight queries — a query admitted before a retraction answers
-// from its pinned pre-retraction snapshot.  Admission control partitions a global worker budget
-// into per-query grants through a weighted FIFO semaphore: a bounded
+// entirely against it; POST /v1/facts adds facts, DELETE /v1/facts (or a
+// POST with "remove" entries) retracts them, and each request publishes
+// at most one new snapshot copy-on-write (core.System.Apply, removals
+// first when a POST carries both), so updates never block or tear
+// in-flight queries — a query admitted before a retraction answers from
+// its pinned pre-retraction snapshot.  Admission control partitions a
+// global worker budget into per-query grants through a weighted FIFO semaphore: a bounded
 // queue sheds excess load with 429 (queue full) and 503 (budget
 // unavailable before the query's deadline), and per-query timeouts
 // propagate as context cancellation all the way into the engine's closure
@@ -242,8 +242,8 @@ type FactsRequest struct {
 	Facts string `json:"facts,omitempty"`
 	// Remove is Datalog source of ground facts to retract (POST only;
 	// DELETE expresses retraction through Facts).  When a POST carries
-	// both, removals apply first, then additions — two copy-on-write
-	// swaps at most.
+	// both, removals apply first, then additions — one copy-on-write
+	// swap either way.
 	Remove string `json:"remove,omitempty"`
 	// Trace requests the maintenance trace in the response (equivalent
 	// to ?trace=1): per-entry cache upgrade/purge decisions and any
@@ -257,10 +257,9 @@ type FactsResponse struct {
 	FactsAdded      int    `json:"facts_added"`
 	FactsRemoved    int    `json:"facts_removed,omitempty"`
 	// CacheUpgraded / CachePurged report how cached derived state fared
-	// across the swap(s) this request caused: entries maintained in place
+	// across the swap this request caused: entries maintained in place
 	// (result views and seed relations upgraded to the new version)
-	// versus entries that fell back to invalidation.  A combined
-	// remove+add POST aggregates both swaps.
+	// versus entries that fell back to invalidation.
 	CacheUpgraded int     `json:"cache_upgraded"`
 	CachePurged   int     `json:"cache_purged"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
@@ -552,7 +551,7 @@ func parseFactSource(src, what string) ([]ast.Atom, error) {
 
 // handleFacts serves the fact lifecycle: POST adds (and, with "remove"
 // entries, retracts — removals first), DELETE retracts the facts in the
-// body.  Each direction is one copy-on-write snapshot swap; no-op batches
+// body.  Every request is one copy-on-write snapshot swap; no-op batches
 // (pure duplicates, absent retractions) publish nothing, so the reported
 // version only advances when the database actually changed.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
@@ -592,20 +591,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no facts in update")
 		return
 	}
-	// Validate both halves before executing either, so a 409 is atomic:
-	// a combined request whose add half is bad must not leave a
-	// committed retraction hiding behind the error response.
-	if err := s.sys.ValidateFacts(toRemove); err != nil {
-		writeError(w, http.StatusConflict, "retraction rejected: %v", err)
-		return
-	}
-	if err := s.sys.ValidateFacts(toAdd); err != nil {
-		writeError(w, http.StatusConflict, "facts rejected: %v", err)
-		return
-	}
 	// The maintenance context carries observability only — built on
 	// Background, never the request context, so a client disconnect
-	// cannot abort a half-applied swap's cache maintenance.
+	// cannot abort a swap's cache maintenance.
 	wantTrace := req.Trace || r.URL.Query().Get("trace") == "1"
 	mctx := context.Background()
 	var tr *eval.Tracer
@@ -614,36 +602,22 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		tr.SetRequestID(rid)
 		mctx = eval.WithTracer(mctx, tr)
 	}
+	// One Apply: both halves validate, publish and become visible as one
+	// version, so a 409 (a publish failure included) commits nothing.
 	start := time.Now()
-	snap := s.sys.Snapshot()
-	removed := 0
-	var maint core.Maintenance
-	if len(toRemove) > 0 {
-		var m core.Maintenance
-		snap, removed, m, err = s.sys.RemoveFactsMaintCtx(mctx, toRemove)
-		if err != nil {
-			writeError(w, http.StatusConflict, "retraction rejected: %v", err)
-			return
-		}
-		if removed > 0 {
-			s.ctr.retractBatches.Add(1)
-			s.ctr.factsRemoved.Add(int64(removed))
-			maint = maint.Add(m)
-		}
+	snap, maint, err := s.sys.Apply(mctx, toAdd, toRemove)
+	if err != nil {
+		writeError(w, http.StatusConflict, "update rejected: %v", err)
+		return
 	}
-	added := 0
-	if len(toAdd) > 0 {
-		var m core.Maintenance
-		snap, added, m, err = s.sys.AddFactsMaintCtx(mctx, toAdd)
-		if err != nil {
-			writeError(w, http.StatusConflict, "facts rejected: %v", err)
-			return
-		}
-		if added > 0 {
-			s.ctr.factBatches.Add(1)
-			s.ctr.factsAdded.Add(int64(added))
-			maint = maint.Add(m)
-		}
+	added, removed := maint.Added, maint.Removed
+	if removed > 0 {
+		s.ctr.retractBatches.Add(1)
+		s.ctr.factsRemoved.Add(int64(removed))
+	}
+	if added > 0 {
+		s.ctr.factBatches.Add(1)
+		s.ctr.factsAdded.Add(int64(added))
 	}
 	elapsed := time.Since(start)
 	if added > 0 || removed > 0 {

@@ -12,10 +12,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"linrec/internal/core"
+	"linrec/internal/parser"
 	"linrec/internal/rel"
 )
 
@@ -43,9 +45,18 @@ func cycleProgram(n int) string {
 	return b.String()
 }
 
+// loadSystem parses program and builds a System over it.
+func loadSystem(program string, opts core.Options) (*core.System, error) {
+	prog, err := parser.Parse(program)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSystem(prog, opts)
+}
+
 func newTestServer(t *testing.T, program string, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	sys, err := core.Load(program)
+	sys, err := loadSystem(program, core.Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -452,7 +463,7 @@ func TestWrongArityFactsRejectedNotFatal(t *testing.T) {
 // worker grant and inflight count released — a leak would starve the
 // 2-worker budget and turn later queries into 503s.
 func TestEvaluationPanicReturns500AndLeaksNoBudget(t *testing.T) {
-	sys, err := core.Load("path(X,Y) :- base(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\nbase(a,b). edge(b,c).")
+	sys, err := loadSystem("path(X,Y) :- base(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\nbase(a,b). edge(b,c).", core.Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -714,13 +725,17 @@ func TestFactLifecycle(t *testing.T) {
 }
 
 // TestPostWithRemoveEntries: a POST carrying both "remove" and "facts"
-// retracts first, then adds, and reports both counts.
+// retracts first, then adds, reports both counts, and publishes them as
+// one snapshot version through one persister publish.
 func TestPostWithRemoveEntries(t *testing.T) {
 	_, ts := newTestServer(t, chainProgram(2), Config{})
 	out := decode[FactsResponse](t, postJSON(t, ts.URL+"/v1/facts",
 		FactsRequest{Facts: "edge(c2,c3).", Remove: "edge(c0,c1)."}))
 	if out.FactsRemoved != 1 || out.FactsAdded != 1 {
 		t.Fatalf("combined swap: %+v", out)
+	}
+	if out.SnapshotVersion != 2 {
+		t.Fatalf("combined swap published version %d from a boot at 1, want 2", out.SnapshotVersion)
 	}
 	// c0→c1 gone: path(c0, Y) reaches nothing; path(c1, Y) reaches c2, c3.
 	if r := queryRows(t, ts.URL, "path(c0, Y)"); r.RowCount != 0 {
@@ -729,6 +744,51 @@ func TestPostWithRemoveEntries(t *testing.T) {
 	if r := queryRows(t, ts.URL, "path(c1, Y)"); r.RowCount != 2 {
 		t.Fatalf("path(c1,Y) = %d rows, want 2", r.RowCount)
 	}
+
+	// A persister that takes the boot publish plus one more: the
+	// combined request is that one publish, so it commits whole.
+	p := &limitedPersister{allow: 2}
+	sys, err := loadSystem(chainProgram(2), core.Options{Persist: p})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	ts2 := httptest.NewServer(New(Config{System: sys}).Handler())
+	defer ts2.Close()
+	resp := postJSON(t, ts2.URL+"/v1/facts", FactsRequest{Facts: "edge(c2,c3).", Remove: "edge(c0,c1)."})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("combined swap over a two-publish persister: status %d, want 200", resp.StatusCode)
+	}
+	if n := p.calls.Load(); n != 2 {
+		t.Fatalf("boot plus one combined swap made %d publish calls, want 2", n)
+	}
+	// The next publish fails: the 409 commits nothing.
+	resp = postJSON(t, ts2.URL+"/v1/facts", FactsRequest{Facts: "edge(c3,c4).", Remove: "edge(c1,c2)."})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("combined swap over a failing publish: status %d, want 409", resp.StatusCode)
+	}
+	if r := queryRows(t, ts2.URL, "path(c1, Y)"); r.SnapshotVersion != 2 || r.RowCount != 2 {
+		t.Fatalf("failed publish left version %d with %d rows of path(c1,Y), want version 2 with 2", r.SnapshotVersion, r.RowCount)
+	}
+}
+
+// limitedPersister boots fresh and fails every publish after the first
+// allow.
+type limitedPersister struct {
+	allow int32
+	calls atomic.Int32
+}
+
+func (p *limitedPersister) Boot(*rel.Symtab) (rel.DB, uint64, bool, error) {
+	return nil, 0, false, nil
+}
+
+func (p *limitedPersister) Publish(uint64, rel.DB, *rel.Symtab) error {
+	if p.calls.Add(1) > p.allow {
+		return fmt.Errorf("disk full")
+	}
+	return nil
 }
 
 // TestRetractionRejections: retraction maps the same validation failures

@@ -18,8 +18,12 @@
 //	    path(X,Y) :- path(X,Z), edge(Z,Y).
 //	    edge(a,b). edge(b,c).
 //	    ?- path(a, Y).
-//	`)
+//	`, linrec.Options{})
 //	results, err := sys.Run()
+//
+// System.Evaluate and System.Stream answer one goal under per-query
+// options, and System.Apply publishes a batch of fact additions and
+// retractions as one new snapshot.
 //
 // The deeper machinery (operator algebra, a-graphs, commutativity reports,
 // redundancy decompositions) is exposed through System.Analyze and the
@@ -30,6 +34,7 @@ import (
 	"linrec/internal/ast"
 	"linrec/internal/commute"
 	"linrec/internal/core"
+	"linrec/internal/parser"
 	"linrec/internal/planner"
 	"linrec/internal/rel"
 	"linrec/internal/segment"
@@ -90,10 +95,10 @@ func WithStrategy(strategy Strategy) QueryOption { return core.WithStrategy(stra
 func WithLimit(n int) QueryOption { return core.WithLimit(n) }
 
 // Snapshot is an immutable, versioned view of the extensional database.
-// System.AddFacts and System.RemoveFacts publish new snapshots
-// copy-on-write while in-flight queries keep the one they pinned — the
-// substrate behind the linrecd server's online fact updates and
-// retractions, and the version key behind every evaluation cache.
+// System.Apply publishes new snapshots copy-on-write while in-flight
+// queries keep the one they pinned — the substrate behind the linrecd
+// server's online fact updates and retractions, and the version key
+// behind every evaluation cache.
 type Snapshot = core.Snapshot
 
 // Store is the relation storage interface: in-memory columnar tables
@@ -119,7 +124,7 @@ type Storage = segment.Manager
 // restarts:
 //
 //	store, err := linrec.OpenStorage("/var/lib/myapp")
-//	sys, err := linrec.LoadOptions(src, linrec.Options{Persist: store})
+//	sys, err := linrec.Load(src, linrec.Options{Persist: store})
 func OpenStorage(dir string) (*Storage, error) { return segment.Open(dir) }
 
 // ResultCacheStats reports the goal-level result cache's hit/miss/
@@ -166,26 +171,19 @@ func C(name string) Term { return ast.C(name) }
 // NewAtom("path", C("a"), V("Y")) for the bound goal path(a, Y).
 func NewAtom(pred string, args ...Term) Atom { return ast.NewAtom(pred, args...) }
 
-// Load parses a Datalog program (rules, facts, queries) and loads its
-// facts into a fresh system.
-func Load(src string) (*System, error) { return core.Load(src) }
-
-// LoadOptions is Load with evaluation options (worker pool, forced
-// strategy).
-func LoadOptions(src string, opts Options) (*System, error) { return core.LoadOptions(src, opts) }
-
-// FromProgram wraps an already-constructed program.
-func FromProgram(p *Program) (*System, error) { return core.FromProgram(p) }
-
-// FromProgramOptions is FromProgram with evaluation options.
-func FromProgramOptions(p *Program, opts Options) (*System, error) {
-	return core.FromProgramOptions(p, opts)
+// Load parses a Datalog program (rules, facts, queries) and builds a
+// system over it with NewSystem.
+func Load(src string, opts Options) (*System, error) {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSystem(prog, opts)
 }
 
-// NewSystem is the canonical constructor: it builds a system from an
-// already-parsed program and options, booting from Options.Persist when
-// it holds a persisted snapshot.  Load, LoadOptions, FromProgram and
-// FromProgramOptions all funnel here.
+// NewSystem is the one constructor: it builds a system from an
+// already-parsed (or programmatically constructed) program and options,
+// booting from Options.Persist when it holds a persisted snapshot.
 func NewSystem(p *Program, opts Options) (*System, error) {
 	return core.NewSystem(p, opts)
 }

@@ -14,7 +14,7 @@ path(X,Y) :- edge(X,Y).
 path(X,Y) :- path(X,Z), edge(Z,Y).
 edge(a,b). edge(b,c).
 ?- path(a, Y).
-`)
+`, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -38,7 +38,7 @@ p(X,Y) :- base(X,Y).
 p(X,Y) :- p(X,Z), up(Z,Y).
 p(X,Y) :- down(X,Z), p(Z,Y).
 base(a,b).
-`)
+`, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestPublicAPIQueryRequest(t *testing.T) {
 path(X,Y) :- edge(X,Y).
 path(X,Y) :- path(X,Z), edge(Z,Y).
 edge(a,b). edge(b,c). edge(c,d).
-`)
+`, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -98,12 +98,12 @@ edge(a,b). edge(b,c).
 	if err != nil {
 		t.Fatalf("OpenStorage: %v", err)
 	}
-	sys, err := LoadOptions(src, Options{Persist: store})
+	sys, err := Load(src, Options{Persist: store})
 	if err != nil {
-		t.Fatalf("LoadOptions: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if _, _, err := sys.AddFacts([]Atom{NewAtom("edge", C("c"), C("d"))}); err != nil {
-		t.Fatalf("AddFacts: %v", err)
+	if _, _, err := sys.Apply(context.Background(), []Atom{NewAtom("edge", C("c"), C("d"))}, nil); err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
 	goal := NewAtom("path", C("a"), V("Y"))
 	want, err := sys.Evaluate(context.Background(), NewQueryRequest(goal))
@@ -116,9 +116,9 @@ edge(a,b). edge(b,c).
 		t.Fatalf("OpenStorage (reopen): %v", err)
 	}
 	var _ Persister = store2
-	recovered, err := LoadOptions(src, Options{Persist: store2})
+	recovered, err := Load(src, Options{Persist: store2})
 	if err != nil {
-		t.Fatalf("LoadOptions (recovered): %v", err)
+		t.Fatalf("Load (recovered): %v", err)
 	}
 	if recovered.Snapshot().Version != sys.Snapshot().Version {
 		t.Fatalf("recovered version %d, want %d", recovered.Snapshot().Version, sys.Snapshot().Version)

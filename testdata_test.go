@@ -16,7 +16,7 @@ func loadTestdata(t *testing.T, name string) *System {
 	if err != nil {
 		t.Fatalf("read %s: %v", name, err)
 	}
-	sys, err := Load(string(src))
+	sys, err := Load(string(src), Options{})
 	if err != nil {
 		t.Fatalf("load %s: %v", name, err)
 	}
