@@ -832,18 +832,29 @@ type QueryResult struct {
 	// populated the entry.
 	Cached bool
 
-	// order, when non-nil, shares the answer's sorted row order across
-	// every holder of this result — cached results set it so repeated
-	// hits on a large answer don't pay the sort per request.
-	order *orderMemo
+	// memo, when non-nil, shares the answer's sorted row order and its
+	// rendered rows across every holder of this result — cached results
+	// set it so repeated hits on a large answer pay neither the sort nor
+	// the rendering per request.
+	memo *answerMemo
 }
 
-// orderMemo sorts an answer once per symbol table and shares the order:
-// row numbers into the answer, which the collector never has to scan.
-type orderMemo struct {
+// answerMemo sorts and renders an answer once per symbol table and
+// shares both: the order is row numbers into the answer, the rendering
+// its rows back to back in storage order.  Both are pointer-free, so
+// the collector never scans them.  A memo is immutable once built: a
+// swap that changes the answer gives the new result a new memo, and a
+// holder of the old one keeps reading the old bytes.
+type answerMemo struct {
 	syms *rel.Symtab
-	once sync.Once
-	rows []int32
+
+	orderOnce sync.Once
+	order     []int32
+
+	renderOnce sync.Once
+	rendered   []byte
+	ends       []uint32 // row i is rendered[ends[i]:ends[i+1]]; nil: none
+	bytes      atomic.Int64
 }
 
 // Rows renders the answer tuples as symbol strings in deterministic
@@ -865,11 +876,30 @@ func (qr *QueryResult) Rows(s *System) [][]string {
 // sorted by symbol name, column by column.  The slice may be shared with
 // other holders of a cached result and must not be mutated.
 func (qr *QueryResult) Order(s *System) []int32 {
-	if m := qr.order; m != nil && m.syms == s.Engine.Syms {
-		m.once.Do(func() { m.rows = sortedOrder(qr.Answer, s.Engine.Syms.Names()) })
-		return m.rows
+	if m := qr.memo; m != nil && m.syms == s.Engine.Syms {
+		m.orderOnce.Do(func() { m.order = sortedOrder(qr.Answer, s.Engine.Syms.Names()) })
+		return m.order
 	}
 	return sortedOrder(qr.Answer, s.Engine.Syms.Names())
+}
+
+// Rendered returns the answer's rows as render renders them: back to
+// back in storage order, row i at buf[ends[i]:ends[i+1]].  A result
+// served from the cache renders once, on the first call, and every
+// later hit shares the bytes, which must not be mutated.  ok is false
+// for any other result — the miss that built an entry included, so an
+// answer asked for once is never rendered into memory — and when render
+// declines with nil ends; the caller then renders the rows itself.
+func (qr *QueryResult) Rendered(s *System, render func(ans *rel.Relation) (buf []byte, ends []uint32)) (buf []byte, ends []uint32, ok bool) {
+	m := qr.memo
+	if m == nil || !qr.Cached || m.syms != s.Engine.Syms {
+		return nil, nil, false
+	}
+	m.renderOnce.Do(func() {
+		m.rendered, m.ends = render(qr.Answer)
+		m.bytes.Store(int64(cap(m.rendered) + 4*cap(m.ends)))
+	})
+	return m.rendered, m.ends, m.ends != nil
 }
 
 // sortedOrder sorts the answer's row numbers by rendered symbol names.
@@ -1029,8 +1059,8 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 			tr.Cache("result", "miss", key.goal, 0)
 			res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
 			if err == nil {
-				// Cached hits share one sort of the answer.
-				res.order = &orderMemo{syms: s.Engine.Syms}
+				// Cached hits share one sort and one rendering.
+				res.memo = &answerMemo{syms: s.Engine.Syms}
 			}
 			s.results.complete(e, res, err)
 			return res, err

@@ -218,7 +218,7 @@ func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, n
 	up := *res
 	up.Version = next.Version
 	// When the changed predicates feed this goal nowhere, the answer
-	// (and its sorted-order memo) carries over shared.
+	// (and its sorted-order and rendering memo) carries over shared.
 	ans, ok := res.Answer, true
 	if byRemove {
 		ans, ok = s.resumeRetraction(ctx, a, ans, old.DB, mid, removed, key.workers)
@@ -230,10 +230,10 @@ func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, n
 		return nil
 	}
 	if ans == res.Answer {
-		return &up // proven unchanged: rows and order stay shared
+		return &up // proven unchanged: rows, order and rendering stay shared
 	}
 	up.Answer = ans
-	up.order = &orderMemo{syms: s.Engine.Syms}
+	up.memo = &answerMemo{syms: s.Engine.Syms}
 	return &up
 }
 

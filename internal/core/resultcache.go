@@ -3,7 +3,9 @@
 // an unchanged database is served without planning or evaluating
 // anything.  The cache stores the sorted answer relation and the
 // evaluation statistics of the query that paid for the build, which
-// makes hits bit-for-bit identical to the miss that populated them.
+// makes hits bit-for-bit identical to the miss that populated them,
+// plus the answer's memo: its sorted order and its wire rendering, each
+// built on first use and dropped with the entry.
 //
 // Entries are maintainable views: the cache as a whole is valid at one
 // snapshot version, and a snapshot swap N → N+1 calls advance with an
@@ -353,11 +355,13 @@ func (c *resultCache) evictLocked() {
 // are omitted), single-flight join counts, and the swap-maintenance
 // counters — entries carried across swaps (upgrades), entries a swap
 // failed to carry (upgrade_fallbacks), and total entries purged by swaps
-// (invalidated, a superset of the fallbacks).
+// (invalidated, a superset of the fallbacks).  RenderedBytes is what the
+// completed entries' rendered rows hold: bytes plus row offsets.
 type ResultCacheStats struct {
 	CapRows          int              `json:"cap_rows"`
 	Entries          int              `json:"entries"`
 	Rows             int              `json:"rows"`
+	RenderedBytes    int64            `json:"rendered_bytes"`
 	Hits             map[string]int64 `json:"hits,omitempty"`
 	Misses           map[string]int64 `json:"misses,omitempty"`
 	Evictions        map[string]int64 `json:"evictions,omitempty"`
@@ -398,6 +402,11 @@ func (c *resultCache) Stats() ResultCacheStats {
 		Invalidated:      c.invalidated,
 		Upgrades:         c.upgrades,
 		UpgradeFallbacks: c.upgradeFallbacks,
+	}
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if m := el.Value.(*resultEntry).res.memo; m != nil {
+			out.RenderedBytes += m.bytes.Load()
+		}
 	}
 	counts := func(src [resultCacheKinds]int64) map[string]int64 {
 		var m map[string]int64

@@ -1,18 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/parser"
 	"linrec/internal/planner"
+	"linrec/internal/rel"
 )
 
 func cacheTotals(s ResultCacheStats) (hits, misses, evictions int64) {
@@ -434,5 +437,106 @@ func TestSwapDuringCachedQueryRace(t *testing.T) {
 	again, _ := query(sys, goal)
 	if !again.Cached {
 		t.Fatalf("settled repeat query should be a cache hit")
+	}
+}
+
+// TestRenderedOnceAndShared: the miss that builds an entry renders
+// nothing; concurrent first hits run the render function once and share
+// one buffer; the cache reports the bytes it holds; a swap that changes
+// the answer gives the new entry its own unrendered memo while a holder
+// of the old result keeps the old bytes; an uncached result keeps no
+// rendering.
+func TestRenderedOnceAndShared(t *testing.T) {
+	sys, err := load(chainProgram(40), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := ast.NewAtom("path", ast.V("X"), ast.V("Y"))
+	res, err := query(sys, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.ResultCacheStats().RenderedBytes; got != 0 {
+		t.Fatalf("an unrendered entry holds %d rendered bytes", got)
+	}
+	var calls atomic.Int64
+	render := func(ans *rel.Relation) (buf []byte, ends []uint32) {
+		calls.Add(1)
+		ends = []uint32{0}
+		for i := 0; i < ans.Len(); i++ {
+			buf = fmt.Appendf(buf, "%d-%d;", ans.Row(i)[0], ans.Row(i)[1])
+			ends = append(ends, uint32(len(buf)))
+		}
+		return buf, ends
+	}
+	if _, _, ok := res.Rendered(sys, render); ok || calls.Load() != 0 {
+		t.Fatal("the miss rendered its answer")
+	}
+	const readers = 8
+	bufs, ends := make([][]byte, readers), make([][]uint32, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			hit, err := query(sys, goal)
+			if err != nil || !hit.Cached {
+				t.Errorf("hit: cached=%v, %v", hit != nil && hit.Cached, err)
+				return
+			}
+			bufs[g], ends[g], _ = hit.Rendered(sys, render)
+		}(g)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d renderings of one cached answer, want 1", n)
+	}
+	for g := 1; g < readers; g++ {
+		if &ends[g][0] != &ends[0][0] || !bytes.Equal(bufs[g], bufs[0]) {
+			t.Fatalf("reader %d got another rendering", g)
+		}
+	}
+	for i := 0; i < res.Answer.Len(); i++ {
+		row := res.Answer.Row(i)
+		if got, want := string(bufs[0][ends[0][i]:ends[0][i+1]]), fmt.Sprintf("%d-%d;", row[0], row[1]); got != want {
+			t.Fatalf("row %d rendered %q, want %q", i, got, want)
+		}
+	}
+	if got, want := sys.ResultCacheStats().RenderedBytes, int64(cap(bufs[0])+4*cap(ends[0])); got != want {
+		t.Fatalf("RenderedBytes = %d, want %d", got, want)
+	}
+
+	old := bytes.Clone(bufs[0])
+	held, err := query(sys, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.Apply(context.Background(), []ast.Atom{ast.NewAtom("edge", ast.C("c40"), ast.C("c41"))}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.ResultCacheStats().RenderedBytes; got != 0 {
+		t.Fatalf("the changed answer's entry holds %d rendered bytes before any rendering", got)
+	}
+	up, err := query(sys, goal)
+	if err != nil || !up.Cached || up.Answer.Len() != res.Answer.Len()+41 {
+		t.Fatalf("upgraded hit: %v", err)
+	}
+	if buf, e, _ := up.Rendered(sys, render); &e[0] == &ends[0][0] || len(buf) <= len(old) {
+		t.Fatalf("the changed answer shares the old rendering")
+	}
+	if buf, _, _ := held.Rendered(sys, nil); !bytes.Equal(buf, old) {
+		t.Fatalf("the old result's rendering changed under a swap")
+	}
+
+	cold, err := load(chainProgram(4), Options{ResultCacheRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unc, err := query(cold, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := unc.Rendered(cold, render); ok {
+		t.Fatal("an uncached result kept a rendering")
 	}
 }

@@ -155,7 +155,7 @@ func (s *System) populateResult(key resultKey, version uint64, res *QueryResult)
 	if e == nil || !build {
 		return
 	}
-	res.order = &orderMemo{syms: s.Engine.Syms}
+	res.memo = &answerMemo{syms: s.Engine.Syms}
 	s.results.complete(e, res, nil)
 }
 

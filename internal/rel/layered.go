@@ -167,25 +167,4 @@ func (l *Layered) Clone() *Relation {
 	return out
 }
 
-// Without subtracts remove by wrapping one more tombstone layer.
-func (l *Layered) Without(remove []Tuple) (Store, int) { return Tombstone(l, remove) }
-
-// Tombstone subtracts remove from s by wrapping it in one overlay layer
-// of the removed tuples, leaving s's rows where they are — the retraction
-// shape of an immutable store, which the segment manager publishes as a
-// delta chained onto it.  When nothing is present it returns s itself
-// (removed == 0), so copy-on-write swaps keep sharing the store.
-func Tombstone(s Store, remove []Tuple) (Store, int) {
-	dels := NewRelation(s.Arity())
-	for _, t := range remove {
-		if s.Has(t) {
-			dels.Insert(t)
-		}
-	}
-	if dels.Len() == 0 {
-		return s, 0
-	}
-	return NewLayered(s, nil, dels), dels.Len()
-}
-
 var _ Store = (*Layered)(nil)

@@ -629,38 +629,9 @@ func (r *Relation) UnionInto(other *Relation) int {
 	return added
 }
 
-// without returns a relation containing every tuple of r except those in
-// remove, along with the number of tuples actually removed.  The result
-// is a tombstone-free rebuild: row storage and key table are constructed
-// fresh at the surviving size, so a long add/retract history never
-// accumulates dead rows or index garbage.  When no remove tuple is
-// present in r, the receiver itself is returned (removed == 0) so
-// callers can share it across copy-on-write snapshot versions.  Remove
-// tuples must have r's arity (Insert's contract); duplicates in remove
-// are counted once.
-func (r *Relation) without(remove []Tuple) (*Relation, int) {
-	rm := NewRelation(r.arity)
-	for _, t := range remove {
-		if r.Has(t) {
-			rm.Insert(t)
-		}
-	}
-	if rm.Len() == 0 {
-		return r, 0
-	}
-	out := NewRelation(r.arity)
-	out.Reserve(r.n - rm.Len())
-	for i := 0; i < r.n; i++ {
-		if t := r.Row(i); !rm.Has(t) {
-			out.Insert(t)
-		}
-	}
-	return out, rm.Len()
-}
-
 // Minus returns a relation containing every tuple of r except those in
 // remove (a same-arity relation), along with the number of tuples
-// actually dropped.  Like Without, the result is a tombstone-free
+// actually dropped.  The result is a tombstone-free
 // rebuild at the surviving size, and the receiver itself is returned
 // (dropped == 0) when the two relations are disjoint — the
 // delete-and-rederive maintenance path subtracts its over-deleted cone
@@ -870,18 +841,6 @@ type Store interface {
 	Prober(col int) func(Value) []Tuple
 	// Clone returns an independent in-memory copy.
 	Clone() *Relation
-	// Without returns the store's tuples minus remove, and how many were
-	// actually removed.  With zero removals it returns the receiver
-	// itself, which is what lets copy-on-write snapshot swaps detect
-	// "unchanged" by pointer identity.
-	Without(remove []Tuple) (Store, int)
-}
-
-// Without is Relation's rebuild-based subtraction behind the Store
-// signature.  The no-removal case returns the receiver.
-func (r *Relation) Without(remove []Tuple) (Store, int) {
-	out, n := r.without(remove)
-	return out, n
 }
 
 // FromPacked wraps flat row-major data (arity values per row) as a

@@ -189,60 +189,6 @@ func TestInsertIdempotentProperty(t *testing.T) {
 	}
 }
 
-// TestWithout: the rebuild drops exactly the present remove tuples,
-// counts duplicates once, and shares the receiver on a no-op.
-func TestWithout(t *testing.T) {
-	r := NewRelation(2)
-	for i := int32(0); i < 5; i++ {
-		r.Insert(Tuple{i, i + 1})
-	}
-	out, removed := r.Without([]Tuple{{1, 2}, {3, 4}, {3, 4}, {9, 9}})
-	if removed != 2 {
-		t.Fatalf("removed = %d, want 2 (duplicates and absentees don't count)", removed)
-	}
-	if out.Len() != 3 || out.Has(Tuple{1, 2}) || out.Has(Tuple{3, 4}) {
-		t.Fatalf("survivors wrong: len=%d", out.Len())
-	}
-	for _, keep := range []Tuple{{0, 1}, {2, 3}, {4, 5}} {
-		if !out.Has(keep) {
-			t.Fatalf("tuple %v lost by the rebuild", keep)
-		}
-	}
-	if r.Len() != 5 {
-		t.Fatalf("receiver mutated: len=%d, want 5", r.Len())
-	}
-
-	same, removed := r.Without([]Tuple{{9, 9}, {7, 7}})
-	if removed != 0 || same != r {
-		t.Fatalf("no-op removal must share the receiver (removed=%d, same=%v)", removed, same == r)
-	}
-}
-
-// TestWithoutRebuildIsClean: the rebuilt relation accepts re-insertion of
-// the removed tuples as genuinely new (no tombstones in the key table).
-func TestWithoutRebuildIsClean(t *testing.T) {
-	r := NewRelation(1)
-	for i := int32(0); i < 100; i++ {
-		r.Insert(Tuple{i})
-	}
-	var victims []Tuple
-	for i := int32(0); i < 100; i += 2 {
-		victims = append(victims, Tuple{i})
-	}
-	out, removed := r.without(victims)
-	if removed != 50 || out.Len() != 50 {
-		t.Fatalf("removed %d leaving %d, want 50/50", removed, out.Len())
-	}
-	for _, v := range victims {
-		if !out.Insert(v.Clone()) {
-			t.Fatalf("re-inserting removed tuple %v reported duplicate", v)
-		}
-	}
-	if out.Len() != 100 {
-		t.Fatalf("after re-insert len=%d, want 100", out.Len())
-	}
-}
-
 // TestMinusRandomized drives both Minus paths (the patch path for small
 // deletions, the rebuild path for large ones) against a naive filter
 // oracle, then checks the survivor is fully usable: membership, row

@@ -271,11 +271,6 @@ func (l *Lazy) Clone() *rel.Relation {
 	return rel.FromPacked(l.arity, cp)
 }
 
-// Without subtracts remove by layering a tombstone overlay over the
-// segment instead of materializing it, which is what lets the manager
-// publish the retraction as a delta chained onto the base segment.
-func (l *Lazy) Without(remove []rel.Tuple) (rel.Store, int) { return rel.Tombstone(l, remove) }
-
 // Packed exposes the packed column data for republication; segment
 // reuse by identity normally makes this unnecessary.
 func (l *Lazy) Packed() []rel.Value { return l.data() }

@@ -69,29 +69,48 @@ func FuzzQueryRequestDecode(f *testing.F) {
 }
 
 // FuzzRowJSON holds the row writer to encoding/json: for arbitrary name
-// bytes, a rendered row — with values past the names snapshot rendered
-// "#<v>" — is byte for byte what an Encoder with HTML escaping off
-// writes for the same []string.
+// bytes encoded once each by the server's per-symbol encoder, a rendered
+// row — with values past the encodings rendered "#<v>" — is byte for
+// byte what an Encoder with HTML escaping off writes for the same
+// []string.  The second name joins the encodings in a later extension,
+// as a symbol interned after the first response would.  A whole answer
+// renders to the same rows as NDJSON lines, in a buffer of exactly
+// their size.
 func FuzzRowJSON(f *testing.F) {
 	seeds := []string{"c0", `"q"`, `a\b`, "\x00\x01\b\f\n\r\t\x1f\x7f", "<a&b>", "h\u00e9llo", "\u65e5\u672c", "\xff\xfe", "\xe2\x80", "\u2028\u2029", "", "a\u2028b\xc0z"}
 	for _, s := range seeds {
 		f.Add([]byte(s), []byte("x"))
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ref := func(row []string) string {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetEscapeHTML(false)
+			if err := enc.Encode(row); err != nil {
+				t.Fatal(err)
+			}
+			return want.String()
+		}
+		var names symbolJSON
+		first := names.view([]string{string(a)})
 		rec := httptest.NewRecorder()
-		rw := &rowWriter{w: rec, names: []string{string(a), string(b)}}
+		rw := &rowWriter{w: rec, syms: names.view([]string{string(a), string(b)})}
 		rw.enc = json.NewEncoder(rw)
 		rw.enc.SetEscapeHTML(false)
 		rw.tuple(rel.Tuple{0, 1, 2, -1})
 		rw.flush(false)
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode([]string{string(a), string(b), "#2", "#-1"}); err != nil {
-			t.Fatal(err)
+		if got, want := rec.Body.String()+"\n", ref([]string{string(a), string(b), "#2", "#-1"}); got != want {
+			t.Fatalf("names %q, %q: writer %q, encoding/json %q", a, b, got, want)
 		}
-		if got := rec.Body.String() + "\n"; got != want.String() {
-			t.Fatalf("names %q, %q: writer %q, encoding/json %q", a, b, got, want.String())
+		if got, want := string(first.appendRow(nil, rel.Tuple{0, 1}))+"\n", ref([]string{string(a), "#1"}); got != want {
+			t.Fatalf("name %q: the view before the extension renders %q, encoding/json %q", a, got, want)
+		}
+		ans := rel.NewRelation(4)
+		ans.Insert(rel.Tuple{0, 1, 2, -1})
+		ans.Insert(rel.Tuple{1, 0, 0, 1})
+		buf, ends := rw.syms.appendAll(ans)
+		if got, want := string(buf), rec.Body.String()+"\n"+string(rw.syms.appendRow(nil, ans.Row(1)))+"\n"; got != want || cap(buf) != len(buf) || ends[1] != uint32(rec.Body.Len()+1) {
+			t.Fatalf("names %q, %q: whole answer %q (capacity %d, row ends %v), rows %q", a, b, got, cap(buf), ends, want)
 		}
 	})
 }

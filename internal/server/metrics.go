@@ -174,6 +174,8 @@ func (s *Server) renderMetrics() string {
 	m.sample("linrec_result_cache_entries", nil, float64(rc.Entries))
 	m.family("linrec_result_cache_rows", "gauge", "Answer rows held by the result cache.")
 	m.sample("linrec_result_cache_rows", nil, float64(rc.Rows))
+	m.family("linrec_result_cache_rendered_bytes", "gauge", "Bytes of rendered answer rows and row offsets the result cache holds.")
+	m.sample("linrec_result_cache_rendered_bytes", nil, float64(rc.RenderedBytes))
 	m.family("linrec_result_cache_cap_rows", "gauge", "Result cache row capacity.")
 	m.sample("linrec_result_cache_cap_rows", nil, float64(rc.CapRows))
 	m.family("linrec_result_cache_events_total", "counter", "Result cache lookups and evictions by event and plan kind.")

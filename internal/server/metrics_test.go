@@ -105,6 +105,9 @@ func TestMetricsExposition(t *testing.T) {
 	if m["linrec_result_cache_entries"] == 0 || m["linrec_result_cache_cap_rows"] == 0 {
 		t.Fatalf("result cache gauges empty")
 	}
+	if got := m["linrec_result_cache_rendered_bytes"]; got != float64(st.ResultCache.RenderedBytes) {
+		t.Fatalf("rendered bytes gauge = %v, stats say %d", got, st.ResultCache.RenderedBytes)
+	}
 
 	// The disjoint statuses sum to every finished query: 2 ok + 1 invalid.
 	var statuses float64
@@ -113,6 +116,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if statuses != 3 {
 		t.Fatalf("status counters sum to %v, want 3", statuses)
+	}
+
+	// A miss renders nothing into memory; the first hit renders the answer.
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: "path(X, Y)"}).Body.Close()
+	}
+	if got, want := scrape(t, ts.URL)["linrec_result_cache_rendered_bytes"], s.Stats().ResultCache.RenderedBytes; got <= 0 || got != float64(want) {
+		t.Fatalf("rendered bytes gauge after a hit = %v, stats say %d", got, want)
 	}
 }
 

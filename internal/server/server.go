@@ -39,7 +39,6 @@ import (
 	"linrec/internal/core"
 	"linrec/internal/eval"
 	"linrec/internal/parser"
-	"linrec/internal/rel"
 	"linrec/internal/segment"
 )
 
@@ -118,6 +117,7 @@ type Server struct {
 	log      *slog.Logger
 	runID    string
 	reqSeq   atomic.Int64
+	names    symbolJSON // every symbol's JSON encoding, for the row writer
 }
 
 // New builds a server over a loaded system.
@@ -505,7 +505,7 @@ func (s *Server) finishQuery(w http.ResponseWriter, res *core.QueryResult, rp re
 		// A limit/exists query on a materialized answer serves its first
 		// rows in storage order: any k-subset is a valid limited result.
 		n := min(rp.mode.limit, res.Answer.Len())
-		s.writeRows(w, s.answered(res, n, res.Answer.Len() > n, rp), n, res.Answer.Row)
+		s.writeRows(w, s.answered(res, n, res.Answer.Len() > n, rp), s.rowsOf(res), n, nil)
 		return
 	case rp.mode.paged:
 		s.pageMaterialized(w, res, rp)
@@ -532,7 +532,7 @@ func (s *Server) finishQuery(w http.ResponseWriter, res *core.QueryResult, rp re
 			"cached", res.Cached,
 			"trace", string(trace))
 	}
-	s.writeRows(w, resp, len(order), func(i int) rel.Tuple { return res.Answer.Row(int(order[i])) })
+	s.writeRows(w, resp, s.rowsOf(res), len(order), order)
 }
 
 // parseFactSource parses Datalog source that must contain only ground

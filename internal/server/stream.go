@@ -208,7 +208,7 @@ func (s *Server) pageMaterialized(w http.ResponseWriter, res *core.QueryResult, 
 	if end < len(order) {
 		resp.NextCursor = encodeCursor(pageCursor{Version: res.Version, Offset: end, Goal: goal})
 	}
-	s.writeRows(w, resp, len(page), func(i int) rel.Tuple { return res.Answer.Row(int(page[i])) })
+	s.writeRows(w, resp, s.rowsOf(res), len(page), page)
 }
 
 // streamTail is the NDJSON terminal object: the response metadata with
@@ -235,13 +235,12 @@ func (s *Server) streamMaterialized(w http.ResponseWriter, res *core.QueryResult
 	}
 	resp := s.answered(res, n, n < res.Answer.Len(), rp)
 	s.ctr.streamedRows.Add(int64(n))
-	rw := s.newRowWriter(w, "application/x-ndjson")
+	rows := s.rowsOf(res)
+	rw := s.newRowWriter(w, "application/x-ndjson", rows.syms)
 	defer rw.release()
-	for i := 0; i < n; i++ {
-		if !rw.line(res.Answer.Row(i)) {
-			s.ctr.clientAborts.Add(1)
-			return
-		}
+	if !rows.lines(rw, n) {
+		s.ctr.clientAborts.Add(1)
+		return
 	}
 	_ = rw.enc.Encode(streamTail{Done: true, QueryResponse: resp})
 	rw.flush(true)
@@ -287,7 +286,8 @@ func (s *Server) streamEvaluated(w http.ResponseWriter, qctx context.Context, sn
 		}
 		resp := s.answered(s.streamResult(st, goal), n, st.EarlyTerminated(), rp)
 		arity := goal.Arity()
-		s.writeRows(w, resp, n, func(i int) rel.Tuple { return vals[i*arity : (i+1)*arity] })
+		rows := answerRows{syms: s.symbols(), tuple: func(i int) rel.Tuple { return vals[i*arity : (i+1)*arity] }}
+		s.writeRows(w, resp, rows, n, nil)
 		return
 	}
 
@@ -295,7 +295,7 @@ func (s *Server) streamEvaluated(w http.ResponseWriter, qctx context.Context, sn
 	// reaches the client with its flush batch; the fixpoint advances only
 	// between writes.  MaxRows caps delivery by truncation (a stream has
 	// no buffered answer to 413).
-	rw := s.newRowWriter(w, "application/x-ndjson")
+	rw := s.newRowWriter(w, "application/x-ndjson", s.symbols())
 	defer rw.release()
 	capped := false
 	for {
@@ -303,7 +303,7 @@ func (s *Server) streamEvaluated(w http.ResponseWriter, qctx context.Context, sn
 		if !ok {
 			break
 		}
-		if !rw.line(t) {
+		if rw.tuple(t); !rw.endLine() {
 			// Client went away mid-stream: stop the evaluation and give
 			// the budget back; nobody reads a tail.
 			st.Close()
