@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -117,8 +118,9 @@ func (o Options) planOpts() planner.Options {
 // Snapshot is an immutable version of the extensional database.  Once
 // published it is never mutated: queries evaluate against whichever
 // snapshot they pinned, and fact updates build a successor copy-on-write.
-// Relations untouched by an update are shared between versions, so a swap
-// costs one shallow map copy plus a clone of only the grown relations.
+// Relations untouched by an update are shared between versions, and a
+// changed one gains one rel.Layered layer over its previous store, so a
+// swap costs one shallow map copy plus the update's own tuples.
 type Snapshot struct {
 	DB      rel.DB
 	Version uint64
@@ -520,8 +522,9 @@ func (s *System) DB() rel.DB {
 // removes retracted and then adds inserted, as one validated, maintained
 // and durable version.  Both halves obey one contract — ground atoms,
 // no derived (rule-head) predicates, arities consistent with the
-// program, the current snapshot's relations and each other — and a
-// rejected batch changes nothing, the shared symbol table included.
+// program, the current snapshot's relations and each other, and no more
+// new constants than the symbol table has room for — and a rejected
+// batch changes nothing, the shared symbol table included.
 // The net effect is resolved against the current snapshot, removals
 // first: a fact in both halves ends up present, a retraction of an
 // absent fact (or one naming a constant never seen) is a no-op, and a
@@ -531,10 +534,10 @@ func (s *System) DB() rel.DB {
 // survive idempotent re-pushes.
 //
 // The swap is copy-on-write: relations the batch does not change are
-// shared with the previous snapshot, an in-memory relation is rebuilt,
-// and a disk-backed store (lazy segment or chain) gains one rel.Layered
-// layer carrying the batch's additions and tombstones — the shape a
-// delta-capable persister publishes as one chained link.  The snapshot
+// shared with the previous snapshot, and every changed store, in memory
+// or on disk, gains one rel.Layered layer carrying the batch's additions
+// and tombstones — the shape a delta-capable persister publishes as one
+// chained link — folded by rel's chain policy (see nextStore).  The snapshot
 // is persisted before it becomes visible (a publish failure aborts the
 // swap), and the caches are carried to it by one maintenance pass (see
 // maintain.go) before it publishes.  In-flight queries keep the
@@ -560,6 +563,9 @@ func (s *System) Apply(ctx context.Context, adds, removes []ast.Atom) (*Snapshot
 				return nil, m, err
 			}
 		}
+	}
+	if err := s.checkSymbolRoom(adds); err != nil {
+		return nil, m, err
 	}
 	// Resolve the net delta per predicate: added holds adds \ old and
 	// removed holds removes ∩ old \ adds.  kept (adds ∩ old) is only
@@ -606,16 +612,13 @@ func (s *System) Apply(ctx context.Context, adds, removes []ast.Atom) (*Snapshot
 	if m.Added == 0 && m.Removed == 0 {
 		return old, m, nil
 	}
-	db := make(rel.DB, len(old.DB)+len(added))
-	for k, v := range old.DB {
-		db[k] = v
-	}
+	db := maps.Clone(old.DB)
 	for pred, d := range removed {
-		db[pred] = nextStore(old.DB[pred], added[pred], d)
+		db[pred] = s.nextStore(old.DB[pred], added[pred], d)
 	}
 	for pred, a := range added {
 		if _, both := removed[pred]; !both {
-			db[pred] = nextStore(old.DB[pred], a, nil)
+			db[pred] = s.nextStore(old.DB[pred], a, nil)
 		}
 	}
 	next := &Snapshot{DB: db, Version: old.Version + 1}
@@ -658,6 +661,28 @@ func (s *System) checkFact(old *Snapshot, batch map[string]int, f ast.Atom) erro
 	return nil
 }
 
+// maxSymbols is the symbol-table ceiling Apply admits batches against:
+// rel.MaxSymbols, lowered only by tests.
+var maxSymbols = rel.MaxSymbols
+
+// checkSymbolRoom rejects a batch whose additions name more constants
+// the symbol table has not seen than it has room for: interning them
+// would pass the table's int32 ceiling.
+func (s *System) checkSymbolRoom(adds []ast.Atom) error {
+	fresh := map[string]bool{}
+	for _, f := range adds {
+		for _, a := range f.Args {
+			if _, ok := s.Engine.Syms.Lookup(a.Name); !ok {
+				fresh[a.Name] = true
+			}
+		}
+	}
+	if n := s.Engine.Syms.Len(); n+len(fresh) > maxSymbols {
+		return fmt.Errorf("core: batch names %d new constants, the symbol table holds %d of at most %d", len(fresh), n, maxSymbols)
+	}
+	return nil
+}
+
 // insertDelta adds t to pred's relation in m, creating it on first
 // use, and reports whether t was new.
 func insertDelta(m map[string]*rel.Relation, pred string, t rel.Tuple) bool {
@@ -671,36 +696,32 @@ func insertDelta(m map[string]*rel.Relation, pred string, t rel.Tuple) bool {
 
 // nextStore returns a predicate's store after a swap that removes dels
 // (⊆ prev) and then adds adds (disjoint from prev); either may be nil.
-// An absent predicate becomes adds itself, an in-memory relation is
-// rebuilt copy-on-write, and any other store is not copied: it becomes
-// the base of one rel.Layered overlay, which keeps a budgeted
-// out-of-core write from inflating the whole segment and is the exact
-// shape a delta-capable persister chains as one link.
-func nextStore(prev rel.Store, adds, dels *rel.Relation) rel.Store {
+// An absent predicate becomes adds itself.  Any other store is not
+// copied: it becomes the base of one rel.Layered layer, so a write costs
+// its delta on every backend, and the layer is the exact shape a
+// delta-capable persister chains as one link.  Such a persister folds
+// the chain as it publishes and hands back the disk's shape; without
+// one the chain folds here, by the same policy (rel.Layered.Fold): a
+// merge keeps the net layer, a rebase materializes the chain.
+func (s *System) nextStore(prev rel.Store, adds, dels *rel.Relation) rel.Store {
 	if prev == nil {
 		return adds
 	}
-	pr, inMem := prev.(*rel.Relation)
-	if !inMem {
-		if adds == nil {
-			adds = rel.NewRelation(prev.Arity())
-		}
-		if dels == nil {
-			dels = rel.NewRelation(prev.Arity())
-		}
-		return rel.NewLayered(prev, adds, dels)
+	if adds == nil {
+		adds = rel.NewRelation(prev.Arity())
 	}
-	if dels != nil {
-		pr, _ = pr.Minus(dels)
+	if dels == nil {
+		dels = rel.NewRelation(prev.Arity())
 	}
-	if adds != nil {
-		if dels == nil {
-			pr = pr.Clone()
-		}
-		pr.Reserve(pr.Len() + adds.Len())
-		adds.Each(func(t rel.Tuple) { pr.Insert(t) })
+	top := rel.NewLayered(prev, adds, dels)
+	if _, reshapes := s.Opts.Persist.(DeltaPersister); reshapes {
+		return top
 	}
-	return pr
+	kind, folded := top.Fold(rel.MaxChainLinks)
+	if kind == rel.FoldRebase {
+		return top.Clone()
+	}
+	return folded
 }
 
 // AddFacts is Apply with additions only, reporting how many tuples

@@ -29,6 +29,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"sync"
 
 	"linrec/internal/ast"
@@ -133,16 +134,9 @@ func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, added, r
 	// then resumes the additions from there.
 	mid := next.DB
 	if len(added) > 0 && len(removed) > 0 {
-		mid = make(rel.DB, len(old.DB))
-		for k, v := range old.DB {
-			mid[k] = v
-		}
+		mid = maps.Clone(old.DB)
 		for pred, d := range removed {
-			if _, both := added[pred]; both {
-				mid[pred] = rel.NewLayered(old.DB[pred], nil, d)
-			} else {
-				mid[pred] = next.DB[pred]
-			}
+			mid[pred] = rel.NewLayered(old.DB[pred], nil, d)
 		}
 	}
 	m.ResultsUpgraded, m.ResultsPurged = s.results.advance(next.Version, func(key resultKey, res *QueryResult) *QueryResult {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"linrec/internal/ast"
@@ -240,16 +241,21 @@ func TestPersistDifferentialStreaming(t *testing.T) {
 // TestPersistDifferentialAfterSwaps checks the comparison holds across
 // mutation history: every backend — in memory, on disk unbudgeted, on
 // disk under an evicting budget — applies the same adds, retractions and
-// mixed batches (mixedBatch), then a restart of each disk side must
-// still agree on every goal.  The restarted sides take one more mixed
-// batch over their disk-backed stores with warm caches, and a second
-// restart.  The in-memory side keeps no result cache, so it evaluates
-// every goal from scratch.
+// a history of mixed, toggling and retraction-heavy batches
+// (writeHistory), agreeing on every goal and serving no chain
+// past rel.MaxChainLinks after each batch.  Over the attempts every arm
+// must merge a chain and rebase one for its garbage, by the one fold
+// policy in rel.  Then a restart of each disk side must still agree on
+// every goal.  The restarted sides take one more mixed batch over their
+// disk-backed stores with warm caches, and a second restart.  The
+// in-memory side keeps no result cache, so it evaluates every goal from
+// scratch.
 func TestPersistDifferentialAfterSwaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(141421))
 	budgets := []int64{0, evictingBudget}
 	var evicted int64
 	mixedUpgrades := 0
+	seen := make([]folds, 1+len(budgets))
 	for attempt := 0; attempt < 20; attempt++ {
 		src := genMagicProgram(rng)
 		mem, err := load(src, Options{ResultCacheRows: -1})
@@ -285,10 +291,10 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 				}
 			}
 		}
-		applyMixedEverywhere(t, rng, src, systems)
+		goals := []string{"p(X, Y)", fmt.Sprintf("p(c%d, Y)", rng.Intn(8))}
+		writeHistory(t, rng, src, systems, goals[0], seen)
 
 		// Restart each disk side from its manifest and compare everything.
-		goals := []string{"p(X, Y)", fmt.Sprintf("p(c%d, Y)", rng.Intn(8))}
 		reboot := func(i int, served *System) *System {
 			t.Helper()
 			rebooted, err := load(src, Options{Persist: budgetedManager(t, dirs[i], budgets[i])})
@@ -326,26 +332,187 @@ func TestPersistDifferentialAfterSwaps(t *testing.T) {
 	if mixedUpgrades == 0 {
 		t.Fatalf("no mixed batch upgraded a cached result on a disk-backed side")
 	}
+	for i, f := range seen {
+		t.Logf("arm %d: %d merges, %d garbage rebases", i, f.merges, f.garbageRebases)
+		if f.merges == 0 || f.garbageRebases == 0 {
+			t.Fatalf("arm %d (0: memory) folded %d merges and %d garbage rebases, want both", i, f.merges, f.garbageRebases)
+		}
+	}
+}
+
+// History phases, in batches.  The toggling run spans two chain bounds:
+// whatever the predicate's chain held when it began folds within the
+// first, and the second builds a chain of toggles alone, which nets out
+// to at most one row and so merges rather than rebases.
+const (
+	mixedBatches   = 2
+	toggleBatches  = 2 * (rel.MaxChainLinks + 1)
+	retractBatches = 4
+	historyBatches = mixedBatches + toggleBatches + retractBatches
+)
+
+// writeHistory applies historyBatches batches to every system: mixed
+// batches, then one fact toggled in and out of the largest relation (a
+// long chain whose layers cancel, which merges; the largest, so its
+// garbage stays below its rows), then retraction-heavy batches (garbage,
+// which rebases).  After each batch every system must agree with the
+// first on goal and serve no chain past the bound; seen counts the folds
+// each system took.
+func writeHistory(t *testing.T, rng *rand.Rand, src string, systems []*System, goal string, seen []folds) {
+	t.Helper()
+	var toggle ast.Atom
+	for i := 0; i < historyBatches; i++ {
+		present := storedFacts(systems[0])
+		var adds, removes []ast.Atom
+		switch {
+		case i < mixedBatches:
+			adds, removes = mixedBatch(rng, present)
+		case i < mixedBatches+toggleBatches:
+			if i == mixedBatches {
+				toggle = absentFact(rng, present, largestPred(present))
+			}
+			if _, ok := present[toggle.String()]; ok {
+				removes = []ast.Atom{toggle}
+			} else {
+				adds = []ast.Atom{toggle}
+			}
+		default:
+			adds, removes = retractionBatch(rng, present)
+		}
+		prev := make([]rel.DB, len(systems))
+		for j, s := range systems {
+			prev[j] = s.Snapshot().DB
+		}
+		applyEverywhere(t, src, systems, present, adds, removes)
+		for j, s := range systems {
+			seen[j].observe(prev[j], s.Snapshot().DB)
+			wantChainsBounded(t, s)
+			if j > 0 {
+				comparePlans(t, systems[0], s, goal, src)
+			}
+		}
+	}
+}
+
+// folds counts the chain folds one backend was seen to take.
+type folds struct{ merges, garbageRebases int }
+
+// observe classifies what one write did to every predicate's chain.  A
+// store over the same bottom base that is no deeper than before merged;
+// one over a new base below the length bound was rebased for its
+// garbage (at the bound, a rebase may be the merge's size rule).
+func (f *folds) observe(prev, next rel.DB) {
+	for pred, st := range next {
+		old, ok := prev[pred]
+		if !ok || st == old {
+			continue
+		}
+		pd, pb := chainOf(old)
+		nd, nb := chainOf(st)
+		switch {
+		case nb == pb && nd <= pd:
+			f.merges++
+		case nb != pb && pd < rel.MaxChainLinks:
+			f.garbageRebases++
+		}
+	}
+}
+
+// chainOf returns how many rel.Layered layers st stacks over its bottom
+// base, and that base.
+func chainOf(st rel.Store) (depth int, base rel.Store) {
+	for ly, ok := st.(*rel.Layered); ok; ly, ok = st.(*rel.Layered) {
+		depth++
+		st = ly.Base()
+	}
+	return depth, st
+}
+
+// wantChainsBounded fails when sys serves a chain past rel.MaxChainLinks.
+func wantChainsBounded(t *testing.T, sys *System) {
+	t.Helper()
+	for pred, st := range sys.Snapshot().DB {
+		if d, _ := chainOf(st); d > rel.MaxChainLinks {
+			t.Fatalf("%s is served %d layers deep, bound is %d", pred, d, rel.MaxChainLinks)
+		}
+	}
+}
+
+// absentFact draws a fact over the generator's constants that present
+// does not hold, of pred or, when pred is "", of a stored predicate.
+func absentFact(rng *rand.Rand, present map[string]ast.Atom, pred string) ast.Atom {
+	preds := []string{pred}
+	if pred == "" {
+		preds = preds[:0]
+		for _, f := range present {
+			preds = append(preds, f.Pred)
+		}
+		sort.Strings(preds)
+	}
+	for {
+		f := ast.NewAtom(preds[rng.Intn(len(preds))], ast.C(fmt.Sprintf("c%d", rng.Intn(14))), ast.C(fmt.Sprintf("c%d", rng.Intn(14))))
+		if _, ok := present[f.String()]; !ok {
+			return f
+		}
+	}
+}
+
+// largestPred returns the predicate present holds the most facts of
+// (the first by name among ties).
+func largestPred(present map[string]ast.Atom) string {
+	n := map[string]int{}
+	best := ""
+	for _, f := range present {
+		n[f.Pred]++
+	}
+	for pred, c := range n {
+		if c > n[best] || (c == n[best] && pred < best) {
+			best = pred
+		}
+	}
+	return best
+}
+
+// retractionBatch draws a batch that retracts two present facts and adds
+// one absent fact.
+func retractionBatch(rng *rand.Rand, present map[string]ast.Atom) (adds, removes []ast.Atom) {
+	keys := make([]string, 0, len(present))
+	for k := range present {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i := 0; i < 2 && len(keys) > 0; i++ {
+		removes = append(removes, present[keys[rng.Intn(len(keys))]])
+	}
+	return []ast.Atom{absentFact(rng, present, "")}, removes
 }
 
 // applyMixedEverywhere applies one mixedBatch, drawn against the first
-// system's facts, to every system, and requires each to report the
-// counts the batch resolves to.  It returns how many cached results the
-// systems upgraded on batches that both added and removed.
+// system's facts, to every system.  It returns how many cached results
+// the systems upgraded on batches that both added and removed.
 func applyMixedEverywhere(t *testing.T, rng *rand.Rand, src string, systems []*System) (upgraded int) {
 	t.Helper()
 	present := storedFacts(systems[0])
 	adds, removes := mixedBatch(rng, present)
+	return applyEverywhere(t, src, systems, present, adds, removes)
+}
+
+// applyEverywhere applies one batch to every system, and requires each
+// to report the counts the batch resolves to against present, the first
+// system's facts (which it updates).  It returns how many cached results
+// the systems upgraded on batches that both added and removed.
+func applyEverywhere(t *testing.T, src string, systems []*System, present map[string]ast.Atom, adds, removes []ast.Atom) (upgraded int) {
+	t.Helper()
 	added, removed := applyMixed(present, adds, removes)
 	for _, s := range systems {
 		v := s.Snapshot().Version
 		_, m, err := s.Apply(context.Background(), adds, removes)
 		if err != nil || m.Added != added || m.Removed != removed {
-			t.Fatalf("mixed batch +%v -%v: added %d removed %d, want %d and %d, err %v\n%s",
+			t.Fatalf("batch +%v -%v: added %d removed %d, want %d and %d, err %v\n%s",
 				adds, removes, m.Added, m.Removed, added, removed, err, src)
 		}
 		if got := s.Snapshot().Version; added+removed > 0 && got != v+1 {
-			t.Fatalf("mixed batch moved the version %d -> %d, want one step", v, got)
+			t.Fatalf("batch moved the version %d -> %d, want one step", v, got)
 		}
 		if added > 0 && removed > 0 {
 			upgraded += m.ResultsUpgraded

@@ -221,19 +221,6 @@ func (c *resultCache) purgeLocked(version uint64) {
 	c.version = version
 }
 
-// invalidateTo drops every entry and advances to version — the
-// fallback-to-purge path for swaps that don't attempt maintenance.
-func (c *resultCache) invalidateTo(version uint64) {
-	if c == nil || c.capRows <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if version > c.version {
-		c.purgeLocked(version)
-	}
-}
-
 // advance moves the cache to newVersion, offering every completed entry
 // to the upgrade callback: a non-nil return is re-admitted at the new
 // version (its result must already be correct for newVersion), a nil
@@ -369,22 +356,6 @@ type ResultCacheStats struct {
 	Invalidated      int64            `json:"invalidated"`
 	Upgrades         int64            `json:"upgrades"`
 	UpgradeFallbacks int64            `json:"upgrade_fallbacks"`
-}
-
-// HitRatio returns hits / (hits + misses) across all plan kinds, 0 when
-// the cache has seen no lookups.
-func (s ResultCacheStats) HitRatio() float64 {
-	var h, m int64
-	for _, n := range s.Hits {
-		h += n
-	}
-	for _, n := range s.Misses {
-		m += n
-	}
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Stats reports the cache counters.

@@ -253,9 +253,6 @@ func (st *QueryStream) Cached() bool { return st.cached }
 // server's early-termination counters record.
 func (st *QueryStream) EarlyTerminated() bool { return st.early }
 
-// RowsYielded returns the number of rows handed out so far.
-func (st *QueryStream) RowsYielded() int { return st.yielded }
-
 // RenderRow renders one yielded tuple as symbol strings, with the same
 // unknown-value fallback as QueryResult.Rows.  The symbol-table snapshot
 // is taken on first use and reused for the stream's life.

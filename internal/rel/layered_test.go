@@ -133,44 +133,143 @@ func TestLayeredStoreContract(t *testing.T) {
 	}
 }
 
+// randomChain builds a chain of depth layers over a random base, the
+// shape successive snapshot swaps produce, with the flat relation it
+// must equal.  Each layer adds fresh tuples, re-adds tuples an earlier
+// layer tombstoned, and tombstones live ones — base rows and chained
+// additions alike.
+func randomChain(rng *rand.Rand, depth int) (*Layered, *Relation) {
+	base := NewRelation(2)
+	oracle := NewRelation(2)
+	for i := 0; i < 30; i++ {
+		tp := Tuple{Value(rng.Intn(10)), Value(rng.Intn(10))}
+		base.Insert(tp)
+		oracle.Insert(tp.Clone())
+	}
+	var cur Store = base
+	var gone []Tuple
+	for d := 0; d < depth; d++ {
+		adds, dels := NewRelation(2), NewRelation(2)
+		for i := 0; i < 6; i++ {
+			tp := Tuple{Value(rng.Intn(10) + 10*(d+1)), Value(rng.Intn(10))}
+			if i%3 == 2 && len(gone) > 0 {
+				tp = gone[rng.Intn(len(gone))]
+			}
+			if !cur.Has(tp) && adds.Insert(tp) {
+				oracle.Insert(tp.Clone())
+			}
+		}
+		live := cur.Clone().Tuples()
+		for i := 0; i < 4 && len(live) > 0; i++ {
+			tp := live[rng.Intn(len(live))]
+			if dels.Insert(tp.Clone()) {
+				gone = append(gone, tp)
+				oracle, _ = oracle.Minus(dels)
+			}
+		}
+		cur = NewLayered(cur, adds, dels)
+	}
+	return cur.(*Layered), oracle
+}
+
 // TestLayeredStoreContractRandom drives the contract over randomized
-// two-deep chains — a layer wrapping a layer, the shape two successive
-// snapshot swaps produce.
+// chains two layers deep and one past MaxChainLinks, and holds the
+// merge algebra to it: a chain's net layer over its bottom base serves
+// exactly the chain's tuples.
 func TestLayeredStoreContractRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		base := NewRelation(2)
-		oracle := NewRelation(2)
-		for i := 0; i < 30; i++ {
-			tp := Tuple{Value(rng.Intn(10)), Value(rng.Intn(10))}
-			base.Insert(tp)
-			oracle.Insert(tp.Clone())
+		for _, depth := range []int{2, MaxChainLinks + 1} {
+			ly, oracle := randomChain(rng, depth)
+			if ly.Depth() != depth {
+				t.Fatalf("depth = %d, want %d", ly.Depth(), depth)
+			}
+			checkLayeredContract(t, ly, oracle)
+			layers := ly.layers()
+			adds, dels := ly.net(layers)
+			checkLayeredContract(t, NewLayered(layers[len(layers)-1].base, adds, dels), oracle)
 		}
-		var cur Store = base
-		for depth := 0; depth < 2; depth++ {
-			adds, dels := NewRelation(2), NewRelation(2)
-			for i := 0; i < 6; i++ {
-				tp := Tuple{Value(rng.Intn(10) + 10*(depth+1)), Value(rng.Intn(10))}
-				if !cur.Has(tp) && adds.Insert(tp) {
-					oracle.Insert(tp.Clone())
+	}
+}
+
+// chainOver stacks one layer per step over base; a step adds its rows
+// named by positive numbers n (as {n, 0}) and tombstones those named by
+// negative ones.
+func chainOver(base Store, steps ...[]int) *Layered {
+	cur := base
+	for _, step := range steps {
+		adds, dels := NewRelation(2), NewRelation(2)
+		for _, n := range step {
+			if n > 0 {
+				adds.Insert(Tuple{Value(n), 0})
+			} else {
+				dels.Insert(Tuple{Value(-n), 0})
+			}
+		}
+		cur = NewLayered(cur, adds, dels)
+	}
+	return cur.(*Layered)
+}
+
+// TestFoldDecision: Fold's policy on hand-built chains over a base of
+// rows {1..n, 0}.
+func TestFoldDecision(t *testing.T) {
+	ones := func(from, n int) [][]int { // n steps adding from, from+1, ...
+		out := make([][]int, n)
+		for i := range out {
+			out[i] = []int{from + i}
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		base     int
+		steps    [][]int
+		want     FoldKind
+		netAdds  int // for a merge: rows of the merged layer, -1 for the bare base
+		netDels  int
+		maxDepth int
+	}{
+		{"short chain keeps", 100, ones(1000, MaxChainLinks), FoldKeep, 0, 0, MaxChainLinks},
+		{"chain past the length bound merges", 100, ones(1000, MaxChainLinks+1), FoldMerge, MaxChainLinks + 1, 0, MaxChainLinks},
+		{"background trigger merges sooner", 100, ones(1000, CompactChainLinks), FoldMerge, CompactChainLinks, 0, CompactChainLinks - 1},
+		{"garbage past live rows rebases", 6, [][]int{{-1, -2}, {-3, -4}}, FoldRebase, 0, 0, MaxChainLinks},
+		{"garbage equal to live rows keeps", 6, [][]int{{-1, -2}}, FoldKeep, 0, 0, MaxChainLinks},
+		{"merged layer past base/RebaseFraction rebases", 8*(MaxChainLinks+1) - 1, ones(1000, MaxChainLinks+1), FoldRebase, 0, 0, MaxChainLinks},
+		{"merged layer at base/RebaseFraction merges", 8 * (MaxChainLinks + 1), ones(1000, MaxChainLinks+1), FoldMerge, MaxChainLinks + 1, 0, MaxChainLinks},
+		{"net tombstones and re-adds merge", 100, [][]int{{-1, 1000}, {1}, {-2}, {-1000, 1001}, {-3}, {3}, {1002}, {-1001}, {-4}}, FoldMerge, 1, 2, MaxChainLinks},
+		{"changes netting out return the bare base", 100, [][]int{{1000}, {-1000}, {-1}, {1}, {1001, -2}, {-1001}, {2}, {1002}, {-1002}}, FoldMerge, -1, 0, MaxChainLinks},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := NewRelation(2)
+			for i := 1; i <= tc.base; i++ {
+				base.Insert(Tuple{Value(i), 0})
+			}
+			top := chainOver(base, tc.steps...)
+			kind, merged := top.Fold(tc.maxDepth)
+			if kind != tc.want {
+				t.Fatalf("Fold = %v, want %v", kind, tc.want)
+			}
+			switch {
+			case kind == FoldKeep && merged != top:
+				t.Fatalf("a kept chain came back as %T", merged)
+			case kind == FoldRebase && merged != nil:
+				t.Fatalf("a rebase came back with a store %T", merged)
+			case kind == FoldMerge && tc.netAdds < 0:
+				if merged != base {
+					t.Fatalf("a chain netting out to nothing merged to %T, want the bare base", merged)
+				}
+			case kind == FoldMerge:
+				ly, ok := merged.(*Layered)
+				if !ok || ly.Base() != base || ly.Adds().Len() != tc.netAdds || ly.Dels().Len() != tc.netDels {
+					t.Fatalf("merged = %T, want one layer of %d adds and %d dels over the base", merged, tc.netAdds, tc.netDels)
 				}
 			}
-			live := cur.Clone().Tuples()
-			for i := 0; i < 4 && len(live) > 0; i++ {
-				tp := live[rng.Intn(len(live))]
-				if dels.Insert(tp.Clone()) {
-					gone := NewRelation(2)
-					gone.Insert(tp)
-					oracle, _ = oracle.Minus(gone)
-				}
+			if kind == FoldMerge && !merged.Clone().Equal(top.Clone()) {
+				t.Fatalf("merged chain holds %v, the chain %v", merged.Clone().Tuples(), top.Clone().Tuples())
 			}
-			cur = NewLayered(cur, adds, dels)
-		}
-		ly := cur.(*Layered)
-		if ly.Depth() != 2 {
-			t.Fatalf("depth = %d, want 2", ly.Depth())
-		}
-		checkLayeredContract(t, ly, oracle)
+		})
 	}
 }
 

@@ -20,6 +20,7 @@ package rel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -85,6 +86,14 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
+// MaxSymbols is the symbol table's ceiling: values are int32, so a name
+// interned past it would wrap onto a value another name holds.
+const MaxSymbols = math.MaxInt32
+
+// maxSymbols is the ceiling Symtab enforces: MaxSymbols, lowered only by
+// tests.
+var maxSymbols = MaxSymbols
+
 // Symtab interns constant symbols as dense int32 values.  It is safe for
 // concurrent use.
 type Symtab struct {
@@ -99,6 +108,9 @@ func NewSymtab() *Symtab {
 }
 
 // Intern returns the value for name, assigning a fresh one on first use.
+// It panics rather than wrap when the table already holds MaxSymbols
+// names: writers admit a batch's new names against the ceiling before
+// interning any of them.
 func (s *Symtab) Intern(name string) Value {
 	s.mu.RLock()
 	v, ok := s.byName[name]
@@ -110,6 +122,9 @@ func (s *Symtab) Intern(name string) Value {
 	defer s.mu.Unlock()
 	if v, ok := s.byName[name]; ok {
 		return v
+	}
+	if len(s.names) >= maxSymbols {
+		panic(fmt.Sprintf("rel: symbol table full at %d names, interning %q", len(s.names), name))
 	}
 	v = Value(len(s.names))
 	s.byName[name] = v
@@ -877,10 +892,11 @@ func (r *Relation) Packed() []Value {
 	return r.data[: r.n*r.arity : r.n*r.arity]
 }
 
-// DB maps predicate names to stores.  Entries are *Relation for
-// in-memory databases and may be lazy disk-backed stores for databases
-// recovered from a segment manifest; both satisfy Store, and the
-// evaluation engine only ever reads entries through that interface.
+// DB maps predicate names to stores.  Entries are *Relation as loaded,
+// lazy disk-backed stores for databases recovered from a segment
+// manifest, and Layered chains over either once updates have been
+// applied; all satisfy Store, and the evaluation engine only ever reads
+// entries through that interface.
 type DB map[string]Store
 
 // Rel returns the mutable relation for pred, creating an empty one of

@@ -30,6 +30,31 @@ func TestSymtabIntern(t *testing.T) {
 	}
 }
 
+// TestSymtabCeiling: at its ceiling the table still resolves known
+// names and panics instead of wrapping on a new one.
+func TestSymtabCeiling(t *testing.T) {
+	defer func(n int) { maxSymbols = n }(maxSymbols)
+	maxSymbols = 3
+	s := NewSymtab()
+	for _, name := range []string{"a", "b", "c"} {
+		s.Intern(name)
+	}
+	if v := s.Intern("b"); v != 1 {
+		t.Fatalf("known name at the ceiling interned as %d, want 1", v)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("interning a new name past the ceiling did not panic")
+			}
+		}()
+		s.Intern("d")
+	}()
+	if _, ok := s.Lookup("d"); ok || s.Len() != 3 {
+		t.Fatalf("the refused name was interned: Len %d", s.Len())
+	}
+}
+
 func TestRelationInsertHas(t *testing.T) {
 	r := NewRelation(2)
 	if !r.Insert(Tuple{1, 2}) {

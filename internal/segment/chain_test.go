@@ -199,10 +199,10 @@ func chainDB(t *testing.T, n int) (*Manager, rel.Store, string) {
 // is the same relation bit-for-bit: same sorted tuple list before the
 // fold, after it, and after a reboot from the compacted manifest.
 func TestCompactOnceEquivalence(t *testing.T) {
-	m, live, dir := chainDB(t, compactChainLinks)
+	m, live, dir := chainDB(t, rel.CompactChainLinks)
 	st := m.Stats()
-	if st.ChainLinks != compactChainLinks {
-		t.Fatalf("chain links = %d, want %d", st.ChainLinks, compactChainLinks)
+	if st.ChainLinks != rel.CompactChainLinks {
+		t.Fatalf("chain links = %d, want %d", st.ChainLinks, rel.CompactChainLinks)
 	}
 	want := live.Clone().Tuples()
 
@@ -217,7 +217,7 @@ func TestCompactOnceEquivalence(t *testing.T) {
 	if st.ChainLinks != 0 || st.ChainPreds != 0 {
 		t.Fatalf("chain gauges after fold = %+v", st)
 	}
-	if st.Compactions != 1 || st.CompactedLinks != compactChainLinks {
+	if st.Compactions != 1 || st.CompactedLinks != rel.CompactChainLinks {
 		t.Fatalf("compaction counters = %+v", st)
 	}
 	// The live store keeps serving its chain untouched.
@@ -238,7 +238,7 @@ func TestCompactOnceEquivalence(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Boot: ok=%v err=%v", ok, err)
 	}
-	if version != uint64(1+compactChainLinks) {
+	if version != uint64(1+rel.CompactChainLinks) {
 		t.Fatalf("version = %d: compaction must not move the snapshot version", version)
 	}
 	if _, isLazy := got["edge"].(*Lazy); !isLazy {
@@ -260,18 +260,18 @@ func TestCompactOnceEquivalence(t *testing.T) {
 }
 
 // TestInlineFoldBoundsChain: publishing far more deltas than
-// maxChainLinks never grows a chain past the bound — the publish that
+// rel.MaxChainLinks never grows a chain past the bound — the publish that
 // would exceed it folds inline instead — and the answers stay right.
 func TestInlineFoldBoundsChain(t *testing.T) {
-	m, live, dir := chainDB(t, 3*maxChainLinks)
+	m, live, dir := chainDB(t, 3*rel.MaxChainLinks)
 	st := m.Stats()
-	if st.MaxChainLinks > maxChainLinks {
-		t.Fatalf("chain grew to %d links, bound is %d", st.MaxChainLinks, maxChainLinks)
+	if st.MaxChainLinks > rel.MaxChainLinks {
+		t.Fatalf("chain grew to %d links, bound is %d", st.MaxChainLinks, rel.MaxChainLinks)
 	}
 	if st.Compactions == 0 {
 		t.Fatal("no inline folds despite publishing past the chain bound")
 	}
-	rebootServes(t, dir, uint64(1+3*maxChainLinks),
+	rebootServes(t, dir, uint64(1+3*rel.MaxChainLinks),
 		rel.DB{"edge": live.Clone()})
 }
 
@@ -289,8 +289,8 @@ func wantMirror(t *testing.T, m *Manager, db rel.DB) {
 		if depth != len(p.Links) {
 			t.Fatalf("%s is served %d layers deep, its manifest entry has %d links", p.Pred, depth, len(p.Links))
 		}
-		if depth > maxChainLinks {
-			t.Fatalf("%s is served %d layers deep, bound is %d", p.Pred, depth, maxChainLinks)
+		if depth > rel.MaxChainLinks {
+			t.Fatalf("%s is served %d layers deep, bound is %d", p.Pred, depth, rel.MaxChainLinks)
 		}
 		if lz, ok := base.(*Lazy); ok && filepath.Base(lz.path) != p.File {
 			t.Fatalf("%s is served over %s, its manifest entry's base is %s", p.Pred, filepath.Base(lz.path), p.File)
@@ -397,7 +397,7 @@ func TestCompactorConcurrentWithSwaps(t *testing.T) {
 		}
 		db = next
 		current.Store(&next)
-		if ly, ok := db["edge"].(*rel.Layered); ok && ly.Depth() > maxChainLinks {
+		if ly, ok := db["edge"].(*rel.Layered); ok && ly.Depth() > rel.MaxChainLinks {
 			t.Fatalf("swap %d serves %d layers", i, ly.Depth())
 		}
 	}
@@ -415,7 +415,7 @@ func TestLinkMergeKeepsBase(t *testing.T) {
 	base := db["edge"]
 	baseFile := m.man.Preds[0].File
 	before := m.Stats()
-	for i := 0; i <= maxChainLinks; i++ {
+	for i := 0; i <= rel.MaxChainLinks; i++ {
 		// Each swap adds a row; every other one also retracts the row the
 		// previous swap added, so the merge has chained adds to cancel.
 		var dels []rel.Tuple
@@ -441,15 +441,15 @@ func TestLinkMergeKeepsBase(t *testing.T) {
 		t.Fatalf("served store is %d layers over %p, want one layer over the booted base %p", ly.Depth(), ly.Base(), base)
 	}
 	st := m.Stats()
-	if st.Compactions-before.Compactions != 1 || st.CompactedLinks-before.CompactedLinks != maxChainLinks+1 {
+	if st.Compactions-before.Compactions != 1 || st.CompactedLinks-before.CompactedLinks != rel.MaxChainLinks+1 {
 		t.Fatalf("compaction counters = %+v", st)
 	}
 	// The merge wrote only the merged link: no second copy of the base.
 	if wrote := st.BytesWritten - before.BytesWritten; wrote >= p.Bytes {
-		t.Fatalf("%d segment bytes written across %d swaps of a %d-byte base", wrote, maxChainLinks+1, p.Bytes)
+		t.Fatalf("%d segment bytes written across %d swaps of a %d-byte base", wrote, rel.MaxChainLinks+1, p.Bytes)
 	}
 	wantExactFiles(t, m, dir)
-	rebootServes(t, dir, uint64(2+maxChainLinks), rel.DB{"edge": db["edge"].Clone()})
+	rebootServes(t, dir, uint64(2+rel.MaxChainLinks), rel.DB{"edge": db["edge"].Clone()})
 }
 
 // TestExactGC: no file outlives its manifest.  Fifty swaps with merges,

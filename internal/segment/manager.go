@@ -14,30 +14,6 @@ import (
 	"linrec/internal/rel"
 )
 
-// Chain bounds.  A publish appends a delta link only while the chain
-// stays short and mostly alive.  A chain at its length bound merges its
-// links into one (net additions and net tombstones against the same
-// base, cost proportional to the links' rows) and keeps the base
-// segment — and the base store's mapping and built indexes.  The base
-// itself is rewritten only when the chain is mostly garbage or the
-// merged link has grown to a fixed fraction of it.  The background
-// compactor applies the same rule at a lower length trigger, so chains
-// left behind by a write burst shrink even when no further writes
-// arrive.
-const (
-	// maxChainLinks bounds a chain at publish time: a delta that would
-	// make the chain longer merges the links instead.
-	maxChainLinks = 8
-	// compactChainLinks is the background compactor's length trigger.
-	compactChainLinks = 4
-	// rebaseFraction rewrites the base once a merged link would hold more
-	// than 1/rebaseFraction of its rows: a base rewrite then amortises
-	// over at least that many written rows (at most rebaseFraction base
-	// rows re-copied per row written), and no merge re-copies more than
-	// that fraction of the base.
-	rebaseFraction = 8
-)
-
 // Manager owns one data directory: it boots the newest published
 // snapshot from the manifest and publishes new snapshots as immutable
 // segment files plus an atomic manifest swap.  One Manager serves one
@@ -341,14 +317,15 @@ func (m *Manager) Publish(version uint64, db rel.DB, syms *rel.Symtab) error {
 // whose store is one overlay layer (rel.Layered) over the previously
 // published store persists just the overlay as a delta segment chained
 // onto the base, instead of rewriting the whole relation.  Chains are
-// bounded — a delta that would push a chain past its length bound
-// merges the links into one, and past its garbage bound folds into a
-// fresh base segment.  Every entry of db whose on-disk shape differs
-// from the store the caller passed (a merge or fold here, or one the
-// background compactor made since the last publish) is replaced in
-// place with an equivalent store of exactly that shape, so the
-// caller's snapshot never serves a chain deeper than the disk's.  The
-// durability contract is identical to Publish.
+// bounded by rel's chain policy (rel.Layered.Fold) — a delta that would
+// push a chain past its length bound merges the links into one, and
+// past its garbage bound folds into a fresh base segment.  Every entry
+// of db whose on-disk shape differs from the store the caller passed (a
+// merge or fold here, or one the background compactor made since the
+// last publish) is replaced in place with an equivalent store of
+// exactly that shape, so the caller's snapshot never serves a chain
+// deeper than the disk's.  The durability contract is identical to
+// Publish.
 func (m *Manager) PublishDelta(version uint64, db rel.DB, syms *rel.Symtab) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -445,15 +422,11 @@ func (m *Manager) persistPred(pred string, gen uint64, st rel.Store, old predEnt
 }
 
 // persistLayer publishes top — one new layer over a chain shaped as
-// old describes — by the chain bounds: fold into a fresh base when the
-// chain would be mostly garbage, append a link while it stays short,
-// merge the links otherwise.
+// old describes — by rel's chain policy: append a link while the chain
+// stays short and mostly alive, fold it otherwise.
 func (m *Manager) persistLayer(pred string, gen uint64, old predEntry, top *rel.Layered) (predEntry, rel.Store, error) {
-	if chainGarbage(old)+2*top.Dels().Len() > top.Len() {
-		return m.rebase(pred, gen, top)
-	}
-	if len(old.Links) >= maxChainLinks {
-		return m.mergeChain(pred, gen, old, top)
+	if kind, merged := top.Fold(rel.MaxChainLinks); kind != rel.FoldKeep {
+		return m.fold(pred, gen, old, top, kind, merged)
 	}
 	lk, err := m.writeLink(pred, gen, top.Adds(), top.Dels())
 	if err != nil {
@@ -467,81 +440,33 @@ func (m *Manager) persistLayer(pred string, gen uint64, old predEntry, top *rel.
 	return entry, top, nil
 }
 
-// mergeChain replaces every layer of top (the chain old describes,
-// with or without one new layer on it) by a single link of net
-// additions and net tombstones against the same base segment.  The
-// base file, and the base store with its mapping and indexes, carry
-// over untouched.  The oldest link is already net against the base, so
-// it is copied and only the newer layers' rows are probed: the cost is
-// a copy of the links' rows, not a walk of the chain per row.  A merged
-// link past 1/rebaseFraction of the base folds into a fresh base
-// instead.
-func (m *Manager) mergeChain(pred string, gen uint64, old predEntry, top *rel.Layered) (predEntry, rel.Store, error) {
-	var layers []*rel.Layered // newest first
-	var base rel.Store = top
-	for ly, ok := base.(*rel.Layered); ok; ly, ok = base.(*rel.Layered) {
-		layers = append(layers, ly)
-		base = ly.Base()
-	}
-	oldest := layers[len(layers)-1]
-	adds, dels := oldest.Adds().Clone(), oldest.Dels().Clone()
-	// What the newer layers change, relative to the oldest link's view: a
-	// tuple one of them added counts iff the chain still holds it and
-	// that view did not, one they tombstoned iff the chain lacks it and
-	// that view held it.  (Added then retracted, or tombstoned then
-	// re-added, nets out to nothing.)
-	unadd, undel := rel.NewRelation(top.Arity()), rel.NewRelation(top.Arity())
-	for _, ly := range layers[:len(layers)-1] {
-		ly.Adds().Each(func(t rel.Tuple) {
-			switch {
-			case !top.Has(t) || oldest.Has(t):
-			case dels.Has(t): // a tombstoned base row came back
-				undel.Insert(t)
-			default:
-				adds.Insert(t)
-			}
-		})
-		ly.Dels().Each(func(t rel.Tuple) {
-			switch {
-			case top.Has(t) || !oldest.Has(t):
-			case adds.Has(t): // a chained addition went away
-				unadd.Insert(t)
-			default:
-				dels.Insert(t)
-			}
-		})
-	}
-	adds, _ = adds.Minus(unadd)
-	dels, _ = dels.Minus(undel)
-	if (adds.Len()+dels.Len())*rebaseFraction > base.Len() {
-		return m.rebase(pred, gen, top)
-	}
+// fold does the I/O of a fold rel decided for top, the chain old
+// describes, and returns the new entry with the store that mirrors it.
+// A rebase writes a fresh base segment and serves a flat lazy store over
+// it.  A merge writes merged's one layer as the entry's only link (none
+// when the chain netted out to its bare base); the base file, and the
+// base store with its mapping and indexes, carry over untouched.
+func (m *Manager) fold(pred string, gen uint64, old predEntry, top *rel.Layered, kind rel.FoldKind, merged rel.Store) (predEntry, rel.Store, error) {
 	entry := old
-	entry.Links, entry.BaseRows, entry.Rows = nil, 0, top.Len()
-	merged := base // when everything netted out: chain-free over the same base
-	if adds.Len()+dels.Len() > 0 {
-		lk, err := m.writeLink(pred, gen, adds, dels)
-		if err != nil {
+	if kind == rel.FoldRebase {
+		var err error
+		if entry, err = m.writePred(pred, gen, top); err != nil {
 			return predEntry{}, nil, err
 		}
-		entry.Links, entry.BaseRows = []chainLink{lk}, base.Len()
-		merged = rel.NewLayered(base, adds, dels)
-	}
-	m.stats.Compactions++
-	m.stats.CompactedLinks += int64(len(layers))
-	return entry, merged, nil
-}
-
-// rebase folds a whole chain into one fresh base segment and returns a
-// flat lazy store over it.
-func (m *Manager) rebase(pred string, gen uint64, top *rel.Layered) (predEntry, rel.Store, error) {
-	entry, err := m.writePred(pred, gen, top)
-	if err != nil {
-		return predEntry{}, nil, err
+		merged = m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum)
+	} else {
+		entry.Links, entry.BaseRows, entry.Rows = nil, 0, top.Len()
+		if ly, ok := merged.(*rel.Layered); ok {
+			lk, err := m.writeLink(pred, gen, ly.Adds(), ly.Dels())
+			if err != nil {
+				return predEntry{}, nil, err
+			}
+			entry.Links, entry.BaseRows = []chainLink{lk}, ly.Base().Len()
+		}
 	}
 	m.stats.Compactions++
 	m.stats.CompactedLinks += int64(top.Depth())
-	return entry, m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum), nil
+	return entry, merged, nil
 }
 
 // writeLink persists one chain link's additions and tombstones as delta
@@ -676,14 +601,14 @@ func (m *Manager) commitLocked(next *manifest) error {
 	return nil
 }
 
-// CompactOnce tidies every chain past the background thresholds at
-// the same snapshot version, publishing a new manifest generation: a
-// chain of compactChainLinks links or more merges into one link, and
-// one carrying more garbage than live rows folds into a fresh base.
-// Purely physical: live stores keep serving the chain they hold,
-// identity-based reuse still matches them, and the next PublishDelta
-// hands the engine the reshaped stores.  Returns how many chains it
-// reshaped.
+// CompactOnce tidies every chain rel's policy folds at the background
+// trigger, at the same snapshot version, publishing a new manifest
+// generation: a chain of rel.CompactChainLinks links or more merges into
+// one link, and one carrying more garbage than live rows folds into a
+// fresh base.  Purely physical: live stores keep serving the chain they
+// hold, identity-based reuse still matches them, and the next
+// PublishDelta hands the engine the reshaped stores.  Returns how many
+// chains it reshaped.
 func (m *Manager) CompactOnce() (n int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -698,20 +623,16 @@ func (m *Manager) CompactOnce() (n int, err error) {
 	next := &manifest{Format: manifestFormat, Generation: gen, Version: m.man.Version}
 	reshaped := rel.DB{}
 	for _, p := range m.man.Preds {
-		long := len(p.Links) >= compactChainLinks
-		garbage := len(p.Links) > 0 && chainGarbage(p) > p.Rows
+		kind, merged := rel.FoldKeep, rel.Store(nil)
 		top, chained := m.shape[p.Pred].(*rel.Layered)
-		if !chained || (!long && !garbage) {
+		if chained {
+			kind, merged = top.Fold(rel.CompactChainLinks - 1)
+		}
+		if kind == rel.FoldKeep {
 			next.Preds = append(next.Preds, p)
 			continue
 		}
-		var entry predEntry
-		var sh rel.Store
-		if garbage {
-			entry, sh, err = m.rebase(p.Pred, gen, top)
-		} else {
-			entry, sh, err = m.mergeChain(p.Pred, gen, p, top)
-		}
+		entry, sh, err := m.fold(p.Pred, gen, p, top, kind, merged)
 		if err != nil {
 			return 0, err
 		}

@@ -83,17 +83,6 @@ func baseRows(p predEntry) int {
 	return p.BaseRows
 }
 
-// chainGarbage returns the dead rows a chain carries: tombstones plus
-// the tombstoned base rows they shadow count double against the chain,
-// so the ratio of garbage to net rows drives compaction.
-func chainGarbage(p predEntry) int {
-	g := 0
-	for _, lk := range p.Links {
-		g += 2 * lk.DelRows
-	}
-	return g
-}
-
 // symtabRef names the symbol table a manifest commits to.  In format 3
 // Symtab is symtabName and the other three fields delimit and checksum
 // its committed prefix: Count names in the first Bytes bytes, whose

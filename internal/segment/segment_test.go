@@ -491,7 +491,7 @@ func TestOpenRejectsShortOrCorruptSymtab(t *testing.T) {
 func TestFormat2DirectoryMigrates(t *testing.T) {
 	for _, compactFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compactFirst=%v", compactFirst), func(t *testing.T) {
-			_, live, dir := chainDB(t, compactChainLinks)
+			_, live, dir := chainDB(t, rel.CompactChainLinks)
 			want := rel.DB{"edge": live.Clone()}
 			man, err := readManifest(dir)
 			if err != nil {
