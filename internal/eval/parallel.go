@@ -46,21 +46,30 @@ func prebuildIndexes(db rel.DB, cs []*compiled) {
 	}
 }
 
-// roundWorker is one pool slot's private state for the fanned-out rounds
-// of one closure, reused round after round: its executors (one per
-// operator, built by the slot's first goroutine) and its emission buffer
-// — the round's derived tuples back to back, arity values each.  Flat
-// buffers keep the round's output pointer-free, so the garbage collector
-// never scans the in-flight derivations.
+// roundWorker is one pool slot's private state for the rounds of one
+// closure, reused round after round: its executors (one per operator,
+// built by the first goroutine to run the slot; slots never run
+// concurrently with themselves) and its emission buffer — the round's
+// derived tuples back to back, arity values each, rows of them (a
+// nullary tuple has no values to count).  Flat buffers keep the round's
+// output pointer-free, so the garbage collector never scans the
+// in-flight derivations.
 type roundWorker struct {
 	execs []*executor
 	buf   []rel.Value
+	rows  int
+	// Each emission writes buf and rows: the padding keeps neighbouring
+	// slots' written fields over a cache line apart, so two workers
+	// never write one line.
+	_ [64]byte
 }
 
 // start builds the worker's executors and sizes its buffer for a shard of
 // the given rows.  A non-nil newKeep builds this worker's own filter (the
 // restricted closure's magic-set test may keep mutable probe state),
-// dropping emissions before they are buffered.
+// dropping emissions before they are buffered.  The buffer grows by
+// doubling, not by append's 1.25x steps for large slices, so a closure
+// reallocates it O(log n) times.
 func (w *roundWorker) start(db rel.DB, cs []*compiled, arity, rows int, newKeep func() func(rel.Tuple) bool) {
 	var keep func(rel.Tuple) bool
 	if newKeep != nil {
@@ -70,7 +79,15 @@ func (w *roundWorker) start(db rel.DB, cs []*compiled, arity, rows int, newKeep 
 		if keep != nil && !keep(t) {
 			return
 		}
-		w.buf = append(w.buf, t...)
+		n := len(w.buf)
+		if n+len(t) > cap(w.buf) {
+			w.buf = append(make([]rel.Value, 0, 2*cap(w.buf)+len(t)), w.buf...)
+		}
+		w.buf = w.buf[:n+len(t)]
+		for i, v := range t { // not append's memmove call, for a few values
+			w.buf[n+i] = v
+		}
+		w.rows++
 	}
 	w.buf = make([]rel.Value, 0, rows*arity)
 	w.execs = make([]*executor, len(cs))
@@ -93,7 +110,7 @@ func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int,
 	var wg sync.WaitGroup
 	for i := range pool {
 		w := &pool[i]
-		w.buf = w.buf[:0]
+		w.buf, w.rows = w.buf[:0], 0
 		slo, shi := lo+i*(hi-lo)/len(pool), lo+(i+1)*(hi-lo)/len(pool)
 		if slo == shi {
 			continue
@@ -130,22 +147,34 @@ func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int,
 	}
 }
 
-// mergeRound folds the worker buffers into total, charging stats one
-// derivation per emission and one duplicate per emission of an
-// already-known tuple — the same accounting as an inline round.  New
-// tuples are the rows total gained; callers recover the round's delta as
-// the row range [Len-before, Len).
-func mergeRound(total *rel.Relation, pool []roundWorker, stats *Stats) {
-	arity := total.Arity()
+// roundMerge is the round barrier's reusable state: the batched
+// insert's sort space and the list of the pool's buffers it is handed.
+type roundMerge struct {
+	scratch []uint64
+	bufs    [][]rel.Value
+}
+
+// merge folds the worker buffers into total in one batched insert,
+// charging stats one derivation per emission and one duplicate per
+// emission total already held.  It is the only place a closure's
+// derivations enter total.  New tuples are the rows total gained;
+// callers recover the round's delta as the row range [Len-before, Len).
+// A nullary emission carries no values and is always a duplicate: it
+// derives from a delta row, which is the relation's one tuple, already
+// in total.
+func (m *roundMerge) merge(total *rel.Relation, pool []roundWorker, stats *Stats) {
+	m.bufs = m.bufs[:0]
+	rows := 0
 	for i := range pool {
-		buf := pool[i].buf
-		stats.Derivations += int64(len(buf) / arity)
-		for off := 0; off < len(buf); off += arity {
-			if !total.Insert(buf[off : off+arity : off+arity]) {
-				stats.Duplicates++
-			}
-		}
+		m.bufs = append(m.bufs, pool[i].buf)
+		rows += pool[i].rows
 	}
+	added := 0
+	if total.Arity() > 0 {
+		added = total.InsertBatch(&m.scratch, m.bufs...)
+	}
+	stats.Derivations += int64(rows)
+	stats.Duplicates += int64(rows - added)
 }
 
 // ApplyInto computes one application of op with all of src as the
@@ -165,6 +194,6 @@ func (e *Engine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats 
 	before := dst.Len()
 	pool := make([]roundWorker, e.Workers)
 	applyRound(db, cs, src, 0, src.Len(), dst.Arity(), pool, nil, nil)
-	mergeRound(dst, pool, stats)
+	new(roundMerge).merge(dst, pool, stats)
 	return dst.Len() - before
 }

@@ -39,18 +39,23 @@ const parallelRoundRows = 1024
 // steps and however many workers run them.
 //
 // Accounting: an emission the keep filter rejects is dropped before it
-// is counted; every other emission is one derivation, and one duplicate
-// when total already holds the tuple.  Iterations counts steps, MaxDepth
-// the steps that added tuples.
+// is buffered; every other emission is one derivation, and one duplicate
+// when the round's merge finds total already holding the tuple — an
+// earlier round's or an earlier emission of the same round.  Iterations
+// counts steps, MaxDepth the steps that added tuples.
 //
-// Inline or fan-out: a step fans out across the pool (applyRound, then
-// mergeRound on the stepping goroutine) when the effective worker count
-// exceeds 1 and the delta holds at least parallelRoundRows rows;
-// otherwise it runs on the stepping goroutine.  The effective count is 1
-// when Engine.Workers ≤ 1 or the relation is nullary (no payload for the
-// flat round buffers), and is what the phase trace records.  An inline
-// round attributes its time per operator (RoundTrace.RuleUS); a
-// fanned-out round instead reports each worker's emission count
+// Inline or fan-out: a step fans out across the pool (applyRound) when
+// the effective worker count exceeds 1 and the delta holds at least
+// parallelRoundRows rows; otherwise the pool's first slot runs it on the
+// stepping goroutine.  Either way the round's emissions go to flat
+// buffers, and roundMerge, on the stepping goroutine, is the one place
+// they enter total: one batched insert of all of them, which probes the
+// key table in slot order, so a round's new rows land in total in that
+// (deterministic) hash order rather than in emission order.  The
+// effective count is 1 when Engine.Workers ≤ 1 or the relation is
+// nullary (no payload to shard), and is what the phase trace records.
+// An inline round attributes its time per operator (RoundTrace.RuleUS);
+// a fanned-out round instead reports each worker's emission count
 // (RoundTrace.ShardRows, summing to the round's derivations).
 type stepper struct {
 	db      rel.DB
@@ -58,16 +63,16 @@ type stepper struct {
 	total   *rel.Relation
 	lo, hi  int
 	workers int
-	// newKeep builds one keep filter per goroutine (a filter may own
-	// mutable probe state); keep is the stepping goroutine's instance.
+	// newKeep builds one keep filter per pool slot (a filter may own
+	// mutable probe state).
 	newKeep func() func(rel.Tuple) bool
-	keep    func(rel.Tuple) bool
-	// Join scratch, built on the first round that needs it and reused by
-	// every later one, so a round allocates nothing that grows with its
-	// delta: the inline rounds' executors (one per operator) and the
-	// fanned-out rounds' pool (executors and emission buffer per worker).
-	inline []*executor
-	pool   []roundWorker
+	// Round scratch, built on the first round that needs it and reused
+	// by every later one: the pool (executors and emission buffer per
+	// slot; inline rounds use slot 0) and the merge's sort space.  The
+	// buffers grow by doubling, so a closure allocates them O(log n)
+	// times, not per round.
+	pool  []roundWorker
+	merge roundMerge
 
 	ctx     context.Context
 	stop    *atomic.Bool
@@ -98,9 +103,6 @@ func (e *Engine) open(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.
 		db: db, cs: cs, total: total, lo: lo, hi: total.Len(),
 		workers: workers, newKeep: newKeep, ctx: ctx,
 	}}
-	if newKeep != nil {
-		c.keep = newKeep()
-	}
 	c.stop, c.release = watchContext(ctx)
 	c.ph = TracerFrom(ctx).phase(phase, workers, lo, total.Len()-lo)
 	return c
@@ -115,27 +117,9 @@ func (s *stepper) stopped() bool {
 	return false
 }
 
-// startInline builds the inline rounds' executors, one per operator, over
-// the stepping goroutine's emit.
-func (s *stepper) startInline() {
-	emit := func(t rel.Tuple) {
-		if s.keep != nil && !s.keep(t) {
-			return
-		}
-		s.stats.Derivations++
-		if !s.total.Insert(t) {
-			s.stats.Duplicates++
-		}
-	}
-	s.inline = make([]*executor, len(s.cs))
-	for i, c := range s.cs {
-		s.inline[i] = newExecutor(s.db, c, emit)
-	}
-}
-
 // step runs exactly one round (see the contract on stepper).  It reports
-// false when the context fired first; total may then hold part of an
-// abandoned inline round and must not be used.
+// false when the context fired first; the abandoned round's buffers are
+// then dropped unmerged.
 func (s *stepper) step() bool {
 	if s.stopped() {
 		return false
@@ -147,27 +131,30 @@ func (s *stepper) step() bool {
 	if s.ph != nil {
 		start = time.Now()
 	}
+	if s.pool == nil {
+		s.pool = make([]roundWorker, s.workers)
+	}
+	pool := s.pool[:1]
 	if s.workers > 1 && s.hi-s.lo >= parallelRoundRows {
-		if s.pool == nil {
-			s.pool = make([]roundWorker, s.workers)
-		}
-		applyRound(s.db, s.cs, s.total, s.lo, s.hi, s.total.Arity(), s.pool, s.stop, s.newKeep)
+		pool = s.pool
+		applyRound(s.db, s.cs, s.total, s.lo, s.hi, s.total.Arity(), pool, s.stop, s.newKeep)
 		// A cancelled round leaves partial worker buffers; discard them
 		// rather than merging a torn delta.
 		if s.stopped() {
 			return false
 		}
-		mergeRound(s.total, s.pool, &s.stats)
 		if s.ph != nil {
-			for i := range s.pool {
-				rt.ShardRows = append(rt.ShardRows, len(s.pool[i].buf)/s.total.Arity())
+			for i := range pool {
+				rt.ShardRows = append(rt.ShardRows, pool[i].rows)
 			}
 		}
 	} else {
-		if s.inline == nil {
-			s.startInline()
+		w := &pool[0]
+		w.buf, w.rows = w.buf[:0], 0
+		if w.execs == nil {
+			w.start(s.db, s.cs, s.total.Arity(), s.hi-s.lo, s.newKeep)
 		}
-		for _, x := range s.inline {
+		for _, x := range w.execs {
 			var opStart time.Time
 			if s.ph != nil {
 				opStart = time.Now()
@@ -181,6 +168,7 @@ func (s *stepper) step() bool {
 			}
 		}
 	}
+	s.merge.merge(s.total, pool, &s.stats)
 	if s.ph != nil {
 		rt.NewRows = s.total.Len() - s.hi
 		rt.Derivations = s.stats.Derivations - d0

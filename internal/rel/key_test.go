@@ -1,7 +1,10 @@
 package rel
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -216,6 +219,69 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tu[0], tu[1] = Value(i), Value(i>>1)
 		r.Insert(tu)
+	}
+}
+
+// BenchmarkInsertBatch times batches of binary rows entering a relation
+// of 64k, 256k or 1M rows (2^17, 2^19 and 2^21 key-table slots), row by
+// row through Insert against InsertBatch's slot-ordered path, in ns per
+// batch row.  A new batch (a quarter of the table's rows) adds every
+// row; a dup batch re-inserts rows already present; the new_Nth
+// cases add 1/N of the table's rows.  New rows are drawn from a pool of
+// absent rows and the table is pre-sized for the whole pool, so no
+// grow lands in the timer; the relation is re-cloned, untimed, when the
+// pool runs out.  The sorted path's two bounds come from here: at 2^17
+// slots (under minBatchSlots) sorting does not pay, most of all for
+// duplicates; at 2^19 slots a sixteenth of the rows (one row per 32
+// slots) pays and a sixty-fourth (one per 128) breaks even, so
+// batchSlotsPerRow is 64; at 2^21 slots every case pays.
+func BenchmarkInsertBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	randomRow := func() Tuple { return Tuple{rng.Int31n(1 << 20), rng.Int31n(1 << 20)} }
+	for _, size := range []int{1 << 16, 1 << 18, 1 << 20} {
+		base := NewRelation(2)
+		for base.Len() < size {
+			base.Insert(randomRow())
+		}
+		base.Reserve(size + size/2)
+		var pool []Value // size/2 absent rows
+		for seen := NewRelation(2); seen.Len() < size/2; {
+			if t := randomRow(); !base.Has(t) && seen.Insert(t) {
+				pool = append(pool, t...)
+			}
+		}
+		dup := base.Packed()[:size/2]
+		for _, bc := range []struct {
+			name string
+			rows int
+		}{{"new", size / 4}, {"dup", size / 4}, {"new_16th", size / 16}, {"new_64th", size / 64}, {"new_256th", size / 256}} {
+			for _, mode := range []string{"row", "sorted"} {
+				b.Run(fmt.Sprintf("table=%dk/%s/%s", size>>10, bc.name, mode), func(b *testing.B) {
+					var scratch []uint64
+					r, next := base, len(pool)
+					for i := 0; i < b.N; i++ {
+						buf := dup
+						if bc.name != "dup" {
+							if next+2*bc.rows > len(pool) {
+								b.StopTimer()
+								r, next = base.Clone(), 0
+								runtime.GC()
+								b.StartTimer()
+							}
+							buf, next = pool[next:next+2*bc.rows], next+2*bc.rows
+						}
+						if mode == "sorted" {
+							r.insertSorted(&scratch, bc.rows, [][]Value{buf})
+							continue
+						}
+						for off := 0; off < len(buf); off += 2 {
+							r.Insert(buf[off : off+2])
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.rows), "ns/row")
+				})
+			}
+		}
 	}
 }
 

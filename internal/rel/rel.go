@@ -13,14 +13,15 @@
 //
 // Concurrency: a Relation supports any number of concurrent readers
 // (Has/Row/Each/Lookup/Select/…), including lazy index construction, which
-// is guarded internally.  Writes (Insert/UnionInto) must not race with
-// readers or each other; the evaluation engine upholds this by mutating
-// only at single-threaded merge points.
+// is guarded internally.  Writes (Insert/InsertBatch/UnionInto) must not
+// race with readers or each other; the evaluation engine upholds this by
+// mutating only at single-threaded merge points.
 package rel
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -242,8 +243,12 @@ func tableSlots(want int) int {
 func KeyTableBytes(n int) int64 { return int64(tableSlots(n+n/7+1)) * 12 }
 
 // grow rehashes into a table twice the size.
-func (tb *table) grow() {
-	nt := newTable(len(tb.keys) * 2)
+func (tb *table) grow() { tb.rehash(len(tb.keys) * 2) }
+
+// rehash moves the entries into a fresh table of at least the given
+// slots.
+func (tb *table) rehash(slots int) {
+	nt := newTable(slots)
 	for i, row := range tb.rows {
 		if row != 0 {
 			nt.place(tb.keys[i], row)
@@ -442,8 +447,8 @@ func (r *Relation) rowEq(row int32, t Tuple) bool {
 // find probes the key table for t (whose key is k): it returns the slot
 // holding t and its 1-based row number, or the empty slot that ends t's
 // probe chain — where an insert would place it — and row 0.  It is the
-// one open-addressing probe loop; Insert, Has, findRow and minusPatch all
-// go through it.
+// open-addressing probe loop Insert, Has, findRow and minusPatch go
+// through; InsertBatch's sorted sweep inlines a copy of it.
 func (r *Relation) find(k uint64, t Tuple) (slot uint64, row int32) {
 	slot = mix64(k) & r.tab.mask
 	for {
@@ -500,17 +505,153 @@ func (r *Relation) Insert(t Tuple) bool {
 	return true
 }
 
+// batchRowsPerBucket is about how many rows of a batched insert share a
+// bucket of its sort.  With one row per bucket the offsets array is as
+// long as the batch and the scatter's increments miss the cache; eight
+// keep it an eighth as long while the sweep still moves forward a few
+// cache lines at a time.
+const batchRowsPerBucket = 8
+
+// InsertBatch's slot-ordered path pays only for a table past the cache
+// (minBatchSlots: 2^18 slots are 3 MB of keys and row numbers) and a
+// batch dense enough in it (one row per at most batchSlotsPerRow slots):
+// a sparser sweep streams most of the table through the cache for a few
+// probes.  BenchmarkInsertBatch places both bounds.
+const (
+	minBatchSlots    = 1 << 18
+	batchSlotsPerRow = 64
+)
+
+// InsertBatch inserts the rows packed back to back in bufs (Arity()
+// values each) and returns how many were new: the rows and the count a
+// loop of Insert over them would produce, stored in another order.
+// Rather than probing the key table in buffer order — once the table
+// outgrows the cache, a cache and TLB miss per probe — it
+// counting-sorts the batch's keys by the top bits of their home slots
+// and probes in that order, so the probes sweep the table once for all
+// the buffers.  Duplicates within the batch are caught by the table, as
+// Insert catches them.  *scratch is the sort's space, grown by doubling
+// and reused across calls.  A batch too sparse in its table, or a table
+// that fits in cache, goes row by row.  A nullary row carries no values
+// to pack: insert the empty tuple with Insert.
+//
+// Sorted rows fill the table region by region, so the table's load
+// check, which counts the whole table, would fire only after the first
+// regions had overflowed.  The table is therefore first grown, in one
+// rehash, to hold every row of the batch below its 7/8 growth point: a
+// batch mostly of duplicates may leave it one doubling larger than
+// Insert would have.  The row storage grows as Insert grows it.
+func (r *Relation) InsertBatch(scratch *[]uint64, bufs ...[]Value) (added int) {
+	a, rows := r.arity, 0
+	for _, buf := range bufs {
+		if a == 0 || len(buf)%a != 0 {
+			panic(fmt.Sprintf("rel: batch of %d values into arity-%d relation", len(buf), a))
+		}
+		rows += len(buf) / a
+	}
+	// The slots of a table fitted to the batch (see insertSorted).
+	if slots := max(len(r.tab.keys), tableSlots(8*(r.tab.n+rows)/7+1)); slots >= minBatchSlots && rows*batchSlotsPerRow >= slots {
+		return r.insertSorted(scratch, rows, bufs)
+	}
+	for _, buf := range bufs {
+		for off := 0; off < len(buf); off += a {
+			if r.Insert(buf[off : off+a : off+a]) {
+				added++
+			}
+		}
+	}
+	return added
+}
+
+// insertSorted is InsertBatch's slot-ordered path, for any batch and
+// table size.
+func (r *Relation) insertSorted(scratch *[]uint64, rows int, bufs [][]Value) (added int) {
+	a := r.arity
+	// Fit the table to hold every row of the batch below 7/8 load.
+	if slots := tableSlots(8*(r.tab.n+rows)/7 + 1); slots > len(r.tab.keys) {
+		r.tab.rehash(slots)
+	}
+	// A row's bucket is the top bucketBits bits of its home slot, so the
+	// sweep probes the table in (near) slot order.
+	slotBits := bits.Len64(r.tab.mask)
+	bucketBits := max(0, bits.Len(uint(rows/batchRowsPerBucket))-1)
+	shift, buckets := slotBits-bucketBits, 1<<bucketBits
+	// The scratch holds the keys in bucket order, then the bucket
+	// offsets, then — where a key does not determine its row — where
+	// each sorted key's row is: buffer<<32 | offset.
+	need := rows + buckets + 1
+	if !r.exact {
+		need += rows
+	}
+	if cap(*scratch) < need {
+		*scratch = make([]uint64, max(2*cap(*scratch), need))
+	}
+	sorted, starts, pos := (*scratch)[:rows], (*scratch)[rows:rows+buckets+1], (*scratch)[rows+buckets+1:need]
+	clear(starts)
+	for _, buf := range bufs {
+		for off := 0; off < len(buf); off += a {
+			starts[mix64(Tuple(buf[off:off+a]).Key())&r.tab.mask>>shift+1]++
+		}
+	}
+	for b := 1; b <= buckets; b++ {
+		starts[b] += starts[b-1]
+	}
+	for bi, buf := range bufs {
+		for off := 0; off < len(buf); off += a {
+			k := Tuple(buf[off : off+a]).Key()
+			b := mix64(k) & r.tab.mask >> shift
+			sorted[starts[b]] = k
+			if !r.exact {
+				pos[starts[b]] = uint64(bi)<<32 | uint64(off)
+			}
+			starts[b]++
+		}
+	}
+	// The sweep is Insert with find's probe loop inlined, less the load
+	// check the fitted table no longer needs: at a few ns a row against
+	// a probe that now mostly hits cache, the calls were the cost.
+	tb := &r.tab
+	var t Tuple
+	for j, k := range sorted {
+		if !r.exact {
+			buf, off := bufs[pos[j]>>32], int(uint32(pos[j]))
+			t = buf[off : off+a]
+		}
+		slot := mix64(k) & tb.mask
+		for tb.rows[slot] != 0 && (tb.keys[slot] != k || !r.exact && !r.rowEq(tb.rows[slot], t)) {
+			slot = (slot + 1) & tb.mask
+		}
+		if tb.rows[slot] != 0 {
+			continue
+		}
+		end := len(r.data) + a
+		if end > cap(r.data) {
+			r.growRows(max(2*cap(r.data), minRowCap*a))
+		}
+		r.data = r.data[:end]
+		if r.exact { // unpack the row from its key
+			for c, u := end-1, k; c >= end-a; c, u = c-1, u>>32 {
+				r.data[c] = Value(u)
+			}
+		} else {
+			copy(r.data[end-a:], t)
+		}
+		r.n++
+		tb.keys[slot], tb.rows[slot] = k, int32(r.n)
+		tb.n++
+		added++
+	}
+	if added > 0 {
+		r.indexes = nil
+	}
+	return added
+}
+
 // Reserve pre-sizes the key table and row storage for n tuples, avoiding
 // incremental rehashes during bulk loads.
 func (r *Relation) Reserve(n int) {
 	if need := n + n/7 + 1; need > len(r.tab.keys)*7/8 {
-		nt := newTable(need * 8 / 7)
-		for i, row := range r.tab.rows {
-			if row != 0 {
-				nt.place(r.tab.keys[i], row)
-			}
-		}
-		r.tab = nt
+		r.tab.rehash(need * 8 / 7)
 	}
 	if cap(r.data) < n*r.arity {
 		r.growRows(n * r.arity)

@@ -273,9 +273,13 @@ func TestQueryModeValidation(t *testing.T) {
 // TestStreamClientDisconnectReleasesBudget is the mid-stream leak probe:
 // a client that drops the connection partway through a large NDJSON
 // stream must leave no evaluation goroutines behind and must give the
-// worker-budget grant back promptly.
+// worker-budget grant back promptly.  The stream must outlast every
+// socket buffer between the two ends, or the server could write it
+// whole before the hang-up reaches it and never count an abort: a
+// 1000-node cycle's 10⁶ rows are ~16 MB of NDJSON, where a 220-node
+// cycle's 48k rows (~0.8 MB) fit in loopback buffers.
 func TestStreamClientDisconnectReleasesBudget(t *testing.T) {
-	s, ts := newTestServer(t, cycleProgram(220), Config{TotalWorkers: 4, QueryWorkers: 4})
+	s, ts := newTestServer(t, cycleProgram(1000), Config{TotalWorkers: 4, QueryWorkers: 4})
 
 	before := runtime.NumGoroutine()
 	client := &http.Client{}
