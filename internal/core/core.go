@@ -132,6 +132,8 @@ type Snapshot struct {
 // goroutines, and Apply may swap in new fact snapshots concurrently with
 // in-flight queries (writers are serialized internally).
 type System struct {
+	// Prog is the program's rules and queries.  Its facts are in the
+	// database, not here: Facts is always empty.
 	Prog   *ast.Program
 	Engine *eval.Engine
 	Opts   Options
@@ -404,7 +406,9 @@ func (s *System) magicFor(ctx context.Context, a *planner.Analysis, snap *Snapsh
 // the first durable snapshot.
 func NewSystem(prog *ast.Program, opts Options) (*System, error) {
 	s := &System{
-		Prog:     prog,
+		// A shallow copy without the facts, so the parsed atoms do not
+		// outlive the load; the caller's program is left as it is.
+		Prog:     &ast.Program{Rules: prog.Rules, Queries: prog.Queries},
 		Engine:   eval.NewEngine(nil),
 		Opts:     opts.normalize(),
 		idb:      map[string]bool{},

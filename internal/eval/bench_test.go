@@ -71,9 +71,9 @@ func BenchmarkNaiveVsSemiNaive(b *testing.B) {
 	})
 }
 
-// kernelShape is one reduced-size closure_batch program (bench/gen.go has
-// the full-size originals): the operators of its recursive rules and the
-// closure's seed, over random structures drawn from a fixed seed.
+// kernelShape is one closure_batch program at reduced size (bench/gen.go
+// has the full-size originals): the operators of its recursive rules and
+// the closure's seed, over random structures drawn from a fixed seed.
 type kernelShape struct {
 	name string
 	b, c []*ast.Op // c empty: (Σb)*q; else the decomposed b*c*q
@@ -127,7 +127,7 @@ func kernelShapes() []kernelShape {
 	down := pairs(side*(side-1), func(i int) (int, int) { return i, i + side })
 	cell := pairs(side*side, func(i int) (int, int) { return i, i })
 
-	return []kernelShape{
+	shapes := []kernelShape{
 		tcTree(rng, 8000),
 		{name: "tc_dag", b: tcOps, db: rel.DB{"edge": dag}, q: dag},
 		sgTree(rng, 700),
@@ -135,11 +135,18 @@ func kernelShapes() []kernelShape {
 			c:  []*ast.Op{parser.MustParseOp("p(X,Y) :- p(X,Z), right(Z,Y).")},
 			db: rel.DB{"right": right, "down": down}, q: cell},
 	}
+	// tc_tree_large: the one shape whose key table outgrows
+	// minBatchSlots, so its wide rounds take rel's sorted merge (and, at
+	// 2 workers, pipeline it with the next round's join).
+	large := tcTree(rng, 30000)
+	large.name = "tc_tree_large"
+	return append(shapes, large)
 }
 
 // BenchmarkClosureKernel is the closure kernel's quick A/B: cold closures
-// of the four closure_batch shapes at reduced size, at 1 and 2 workers,
-// reporting what a derivation costs and what an answer tuple allocates.
+// of the four closure_batch shapes at reduced size, and of one tree large
+// enough for rel's sorted merge, at 1 and 2 workers, reporting what a
+// derivation costs and what an answer tuple allocates.
 // Compare two trees with benchstat in seconds before paying for a paired
 // `go run -C bench . -compare`.
 func BenchmarkClosureKernel(b *testing.B) {

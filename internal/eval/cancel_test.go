@@ -93,19 +93,31 @@ func TestSemiNaiveCtxAlreadyCancelled(t *testing.T) {
 
 // TestCancelDoesNotLeakGoroutines: repeated cancelled parallel closures
 // leave no workers or watchers behind — the round barrier joins every
-// worker even on the abort path.
+// worker even on the abort path.  The 2048-cycle's rounds are wide, so
+// its 2-worker closure is cancelled mid-pipeline: while a merge feeds
+// the next round's joiners, or while they finish its rows.
 func TestCancelDoesNotLeakGoroutines(t *testing.T) {
 	e := NewEngine(nil)
-	db, q := cycleDB(e, 800)
 	op := parser.MustParseOp("p(X,Y) :- p(X,Z), e(Z,Y).")
 
 	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		_, _, err := Parallel(e, 8).SemiNaiveCtx(ctx, db, []*ast.Op{op}, q)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("iteration %d: err = %v, want DeadlineExceeded", i, err)
+	for _, tc := range []struct{ nodes, workers int }{{800, 8}, {2048, 2}} {
+		db, q := cycleDB(e, tc.nodes)
+		for i := 0; i < 5; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			tr := &Tracer{}
+			start := time.Now()
+			_, _, err := Parallel(e, tc.workers).SemiNaiveCtx(WithTracer(ctx, tr), db, []*ast.Op{op}, q)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%d workers, iteration %d: err = %v, want DeadlineExceeded", tc.workers, i, err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("%d workers, iteration %d: cancelled closure took %v to return", tc.workers, i, elapsed)
+			}
+			if rounds := tr.Trace().Phases[0].Rounds; tc.workers == 2 && len(rounds) > 1 && !rounds[len(rounds)-1].Pipelined {
+				t.Fatalf("iteration %d: the last of %d rounds before the cancel was not pipelined", i, len(rounds))
+			}
 		}
 	}
 	// Give exiting goroutines a moment to unwind, then require the count

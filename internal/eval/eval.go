@@ -331,10 +331,12 @@ func (x *executor) matchAll(i int, candidates []rel.Tuple) {
 	}
 }
 
-// run joins the rule body with rows [lo, hi) of src as the recursive-atom
-// relation, emitting every derived head tuple.  Taking a row range rather
-// than a relation lets a round read its delta straight off the total
-// relation and lets a fanned-out round feed each worker its shard of it.
+// run joins the rule body with rows [lo, hi) of the packed rows (the
+// recursive atom's arity values each) as the recursive-atom relation,
+// emitting every derived head tuple.  Taking a row range of a packed
+// view rather than a relation lets a round read its delta straight off
+// the total relation, and lets a fanned-out round's joiners read chunks
+// of it while the merge is still appending to it.
 // A non-nil stop flag is polled every cancelCheckRows rows; run reports
 // false when the scan was abandoned (emissions so far may be partial).
 //
@@ -345,8 +347,8 @@ func (x *executor) matchAll(i int, candidates []rel.Tuple) {
 // lookup.  This is the shape of the occurrence-delta maintenance ops
 // (tiny delta joined against a cached fixpoint), where hits are cone-
 // sized but the scan covers every cached row.
-func (x *executor) run(src *rel.Relation, lo, hi int, stop *atomic.Bool) bool {
-	c := x.c
+func (x *executor) run(rows []rel.Value, lo, hi int, stop *atomic.Bool) bool {
+	c, a := x.c, x.c.rec.arity
 	check := cancelCheckRows
 	for row := lo; row < hi; row++ {
 		if stop != nil {
@@ -357,7 +359,7 @@ func (x *executor) run(src *rel.Relation, lo, hi int, stop *atomic.Bool) bool {
 				check = cancelCheckRows
 			}
 		}
-		t := src.Row(row)
+		t := rel.Tuple(rows[row*a : row*a+a : row*a+a])
 		if c.probeFirst < 0 {
 			if c.rec.match(x.binding, t) {
 				x.join(0)
@@ -436,7 +438,7 @@ func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Sta
 		} else {
 			stats.Duplicates++
 		}
-	}).run(src, 0, src.Len(), nil)
+	}).run(src.Packed(), 0, src.Len(), nil)
 	return added
 }
 

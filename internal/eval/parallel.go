@@ -1,10 +1,14 @@
-// Round fan-out: a wide round shards its delta across a worker pool;
-// workers join their shard against the (read-only) database into private
-// output buffers, which the stepping goroutine merges into the total
-// relation at the round barrier.  No locks are taken on the hot path —
-// workers share nothing but the immutable inputs — and the merge
-// reproduces an inline round's set semantics and statistics exactly
-// (proven by the differential property test in
+// Round fan-out: a wide round's delta is joined by every slot of a
+// worker pool, each claiming fixed-size chunks of delta rows from a
+// shared cursor and joining them against the (read-only) database into
+// a private output buffer; the stepping goroutine merges the buffers
+// into the total relation at the round barrier, in chunk order.  When a
+// closure is drained, the merge of a wide round is pipelined with the
+// next round's join: the merge publishes the rows it appends, and the
+// other slots join them as they appear.  No lock is taken per row —
+// joiners share only the immutable inputs and the chunk cursor — and
+// the merge reproduces an inline round's set semantics and statistics
+// exactly (proven by the differential property test in
 // parallel_property_test.go).
 
 package eval
@@ -12,12 +16,18 @@ package eval
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"linrec/internal/ast"
 	"linrec/internal/rel"
 )
+
+// chunkRows is how many delta rows a joiner claims at a time: enough to
+// make the claim's lock invisible, few enough that a joiner trails the
+// merge publishing them by little.
+const chunkRows = 256
 
 // workerPanic carries a closure worker's panic value together with the
 // stack captured inside the worker goroutine.  The round barrier
@@ -46,26 +56,77 @@ func prebuildIndexes(db rel.DB, cs []*compiled) {
 	}
 }
 
+// feed is the delta rows a fanned-out round's joiners claim, chunkRows
+// at a time from a shared cursor: rows [start, …) of a packed row
+// array, published whole up front or, in a pipelined round, by the
+// merge as it appends them.  Every claimed chunk but the feed's last is
+// whole, so chunk i is rows start+i·chunkRows onwards.
+type feed struct {
+	mu    sync.Mutex
+	wake  sync.Cond
+	rows  []rel.Value // the rows published so far (a Packed view)
+	arity int
+	start int
+	next  int  // the first row not yet claimed
+	done  bool // no publication follows
+}
+
+// newFeed returns the feed of rows [start, …) of rows, all of them
+// published when done.
+func newFeed(rows []rel.Value, arity, start int, done bool) *feed {
+	f := &feed{rows: rows, arity: arity, start: start, next: start, done: done}
+	f.wake.L = &f.mu
+	return f
+}
+
+// publish makes the rows of view readable and wakes parked joiners;
+// done marks it the last publication.
+func (f *feed) publish(view []rel.Value, done bool) {
+	f.mu.Lock()
+	f.rows, f.done = view, done
+	f.wake.Broadcast()
+	f.mu.Unlock()
+}
+
+// claim returns the next chunk, [lo, hi) of rows, parking until a whole
+// chunk is published or the feed is done; lo == hi when none is left.
+func (f *feed) claim() (rows []rel.Value, lo, hi int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for lo = f.next; !f.done && len(f.rows) < (lo+chunkRows)*f.arity; lo = f.next {
+		f.wake.Wait()
+	}
+	hi = max(lo, min(lo+chunkRows, len(f.rows)/f.arity))
+	f.next = hi
+	return f.rows, lo, hi
+}
+
 // roundWorker is one pool slot's private state for the rounds of one
 // closure, reused round after round: its executors (one per operator,
 // built by the first goroutine to run the slot; slots never run
 // concurrently with themselves) and its emission buffer — the round's
 // derived tuples back to back, arity values each, rows of them (a
-// nullary tuple has no values to count).  Flat buffers keep the round's
-// output pointer-free, so the garbage collector never scans the
-// in-flight derivations.
+// nullary tuple has no values to count), the chunks it joined ending
+// at the marked buffer offsets.  Flat buffers keep the round's output
+// pointer-free, so the garbage collector never scans the in-flight
+// derivations.
 type roundWorker struct {
 	execs []*executor
 	buf   []rel.Value
 	rows  int
+	marks []chunkMark
 	// Each emission writes buf and rows: the padding keeps neighbouring
 	// slots' written fields over a cache line apart, so two workers
 	// never write one line.
 	_ [64]byte
 }
 
-// start builds the worker's executors and sizes its buffer for a shard of
-// the given rows.  A non-nil newKeep builds this worker's own filter (the
+// chunkMark records that the feed's chunk'th chunk emitted into a
+// worker's buffer up to offset end.
+type chunkMark struct{ chunk, end int }
+
+// start builds the worker's executors and sizes its buffer for the given
+// rows.  A non-nil newKeep builds this worker's own filter (the
 // restricted closure's magic-set test may keep mutable probe state),
 // dropping emissions before they are buffered.  The buffer grows by
 // doubling, not by append's 1.25x steps for large slices, so a closure
@@ -96,55 +157,73 @@ func (w *roundWorker) start(db rel.DB, cs []*compiled, arity, rows int, newKeep 
 	}
 }
 
-// applyRound runs every operator over rows [lo, hi) of src, sharded
-// across the pool, leaving each worker's emissions (arity values each) in
-// its buffer.  A non-nil stop flag makes every worker abandon its shard
-// within cancelCheckRows rows of the flag being set; the waitgroup barrier
-// still joins every worker, so cancellation never leaks goroutines.  A
-// worker panic (e.g. the join arity guard) is recovered and re-raised at
-// the barrier in the caller's goroutine — a panic escaping a bare worker
-// goroutine would kill the process, while the caller's stack has recovery
-// (core.Evaluate turns it into an error) — with all workers joined first.
-func applyRound(db rel.DB, cs []*compiled, src *rel.Relation, lo, hi, arity int, pool []roundWorker, stop *atomic.Bool, newKeep func() func(rel.Tuple) bool) {
+// join runs every operator over the chunks the worker claims from f,
+// until none is left or the stop flag is seen set.
+func (w *roundWorker) join(f *feed, stop *atomic.Bool) {
+	for {
+		rows, lo, hi := f.claim()
+		if lo == hi {
+			return
+		}
+		for _, x := range w.execs {
+			if !x.run(rows, lo, hi, stop) {
+				return
+			}
+		}
+		w.marks = append(w.marks, chunkMark{(lo - f.start) / chunkRows, len(w.buf)})
+	}
+}
+
+// fanOut joins f's rows on every slot of pool: slots 1… on goroutines of
+// their own from the start, slot 0 on the caller's once during (when
+// non-nil) has returned — during runs while the others join, and must
+// make its last publication to f even when it panics.  A non-nil stop
+// flag makes every joiner abandon its chunks within cancelCheckRows
+// rows of the flag being set; the barrier still joins every goroutine,
+// so cancellation never leaks one, and fanOut reports false.  A joiner panic (e.g. the join arity guard) is
+// recovered and re-raised at the barrier in the caller's goroutine — a
+// panic escaping a bare goroutine would kill the process, while the
+// caller's stack has recovery (core.Evaluate turns it into an error) —
+// with all joiners joined first.
+func (s *stepper) fanOut(pool []roundWorker, f *feed, during func()) bool {
 	var panicked atomic.Pointer[any]
 	var wg sync.WaitGroup
-	for i := range pool {
-		w := &pool[i]
-		w.buf, w.rows = w.buf[:0], 0
-		slo, shi := lo+i*(hi-lo)/len(pool), lo+(i+1)*(hi-lo)/len(pool)
-		if slo == shi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					wp := any(&workerPanic{val: r, stack: debug.Stack()})
-					panicked.CompareAndSwap(nil, &wp)
-					// Sibling workers' output is doomed with this round;
-					// flip the stop flag so they abandon their shards
-					// within cancelCheckRows rows instead of scanning to
-					// the barrier.
-					if stop != nil {
-						stop.Store(true)
-					}
-				}
-			}()
-			if w.execs == nil {
-				w.start(db, cs, arity, shi-slo, newKeep)
-			}
-			for _, x := range w.execs {
-				if !x.run(src, slo, shi, stop) {
-					break
+	defer wg.Wait() // also when during panics
+	run := func(w *roundWorker) {
+		defer func() {
+			if r := recover(); r != nil {
+				wp := any(&workerPanic{val: r, stack: debug.Stack()})
+				panicked.CompareAndSwap(nil, &wp)
+				// Sibling joiners' output is doomed with this round; flip
+				// the stop flag so they abandon their chunks within
+				// cancelCheckRows rows instead of joining to the barrier.
+				if s.stop != nil {
+					s.stop.Store(true)
 				}
 			}
 		}()
+		if w.execs == nil {
+			w.start(s.db, s.cs, s.total.Arity(), chunkRows, s.newKeep)
+		}
+		w.buf, w.rows, w.marks = w.buf[:0], 0, w.marks[:0]
+		w.join(f, s.stop)
 	}
+	wg.Add(len(pool) - 1)
+	for i := 1; i < len(pool); i++ {
+		go func(w *roundWorker) {
+			defer wg.Done()
+			run(w)
+		}(&pool[i])
+	}
+	if during != nil {
+		during()
+	}
+	run(&pool[0])
 	wg.Wait()
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
+	return !s.stopped()
 }
 
 // roundMerge is the round barrier's reusable state: the batched
@@ -154,46 +233,51 @@ type roundMerge struct {
 	bufs    [][]rel.Value
 }
 
-// merge folds the worker buffers into total in one batched insert,
-// charging stats one derivation per emission and one duplicate per
-// emission total already held.  It is the only place a closure's
-// derivations enter total.  New tuples are the rows total gained;
-// callers recover the round's delta as the row range [Len-before, Len).
-// A nullary emission carries no values and is always a duplicate: it
-// derives from a delta row, which is the relation's one tuple, already
-// in total.
-func (m *roundMerge) merge(total *rel.Relation, pool []roundWorker, stats *Stats) {
-	m.bufs = m.bufs[:0]
-	rows := 0
+// merge folds the worker buffers into total in one batched insert, in
+// chunk order, charging stats one derivation per emission and one
+// duplicate per emission total already held, and returns the number of
+// new tuples.  It is the only place a closure's derivations enter
+// total.  New tuples are the rows total gained; callers recover the
+// round's delta as the row range [Len-before, Len).  A non-nil publish
+// is handed views of total's rows as the insert appends them (see
+// rel.Relation.InsertBatch).  A nullary emission carries no values and
+// is always a duplicate: it derives from a delta row, which is the
+// relation's one tuple, already in total.
+func (m *roundMerge) merge(total *rel.Relation, pool []roundWorker, publish func([]rel.Value), stats *Stats) (added int) {
+	chunks, rows := 0, 0
 	for i := range pool {
-		m.bufs = append(m.bufs, pool[i].buf)
+		chunks += len(pool[i].marks)
 		rows += pool[i].rows
 	}
-	added := 0
+	m.bufs = slices.Grow(m.bufs[:0], chunks)[:chunks]
+	for i := range pool {
+		w, from := &pool[i], 0
+		for _, mk := range w.marks {
+			m.bufs[mk.chunk], from = w.buf[from:mk.end], mk.end
+		}
+	}
 	if total.Arity() > 0 {
-		added = total.InsertBatch(&m.scratch, m.bufs...)
+		added = total.InsertBatch(&m.scratch, publish, m.bufs...)
 	}
 	stats.Derivations += int64(rows)
 	stats.Duplicates += int64(rows - added)
+	return added
 }
 
 // ApplyInto computes one application of op with all of src as the
-// recursive input, sharding the scan across the worker pool when src is
-// large enough to pay for the barrier, and inserts every derived tuple
-// into dst; it returns the number of new tuples.  Stats accounting
-// matches Apply.  The maintenance path uses it for the one-step
-// occurrence-delta joins, whose recursive input is an entire cached
-// fixpoint — the scan is the dominant cost of absorbing a small update,
-// and it shards perfectly.
+// recursive input, fanning the scan out across the worker pool when src
+// is large enough to pay for the barrier, and inserts every derived
+// tuple into dst; it returns the number of new tuples.  Stats
+// accounting matches Apply.  The maintenance path uses it for the
+// one-step occurrence-delta joins, whose recursive input is an entire
+// cached fixpoint — the scan is the dominant cost of absorbing a small
+// update, and it fans out perfectly.
 func (e *Engine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
 	if e.Workers <= 1 || src.Arity() == 0 || src.Len() < 4096 {
 		return e.Apply(db, op, src, dst, stats)
 	}
-	cs := []*compiled{e.compiledFor(op)}
-	prebuildIndexes(db, cs)
-	before := dst.Len()
-	pool := make([]roundWorker, e.Workers)
-	applyRound(db, cs, src, 0, src.Len(), dst.Arity(), pool, nil, nil)
-	new(roundMerge).merge(dst, pool, stats)
-	return dst.Len() - before
+	s := &stepper{db: db, cs: []*compiled{e.compiledFor(op)}, total: dst, pool: make([]roundWorker, e.Workers)}
+	prebuildIndexes(db, s.cs)
+	s.fanOut(s.pool, newFeed(src.Packed(), src.Arity(), 0, true), nil)
+	return s.merge.merge(dst, s.pool, nil, stats)
 }

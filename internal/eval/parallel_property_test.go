@@ -139,9 +139,13 @@ func roundCounts(phases []*PhaseTrace) [][4]int64 {
 	return out
 }
 
-// fannedOut counts the kernel-strategy rounds that ran sharded, so the
-// harness can prove its wide cases reach the fan-out branch.
-var fannedOut int
+// fannedOut counts the kernel-strategy rounds that ran sharded, and
+// pipelined those whose join ran during the previous round's merge, by
+// worker count, so the harness can prove its wide cases reach both.
+var (
+	fannedOut int
+	pipelined = map[int]int{}
+)
 
 // checkKernel runs one random case of one kernel strategy at 1, 2 and 4
 // workers against the uninterrupted sequential SemiNaiveCtx: rows, Stats
@@ -249,6 +253,9 @@ func checkKernel(t *testing.T, strategy string, seed int64) error {
 				if len(r.ShardRows) > 0 {
 					fannedOut++
 				}
+				if r.Pipelined {
+					pipelined[workers]++
+				}
 			}
 		}
 	}
@@ -279,6 +286,9 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 	}
 	if fannedOut == 0 {
 		t.Fatal("no kernel-strategy round fanned out: the wide cases no longer cross parallelRoundRows")
+	}
+	if pipelined[2] == 0 || pipelined[4] == 0 {
+		t.Fatalf("pipelined rounds by workers = %v: the drained wide cases no longer pipeline at 2 and 4 workers", pipelined)
 	}
 }
 

@@ -41,22 +41,37 @@ const parallelRoundRows = 1024
 // Accounting: an emission the keep filter rejects is dropped before it
 // is buffered; every other emission is one derivation, and one duplicate
 // when the round's merge finds total already holding the tuple — an
-// earlier round's or an earlier emission of the same round.  Iterations
-// counts steps, MaxDepth the steps that added tuples.
+// earlier round's or an earlier emission of the same round.  A round's
+// derivations are charged when it merges, whenever its join ran.
+// Iterations counts steps, MaxDepth the steps that added tuples.
 //
-// Inline or fan-out: a step fans out across the pool (applyRound) when
-// the effective worker count exceeds 1 and the delta holds at least
-// parallelRoundRows rows; otherwise the pool's first slot runs it on the
-// stepping goroutine.  Either way the round's emissions go to flat
-// buffers, and roundMerge, on the stepping goroutine, is the one place
-// they enter total: one batched insert of all of them, which probes the
-// key table in slot order, so a round's new rows land in total in that
-// (deterministic) hash order rather than in emission order.  The
+// Inline or fan-out: a step fans out across the pool (fanOut) when the
+// effective worker count exceeds 1 and the delta holds at least
+// parallelRoundRows rows: every slot claims chunks of the delta from one
+// cursor.  Otherwise the pool's first slot runs it on the stepping
+// goroutine.  Either way the round's emissions go to flat buffers, and
+// roundMerge, on the stepping goroutine, is the one place they enter
+// total: one batched insert of all of them in chunk order, which probes
+// the key table in slot order, so a round's new rows land in total in
+// that (deterministic) hash order rather than in emission order.  The
 // effective count is 1 when Engine.Workers ≤ 1 or the relation is
 // nullary (no payload to shard), and is what the phase trace records.
 // An inline round attributes its time per operator (RoundTrace.RuleUS);
 // a fanned-out round instead reports each worker's emission count
 // (RoundTrace.ShardRows, summing to the round's derivations).
+//
+// Pipelined rounds: when a drained closure (Drain) merges a batch of at
+// least parallelRoundRows emissions at more than one worker, the next
+// round's join — over the rows this merge appends — does not wait for
+// the barrier: the merge is serial, and would leave the other workers
+// idle.  The merge publishes the rows as it appends them, the other
+// slots of a spare pool join them chunk by chunk meanwhile (parking
+// when they catch up), and the stepping goroutine joins what is left
+// once the merge is done.  The next step then merges the spare pool's
+// buffers without joining (RoundTrace.Pipelined).  The rounds, their delta sets and every count
+// are those of the unpipelined closure; a ClosureStream's Next never
+// joins ahead, so a stream stops deriving at the round its consumer
+// needs.
 type stepper struct {
 	db      rel.DB
 	cs      []*compiled
@@ -66,13 +81,20 @@ type stepper struct {
 	// newKeep builds one keep filter per pool slot (a filter may own
 	// mutable probe state).
 	newKeep func() func(rel.Tuple) bool
-	// Round scratch, built on the first round that needs it and reused
-	// by every later one: the pool (executors and emission buffer per
+	// Round scratch, reused round after round: the pool (executors and
+	// emission buffer per slot, built on the first round that runs the
 	// slot; inline rounds use slot 0) and the merge's sort space.  The
 	// buffers grow by doubling, so a closure allocates them O(log n)
 	// times, not per round.
 	pool  []roundWorker
 	merge roundMerge
+	// A drained closure pipelines (see Pipelined rounds above): spare
+	// is the pool the next round's join fills while pool merges, and
+	// joined reports that pool already holds the current round's
+	// emissions.
+	pipeline bool
+	spare    []roundWorker
+	joined   bool
 
 	ctx     context.Context
 	stop    *atomic.Bool
@@ -99,9 +121,10 @@ func (e *Engine) open(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.
 	if workers > 1 {
 		prebuildIndexes(db, cs)
 	}
+	pools := make([]roundWorker, 2*workers)
 	c := &ClosureStream{stepper: stepper{
-		db: db, cs: cs, total: total, lo: lo, hi: total.Len(),
-		workers: workers, newKeep: newKeep, ctx: ctx,
+		db: db, cs: cs, total: total, lo: lo, hi: total.Len(), workers: workers,
+		newKeep: newKeep, pool: pools[:workers], spare: pools[workers:], ctx: ctx,
 	}}
 	c.stop, c.release = watchContext(ctx)
 	c.ph = TracerFrom(ctx).phase(phase, workers, lo, total.Len()-lo)
@@ -125,32 +148,24 @@ func (s *stepper) step() bool {
 		return false
 	}
 	s.stats.Iterations++
-	rt := RoundTrace{Round: s.stats.Iterations, DeltaRows: s.hi - s.lo}
+	rt := RoundTrace{Round: s.stats.Iterations, DeltaRows: s.hi - s.lo, Pipelined: s.joined}
 	d0, u0 := s.stats.Derivations, s.stats.Duplicates
 	var start time.Time
 	if s.ph != nil {
 		start = time.Now()
 	}
-	if s.pool == nil {
-		s.pool = make([]roundWorker, s.workers)
-	}
 	pool := s.pool[:1]
-	if s.workers > 1 && s.hi-s.lo >= parallelRoundRows {
+	switch {
+	case s.joined: // during the previous round's merge
+		pool, s.joined = s.pool, false
+	case s.workers > 1 && s.hi-s.lo >= parallelRoundRows:
 		pool = s.pool
-		applyRound(s.db, s.cs, s.total, s.lo, s.hi, s.total.Arity(), pool, s.stop, s.newKeep)
-		// A cancelled round leaves partial worker buffers; discard them
-		// rather than merging a torn delta.
-		if s.stopped() {
-			return false
+		if !s.fanOut(pool, newFeed(s.total.Packed(), s.total.Arity(), s.lo, true), nil) {
+			return false // a torn delta: never merged
 		}
-		if s.ph != nil {
-			for i := range pool {
-				rt.ShardRows = append(rt.ShardRows, pool[i].rows)
-			}
-		}
-	} else {
+	default:
 		w := &pool[0]
-		w.buf, w.rows = w.buf[:0], 0
+		w.buf, w.rows, w.marks = w.buf[:0], 0, w.marks[:0]
 		if w.execs == nil {
 			w.start(s.db, s.cs, s.total.Arity(), s.hi-s.lo, s.newKeep)
 		}
@@ -159,7 +174,7 @@ func (s *stepper) step() bool {
 			if s.ph != nil {
 				opStart = time.Now()
 			}
-			if !x.run(s.total, s.lo, s.hi, s.stop) {
+			if !x.run(s.total.Packed(), s.lo, s.hi, s.stop) {
 				s.stopped()
 				return false
 			}
@@ -167,8 +182,29 @@ func (s *stepper) step() bool {
 				rt.RuleUS = append(rt.RuleUS, time.Since(opStart).Microseconds())
 			}
 		}
+		w.marks = append(w.marks, chunkMark{0, len(w.buf)})
 	}
-	s.merge.merge(s.total, pool, &s.stats)
+	rows := 0
+	for i := range pool {
+		rows += pool[i].rows
+		if len(pool) > 1 && s.ph != nil {
+			rt.ShardRows = append(rt.ShardRows, pool[i].rows)
+		}
+	}
+	if s.pipeline && s.workers > 1 && rows >= parallelRoundRows {
+		// The next round's delta is the rows this merge appends: the
+		// spare pool joins them as the merge publishes them.
+		f := newFeed(s.total.Packed(), s.total.Arity(), s.hi, false)
+		if !s.fanOut(s.spare, f, func() {
+			defer func() { f.publish(s.total.Packed(), true) }()
+			s.merge.merge(s.total, pool, func(v []rel.Value) { f.publish(v, false) }, &s.stats)
+		}) {
+			return false
+		}
+		s.pool, s.spare, s.joined = s.spare, s.pool, true
+	} else {
+		s.merge.merge(s.total, pool, nil, &s.stats)
+	}
 	if s.ph != nil {
 		rt.NewRows = s.total.Len() - s.hi
 		rt.Derivations = s.stats.Derivations - d0
@@ -192,7 +228,7 @@ func (e *Engine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Rela
 
 // SemiNaiveCtx is SemiNaive with cancellation: the closure polls ctx at
 // every round and every cancelCheckRows delta rows within one (inside
-// each worker's shard scan when the round fans out), and returns ctx's
+// each worker's chunks when the round fans out), and returns ctx's
 // error — with all workers joined — once it fires.  A Tracer carried by
 // ctx (WithTracer) records the closure as one "semi-naive" phase.
 func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store) (*rel.Relation, Stats, error) {

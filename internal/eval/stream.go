@@ -92,6 +92,7 @@ func (c *ClosureStream) Next() (rel.Tuple, bool) {
 // first.
 func (c *ClosureStream) Drain() (*rel.Relation, Stats, error) {
 	defer c.Close()
+	c.pipeline = true
 	for c.lo < c.hi {
 		if !c.step() {
 			return nil, c.stats, c.err

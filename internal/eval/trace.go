@@ -93,6 +93,9 @@ type RoundTrace struct {
 	// the round's Derivations) — the shard-imbalance signal.  Empty for
 	// inline rounds.
 	ShardRows []int `json:"shard_rows,omitempty"`
+	// Pipelined marks a fanned-out round whose join ran while the
+	// previous round merged.
+	Pipelined bool `json:"pipelined,omitempty"`
 }
 
 // CacheEvent records one cache decision made while answering a query

@@ -86,9 +86,9 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				}
 				var added int
 				if strings.HasPrefix(path, "InsertBatch") {
-					added = got.InsertBatch(&scratch, bufs...)
+					added = got.InsertBatch(&scratch, nil, bufs...)
 				} else {
-					added = got.insertSorted(&scratch, len(buf)/c.arity, bufs)
+					added = got.insertSorted(&scratch, len(buf)/c.arity, nil, bufs)
 				}
 				if added != wantAdded || got.Len() != want.Len() || !got.Equal(want) {
 					t.Fatalf("%s: added %d, Len %d; Insert loop added %d, Len %d (sets equal: %v)",
@@ -143,5 +143,56 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInsertBatchPublishes: a publishing batch hands out a view of the
+// row storage every publishRows new rows, on both paths; a reader on
+// another goroutine reads the rows each view adds while the insert goes
+// on and grows the storage under it (run under -race), and every view
+// is a prefix of the final rows.
+func TestInsertBatchPublishes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, base := range []int{20000, 1 << 17} { // row by row; sorted
+		r := NewRelation(2)
+		for r.Len() < base {
+			r.Insert(Tuple{rng.Int31n(1 << 24), rng.Int31n(1 << 24)})
+		}
+		batch := make([]Value, 2*base)
+		for i := range batch {
+			batch[i] = rng.Int31n(1 << 24)
+		}
+		views := make(chan []Value, 16)
+		type seen struct{ n, sum int }
+		var read []seen
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s := seen{}
+			for v := range views { // each view's rows past the last one's
+				for _, x := range v[s.n:] {
+					s.sum += int(x)
+				}
+				s.n = len(v)
+				read = append(read, s)
+			}
+		}()
+		var scratch []uint64
+		added := r.InsertBatch(&scratch, func(v []Value) { views <- v }, batch)
+		close(views)
+		<-done
+		if want := (base+added)/publishRows - base/publishRows; len(read) != want {
+			t.Fatalf("base %d: %d publications for %d new rows, want %d", base, len(read), added, want)
+		}
+		final, sum, prev := r.Packed(), 0, 0
+		for i, s := range read {
+			for _, x := range final[prev:s.n] {
+				sum += int(x)
+			}
+			prev = s.n
+			if s.n != 2*publishRows*(base/publishRows+i+1) || sum != s.sum {
+				t.Fatalf("base %d: publication %d covers %d values (sum %d), not the final rows' prefix (sum %d)", base, i, s.n, s.sum, sum)
+			}
+		}
 	}
 }

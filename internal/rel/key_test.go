@@ -271,7 +271,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 							buf, next = pool[next:next+2*bc.rows], next+2*bc.rows
 						}
 						if mode == "sorted" {
-							r.insertSorted(&scratch, bc.rows, [][]Value{buf})
+							r.insertSorted(&scratch, bc.rows, nil, [][]Value{buf})
 							continue
 						}
 						for off := 0; off < len(buf); off += 2 {

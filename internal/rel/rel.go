@@ -15,7 +15,8 @@
 // (Has/Row/Each/Lookup/Select/…), including lazy index construction, which
 // is guarded internally.  Writes (Insert/InsertBatch/UnionInto) must not
 // race with readers or each other; the evaluation engine upholds this by
-// mutating only at single-threaded merge points.
+// mutating only at single-threaded merge points, whose readers read only
+// the row views InsertBatch publishes.
 package rel
 
 import (
@@ -522,6 +523,10 @@ const (
 	batchSlotsPerRow = 64
 )
 
+// publishRows is how many new rows a batched insert appends between two
+// calls of its publish function.
+const publishRows = 256
+
 // InsertBatch inserts the rows packed back to back in bufs (Arity()
 // values each) and returns how many were new: the rows and the count a
 // loop of Insert over them would produce, stored in another order.
@@ -535,13 +540,20 @@ const (
 // that fits in cache, goes row by row.  A nullary row carries no values
 // to pack: insert the empty tuple with Insert.
 //
+// A non-nil publish is handed Packed() every publishRows new rows, on
+// the inserting goroutine, so that other goroutines may read the rows
+// of each view it is handed while the insert goes on: row storage is
+// only appended to, or copied to a new array, and never written under
+// an earlier view.  The rows after the last publication are the
+// caller's to publish.
+//
 // Sorted rows fill the table region by region, so the table's load
 // check, which counts the whole table, would fire only after the first
 // regions had overflowed.  The table is therefore first grown, in one
 // rehash, to hold every row of the batch below its 7/8 growth point: a
 // batch mostly of duplicates may leave it one doubling larger than
 // Insert would have.  The row storage grows as Insert grows it.
-func (r *Relation) InsertBatch(scratch *[]uint64, bufs ...[]Value) (added int) {
+func (r *Relation) InsertBatch(scratch *[]uint64, publish func([]Value), bufs ...[]Value) (added int) {
 	a, rows := r.arity, 0
 	for _, buf := range bufs {
 		if a == 0 || len(buf)%a != 0 {
@@ -551,12 +563,14 @@ func (r *Relation) InsertBatch(scratch *[]uint64, bufs ...[]Value) (added int) {
 	}
 	// The slots of a table fitted to the batch (see insertSorted).
 	if slots := max(len(r.tab.keys), tableSlots(8*(r.tab.n+rows)/7+1)); slots >= minBatchSlots && rows*batchSlotsPerRow >= slots {
-		return r.insertSorted(scratch, rows, bufs)
+		return r.insertSorted(scratch, rows, publish, bufs)
 	}
 	for _, buf := range bufs {
 		for off := 0; off < len(buf); off += a {
 			if r.Insert(buf[off : off+a : off+a]) {
-				added++
+				if added++; publish != nil && r.n%publishRows == 0 {
+					publish(r.Packed())
+				}
 			}
 		}
 	}
@@ -565,7 +579,7 @@ func (r *Relation) InsertBatch(scratch *[]uint64, bufs ...[]Value) (added int) {
 
 // insertSorted is InsertBatch's slot-ordered path, for any batch and
 // table size.
-func (r *Relation) insertSorted(scratch *[]uint64, rows int, bufs [][]Value) (added int) {
+func (r *Relation) insertSorted(scratch *[]uint64, rows int, publish func([]Value), bufs [][]Value) (added int) {
 	a := r.arity
 	// Fit the table to hold every row of the batch below 7/8 load.
 	if slots := tableSlots(8*(r.tab.n+rows)/7 + 1); slots > len(r.tab.keys) {
@@ -639,7 +653,9 @@ func (r *Relation) insertSorted(scratch *[]uint64, rows int, bufs [][]Value) (ad
 		r.n++
 		tb.keys[slot], tb.rows[slot] = k, int32(r.n)
 		tb.n++
-		added++
+		if added++; publish != nil && r.n%publishRows == 0 {
+			publish(r.Packed())
+		}
 	}
 	if added > 0 {
 		r.indexes = nil
@@ -1028,7 +1044,7 @@ func FromPacked(arity int, data []Value) *Relation {
 // Packed returns the relation's flat row-major storage (arity values
 // per row, insertion order) — the exact byte layout segment writers
 // persist.  The slice is a view into live storage: callers must not
-// mutate it, and must not retain it across a later Insert.
+// mutate it.  Like Row views, it stays valid across later inserts.
 func (r *Relation) Packed() []Value {
 	return r.data[: r.n*r.arity : r.n*r.arity]
 }
