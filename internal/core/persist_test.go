@@ -222,8 +222,9 @@ func TestPersistPublishFailureAbortsSwap(t *testing.T) {
 }
 
 // TestMixedBatchIsOneDeltaLink: on a booted segment store, a batch that
-// adds and retracts on one predicate chains one overlay layer and one
-// manifest link, not one per half, and a restart recovers its rows.
+// adds and retracts on one predicate is one version: it chains one
+// overlay layer and one link — one log record — not one per half, and a
+// restart recovers its rows.
 func TestMixedBatchIsOneDeltaLink(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("path(X,Y) :- up(X,Y).\npath(X,Y) :- path(X,Z), up(Z,Y).\n")
@@ -244,18 +245,24 @@ func TestMixedBatchIsOneDeltaLink(t *testing.T) {
 		return 0
 	}
 	for i := 0; i < 2; i++ {
-		d, links := depth(), mgr.Stats().ChainLinks
+		d, before, v := depth(), mgr.Stats(), sys.Snapshot().Version
 		_, m, err := sys.Apply(context.Background(),
 			[]ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("m%d", i)), ast.C("n0"))},
 			[]ast.Atom{ast.NewAtom("up", ast.C(fmt.Sprintf("n%d", i)), ast.C(fmt.Sprintf("n%d", i+1)))})
 		if err != nil || m.Added != 1 || m.Removed != 1 {
 			t.Fatalf("mixed batch %d: added %d removed %d, err %v", i, m.Added, m.Removed, err)
 		}
+		if got := sys.Snapshot().Version; got != v+1 {
+			t.Fatalf("mixed batch %d: version %d -> %d, want one more", i, v, got)
+		}
 		if got := depth(); got != d+1 {
 			t.Fatalf("mixed batch %d: layer depth %d -> %d, want one more", i, d, got)
 		}
-		if got := mgr.Stats().ChainLinks; got != links+1 {
-			t.Fatalf("mixed batch %d: manifest links %d -> %d, want one more", i, links, got)
+		// The link is one log record: the chain, which counts manifest and
+		// log links, is as deep as the served store, and no manifest swap.
+		st := mgr.Stats()
+		if st.ChainLinks != depth() || st.LogRecords != before.LogRecords+1 || st.DeltaLinks != before.DeltaLinks+1 || st.Generation != before.Generation {
+			t.Fatalf("mixed batch %d: %+v, want one more log record and link at the same generation, %d chain links", i, st, depth())
 		}
 	}
 	rows := func(s *System) []rel.Tuple {

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"linrec/internal/ast"
@@ -69,6 +72,54 @@ func TestApplyCostFlatInRows(t *testing.T) {
 	t.Logf("bytes per 1-fact Apply: %.0f at 10k rows, %.0f at 240k rows (x%.2f)", small, large, large/small)
 	if large > 2*small {
 		t.Fatalf("a 1-fact Apply allocates %.0f B at 240k rows, %.0f B at 10k: x%.1f, want ≤ x2", large, small, large/small)
+	}
+}
+
+// TestApplyOneFsyncOnKeptChain: on the segment backend a write the
+// chain policy keeps is one log record — exactly one fsync, no file
+// created — whatever it interns, and a reboot serves it.
+func TestApplyOneFsyncOnKeptChain(t *testing.T) {
+	dir := t.TempDir()
+	var src strings.Builder
+	src.WriteString("path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\n")
+	for i := 1; i <= 200; i++ {
+		fmt.Fprintf(&src, "edge(t%d,t%d).\n", (i-1)/2, i)
+	}
+	loadPersistent(t, src.String(), dir)
+	mgr := openManager(t, dir)
+	sys, err := load(src.String(), Options{Persist: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := files()
+	for i := 0; i < rel.MaxChainLinks; i++ {
+		st := mgr.Stats()
+		add := []ast.Atom{ast.NewAtom("edge", ast.C(fmt.Sprintf("new%d", i)), ast.C("t0"))}
+		remove := []ast.Atom{ast.NewAtom("edge", ast.C(fmt.Sprintf("t%d", i/2)), ast.C(fmt.Sprintf("t%d", i+1)))}
+		if _, m, err := sys.Apply(context.Background(), add, remove); err != nil || m.Added != 1 || m.Removed != 1 {
+			t.Fatalf("write %d: added %d removed %d, err %v", i, m.Added, m.Removed, err)
+		}
+		if got := mgr.Stats(); got.Fsyncs != st.Fsyncs+1 || got.LogRecords != st.LogRecords+1 || got.Generation != st.Generation {
+			t.Fatalf("write %d: %d fsyncs, %d log records, generation %d -> %d; want one fsync, one record, no swap",
+				i, got.Fsyncs-st.Fsyncs, got.LogRecords-st.LogRecords, st.Generation, got.Generation)
+		}
+	}
+	if after := files(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("kept-chain writes changed the directory: %v -> %v", before, after)
+	}
+	if want, got := pathRows(t, sys), pathRows(t, loadPersistent(t, src.String(), dir)); !rowsEqual(want, got) {
+		t.Fatalf("rebooted answers diverge: %d rows vs %d", len(got), len(want))
 	}
 }
 

@@ -83,13 +83,16 @@ func TestDeltaPublishChainRoundTrip(t *testing.T) {
 	}
 	// The delta must be far smaller than rewriting the base: 2 adds + 1
 	// del = 3 rows against a 3-row base would not show, so check the
-	// base segment file itself survived untouched instead.
+	// base segment file itself survived untouched instead, and that the
+	// delta is one log record: no segment file, no manifest swap.
 	if _, err := os.Stat(fmt.Sprintf("%s/edge-1.seg", dir)); err != nil {
 		t.Fatalf("base segment rewritten by delta publish: %v", err)
 	}
-	if st.BytesWritten-base != segSize(2, 2)+segSize(2, 1) {
-		t.Fatalf("delta wrote %d bytes, want add+del segments only", st.BytesWritten-base)
+	if st.LogRecords != 1 || st.BytesWritten-base != st.LogBytes || st.Generation != 1 || st.SegmentsWritten != 2 {
+		t.Fatalf("delta wrote %d bytes in %d log records (%d log bytes), %d segments, generation %d: want one record and no swap",
+			st.BytesWritten-base, st.LogRecords, st.LogBytes, st.SegmentsWritten, st.Generation)
 	}
+	wantExactFiles(t, m, dir)
 
 	want := mkdb(t, map[string][]rel.Tuple{
 		"edge": {{0, 1}, {2, 3}, {3, 0}, {3, 1}},
@@ -99,48 +102,101 @@ func TestDeltaPublishChainRoundTrip(t *testing.T) {
 	rebootServes(t, dir, 2, want)
 }
 
-// TestDeltaChainCrashRecovery kills a PublishDelta at each stage of the
-// swap: crashes before the manifest rename must reboot into the
-// pre-delta snapshot with the chain intact, crashes after it into the
-// extended chain.
+// TestDeltaChainCrashRecovery kills or fails a PublishDelta at each
+// stage of both publish paths, then reboots.  A write that merges its
+// chain swaps the manifest: crashes before the rename reboot into the
+// previous version, after it into the new one.  A write the chain keeps
+// is one log record: a torn record, a record whose sync failed (a
+// reported failure, cut back off the log) and a record whose version
+// skips all reboot into the previous version; a record the disk kept
+// although cutting it back failed is recovered, and its manager refuses
+// to write on.  The directory must then heal: a shorter append lands
+// over whatever tail the failure left, and a swap collects every stray.
 func TestDeltaChainCrashRecovery(t *testing.T) {
-	base := map[string][]rel.Tuple{"edge": {{0, 1}, {1, 2}}}
-	next := map[string][]rel.Tuple{"edge": {{0, 1}, {2, 0}}}
-
+	skipVersion := func(t *testing.T, m *Manager, version uint64, db rel.DB) {
+		top := db["edge"].(*rel.Layered)
+		buf, _ := appendLogRecord(nil, m.logSum, logRecord{version: version + 1, links: []logLink{{"edge", top.Adds(), top.Dels()}}})
+		f, err := os.OpenFile(filepath.Join(m.dir, m.man.Log), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(buf, m.logEnd); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
-		name        string
-		stage       crashStage
-		wantVersion uint64
-		wantDB      map[string][]rel.Tuple
+		name    string
+		stage   crashStage
+		crash   func(t *testing.T, m *Manager, version uint64, db rel.DB) // instead of a PublishDelta at stage
+		wantErr error
+		swap    bool // the write merges its chain instead of logging one link
+		durable bool // a reboot serves the write
 	}{
-		{"after delta segment write", crashAfterSegment, 1, base},
-		{"after symtab append", crashAfterSymtab, 1, base},
-		{"before manifest rename", crashBeforeRename, 1, base},
-		{"after manifest rename", crashAfterRename, 2, next},
+		{name: "after delta segment write", stage: crashAfterSegment, wantErr: errCrash, swap: true},
+		{name: "after symtab append", stage: crashAfterSymtab, wantErr: errCrash, swap: true},
+		{name: "before manifest rename", stage: crashBeforeRename, wantErr: errCrash, swap: true},
+		{name: "after manifest rename", stage: crashAfterRename, wantErr: errCrash, swap: true, durable: true},
+		{name: "torn log record", stage: crashLogTorn, wantErr: errCrash},
+		{name: "log sync fails", stage: failLogSync, wantErr: errInjected},
+		{name: "log version skips", crash: skipVersion},
+		{name: "log truncation fails", stage: failLogTruncate, wantErr: errInjected, durable: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			m, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
+			// A 100-row base, large enough that a merge keeps it, under
+			// links the log holds: one short of the bound, or at it.
+			m, db, syms, dir := bigBase(t, 100)
+			rows := db["edge"].Clone().Tuples()
+			logged := rel.MaxChainLinks - 1
+			if tc.swap {
+				logged = rel.MaxChainLinks
 			}
-			syms := mksyms("a", "b", "c")
-			db := mkdb(t, base)
-			if err := m.Publish(1, db, syms); err != nil {
-				t.Fatal(err)
+			for i := 0; i < logged; i++ {
+				add := rel.Tuple{rel.Value(1000 + i), 0}
+				next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{add}, nil)}
+				if err := m.PublishDelta(uint64(2+i), next, syms); err != nil {
+					t.Fatal(err)
+				}
+				db, rows = next, append(rows, add)
 			}
-			db2 := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{2, 0}}, []rel.Tuple{{1, 2}})}
-			syms.Intern("interned-by-the-killed-publish")
-			m.crashAt = tc.stage
-			if err := m.PublishDelta(2, db2, syms); err != errCrash {
-				t.Fatalf("delta publish with crash stage %d returned %v, want errCrash", tc.stage, err)
+			if st := m.Stats(); st.Generation != 1 || st.MaxChainLinks != logged {
+				t.Fatalf("%d kept writes swapped the manifest to generation %d, chain gauge %d", logged, st.Generation, st.MaxChainLinks)
 			}
-			rebootServes(t, dir, tc.wantVersion, mkdb(t, tc.wantDB))
+			version := uint64(2 + logged)
+			syms.Intern(strings.Repeat("a long name the crashing write interns ", 8))
+			next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{2, 0}}, []rel.Tuple{{1, 2}})}
+			if tc.crash != nil {
+				tc.crash(t, m, version, next)
+			} else {
+				m.crashAt = tc.stage
+				if err := m.PublishDelta(version, next, syms); err != tc.wantErr {
+					t.Fatalf("delta publish with crash stage %d returned %v, want %v", tc.stage, err, tc.wantErr)
+				}
+			}
+			wantV := version - 1
+			if tc.durable {
+				wantV, rows = version, next["edge"].Clone().Tuples()
+			}
+			rebootServes(t, dir, wantV, mkdb(t, map[string][]rel.Tuple{"edge": rows}))
+			switch tc.stage {
+			case failLogSync:
+				if info, err := os.Stat(filepath.Join(dir, m.man.Log)); err != nil || info.Size() != m.logEnd {
+					t.Fatalf("the failed record was not cut back off the log at %d: %v, %v", m.logEnd, info, err)
+				}
+			case failLogTruncate:
+				if err := m.PublishDelta(version, next, syms); err == nil || !strings.Contains(err.Error(), "reopen") {
+					t.Fatalf("a manager whose log kept a failed record wrote on: %v", err)
+				}
+				if _, err := m.CompactOnce(); err == nil {
+					t.Fatal("a manager whose log kept a failed record compacted")
+				}
+			}
 
-			// The directory must heal: a clean delta publish on a fresh
-			// manager extends whatever chain survived, and a reboot serves
-			// it.
+			// Heal: a fresh manager appends a short record over whatever
+			// the failure left, then a full publish swaps the manifest,
+			// carrying the log's links into the next generation's log and
+			// collecting the crashed write's strays.
 			m2, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -155,15 +211,68 @@ func TestDeltaChainCrashRecovery(t *testing.T) {
 				t.Fatalf("new symbol interned as %d after recovering %d names", v, recovered)
 			}
 			healed := rel.DB{"edge": overlay(t, booted["edge"], []rel.Tuple{{9, 9}}, nil)}
-			if err := m2.PublishDelta(9, healed, syms2); err != nil {
+			if err := m2.PublishDelta(wantV+1, healed, syms2); err != nil {
 				t.Fatalf("delta publish after crash recovery: %v", err)
 			}
-			wantHealed := append(append([]rel.Tuple{}, tc.wantDB["edge"]...), rel.Tuple{9, 9})
-			rebootServes(t, dir, 9, mkdb(t, map[string][]rel.Tuple{"edge": wantHealed}))
+			if info, err := os.Stat(filepath.Join(dir, m2.man.Log)); tc.stage == crashLogTorn && (err != nil || info.Size() <= m2.logEnd) {
+				t.Fatalf("the shorter record left no stale tail to test: %v", err)
+			}
+			rows = append(rows, rel.Tuple{9, 9})
+			want := mkdb(t, map[string][]rel.Tuple{"edge": rows})
+			rebootServes(t, dir, wantV+1, want)
+			if err := m2.Publish(wantV+2, healed, syms2); err != nil {
+				t.Fatalf("publish after crash recovery: %v", err)
+			}
+			rebootServes(t, dir, wantV+2, want)
 			wantSymbols(t, dir, syms2.Names()...)
 			wantExactFiles(t, m2, dir)
 		})
 	}
+}
+
+// TestFormat3StrayLogIgnored: a format-3 manifest reads no log, so a
+// wal-*.log beside it — here one holding a record that would validate,
+// and named by the manifest — boots exactly the manifest's version; the first delta write takes the
+// swap path, which migrates the directory to format 4 and sweeps the
+// stray.
+func TestFormat3StrayLogIgnored(t *testing.T) {
+	m, db, syms, dir := bigBase(t, 40)
+	want := rel.DB{"edge": db["edge"].Clone()}
+	next := rel.DB{"edge": overlay(t, db["edge"], []rel.Tuple{{77, 0}}, nil)}
+	if err := m.PublishDelta(2, next, syms); err != nil {
+		t.Fatal(err)
+	}
+	rebootServes(t, dir, 2, rel.DB{"edge": next["edge"].Clone()})
+	man := *m.man
+	stray := man.Log
+	man.Format = 3 // still naming the log, which a format-3 reader ignores
+	raw, err := marshalManifest(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rebootServes(t, dir, 1, want)
+
+	m2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms2 := rel.NewSymtab()
+	booted, _, _, err := m2.Boot(syms2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := rel.DB{"edge": overlay(t, booted["edge"], []rel.Tuple{{88, 0}}, nil)}
+	if err := m2.PublishDelta(2, again, syms2); err != nil {
+		t.Fatal(err)
+	}
+	if m2.man.Format != manifestFormat || m2.man.Generation != 2 || m2.man.Log == stray {
+		t.Fatalf("the first write on a format-3 directory left format %d, generation %d, log %q", m2.man.Format, m2.man.Generation, m2.man.Log)
+	}
+	wantExactFiles(t, m2, dir) // the stray log is swept
+	rebootServes(t, dir, 2, rel.DB{"edge": again["edge"].Clone()})
 }
 
 // chainDB publishes a base and then n delta swaps, each adding two
@@ -277,7 +386,8 @@ func TestInlineFoldBoundsChain(t *testing.T) {
 
 // wantMirror asserts the invariant that bounds served chain depth: every
 // store of db has exactly as many rel.Layered layers as its manifest
-// entry has links, over a store of the entry's base file.
+// entry has links plus the log holds for it, over a store of the
+// entry's base file.
 func wantMirror(t *testing.T, m *Manager, db rel.DB) {
 	t.Helper()
 	for _, p := range m.man.Preds {
@@ -286,8 +396,8 @@ func wantMirror(t *testing.T, m *Manager, db rel.DB) {
 			depth++
 			base = ly.Base()
 		}
-		if depth != len(p.Links) {
-			t.Fatalf("%s is served %d layers deep, its manifest entry has %d links", p.Pred, depth, len(p.Links))
+		if logged := len(m.logLinks[p.Pred]); depth != len(p.Links)+logged {
+			t.Fatalf("%s is served %d layers deep, its manifest entry has %d links and the log %d", p.Pred, depth, len(p.Links), logged)
 		}
 		if depth > rel.MaxChainLinks {
 			t.Fatalf("%s is served %d layers deep, bound is %d", p.Pred, depth, rel.MaxChainLinks)
@@ -452,13 +562,17 @@ func TestLinkMergeKeepsBase(t *testing.T) {
 	rebootServes(t, dir, uint64(2+rel.MaxChainLinks), rel.DB{"edge": db["edge"].Clone()})
 }
 
-// TestExactGC: no file outlives its manifest.  Fifty swaps with merges,
-// base rewrites and background compactions leave, after every one of
-// them, exactly the files the live manifest names; strays a crashed
-// publish left before Open are swept by the first publish after it.
+// TestExactGC: no file outlives its manifest.  Fifty writes — logged
+// links, merges, base rewrites and background compactions — leave,
+// after every one of them, exactly the files the live manifest names,
+// its log included, and write-ahead logs of older generations never
+// survive a swap; strays a crashed publish left before Open are swept
+// by the first manifest swap after it, and until then are all a
+// logged write leaves beside the live files.
 func TestExactGC(t *testing.T) {
 	m, db, syms, dir := bigBase(t, 64)
-	for _, stray := range []string{"x-9.seg", "edge-7.add.seg", "symtab-3.bin", manifestName + ".tmp"} {
+	strays := []string{"x-9.seg", "edge-7.add.seg", "symtab-3.bin", "wal-7.log", manifestName + ".tmp"}
+	for _, stray := range strays {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("stray"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -483,13 +597,17 @@ func TestExactGC(t *testing.T) {
 		if err := os.Remove(keep); err != nil {
 			t.Fatalf("publish %d removed a file that is not the store's: %v", i, err)
 		}
-		wantExactFiles(t, m, dir)
+		if m.man.Generation == 1 {
+			wantExactFiles(t, m, dir, strays...)
+		} else {
+			wantExactFiles(t, m, dir)
+		}
 		if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := m.Stats(); st.Compactions < 3 {
-		t.Fatalf("50 swaps folded only %d times: the test no longer covers merges and rewrites", st.Compactions)
+	if st := m.Stats(); st.Compactions < 3 || st.LogRecords < 10 {
+		t.Fatalf("50 writes folded %d times and logged %d records: the test no longer covers merges, rewrites and the log", st.Compactions, st.LogRecords)
 	}
 	rebootServes(t, dir, 51, rel.DB{"edge": db["edge"].Clone()})
 }
@@ -579,11 +697,11 @@ func TestLinkMergeEquivalence(t *testing.T) {
 			want.Insert(rel.Tuple{v[0], v[1]})
 		}
 		sameTuples(t, "edge", want, db["edge"])
-		rebootServes(t, dir, m.man.Version, rel.DB{"edge": want})
+		rebootServes(t, dir, m.version, rel.DB{"edge": want})
 		if _, err := m.CompactOnce(); err != nil {
 			t.Fatal(err)
 		}
-		rebootServes(t, dir, m.man.Version, rel.DB{"edge": want})
+		rebootServes(t, dir, m.version, rel.DB{"edge": want})
 		wantExactFiles(t, m, dir)
 	}
 }

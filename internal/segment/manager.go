@@ -5,6 +5,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,8 +16,11 @@ import (
 )
 
 // Manager owns one data directory: it boots the newest published
-// snapshot from the manifest and publishes new snapshots as immutable
-// segment files plus an atomic manifest swap.  One Manager serves one
+// snapshot from the manifest and its log, and publishes a new snapshot
+// either as one record appended to the generation's log (a write rel's
+// chain policy keeps as one more link per changed predicate) or as
+// immutable segment files plus an atomic manifest swap, which absorbs
+// the log.  One Manager serves one
 // engine; Publish/PublishDelta calls arrive serialized under the
 // engine's write lock, the background compactor serializes against
 // them on the manager's own lock, and Stats may be read concurrently
@@ -44,6 +48,23 @@ type Manager struct {
 	// extend the persisted one (Boot replayed it, or a publish verified
 	// it), so appending names past the committed count is sound.
 	symsChecked bool
+
+	// The generation's log (wal.go): the snapshot version it has
+	// reached, its committed end and the checksum state a record appended
+	// there chains from, the names it interned past symtab.bin's committed
+	// prefix, and per predicate the links it holds — the top layers of
+	// shape's chain, in order.  logReady is false while the manifest names
+	// no log file that exists (format ≤ 3, or a missing log), and the next
+	// write then takes the swap path, which starts one.  broken holds why
+	// a failed append could not be cut back off the log; every write fails
+	// with it until the directory is reopened.
+	version  uint64
+	logEnd   int64
+	logSum   uint64
+	logNames []string
+	logLinks map[string][]logLink
+	logReady bool
+	broken   error
 
 	// sweepDue makes the next successful manifest swap also sweep the
 	// directory for strays of crashed or failed publishes: set at Open
@@ -87,15 +108,19 @@ const (
 	crashAfterSymtab             // new names appended past symtab.bin's committed end
 	crashBeforeRename            // MANIFEST.tmp written, rename not performed
 	crashAfterRename             // new manifest live, old files not yet GC'd
+	crashLogTorn                 // half of a log record written
+	failLogSync                  // a log record written, its sync fails
+	failLogTruncate              // as failLogSync, and cutting the record back off fails too
 )
 
-// errCrash marks a test-induced crash inside Publish.
-var errCrash = fmt.Errorf("segment: simulated crash")
+// errCrash marks a test-induced crash inside Publish; errInjected is a
+// test-induced I/O failure the manager handles as a real one.
+var errCrash, errInjected = fmt.Errorf("segment: simulated crash"), fmt.Errorf("segment: injected I/O failure")
 
 // Stats is a point-in-time snapshot of the manager's counters, shaped
 // for /v1/stats and /metrics.  The residency block is zero unless a
 // memory budget is configured; the chain block describes the current
-// manifest's delta chains.
+// delta chains, manifest and log links alike.
 type Stats struct {
 	Dir             string `json:"dir"`
 	Generation      uint64 `json:"generation"`
@@ -107,8 +132,10 @@ type Stats struct {
 	Publishes       int64  `json:"publishes"`
 	SegmentsWritten int64  `json:"segments_written"`
 	SegmentsReused  int64  `json:"segments_reused"`
-	BytesWritten    int64  `json:"bytes_written"` // segment files only
-	SymtabBytes     int64  `json:"symtab_bytes"`  // symbol-table bytes written
+	BytesWritten    int64  `json:"bytes_written"` // segment files and log records
+	LogRecords      int64  `json:"log_records"`
+	LogBytes        int64  `json:"log_bytes"`
+	SymtabBytes     int64  `json:"symtab_bytes"` // symbol-table bytes written
 	ManifestBytes   int64  `json:"manifest_bytes"`
 	Fsyncs          int64  `json:"fsyncs"` // file and directory fsyncs issued
 	LazyLoads       int64  `json:"lazy_loads"`
@@ -136,12 +163,13 @@ type Stats struct {
 // and header the manifest promises, and the symbol table must hold at
 // least its committed bytes.  Validation reads 24 bytes per file and
 // never lists the directory, so opening stays proportional to the
-// number of persisted segments, not to row counts or to garbage.
+// number of persisted segments, not to row counts or to garbage.  Open
+// then reads the longest valid prefix of the manifest's log.
 func Open(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: dir, lazyByFile: map[string]*Lazy{}, sweepDue: true}
+	m := &Manager{dir: dir, lazyByFile: map[string]*Lazy{}, logLinks: map[string][]logLink{}, sweepDue: true}
 	m.stats.Dir = dir
 	man, err := readManifest(dir)
 	if os.IsNotExist(err) {
@@ -178,8 +206,10 @@ func Open(dir string) (*Manager, error) {
 		}
 	}
 	m.man = man
+	if err := m.readLogLocked(); err != nil {
+		return nil, err
+	}
 	m.stats.Generation = man.Generation
-	m.stats.SnapshotVersion = man.Version
 	return m, nil
 }
 
@@ -223,10 +253,11 @@ func (m *Manager) newLazyLocked(pred, file string, arity, rows int, checksum uin
 }
 
 // Boot restores the last published snapshot: it replays the persisted
-// symbol table into syms (verifying its checksum) and returns a
-// database of lazy disk-backed stores plus the persisted snapshot
-// version.  A predicate persisted as a delta chain boots as layered
-// lazy stores — base segment plus one overlay per chain link — so
+// symbol table and the log's names into syms (verifying the table's
+// checksum) and returns a database of lazy disk-backed stores plus the
+// snapshot version the log reached.  A predicate persisted as a delta
+// chain boots as layered lazy stores — base segment plus one overlay
+// per manifest link — under one in-memory overlay per log link, so
 // recovery still reads no segment data.  ok is false when the directory
 // holds no manifest yet (fresh start).
 func (m *Manager) Boot(syms *rel.Symtab) (db rel.DB, version uint64, ok bool, err error) {
@@ -243,24 +274,24 @@ func (m *Manager) Boot(syms *rel.Symtab) (db rel.DB, version uint64, ok bool, er
 	m.lastDB = db
 	m.shape = maps.Clone(db)
 	rows := 0
-	for _, p := range m.man.Preds {
-		rows += p.Rows
+	for _, st := range db {
+		rows += st.Len()
 	}
 	m.stats.Recovered = true
 	m.stats.RecoveredPreds = len(m.man.Preds)
 	m.stats.RecoveredRows = rows
 	m.stats.BootMillis = time.Since(start).Milliseconds()
-	return db, m.man.Version, true, nil
+	return db, m.version, true, nil
 }
 
-// replaySymtabLocked replays the manifest's symbol table into syms,
-// failing if syms already diverges from it.
+// replaySymtabLocked replays the manifest's symbol table and the log's
+// names into syms, failing if syms already diverges from them.
 func (m *Manager) replaySymtabLocked(syms *rel.Symtab) error {
 	names, err := readSymtab(m.dir, m.man)
 	if err != nil {
 		return err
 	}
-	if err := restoreSymtab(syms, names); err != nil {
+	if err := restoreSymtab(syms, append(names, m.logNames...)); err != nil {
 		return err
 	}
 	m.symsChecked = true
@@ -268,7 +299,8 @@ func (m *Manager) replaySymtabLocked(syms *rel.Symtab) error {
 }
 
 // openStoresLocked builds the manifest's predicates as lazy stores, one
-// rel.Layered per chain link over the base segment's store.
+// rel.Layered per chain link over the base segment's store, then one
+// per log link.
 func (m *Manager) openStoresLocked() rel.DB {
 	db := make(rel.DB, len(m.man.Preds))
 	for _, p := range m.man.Preds {
@@ -282,6 +314,9 @@ func (m *Manager) openStoresLocked() rel.DB {
 				dels = m.newLazyLocked(p.Pred, lk.DelFile, p.Arity, lk.DelRows, lk.DelChecksum)
 			}
 			st = rel.NewLayered(st, adds, dels)
+		}
+		for _, lk := range m.logLinks[p.Pred] {
+			st = rel.NewLayered(st, lk.adds, lk.dels)
 		}
 		db[p.Pred] = st
 	}
@@ -297,14 +332,14 @@ func (m *Manager) noteLoad(took time.Duration, bytes int64) {
 	m.lazyLoadMicros.Add(took.Microseconds())
 }
 
-// Publish persists a snapshot: unchanged predicates (same store
-// identity as the previous publish) keep their existing segment files;
-// changed or new predicates get fresh segments under
-// <pred>-<generation>.seg names.  Symbols interned since the last
-// publish are appended to the symbol table.  Once all new bytes are
-// durable, the manifest swaps atomically; finally the files the swap
-// orphaned are unlinked, best-effort.  On error the old manifest
-// remains live and fully consistent — stray new files and an
+// Publish persists a snapshot with a manifest swap: unchanged
+// predicates (same store identity as the previous publish) keep their
+// existing segment files and log links; changed or new predicates get
+// fresh segments under <pred>-<generation>.seg names.  Symbols interned
+// since the last publish are appended to the symbol table.  Once all
+// new bytes are durable, the manifest swaps atomically; finally the
+// files the swap orphaned are unlinked, best-effort.  On error the old
+// manifest remains live and fully consistent — stray new files and an
 // uncommitted symbol-table tail are unreferenced, and a later
 // successful publish collects or overwrites them.
 func (m *Manager) Publish(version uint64, db rel.DB, syms *rel.Symtab) error {
@@ -315,17 +350,19 @@ func (m *Manager) Publish(version uint64, db rel.DB, syms *rel.Symtab) error {
 
 // PublishDelta is Publish with partial segment reuse: a predicate
 // whose store is one overlay layer (rel.Layered) over the previously
-// published store persists just the overlay as a delta segment chained
-// onto the base, instead of rewriting the whole relation.  Chains are
-// bounded by rel's chain policy (rel.Layered.Fold) — a delta that would
-// push a chain past its length bound merges the links into one, and
-// past its garbage bound folds into a fresh base segment.  Every entry
-// of db whose on-disk shape differs from the store the caller passed (a
-// merge or fold here, or one the background compactor made since the
-// last publish) is replaced in place with an equivalent store of
-// exactly that shape, so the caller's snapshot never serves a chain
-// deeper than the disk's.  The durability contract is identical to
-// Publish.
+// published store persists just the overlay as a link chained onto the
+// base, instead of rewriting the whole relation.  Chains are bounded by
+// rel's chain policy (rel.Layered.Fold) — a delta that would push a
+// chain past its length bound merges the links into one, and past its
+// garbage bound folds into a fresh base segment.  When the policy keeps
+// every changed chain and version is the next one, the publish is one
+// record appended to the generation's log and one sync; anything else
+// swaps the manifest.  Every entry of db whose on-disk shape differs
+// from the store the caller passed (a merge or fold here, or one the
+// background compactor made since the last publish) is replaced in
+// place with an equivalent store of exactly that shape, so the
+// caller's snapshot never serves a chain deeper than the disk's.  The
+// durability contract is identical to Publish.
 func (m *Manager) PublishDelta(version uint64, db rel.DB, syms *rel.Symtab) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -334,7 +371,10 @@ func (m *Manager) PublishDelta(version uint64, db rel.DB, syms *rel.Symtab) erro
 
 func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, allowDelta bool) (err error) {
 	defer m.sweepAfterFailure(&err)
-	gen := uint64(1)
+	if m.broken != nil {
+		return m.broken
+	}
+	gen, inSymtab := uint64(1), 0
 	prev := map[string]predEntry{}
 	if m.man != nil {
 		gen = m.man.Generation + 1
@@ -346,6 +386,13 @@ func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, all
 				return err
 			}
 		}
+		if m.man.Format >= 3 {
+			inSymtab = m.man.SymtabCount
+		}
+	}
+	names := syms.Names()
+	if len(names) < inSymtab+len(m.logNames) {
+		return fmt.Errorf("segment: symbol table shrank from %d persisted names to %d", inSymtab+len(m.logNames), len(names))
 	}
 
 	preds := make([]string, 0, len(db))
@@ -354,11 +401,45 @@ func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, all
 	}
 	sort.Strings(preds)
 
+	// A delta publish whose every changed chain rel's policy keeps is one
+	// log record; a fold, a predicate written whole, a dropped predicate
+	// or a version that is not the next one swaps the manifest.
+	swap := !allowDelta || !m.logReady || version != m.version+1 || len(db) != len(prev)
 	next := &manifest{Format: manifestFormat, Generation: gen, Version: version}
 	shape := make(rel.DB, len(db))
+	links := map[string][]logLink{} // the log's links once this publish commits
+	rec := logRecord{version: version, names: names[inSymtab+len(m.logNames):]}
 	for _, pred := range preds {
+		st, served := db[pred], m.lastDB[pred]
 		old, hasOld := prev[pred]
-		entry, sh, err := m.persistPred(pred, gen, db[pred], old, hasOld, allowDelta)
+		ly, layered := st.(*rel.Layered)
+		entry, sh := old, st
+		switch {
+		case hasOld && served == st:
+			sh, links[pred] = m.shape[pred], m.logLinks[pred]
+			m.stats.SegmentsReused++
+		case allowDelta && layered && hasOld && ly.Base() == served:
+			if m.shape[pred] != served {
+				ly = rel.NewLayered(m.shape[pred], ly.Adds(), ly.Dels())
+			}
+			kind, merged := ly.Fold(rel.MaxChainLinks)
+			if kind == rel.FoldKeep {
+				lk := logLink{pred, ly.Adds(), ly.Dels()}
+				sh, links[pred] = ly, append(slices.Clip(m.logLinks[pred]), lk)
+				rec.links = append(rec.links, lk)
+				m.stats.DeltaLinks++
+				break
+			}
+			swap = true
+			entry, sh, err = m.fold(pred, gen, old, ly, kind, merged)
+		default:
+			swap = true
+			entry, err = m.writePred(pred, gen, st)
+			if layered && err == nil {
+				// A chain written out whole: its mirror is the flat segment.
+				sh = m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum)
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -368,23 +449,30 @@ func (m *Manager) publishLocked(version uint64, db rel.DB, syms *rel.Symtab, all
 			db[pred] = sh // not yet visible: the caller's snapshot takes the disk's shape
 		}
 	}
-	if m.crashAt == crashAfterSegment {
-		return errCrash
-	}
 
-	if err := m.appendSymtab(next, syms.Names()); err != nil {
-		return err
-	}
-	if m.crashAt == crashAfterSymtab {
-		return errCrash
-	}
-
-	if err := m.commitLocked(next); err != nil {
-		return err
+	if !swap {
+		end, sum, err := m.appendLogLocked(m.man.Log, m.logEnd, m.logSum, rec)
+		if err != nil {
+			return err
+		}
+		m.version, m.logEnd, m.logSum, m.logLinks = version, end, sum, links
+		m.logNames = append(m.logNames, rec.names...)
+	} else {
+		if m.crashAt == crashAfterSegment {
+			return errCrash
+		}
+		if err := m.appendSymtab(next, names[inSymtab:]); err != nil {
+			return err
+		}
+		if m.crashAt == crashAfterSymtab {
+			return errCrash
+		}
+		if err := m.commitLocked(next, links); err != nil {
+			return err
+		}
 	}
 	m.lastDB = db
 	m.shape = shape
-	m.stats.SnapshotVersion = version
 	m.stats.Publishes++
 	return nil
 }
@@ -397,55 +485,13 @@ func (m *Manager) sweepAfterFailure(err *error) {
 	}
 }
 
-// persistPred makes one predicate's store durable and returns its
-// manifest entry plus the store that mirrors the entry's shape (st
-// itself unless a chain was reshaped).
-func (m *Manager) persistPred(pred string, gen uint64, st rel.Store, old predEntry, hasOld, allowDelta bool) (predEntry, rel.Store, error) {
-	served := m.lastDB[pred]
-	if hasOld && served == st {
-		m.stats.SegmentsReused++
-		return old, m.shape[pred], nil
-	}
-	ly, layered := st.(*rel.Layered)
-	if allowDelta && layered && hasOld && ly.Base() == served {
-		if sh := m.shape[pred]; sh != served {
-			ly = rel.NewLayered(sh, ly.Adds(), ly.Dels())
-		}
-		return m.persistLayer(pred, gen, old, ly)
-	}
-	entry, err := m.writePred(pred, gen, st)
-	if err != nil || !layered {
-		return entry, st, err
-	}
-	// A chain written out whole: its mirror is the flat segment.
-	return entry, m.newLazyLocked(pred, entry.File, entry.Arity, entry.Rows, entry.Checksum), nil
-}
-
-// persistLayer publishes top — one new layer over a chain shaped as
-// old describes — by rel's chain policy: append a link while the chain
-// stays short and mostly alive, fold it otherwise.
-func (m *Manager) persistLayer(pred string, gen uint64, old predEntry, top *rel.Layered) (predEntry, rel.Store, error) {
-	if kind, merged := top.Fold(rel.MaxChainLinks); kind != rel.FoldKeep {
-		return m.fold(pred, gen, old, top, kind, merged)
-	}
-	lk, err := m.writeLink(pred, gen, top.Adds(), top.Dels())
-	if err != nil {
-		return predEntry{}, nil, err
-	}
-	entry := old
-	entry.Links = append(append(make([]chainLink, 0, len(old.Links)+1), old.Links...), lk)
-	entry.BaseRows = baseRows(old)
-	entry.Rows = top.Len()
-	m.stats.DeltaLinks++
-	return entry, top, nil
-}
-
-// fold does the I/O of a fold rel decided for top, the chain old
-// describes, and returns the new entry with the store that mirrors it.
-// A rebase writes a fresh base segment and serves a flat lazy store over
-// it.  A merge writes merged's one layer as the entry's only link (none
-// when the chain netted out to its bare base); the base file, and the
-// base store with its mapping and indexes, carry over untouched.
+// fold does the I/O of a fold rel decided for top, the chain old and
+// the log describe, and returns the new entry with the store that
+// mirrors it.  A rebase writes a fresh base segment and serves a flat
+// lazy store over it.  A merge writes merged's one layer as the entry's
+// only link (none when the chain netted out to its bare base); the base
+// file, and the base store with its mapping and indexes, carry over
+// untouched.
 func (m *Manager) fold(pred string, gen uint64, old predEntry, top *rel.Layered, kind rel.FoldKind, merged rel.Store) (predEntry, rel.Store, error) {
 	entry := old
 	if kind == rel.FoldRebase {
@@ -469,8 +515,8 @@ func (m *Manager) fold(pred string, gen uint64, old predEntry, top *rel.Layered,
 	return entry, merged, nil
 }
 
-// writeLink persists one chain link's additions and tombstones as delta
-// segments (either may be empty, not both).
+// writeLink persists one merged chain link's additions and tombstones
+// as delta segments (either may be empty, not both).
 func (m *Manager) writeLink(pred string, gen uint64, adds, dels rel.Store) (lk chainLink, err error) {
 	if adds.Len() > 0 {
 		lk.AddFile = fmt.Sprintf("%s-%d.add.seg", sanitize(pred), gen)
@@ -489,19 +535,22 @@ func (m *Manager) writeLink(pred string, gen uint64, adds, dels rel.Store) (lk c
 	return lk, nil
 }
 
+// packedValues returns st's rows flat, row-major.
+func packedValues(st rel.Store) []rel.Value {
+	type packed interface{ Packed() []rel.Value }
+	if p, ok := st.(packed); ok {
+		return p.Packed()
+	}
+	// Generic fallback: flatten through the interface.
+	data := make([]rel.Value, 0, st.Len()*st.Arity())
+	st.Each(func(t rel.Tuple) { data = append(data, t...) })
+	return data
+}
+
 // writeStoreSegment flattens st into a segment file, updating the
 // write counters.
 func (m *Manager) writeStoreSegment(file string, st rel.Store) (checksum uint64, bytes int64, err error) {
-	type packed interface{ Packed() []rel.Value }
-	var data []rel.Value
-	if p, ok := st.(packed); ok {
-		data = p.Packed()
-	} else {
-		// Generic fallback: flatten through the interface.
-		data = make([]rel.Value, 0, st.Len()*st.Arity())
-		st.Each(func(t rel.Tuple) { data = append(data, t...) })
-	}
-	checksum, bytes, err = writeSegment(filepath.Join(m.dir, file), st.Arity(), data)
+	checksum, bytes, err = writeSegment(filepath.Join(m.dir, file), st.Arity(), packedValues(st))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -528,23 +577,21 @@ func (m *Manager) writePred(pred string, gen uint64, st rel.Store) (predEntry, e
 	}, nil
 }
 
-// appendSymtab makes next commit to a symbol table holding names: the
-// names past the live manifest's committed count are appended to
-// symtab.bin at its committed end — overwriting whatever tail a crashed
-// or failed publish left there, never a committed byte — and fsync'd,
-// and the running checksum is extended over the appended bytes alone.
-// A directory whose manifest predates format 3 has nothing committed
-// in symtab.bin, so its first publish writes every name.
-func (m *Manager) appendSymtab(next *manifest, names []string) error {
+// appendSymtab makes next commit to a symbol table extended by fresh,
+// the names past the live manifest's committed count (the log's names
+// first): they are appended to symtab.bin at its committed end —
+// overwriting whatever tail a crashed or failed publish left there,
+// never a committed byte — and fsync'd, and the running checksum is
+// extended over the appended bytes alone.  A directory whose manifest
+// predates format 3 has nothing committed in symtab.bin, so its first
+// publish writes every name.
+func (m *Manager) appendSymtab(next *manifest, fresh []string) error {
 	ref := symtabRef{Symtab: symtabName, SymtabChecksum: fnvOffset64}
 	if m.man != nil && m.man.Format >= 3 {
 		ref = m.man.symtabRef
 	}
-	if len(names) < ref.SymtabCount {
-		return fmt.Errorf("segment: symbol table shrank from %d persisted names to %d", ref.SymtabCount, len(names))
-	}
-	if len(names) > ref.SymtabCount {
-		buf := appendSymtabRecords(nil, names[ref.SymtabCount:])
+	if len(fresh) > 0 {
+		buf := appendSymtabRecords(nil, fresh)
 		f, err := os.OpenFile(filepath.Join(m.dir, symtabName), os.O_WRONLY|os.O_CREATE, 0o644)
 		if err != nil {
 			return err
@@ -560,7 +607,7 @@ func (m *Manager) appendSymtab(next *manifest, names []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		ref.SymtabCount = len(names)
+		ref.SymtabCount += len(fresh)
 		ref.SymtabBytes += int64(len(buf))
 		ref.SymtabChecksum = fnv1a(ref.SymtabChecksum, buf)
 		m.stats.SymtabBytes += int64(len(buf))
@@ -571,8 +618,19 @@ func (m *Manager) appendSymtab(next *manifest, names []string) error {
 }
 
 // commitLocked swaps next in as the live manifest — the commit point —
-// and unlinks the files the swap orphaned.
-func (m *Manager) commitLocked(next *manifest) error {
+// and unlinks the files the swap orphaned.  Before the rename it starts
+// next's log holding carry, the log links each predicate keeps, as one
+// record at next's version.
+func (m *Manager) commitLocked(next *manifest, carry map[string][]logLink) error {
+	next.Log = logName(next.Generation)
+	var links []logLink
+	for _, p := range next.Preds {
+		links = append(links, carry[p.Pred]...)
+	}
+	end, sum, err := m.startLog(next.Log, next.Version, links)
+	if err != nil {
+		return err
+	}
 	if m.crashAt == crashBeforeRename {
 		// Mimic a crash between writing MANIFEST.tmp and the rename: the
 		// tmp file exists but the live manifest is untouched.
@@ -594,6 +652,8 @@ func (m *Manager) commitLocked(next *manifest) error {
 	old := m.man
 	m.man = next
 	m.stats.Generation = next.Generation
+	m.version, m.logEnd, m.logSum, m.logReady = next.Version, end, sum, true
+	m.logNames, m.logLinks = nil, carry
 	if m.crashAt == crashAfterRename {
 		return errCrash
 	}
@@ -602,13 +662,13 @@ func (m *Manager) commitLocked(next *manifest) error {
 }
 
 // CompactOnce tidies every chain rel's policy folds at the background
-// trigger, at the same snapshot version, publishing a new manifest
-// generation: a chain of rel.CompactChainLinks links or more merges into
-// one link, and one carrying more garbage than live rows folds into a
-// fresh base.  Purely physical: live stores keep serving the chain they
-// hold, identity-based reuse still matches them, and the next
-// PublishDelta hands the engine the reshaped stores.  Returns how many
-// chains it reshaped.
+// trigger, at the current snapshot version, publishing a new manifest
+// generation: a chain of rel.CompactChainLinks links or more (log links
+// included) merges into one link, and one carrying more garbage than
+// live rows folds into a fresh base.  Purely physical: live stores keep
+// serving the chain they hold, identity-based reuse still matches them,
+// and the next PublishDelta hands the engine the reshaped stores.
+// Returns how many chains it reshaped.
 func (m *Manager) CompactOnce() (n int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -616,12 +676,16 @@ func (m *Manager) CompactOnce() (n int, err error) {
 	if m.man == nil {
 		return 0, nil
 	}
+	if m.broken != nil {
+		return 0, m.broken
+	}
 	if m.shape == nil {
 		m.shape = m.openStoresLocked() // never booted: compact straight off the disk
 	}
 	gen := m.man.Generation + 1
-	next := &manifest{Format: manifestFormat, Generation: gen, Version: m.man.Version}
+	next := &manifest{Format: manifestFormat, Generation: gen, Version: m.version}
 	reshaped := rel.DB{}
+	carry := map[string][]logLink{}
 	for _, p := range m.man.Preds {
 		kind, merged := rel.FoldKeep, rel.Store(nil)
 		top, chained := m.shape[p.Pred].(*rel.Layered)
@@ -630,6 +694,7 @@ func (m *Manager) CompactOnce() (n int, err error) {
 		}
 		if kind == rel.FoldKeep {
 			next.Preds = append(next.Preds, p)
+			carry[p.Pred] = m.logLinks[p.Pred]
 			continue
 		}
 		entry, sh, err := m.fold(p.Pred, gen, p, top, kind, merged)
@@ -642,19 +707,17 @@ func (m *Manager) CompactOnce() (n int, err error) {
 	if len(reshaped) == 0 {
 		return 0, nil
 	}
-	if m.man.Format >= 3 {
-		next.symtabRef = m.man.symtabRef
-	} else {
+	fresh := m.logNames
+	if m.man.Format < 3 {
 		// Not yet migrated: carry the old table over into symtab.bin.
-		names, err := readSymtab(m.dir, m.man)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.appendSymtab(next, names); err != nil {
+		if fresh, err = readSymtab(m.dir, m.man); err != nil {
 			return 0, err
 		}
 	}
-	if err := m.commitLocked(next); err != nil {
+	if err := m.appendSymtab(next, fresh); err != nil {
+		return 0, err
+	}
+	if err := m.commitLocked(next, carry); err != nil {
 		return 0, err
 	}
 	for pred, sh := range reshaped {
@@ -700,7 +763,7 @@ func (m *Manager) StartCompactor(every time.Duration) (stop func()) {
 // gc unlinks exactly the files old references and cur does not — what
 // this manifest swap orphaned.  When a sweep is due (the first swap
 // after Open, or after a failed publish) it also lists the directory
-// once and unlinks any other stray *.seg / symtab-*.bin.  Removal is
+// once and unlinks any other stray *.seg / symtab-*.bin / wal-*.log.  Removal is
 // best-effort: a leaked file wastes disk but can never be resurrected,
 // because nothing references it.
 func (m *Manager) gc(old, cur *manifest) {
@@ -725,7 +788,7 @@ func (m *Manager) gc(old, cur *manifest) {
 		if live[name] || e.IsDir() {
 			continue
 		}
-		if strings.HasSuffix(name, ".seg") || strings.HasPrefix(name, "symtab-") {
+		if strings.HasSuffix(name, ".seg") || strings.HasPrefix(name, "symtab-") || strings.HasPrefix(name, "wal-") {
 			m.unlink(name)
 		}
 	}
@@ -754,11 +817,12 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := m.stats
+	out.SnapshotVersion = m.version
 	out.LazyLoads = m.lazyLoads.Load()
 	out.LazyLoadMicros = m.lazyLoadMicros.Load()
 	if m.man != nil {
 		for _, p := range m.man.Preds {
-			if n := len(p.Links); n > 0 {
+			if n := len(p.Links) + len(m.logLinks[p.Pred]); n > 0 {
 				out.ChainPreds++
 				out.ChainLinks += n
 				if n > out.MaxChainLinks {

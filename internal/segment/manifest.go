@@ -14,11 +14,12 @@ import (
 )
 
 // manifestName is the root of a data directory.  Segment files are
-// immutable once written and the symbol table only ever grows past its
-// committed end; publishing a snapshot writes fresh segment files under
-// new names, appends any new symbols, and then atomically renames a new
-// MANIFEST over the old one, so a reader (or a crashed process
-// rebooting) always sees a complete, internally consistent version.
+// immutable once written and the symbol table and the generation's log
+// only ever grow past their committed ends; a manifest swap writes fresh
+// segment files under new names, appends any new symbols, starts a new
+// log and then atomically renames a new MANIFEST over the old one, so a
+// reader (or a crashed process rebooting) always sees a complete,
+// internally consistent version.
 const manifestName = "MANIFEST"
 
 // symtabName is the one append-only symbol-table file of a format-3
@@ -32,9 +33,10 @@ const symtabName = "symtab.bin"
 // committed prefix the manifest records.  Older manifests remain
 // readable and migrate on their first publish; a reader rejects formats
 // it does not know (an older reader would silently drop chained deltas
-// or misparse the symbol table).
+// or misparse the symbol table).  Format 4 names the generation's log
+// (wal.go), which holds the chain links written since the swap.
 const (
-	manifestFormat    = 3
+	manifestFormat    = 4
 	manifestFormatMin = 1
 )
 
@@ -101,12 +103,16 @@ type manifest struct {
 	Generation uint64 `json:"generation"`
 	Version    uint64 `json:"version"`
 	symtabRef
+	Log   string      `json:"log,omitempty"`
 	Preds []predEntry `json:"preds"`
 }
 
 // files returns every file name the manifest references.
 func (m *manifest) files() map[string]bool {
 	out := map[string]bool{m.Symtab: true}
+	if m.Log != "" {
+		out[m.Log] = true
+	}
 	for _, p := range m.Preds {
 		out[p.File] = true
 		for _, lk := range p.Links {
@@ -128,6 +134,12 @@ func readManifest(dir string) (*manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseManifest(raw)
+}
+
+// parseManifest parses and sanity-checks a manifest's bytes.  A manifest
+// before format 4 reads no log, whatever it names.
+func parseManifest(raw []byte) (*manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("segment: corrupted manifest: %w", err)
@@ -137,6 +149,11 @@ func readManifest(dir string) (*manifest, error) {
 	}
 	if m.Symtab == "" {
 		return nil, fmt.Errorf("segment: manifest missing symtab reference")
+	}
+	if m.Format < 4 {
+		m.Log = ""
+	} else if m.Log == "" {
+		return nil, fmt.Errorf("segment: format %d manifest names no log", m.Format)
 	}
 	if m.SymtabCount < 0 || m.SymtabBytes < int64(m.SymtabCount) {
 		// Every record is at least its one length byte.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,12 +203,15 @@ func rebootServes(t *testing.T, dir string, wantVersion uint64, want rel.DB) {
 }
 
 // wantExactFiles asserts dir holds MANIFEST plus exactly the files the
-// manager's live manifest references: no stray survives, nothing live
-// is missing.
-func wantExactFiles(t *testing.T, m *Manager, dir string) {
+// manager's live manifest references and the strays named: no other
+// stray survives, nothing live is missing.
+func wantExactFiles(t *testing.T, m *Manager, dir string, strays ...string) {
 	t.Helper()
 	want := m.man.files()
 	want[manifestName] = true
+	for _, name := range strays {
+		want[name] = true
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -484,22 +488,44 @@ func TestOpenRejectsShortOrCorruptSymtab(t *testing.T) {
 	}
 }
 
-// TestFormat2DirectoryMigrates: a directory written before format 3 —
-// symtab-<gen>.bin with a count header, no symtab fields in the
-// manifest — boots, serves, and is a format-3 directory after its
-// first publish, the old symbol file collected.
-func TestFormat2DirectoryMigrates(t *testing.T) {
-	for _, compactFirst := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compactFirst=%v", compactFirst), func(t *testing.T) {
-			_, live, dir := chainDB(t, rel.CompactChainLinks)
-			want := rel.DB{"edge": live.Clone()}
-			man, err := readManifest(dir)
+// logAsLinks returns m's manifest at m's version with every link its
+// log holds written out as link segments: the chain a writer before
+// format 4 left, which kept every link in the manifest.
+func logAsLinks(t *testing.T, m *Manager) *manifest {
+	t.Helper()
+	man := *m.man
+	man.Version = m.version
+	man.Preds = slices.Clone(man.Preds)
+	for i := range man.Preds {
+		p := &man.Preds[i]
+		p.BaseRows = baseRows(*p)
+		p.Links = slices.Clone(p.Links)
+		for k, lk := range m.logLinks[p.Pred] {
+			cl, err := m.writeLink(p.Pred, uint64(1000+k), lk.adds, lk.dels)
 			if err != nil {
 				t.Fatal(err)
 			}
+			p.Links = append(p.Links, cl)
+			p.Rows += lk.adds.Len() - lk.dels.Len()
+		}
+	}
+	return &man
+}
+
+// TestFormat2DirectoryMigrates: a directory written before format 3 —
+// symtab-<gen>.bin with a count header, no symtab fields in the
+// manifest, every link a segment — boots, serves, and is a current
+// directory after its first publish, the old symbol file and the
+// write-ahead log a format-2 manifest never reads collected.
+func TestFormat2DirectoryMigrates(t *testing.T) {
+	for _, compactFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compactFirst=%v", compactFirst), func(t *testing.T) {
+			m0, live, dir := chainDB(t, rel.CompactChainLinks)
+			want := rel.DB{"edge": live.Clone()}
+			man := logAsLinks(t, m0)
 			names := []string{"a", "b"} // chainDB's symbols
 			writeSymtabV2(t, filepath.Join(dir, "symtab-1.bin"), names)
-			man.Format, man.symtabRef = 2, symtabRef{Symtab: "symtab-1.bin"}
+			man.Format, man.symtabRef, man.Log = 2, symtabRef{Symtab: "symtab-1.bin"}, ""
 			raw, err := marshalManifest(man)
 			if err != nil {
 				t.Fatal(err)

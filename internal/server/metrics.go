@@ -245,62 +245,45 @@ func (s *Server) renderMetrics() string {
 	// persistent system (linrecd -data-dir).
 	if s.cfg.Persist != nil {
 		ps := s.cfg.Persist.Stats()
-		m.family("linrec_persist_generation", "gauge", "Manifest generation of the durable segment store.")
-		m.sample("linrec_persist_generation", nil, float64(ps.Generation))
-		m.family("linrec_persist_snapshot_version", "gauge", "Snapshot version recorded by the newest manifest.")
-		m.sample("linrec_persist_snapshot_version", nil, float64(ps.SnapshotVersion))
+		one := func(name, kind, help string, v float64) {
+			m.family(name, kind, help)
+			m.sample(name, nil, v)
+		}
+		one("linrec_persist_generation", "gauge", "Manifest generation of the durable segment store.", float64(ps.Generation))
+		one("linrec_persist_snapshot_version", "gauge", "Snapshot version last made durable, by the manifest or its log.", float64(ps.SnapshotVersion))
 		recovered := 0.0
 		if ps.Recovered {
 			recovered = 1
 		}
-		m.family("linrec_persist_recovered", "gauge", "1 when this process booted from an existing manifest, 0 when it started fresh.")
-		m.sample("linrec_persist_recovered", nil, recovered)
-		m.family("linrec_persist_recovered_preds", "gauge", "Predicates recovered from the manifest at boot.")
-		m.sample("linrec_persist_recovered_preds", nil, float64(ps.RecoveredPreds))
-		m.family("linrec_persist_recovered_rows", "gauge", "Rows described by the manifest at boot (metadata only, not loaded).")
-		m.sample("linrec_persist_recovered_rows", nil, float64(ps.RecoveredRows))
-		m.family("linrec_persist_boot_seconds", "gauge", "Wall time of the manifest boot (segment loading excluded).")
-		m.sample("linrec_persist_boot_seconds", nil, float64(ps.BootMillis)/1e3)
-		m.family("linrec_persist_publishes_total", "counter", "Snapshot publishes written to the durable store.")
-		m.sample("linrec_persist_publishes_total", nil, float64(ps.Publishes))
+		one("linrec_persist_recovered", "gauge", "1 when this process booted from an existing manifest, 0 when it started fresh.", recovered)
+		one("linrec_persist_recovered_preds", "gauge", "Predicates recovered from the manifest at boot.", float64(ps.RecoveredPreds))
+		one("linrec_persist_recovered_rows", "gauge", "Rows recovered from the manifest and its log at boot (metadata only, not loaded).", float64(ps.RecoveredRows))
+		one("linrec_persist_boot_seconds", "gauge", "Wall time of the manifest boot (segment loading excluded).", float64(ps.BootMillis)/1e3)
+		one("linrec_persist_publishes_total", "counter", "Snapshot publishes written to the durable store.", float64(ps.Publishes))
 		m.family("linrec_persist_segments_total", "counter", "Segments written or reused by identity across publishes.")
 		m.sample("linrec_persist_segments_total", [][2]string{{"op", "written"}}, float64(ps.SegmentsWritten))
 		m.sample("linrec_persist_segments_total", [][2]string{{"op", "reused"}}, float64(ps.SegmentsReused))
-		m.family("linrec_persist_bytes_written_total", "counter", "Segment bytes written (headers included).")
-		m.sample("linrec_persist_bytes_written_total", nil, float64(ps.BytesWritten))
-		m.family("linrec_persist_symtab_bytes_written_total", "counter", "Symbol-table bytes written (appended past the committed end).")
-		m.sample("linrec_persist_symtab_bytes_written_total", nil, float64(ps.SymtabBytes))
-		m.family("linrec_persist_manifest_bytes_written_total", "counter", "Manifest bytes written across manifest swaps.")
-		m.sample("linrec_persist_manifest_bytes_written_total", nil, float64(ps.ManifestBytes))
-		m.family("linrec_persist_fsyncs_total", "counter", "File and directory fsyncs issued by publishes and compactions.")
-		m.sample("linrec_persist_fsyncs_total", nil, float64(ps.Fsyncs))
-		m.family("linrec_persist_lazy_loads_total", "counter", "Segments mapped on first touch after boot.")
-		m.sample("linrec_persist_lazy_loads_total", nil, float64(ps.LazyLoads))
-		m.family("linrec_persist_lazy_load_seconds_total", "counter", "Cumulative wall time spent mapping segments (microsecond resolution).")
-		m.sample("linrec_persist_lazy_load_seconds_total", nil, float64(ps.LazyLoadMicros)/1e6)
-		m.family("linrec_persist_gc_removed_total", "counter", "Unreferenced storage files removed after manifest swaps.")
-		m.sample("linrec_persist_gc_removed_total", nil, float64(ps.GCRemoved))
-		m.family("linrec_persist_mem_budget_bytes", "gauge", "Configured residency budget for probe artifacts (0 = unbudgeted).")
-		m.sample("linrec_persist_mem_budget_bytes", nil, float64(ps.MemBudgetBytes))
-		m.family("linrec_persist_resident_bytes", "gauge", "Probe-artifact bytes currently resident under the memory budget.")
-		m.sample("linrec_persist_resident_bytes", nil, float64(ps.ResidentBytes))
-		m.family("linrec_persist_resident_peak_bytes", "gauge", "Peak tracked probe-artifact residency since boot.")
-		m.sample("linrec_persist_resident_peak_bytes", nil, float64(ps.ResidentPeakBytes))
-		m.family("linrec_persist_resident_segments", "gauge", "Segments currently holding resident probe artifacts.")
-		m.sample("linrec_persist_resident_segments", nil, float64(ps.ResidentSegments))
-		m.family("linrec_persist_evictions_total", "counter", "Probe artifacts evicted back to mmap-only under budget pressure.")
-		m.sample("linrec_persist_evictions_total", nil, float64(ps.Evictions))
-		m.family("linrec_persist_evicted_bytes_total", "counter", "Probe-artifact bytes released by evictions.")
-		m.sample("linrec_persist_evicted_bytes_total", nil, float64(ps.EvictedBytes))
-		m.family("linrec_persist_delta_links_total", "counter", "Delta segments published as chain links instead of full rewrites.")
-		m.sample("linrec_persist_delta_links_total", nil, float64(ps.DeltaLinks))
-		m.family("linrec_persist_chain_links", "gauge", "Delta-chain links in the current manifest (total and longest chain).")
+		one("linrec_persist_bytes_written_total", "counter", "Segment and log bytes written (headers and frames included).", float64(ps.BytesWritten))
+		one("linrec_persist_log_records_total", "counter", "Records synced to the write-ahead log (one per kept-chain write, one per swap carrying links).", float64(ps.LogRecords))
+		one("linrec_persist_log_bytes_written_total", "counter", "Write-ahead log bytes written (frames included).", float64(ps.LogBytes))
+		one("linrec_persist_symtab_bytes_written_total", "counter", "Symbol-table bytes written (appended past the committed end).", float64(ps.SymtabBytes))
+		one("linrec_persist_manifest_bytes_written_total", "counter", "Manifest bytes written across manifest swaps.", float64(ps.ManifestBytes))
+		one("linrec_persist_fsyncs_total", "counter", "File and directory fsyncs issued by publishes and compactions.", float64(ps.Fsyncs))
+		one("linrec_persist_lazy_loads_total", "counter", "Segments mapped on first touch after boot.", float64(ps.LazyLoads))
+		one("linrec_persist_lazy_load_seconds_total", "counter", "Cumulative wall time spent mapping segments (microsecond resolution).", float64(ps.LazyLoadMicros)/1e6)
+		one("linrec_persist_gc_removed_total", "counter", "Unreferenced storage files removed after manifest swaps.", float64(ps.GCRemoved))
+		one("linrec_persist_mem_budget_bytes", "gauge", "Configured residency budget for probe artifacts (0 = unbudgeted).", float64(ps.MemBudgetBytes))
+		one("linrec_persist_resident_bytes", "gauge", "Probe-artifact bytes currently resident under the memory budget.", float64(ps.ResidentBytes))
+		one("linrec_persist_resident_peak_bytes", "gauge", "Peak tracked probe-artifact residency since boot.", float64(ps.ResidentPeakBytes))
+		one("linrec_persist_resident_segments", "gauge", "Segments currently holding resident probe artifacts.", float64(ps.ResidentSegments))
+		one("linrec_persist_evictions_total", "counter", "Probe artifacts evicted back to mmap-only under budget pressure.", float64(ps.Evictions))
+		one("linrec_persist_evicted_bytes_total", "counter", "Probe-artifact bytes released by evictions.", float64(ps.EvictedBytes))
+		one("linrec_persist_delta_links_total", "counter", "Chain links published as deltas instead of full rewrites.", float64(ps.DeltaLinks))
+		m.family("linrec_persist_chain_links", "gauge", "Delta-chain links in the current manifest and its log (total and longest chain).")
 		m.sample("linrec_persist_chain_links", [][2]string{{"agg", "total"}}, float64(ps.ChainLinks))
 		m.sample("linrec_persist_chain_links", [][2]string{{"agg", "max"}}, float64(ps.MaxChainLinks))
-		m.family("linrec_persist_compactions_total", "counter", "Chain folds (inline at publish or by the background compactor).")
-		m.sample("linrec_persist_compactions_total", nil, float64(ps.Compactions))
-		m.family("linrec_persist_compacted_links_total", "counter", "Chain links folded away by compactions.")
-		m.sample("linrec_persist_compacted_links_total", nil, float64(ps.CompactedLinks))
+		one("linrec_persist_compactions_total", "counter", "Chain folds (inline at publish or by the background compactor).", float64(ps.Compactions))
+		one("linrec_persist_compacted_links_total", "counter", "Chain links folded away by compactions.", float64(ps.CompactedLinks))
 	}
 
 	return m.b.String()

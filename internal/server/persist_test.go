@@ -48,16 +48,25 @@ func TestPersistObservability(t *testing.T) {
 		t.Fatalf("cold start: publishes=%d generation=%d, want 1/1", st.Persist.Publishes, st.Persist.Generation)
 	}
 
-	// A fact batch publishes a new generation before the swap is visible.
+	// A fact batch makes its version durable before the swap is visible:
+	// one log record, synced once, in the same manifest generation.
+	before := st.Persist
 	postJSON(t, ts1.URL+"/v1/facts", FactsRequest{Facts: "edge(c3,c4)."}).Body.Close()
 	st = s1.Stats()
-	if st.Persist.Generation != 2 || st.Persist.SnapshotVersion != 2 {
-		t.Fatalf("after facts: generation=%d version=%d, want 2/2", st.Persist.Generation, st.Persist.SnapshotVersion)
+	if st.Persist.Generation != 1 || st.Persist.SnapshotVersion != 2 {
+		t.Fatalf("after facts: generation=%d version=%d, want 1/2", st.Persist.Generation, st.Persist.SnapshotVersion)
+	}
+	if st.Persist.LogRecords != 1 || st.Persist.LogBytes == 0 || st.Persist.Fsyncs != before.Fsyncs+1 ||
+		st.Persist.BytesWritten != before.BytesWritten+st.Persist.LogBytes || st.Persist.ChainLinks != 1 {
+		t.Fatalf("after facts: %+v, want one log record, one fsync and one chain link", st.Persist)
 	}
 
 	m := scrape(t, ts1.URL)
-	if got := m["linrec_persist_generation"]; got != 2 {
-		t.Fatalf("linrec_persist_generation = %v, want 2", got)
+	if got := m["linrec_persist_generation"]; got != 1 {
+		t.Fatalf("linrec_persist_generation = %v, want 1", got)
+	}
+	if got := m["linrec_persist_snapshot_version"]; got != 2 {
+		t.Fatalf("linrec_persist_snapshot_version = %v, want 2", got)
 	}
 	if got := m["linrec_persist_recovered"]; got != 0 {
 		t.Fatalf("linrec_persist_recovered = %v, want 0 on cold start", got)
@@ -66,12 +75,15 @@ func TestPersistObservability(t *testing.T) {
 		t.Fatalf("segments written gauge = %v, stats say %d", got, st.Persist.SegmentsWritten)
 	}
 	// The write path's other bytes and its flushes are counted too: the
-	// fact batch interned one new constant (c4), so the symbol table grew
-	// by that one record, not by a rewrite of the table.
-	if st.Persist.SymtabBytes == 0 || st.Persist.ManifestBytes == 0 || st.Persist.Fsyncs == 0 {
-		t.Fatalf("write-path counters not advancing: %+v", st.Persist)
+	// fact batch interned one new constant (c4), which its log record
+	// carries, so neither the symbol table nor the manifest was written.
+	if st.Persist.SymtabBytes != before.SymtabBytes || st.Persist.ManifestBytes != before.ManifestBytes || st.Persist.SymtabBytes == 0 {
+		t.Fatalf("a logged write rewrote the symbol table or the manifest: %+v", st.Persist)
 	}
 	for series, want := range map[string]int64{
+		"linrec_persist_bytes_written_total":          st.Persist.BytesWritten,
+		"linrec_persist_log_records_total":            st.Persist.LogRecords,
+		"linrec_persist_log_bytes_written_total":      st.Persist.LogBytes,
 		"linrec_persist_symtab_bytes_written_total":   st.Persist.SymtabBytes,
 		"linrec_persist_manifest_bytes_written_total": st.Persist.ManifestBytes,
 		"linrec_persist_fsyncs_total":                 st.Persist.Fsyncs,
