@@ -93,7 +93,7 @@ base(a,b). edge(b,c). edge(c,d).
 }
 
 // TestEvaluationPanicRecoveredToError: an arity panic raised inside the
-// detached seed-build goroutine (a non-copy exit rule), a parallel
+// seed build (a non-copy exit rule), a parallel
 // closure worker, or the sequential path comes back from Evaluate as an
 // error wrapping ErrInternal — never as a process-killing panic in a
 // bare goroutine.  A copy exit rule's seed is the stored relation, so a

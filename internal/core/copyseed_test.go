@@ -27,13 +27,13 @@ reach(X,Y) :- edge(X,Y).
 reach(X,Y) :- edge(X,Z), reach(Z,Y).
 `
 
-// exitSeedEntries counts the cached exit-rule seeds (adorn == "").
+// exitSeedEntries counts the cached exit-rule seeds.
 func exitSeedEntries(sys *System) int {
-	sys.seedMu.Lock()
-	defer sys.seedMu.Unlock()
+	sys.store.mu.Lock()
+	defer sys.store.mu.Unlock()
 	n := 0
-	for key := range sys.seeds {
-		if key.adorn == "" {
+	for key := range sys.store.entries {
+		if key.kind == seedView {
 			n++
 		}
 	}

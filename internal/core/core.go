@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/eval"
@@ -47,7 +46,8 @@ type Options struct {
 	Strategy planner.Strategy
 	// ResultCacheRows caps the goal-level result cache by total cached
 	// answer rows.  0 selects DefaultResultCacheRows; negative disables
-	// the cache.  Only the value passed at System construction matters —
+	// result caching only — exit-rule seeds and magic sets stay cached.
+	// Only the value passed at System construction matters —
 	// the cache belongs to the System, not to individual queries.
 	ResultCacheRows int
 	// Persist, when set, makes snapshots durable: NewSystem boots the
@@ -158,153 +158,16 @@ type System struct {
 	mu       sync.Mutex
 	analyses map[string]*planner.Analysis
 
-	// seeds caches, for the current snapshot version, the materialized
-	// exit-rule seed per predicate (adorn == "") whose exit rules are not
-	// a plain copy of one stored relation (seedFor) and the magic set per
-	// (predicate, adornment, bound tuple) — the goal-binding dimension
-	// the magic-seeded plans add.  Cached relations are immutable once
-	// built (plans clone or only read them; their lazy indexes build
-	// concurrency-safely), so one build serves every concurrent query on
-	// that snapshot — without it, a busy server re-materializes the
-	// (possibly huge) exit-rule union, or re-walks the magic frontier,
-	// per request.  Single-flight: concurrent first queries share one
-	// build.
-	seedMu      sync.Mutex
-	seedVersion uint64
-	seeds       map[seedKey]*seedFuture
-
-	// results is the goal-level result cache (see resultcache.go):
-	// completed QueryResults keyed by normalized goal and plan kind,
-	// valid at one snapshot version at a time, LRU-bounded by total
-	// cached rows.  Where the seed cache saves re-materializing
-	// evaluation inputs, this one skips evaluation entirely for repeated
-	// goals on an unchanged database; snapshot swaps try to carry its
-	// entries to the new version (see maintain.go) before purging.
-	results *resultCache
+	// store holds the views derived from the current snapshot — goal
+	// results, exit-rule seeds and magic sets (see store.go) — so repeated
+	// goals skip evaluation and repeated bound goals skip re-materializing
+	// their inputs; snapshot swaps carry its entries to the new version
+	// (see maintain.go) before purging.
+	store *store
 
 	// deltas caches the occurrence-restricted delta operators the
 	// maintenance paths derive from the analysis operators (maintain.go).
 	deltas deltaOps
-
-	// Lifetime seed/magic cache counters (SeedCacheStats): hits and
-	// misses per dimension (a capacity or superseded-snapshot bypass
-	// counts as a miss — the query evaluated the artifact itself), plus
-	// how many entries swap maintenance carried forward versus dropped.
-	seedHits, seedMisses   atomic.Int64
-	magicHits, magicMisses atomic.Int64
-	seedsUpgraded          atomic.Int64
-	seedsPurged            atomic.Int64
-}
-
-// seedKey addresses one cached evaluation artifact of a snapshot: the
-// exit-rule seed of a predicate (adorn == ""), or the magic set of a
-// bound goal on that predicate, keyed by its adornment and bound tuple
-// (see magicAdornKey).
-type seedKey struct {
-	pred  string
-	adorn string
-}
-
-// magicAdornKey encodes a magic set's (adornment, bound tuple) pair as a
-// seedKey component: "col=val" pairs over the bound columns, ascending.
-// Values are interned rel.Values, so the encoding is exact and two
-// distinct bound tuples never collide.
-func magicAdornKey(cols []int, vals rel.Tuple) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d=%d", c, vals[i])
-	}
-	return b.String()
-}
-
-type seedFuture struct {
-	once sync.Once
-	done chan struct{}
-	q    *rel.Relation
-	// stats are the frontier statistics of a magic-set build; queries
-	// reusing the cached set fold them in so cache hits and misses
-	// report identical statistics.
-	stats eval.Stats
-	err   error
-}
-
-// magicCacheCap bounds the number of cached entries per snapshot.
-// Magic sets are keyed by the query's bound tuple, and a remote client
-// can sweep arbitrarily many distinct constants on a snapshot that
-// never swaps — without a cap that sweep would grow the cache (and its
-// detached builds) without bound.  Queries past the cap still work;
-// they just compute their magic set inline, under their own context.
-const magicCacheCap = 1024
-
-// cachedFuture returns the single-flight future for key on snap, or nil
-// when the artifact should be computed fresh instead: the snapshot is
-// superseded (no point repopulating the cache), or the cache is at
-// capacity and the key is not already present.  created reports that
-// this call inserted the future (the caller is about to run the build —
-// a cache miss); false with a non-nil future is a hit on an existing
-// (possibly still in-flight) entry.
-func (s *System) cachedFuture(snap *Snapshot, key seedKey) (f *seedFuture, created bool) {
-	s.seedMu.Lock()
-	defer s.seedMu.Unlock()
-	if snap.Version != s.seedVersion {
-		if snap.Version < s.seedVersion {
-			return nil, false
-		}
-		s.seedVersion = snap.Version
-		s.seeds = map[seedKey]*seedFuture{}
-	}
-	f, ok := s.seeds[key]
-	if !ok {
-		// Exit-rule seeds (adorn == "") are bounded by the program's
-		// predicate count and always cached; only the bound-tuple-keyed
-		// magic dimension is capped.
-		if key.adorn != "" && len(s.seeds) >= magicCacheCap {
-			return nil, false
-		}
-		f = &seedFuture{done: make(chan struct{})}
-		s.seeds[key] = f
-		created = true
-	}
-	return f, created
-}
-
-// build runs fn exactly once on a detached goroutine (the artifact is
-// bounded work every later query on this snapshot reuses), recovering a
-// panic — an engine invariant violation — into the future's error, which
-// every waiter then observes.  Waiters honor ctx: a query whose deadline
-// fires during the build returns immediately instead of pinning its
-// worker grant until the build completes.
-func (f *seedFuture) build(ctx context.Context, what string, fn func() (*rel.Relation, eval.Stats, error)) (*rel.Relation, eval.Stats, error) {
-	f.once.Do(func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					// Keep the stack: it is the only pointer to the
-					// invariant violation once the panic is flattened
-					// into an error.
-					f.q, f.err = nil, fmt.Errorf("core: %w: %s: %v\n%s", ErrInternal, what, r, debug.Stack())
-				}
-				close(f.done)
-			}()
-			f.q, f.stats, f.err = fn()
-		}()
-	})
-	// A nil context (tolerated throughout the engine, see
-	// eval.watchContext) waits unconditionally: a nil Done channel
-	// blocks forever.
-	var cancelled <-chan struct{}
-	if ctx != nil {
-		cancelled = ctx.Done()
-	}
-	select {
-	case <-f.done:
-		return f.q, f.stats, f.err
-	case <-cancelled:
-		return nil, eval.Stats{}, ctx.Err()
-	}
 }
 
 // seedFor returns the evaluation seed for a on snap.  A copy exit rule's
@@ -323,75 +186,38 @@ func (s *System) seedFor(ctx context.Context, a *planner.Analysis, snap *Snapsho
 		}
 		return st, nil
 	}
-	tr := eval.TracerFrom(ctx)
-	f, created := s.cachedFuture(snap, seedKey{pred: a.Pred})
-	if f == nil {
-		s.seedMisses.Add(1)
-		tr.Cache("seed", "bypass", a.Pred, 0)
-		return a.Seed(s.Engine, snap.DB)
-	}
-	if created {
-		s.seedMisses.Add(1)
-	} else {
-		s.seedHits.Add(1)
-	}
-	start := time.Now()
-	q, _, err := f.build(ctx, fmt.Sprintf("seed for %q", a.Pred), func() (*rel.Relation, eval.Stats, error) {
+	res, _, err := s.view(ctx, viewKey{kind: seedView, pred: a.Pred}, snap.Version, func() (*QueryResult, error) {
 		q, err := a.Seed(s.Engine, snap.DB)
-		return q, eval.Stats{}, err
+		if err != nil {
+			return nil, err
+		}
+		return &QueryResult{Answer: q}, nil
 	})
-	if created {
-		tr.Cache("seed", "miss", a.Pred, time.Since(start))
-	} else {
-		tr.Cache("seed", "hit", a.Pred, time.Since(start))
+	if err != nil {
+		return nil, err
 	}
-	return q, err
+	return res.Answer, nil
 }
 
-// magicFor returns the magic set for a bound goal on snap — the
-// goal-binding dimension of the seed cache, keyed (predicate,
-// adornment, bound tuple, snapshot version) — along with the frontier
-// statistics recorded when the set was built, so every query over the
-// cached set reports the same statistics as the one that paid for it.
-// vals carries the bound values in spec.Cols order.
+// magicFor returns the magic set for a bound goal on snap, cached per
+// (predicate, adornment, bound tuple), along with the frontier statistics
+// recorded when the set was built, so every query over the cached set
+// reports the same statistics as the one that paid for it.  vals carries
+// the bound values in spec.Cols order.
 func (s *System) magicFor(ctx context.Context, a *planner.Analysis, snap *Snapshot, spec eval.MagicSpec, vals rel.Tuple) (*rel.Relation, eval.Stats, error) {
-	tr := eval.TracerFrom(ctx)
-	key := a.Pred + "[" + magicAdornKey(spec.Cols, vals) + "]"
-	f, created := s.cachedFuture(snap, seedKey{pred: a.Pred, adorn: magicAdornKey(spec.Cols, vals)})
-	if f == nil {
-		// Uncached (superseded snapshot, or cache at capacity): compute
-		// inline under the request's own context, so the query's
-		// deadline and client disconnect still cancel the frontier.
-		s.magicMisses.Add(1)
-		tr.Cache("magic", "bypass", key, 0)
+	key := viewKey{kind: magicView, pred: a.Pred, goal: magicAdornKey(spec.Cols, vals)}
+	res, _, err := s.view(ctx, key, snap.Version, func() (*QueryResult, error) {
 		var stats eval.Stats
 		set, err := s.Engine.MagicSetCtx(ctx, snap.DB, spec, vals, &stats)
-		return set, stats, err
-	}
-	if created {
-		s.magicMisses.Add(1)
-	} else {
-		s.magicHits.Add(1)
-	}
-	start := time.Now()
-	set, stats, err := f.build(ctx, fmt.Sprintf("magic set for %q[%s]", a.Pred, magicAdornKey(spec.Cols, vals)), func() (*rel.Relation, eval.Stats, error) {
-		// The cached build is detached from any single request on
-		// purpose: the set is bounded frontier work every later query
-		// with this binding reuses, so it runs under no request
-		// deadline (waiters still honor their own ctx).  That detachment
-		// is also why frontier phases of cached builds never land on a
-		// query's trace — the cache event recorded here is the query's
-		// view of the work.
-		var stats eval.Stats
-		set, err := s.Engine.MagicSetCtx(context.Background(), snap.DB, spec, vals, &stats)
-		return set, stats, err
+		if err != nil {
+			return nil, err
+		}
+		return &QueryResult{Answer: set, Stats: stats}, nil
 	})
-	if created {
-		tr.Cache("magic", "miss", key, time.Since(start))
-	} else {
-		tr.Cache("magic", "hit", key, time.Since(start))
+	if err != nil {
+		return nil, eval.Stats{}, err
 	}
-	return set, stats, err
+	return res.Answer, res.Stats, nil
 }
 
 // NewSystem builds a System from a parsed program (see parser.Parse) —
@@ -414,7 +240,7 @@ func NewSystem(prog *ast.Program, opts Options) (*System, error) {
 		idb:      map[string]bool{},
 		arity:    map[string]int{},
 		analyses: map[string]*planner.Analysis{},
-		results:  newResultCache(opts.ResultCacheRows),
+		store:    newStore(opts.ResultCacheRows),
 	}
 	for _, r := range prog.Rules {
 		s.idb[r.Head.Pred] = true
@@ -747,84 +573,43 @@ func (s *System) RemoveFactsMaintCtx(ctx context.Context, facts []ast.Atom) (*Sn
 	return snap, m.Removed, m, err
 }
 
-// ResultCacheStats reports the goal-level result cache's counters (the
-// /v1/stats "result_cache" section).
+// ResultCacheStats reports the store's results (the /v1/stats
+// "result_cache" section).
 func (s *System) ResultCacheStats() ResultCacheStats {
-	return s.results.Stats()
+	rs, _ := s.store.stats()
+	return rs
 }
 
-// SeedCacheStats reports the seed/magic cache: current entries and rows
-// plus lifetime hit/miss counters per dimension (a capacity or
-// superseded-snapshot bypass counts as a miss) and the totals of entries
-// carried across snapshot swaps versus dropped by them.
-type SeedCacheStats struct {
-	SeedEntries  int   `json:"seed_entries"`
-	MagicEntries int   `json:"magic_entries"`
-	Rows         int   `json:"rows"`
-	SeedHits     int64 `json:"seed_hits"`
-	SeedMisses   int64 `json:"seed_misses"`
-	MagicHits    int64 `json:"magic_hits"`
-	MagicMisses  int64 `json:"magic_misses"`
-	Upgraded     int64 `json:"upgraded"`
-	Purged       int64 `json:"purged"`
-}
-
-// SeedCacheStatsNow samples the seed/magic cache.  Row counts cover only
-// completed builds — an in-flight future contributes its entry but no
-// rows.
+// SeedCacheStatsNow reports the store's seeds and magic sets (the
+// /v1/stats "seed_cache" section).
 func (s *System) SeedCacheStatsNow() SeedCacheStats {
-	st := SeedCacheStats{
-		SeedHits:    s.seedHits.Load(),
-		SeedMisses:  s.seedMisses.Load(),
-		MagicHits:   s.magicHits.Load(),
-		MagicMisses: s.magicMisses.Load(),
-		Upgraded:    s.seedsUpgraded.Load(),
-		Purged:      s.seedsPurged.Load(),
-	}
-	s.seedMu.Lock()
-	defer s.seedMu.Unlock()
-	for key, f := range s.seeds {
-		if key.adorn == "" {
-			st.SeedEntries++
-		} else {
-			st.MagicEntries++
-		}
-		select {
-		case <-f.done:
-			if f.q != nil {
-				st.Rows += f.q.Len()
-			}
-		default:
-		}
-	}
-	return st
+	_, ss := s.store.stats()
+	return ss
 }
 
-// CachedAnswer probes the result cache for q on snap without planning,
-// evaluating or joining an in-flight build — the admission-free fast
-// path the server uses to answer a repeated goal without consuming a
-// queue slot or worker grant.  ok reports a completed hit; any miss
-// (including a build in flight) returns false and the caller proceeds
-// through the normal Evaluate path.
-func (s *System) CachedAnswer(snap *Snapshot, q ast.Atom, opts Options) (*QueryResult, bool) {
-	opts = opts.normalize()
-	a, sels, unknown, err := s.resolveQuery(q)
-	if err != nil || unknown != "" {
-		return nil, false
-	}
-	res := s.results.peek(resultKey{
-		goal:     normalizeGoal(q),
-		kind:     a.ChooseMulti(sels, opts.planOpts()).Kind,
-		strategy: opts.Strategy,
-		workers:  opts.Workers,
-	}, snap.Version)
+// CachedAnswer probes the store for q's answer on snap under plan — the
+// plan PlanFor returned for q — without planning, evaluating or joining
+// an in-flight build: the admission-free fast path the server uses to
+// answer a repeated goal without consuming a queue slot or worker grant.
+// The key's plan kind does not depend on the worker count, so a plan
+// chosen at one budget probes the entry built at another's grant.  ok
+// reports a completed hit; any miss (including a build in flight, and a
+// goal naming an unknown constant, which is never cached) returns false
+// and the caller proceeds through the normal Evaluate path.
+func (s *System) CachedAnswer(snap *Snapshot, q ast.Atom, plan *planner.Plan, opts Options) (*QueryResult, bool) {
+	res := s.store.peek(resultKey(q, plan.Kind, opts.normalize()), snap.Version)
 	if res == nil {
 		return nil, false
 	}
+	return cachedHit(res, q), true
+}
+
+// cachedHit is a stored result as served to goal q.
+func cachedHit(res *QueryResult, q ast.Atom) *QueryResult {
 	hit := *res
 	hit.Query = q
 	hit.Cached = true
-	return &hit, true
+	return &hit
 }
 
 // Analyze runs (and caches) the paper's full analysis for one recursive
@@ -1057,82 +842,24 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResu
 	}
 
 	plan := a.ChooseMulti(sels, opts.planOpts())
-	key := resultKey{
-		goal:     normalizeGoal(q),
-		kind:     plan.Kind,
-		strategy: opts.Strategy,
-		workers:  opts.Workers,
+	res, cached, err := s.view(ctx, resultKey(q, plan.Kind, opts), snap.Version, func() (*QueryResult, error) {
+		res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
+		if err == nil {
+			// Cached hits share one sort and one rendering.
+			res.memo = &answerMemo{syms: s.Engine.Syms}
+		}
+		return res, err
+	})
+	if err != nil || !cached {
+		return res, err
 	}
-	tr := eval.TracerFrom(ctx)
-	var cancelled <-chan struct{}
-	if ctx != nil {
-		cancelled = ctx.Done()
-	}
-	// Bounded retry: an abandoned build (the builder's context fired
-	// before completion) removes its entry, and a surviving waiter takes
-	// over as the next builder.  The bound only guards against a
-	// pathological stampede of short-deadline builders; on exhaustion the
-	// query simply evaluates uncached.
-	for attempt := 0; attempt < 4; attempt++ {
-		e, build := s.results.acquire(key, snap.Version)
-		if e == nil {
-			// Cache disabled, or snapshot superseded: evaluate fresh.
-			tr.Cache("result", "bypass", key.goal, 0)
-			break
-		}
-		if build {
-			tr.Cache("result", "miss", key.goal, 0)
-			res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
-			if err == nil {
-				// Cached hits share one sort and one rendering.
-				res.memo = &answerMemo{syms: s.Engine.Syms}
-			}
-			s.results.complete(e, res, err)
-			return res, err
-		}
-		// Distinguish a completed entry ("hit") from a single-flight wait
-		// on another query's in-flight build ("join", with the wait time).
-		event, waited := "hit", time.Duration(0)
-		select {
-		case <-e.done:
-		default:
-			event = "join"
-			start := time.Now()
-			select {
-			case <-e.done:
-				waited = time.Since(start)
-			case <-cancelled:
-				return nil, ctx.Err()
-			}
-		}
-		if e.err != nil {
-			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-				continue // the builder was abandoned, not us: retry
-			}
-			return nil, e.err
-		}
-		tr.Cache("result", event, key.goal, waited)
-		hit := *e.res
-		hit.Query = q
-		hit.Cached = true
-		return &hit, nil
-	}
-	return s.queryEval(ctx, snap, q, a, plan, sels, opts)
+	return cachedHit(res, q), nil
 }
 
-// queryEval is the uncached evaluation path behind Evaluate: seed and
-// magic-set cache injection (seedPlan), execution of the chosen plan,
-// the goal's residual filters.  It recovers evaluation panics into
-// ErrInternal itself (rather than leaving that to Evaluate's recover) so
-// that a panicking cache build still completes its entry — otherwise
-// every waiter on the key would hang until its own deadline instead of
-// observing the failure.
-func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, plan *planner.Plan, sels []separable.Selection, opts Options) (res *QueryResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, q, r, debug.Stack())
-		}
-	}()
+// queryEval is the evaluation behind a result: seed and magic-set
+// injection (seedPlan), execution of the chosen plan, the goal's residual
+// filters.
+func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, plan *planner.Plan, sels []separable.Selection, opts Options) (*QueryResult, error) {
 	seed, err := s.seedPlan(ctx, snap, a, plan)
 	if err != nil {
 		return nil, err

@@ -237,17 +237,20 @@ func TestSeedSweepOnSwap(t *testing.T) {
 	if m.SeedsUpgraded < 1 || m.SeedsPurged < 1 {
 		t.Fatalf("maintenance = %+v, want the exit seed upgraded and the magic set purged", m)
 	}
-	sys.seedMu.Lock()
-	defer sys.seedMu.Unlock()
-	if sys.seedVersion != next.Version {
-		t.Fatalf("seed cache at version %d after swap to %d", sys.seedVersion, next.Version)
+	sys.store.mu.Lock()
+	defer sys.store.mu.Unlock()
+	if sys.store.version != next.Version {
+		t.Fatalf("seed cache at version %d after swap to %d", sys.store.version, next.Version)
 	}
-	for key, f := range sys.seeds {
-		if key.adorn != "" {
+	for key, e := range sys.store.entries {
+		if key.kind == resultView {
+			continue
+		}
+		if key.kind == magicView {
 			t.Fatalf("stale magic set %v survived the eager sweep", key)
 		}
 		select {
-		case <-f.done:
+		case <-e.done:
 		default:
 			t.Fatalf("carried seed %v is not completed", key)
 		}
@@ -258,7 +261,7 @@ func TestSeedSweepOnSwap(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatalf("new constants missing from the symbol table")
 		}
-		if !f.q.Has([]int32{a, b}) {
+		if !e.res.Answer.Has([]int32{a, b}) {
 			t.Fatalf("upgraded seed for %v is missing the new exit derivation", key)
 		}
 	}

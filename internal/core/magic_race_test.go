@@ -170,10 +170,8 @@ func TestMagicCacheCapBounded(t *testing.T) {
 			t.Fatalf("p(c%d,Y) = %d rows, want %d", k, res.Answer.Len(), want)
 		}
 	}
-	sys.seedMu.Lock()
-	entries := len(sys.seeds)
-	sys.seedMu.Unlock()
-	if entries > magicCacheCap+1 { // +1: the exit-rule seed entry
+	st := sys.SeedCacheStatsNow()
+	if entries := st.SeedEntries + st.MagicEntries; entries > magicCacheCap+1 { // +1: the exit-rule seed entry
 		t.Fatalf("cache grew to %d entries, cap is %d", entries, magicCacheCap)
 	}
 }

@@ -1,7 +1,7 @@
-// Differential maintenance of cached derived state across snapshot
-// swaps.  A swap N → N+1 used to purge every cached result, exit-rule
-// seed and magic set; here the System instead offers each cached view an
-// upgrade to the new version:
+// Differential maintenance of the derived-state store across snapshot
+// swaps.  A swap N → N+1 advances the store once, and one decision
+// carries, upgrades or purges each completed entry — a result, an
+// exit-rule seed or a magic set — at the new version:
 //
 //   - When the changed predicates cannot reach the cached goal, the view
 //     carries over untouched (free upgrade).
@@ -18,12 +18,12 @@
 //     without the additions, then the resume from the retracted closure.
 //
 // Anything the analysis can't bound — bound goals, magic-seeded or
-// separable plans, derived predicates feeding the goal, in-flight
-// builds, panics during maintenance — falls back to the old behavior:
-// the entry is purged and the next query rebuilds it.  Every fallback is
-// counted (result_cache.upgrade_fallbacks), every carried view too
-// (result_cache.upgrades), so /v1/stats shows whether churn is being
-// absorbed or merely survived.
+// separable plans, magic sets, derived predicates feeding the goal,
+// retractions under a seed, panics during maintenance — is purged, and
+// the next query rebuilds it; builds in flight are dropped.  Every purge
+// is counted (result_cache.upgrade_fallbacks, seed_cache.purged), every
+// carried view too (result_cache.upgrades, seed_cache.upgraded), so
+// /v1/stats shows whether churn is being absorbed or merely survived.
 
 package core
 
@@ -114,22 +114,18 @@ func overlayDB(db rel.DB, delta *rel.Relation) rel.DB {
 // maintainSwap runs cache maintenance for a swap from old to next, where
 // added and removed hold the tuples actually inserted and removed per
 // predicate (removals first: next = old − removed + added).  It must run
-// under factMu, before next is published: the caches move to the new
+// under factMu, before next is published: the store moves to the new
 // version first, so a query pinned at the old snapshot can no longer
-// populate them with stale entries (it sees a superseded version and
+// populate it with stale entries (it sees a superseded version and
 // evaluates uncached), and the first query on the new snapshot finds the
 // carried views already in place.
 // A Tracer carried by ctx (Apply's) records one cache event per entry
-// decided — "upgrade" or "purge" on the result and seed caches — and any
+// decided — "upgrade" or "purge", named by the entry's kind — and any
 // resume phases the upgrades run.  ctx carries observability only;
 // maintenance never aborts on cancellation (the snapshot swap must
 // complete once started).
 func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, added, removed map[string]*rel.Relation) Maintenance {
 	tr := eval.TracerFrom(ctx)
-	var m Maintenance
-	m.SeedsUpgraded, m.SeedsPurged = s.sweepSeeds(ctx, next, added, removed)
-	s.seedsUpgraded.Add(int64(m.SeedsUpgraded))
-	s.seedsPurged.Add(int64(m.SeedsPurged))
 	// A mixed batch retracts against the database without its additions,
 	// then resumes the additions from there.
 	mid := next.DB
@@ -139,16 +135,33 @@ func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, added, r
 			mid[pred] = rel.NewLayered(old.DB[pred], nil, d)
 		}
 	}
-	m.ResultsUpgraded, m.ResultsPurged = s.results.advance(next.Version, func(key resultKey, res *QueryResult) *QueryResult {
-		up := s.upgradeResult(ctx, old, mid, next, added, removed, key, res)
-		if up != nil {
-			tr.Cache("result", "upgrade", key.goal, 0)
-		} else {
-			tr.Cache("result", "purge", key.goal, 0)
+	up, purged := s.store.advance(next.Version, func(key viewKey, res *QueryResult) (out *QueryResult) {
+		defer func() {
+			// A panic during maintenance (an engine invariant violation)
+			// degrades to a purge rather than failing the write.
+			if recover() != nil {
+				out = nil
+			}
+			event := "upgrade"
+			if out == nil {
+				event = "purge"
+			}
+			traceView(tr, key, event, 0)
+		}()
+		switch key.kind {
+		case resultView:
+			return s.upgradeResult(ctx, old, mid, next, added, removed, key, res)
+		case seedView:
+			return s.upgradeSeed(next, added, removed, key, res)
 		}
-		return up
+		return nil // a magic set's bound-tuple frontier is not superset-safe to reuse
 	})
-	return m
+	return Maintenance{
+		ResultsUpgraded: up[resultView],
+		ResultsPurged:   purged[resultView],
+		SeedsUpgraded:   up[seedView] + up[magicView],
+		SeedsPurged:     purged[seedView] + purged[magicView],
+	}
 }
 
 // upgradeResult attempts to carry one cached result across the swap,
@@ -158,17 +171,10 @@ func (s *System) maintainSwap(ctx context.Context, old, next *Snapshot, added, r
 // decomposed closure, whose body predicates are all extensional — the
 // cached answer is then exactly the closure of the exit-rule seed under
 // the analysis operators, which the resume/DRed machinery maintains.
-// A panic during maintenance (engine invariant violation) degrades to a
-// fallback rather than failing the write.
 // mid is the database between the two halves of a mixed batch (next.DB
 // for a pure one).
-func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, next *Snapshot, added, removed map[string]*rel.Relation, key resultKey, res *QueryResult) (out *QueryResult) {
-	defer func() {
-		if recover() != nil {
-			out = nil
-		}
-	}()
-	if res == nil || res.Plan == nil {
+func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, next *Snapshot, added, removed map[string]*rel.Relation, key viewKey, res *QueryResult) *QueryResult {
+	if res.Plan == nil {
 		return nil
 	}
 	if res.Plan.Kind != planner.SemiNaive && res.Plan.Kind != planner.Decomposed {
@@ -389,64 +395,12 @@ func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, tota
 	return pruned, true
 }
 
-// sweepSeeds eagerly retires the seed/magic cache of the superseded
-// snapshot during a swap, carrying what it can: an exit-rule seed whose
-// inputs did not change moves to the new version untouched, an addition
-// touching only extensional exit-rule inputs is delta-evaluated into an
-// upgraded seed, and everything else — magic sets (their bound-tuple
-// frontier is not superset-safe to reuse), in-flight builds, failed
-// builds, retraction-touched seeds — is dropped immediately instead of
-// lingering until the next query's lazy sweep.
-func (s *System) sweepSeeds(ctx context.Context, next *Snapshot, added, removed map[string]*rel.Relation) (upgraded, purged int) {
-	tr := eval.TracerFrom(ctx)
-	s.seedMu.Lock()
-	stale := s.seeds
-	s.seedVersion = next.Version
-	s.seeds = make(map[seedKey]*seedFuture, len(stale))
-	s.seedMu.Unlock()
-	for key, f := range stale {
-		cache, evKey := "seed", key.pred
-		if key.adorn != "" {
-			cache, evKey = "magic", key.pred+"["+key.adorn+"]"
-		}
-		nf := s.upgradeSeed(next, added, removed, key, f)
-		if nf == nil {
-			tr.Cache(cache, "purge", evKey, 0)
-			purged++
-			continue
-		}
-		tr.Cache(cache, "upgrade", evKey, 0)
-		upgraded++
-		s.seedMu.Lock()
-		if s.seedVersion == next.Version {
-			if _, exists := s.seeds[key]; !exists {
-				s.seeds[key] = nf
-			}
-		}
-		s.seedMu.Unlock()
-	}
-	return upgraded, purged
-}
-
-// upgradeSeed attempts to carry one seed-cache entry across the swap;
-// nil means drop it.  Only completed, error-free exit-rule seeds
-// (adorn == "") over purely extensional exit-rule bodies qualify; of
-// those, untouched seeds carry as-is and addition-touched seeds gain the
+// upgradeSeed attempts to carry one exit-rule seed across the swap; nil
+// means purge it.  Only seeds over purely extensional exit-rule bodies
+// qualify, and a retraction may shrink the seed, so it purges too; of the
+// rest, untouched seeds carry as-is and addition-touched seeds gain the
 // delta-evaluated new exit-rule derivations.
-func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Relation, key seedKey, f *seedFuture) (out *seedFuture) {
-	defer func() {
-		if recover() != nil {
-			out = nil
-		}
-	}()
-	select {
-	case <-f.done:
-	default:
-		return nil // in flight: its detached build targets the old snapshot
-	}
-	if f.err != nil || key.adorn != "" {
-		return nil
-	}
+func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Relation, key viewKey, res *QueryResult) *QueryResult {
 	a, err := s.Analyze(key.pred)
 	if err != nil {
 		return nil
@@ -454,11 +408,8 @@ func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Rela
 	touched := false
 	for _, r := range a.ExitRules {
 		for _, atom := range r.Body {
-			if s.idb[atom.Pred] {
+			if _, ok := removed[atom.Pred]; ok || s.idb[atom.Pred] {
 				return nil
-			}
-			if _, ok := removed[atom.Pred]; ok {
-				return nil // a retraction may shrink the seed: rebuild lazily
 			}
 			if _, ok := added[atom.Pred]; ok {
 				touched = true
@@ -466,9 +417,9 @@ func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Rela
 		}
 	}
 	if !touched {
-		return f // no exit-rule input changed: the seed is the seed
+		return res // no exit-rule input changed: the seed is the seed
 	}
-	q := f.q.Clone()
+	q := res.Answer.Clone()
 	for _, r := range a.ExitRules {
 		for i := range r.Body {
 			delta, ok := added[r.Body[i].Pred]
@@ -484,11 +435,5 @@ func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Rela
 			outRel.Each(func(t rel.Tuple) { q.Insert(t) })
 		}
 	}
-	// Republish as already-completed: consume once and close done up
-	// front so a later build() call neither re-runs the builder nor
-	// double-closes the channel.
-	nf := &seedFuture{done: make(chan struct{}), q: q, stats: f.stats}
-	nf.once.Do(func() {})
-	close(nf.done)
-	return nf
+	return &QueryResult{Answer: q}
 }

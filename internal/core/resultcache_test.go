@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -226,11 +227,27 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 }
 
+// singleFlightCounts reads the single-flight counters of one kind:
+// results through ResultCacheStats, magic sets off the store's slot
+// (SeedCacheStats folds joins into hits).
+func singleFlightCounts(sys *System, kind viewKind) (hits, misses, joins int64) {
+	if kind == resultView {
+		st := sys.ResultCacheStats()
+		hits, misses, _ = cacheTotals(st)
+		return hits, misses, st.Joins
+	}
+	sys.store.mu.Lock()
+	defer sys.store.mu.Unlock()
+	return sys.store.hits[magicSlot], sys.store.misses[magicSlot], sys.store.joins[magicSlot]
+}
+
 // TestResultCacheSingleFlight: N concurrent identical queries share one
-// evaluation — exactly one miss, with every other client either joining
-// the in-flight build (joins) or hitting the completed entry (hits),
-// and all answers identical.  Hits alone don't account for all N−1:
-// only clients actually served a completed entry count there.
+// build — exactly one miss, with every other client either joining the
+// in-flight build (joins) or hitting the completed entry (hits), and all
+// answers identical.  Hits alone don't account for all N−1: only clients
+// actually served a completed entry count there.  Results and magic sets
+// share the one protocol; the magic row turns results off, so every
+// query builds its own answer over the one shared magic set.
 func TestResultCacheSingleFlight(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,U), e(U,Y).\n")
@@ -238,116 +255,151 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, i+1)
 	}
-	sys, err := load(b.String(), Options{})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	goal := ast.NewAtom("p", ast.C("v0"), ast.V("Y"))
-	const clients = 8
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	rows := make([]int, clients)
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			<-start
-			r, err := query(sys, goal)
+	for _, tc := range []struct {
+		name string
+		kind viewKind
+		opts Options
+		goal ast.Atom
+		rows int
+		key  viewKey // an unused key for the deterministic join
+	}{
+		{"result", resultView, Options{}, ast.NewAtom("p", ast.C("v0"), ast.V("Y")), n,
+			resultKey(ast.NewAtom("p", ast.C("v0"), ast.V("Y")), planner.MagicSeeded, Options{})},
+		{"magic", magicView, Options{ResultCacheRows: -1}, ast.NewAtom("p", ast.C("v0"), ast.C(fmt.Sprintf("v%d", n))), 1,
+			viewKey{kind: magicView, pred: "p", goal: "0=1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := load(b.String(), tc.opts)
 			if err != nil {
-				errs[c] = err
-				return
+				t.Fatalf("Load: %v", err)
 			}
-			rows[c] = r.Answer.Len()
-		}(c)
+			if plan, _ := sys.PlanFor(tc.goal, tc.opts); tc.kind == magicView && plan.Kind != planner.MagicSeeded {
+				t.Fatalf("%v plans %v, want a magic set", tc.goal, plan.Kind)
+			}
+			const clients = 8
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			rows := make([]int, clients)
+			errs := make([]error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					<-start
+					r, err := query(sys, tc.goal)
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					rows[c] = r.Answer.Len()
+				}(c)
+			}
+			close(start)
+			wg.Wait()
+			for c, err := range errs {
+				if err != nil {
+					t.Fatalf("client %d: %v", c, err)
+				}
+				if rows[c] != tc.rows {
+					t.Fatalf("client %d: %d rows, want %d", c, rows[c], tc.rows)
+				}
+			}
+			hits, misses, joins := singleFlightCounts(sys, tc.kind)
+			if misses != 1 {
+				t.Fatalf("single-flight misses = %d, want 1", misses)
+			}
+			if hits+joins != clients-1 {
+				t.Fatalf("single-flight counters: %d hits + %d joins, want %d total", hits, joins, clients-1)
+			}
+			// A deterministic in-flight join: acquire the key while a build
+			// is open and verify it lands in joins, not hits.
+			c := sys.store
+			e, build := c.acquire(tc.key, 99)
+			if !build {
+				t.Fatalf("fresh key on a new version should be a miss")
+			}
+			hits0, _, joins0 := singleFlightCounts(sys, tc.kind)
+			if _, again := c.acquire(tc.key, 99); again {
+				t.Fatalf("second acquire of an in-flight key must not build")
+			}
+			hits1, _, joins1 := singleFlightCounts(sys, tc.kind)
+			if hits1 != hits0 {
+				t.Fatalf("in-flight join counted as a hit")
+			}
+			if joins1 != joins0+1 {
+				t.Fatalf("in-flight join not counted: %d, want %d", joins1, joins0+1)
+			}
+			c.complete(e, nil, errors.New("abandon"))
+		})
 	}
-	close(start)
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", c, err)
-		}
-		if rows[c] != n {
-			t.Fatalf("client %d: %d rows, want %d", c, rows[c], n)
-		}
-	}
-	st := sys.ResultCacheStats()
-	hits, misses, _ := cacheTotals(st)
-	if misses != 1 {
-		t.Fatalf("single-flight misses = %d, want 1", misses)
-	}
-	if hits+st.Joins != clients-1 {
-		t.Fatalf("single-flight counters: %d hits + %d joins, want %d total", hits, st.Joins, clients-1)
-	}
-	// A deterministic in-flight join: acquire the key while a build is
-	// open and verify it lands in joins, not hits.
-	c := sys.results
-	key := resultKey{goal: normalizeGoal(goal), kind: planner.MagicSeeded}
-	e, build := c.acquire(key, 99)
-	if !build {
-		t.Fatalf("fresh key on a new version should be a miss")
-	}
-	hits0, _, _ := cacheTotals(c.Stats())
-	joins0 := c.Stats().Joins
-	if _, again := c.acquire(key, 99); again {
-		t.Fatalf("second acquire of an in-flight key must not build")
-	}
-	hits1, _, _ := cacheTotals(c.Stats())
-	if hits1 != hits0 {
-		t.Fatalf("in-flight join counted as a hit")
-	}
-	if c.Stats().Joins != joins0+1 {
-		t.Fatalf("in-flight join not counted: %d, want %d", c.Stats().Joins, joins0+1)
-	}
-	c.complete(e, nil, errors.New("abandon"))
 }
 
 // TestResultCacheAbandonedBuild: a builder whose deadline fires mid-build
-// must not poison the key — a concurrent (or later) query with a live
-// context re-builds and succeeds.
+// must not poison the key — a query with a live context that joined the
+// build re-builds and succeeds.  The live query starts only once the
+// short-deadline build is in flight, so it is a waiter on that build.
+// The magic row builds a long magic frontier (one generation per chain
+// edge) with results off.
 func TestResultCacheAbandonedBuild(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,U), e(U,Y).\n")
+	var cycle, chain strings.Builder
+	cycle.WriteString("p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,U), e(U,Y).\n")
 	const n = 600 // cycle: closure is n² tuples, far beyond a 1ms deadline
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "e(v%d,v%d).\n", i, (i+1)%n)
+		fmt.Fprintf(&cycle, "e(v%d,v%d).\n", i, (i+1)%n)
 	}
-	sys, err := load(b.String(), Options{})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	chain.WriteString("p(X,Y) :- e(X,Y).\np(X,Y) :- e(X,Z), p(Z,Y).\n")
+	const m = 5000 // chain: m frontier generations, far beyond a 1ms deadline
+	for i := 0; i < m; i++ {
+		fmt.Fprintf(&chain, "e(c%d,c%d).\n", i, i+1)
 	}
-	// Unbound goal: the full n² closure, which a 1ms deadline cannot
-	// finish (a bound goal would take the output-proportional magic path
-	// and complete before the deadline fires).
-	goal := ast.NewAtom("p", ast.V("X"), ast.V("Y"))
-
-	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	var wg sync.WaitGroup
-	var slowRows int
-	var slowErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Likely a waiter on the short-deadline builder; must survive the
-		// builder's abandonment via the retry path.
-		r, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Opts: sys.Opts})
-		if err != nil {
-			slowErr = err
-			return
-		}
-		slowRows = r.Answer.Len()
-	}()
-	_, err = sys.Evaluate(short, QueryRequest{Goal: goal, Opts: sys.Opts})
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("short-deadline query: %v", err)
-	}
-	wg.Wait()
-	if slowErr != nil {
-		t.Fatalf("live-context query failed after builder abandonment: %v", slowErr)
-	}
-	if slowRows != n*n {
-		t.Fatalf("live-context query rows = %d, want %d", slowRows, n*n)
+	for _, tc := range []struct {
+		name string
+		kind viewKind
+		src  string
+		opts Options
+		goal ast.Atom
+		rows int
+	}{
+		// Unbound goal: the full n² closure, which a 1ms deadline cannot
+		// finish (a bound goal would take the output-proportional magic
+		// path and complete before the deadline fires).
+		{"result", resultView, cycle.String(), Options{}, ast.NewAtom("p", ast.V("X"), ast.V("Y")), n * n},
+		{"magic", magicView, chain.String(), Options{ResultCacheRows: -1}, ast.NewAtom("p", ast.C("c0"), ast.V("Y")), m},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := load(tc.src, tc.opts)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if plan, _ := sys.PlanFor(tc.goal, tc.opts); tc.kind == magicView && plan.Kind != planner.MagicSeeded {
+				t.Fatalf("%v plans %v, want a magic set", tc.goal, plan.Kind)
+			}
+			short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			defer cancel()
+			shortDone := make(chan error, 1)
+			go func() {
+				_, err := sys.Evaluate(short, QueryRequest{Goal: tc.goal, Opts: sys.Opts})
+				shortDone <- err
+			}()
+			inFlight := func() bool {
+				sys.store.mu.Lock()
+				defer sys.store.mu.Unlock()
+				return sys.store.n[tc.kind] > 0
+			}
+			for !inFlight() && len(shortDone) == 0 {
+				runtime.Gosched()
+			}
+			r, slowErr := sys.Evaluate(context.Background(), QueryRequest{Goal: tc.goal, Opts: sys.Opts})
+			if err := <-shortDone; err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("short-deadline query: %v", err)
+			}
+			if slowErr != nil {
+				t.Fatalf("live-context query failed after builder abandonment: %v", slowErr)
+			}
+			if slowRows := r.Answer.Len(); slowRows != tc.rows {
+				t.Fatalf("live-context query rows = %d, want %d", slowRows, tc.rows)
+			}
+		})
 	}
 }
 
@@ -538,5 +590,202 @@ func TestRenderedOnceAndShared(t *testing.T) {
 	}
 	if _, _, ok := unc.Rendered(cold, render); ok {
 		t.Fatal("an uncached result kept a rendering")
+	}
+}
+
+// fmtGoalKey and fmtAdornKey are the keys' original fmt forms, which
+// Explain output and trace events show: the appending builders must
+// reproduce them byte for byte.
+func fmtGoalKey(q ast.Atom) string {
+	var b strings.Builder
+	b.WriteString(q.Pred)
+	b.WriteByte('(')
+	vars := map[string]int{}
+	for i, t := range q.Args {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if t.IsVar() {
+			idx, ok := vars[t.Name]
+			if !ok {
+				idx = len(vars)
+				vars[t.Name] = idx
+			}
+			fmt.Fprintf(&b, "$%d", idx)
+		} else {
+			fmt.Fprintf(&b, "%q", t.Name)
+		}
+	}
+	b.WriteByte(')')
+	return b.String()
+}
+
+func fmtAdornKey(cols []int, vals rel.Tuple) string {
+	var b strings.Builder
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d=%d", c, vals[i])
+	}
+	return b.String()
+}
+
+// TestCacheKeyBytes: the goal and magic-binding keys are built without
+// fmt, in the same bytes — escaped and non-UTF-8 constants, repeated and
+// multi-digit variables, multi-digit columns and values.
+func TestCacheKeyBytes(t *testing.T) {
+	many := make([]ast.Term, 0, 14)
+	for i := 0; i < 12; i++ {
+		many = append(many, ast.V(fmt.Sprintf("V%d", i)))
+	}
+	many = append(many, ast.V("V3"), ast.V("V11"))
+	for _, tc := range []struct {
+		goal ast.Atom
+		want string // pinned where given
+	}{
+		{ast.NewAtom("p", ast.C("a"), ast.V("Y")), `p("a",$0)`},
+		{ast.NewAtom("p", ast.V("X"), ast.V("Y"), ast.V("X")), `p($0,$1,$0)`},
+		{ast.NewAtom("p", ast.C(`a"b`), ast.C(`back\slash`), ast.C("tab\tnl\n")), `p("a\"b","back\\slash","tab\tnl\n")`},
+		{ast.NewAtom("q", ast.C("日本"), ast.C("ünï"), ast.C("\x00\x7f"), ast.C("\xff\xfe"), ast.C("")), ""},
+		{ast.NewAtom("wide", many...), ""},
+		{ast.NewAtom("z"), "z()"},
+	} {
+		got, want := normalizeGoal(tc.goal), fmtGoalKey(tc.goal)
+		if got != want {
+			t.Errorf("normalizeGoal(%v) = %q, fmt form %q", tc.goal, got, want)
+		}
+		if tc.want != "" && got != tc.want {
+			t.Errorf("normalizeGoal(%v) = %q, want %q", tc.goal, got, tc.want)
+		}
+	}
+	if got := normalizeGoal(ast.NewAtom("wide", many...)); !strings.HasSuffix(got, ",$10,$11,$3,$11)") {
+		t.Errorf("multi-digit variables: %q", got)
+	}
+	for _, tc := range []struct {
+		cols []int
+		vals rel.Tuple
+		want string
+	}{
+		{[]int{0}, rel.Tuple{0}, "0=0"},
+		{[]int{1, 12}, rel.Tuple{7, 123456}, "1=7,12=123456"},
+		{[]int{0, 1, 2}, rel.Tuple{2147483647, 10, 0}, "0=2147483647,1=10,2=0"},
+		{nil, nil, ""},
+	} {
+		got := magicAdornKey(tc.cols, tc.vals)
+		if want := fmtAdornKey(tc.cols, tc.vals); got != want || got != tc.want {
+			t.Errorf("magicAdornKey(%v, %v) = %q, fmt form %q, want %q", tc.cols, tc.vals, got, want, tc.want)
+		}
+	}
+}
+
+// TestCachePanickingBuildCompletes: whatever the kind, a build that
+// panics completes its entry with ErrInternal and leaves the store, so
+// the next caller builds afresh instead of waiting on a build that will
+// never finish.
+func TestCachePanickingBuildCompletes(t *testing.T) {
+	sys, err := load(chainProgram(2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := sys.Snapshot().Version
+	for _, key := range []viewKey{
+		resultKey(ast.NewAtom("path", ast.V("X"), ast.V("Y")), planner.SemiNaive, Options{}),
+		{kind: seedView, pred: "path"},
+		{kind: magicView, pred: "path", goal: "0=1"},
+	} {
+		t.Run(viewNames[key.kind], func(t *testing.T) {
+			func() {
+				defer func() { _ = recover() }() // a panic the build did not recover
+				_, _, err = sys.view(context.Background(), key, version, func() (*QueryResult, error) { panic("invariant") })
+			}()
+			if !errors.Is(err, ErrInternal) {
+				t.Errorf("panicking build returned %v, want ErrInternal", err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			want := &QueryResult{Answer: rel.NewRelation(2)}
+			got, cached, err := sys.view(ctx, key, version, func() (*QueryResult, error) { return want, nil })
+			if err != nil || cached || got != want {
+				t.Fatalf("next caller: cached=%v err=%v, want its own build", cached, err)
+			}
+		})
+	}
+}
+
+// TestSeedCacheSurvivesDisabledResults: a negative ResultCacheRows turns
+// off result entries only; repeated queries still share one exit-rule
+// seed and one magic set per binding.
+func TestSeedCacheSurvivesDisabledResults(t *testing.T) {
+	src := strings.Replace(chainProgram(4), "path(X,Y) :- edge(X,Y).", "path(X,Y) :- edge(X,Y), node(X).", 1) +
+		"node(c0). node(c1). node(c2). node(c3).\n"
+	sys, err := load(src, Options{ResultCacheRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, bound := ast.NewAtom("path", ast.V("X"), ast.V("Y")), ast.NewAtom("path", ast.C("c0"), ast.V("Y"))
+	if plan, _ := sys.PlanFor(bound, sys.Opts); plan.Kind != planner.MagicSeeded {
+		t.Fatalf("%v plans %v, want a magic set", bound, plan.Kind)
+	}
+	for i := 0; i < 2; i++ {
+		for _, goal := range []ast.Atom{open, bound} {
+			if r, err := query(sys, goal); err != nil || r.Cached {
+				t.Fatalf("%v: cached=%v, %v", goal, r != nil && r.Cached, err)
+			}
+		}
+	}
+	st := sys.SeedCacheStatsNow()
+	if st.SeedEntries != 1 || st.SeedHits < 1 || st.MagicEntries != 1 || st.MagicHits < 1 {
+		t.Fatalf("seed cache with results off: %+v, want one hit seed and one hit magic set", st)
+	}
+	if rs := sys.ResultCacheStats(); rs.Entries != 0 {
+		t.Fatalf("results off but %d entries", rs.Entries)
+	}
+}
+
+// TestCachedAnswerTakesThePlan: the probe uses the plan PlanFor chose at
+// the request's worker count to find the entry built at its grant, and a
+// goal naming an unknown constant misses.
+func TestCachedAnswerTakesThePlan(t *testing.T) {
+	sys, err := load(chainProgram(4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := Options{Workers: 4}
+	for _, src := range []string{"path(c0, Y)", "path(X, Y)", "path(c0, c3)", "path(X, c2)"} {
+		goal := mustAtom(t, src)
+		plan, err := sys.PlanFor(goal, wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant := wide
+		if !plan.Parallelizable() {
+			grant.Workers = 1
+		}
+		if at, _ := sys.PlanFor(goal, grant); at.Kind != plan.Kind {
+			t.Fatalf("%s: kind %v at %d workers, %v at %d", src, plan.Kind, wide.Workers, at.Kind, grant.Workers)
+		}
+		if _, ok := sys.CachedAnswer(sys.Snapshot(), goal, plan, grant); ok {
+			t.Fatalf("%s: cold probe hit", src)
+		}
+		res, err := sys.Evaluate(context.Background(), QueryRequest{Goal: goal, Opts: grant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, ok := sys.CachedAnswer(sys.Snapshot(), goal, plan, grant)
+		if !ok || !hit.Cached || hit.Answer != res.Answer || hit.Plan != res.Plan {
+			t.Fatalf("%s: probe after the build: ok=%v", src, ok)
+		}
+	}
+	unknown := mustAtom(t, "path(nowhere, Y)")
+	if r, err := query(sys, unknown); err != nil || r.Answer.Len() != 0 {
+		t.Fatalf("unknown constant: %v", err)
+	}
+	plan, err := sys.PlanFor(unknown, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sys.CachedAnswer(sys.Snapshot(), unknown, plan, wide); ok {
+		t.Fatal("a goal naming an unknown constant hit")
 	}
 }

@@ -55,7 +55,7 @@ type QueryStream struct {
 	res      residual
 	preStats eval.Stats
 
-	key      resultKey
+	key      viewKey
 	populate bool // cache the reconstructed answer at natural exhaustion
 
 	names   []string
@@ -100,21 +100,16 @@ func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream,
 		return st, nil
 	}
 	plan := a.ChooseMulti(sels, opts.planOpts())
-	st.key = resultKey{
-		goal:     normalizeGoal(q),
-		kind:     plan.Kind,
-		strategy: opts.Strategy,
-		workers:  opts.Workers,
-	}
+	st.key = resultKey(q, plan.Kind, opts)
 	tr := eval.TracerFrom(ctx)
-	if res := s.results.peek(st.key, snap.Version); res != nil {
-		tr.Cache("result", "hit", st.key.goal, 0)
+	if res := s.store.peek(st.key, snap.Version); res != nil {
+		traceView(tr, st.key, "hit", 0)
 		st.plan, st.cached = res.Plan, true
 		st.preStats = res.Stats
 		st.closure = eval.Completed(res.Answer)
 		return st, nil
 	}
-	tr.Cache("result", "miss", st.key.goal, 0)
+	traceView(tr, st.key, "miss", 0)
 
 	seed, err := s.seedPlan(ctx, snap, a, plan)
 	if err != nil {
@@ -147,16 +142,16 @@ func (st *QueryStream) result() *QueryResult {
 // without ever blocking: if no entry exists for the key it becomes a
 // completed entry, and if one exists (in-flight or done) the offer is
 // dropped — the cache's single-flight builders keep their own protocol.
-func (s *System) populateResult(key resultKey, version uint64, res *QueryResult) {
+func (s *System) populateResult(key viewKey, version uint64, res *QueryResult) {
 	if res == nil {
 		return
 	}
-	e, build := s.results.acquire(key, version)
+	e, build := s.store.acquire(key, version)
 	if e == nil || !build {
 		return
 	}
 	res.memo = &answerMemo{syms: s.Engine.Syms}
-	s.results.complete(e, res, nil)
+	s.store.complete(e, res, nil)
 }
 
 // Next yields the next answer row, advancing the underlying closure by

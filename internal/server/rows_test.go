@@ -185,7 +185,12 @@ func cachedRendering(t *testing.T, s *Server, goal string) *uint32 {
 	if s.sys.ResultCacheStats().RenderedBytes == 0 {
 		t.Fatal("no response has rendered a cached answer")
 	}
-	res, ok := s.sys.CachedAnswer(s.sys.Snapshot(), mustAtom(t, goal), core.Options{Workers: s.cfg.QueryWorkers, Strategy: s.sys.Opts.Strategy})
+	opts := core.Options{Workers: s.cfg.QueryWorkers, Strategy: s.sys.Opts.Strategy}
+	plan, err := s.sys.PlanFor(mustAtom(t, goal), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := s.sys.CachedAnswer(s.sys.Snapshot(), mustAtom(t, goal), plan, opts)
 	if !ok {
 		t.Fatalf("%s is not cached", goal)
 	}

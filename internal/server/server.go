@@ -321,16 +321,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout = min(timeout, s.cfg.MaxTimeout)
 	workers := s.cfg.QueryWorkers
 	if req.Workers > 0 {
 		workers = req.Workers
 	}
-	if workers > s.cfg.TotalWorkers {
-		workers = s.cfg.TotalWorkers
-	}
+	workers = min(workers, s.cfg.TotalWorkers)
 	opts := core.Options{Workers: workers, Strategy: s.sys.Opts.Strategy}
 
 	// Row streaming is ?stream=1 or Accept: application/x-ndjson.
@@ -392,8 +388,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the query in a map probe, so it skips the queue and consumes no
 	// worker grant — under overload, repeated goals keep being served
 	// while the budget goes to queries that actually evaluate.
-	if res, ok := s.sys.CachedAnswer(s.sys.Snapshot(), goal, opts); ok {
-		rp.tr.Cache("result", "hit", goal.String(), 0)
+	if res, ok := s.sys.CachedAnswer(s.sys.Snapshot(), goal, plan, opts); ok {
+		if rp.tr != nil {
+			rp.tr.Cache("result", "hit", goal.String(), 0)
+		}
 		s.finishQuery(w, res, rp)
 		return
 	}
