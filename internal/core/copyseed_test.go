@@ -355,16 +355,16 @@ func copySeedRun(ctx context.Context, sys *System, goal string, kind planner.Kin
 	if err != nil {
 		return nil, err
 	}
-	a, sels, unknown, err := sys.resolveQuery(q)
-	if err != nil || unknown != "" {
-		return nil, fmt.Errorf("resolve: %v (unknown %q)", err, unknown)
+	r, err := sys.resolve(q, Options{Workers: workers})
+	if err != nil || r.empty {
+		return nil, fmt.Errorf("resolve: %v (empty %v)", err, r.empty)
 	}
+	a, sels, plan := r.a, r.sels, r.plan
 	pred, ok := a.CopySource()
 	if !ok {
 		return nil, fmt.Errorf("%s has no copy exit rule", a.Pred)
 	}
 	opts := planner.Options{Workers: workers}
-	plan := a.ChooseMulti(sels, opts)
 	if plan.Kind != kind || !strings.Contains(plan.Why, why) {
 		return nil, fmt.Errorf("plan %v %q, want %v mentioning %q", plan.Kind, plan.Why, kind, why)
 	}

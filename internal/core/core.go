@@ -591,13 +591,14 @@ func (s *System) SeedCacheStatsNow() SeedCacheStats {
 // plan PlanFor returned for q — without planning, evaluating or joining
 // an in-flight build: the admission-free fast path the server uses to
 // answer a repeated goal without consuming a queue slot or worker grant.
-// The key's plan kind does not depend on the worker count, so a plan
-// chosen at one budget probes the entry built at another's grant.  ok
+// The key is built from the plan's kind and the pool it records, which a
+// grant of max(plan.Workers, 1) leaves as they are, so a plan chosen at
+// the requested budget probes the entry built at its grant.  ok
 // reports a completed hit; any miss (including a build in flight, and a
 // goal naming an unknown constant, which is never cached) returns false
 // and the caller proceeds through the normal Evaluate path.
 func (s *System) CachedAnswer(snap *Snapshot, q ast.Atom, plan *planner.Plan, opts Options) (*QueryResult, bool) {
-	res := s.store.peek(resultKey(q, plan.Kind, opts.normalize()), snap.Version)
+	res := s.store.peek(resultKey(q, plan, opts.Strategy), snap.Version)
 	if res == nil {
 		return nil, false
 	}
@@ -749,154 +750,153 @@ func symbolName(names []string, v rel.Value) string {
 	return fmt.Sprintf("#%d", v)
 }
 
-// resolveQuery analyzes q and resolves its constant arguments into
-// selections — the shared front half of Evaluate and PlanFor.  unknown names
-// a constant that occurs in no rule and no fact (the answer is provably
-// empty); resolution uses Lookup, never Intern, so remote queries cannot
-// grow the shared symbol table.
-func (s *System) resolveQuery(q ast.Atom) (a *planner.Analysis, sels []separable.Selection, unknown string, err error) {
-	a, err = s.Analyze(q.Pred)
+// resolved is one goal resolved under one set of options: the
+// predicate's analysis, the goal's constants as selections and the plan
+// chosen for them.  empty marks a goal naming a constant that occurs in
+// no rule and no fact: it can match no tuple of this (or any) snapshot,
+// so its answer is empty, nothing evaluates and nothing is cached.
+type resolved struct {
+	q     ast.Atom
+	a     *planner.Analysis
+	sels  []separable.Selection
+	plan  *planner.Plan
+	empty bool
+}
+
+// resolve turns goal q into its analysis, selections and plan under
+// opts — the one resolution behind PlanFor, Explain, Evaluate and
+// Stream.  Constants resolve with Lookup, never Intern, so remote
+// queries cannot grow the shared symbol table.
+func (s *System) resolve(q ast.Atom, opts Options) (resolved, error) {
+	a, err := s.Analyze(q.Pred)
 	if err != nil {
-		return nil, nil, "", err
+		return resolved{}, err
 	}
 	if q.Arity() != a.Ops[0].Arity() {
-		return nil, nil, "", fmt.Errorf("core: query %v has arity %d, predicate has %d", q, q.Arity(), a.Ops[0].Arity())
+		return resolved{}, fmt.Errorf("core: query %v has arity %d, predicate has %d", q, q.Arity(), a.Ops[0].Arity())
 	}
+	r := resolved{q: q, a: a}
 	for i, t := range q.Args {
 		if t.IsVar() {
 			continue
 		}
 		v, ok := s.Engine.Syms.Lookup(t.Name)
 		if !ok {
-			return a, nil, t.Name, nil
+			r.plan = &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", t.Name)}
+			r.empty = true
+			return r, nil
 		}
-		sels = append(sels, separable.Selection{Col: i, Value: v})
+		r.sels = append(r.sels, separable.Selection{Col: i, Value: v})
 	}
-	return a, sels, "", nil
-}
-
-// unknownPlan is the plan of a goal naming constant c, which occurs in no
-// rule and no fact: nothing evaluates and the answer is empty.
-func unknownPlan(c string) *planner.Plan {
-	return &planner.Plan{Kind: planner.SemiNaive, Why: fmt.Sprintf("constant %q occurs in no rule or fact: empty answer", c)}
+	r.plan = a.ChooseMulti(r.sels, opts.normalize().planOpts())
+	return r, nil
 }
 
 // PlanFor returns the plan Evaluate and Stream run for q under opts,
-// without executing anything.  The server front end uses it to size
-// per-query worker grants: a context-mode magic plan evaluates
-// sequentially, so granting it a multi-worker budget slice would only
-// starve other queries.
+// without executing anything.  The plan records the pool it runs on
+// (Plan.Workers): the server sizes each query's worker grant by it, so a
+// context-mode magic plan, which evaluates sequentially, is granted one
+// worker rather than a budget slice it would leave idle.
 func (s *System) PlanFor(q ast.Atom, opts Options) (*planner.Plan, error) {
-	opts = opts.normalize()
-	a, sels, unknown, err := s.resolveQuery(q)
-	if err != nil {
-		return nil, err
+	r, err := s.resolve(q, opts)
+	return r.plan, err
+}
+
+// internalError is an evaluation panic recovered on goal q, as an error
+// wrapping ErrInternal.  It keeps the stack, the only pointer to the
+// invariant violation once the panic is an error; a worker's panic
+// carries the stack captured inside the worker goroutine as well
+// (printed through %v).
+func internalError(q ast.Atom, r any) error {
+	return fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, q, r, debug.Stack())
+}
+
+// recoverInternal, deferred by Evaluate and Stream, recovers an
+// evaluation panic (an engine invariant violation) into internalError,
+// so a poisoned snapshot can fail queries without killing the process
+// hosting them.
+func recoverInternal(q ast.Atom, err *error) {
+	if r := recover(); r != nil {
+		*err = internalError(q, r)
 	}
-	if unknown != "" {
-		return unknownPlan(unknown), nil
-	}
-	return a.ChooseMulti(sels, opts.planOpts()), nil
 }
 
 // Evaluate answers a query request and materializes the full answer —
 // the entry point behind RunCtx, and the full-control one the server
 // front end uses to grant each query its own snapshot pin, worker budget
-// and deadline while many queries share one System.  An unset req.Snap pins the current snapshot.  An
-// evaluation panic (engine invariant violation) is recovered into an
-// error wrapping ErrInternal rather than propagated, so a poisoned
-// snapshot can fail queries without killing the process hosting them.
+// and deadline while many queries share one System.  An unset req.Snap
+// pins the current snapshot.  An evaluation panic is recovered into an
+// error wrapping ErrInternal rather than propagated.
 //
-// Evaluate chooses the plan once, then consults the goal-level result
+// Evaluate resolves the goal once, then consults the goal-level result
 // cache: a repeated goal on the same snapshot version (same chosen plan
-// kind, strategy and worker count) is answered with the stored
+// kind, strategy and pool) is answered with the stored
 // result — rows, stats and plan bit-for-bit identical to the query that
 // built the entry.  Concurrent first queries for one key share a single
 // evaluation (single-flight), run by the first arriver under its own
-// context; waiters honor their own contexts and retry if the builder's
-// context fires first.
-func (s *System) Evaluate(ctx context.Context, req QueryRequest) (res *QueryResult, err error) {
+// context: it opens the plan as Stream does and drains it.  Waiters
+// honor their own contexts and retry if the builder's context fires
+// first.
+func (s *System) Evaluate(ctx context.Context, req QueryRequest) (_ *QueryResult, err error) {
 	snap := req.Snap
 	if snap == nil {
 		snap = s.Snapshot()
 	}
-	q, opts := req.Goal, req.Opts
-	defer func() {
-		if r := recover(); r != nil {
-			// The stack is the only pointer to the invariant violation
-			// once the panic becomes an error; worker panics additionally
-			// carry the stack captured inside the worker goroutine
-			// (printed through %v).
-			res, err = nil, fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, q, r, debug.Stack())
-		}
-	}()
-	opts = opts.normalize()
-	a, sels, unknown, err := s.resolveQuery(q)
+	defer recoverInternal(req.Goal, &err)
+	r, err := s.resolve(req.Goal, req.Opts)
 	if err != nil {
 		return nil, err
 	}
-	if unknown != "" {
-		// A constant occurring in no rule and no fact can appear in no
-		// tuple of this (or any) snapshot: the answer is empty.  Cheaper
-		// than a cache probe — never cached.
-		return &QueryResult{Query: q, Answer: rel.NewRelation(q.Arity()), Plan: unknownPlan(unknown), Version: snap.Version}, nil
-	}
-
-	plan := a.ChooseMulti(sels, opts.planOpts())
-	res, cached, err := s.view(ctx, resultKey(q, plan.Kind, opts), snap.Version, func() (*QueryResult, error) {
-		res, err := s.queryEval(ctx, snap, q, a, plan, sels, opts)
-		if err == nil {
-			// Cached hits share one sort and one rendering.
-			res.memo = &answerMemo{syms: s.Engine.Syms}
-		}
-		return res, err
-	})
-	if err != nil || !cached {
-		return res, err
-	}
-	return cachedHit(res, q), nil
-}
-
-// queryEval is the evaluation behind a result: seed and magic-set
-// injection (seedPlan), execution of the chosen plan, the goal's residual
-// filters.
-func (s *System) queryEval(ctx context.Context, snap *Snapshot, q ast.Atom, a *planner.Analysis, plan *planner.Plan, sels []separable.Selection, opts Options) (*QueryResult, error) {
-	seed, err := s.seedPlan(ctx, snap, a, plan)
-	if err != nil {
-		return nil, err
-	}
-	cl, stats, err := a.Open(ctx, s.Engine, snap.DB, plan, opts.planOpts(), seed)
-	if err != nil {
-		return nil, err
-	}
-	ans, cs, err := cl.Drain()
-	if err != nil {
-		return nil, err
-	}
-	stats.Add(cs)
-	ans = residualFor(q, plan, sels).apply(ans)
-	return &QueryResult{Query: q, Answer: ans, Stats: stats, Plan: plan, Version: snap.Version}, nil
-}
-
-// seedPlan is the shared front half of the materialized and streamed
-// evaluation paths: it fetches the evaluation inputs of this snapshot —
-// the exit-rule seed (seedFor) and, for a magic-seeded plan, the magic
-// set of this goal binding, injected into the plan so repeated bound
-// queries skip the frontier iteration.  The planner opens the plan
-// (Analysis.Open); the caller drains or streams it and applies the
-// goal's residual filters.
-func (s *System) seedPlan(ctx context.Context, snap *Snapshot, a *planner.Analysis, plan *planner.Plan) (rel.Store, error) {
-	seed, err := s.seedFor(ctx, a, snap)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Kind == planner.MagicSeeded {
-		set, stats, err := s.magicFor(ctx, a, snap, plan.Magic.Spec, plan.Magic.BoundTuple())
+	build := func() (*QueryResult, error) {
+		st, err := s.open(ctx, snap, r)
 		if err != nil {
 			return nil, err
 		}
-		plan.Magic.Set, plan.Magic.SetStats = set, stats
+		// Drain, not a Next loop: only a drained closure pipelines each
+		// wide round's merge with the next round's join.
+		if _, _, err := st.closure.Drain(); err != nil {
+			return nil, err
+		}
+		return st.result(), nil
 	}
-	return seed, nil
+	if r.empty {
+		return build() // cheaper than a cache probe, and never cached
+	}
+	res, cached, err := s.view(ctx, resultKey(req.Goal, r.plan, req.Opts.Strategy), snap.Version, build)
+	if err != nil || !cached {
+		return res, err
+	}
+	return cachedHit(res, req.Goal), nil
+}
+
+// open is the one opener behind Evaluate and Stream: it fetches the
+// plan's inputs of snap — the exit-rule seed (seedFor) and, for a
+// magic-seeded plan, the magic set of this goal binding, injected into
+// the plan so repeated bound queries skip the frontier iteration —
+// opens the plan (Analysis.Open) on the pool it records, and attaches
+// the goal's residual filters.  The caller drains or streams it.  An
+// empty goal opens as an already-complete empty stream.
+func (s *System) open(ctx context.Context, snap *Snapshot, r resolved) (*QueryStream, error) {
+	st := &QueryStream{sys: s, query: r.q, plan: r.plan, version: snap.Version}
+	if r.empty {
+		st.closure = eval.Completed(rel.NewRelation(r.q.Arity()))
+		return st, nil
+	}
+	seed, err := s.seedFor(ctx, r.a, snap)
+	if err != nil {
+		return nil, err
+	}
+	if m := r.plan.Magic; r.plan.Kind == planner.MagicSeeded {
+		if m.Set, m.SetStats, err = s.magicFor(ctx, r.a, snap, m.Spec, m.BoundTuple()); err != nil {
+			return nil, err
+		}
+	}
+	st.res = residualFor(r.q, r.plan, r.sels)
+	st.closure, st.preStats, err = r.a.Open(ctx, s.Engine, snap.DB, r.plan, planner.Options{Workers: r.plan.Workers}, seed)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // residual is what the rows of a plan's opened closure must still pass

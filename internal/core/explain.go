@@ -1,11 +1,12 @@
 // Planner explanation: the decision tree behind a query's plan, exposed
 // without executing anything.  Explain reports the plan PlanFor returns
-// and Evaluate runs — the unknown-constant short-circuit, else the
-// analysis-driven ChooseMulti — and flattens the chosen plan plus the
-// identifiers a client needs to correlate it with traces and metrics:
-// the goal adornment, the result-cache key the execution path would use,
-// and the magic-plan shape when one was chosen.  The server returns it
-// for ?explain=1 queries, before (and instead of) admission.
+// and Evaluate runs — one resolution (resolve): the unknown-constant
+// short-circuit, else the analysis-driven ChooseMulti — and flattens
+// the chosen plan plus the identifiers a client needs to correlate it
+// with traces and metrics: the goal adornment, the result-cache key the
+// execution path would use, and the magic-plan shape when one was
+// chosen.  The server returns it for ?explain=1 queries, before (and
+// instead of) admission.
 
 package core
 
@@ -34,14 +35,18 @@ type Explain struct {
 	Why string `json:"why"`
 	// Strategy is the strategy override in force ("auto" when none).
 	Strategy string `json:"strategy"`
-	// Workers is the worker budget the plan would evaluate with.
+	// Workers is the pool the plan runs on (planner.Plan.Workers): the
+	// requested budget, 1 for a plan that evaluates sequentially
+	// whatever its budget, 0 when nothing evaluates.
 	Workers int `json:"workers"`
-	// Parallelizable reports whether that budget can actually be used —
-	// context-mode magic plans evaluate sequentially regardless.
+	// Parallelizable reports whether the plan shards its rounds across a
+	// pool — context-mode magic plans evaluate sequentially regardless.
 	Parallelizable bool `json:"parallelizable"`
 	// CacheKey is the goal-level result-cache key the execution path
-	// would address ("goal|kind|strategy|wN"); empty when the query is
-	// never cached (unknown constant: provably empty answer).
+	// would address ("goal|kind|strategy|wN", N the pool above, so the
+	// key is the same at the requested budget and at the server's
+	// grant); empty when the query is never cached (unknown constant:
+	// provably empty answer).
 	CacheKey string `json:"cache_key,omitempty"`
 	// Groups counts a decomposed plan's operator groups.
 	Groups int `json:"groups,omitempty"`
@@ -54,37 +59,31 @@ type Explain struct {
 
 // Explain returns the planner's decision tree for q under opts without
 // executing anything: the plan PlanFor would choose, flattened with the
-// adornment, the result-cache key and the plan-shape details.
+// adornment, the pool the plan runs on, the result-cache key and the
+// plan-shape details.
 func (s *System) Explain(q ast.Atom, opts Options) (*Explain, error) {
-	opts = opts.normalize()
-	a, sels, unknown, err := s.resolveQuery(q)
+	r, err := s.resolve(q, opts)
 	if err != nil {
 		return nil, err
 	}
+	plan := r.plan
 	ex := &Explain{
 		Query:     q.String(),
 		Pred:      q.Pred,
 		Adornment: q.Adornment(),
+		PlanKind:  plan.Kind.Slug(),
+		Plan:      plan.Kind.String(),
+		Why:       plan.Why,
 		Strategy:  opts.Strategy.String(),
-		Workers:   opts.Workers,
+		Workers:   plan.Workers,
+		Groups:    len(plan.Groups),
 	}
-	if unknown != "" {
-		plan := unknownPlan(unknown)
-		ex.PlanKind, ex.Plan, ex.Why = plan.Kind.Slug(), plan.Kind.String(), plan.Why
-		ex.Workers = 0 // nothing evaluates
-		return ex, nil
+	if r.empty {
+		return ex, nil // nothing evaluates: no pool, never cached
 	}
-	plan := a.ChooseMulti(sels, opts.planOpts())
-	ex.PlanKind = plan.Kind.Slug()
-	ex.Plan = plan.Kind.String()
-	ex.Why = plan.Why
 	ex.Parallelizable = plan.Parallelizable()
-	if plan.Workers > 0 {
-		ex.Workers = plan.Workers
-	}
-	ex.CacheKey = fmt.Sprintf("%s|%s|%s|w%d",
-		normalizeGoal(q), plan.Kind.Slug(), opts.Strategy, opts.Workers)
-	ex.Groups = len(plan.Groups)
+	k := resultKey(q, plan, opts.Strategy)
+	ex.CacheKey = fmt.Sprintf("%s|%s|%s|w%d", k.goal, k.plan.Slug(), k.strategy, k.workers)
 	if plan.Magic != nil {
 		ex.MagicMode = plan.Magic.Mode.String()
 		ex.BoundCols = append([]int(nil), plan.Magic.Spec.Cols...)

@@ -23,8 +23,10 @@ func mustAtom(t *testing.T, src string) ast.Atom {
 	return a
 }
 
-// samePlan fails the test unless PlanFor and Explain report the plan
-// kind and rationale that Evaluate ran for goal under opts.
+// samePlan fails the test unless PlanFor, Explain and Stream report the
+// plan kind and rationale that Evaluate ran for goal under opts, and,
+// when sys caches results, Explain's cache key names the entry Evaluate
+// filled.
 func samePlan(t *testing.T, sys *System, goal ast.Atom, opts Options, ran *planner.Plan) {
 	t.Helper()
 	pf, err := sys.PlanFor(goal, opts)
@@ -35,10 +37,33 @@ func samePlan(t *testing.T, sys *System, goal ast.Atom, opts Options, ran *plann
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.Kind != ran.Kind || pf.Why != ran.Why || ex.PlanKind != ran.Kind.Slug() || ex.Why != ran.Why {
-		t.Fatalf("%s: PlanFor %v %q, Explain %s %q, Evaluate ran %v %q",
-			goal, pf.Kind, pf.Why, ex.PlanKind, ex.Why, ran.Kind, ran.Why)
+	// Before the stream, which may fill the entry itself.
+	if ex.CacheKey != "" && sys.store.capRows > 0 && !storesResult(sys, ex.CacheKey) {
+		t.Fatalf("%s: Explain names cache key %q, which no stored result has", goal, ex.CacheKey)
 	}
+	st, err := sys.Stream(context.Background(), QueryRequest{Goal: goal, Opts: opts, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := st.Plan()
+	st.Close()
+	if pf.Kind != ran.Kind || pf.Why != ran.Why || ex.PlanKind != ran.Kind.Slug() || ex.Why != ran.Why || sp.Kind != ran.Kind || sp.Why != ran.Why {
+		t.Fatalf("%s: PlanFor %v %q, Explain %s %q, Stream %v %q, Evaluate ran %v %q",
+			goal, pf.Kind, pf.Why, ex.PlanKind, ex.Why, sp.Kind, sp.Why, ran.Kind, ran.Why)
+	}
+}
+
+// storesResult reports whether sys's store holds a completed result
+// under key, rendered as Explain renders a cache key.
+func storesResult(sys *System, key string) bool {
+	sys.store.mu.Lock()
+	defer sys.store.mu.Unlock()
+	for k, e := range sys.store.entries {
+		if k.kind == resultView && e.admitted && fmt.Sprintf("%s|%s|%s|w%d", k.goal, k.plan.Slug(), k.strategy, k.workers) == key {
+			return true
+		}
+	}
+	return false
 }
 
 // genMagicProgram builds a random linear recursive program: 1–3 recursive

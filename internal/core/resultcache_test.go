@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"linrec/internal/ast"
+	"linrec/internal/eval"
 	"linrec/internal/parser"
 	"linrec/internal/planner"
 	"linrec/internal/rel"
@@ -264,7 +265,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		key  viewKey // an unused key for the deterministic join
 	}{
 		{"result", resultView, Options{}, ast.NewAtom("p", ast.C("v0"), ast.V("Y")), n,
-			resultKey(ast.NewAtom("p", ast.C("v0"), ast.V("Y")), planner.MagicSeeded, Options{})},
+			resultKey(ast.NewAtom("p", ast.C("v0"), ast.V("Y")), &planner.Plan{Kind: planner.MagicSeeded}, planner.Auto)},
 		{"magic", magicView, Options{ResultCacheRows: -1}, ast.NewAtom("p", ast.C("v0"), ast.C(fmt.Sprintf("v%d", n))), 1,
 			viewKey{kind: magicView, pred: "p", goal: "0=1"}},
 	} {
@@ -690,7 +691,7 @@ func TestCachePanickingBuildCompletes(t *testing.T) {
 	}
 	version := sys.Snapshot().Version
 	for _, key := range []viewKey{
-		resultKey(ast.NewAtom("path", ast.V("X"), ast.V("Y")), planner.SemiNaive, Options{}),
+		resultKey(ast.NewAtom("path", ast.V("X"), ast.V("Y")), &planner.Plan{Kind: planner.SemiNaive}, planner.Auto),
 		{kind: seedView, pred: "path"},
 		{kind: magicView, pred: "path", goal: "0=1"},
 	} {
@@ -759,9 +760,7 @@ func TestCachedAnswerTakesThePlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		grant := wide
-		if !plan.Parallelizable() {
-			grant.Workers = 1
-		}
+		grant.Workers = max(plan.Workers, 1)
 		if at, _ := sys.PlanFor(goal, grant); at.Kind != plan.Kind {
 			t.Fatalf("%s: kind %v at %d workers, %v at %d", src, plan.Kind, wide.Workers, at.Kind, grant.Workers)
 		}
@@ -788,4 +787,85 @@ func TestCachedAnswerTakesThePlan(t *testing.T) {
 	if _, ok := sys.CachedAnswer(sys.Snapshot(), unknown, plan, wide); ok {
 		t.Fatal("a goal naming an unknown constant hit")
 	}
+}
+
+// TestResultCacheOneEntryPerSequentialAnswer: a context-mode magic goal
+// runs on one worker whatever the budget, so asking it at four workers
+// and then at one fills one entry and hits it.  A parallelizable goal
+// still gets one entry per pool, because its Why names the pool.
+func TestResultCacheOneEntryPerSequentialAnswer(t *testing.T) {
+	// Right-recursive, so a bound first column is collected in context
+	// mode.
+	sys, err := load(strings.Replace(chainProgram(4), "path(X,U), edge(U,Y)", "edge(X,U), path(U,Y)", 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bound := mustAtom(t, "path(c0, Y)")
+	if plan, err := sys.PlanFor(bound, Options{Workers: 4}); err != nil || plan.Magic == nil || plan.Magic.Mode != planner.MagicContext || plan.Workers != 1 {
+		t.Fatalf("%v plans %+v (%v), want a context-mode magic plan on one worker", bound, plan, err)
+	}
+	wide, err := sys.Evaluate(ctx, QueryRequest{Goal: bound, Opts: Options{Workers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := sys.Evaluate(ctx, QueryRequest{Goal: bound, Opts: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Cached || !one.Cached || one.Answer != wide.Answer {
+		t.Fatalf("at 4 workers cached=%v, then at 1 cached=%v: want a miss, then a hit on its entry", wide.Cached, one.Cached)
+	}
+	if n := sys.ResultCacheStats().Entries; n != 1 {
+		t.Fatalf("%d result entries after one sequential answer, want 1", n)
+	}
+	full := mustAtom(t, "path(X, Y)")
+	whys := map[string]bool{}
+	for _, w := range []int{4, 1} {
+		res, err := sys.Evaluate(ctx, QueryRequest{Goal: full, Opts: Options{Workers: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatalf("%v at %d workers hit another pool's entry", full, w)
+		}
+		whys[res.Plan.Why] = true
+	}
+	if n := sys.ResultCacheStats().Entries; n != 3 || len(whys) != 2 {
+		t.Fatalf("%d result entries, %d distinct rationales, want 3 and 2", n, len(whys))
+	}
+}
+
+// TestResultCacheBuildPipelines: Evaluate's single-flight build drains
+// the opened plan, so at two workers a wide closure pipelines each wide
+// round's merge with the next round's join, as eval's own drain does.
+func TestResultCacheBuildPipelines(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,U), edge(U,Y).\n")
+	const chains, length = 1200, 4
+	for j := 0; j < chains; j++ {
+		for i := 0; i < length; i++ {
+			fmt.Fprintf(&b, "edge(n%d_%d,n%d_%d).\n", i, j, i+1, j)
+		}
+	}
+	sys, err := load(b.String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &eval.Tracer{}
+	res, err := sys.Evaluate(eval.WithTracer(context.Background(), tr), QueryRequest{Goal: mustAtom(t, "path(X, Y)"), Opts: Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := chains * length * (length + 1) / 2; res.Answer.Len() != want {
+		t.Fatalf("%d rows, want %d", res.Answer.Len(), want)
+	}
+	for _, ph := range tr.Trace().Phases {
+		for _, rd := range ph.Rounds {
+			if rd.Pipelined {
+				return
+			}
+		}
+	}
+	t.Fatalf("no pipelined round in %+v", tr.Trace().Phases)
 }

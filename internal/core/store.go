@@ -84,9 +84,12 @@ type viewKey struct {
 	workers  int
 }
 
-// resultKey is the key of q's answer under a plan of the given kind.
-func resultKey(q ast.Atom, kind planner.Kind, opts Options) viewKey {
-	return viewKey{kind: resultView, pred: q.Pred, goal: normalizeGoal(q), plan: kind, strategy: opts.Strategy, workers: opts.Workers}
+// resultKey is the key of q's answer under plan, chosen with strategy:
+// its workers are the pool the plan runs on (Plan.Workers), not the pool
+// the caller asked for, so every budget that runs the same plan shares
+// one entry.
+func resultKey(q ast.Atom, plan *planner.Plan, strategy planner.Strategy) viewKey {
+	return viewKey{kind: resultView, pred: q.Pred, goal: normalizeGoal(q), plan: plan.Kind, strategy: strategy, workers: plan.Workers}
 }
 
 // String is the key as trace events show it: the normalized goal, the

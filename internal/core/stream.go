@@ -27,8 +27,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"linrec/internal/ast"
 	"linrec/internal/eval"
@@ -75,67 +73,52 @@ type QueryStream struct {
 // plan's final closure, or — for a context-mode magic plan — the whole
 // query.  Errors during construction or streaming that stem from engine
 // invariant violations are recovered into ErrInternal, as in Evaluate.
-func (s *System) Stream(ctx context.Context, req QueryRequest) (st *QueryStream, err error) {
+func (s *System) Stream(ctx context.Context, req QueryRequest) (_ *QueryStream, err error) {
 	snap := req.Snap
 	if snap == nil {
 		snap = s.Snapshot()
 	}
-	q, opts, limit := req.Goal, req.Opts, req.Limit
-	defer func() {
-		if r := recover(); r != nil {
-			st, err = nil, fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, q, r, debug.Stack())
-		}
-	}()
-	opts = opts.normalize()
-	if limit < 0 {
-		limit = 0
-	}
-	a, sels, unknown, err := s.resolveQuery(q)
+	q := req.Goal
+	defer recoverInternal(q, &err)
+	r, err := s.resolve(q, req.Opts)
 	if err != nil {
 		return nil, err
 	}
-	st = &QueryStream{sys: s, query: q, version: snap.Version, limit: limit}
-	if unknown != "" {
-		st.plan, st.closure = unknownPlan(unknown), eval.Completed(rel.NewRelation(q.Arity()))
-		return st, nil
+	if r.empty {
+		return s.open(ctx, snap, r)
 	}
-	plan := a.ChooseMulti(sels, opts.planOpts())
-	st.key = resultKey(q, plan.Kind, opts)
-	tr := eval.TracerFrom(ctx)
-	if res := s.store.peek(st.key, snap.Version); res != nil {
-		traceView(tr, st.key, "hit", 0)
-		st.plan, st.cached = res.Plan, true
-		st.preStats = res.Stats
-		st.closure = eval.Completed(res.Answer)
-		return st, nil
-	}
-	traceView(tr, st.key, "miss", 0)
-
-	seed, err := s.seedPlan(ctx, snap, a, plan)
-	if err != nil {
-		return nil, err
-	}
-	st.plan, st.res = plan, residualFor(q, plan, sels)
-	st.closure, st.preStats, err = a.Open(ctx, s.Engine, snap.DB, plan, opts.planOpts(), seed)
-	if err != nil {
-		return nil, err
-	}
-	// A plan kind with no lazy closure produced its answer whole and was
-	// paid for in full: cache it now, even under a limit.  A live closure
-	// populates the cache only if an unbounded consumer drains it (finish).
-	if plan.Parallelizable() {
-		st.populate = true
+	key, tr := resultKey(q, r.plan, req.Opts.Strategy), eval.TracerFrom(ctx)
+	var st *QueryStream
+	if res := s.store.peek(key, snap.Version); res != nil {
+		traceView(tr, key, "hit", 0)
+		st = &QueryStream{sys: s, query: q, plan: res.Plan, version: snap.Version, cached: true, closure: eval.Completed(res.Answer), preStats: res.Stats}
 	} else {
-		s.populateResult(st.key, snap.Version, st.result())
+		traceView(tr, key, "miss", 0)
+		if st, err = s.open(ctx, snap, r); err != nil {
+			return nil, err
+		}
+		st.key = key
+		// A plan kind with no lazy closure produced its answer whole and
+		// was paid for in full: cache it now, even under a limit.  A live
+		// closure populates the cache only if an unbounded consumer
+		// drains it (finish).
+		if r.plan.Parallelizable() {
+			st.populate = true
+		} else {
+			s.populateResult(key, snap.Version, st.result())
+		}
 	}
+	st.limit = max(req.Limit, 0)
 	return st, nil
 }
 
 // result assembles the query result from a complete closure: the
 // residual filters applied to its total, the pre-stream statistics plus
-// the closure's.
+// the closure's, and a memo so the hits of a cached result share one
+// sort and one rendering.
 func (st *QueryStream) result() *QueryResult {
-	return &QueryResult{Query: st.query, Answer: st.res.apply(st.closure.Total()), Stats: st.Stats(), Plan: st.plan, Version: st.version}
+	return &QueryResult{Query: st.query, Answer: st.res.apply(st.closure.Total()), Stats: st.Stats(), Plan: st.plan, Version: st.version,
+		memo: &answerMemo{syms: st.sys.Engine.Syms}}
 }
 
 // populateResult offers a complete query result to the result cache
@@ -143,14 +126,10 @@ func (st *QueryStream) result() *QueryResult {
 // completed entry, and if one exists (in-flight or done) the offer is
 // dropped — the cache's single-flight builders keep their own protocol.
 func (s *System) populateResult(key viewKey, version uint64, res *QueryResult) {
-	if res == nil {
-		return
-	}
 	e, build := s.store.acquire(key, version)
 	if e == nil || !build {
 		return
 	}
-	res.memo = &answerMemo{syms: s.Engine.Syms}
 	s.store.complete(e, res, nil)
 }
 
@@ -168,7 +147,7 @@ func (st *QueryStream) Next() (row rel.Tuple, ok bool) {
 			// A worker panic re-raised at the round barrier surfaces here,
 			// in the consumer's stack; recover it into ErrInternal exactly
 			// as Evaluate does.
-			st.err = fmt.Errorf("core: %w: query %v: %v\n%s", ErrInternal, st.query, r, debug.Stack())
+			st.err = internalError(st.query, r)
 			st.done = true
 			st.finish()
 			row, ok = nil, false

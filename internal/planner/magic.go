@@ -301,9 +301,9 @@ func magicWhy(mode MagicMode, cols []int, dropped int) string {
 // Parallelizable reports whether executing the plan shards closure
 // rounds across a worker pool — equivalently, whether Open returns a
 // live closure rather than an already-complete answer.  Only a
-// context-mode magic plan collects its answer whole and sequentially;
-// the server's admission control uses this to size per-query worker
-// grants.
+// context-mode magic plan collects its answer whole and sequentially,
+// so ChooseMulti records a pool of at most 1 for it (Plan.Workers), and
+// the server's admission control grants that pool.
 func (p *Plan) Parallelizable() bool {
 	return p.Kind != MagicSeeded || (p.Magic != nil && p.Magic.Mode == MagicFilter)
 }

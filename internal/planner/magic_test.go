@@ -237,6 +237,36 @@ func TestMagicPlanPriority(t *testing.T) {
 	}
 }
 
+// TestMagicPlanWorkersIsThePool: a plan records the pool it runs on — the
+// requested pool for a plan that shards its rounds, at most one worker
+// for a context-mode magic plan, which collects its answer
+// sequentially, and 0 when 0 was asked.
+func TestMagicPlanWorkersIsThePool(t *testing.T) {
+	e := eval.NewEngine(nil)
+	sels := []separable.Selection{{Col: 0, Value: e.Syms.Intern("a")}}
+	contextMode := analyzeSrc(t, `p(X,Y) :- b(X,Y).
+		p(X,Y) :- e(X,Z), p(Z,Y).`)
+	filter := analyzeSrc(t, `p(X,Y) :- b(X,Y).
+		p(X,Y) :- e(Z,X), p(Z,W), e(W,Y).`)
+	for _, tc := range []struct {
+		name          string
+		a             *Analysis
+		sels          []separable.Selection
+		asked, runsOn int
+	}{
+		{"context", contextMode, sels, 4, 1},
+		{"context/1", contextMode, sels, 1, 1},
+		{"context/0", contextMode, sels, 0, 0},
+		{"filter", filter, sels, 4, 4},
+		{"open", contextMode, nil, 4, 4},
+	} {
+		plan := tc.a.ChooseMulti(tc.sels, Options{Workers: tc.asked})
+		if plan.Workers != tc.runsOn {
+			t.Errorf("%s: %v plan asked for %d workers records %d, want %d", tc.name, plan.Kind, tc.asked, plan.Workers, tc.runsOn)
+		}
+	}
+}
+
 // TestMagicExecutionMatchesClosure: executing a MagicSeeded plan returns
 // exactly the closure-then-filter answer, in both modes, sequentially and
 // sharded, with and without a pre-computed (cached) magic set.

@@ -346,7 +346,9 @@ type Plan struct {
 	// Magic is the payload of MagicSeeded plans: mode, compiled frontier
 	// spec, driving selection and optional cached magic set.
 	Magic *MagicPlan
-	// Workers is the closure worker-pool size the plan executes with.
+	// Workers is the closure worker-pool size the plan runs on: the
+	// requested pool, or at most 1 for a plan that is not
+	// Parallelizable, which would leave the rest of the pool idle.
 	Workers int
 	// Why explains the choice.
 	Why string
@@ -390,14 +392,17 @@ func (a *Analysis) Choose(sel *separable.Selection) *Plan {
 // grouped decomposition (Theorem 3.1's duplicate savings) composes with
 // parallelism — each group closure shards its rounds — so it stays
 // preferred over flat parallel semi-naive whenever commutativity
-// licenses it, and the plan records the pool it will run on.  Plans
-// consume selections as documented on their kind (Separable those in
-// Plan.Sep, MagicSeeded the subset in Plan.Magic.Sels); Plan.Residual
+// licenses it, and the plan records the pool it will run on:
+// opts.Workers, or at most 1 for a plan that is not Parallelizable.
+// Plans consume selections as documented on their kind (Separable those
+// in Plan.Sep, MagicSeeded the subset in Plan.Magic.Sels); Plan.Residual
 // names the rest, which the caller applies as post-filters.
 func (a *Analysis) ChooseMulti(sels []separable.Selection, opts Options) *Plan {
 	plan := a.chooseKind(sels, opts)
 	plan.Workers = opts.Workers
-	if opts.Workers > 1 && plan.Parallelizable() {
+	if !plan.Parallelizable() {
+		plan.Workers = min(plan.Workers, 1)
+	} else if opts.Workers > 1 {
 		plan.Why += fmt.Sprintf("; %s across %d workers", sharding[plan.Kind], opts.Workers)
 	}
 	return plan

@@ -360,6 +360,32 @@ func TestExplainEndpoint(t *testing.T) {
 	bad.Body.Close()
 }
 
+// TestExplainCacheKeyIsTheGrants: a context-mode magic goal asked at two
+// workers runs at a grant of one, so explain reports that pool and the
+// key the query fills, not the two workers the request named; asking
+// again at two workers hits that one entry.
+func TestExplainCacheKeyIsTheGrants(t *testing.T) {
+	s, ts := newTestServer(t, magicProgram(6), Config{TotalWorkers: 2})
+	req := QueryRequest{Query: "path(c2, Y)", Workers: 2}
+	ex := decode[ExplainResponse](t, postJSON(t, ts.URL+"/v1/query?explain=1", req)).Explain
+	if ex == nil || ex.MagicMode != "context" {
+		t.Fatalf("explain = %+v, want a context-mode magic plan", ex)
+	}
+	ran := decode[QueryResponse](t, postJSON(t, ts.URL+"/v1/query", req))
+	if ran.Cached || ran.Workers != 1 || ex.Workers != ran.Workers {
+		t.Fatalf("explain reports %d workers, the query ran at %d (cached %v), want 1", ex.Workers, ran.Workers, ran.Cached)
+	}
+	if !strings.HasSuffix(ex.CacheKey, "|w1") {
+		t.Fatalf("cache key %q, want the grant's |w1", ex.CacheKey)
+	}
+	if hit := decode[QueryResponse](t, postJSON(t, ts.URL+"/v1/query", req)); !hit.Cached || hit.RowCount != ran.RowCount {
+		t.Fatalf("second ask: cached %v, %d rows, want a hit of %d", hit.Cached, hit.RowCount, ran.RowCount)
+	}
+	if n := s.Stats().ResultCache.Entries; n != 1 {
+		t.Fatalf("%d result entries, want 1", n)
+	}
+}
+
 // TestSlowQueryLog: with a 1ns threshold every query is slow — the
 // structured log line must carry the request ID and the full trace even
 // though the client never asked for one.

@@ -366,22 +366,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rp.tr.SetRequestID(rid)
 	}
 
-	// Size the grant by the plan the query will actually run: separable
-	// and context-mode magic plans evaluate sequentially, so
-	// handing them a wide budget slice would hold workers idle and starve
-	// other queries (a filter-mode magic plan shards its restricted
-	// closure and keeps the full grant).  This also rejects unknown
-	// predicates before they burn a queue slot.
+	// Grant the pool the plan runs on (Plan.Workers): a context-mode
+	// magic plan evaluates sequentially, so a wide budget slice would
+	// hold workers idle and starve other queries; the result key, and
+	// what explain reports, name the same pool.  This also rejects
+	// unknown predicates before they burn a queue slot.
 	plan, err := s.sys.PlanFor(goal, opts)
 	if err != nil {
 		s.ctr.queryErrors.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, "query failed: %v", err)
 		return
 	}
-	grant := workers
-	if !plan.Parallelizable() {
-		grant = 1
-	}
+	grant := max(plan.Workers, 1)
 	opts.Workers = grant
 
 	// Admission-free fast path: a completed result-cache entry answers
