@@ -246,33 +246,11 @@ func (s *System) upgradeResult(ctx context.Context, old *Snapshot, mid rel.DB, n
 func (s *System) resumeAddition(ctx context.Context, a *planner.Analysis, total *rel.Relation, db rel.DB, added map[string]*rel.Relation, workers int) (*rel.Relation, bool) {
 	resume := total.Clone()
 	lo := resume.Len()
-	var st eval.Stats
-	for _, r := range a.ExitRules {
-		for i := range r.Body {
-			delta, ok := added[r.Body[i].Pred]
-			if !ok {
-				continue
-			}
-			rr := r.Clone()
-			rr.Body[i].Pred = deltaPred
-			outRel, err := s.Engine.EvalRule(overlayDB(db, delta), rr)
-			if err != nil {
-				return nil, false
-			}
-			outRel.Each(func(t rel.Tuple) { resume.Insert(t) })
-		}
+	if !s.exitDeltas(a, db, added, func(t rel.Tuple) { resume.Insert(t) }) {
+		return nil, false
 	}
 	p := eval.Parallel(s.Engine, workers)
-	for _, op := range a.Ops {
-		for i := range op.NonRec {
-			delta, ok := added[op.NonRec[i].Pred]
-			if !ok {
-				continue
-			}
-			mod := s.deltas.get(op, i)
-			p.ApplyInto(overlayDB(db, delta), mod, total, resume, &st)
-		}
-	}
+	s.opDeltas(p, a, db, added, total, resume)
 	if resume.Len() == lo {
 		return total, true // no new one-step consequence: closure unchanged
 	}
@@ -280,6 +258,46 @@ func (s *System) resumeAddition(ctx context.Context, a *planner.Analysis, total 
 		return nil, false
 	}
 	return resume, true
+}
+
+// exitDeltas evaluates each exit rule once per body occurrence of a
+// changed predicate, with that occurrence bound to the changed tuples
+// and every other atom seeing db, and hands each derived tuple to emit.
+// It reports false when a rule fails to evaluate.
+func (s *System) exitDeltas(a *planner.Analysis, db rel.DB, changed map[string]*rel.Relation, emit func(rel.Tuple)) bool {
+	for _, r := range a.ExitRules {
+		for i := range r.Body {
+			delta, ok := changed[r.Body[i].Pred]
+			if !ok {
+				continue
+			}
+			rr := r.Clone()
+			rr.Body[i].Pred = deltaPred
+			out, err := s.Engine.EvalRule(overlayDB(db, delta), rr)
+			if err != nil {
+				return false
+			}
+			out.Each(emit)
+		}
+	}
+	return true
+}
+
+// opDeltas applies each operator once per nonrecursive occurrence of a
+// changed predicate, with that occurrence bound to the changed tuples,
+// every other atom seeing db and all of total as the recursive input,
+// and adds the derived tuples to dst.  Each application is one round on
+// p's pool: the scan of a whole cached fixpoint is the dominant cost of
+// absorbing a small update, and it fans out.
+func (s *System) opDeltas(p *eval.Engine, a *planner.Analysis, db rel.DB, changed map[string]*rel.Relation, total, dst *rel.Relation) {
+	var st eval.Stats
+	for _, op := range a.Ops {
+		for i := range op.NonRec {
+			if delta, ok := changed[op.NonRec[i].Pred]; ok {
+				p.Apply(overlayDB(db, delta), s.deltas.get(op, i), total, dst, &st)
+			}
+		}
+	}
 }
 
 // resumeRetraction maintains a cached full closure under removed tuples
@@ -297,7 +315,6 @@ func (s *System) resumeAddition(ctx context.Context, a *planner.Analysis, total 
 // shrinks the database, closure is monotone), so the resume needs no
 // keep filter.
 func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, total *rel.Relation, oldDB, newDB rel.DB, removed map[string]*rel.Relation, workers int) (*rel.Relation, bool) {
-	var st eval.Stats
 	arity := total.Arity()
 	deleted := rel.NewRelation(arity)
 	collect := func(t rel.Tuple) {
@@ -305,34 +322,13 @@ func (s *System) resumeRetraction(ctx context.Context, a *planner.Analysis, tota
 			deleted.Insert(t)
 		}
 	}
-	for _, r := range a.ExitRules {
-		for i := range r.Body {
-			delta, ok := removed[r.Body[i].Pred]
-			if !ok {
-				continue
-			}
-			rr := r.Clone()
-			rr.Body[i].Pred = deltaPred
-			outRel, err := s.Engine.EvalRule(overlayDB(oldDB, delta), rr)
-			if err != nil {
-				return nil, false
-			}
-			outRel.Each(collect)
-		}
+	if !s.exitDeltas(a, oldDB, removed, collect) {
+		return nil, false
 	}
 	p := eval.Parallel(s.Engine, workers)
-	for _, op := range a.Ops {
-		for i := range op.NonRec {
-			delta, ok := removed[op.NonRec[i].Pred]
-			if !ok {
-				continue
-			}
-			mod := s.deltas.get(op, i)
-			scratch := rel.NewRelation(arity)
-			p.ApplyInto(overlayDB(oldDB, delta), mod, total, scratch, &st)
-			scratch.Each(collect)
-		}
-	}
+	oneStep := rel.NewRelation(arity)
+	s.opDeltas(p, a, oldDB, removed, total, oneStep)
+	oneStep.Each(collect)
 	if deleted.Len() == 0 {
 		return total, true // the removed tuples fed no cached derivation
 	}
@@ -420,20 +416,8 @@ func (s *System) upgradeSeed(next *Snapshot, added, removed map[string]*rel.Rela
 		return res // no exit-rule input changed: the seed is the seed
 	}
 	q := res.Answer.Clone()
-	for _, r := range a.ExitRules {
-		for i := range r.Body {
-			delta, ok := added[r.Body[i].Pred]
-			if !ok {
-				continue
-			}
-			rr := r.Clone()
-			rr.Body[i].Pred = deltaPred
-			outRel, err := s.Engine.EvalRule(overlayDB(next.DB, delta), rr)
-			if err != nil {
-				return nil
-			}
-			outRel.Each(func(t rel.Tuple) { q.Insert(t) })
-		}
+	if !s.exitDeltas(a, next.DB, added, func(t rel.Tuple) { q.Insert(t) }) {
+		return nil
 	}
 	return &QueryResult{Answer: q}
 }

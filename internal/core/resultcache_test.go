@@ -792,7 +792,8 @@ func TestCachedAnswerTakesThePlan(t *testing.T) {
 // TestResultCacheOneEntryPerSequentialAnswer: a context-mode magic goal
 // runs on one worker whatever the budget, so asking it at four workers
 // and then at one fills one entry and hits it.  A parallelizable goal
-// still gets one entry per pool, because its Why names the pool.
+// still gets one entry per pool, because its Why names the pool, but a
+// pool of 0 and a pool of 1 are one sequential pool.
 func TestResultCacheOneEntryPerSequentialAnswer(t *testing.T) {
 	// Right-recursive, so a bound first column is collected in context
 	// mode.
@@ -833,6 +834,30 @@ func TestResultCacheOneEntryPerSequentialAnswer(t *testing.T) {
 	}
 	if n := sys.ResultCacheStats().Entries; n != 3 || len(whys) != 2 {
 		t.Fatalf("%d result entries, %d distinct rationales, want 3 and 2", n, len(whys))
+	}
+	// A pool of 0 (the library default) runs the same sequential plan as
+	// a pool of 1 (the server's smallest grant): it hits that entry, and
+	// its explanation names it.
+	zero, err := sys.Evaluate(ctx, QueryRequest{Goal: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !zero.Cached {
+		t.Fatalf("%v at 0 workers missed the entry filled at 1", full)
+	}
+	if n := sys.ResultCacheStats().Entries; n != 3 {
+		t.Fatalf("%d result entries after the 0-worker hit, want 3", n)
+	}
+	ex0, err := sys.Explain(full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex1, err := sys.Explain(full, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex0.CacheKey != ex1.CacheKey {
+		t.Fatalf("cache keys at 0 and 1 workers differ: %q vs %q", ex0.CacheKey, ex1.CacheKey)
 	}
 }
 

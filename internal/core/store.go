@@ -85,11 +85,11 @@ type viewKey struct {
 }
 
 // resultKey is the key of q's answer under plan, chosen with strategy:
-// its workers are the pool the plan runs on (Plan.Workers), not the pool
-// the caller asked for, so every budget that runs the same plan shares
-// one entry.
+// its workers are the pool the plan runs on (Plan.Workers, a pool of 0
+// being the sequential pool of 1), not the pool the caller asked for, so
+// every budget that runs the same plan shares one entry.
 func resultKey(q ast.Atom, plan *planner.Plan, strategy planner.Strategy) viewKey {
-	return viewKey{kind: resultView, pred: q.Pred, goal: normalizeGoal(q), plan: plan.Kind, strategy: strategy, workers: plan.Workers}
+	return viewKey{kind: resultView, pred: q.Pred, goal: normalizeGoal(q), plan: plan.Kind, strategy: strategy, workers: max(plan.Workers, 1)}
 }
 
 // String is the key as trace events show it: the normalized goal, the

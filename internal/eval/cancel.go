@@ -2,15 +2,15 @@
 // converted once per evaluation into an atomic flag that the hot loops
 // poll — a single atomic load every cancelCheckRows delta rows — so the
 // join inner loop never touches channel or mutex state.  The flag is set
-// by a watcher goroutine that the evaluation tears down on return,
-// whether it finished or was cancelled, so no goroutines outlive the
-// call (asserted by TestCancelDoesNotLeakGoroutines).
+// by a context.AfterFunc callback that the evaluation unregisters on
+// return, whether it finished or was cancelled, so watching a context
+// starts no goroutine and none outlives the call (asserted by
+// TestCancelDoesNotLeakGoroutines).
 
 package eval
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 )
 
@@ -20,29 +20,21 @@ import (
 // that the poll is invisible in profiles.
 const cancelCheckRows = 256
 
-// watchContext converts ctx into a pollable stop flag.  The returned
-// release func must be called when the evaluation finishes (idempotent);
-// it tears down the watcher goroutine.  A nil flag means ctx can never
-// be cancelled and callers may skip polling entirely.
-func watchContext(ctx context.Context) (stop *atomic.Bool, release func()) {
+// watchContext converts ctx into a pollable stop flag.  A non-nil
+// release must be called when the evaluation finishes (it is
+// idempotent); it unregisters the callback that sets the flag.  A nil
+// flag means ctx can never be cancelled and callers may skip polling
+// entirely.  An already-cancelled ctx sets the flag before returning.
+func watchContext(ctx context.Context) (stop *atomic.Bool, release func() bool) {
 	if ctx == nil || ctx.Done() == nil {
-		return nil, func() {}
+		return nil, nil
 	}
 	stop = new(atomic.Bool)
 	if ctx.Err() != nil {
 		stop.Store(true)
-		return stop, func() {}
+		return stop, nil
 	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-quit:
-		}
-	}()
-	var once sync.Once
-	return stop, func() { once.Do(func() { close(quit) }) }
+	return stop, context.AfterFunc(ctx, func() { stop.Store(true) })
 }
 
 // ctxErr maps an aborted evaluation back onto its context's error,

@@ -1,5 +1,5 @@
 // Package eval is the bottom-up evaluation engine: conjunctive-query
-// application, naive and semi-naive closure of sums of linear operators,
+// application, semi-naive closure of sums of linear operators,
 // decomposed closures (B*C*Q), and the duplicate-derivation accounting that
 // realizes the cost model of Theorem 3.1.
 //
@@ -373,7 +373,7 @@ func (x *executor) run(rows []rel.Value, lo, hi int, stop *atomic.Bool) bool {
 
 // Engine caches compiled operators against a symbol table.  Compilation
 // and the cache are safe for concurrent use; the closure methods
-// (SemiNaive, Naive, …) build fresh result relations per call and only
+// (SemiNaive, StreamCtx, …) build fresh result relations per call and only
 // read the database, so one Engine may serve concurrent evaluations over
 // a shared DB snapshot.
 type Engine struct {
@@ -423,44 +423,6 @@ func (e *Engine) compiledFor(op *ast.Op) *compiled {
 		e.cache.m[op] = c
 	}
 	return c
-}
-
-// Apply computes f(src) for one operator: the set of head tuples derivable
-// with src as the recursive input relation, accumulated into dst.  Stats
-// count one derivation per emitted tuple and one duplicate per emission of
-// a tuple already in dst.
-func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
-	added := 0
-	newExecutor(db, e.compiledFor(op), func(t rel.Tuple) {
-		stats.Derivations++
-		if dst.Insert(t) {
-			added++
-		} else {
-			stats.Duplicates++
-		}
-	}).run(src.Packed(), 0, src.Len(), nil)
-	return added
-}
-
-// Naive computes the closure (Σᵢ opsᵢ)* q by re-deriving from the full
-// relation every round, always sequentially; kept as the correctness
-// oracle the tests compare the stepper against and as the
-// duplicate-cost baseline.
-func (e *Engine) Naive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	var stats Stats
-	total := q.Clone()
-	for {
-		stats.Iterations++
-		added := 0
-		snapshot := total.Clone()
-		for _, op := range ops {
-			added += e.Apply(db, op, snapshot, total, &stats)
-		}
-		if added == 0 {
-			return total, stats
-		}
-		stats.MaxDepth++
-	}
 }
 
 // EvalRule evaluates one nonrecursive rule (every body predicate resolved

@@ -23,6 +23,35 @@ func edgesAsQ(db rel.DB, pred string) *rel.Relation {
 	return db[pred].Clone()
 }
 
+// Naive computes the closure (Σᵢ opsᵢ)* q by re-deriving from the full
+// relation every round, sequentially, inserting each emission as it is
+// derived: the reference oracle the tests compare the stepper against,
+// and the duplicate-cost baseline.  It shares no code with the round
+// merge.
+func (e *Engine) Naive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
+	var stats Stats
+	total := q.Clone()
+	for {
+		stats.Iterations++
+		added := 0
+		snapshot := total.Clone()
+		for _, op := range ops {
+			newExecutor(db, e.compiledFor(op), func(t rel.Tuple) {
+				stats.Derivations++
+				if total.Insert(t) {
+					added++
+				} else {
+					stats.Duplicates++
+				}
+			}).run(snapshot.Packed(), 0, snapshot.Len(), nil)
+		}
+		if added == 0 {
+			return total, stats
+		}
+		stats.MaxDepth++
+	}
+}
+
 func TestApplySingleStep(t *testing.T) {
 	e := NewEngine(nil)
 	db := rel.DB{}
@@ -38,6 +67,25 @@ func TestApplySingleStep(t *testing.T) {
 	}
 	if stats.Derivations != 2 || stats.Duplicates != 0 {
 		t.Fatalf("stats = %v", stats)
+	}
+}
+
+// TestApplyNullary: a nullary application derives the one empty tuple,
+// new to an empty destination and a duplicate once it holds it.
+func TestApplyNullary(t *testing.T) {
+	e := NewEngine(nil)
+	db := rel.DB{}
+	db.Rel("e", 1).Insert(rel.Tuple{e.Syms.Intern("a")})
+	op := parser.MustParseOp("p :- p, e(X).")
+	src := rel.NewRelation(0)
+	src.Insert(rel.Tuple{})
+	dst := rel.NewRelation(0)
+	var stats Stats
+	if added := e.Apply(db, op, src, dst, &stats); added != 1 || dst.Len() != 1 {
+		t.Fatalf("first application added %d, destination holds %d; want 1 and 1", added, dst.Len())
+	}
+	if added := e.Apply(db, op, src, dst, &stats); added != 0 || stats != (Stats{Derivations: 2, Duplicates: 1}) {
+		t.Fatalf("second application added %d with stats %v; want 0 and 2 derivations, 1 duplicate", added, stats)
 	}
 }
 

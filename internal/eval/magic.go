@@ -2,15 +2,16 @@
 // MagicSeeded plan kind.  A bound selection query σ[c₁]=v₁ … σ[cₖ]=vₖ over
 // a linear recursive predicate does not need the predicate's full closure
 // — only the tuples reachable from the bound constants matter.  The
-// planner compiles, per recursive rule, a context-transformer rule over
-// the whole adornment (the generalization of Algorithm 4.1's "operator
-// loop" from one bound column to the full bound-column set) into a
-// MagicSpec; this file evaluates it:
+// planner compiles, per recursive rule, a context transformer over the
+// whole adornment (the generalization of Algorithm 4.1's "operator loop"
+// from one bound column to the full bound-column set) into a MagicSpec;
+// this file evaluates it:
 //
-//   - MagicSetCtx iterates the transformer rules as a frontier
-//     (semi-naive over len(Cols)-tuples) from the seed bound-tuple,
-//     producing the magic set — every binding of the selected columns
-//     reachable in some derivation chain ending at the query's constants.
+//   - MagicSetCtx closes the seed bound-tuple under the transformers —
+//     linear operators over len(Cols)-tuples — on the closure kernel,
+//     like any other closure: the magic set, every binding of the
+//     selected columns reachable in some derivation chain ending at the
+//     query's constants.
 //   - MagicCollect turns a magic set directly into the answer when every
 //     rule passes the unselected columns through unchanged (the planner's
 //     context mode): answers are exit-rule tuples looked up per magic
@@ -25,44 +26,40 @@ package eval
 
 import (
 	"context"
-	"time"
 
 	"linrec/internal/ast"
 	"linrec/internal/rel"
 )
 
-// MagicSeedPred is the pseudo-predicate a MagicSpec step rule reads the
-// current frontier from; the '$' prefix keeps it disjoint from anything
-// the parser can produce.
-const MagicSeedPred = "$magicseed"
-
-// MagicSetPred is the pseudo-predicate heading every MagicSpec rule: the
-// len(Cols)-ary relation of reachable bound-tuple values.
+// MagicSetPred is the pseudo-predicate of the len(Cols)-ary relation of
+// reachable bound-tuple values: the head of every MagicSpec rule and
+// operator, and the recursive atom of every step operator.  The '$'
+// prefix keeps it disjoint from anything the parser can produce.
 const MagicSetPred = "$magic"
 
 // MagicSpec is a compiled magic/adorned program for one adornment (set of
-// bound columns) of one recursive predicate: the rules whose fixpoint
-// from the query's bound tuple is the magic set.  Specs are built by the
-// planner's bindability analysis (planner.MagicAnalysis) and are
-// immutable once built, so one spec may serve any number of concurrent
-// evaluations.
+// bound columns) of one recursive predicate: the rules and operators
+// whose fixpoint from the query's bound tuple is the magic set.  Specs
+// are built by the planner's bindability analysis
+// (planner.MagicAnalysis) and are immutable once built, so one spec may
+// serve any number of concurrent evaluations.
 type MagicSpec struct {
 	// Cols are the bound answer columns driving the evaluation, in
 	// ascending order.  Frontier tuples carry one value per entry, in the
 	// same order.
 	Cols []int
-	// Step rules derive next-generation magic tuples from the current
-	// frontier: MagicSetPred(outs…) :- MagicSeedPred(ins…), nonrec atoms.
-	// One per recursive rule whose bound-tuple context depends on the
-	// frontier — through a column the rule copies from the seed (identity
-	// or cross-column copy) or through a seed variable occurring in its
-	// nonrecursive atoms.
-	Step []ast.Rule
+	// Step operators derive next-generation magic tuples from the
+	// current frontier: MagicSetPred(outs…) :- MagicSetPred(ins…),
+	// nonrec atoms.  One per recursive rule whose bound-tuple context
+	// depends on the frontier — through a column the rule copies from
+	// the seed (identity or cross-column copy) or through a seed variable
+	// occurring in its nonrecursive atoms.
+	Step []*ast.Op
 	// Init rules derive frontier-independent magic tuples —
 	// MagicSetPred(outs…) :- nonrec atoms — contributed by rules none of
 	// whose bound head variables reach their nonrecursive atoms or their
-	// recursive atom's bound columns.  They are evaluated once, before
-	// the frontier loop.
+	// recursive atom's bound columns.  They are evaluated once, into
+	// the seed of the frontier closure.
 	Init []ast.Rule
 	// Identity counts the rules that pass every bound column through
 	// unchanged; they contribute nothing to the frontier but are recorded
@@ -74,84 +71,40 @@ type MagicSpec struct {
 func (s MagicSpec) Arity() int { return len(s.Cols) }
 
 // MagicSetCtx computes the magic set: the least len(spec.Cols)-ary
-// relation containing seed that is closed under the spec's step rules
-// (with the init rules' contributions folded in up front).  seed carries
-// the query's bound values in spec.Cols order and is copied, never
-// retained.  The frontier loop is semi-naive — each generation joins
-// only the previous generation's new tuples — and polls ctx once per
-// generation.  Stats records one Iteration per generation; derivation
-// accounting belongs to the consumer (MagicCollect or the restricted
-// closure).  A Tracer carried by ctx records the frontier iteration as
-// one phase, one round per generation.
+// relation containing seed and the init rules' contributions that is
+// closed under the spec's step operators.  seed carries the query's
+// bound values in spec.Cols order and is copied, never retained.  The
+// closure runs on the stepper like any other — one round per frontier
+// generation, each joining only the previous generation's new tuples,
+// fanned out on a wide frontier, polling ctx — and traces as one
+// "magic-frontier" phase.  The step operators are compiled per call,
+// not through the engine's operator cache: the planner builds a fresh
+// spec per plan choice, which would grow the cache on every request.
+// Only the rounds' Iterations are added to stats; derivation accounting
+// belongs to the consumer (MagicCollect or the restricted closure).
+// With no step operators no round runs.
 func (e *Engine) MagicSetCtx(ctx context.Context, db rel.DB, spec MagicSpec, seed rel.Tuple, stats *Stats) (*rel.Relation, error) {
-	if ctx == nil {
-		// Tolerate nil like watchContext does for the closure loops.
-		ctx = context.Background()
-	}
 	set := rel.NewRelation(spec.Arity())
-	frontier := rel.NewRelation(spec.Arity())
 	set.Insert(seed)
-	frontier.Insert(seed)
-
 	for _, r := range spec.Init {
 		t, err := e.EvalRule(db, r)
 		if err != nil {
 			return nil, err
 		}
-		t.Each(func(v rel.Tuple) {
-			if set.Insert(v) {
-				frontier.Insert(v)
-			}
-		})
+		t.Each(func(v rel.Tuple) { set.Insert(v) })
 	}
-
-	ph := TracerFrom(ctx).phase("magic-frontier", 1, 0, frontier.Len())
-	defer func() { ph.close(set.Len()) }()
-
-	if len(spec.Step) == 0 {
+	cs := make([]*compiled, len(spec.Step))
+	for i, op := range spec.Step {
+		cs[i] = compileOp(op, e.Syms)
+	}
+	c := e.open(ctx, db, cs, set, 0, "magic-frontier", nil)
+	if len(cs) == 0 {
+		c.Close()
 		return set, nil
 	}
-	// Shallow copy: share the EDB relations, override only the frontier
-	// pseudo-predicate.
-	scratch := make(rel.DB, len(db)+1)
-	for k, v := range db {
-		scratch[k] = v
-	}
-	gen := 0
-	for frontier.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stats.Iterations++
-		gen++
-		var genStart time.Time
-		if ph != nil {
-			genStart = time.Now()
-		}
-		scratch[MagicSeedPred] = frontier
-		next := rel.NewRelation(spec.Arity())
-		for _, r := range spec.Step {
-			out, err := e.EvalRule(scratch, r)
-			if err != nil {
-				return nil, err
-			}
-			out.Each(func(v rel.Tuple) {
-				if set.Insert(v) {
-					next.Insert(v)
-				}
-			})
-		}
-		if ph != nil {
-			ph.round(RoundTrace{
-				Round:     gen,
-				DeltaRows: frontier.Len(),
-				NewRows:   next.Len(),
-				ElapsedUS: time.Since(genStart).Microseconds(),
-			})
-		}
-		frontier = next
-	}
-	return set, nil
+	set, st, err := c.Drain()
+	stats.Iterations += st.Iterations
+	return set, err
 }
 
 // MagicCollect materializes the answer of a context-mode magic plan: for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -18,12 +19,10 @@ import (
 func leftChainSpec() MagicSpec {
 	return MagicSpec{
 		Cols: []int{0},
-		Step: []ast.Rule{{
-			Head: ast.NewAtom(MagicSetPred, ast.V("Z")),
-			Body: []ast.Atom{
-				ast.NewAtom(MagicSeedPred, ast.V("X")),
-				ast.NewAtom("e", ast.V("X"), ast.V("Z")),
-			},
+		Step: []*ast.Op{{
+			Head:   ast.NewAtom(MagicSetPred, ast.V("Z")),
+			Rec:    ast.NewAtom(MagicSetPred, ast.V("X")),
+			NonRec: []ast.Atom{ast.NewAtom("e", ast.V("X"), ast.V("Z"))},
 		}},
 	}
 }
@@ -34,12 +33,10 @@ func leftChainSpec() MagicSpec {
 func leftChainPairSpec() MagicSpec {
 	return MagicSpec{
 		Cols: []int{0, 1},
-		Step: []ast.Rule{{
-			Head: ast.NewAtom(MagicSetPred, ast.V("Z"), ast.V("Y")),
-			Body: []ast.Atom{
-				ast.NewAtom(MagicSeedPred, ast.V("X"), ast.V("Y")),
-				ast.NewAtom("e", ast.V("X"), ast.V("Z")),
-			},
+		Step: []*ast.Op{{
+			Head:   ast.NewAtom(MagicSetPred, ast.V("Z"), ast.V("Y")),
+			Rec:    ast.NewAtom(MagicSetPred, ast.V("X"), ast.V("Y")),
+			NonRec: []ast.Atom{ast.NewAtom("e", ast.V("X"), ast.V("Z"))},
 		}},
 	}
 }
@@ -267,5 +264,73 @@ func TestSemiNaiveRestrictedCancelPrompt(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMagicSetParallelMatchesSequential: a frontier whose generations
+// grow wider than parallelRoundRows fans out at 2 and 4 workers and
+// still yields the sequential set and Stats.
+func TestMagicSetParallelMatchesSequential(t *testing.T) {
+	const nodes = 6000
+	e := NewEngine(nil)
+	db := rel.DB{}
+	r := db.Rel("e", 2)
+	rng := rand.New(rand.NewSource(3))
+	node := func(i int) rel.Value { return e.Syms.Intern(fmt.Sprintf("v%d", i)) }
+	for i := 0; i < nodes; i++ {
+		for k := 0; k < 3; k++ {
+			r.Insert(rel.Tuple{node(i), node(rng.Intn(nodes))})
+		}
+	}
+	seed := rel.Tuple{node(0)}
+	var want *rel.Relation
+	var wantStats Stats
+	for _, workers := range []int{1, 2, 4} {
+		tr := &Tracer{}
+		var stats Stats
+		got, err := Parallel(e, workers).MagicSetCtx(WithTracer(context.Background(), tr), db, leftChainSpec(), seed, &stats)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		fanned := false
+		for _, rd := range tr.Trace().Phases[0].Rounds {
+			fanned = fanned || len(rd.ShardRows) > 0
+		}
+		if fanned != (workers > 1) {
+			t.Fatalf("workers=%d: a frontier round fanned out: %v", workers, fanned)
+		}
+		if workers == 1 {
+			want, wantStats = got, stats
+			if got.Len() <= parallelRoundRows {
+				t.Fatalf("magic set of %d tuples is too narrow to fan out", got.Len())
+			}
+			continue
+		}
+		if !got.Equal(want) || stats != wantStats {
+			t.Fatalf("workers=%d: %d tuples, %v; sequential %d tuples, %v", workers, got.Len(), stats, want.Len(), wantStats)
+		}
+	}
+}
+
+// TestMagicSetLeavesOperatorCacheFlat: the planner builds a fresh spec
+// per plan choice, so magic builds must not compile step operators
+// through the engine's pointer-keyed cache, or it would grow per request.
+func TestMagicSetLeavesOperatorCacheFlat(t *testing.T) {
+	e := NewEngine(nil)
+	db, _ := cycleDB(e, 20)
+	size := func() int {
+		e.cache.mu.Lock()
+		defer e.cache.mu.Unlock()
+		return len(e.cache.m)
+	}
+	before := size()
+	for i := 0; i < 100; i++ {
+		var stats Stats
+		if _, err := e.MagicSetCtx(context.Background(), db, leftChainSpec(), rel.Tuple{e.Syms.Intern("v0")}, &stats); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := size(); after != before {
+		t.Fatalf("compiled-operator cache grew from %d to %d entries over 100 magic builds", before, after)
 	}
 }

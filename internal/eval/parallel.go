@@ -20,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"linrec/internal/ast"
 	"linrec/internal/rel"
 )
 
@@ -240,9 +239,9 @@ type roundMerge struct {
 // total.  New tuples are the rows total gained; callers recover the
 // round's delta as the row range [Len-before, Len).  A non-nil publish
 // is handed views of total's rows as the insert appends them (see
-// rel.Relation.InsertBatch).  A nullary emission carries no values and
-// is always a duplicate: it derives from a delta row, which is the
-// relation's one tuple, already in total.
+// rel.Relation.InsertBatch).  A nullary emission carries no values: it
+// is the relation's one tuple, new only when total is empty (never in a
+// closure, whose delta row is that tuple).
 func (m *roundMerge) merge(total *rel.Relation, pool []roundWorker, publish func([]rel.Value), stats *Stats) (added int) {
 	chunks, rows := 0, 0
 	for i := range pool {
@@ -258,26 +257,10 @@ func (m *roundMerge) merge(total *rel.Relation, pool []roundWorker, publish func
 	}
 	if total.Arity() > 0 {
 		added = total.InsertBatch(&m.scratch, publish, m.bufs...)
+	} else if rows > 0 && total.Insert(rel.Tuple{}) {
+		added = 1
 	}
 	stats.Derivations += int64(rows)
 	stats.Duplicates += int64(rows - added)
 	return added
-}
-
-// ApplyInto computes one application of op with all of src as the
-// recursive input, fanning the scan out across the worker pool when src
-// is large enough to pay for the barrier, and inserts every derived
-// tuple into dst; it returns the number of new tuples.  Stats
-// accounting matches Apply.  The maintenance path uses it for the
-// one-step occurrence-delta joins, whose recursive input is an entire
-// cached fixpoint — the scan is the dominant cost of absorbing a small
-// update, and it fans out perfectly.
-func (e *Engine) ApplyInto(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
-	if e.Workers <= 1 || src.Arity() == 0 || src.Len() < 4096 {
-		return e.Apply(db, op, src, dst, stats)
-	}
-	s := &stepper{db: db, cs: []*compiled{e.compiledFor(op)}, total: dst, pool: make([]roundWorker, e.Workers)}
-	prebuildIndexes(db, s.cs)
-	s.fanOut(s.pool, newFeed(src.Packed(), src.Arity(), 0, true), nil)
-	return s.merge.merge(dst, s.pool, nil, stats)
 }

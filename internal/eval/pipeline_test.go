@@ -29,7 +29,8 @@ func TestPipelinedJoinerPanic(t *testing.T) {
 			return true
 		}
 	}
-	c := Parallel(e, 2).open(context.Background(), db, ops, q.Clone(), 0, "semi-naive", newKeep)
+	pe := Parallel(e, 2)
+	c := pe.open(context.Background(), db, pe.compiledOps(ops), q.Clone(), 0, "semi-naive", newKeep)
 	defer func() {
 		r := recover()
 		wp, ok := r.(*workerPanic)

@@ -1,9 +1,11 @@
 // The closure kernel.  Every closure the engine computes — the plain
 // semi-naive closure (ΣAᵢ)*q, each factor of a decomposed B*C*q, the
-// magic-restricted closure, a maintenance resume from a cached fixpoint,
-// the delete-and-rederive over-delete cone, materialized or streamed,
-// on one goroutine or many — is this one stepper run over a different
-// seed, starting watermark and keep filter.
+// magic frontier and the magic-restricted closure, a maintenance resume
+// from a cached fixpoint, the delete-and-rederive over-delete cone,
+// materialized or streamed, on one goroutine or many — is this one
+// stepper run over a different seed, starting watermark and keep
+// filter; a single operator application (Engine.Apply) is one of its
+// rounds.
 
 package eval
 
@@ -98,36 +100,47 @@ type stepper struct {
 
 	ctx     context.Context
 	stop    *atomic.Bool
-	release func()
+	release func() bool
 	ph      *PhaseTrace
 	stats   Stats
 	err     error
 }
 
-// open starts a closure of ops over total with rows [lo, total.Len()) as
-// the first delta.  total is extended in place.  The context is polled
-// at every step and every cancelCheckRows delta rows inside one, and a
-// Tracer it carries records the steps as one phase under the given
-// name; Close releases both.
-func (e *Engine) open(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int, phase string, newKeep func() func(rel.Tuple) bool) *ClosureStream {
+// newStepper returns a stepper of the compiled operators cs over total,
+// with all of total as the first delta, on e's effective pool: 1 when
+// Engine.Workers ≤ 1 or the relation is nullary (no payload to shard).
+func (e *Engine) newStepper(db rel.DB, cs []*compiled, total *rel.Relation) stepper {
 	workers := e.Workers
 	if workers < 1 || total.Arity() == 0 {
 		workers = 1
-	}
-	cs := make([]*compiled, len(ops))
-	for i, op := range ops {
-		cs[i] = e.compiledFor(op)
 	}
 	if workers > 1 {
 		prebuildIndexes(db, cs)
 	}
 	pools := make([]roundWorker, 2*workers)
-	c := &ClosureStream{stepper: stepper{
-		db: db, cs: cs, total: total, lo: lo, hi: total.Len(), workers: workers,
-		newKeep: newKeep, pool: pools[:workers], spare: pools[workers:], ctx: ctx,
-	}}
+	return stepper{db: db, cs: cs, total: total, hi: total.Len(), workers: workers, pool: pools[:workers], spare: pools[workers:]}
+}
+
+// compiledOps returns ops compiled through the engine's cache.
+func (e *Engine) compiledOps(ops []*ast.Op) []*compiled {
+	cs := make([]*compiled, len(ops))
+	for i, op := range ops {
+		cs[i] = e.compiledFor(op)
+	}
+	return cs
+}
+
+// open starts a closure of the compiled operators cs over total with
+// rows [lo, total.Len()) as the first delta.  total is extended in
+// place.  The context is polled at every step and every
+// cancelCheckRows delta rows inside one, and a Tracer it carries
+// records the steps as one phase under the given name; Close releases
+// both.
+func (e *Engine) open(ctx context.Context, db rel.DB, cs []*compiled, total *rel.Relation, lo int, phase string, newKeep func() func(rel.Tuple) bool) *ClosureStream {
+	c := &ClosureStream{stepper: e.newStepper(db, cs, total)}
+	c.lo, c.newKeep, c.ctx = lo, newKeep, ctx
 	c.stop, c.release = watchContext(ctx)
-	c.ph = TracerFrom(ctx).phase(phase, workers, lo, total.Len()-lo)
+	c.ph = TracerFrom(ctx).phase(phase, c.workers, lo, total.Len()-lo)
 	return c
 }
 
@@ -154,35 +167,14 @@ func (s *stepper) step() bool {
 	if s.ph != nil {
 		start = time.Now()
 	}
-	pool := s.pool[:1]
-	switch {
-	case s.joined: // during the previous round's merge
-		pool, s.joined = s.pool, false
-	case s.workers > 1 && s.hi-s.lo >= parallelRoundRows:
-		pool = s.pool
-		if !s.fanOut(pool, newFeed(s.total.Packed(), s.total.Arity(), s.lo, true), nil) {
+	pool := s.pool
+	if s.joined { // during the previous round's merge
+		s.joined = false
+	} else {
+		var ok bool
+		if pool, ok = s.join(s.total.Packed(), s.lo, s.hi, &rt); !ok {
 			return false // a torn delta: never merged
 		}
-	default:
-		w := &pool[0]
-		w.buf, w.rows, w.marks = w.buf[:0], 0, w.marks[:0]
-		if w.execs == nil {
-			w.start(s.db, s.cs, s.total.Arity(), s.hi-s.lo, s.newKeep)
-		}
-		for _, x := range w.execs {
-			var opStart time.Time
-			if s.ph != nil {
-				opStart = time.Now()
-			}
-			if !x.run(s.total.Packed(), s.lo, s.hi, s.stop) {
-				s.stopped()
-				return false
-			}
-			if s.ph != nil {
-				rt.RuleUS = append(rt.RuleUS, time.Since(opStart).Microseconds())
-			}
-		}
-		w.marks = append(w.marks, chunkMark{0, len(w.buf)})
 	}
 	rows := 0
 	for i := range pool {
@@ -219,6 +211,53 @@ func (s *stepper) step() bool {
 	return true
 }
 
+// join joins every operator with rows [lo, hi) of rows (a Packed view
+// of the recursive input) into the pool's buffers and returns the slots
+// holding the emissions: fanned out (fanOut) when the effective worker
+// count exceeds 1 and the rows number at least parallelRoundRows,
+// otherwise on slot 0 on the calling goroutine, which attributes its
+// time per operator to rt when tracing.  It reports false when the stop
+// flag fired first.
+func (s *stepper) join(rows []rel.Value, lo, hi int, rt *RoundTrace) ([]roundWorker, bool) {
+	if s.workers > 1 && hi-lo >= parallelRoundRows {
+		return s.pool, s.fanOut(s.pool, newFeed(rows, s.total.Arity(), lo, true), nil)
+	}
+	w := &s.pool[0]
+	w.buf, w.rows, w.marks = w.buf[:0], 0, w.marks[:0]
+	if w.execs == nil {
+		w.start(s.db, s.cs, s.total.Arity(), hi-lo, s.newKeep)
+	}
+	for _, x := range w.execs {
+		var opStart time.Time
+		if s.ph != nil {
+			opStart = time.Now()
+		}
+		if !x.run(rows, lo, hi, s.stop) {
+			s.stopped()
+			return nil, false
+		}
+		if s.ph != nil {
+			rt.RuleUS = append(rt.RuleUS, time.Since(opStart).Microseconds())
+		}
+	}
+	w.marks = append(w.marks, chunkMark{0, len(w.buf)})
+	return s.pool[:1], true
+}
+
+// Apply computes f(src) for one operator — the head tuples derivable
+// with all of src as the recursive input — and adds them to dst,
+// returning how many were new.  It is one stepper round over src,
+// inline or fanned out across the pool like any other, merged into dst,
+// so Stats count as a round's: one derivation per emission, one
+// duplicate per emission dst already held or the same application
+// emitted before.  src and dst hold the operator's arity and may be the
+// same relation.
+func (e *Engine) Apply(db rel.DB, op *ast.Op, src, dst *rel.Relation, stats *Stats) int {
+	s := e.newStepper(db, []*compiled{e.compiledFor(op)}, dst)
+	pool, _ := s.join(src.Packed(), 0, src.Len(), nil)
+	return s.merge.merge(dst, pool, nil, stats)
+}
+
 // SemiNaive computes (Σᵢ opsᵢ)* q by semi-naive iteration: each round
 // applies every operator to the previous round's delta only.
 func (e *Engine) SemiNaive(db rel.DB, ops []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
@@ -244,7 +283,7 @@ func (e *Engine) SemiNaiveCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q r
 // from here instead of re-deriving the world.  A Tracer carried by ctx
 // records the resume as one "resume" phase.
 func (e *Engine) SemiNaiveResumeCtx(ctx context.Context, db rel.DB, ops []*ast.Op, total *rel.Relation, lo int) (Stats, error) {
-	_, stats, err := e.open(ctx, db, ops, total, lo, "resume", nil).Drain()
+	_, stats, err := e.open(ctx, db, e.compiledOps(ops), total, lo, "resume", nil).Drain()
 	return stats, err
 }
 

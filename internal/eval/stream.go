@@ -44,7 +44,7 @@ type ClosureStream struct {
 // drained; Close abandons any rounds not yet run.  A Tracer carried by
 // ctx records the rounds that ran as one "semi-naive" phase.
 func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store) *ClosureStream {
-	return e.open(ctx, db, ops, q.Clone(), 0, "semi-naive", nil)
+	return e.open(ctx, db, e.compiledOps(ops), q.Clone(), 0, "semi-naive", nil)
 }
 
 // StreamRestrictedCtx is StreamCtx for the magic-restricted closure:
@@ -52,7 +52,7 @@ func (e *Engine) StreamCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.
 // before insertion (see SemiNaiveRestrictedCtx).  The phase traces as
 // "restricted-closure".
 func (e *Engine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.Op, q rel.Store, cols []int, allowed *rel.Relation) *ClosureStream {
-	return e.open(ctx, db, ops, q.Clone(), 0, "restricted-closure", func() func(rel.Tuple) bool { return magicKeep(cols, allowed) })
+	return e.open(ctx, db, e.compiledOps(ops), q.Clone(), 0, "restricted-closure", func() func(rel.Tuple) bool { return magicKeep(cols, allowed) })
 }
 
 // Completed wraps an already-materialized answer as a stream with no
@@ -60,7 +60,7 @@ func (e *Engine) StreamRestrictedCtx(ctx context.Context, db rel.DB, ops []*ast.
 // cached answers, serve through the same iterator as a live closure.
 // The relation is shared, not copied.
 func Completed(r *rel.Relation) *ClosureStream {
-	return &ClosureStream{stepper: stepper{total: r, lo: r.Len(), hi: r.Len(), release: func() {}}}
+	return &ClosureStream{stepper: stepper{total: r, lo: r.Len(), hi: r.Len()}}
 }
 
 // Next yields the next closure row and true, or (nil, false) once the
@@ -109,7 +109,9 @@ func (c *ClosureStream) Close() {
 		return
 	}
 	c.closed = true
-	c.release()
+	if c.release != nil {
+		c.release()
+	}
 	c.ph.close(c.total.Len())
 }
 

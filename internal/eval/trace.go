@@ -67,9 +67,10 @@ type PhaseTrace struct {
 	start time.Time
 }
 
-// RoundTrace is one semi-naive round (or magic-frontier generation):
-// the delta it consumed, the new tuples it produced, and where the
-// work went.
+// RoundTrace is one round of the closure kernel — a semi-naive round,
+// or a generation of the magic frontier, which runs on the same
+// stepper: the delta it consumed, the new tuples it produced, and where
+// the work went.
 type RoundTrace struct {
 	// Round numbers rounds within the phase from 1.
 	Round int `json:"round"`

@@ -10,8 +10,9 @@
 // transports them across its nonrecursive atoms: the per-rule "context
 // transformer" of Algorithm 4.1's operator loop, generalized from a
 // single operator and a single bound column to any operator list and the
-// full adornment, and compiled into an eval.MagicSpec the engine
-// iterates as a frontier of bound tuples.  A separable plan's selection
+// full adornment, and compiled into an eval.MagicSpec whose step
+// operators the engine closes, on its one closure kernel, over a
+// frontier of bound tuples.  A separable plan's selection
 // step runs the single-operator case.
 // When the full adornment is not bindable, the analysis falls back to
 // the largest bindable column subset (the single-column analysis of the
@@ -183,19 +184,14 @@ func MagicAnalysis(ops []*ast.Op, cols []int) (spec eval.MagicSpec, mode MagicMo
 			outs[i] = ast.V(op.Rec.Args[c].Name)
 			ins[i] = ast.V(op.Head.Args[c].Name)
 		}
+		head := ast.NewAtom(eval.MagicSetPred, outs...)
 		switch {
 		case pureIdentity:
 			spec.Identity++
 		case frontierDependent:
-			spec.Step = append(spec.Step, ast.Rule{
-				Head: ast.NewAtom(eval.MagicSetPred, outs...),
-				Body: append([]ast.Atom{ast.NewAtom(eval.MagicSeedPred, ins...)}, op.NonRec...),
-			})
+			spec.Step = append(spec.Step, &ast.Op{Head: head, Rec: ast.NewAtom(eval.MagicSetPred, ins...), NonRec: op.NonRec})
 		default:
-			spec.Init = append(spec.Init, ast.Rule{
-				Head: ast.NewAtom(eval.MagicSetPred, outs...),
-				Body: append([]ast.Atom(nil), op.NonRec...),
-			})
+			spec.Init = append(spec.Init, ast.Rule{Head: head, Body: slices.Clone(op.NonRec)})
 		}
 	}
 	return spec, mode, true
