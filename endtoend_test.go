@@ -49,7 +49,7 @@ func TestEndToEndPlansAgreeOnRandomPrograms(t *testing.T) {
 		}
 
 		// Ground truth: flat semi-naive.
-		flat, err := a.Execute(sys.Engine, sys.DB(), &planner.Plan{Kind: planner.SemiNaive}, nil)
+		flat, err := executePlan(sys, a, &planner.Plan{Kind: planner.SemiNaive})
 		if err != nil {
 			t.Fatalf("trial %d: flat: %v", trial, err)
 		}

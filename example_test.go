@@ -138,7 +138,11 @@ func ExampleSystem_Analyze() {
 	}
 	fmt.Println("rules:", len(a.Ops))
 	fmt.Println("pair commutes:", a.Commutes[[2]int{0, 1}] == linrec.Commute)
-	fmt.Println("plan:", a.Choose(nil).Kind)
+	plan, err := sys.PlanFor(linrec.NewAtom("path", linrec.V("X"), linrec.V("Y")), linrec.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("plan:", plan.Kind)
 	// Output:
 	// rules: 2
 	// pair commutes: true

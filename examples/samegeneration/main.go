@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,10 @@ func main() {
 	})
 
 	mono, monoStats := e.SemiNaive(db, []*ast.Op{b, c}, q)
-	dec, decStats := e.Decomposed(db, []*ast.Op{c}, []*ast.Op{b}, q)
+	dec, decStats, err := e.Decomposed(context.Background(), db, []*ast.Op{c}, []*ast.Op{b}, q)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !mono.Equal(dec) {
 		log.Fatalf("decomposition changed the answer: %d vs %d", mono.Len(), dec.Len())
 	}

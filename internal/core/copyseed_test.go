@@ -385,7 +385,7 @@ func copySeedRun(ctx context.Context, sys *System, goal string, kind planner.Kin
 	}
 	want := filter(ref.Answer)
 	for _, streamed := range []bool{false, true} {
-		cl, stats, err := a.Open(ctx, sys.Engine, db, plan, opts, db.Probe(pred))
+		cl, stats, err := a.Open(ctx, sys.Engine, db, plan, opts, db.Probe(pred), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -871,10 +871,10 @@ func (s *System) Evaluate(ctx context.Context, req QueryRequest) (_ *QueryResult
 
 // open is the one opener behind Evaluate and Stream: it fetches the
 // plan's inputs of snap — the exit-rule seed (seedFor) and, for a
-// magic-seeded plan, the magic set of this goal binding, injected into
-// the plan so repeated bound queries skip the frontier iteration —
-// opens the plan (Analysis.Open) on the pool it records, and attaches
-// the goal's residual filters.  The caller drains or streams it.  An
+// magic-seeded plan, the magic set of this goal binding (magicFor), so
+// repeated bound queries skip the frontier iteration — opens the plan
+// (Analysis.Open) on the pool it records, and attaches the goal's
+// residual filters.  The caller drains or streams it.  An
 // empty goal opens as an already-complete empty stream.
 func (s *System) open(ctx context.Context, snap *Snapshot, r resolved) (*QueryStream, error) {
 	st := &QueryStream{sys: s, query: r.q, plan: r.plan, version: snap.Version}
@@ -886,16 +886,21 @@ func (s *System) open(ctx context.Context, snap *Snapshot, r resolved) (*QuerySt
 	if err != nil {
 		return nil, err
 	}
+	var set *rel.Relation
+	var setStats eval.Stats
 	if m := r.plan.Magic; r.plan.Kind == planner.MagicSeeded {
-		if m.Set, m.SetStats, err = s.magicFor(ctx, r.a, snap, m.Spec, m.BoundTuple()); err != nil {
+		if set, setStats, err = s.magicFor(ctx, r.a, snap, m.Spec, m.BoundTuple()); err != nil {
 			return nil, err
 		}
 	}
 	st.res = residualFor(r.q, r.plan, r.sels)
-	st.closure, st.preStats, err = r.a.Open(ctx, s.Engine, snap.DB, r.plan, planner.Options{Workers: r.plan.Workers}, seed)
+	st.closure, st.preStats, err = r.a.Open(ctx, s.Engine, snap.DB, r.plan, planner.Options{Workers: r.plan.Workers}, seed, set)
 	if err != nil {
 		return nil, err
 	}
+	// A cached set skips the frontier iteration; its build's statistics
+	// keep cached and uncached runs indistinguishable.
+	st.preStats.Add(setStats)
 	return st, nil
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -159,7 +160,8 @@ func BenchmarkClosureKernel(b *testing.B) {
 					if len(sh.c) == 0 {
 						return e.SemiNaive(sh.db, sh.b, sh.q)
 					}
-					return e.Decomposed(sh.db, sh.b, sh.c, sh.q)
+					out, stats, _ := e.Decomposed(context.Background(), sh.db, sh.b, sh.c, sh.q)
+					return out, stats
 				}
 				run() // build the EDB indexes outside the timer
 				var ms runtime.MemStats

@@ -143,7 +143,7 @@ func TestDecomposedCtxCancel(t *testing.T) {
 	c := parser.MustParseOp("p(X,Y) :- e(X,Z), p(Z,Y).")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, _, err := Parallel(e, 4).DecomposedCtx(ctx, db, []*ast.Op{b}, []*ast.Op{c}, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := Parallel(e, 4).Decomposed(ctx, db, []*ast.Op{b}, []*ast.Op{c}, q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestDecompositionPropertyOnData(t *testing.T) {
 		}
 
 		mono, monoStats := e.SemiNaive(db, []*ast.Op{b, c}, q)
-		dec, decStats := e.Decomposed(db, []*ast.Op{b}, []*ast.Op{c}, q)
+		dec, decStats, _ := e.Decomposed(context.Background(), db, []*ast.Op{b}, []*ast.Op{c}, q)
 		if !mono.Equal(dec) {
 			t.Fatalf("trial %d: decomposition changed the answer (%d vs %d)\nB: %v\nC: %v",
 				trial, mono.Len(), dec.Len(), b, c)
@@ -89,7 +90,7 @@ func TestDecompositionPropertyOnData(t *testing.T) {
 				trial, decStats.Duplicates, monoStats.Duplicates, b, c)
 		}
 		// The reverse composition order must agree too (B and C commute).
-		dec2, _ := e.Decomposed(db, []*ast.Op{c}, []*ast.Op{b}, q)
+		dec2, _, _ := e.Decomposed(context.Background(), db, []*ast.Op{c}, []*ast.Op{b}, q)
 		if !mono.Equal(dec2) {
 			t.Fatalf("trial %d: C*B* differs from (B+C)*", trial)
 		}

@@ -414,6 +414,14 @@ func Parallel(e *Engine, workers int) *Engine {
 	return &Engine{Syms: e.Syms, Workers: workers, cache: e.cache}
 }
 
+// CompiledOperators returns the number of operators compiled into the
+// cache e shares with its Parallel views.
+func (e *Engine) CompiledOperators() int {
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	return len(e.cache.m)
+}
+
 func (e *Engine) compiledFor(op *ast.Op) *compiled {
 	e.cache.mu.Lock()
 	defer e.cache.mu.Unlock()

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestSemiNaiveTwoOperators(t *testing.T) {
 	c := parser.MustParseOp("p(X,Y) :- down(X,Z), p(Z,Y).")
 	q := edgesAsQ(db, "up")
 	both, _ := e.SemiNaive(db, []*ast.Op{b, c}, q)
-	dec, _ := e.Decomposed(db, []*ast.Op{b}, []*ast.Op{c}, q)
+	dec, _, _ := e.Decomposed(context.Background(), db, []*ast.Op{b}, []*ast.Op{c}, q)
 	if !both.Equal(dec) {
 		t.Fatalf("decomposed result differs: %d vs %d tuples", both.Len(), dec.Len())
 	}
@@ -151,7 +152,7 @@ func TestTheorem31DuplicateSuperiority(t *testing.T) {
 	cOp := parser.MustParseOp("p(X,Y) :- down(X,Z), p(Z,Y).")
 	q := edgesAsQ(db, "up")
 	_, monoStats := e.SemiNaive(db, []*ast.Op{bOp, cOp}, q)
-	_, decStats := e.Decomposed(db, []*ast.Op{bOp}, []*ast.Op{cOp}, q)
+	_, decStats, _ := e.Decomposed(context.Background(), db, []*ast.Op{bOp}, []*ast.Op{cOp}, q)
 	if decStats.Duplicates > monoStats.Duplicates {
 		t.Fatalf("Theorem 3.1 violated: decomposed dups %d > monolithic dups %d",
 			decStats.Duplicates, monoStats.Duplicates)

@@ -4,8 +4,10 @@
 // — only the tuples reachable from the bound constants matter.  The
 // planner compiles, per recursive rule, a context transformer over the
 // whole adornment (the generalization of Algorithm 4.1's "operator loop"
-// from one bound column to the full bound-column set) into a MagicSpec;
-// this file evaluates it:
+// from one bound column to the full bound-column set) into a MagicSpec —
+// once per adornment, when it chooses the plan, so every request of that
+// binding pattern shares the spec and its compiled step operators and
+// brings only its constants; this file evaluates it:
 //
 //   - MagicSetCtx closes the seed bound-tuple under the transformers —
 //     linear operators over len(Cols)-tuples — on the closure kernel,
@@ -77,9 +79,9 @@ func (s MagicSpec) Arity() int { return len(s.Cols) }
 // closure runs on the stepper like any other — one round per frontier
 // generation, each joining only the previous generation's new tuples,
 // fanned out on a wide frontier, polling ctx — and traces as one
-// "magic-frontier" phase.  The step operators are compiled per call,
-// not through the engine's operator cache: the planner builds a fresh
-// spec per plan choice, which would grow the cache on every request.
+// "magic-frontier" phase.  The step operators compile through the
+// engine's operator cache, like any closure's: the planner builds one
+// spec per adornment, so the cache grows once per spec, not per call.
 // Only the rounds' Iterations are added to stats; derivation accounting
 // belongs to the consumer (MagicCollect or the restricted closure).
 // With no step operators no round runs.
@@ -93,12 +95,8 @@ func (e *Engine) MagicSetCtx(ctx context.Context, db rel.DB, spec MagicSpec, see
 		}
 		t.Each(func(v rel.Tuple) { set.Insert(v) })
 	}
-	cs := make([]*compiled, len(spec.Step))
-	for i, op := range spec.Step {
-		cs[i] = compileOp(op, e.Syms)
-	}
-	c := e.open(ctx, db, cs, set, 0, "magic-frontier", nil)
-	if len(cs) == 0 {
+	c := e.open(ctx, db, e.compiledOps(spec.Step), set, 0, "magic-frontier", nil)
+	if len(spec.Step) == 0 {
 		c.Close()
 		return set, nil
 	}

@@ -312,25 +312,22 @@ func TestMagicSetParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMagicSetLeavesOperatorCacheFlat: the planner builds a fresh spec
-// per plan choice, so magic builds must not compile step operators
-// through the engine's pointer-keyed cache, or it would grow per request.
+// TestMagicSetLeavesOperatorCacheFlat: the planner builds one spec per
+// adornment, and magic builds compile its step operators through the
+// engine's pointer-keyed cache, so 100 builds over one spec grow the
+// cache by the spec's step operators once and then leave it flat.
 func TestMagicSetLeavesOperatorCacheFlat(t *testing.T) {
 	e := NewEngine(nil)
 	db, _ := cycleDB(e, 20)
-	size := func() int {
-		e.cache.mu.Lock()
-		defer e.cache.mu.Unlock()
-		return len(e.cache.m)
-	}
-	before := size()
+	spec := leftChainSpec()
+	before := e.CompiledOperators()
 	for i := 0; i < 100; i++ {
 		var stats Stats
-		if _, err := e.MagicSetCtx(context.Background(), db, leftChainSpec(), rel.Tuple{e.Syms.Intern("v0")}, &stats); err != nil {
+		if _, err := e.MagicSetCtx(context.Background(), db, spec, rel.Tuple{e.Syms.Intern(fmt.Sprintf("v%d", i%20))}, &stats); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := size(); after != before {
-		t.Fatalf("compiled-operator cache grew from %d to %d entries over 100 magic builds", before, after)
+	if after := e.CompiledOperators(); after != before+len(spec.Step) {
+		t.Fatalf("compiled-operator cache grew from %d to %d entries over 100 magic builds, want +%d", before, after, len(spec.Step))
 	}
 }

@@ -108,8 +108,8 @@ func checkAgreement(t *testing.T, strategy string, seed int64) error {
 		// Split the operators into the B and C factors at a random point.
 		cut := rng.Intn(len(ops) + 1)
 		b, c := ops[:cut], ops[cut:]
-		wantRel, wantStats = seq.Decomposed(db, b, c, q)
-		gotRel, gotStats = par.Decomposed(db, b, c, q)
+		wantRel, wantStats, _ = seq.Decomposed(context.Background(), db, b, c, q)
+		gotRel, gotStats, _ = par.Decomposed(context.Background(), db, b, c, q)
 	default:
 		return checkKernel(t, strategy, seed)
 	}

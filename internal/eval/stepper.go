@@ -289,13 +289,8 @@ func (e *Engine) SemiNaiveResumeCtx(ctx context.Context, db rel.DB, ops []*ast.O
 
 // Decomposed computes B*C*q as two chained semi-naive closures — the
 // decomposition (B+C)* = B*C* that commutativity licenses (Section 3).
-func (e *Engine) Decomposed(db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats) {
-	out, stats, _ := e.DecomposedCtx(context.Background(), db, b, c, q)
-	return out, stats
-}
-
-// DecomposedCtx is Decomposed with cancellation (see SemiNaiveCtx).
-func (e *Engine) DecomposedCtx(ctx context.Context, db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
+// Cancellation behaves as SemiNaiveCtx.
+func (e *Engine) Decomposed(ctx context.Context, db rel.DB, b, c []*ast.Op, q *rel.Relation) (*rel.Relation, Stats, error) {
 	mid, s1, err := e.SemiNaiveCtx(ctx, db, c, q)
 	if err != nil {
 		return nil, s1, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -40,7 +41,10 @@ func I31(w io.Writer) error {
 		q := db["up"].Clone()
 
 		lhs, _ := e.SemiNaive(db, []*ast.Op{b, c}, q)
-		bc, _ := e.Decomposed(db, []*ast.Op{b}, []*ast.Op{c}, q)
+		bc, _, err := e.Decomposed(context.Background(), db, []*ast.Op{b}, []*ast.Op{c}, q)
+		if err != nil {
+			return err
+		}
 
 		// (B+C)*·C·B·(B+C)* q, computed right to left.
 		t1, _ := e.SemiNaive(db, []*ast.Op{b, c}, q)
@@ -92,7 +96,10 @@ func P7(w io.Writer) error {
 	q := db["e1"].Clone()
 
 	flat, flatStats := e.SemiNaive(db, []*ast.Op{b1, b2, c}, q)
-	grouped, groupStats := e.Decomposed(db, []*ast.Op{b1, b2}, []*ast.Op{c}, q)
+	grouped, groupStats, err := e.Decomposed(context.Background(), db, []*ast.Op{b1, b2}, []*ast.Op{c}, q)
+	if err != nil {
+		return err
+	}
 	if !flat.Equal(grouped) {
 		return fmt.Errorf("P7: grouped decomposition changed the answer")
 	}

@@ -61,8 +61,11 @@ func T31Run(kind string, n int, seed int64) (T31Result, error) {
 	monoTime := time.Since(start)
 
 	start = time.Now()
-	dec, decStats := e.Decomposed(db, []*ast.Op{b}, []*ast.Op{c}, q)
+	dec, decStats, err := e.Decomposed(context.Background(), db, []*ast.Op{b}, []*ast.Op{c}, q)
 	decTime := time.Since(start)
+	if err != nil {
+		return T31Result{}, err
+	}
 
 	if !mono.Equal(dec) {
 		return T31Result{}, fmt.Errorf("decomposition changed the answer: %d vs %d", mono.Len(), dec.Len())

@@ -42,7 +42,7 @@ func TestCommutingGroupsPartition(t *testing.T) {
 
 func TestChoosePartialDecomposition(t *testing.T) {
 	a := analyze(t, partialProgram, "p")
-	plan := a.Choose(nil)
+	plan := a.ChooseMulti(nil, Options{})
 	if plan.Kind != Decomposed {
 		t.Fatalf("plan = %v, want decomposed via partial commutativity (%s)", plan.Kind, plan.Why)
 	}
@@ -62,11 +62,11 @@ func TestPartialDecompositionCorrect(t *testing.T) {
 	workload.Random(e, db, "e2", 11, 15, 3)
 	workload.Random(e, db, "e3", 11, 15, 4)
 
-	grouped, err := a.Execute(e, db, a.Choose(nil), nil)
+	grouped, err := execute(a, e, db, a.ChooseMulti(nil, Options{}), nil)
 	if err != nil {
 		t.Fatalf("Execute grouped: %v", err)
 	}
-	flat, err := a.Execute(e, db, &Plan{Kind: SemiNaive}, nil)
+	flat, err := execute(a, e, db, &Plan{Kind: SemiNaive}, nil)
 	if err != nil {
 		t.Fatalf("Execute flat: %v", err)
 	}
@@ -92,7 +92,7 @@ p(X,Y) :- p(X,Z), e3(Z,Y).
 	if len(groups) != 1 {
 		t.Fatalf("groups = %v, want a single group", groups)
 	}
-	if plan := a.Choose(nil); plan.Kind != SemiNaive {
+	if plan := a.ChooseMulti(nil, Options{}); plan.Kind != SemiNaive {
 		t.Fatalf("plan = %v, want semi-naive fallback", plan.Kind)
 	}
 }
@@ -122,11 +122,11 @@ p(X,Y,Z) :- p(X,Y,U), s(Z,U).
 	seed := db.Rel("seed", 3)
 	seed.Insert(rel.Tuple{e.Syms.Intern("v0"), e.Syms.Intern("v0"), e.Syms.Intern("v0")})
 
-	grouped, err := a.Execute(e, db, a.Choose(nil), nil)
+	grouped, err := execute(a, e, db, a.ChooseMulti(nil, Options{}), nil)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	flat, _ := a.Execute(e, db, &Plan{Kind: SemiNaive}, nil)
+	flat, _ := execute(a, e, db, &Plan{Kind: SemiNaive}, nil)
 	if !grouped.Answer.Equal(flat.Answer) {
 		t.Fatalf("3-way decomposition diverged: %d vs %d", grouped.Answer.Len(), flat.Answer.Len())
 	}
@@ -189,7 +189,7 @@ func TestBoundedOperatorSemiNaive(t *testing.T) {
 			continue
 		}
 		checked++
-		plan := a.Choose(nil)
+		plan := a.ChooseMulti(nil, Options{})
 		if plan.Kind != SemiNaive {
 			t.Fatalf("%s: plan = %v, want semi-naive", src, plan.Kind)
 		}
@@ -222,7 +222,7 @@ func TestBoundedOperatorSemiNaive(t *testing.T) {
 			cur = next
 		}
 		for _, workers := range []int{1, 2} {
-			res, err := a.Execute(e, db, a.ChooseMulti(nil, Options{Workers: workers}), nil)
+			res, err := execute(a, e, db, a.ChooseMulti(nil, Options{Workers: workers}), nil)
 			if err != nil {
 				t.Fatalf("%s: Execute: %v", src, err)
 			}
@@ -248,7 +248,7 @@ func TestUnboundedSingleRuleFallsBack(t *testing.T) {
 p(X,Y) :- seed(X,Y).
 p(X,Y) :- p(X,Z), e(Z,Y).
 `, "p")
-	if plan := a.Choose(nil); plan.Kind != SemiNaive {
+	if plan := a.ChooseMulti(nil, Options{}); plan.Kind != SemiNaive {
 		t.Fatalf("plan = %v, want semi-naive", plan.Kind)
 	}
 }

@@ -59,8 +59,8 @@ func (m MagicMode) String() string {
 }
 
 // MagicPlan is the magic-seeded payload of a Plan: the compiled frontier
-// spec, the driving selections, and (optionally) a pre-computed magic set
-// supplied by a caller-side cache.
+// spec and the driving selections.  The magic set itself is not part of
+// the plan: Open builds it, or takes it from the caller's cache.
 type MagicPlan struct {
 	// Mode picks context collection or the restricted closure.
 	Mode MagicMode
@@ -69,15 +69,9 @@ type MagicPlan struct {
 	// listed here were rejected by the bindability analysis and must be
 	// applied by the caller as post-filters.
 	Sels []separable.Selection
-	// Spec is the compiled frontier program (see eval.MagicSpec).
+	// Spec is the compiled frontier program (see eval.MagicSpec), shared
+	// by every binding of the adornment.
 	Spec eval.MagicSpec
-	// Set, when non-nil, is a pre-computed magic set for the bound tuple —
-	// core's per-snapshot cache injects it so repeated bound queries
-	// skip the frontier iteration.  SetStats are the frontier statistics
-	// recorded when the set was built; execution folds them in so cached
-	// and uncached runs report identical statistics.
-	Set      *rel.Relation
-	SetStats eval.Stats
 }
 
 // BoundTuple returns the plan's bound values in Spec.Cols order — the

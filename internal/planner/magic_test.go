@@ -200,13 +200,13 @@ func TestMagicPlanPriority(t *testing.T) {
 	sep := analyzeSrc(t, `p(X,Y) :- b(X,Y).
 		p(X,Y) :- p(X,U), up(U,Y).
 		p(X,Y) :- down(X,U), p(U,Y).`)
-	if plan := sep.Choose(sel); plan.Kind != Separable {
+	if plan := sep.ChooseMulti([]separable.Selection{*sel}, Options{}); plan.Kind != Separable {
 		t.Errorf("commuting pair with commuting σ: plan = %v, want Separable (%s)", plan.Kind, plan.Why)
 	}
 
 	single := analyzeSrc(t, `p(X,Y) :- b(X,Y).
 		p(X,Y) :- e(X,Z), p(Z,Y).`)
-	plan := single.Choose(sel)
+	plan := single.ChooseMulti([]separable.Selection{*sel}, Options{})
 	if plan.Kind != MagicSeeded || plan.Magic == nil || plan.Magic.Mode != MagicContext {
 		t.Errorf("single left chain with binding: plan = %v (%s), want context-mode MagicSeeded", plan.Kind, plan.Why)
 	}
@@ -219,7 +219,7 @@ func TestMagicPlanPriority(t *testing.T) {
 	if p := single.ChooseMulti([]separable.Selection{*sel}, Options{Strategy: ForceSemiNaive}); p.Kind != SemiNaive {
 		t.Errorf("forced strategy overridden by magic: %v", p.Kind)
 	}
-	if p := single.Choose(nil); p.Kind == MagicSeeded {
+	if p := single.ChooseMulti(nil, Options{}); p.Kind == MagicSeeded {
 		t.Errorf("open query chose a magic plan")
 	}
 
@@ -297,7 +297,7 @@ func TestMagicExecutionMatchesClosure(t *testing.T) {
 			ins("f", [2]int{0, 1}, [2]int{3, 5}, [2]int{4, 0})
 
 			sel := separable.Selection{Col: 0, Value: e.Syms.Intern("a")}
-			flat, err := a.Execute(e, db, &Plan{Kind: SemiNaive}, &sel)
+			flat, err := execute(a, e, db, &Plan{Kind: SemiNaive}, &sel)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -306,7 +306,7 @@ func TestMagicExecutionMatchesClosure(t *testing.T) {
 				if plan.Kind != MagicSeeded {
 					t.Fatalf("plan = %v (%s), want MagicSeeded", plan.Kind, plan.Why)
 				}
-				got, err := a.Execute(e, db, plan, nil)
+				got, err := execute(a, e, db, plan, nil)
 				if err != nil {
 					t.Fatalf("magic workers=%d: %v", workers, err)
 				}
@@ -315,22 +315,33 @@ func TestMagicExecutionMatchesClosure(t *testing.T) {
 						workers, got.Answer.Len(), flat.Answer.Len())
 				}
 
-				// Same plan again with the magic set pre-computed, as core's
-				// cache injects it: identical answer and statistics.
-				var setStats eval.Stats
-				set, err := e.MagicSetCtx(context.Background(), db, plan.Magic.Spec, plan.Magic.BoundTuple(), &setStats)
+				// Same plan again with the magic set pre-computed and
+				// handed to Open, as core's cache does, its build's
+				// statistics added: identical answer and statistics.
+				ctx := context.Background()
+				var stats eval.Stats
+				set, err := e.MagicSetCtx(ctx, db, plan.Magic.Spec, plan.Magic.BoundTuple(), &stats)
 				if err != nil {
 					t.Fatalf("MagicSetCtx: %v", err)
 				}
+				q, err := a.Seed(e, db)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cached := a.ChooseMulti([]separable.Selection{sel}, Options{Workers: workers})
-				cached.Magic.Set, cached.Magic.SetStats = set, setStats
-				got2, err := a.Execute(e, db, cached, nil)
+				cl, pre, err := a.Open(ctx, e, db, cached, Options{Workers: cached.Workers}, q, set)
 				if err != nil {
 					t.Fatalf("cached magic workers=%d: %v", workers, err)
 				}
-				if !got2.Answer.Equal(got.Answer) || got2.Stats != got.Stats {
+				ans, s, err := cl.Drain()
+				if err != nil {
+					t.Fatalf("cached magic workers=%d: %v", workers, err)
+				}
+				stats.Add(pre)
+				stats.Add(s)
+				if !ans.Equal(got.Answer) || stats != got.Stats {
 					t.Fatalf("workers=%d: cached set diverges: %v vs %v (answers %d vs %d)",
-						workers, got2.Stats, got.Stats, got2.Answer.Len(), got.Answer.Len())
+						workers, stats, got.Stats, ans.Len(), got.Answer.Len())
 				}
 			}
 		})

@@ -17,6 +17,7 @@ package planner
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,6 +56,11 @@ type Analysis struct {
 	// no plan reads them, so only the report pays for them.
 	redOnce sync.Once
 	red     map[int][]redundant.Finding
+
+	// plans memoizes ChooseMulti's choices by adornment key, each chosen
+	// once and never written afterwards.
+	plansMu sync.Mutex
+	plans   map[string]*Plan
 }
 
 // Redundancies returns the recursive-redundancy findings per operator
@@ -78,6 +84,7 @@ func (a *Analysis) Redundancies() map[int][]redundant.Finding {
 func Analyze(prog *ast.Program, pred string) (*Analysis, error) {
 	a := &Analysis{
 		Pred:           pred,
+		plans:          map[string]*Plan{},
 		Commutes:       map[[2]int]commute.Verdict{},
 		CommuteReports: map[[2]int]*commute.Report{},
 		Separable:      map[[2]int]separable.Report{},
@@ -344,7 +351,7 @@ type Plan struct {
 	// Sep is the payload of Separable plans: σ0 and the σᵢAᵢ* steps.
 	Sep *SeparablePlan
 	// Magic is the payload of MagicSeeded plans: mode, compiled frontier
-	// spec, driving selection and optional cached magic set.
+	// spec and driving selections.
 	Magic *MagicPlan
 	// Workers is the closure worker-pool size the plan runs on: the
 	// requested pool, or at most 1 for a plan that is not
@@ -371,19 +378,15 @@ type SeparablePlan struct {
 
 // SepStep is one factor σAᵢ* of a separable plan: the closure of
 // Ops[Op], then Sel when non-nil.  Sel commutes with every operator of a
-// later step, so their closures keep every row it admits.
+// later step, so their closures keep every row it admits.  Magic, set at
+// choice time on a step before the last whose operator binds Sel's
+// column in context mode, is that operator's frontier program: the step
+// then runs Algorithm 4.1's context iteration from Sel's constant
+// instead of closing the operator.
 type SepStep struct {
-	Op  int
-	Sel *separable.Selection
-}
-
-// Choose picks a plan.  sel, when non-nil, is a selection on the answer.
-func (a *Analysis) Choose(sel *separable.Selection) *Plan {
-	var sels []separable.Selection
-	if sel != nil {
-		sels = []separable.Selection{*sel}
-	}
-	return a.ChooseMulti(sels, Options{})
+	Op    int
+	Sel   *separable.Selection
+	Magic *eval.MagicSpec
 }
 
 // ChooseMulti picks a plan under the given options for a query binding
@@ -397,7 +400,83 @@ func (a *Analysis) Choose(sel *separable.Selection) *Plan {
 // Plans consume selections as documented on their kind (Separable those
 // in Plan.Sep, MagicSeeded the subset in Plan.Magic.Sels); Plan.Residual
 // names the rest, which the caller applies as post-filters.
+//
+// The choice reads the selections' columns, never their values, so it is
+// made once per (column sequence, strategy, pool) — the adornment — and
+// memoized on the analysis; each call binds the request's constants into
+// it (bind).  The returned plan is shared and must not be written.
 func (a *Analysis) ChooseMulti(sels []separable.Selection, opts Options) *Plan {
+	// The key — strategy, pool, then the columns in order, since Theorem
+	// 4.1's branch takes the first selection — is built on the stack.
+	var buf [32]byte
+	key := binary.AppendVarint(buf[:0], int64(opts.Strategy))
+	key = binary.AppendVarint(key, int64(opts.Workers))
+	for _, sel := range sels {
+		key = binary.AppendVarint(key, int64(sel.Col))
+	}
+	a.plansMu.Lock()
+	p, ok := a.plans[string(key)]
+	if !ok {
+		// Chosen over parameters, not constants: selection i becomes
+		// {Col: sels[i].Col, Value: i}, so every selection the plan
+		// consumes names the request selection bind fills it from.
+		params := make([]separable.Selection, len(sels))
+		for i, sel := range sels {
+			params[i] = separable.Selection{Col: sel.Col, Value: rel.Value(i)}
+		}
+		p = a.choose(params, opts)
+		a.plans[string(key)] = p
+	}
+	a.plansMu.Unlock()
+	return p.bind(sels)
+}
+
+// bind returns memoized plan p for the request selections sels: p itself
+// when it consumes no selection, else a copy whose consumed selections
+// carry the values of the request selections their parameters name.  The
+// copy and its payload are one allocation, and share everything else
+// (groups, specs, Why) with p.
+func (p *Plan) bind(sels []separable.Selection) *Plan {
+	if p.Kind != Separable && p.Kind != MagicSeeded {
+		return p
+	}
+	b := &struct {
+		Plan
+		sep   SeparablePlan
+		magic MagicPlan
+	}{Plan: *p}
+	if p.Kind == Separable {
+		b.sep = SeparablePlan{Sigma0: bindSels(p.Sep.Sigma0, sels), Steps: slices.Clone(p.Sep.Steps)}
+		for i, st := range b.sep.Steps {
+			if st.Sel != nil {
+				sel := sels[st.Sel.Value]
+				b.sep.Steps[i].Sel = &sel
+			}
+		}
+		b.Sep = &b.sep
+	} else {
+		b.magic = *p.Magic
+		b.magic.Sels = bindSels(p.Magic.Sels, sels)
+		b.Magic = &b.magic
+	}
+	return &b.Plan
+}
+
+// bindSels returns the request selections the parameters params name
+// (see ChooseMulti), or nil for none.
+func bindSels(params, sels []separable.Selection) []separable.Selection {
+	if len(params) == 0 {
+		return nil
+	}
+	out := make([]separable.Selection, len(params))
+	for i, prm := range params {
+		out[i] = sels[prm.Value]
+	}
+	return out
+}
+
+// choose is ChooseMulti's choice itself, made afresh.
+func (a *Analysis) choose(sels []separable.Selection, opts Options) *Plan {
 	plan := a.chooseKind(sels, opts)
 	plan.Workers = opts.Workers
 	if !plan.Parallelizable() {
@@ -475,8 +554,7 @@ func (a *Analysis) separablePlan(sels []separable.Selection) *Plan {
 			return nil
 		}
 		if sp := a.assign(sels); sp != nil {
-			return &Plan{Kind: Separable, Sep: sp,
-				Why: fmt.Sprintf("n-ary separable decomposition with %d selections (Section 4.1)", len(sels))}
+			return a.sepPlan(sp, fmt.Sprintf("n-ary separable decomposition with %d selections (Section 4.1)", len(sels)))
 		}
 	}
 	if len(a.Ops) != 2 {
@@ -485,14 +563,27 @@ func (a *Analysis) separablePlan(sels []separable.Selection) *Plan {
 	sel := sels[0]
 	for i := 0; i < 2; i++ {
 		if sel.CommutesWith(a.Ops[i]) {
-			return &Plan{
-				Kind: Separable,
-				Sep:  &SeparablePlan{Steps: []SepStep{{Op: 1 - i, Sel: &sel}, {Op: i}}},
-				Why:  fmt.Sprintf("operators commute and σ[%d] commutes with rule %d (Theorem 4.1)", sel.Col, i+1),
-			}
+			return a.sepPlan(&SeparablePlan{Steps: []SepStep{{Op: 1 - i, Sel: &sel}, {Op: i}}},
+				fmt.Sprintf("operators commute and σ[%d] commutes with rule %d (Theorem 4.1)", sel.Col, i+1))
 		}
 	}
 	return nil
+}
+
+// sepPlan returns the Separable plan of sp, recording on every step
+// before the last the context-mode frontier of its operator and
+// selection when there is one (SepStep.Magic).
+func (a *Analysis) sepPlan(sp *SeparablePlan, why string) *Plan {
+	for i := range sp.Steps[:len(sp.Steps)-1] {
+		st := &sp.Steps[i]
+		if st.Sel == nil {
+			continue
+		}
+		if spec, mode, ok := MagicAnalysis([]*ast.Op{a.Ops[st.Op]}, []int{st.Sel.Col}); ok && mode == MagicContext {
+			st.Magic = &spec
+		}
+	}
+	return &Plan{Kind: Separable, Sep: sp, Why: why}
 }
 
 // assign slots every selection into the n-ary formula: σ0 when it
@@ -535,17 +626,6 @@ type Result struct {
 	Plan   *Plan
 }
 
-// Execute runs the plan over the seed of db with the plan's worker pool.
-// sel, when non-nil, is a selection on the answer; it is applied unless
-// the plan consumes it.
-func (a *Analysis) Execute(e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection) (*Result, error) {
-	q, err := a.Seed(e, db)
-	if err != nil {
-		return nil, err
-	}
-	return a.ExecuteSeeded(context.Background(), e, db, plan, sel, Options{Workers: plan.Workers}, q)
-}
-
 // Seed materializes the evaluation seed: the union of the exit rules
 // over db.  The result depends only on (analysis, db), so callers serving
 // many queries over one immutable database snapshot may compute it once
@@ -580,7 +660,7 @@ func (a *Analysis) Seed(e *eval.Engine, db rel.DB) (*rel.Relation, error) {
 // worker goroutines joined.  With opts.Workers > 1 wide rounds fan out;
 // results and statistics are identical to sequential execution.
 func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection, opts Options, q rel.Store) (*Result, error) {
-	cl, stats, err := a.Open(ctx, e, db, plan, opts, q)
+	cl, stats, err := a.Open(ctx, e, db, plan, opts, q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -607,14 +687,17 @@ func (a *Analysis) ExecuteSeeded(ctx context.Context, e *eval.Engine, db rel.DB,
 // the stream (ExecuteSeeded); a streaming consumer pulls from it and may
 // stop early.  What materializes up front: every group of a Decomposed
 // plan and every step of a Separable plan but the last to run (each
-// feeds the next closure's seed), and a MagicSeeded plan's frontier
-// unless Plan.Magic.Set supplies it.  A context-mode magic plan — the
+// feeds the next closure's seed), and a MagicSeeded plan's magic set
+// unless the caller supplies it as set — the set MagicSetCtx builds from
+// Plan.Magic's spec and bound tuple, as core's per-snapshot cache keeps
+// it; that caller adds the statistics of its build.  A context-mode
+// magic plan — the
 // kind Plan.Parallelizable excludes — collects its answer whole and
 // returns it as an already-complete stream.  Rows are the raw closure:
 // the consumer applies Plan.Residual.  With opts.Workers > 1 the
 // closures fan wide rounds out across the pool; rows and statistics are
 // identical either way.
-func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q rel.Store) (*eval.ClosureStream, eval.Stats, error) {
+func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Plan, opts Options, q rel.Store, set *rel.Relation) (*eval.ClosureStream, eval.Stats, error) {
 	pe := eval.Parallel(e, max(1, opts.Workers))
 	var stats eval.Stats
 	switch plan.Kind {
@@ -634,20 +717,12 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 		return pe.StreamCtx(ctx, db, []*ast.Op{a.Ops[steps[len(steps)-1].Op]}, cur), stats, nil
 	case MagicSeeded:
 		m := plan.Magic
-		if m == nil {
-			return nil, stats, fmt.Errorf("planner: magic-seeded plan has no magic payload; it is not executable")
-		}
-		vals, set := m.BoundTuple(), m.Set
+		vals := m.BoundTuple()
 		if set == nil {
 			var err error
 			if set, err = e.MagicSetCtx(ctx, db, m.Spec, vals, &stats); err != nil {
 				return nil, stats, err
 			}
-		} else {
-			// A cached set skips the frontier iteration; folding in the
-			// stats recorded at build time keeps cached and uncached runs
-			// indistinguishable to callers.
-			stats = m.SetStats
 		}
 		if m.Mode == MagicContext {
 			return eval.Completed(eval.MagicCollect(q, m.Spec.Cols, vals, set, &stats)), stats, nil
@@ -672,25 +747,20 @@ func (a *Analysis) Open(ctx context.Context, e *eval.Engine, db rel.DB, plan *Pl
 }
 
 // sepStep materializes σAᵢ* cur, one step of a separable plan before its
-// last.  When the single operator binds σ's column in context mode this
-// is Algorithm 4.1's context iteration: the operator's magic frontier
-// from σ's constant, collecting the matching rows of cur — work
-// proportional to the step's answer.  Otherwise the step closes the
-// operator and filters.
+// last.  A step with a frontier (SepStep.Magic) runs Algorithm 4.1's
+// context iteration: the operator's magic frontier from σ's constant,
+// collecting the matching rows of cur — work proportional to the step's
+// answer.  Otherwise the step closes the operator and filters.
 func (a *Analysis) sepStep(ctx context.Context, pe *eval.Engine, db rel.DB, st SepStep, cur rel.Store, stats *eval.Stats) (*rel.Relation, error) {
-	ops := []*ast.Op{a.Ops[st.Op]}
-	if st.Sel != nil {
-		cols := []int{st.Sel.Col}
-		if spec, mode, ok := MagicAnalysis(ops, cols); ok && mode == MagicContext {
-			vals := rel.Tuple{st.Sel.Value}
-			set, err := pe.MagicSetCtx(ctx, db, spec, vals, stats)
-			if err != nil {
-				return nil, err
-			}
-			return eval.MagicCollect(cur, cols, vals, set, stats), nil
+	if st.Magic != nil {
+		vals := rel.Tuple{st.Sel.Value}
+		set, err := pe.MagicSetCtx(ctx, db, *st.Magic, vals, stats)
+		if err != nil {
+			return nil, err
 		}
+		return eval.MagicCollect(cur, st.Magic.Cols, vals, set, stats), nil
 	}
-	next, s, err := pe.SemiNaiveCtx(ctx, db, ops, cur)
+	next, s, err := pe.SemiNaiveCtx(ctx, db, []*ast.Op{a.Ops[st.Op]}, cur)
 	stats.Add(s)
 	if err != nil || st.Sel == nil {
 		return next, err

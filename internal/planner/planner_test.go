@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,6 +30,16 @@ func analyze(t *testing.T, src, pred string) *Analysis {
 		t.Fatalf("Analyze: %v", err)
 	}
 	return a
+}
+
+// execute seeds plan from db and runs it on the plan's pool, filtering
+// by sel when non-nil.
+func execute(a *Analysis, e *eval.Engine, db rel.DB, plan *Plan, sel *separable.Selection) (*Result, error) {
+	q, err := a.Seed(e, db)
+	if err != nil {
+		return nil, err
+	}
+	return a.ExecuteSeeded(context.Background(), e, db, plan, sel, Options{Workers: plan.Workers}, q)
 }
 
 func TestAnalyzeTC(t *testing.T) {
@@ -61,7 +72,7 @@ func TestAnalyzeErrors(t *testing.T) {
 
 func TestChooseDecomposed(t *testing.T) {
 	a := analyze(t, tcProgram, "path")
-	plan := a.Choose(nil)
+	plan := a.ChooseMulti(nil, Options{})
 	if plan.Kind != Decomposed {
 		t.Fatalf("plan = %v, want decomposed", plan.Kind)
 	}
@@ -70,7 +81,7 @@ func TestChooseDecomposed(t *testing.T) {
 func TestChooseSeparable(t *testing.T) {
 	a := analyze(t, tcProgram, "path")
 	sel := &separable.Selection{Col: 0, Value: 1}
-	plan := a.Choose(sel)
+	plan := a.ChooseMulti([]separable.Selection{*sel}, Options{})
 	if plan.Kind != Separable {
 		t.Fatalf("plan = %v, want separable (%s)", plan.Kind, plan.Why)
 	}
@@ -91,7 +102,7 @@ p(X,Y) :- p(X,Z), e2(Z,Y).
 	if a.AllCommute() {
 		t.Fatalf("same-side rules should not commute")
 	}
-	plan := a.Choose(nil)
+	plan := a.ChooseMulti(nil, Options{})
 	if plan.Kind != SemiNaive {
 		t.Fatalf("plan = %v, want semi-naive fallback", plan.Kind)
 	}
@@ -111,11 +122,11 @@ func TestExecutePlansAgree(t *testing.T) {
 	workload.ChainShared(e, db, "up", 12)
 	workload.Random(e, db, "down", 13, 20, 5)
 
-	fallback, err := a.Execute(e, db, &Plan{Kind: SemiNaive}, nil)
+	fallback, err := execute(a, e, db, &Plan{Kind: SemiNaive}, nil)
 	if err != nil {
 		t.Fatalf("Execute fallback: %v", err)
 	}
-	dec, err := a.Execute(e, db, a.Choose(nil), nil)
+	dec, err := execute(a, e, db, a.ChooseMulti(nil, Options{}), nil)
 	if err != nil {
 		t.Fatalf("Execute decomposed: %v", err)
 	}
@@ -124,11 +135,11 @@ func TestExecutePlansAgree(t *testing.T) {
 	}
 
 	sel := separable.Selection{Col: 0, Value: e.Syms.Intern("v0")}
-	sepRes, err := a.Execute(e, db, a.Choose(&sel), nil)
+	sepRes, err := execute(a, e, db, a.ChooseMulti([]separable.Selection{sel}, Options{}), nil)
 	if err != nil {
 		t.Fatalf("Execute separable: %v", err)
 	}
-	filtered, err := a.Execute(e, db, &Plan{Kind: SemiNaive}, &sel)
+	filtered, err := execute(a, e, db, &Plan{Kind: SemiNaive}, &sel)
 	if err != nil {
 		t.Fatalf("Execute filtered: %v", err)
 	}
@@ -172,10 +183,10 @@ func TestAnalyzeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Choose(nil)
+		a.ChooseMulti(nil, Options{})
 	})
 	if allocs > 64 {
-		t.Fatalf("Analyze + Choose allocated %.0f times, want ≤ 64", allocs)
+		t.Fatalf("Analyze + ChooseMulti allocated %.0f times, want ≤ 64", allocs)
 	}
 }
 

@@ -277,15 +277,15 @@ func TestNArySeparableRejectsBadPremises(t *testing.T) {
 func TestNArySeparableNoSelections(t *testing.T) {
 	e, db, _ := multiDB()
 	a := analyze(t, threeOps)
-	plan := a.Choose(nil)
+	plan := a.ChooseMulti(nil, planner.Options{})
 	if plan.Kind != planner.Decomposed {
 		t.Fatalf("plan = %v, want decomposed", plan.Kind)
 	}
-	got, err := a.Execute(e, db, plan, nil)
+	q, _ := a.Seed(e, db)
+	got, err := a.ExecuteSeeded(context.Background(), e, db, plan, nil, planner.Options{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := a.Seed(e, db)
 	if want, _ := e.SemiNaive(db, a.Ops, q); !got.Answer.Equal(want) {
 		t.Fatalf("decomposed closure differs: %d vs %d", got.Answer.Len(), want.Len())
 	}

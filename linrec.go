@@ -136,7 +136,8 @@ type ResultCacheStats = core.ResultCacheStats
 // predicate.
 type Analysis = planner.Analysis
 
-// Plan is a selected evaluation strategy.
+// Plan is a selected evaluation strategy.  Plans are chosen once per
+// binding pattern and shared between queries: treat them as read-only.
 type Plan = planner.Plan
 
 // CommuteVerdict is the outcome of a commutativity test.

@@ -1,6 +1,7 @@
 package linrec
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,17 +100,17 @@ func TestPartialProgramPlansAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	grouped := a.Choose(nil)
+	grouped := a.ChooseMulti(nil, planner.Options{})
 	if grouped.Kind != planner.Decomposed || len(grouped.Groups) != 2 {
 		t.Fatalf("plan = %+v, want 2-group decomposition (%s)", grouped, grouped.Why)
 	}
-	g, err := a.Execute(sys.Engine, sys.DB(), grouped, nil)
+	g, err := executePlan(sys, a, grouped)
 	if err != nil {
-		t.Fatalf("Execute grouped: %v", err)
+		t.Fatalf("execute grouped: %v", err)
 	}
-	f, err := a.Execute(sys.Engine, sys.DB(), &planner.Plan{Kind: planner.SemiNaive}, nil)
+	f, err := executePlan(sys, a, &planner.Plan{Kind: planner.SemiNaive})
 	if err != nil {
-		t.Fatalf("Execute flat: %v", err)
+		t.Fatalf("execute flat: %v", err)
 	}
 	if !g.Answer.Equal(f.Answer) {
 		t.Fatalf("plans disagree: %d vs %d", g.Answer.Len(), f.Answer.Len())
@@ -157,4 +158,13 @@ func TestAnalysisGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// executePlan runs plan over the seed of sys's database.
+func executePlan(sys *System, a *planner.Analysis, plan *planner.Plan) (*planner.Result, error) {
+	q, err := a.Seed(sys.Engine, sys.DB())
+	if err != nil {
+		return nil, err
+	}
+	return a.ExecuteSeeded(context.Background(), sys.Engine, sys.DB(), plan, nil, planner.Options{}, q)
 }
